@@ -6,9 +6,10 @@
 //! single worker (`--jobs 1`) and once with the requested worker count —
 //! measuring wall-clock time and simulator events/sec for both, verifying
 //! that the parallel fold reproduces the sequential results exactly, and
-//! emitting a machine-readable JSON report (`BENCH_pr7.json`; the PR-2
-//! seed lives in `BENCH_pr2.json`) so later PRs have a trajectory to be
-//! measured against — diff two reports with the `benchcmp` binary.
+//! emitting a machine-readable JSON report (committed per milestone as
+//! `BENCH_pr*.json`, `BENCH_pr2.json` being the seed) so later PRs have a
+//! trajectory to be measured against — diff two reports with the
+//! `benchcmp` binary.
 
 use transport::TransportKind;
 use workload::{incast_burst, standard_mix, FlowSizeCdf};

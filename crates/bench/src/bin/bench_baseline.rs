@@ -1,6 +1,8 @@
 //! The performance-baseline recorder: times a representative workload
 //! suite sequentially (`--jobs 1`) and in parallel, cross-checks that both
-//! produce identical results, and writes `BENCH_pr7.json`.
+//! produce identical results, and writes the report to `--out` (default
+//! `bench_baseline.json`, an uncommitted scratch name, so a bare run can
+//! never clobber a committed `BENCH_pr*.json`).
 //!
 //! The committed reports form the repo's perf trajectory: later PRs re-run
 //! the suite and diff against them with the `benchcmp` binary. Built with
@@ -8,7 +10,7 @@
 //! event-level engine profile (`tlt-profile/v1`).
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_baseline              # BENCH_pr7.json
+//! cargo run --release -p bench --bin bench_baseline              # bench_baseline.json
 //! cargo run --release -p bench --bin bench_baseline -- --quick --out /tmp/b.json
 //! cargo run --release -p bench --features profile --bin bench_baseline -- \
 //!     --quick --profile-out /tmp/prof.json
@@ -61,7 +63,7 @@ fn main() {
         print!("{prof}");
     }
 
-    let path = args.out.as_deref().unwrap_or("BENCH_pr7.json");
+    let path = args.out.as_deref().unwrap_or("bench_baseline.json");
     std::fs::write(path, report.to_json()).expect("write baseline report");
     eprintln!("wrote {path}");
 

@@ -248,11 +248,21 @@ fn timer_slot(kind: TimerKind) -> usize {
 
 #[derive(Clone, Copy, Default)]
 struct PortState {
+    /// A frame was handed to the wire and its `TxDone` has not executed.
+    /// With `tx_done_queued` clear that `TxDone` is *virtual* (DESIGN §12
+    /// "Lazy TxDone"): `busy` then only means "busy until `(free_at,
+    /// free_seq)`", and `kick_port` is where it is resolved.
     busy: bool,
     paused: bool,
     paused_since: SimTime,
     paused_total: SimTime,
     ever_paused: bool,
+    /// When the frame being serialized leaves the port, and the tie-break
+    /// seq reserved for the `TxDone` of that instant.
+    free_at: SimTime,
+    free_seq: u64,
+    /// Whether that `TxDone` is actually in the event queue.
+    tx_done_queued: bool,
 }
 
 /// Per-flow ring capacity for [`LossEvent`] provenance records. Bounds the
@@ -447,9 +457,11 @@ impl Engine {
             .unwrap_or(SimTime::from_ns(2 * max_hops * link.delay.as_ns()));
         let bdp = link.bdp_bytes(base_rtt).max(u64::from(cfg.mss) * 4);
 
-        // Pre-size for the measured steady state (PR 6 profiling saw peak
-        // queue depths around 125k on the family-mix workloads) instead of
-        // regrowing mid-run; small runs stay small via the per-flow term.
+        // Pre-size so the wheel does not regrow mid-run; small runs stay
+        // small via the per-flow term. The 128k cap is generous headroom:
+        // it dates from the eager-timer engine (~125k pending at peak),
+        // while with lazy timers and lazy `TxDone` the benchmark's seven
+        // workloads peak between 2.5k and 12.5k pending events.
         let queue_cap = (specs.len().saturating_mul(32) + 256).min(1 << 17);
         let mut queue = EventQueue::with_capacity(queue_cap);
         // Constructor-time scheduling happens before the engine (and its
@@ -460,6 +472,13 @@ impl Engine {
         let mut flows = Vec::with_capacity(specs.len());
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
         for (i, spec) in specs.into_iter().enumerate() {
+            for h in [spec.src, spec.dst] {
+                assert!(
+                    h < hosts.len(),
+                    "flow {i}: host {h} out of range ({} hosts)",
+                    hosts.len()
+                );
+            }
             assert_ne!(spec.src, spec.dst, "flow {i}: src == dst");
             let src = hosts[spec.src];
             let dst = hosts[spec.dst];
@@ -737,10 +756,7 @@ impl Engine {
                         check_done!(f);
                     }
                 }
-                Event::TxDone { node, port } => {
-                    self.ports[node.0 as usize][port.0 as usize].busy = false;
-                    self.kick_port(node, port);
-                }
+                Event::TxDone { node, port } => self.tx_done(node, port),
                 Event::Timer { flow, kind, gen } => {
                     let slot = timer_slot(kind);
                     let rt = &mut self.flows[flow as usize];
@@ -905,6 +921,26 @@ impl Engine {
             if remaining == 0 {
                 break;
             }
+        }
+
+        // End-of-run clock (DESIGN §12 "Lazy TxDone"). When the loop ran
+        // dry or hit the horizon — not when the last flow finished — the
+        // eager engine would still have executed every idle `TxDone` up to
+        // `max_time`, and one of them could be the last event of the run
+        // (a frame serialized onto a dead wire has a `TxDone` but no
+        // `Deliver`). `duration`, the pause close-out and
+        // `link_pause_fraction` all read `now`, so advance it to the latest
+        // of those virtual events.
+        if remaining > 0 {
+            let horizon = self.cfg.max_time;
+            let last_free = self
+                .ports
+                .iter()
+                .flatten()
+                .filter(|ps| ps.busy && !ps.tx_done_queued && ps.free_at <= horizon)
+                .map(|ps| ps.free_at)
+                .max();
+            self.now = self.now.max(last_free.unwrap_or(SimTime::ZERO));
         }
 
         self.collect(queue_samples)
@@ -1276,14 +1312,79 @@ impl Engine {
         );
     }
 
+    /// Whether anything waits in `(node, port)`'s egress queue (switch
+    /// queue or host NIC queue).
+    #[inline]
+    fn has_backlog(&self, node: NodeId, port: PortId) -> bool {
+        let n = node.0 as usize;
+        match &self.switches[n] {
+            Some(sw) => sw.has_packets(port),
+            None => !self.host_q[n].is_empty(),
+        }
+    }
+
+    /// Pushes the `TxDone` of the transmission in progress on `(node,
+    /// port)` into its reserved FIFO slot `(free_at, free_seq)`. The one
+    /// place a `TxDone` enters the queue, so the profiler counts pushes,
+    /// not reservations (`sched_total == queue_pushes`).
+    fn push_tx_done(&mut self, node: NodeId, port: PortId) {
+        let ps = &mut self.ports[node.0 as usize][port.0 as usize];
+        ps.tx_done_queued = true;
+        let (at, seq) = (ps.free_at, ps.free_seq);
+        #[cfg(feature = "profile")]
+        self.prof.on_sched(crate::profile::EvKind::TxDone);
+        self.queue
+            .schedule_with_seq(at, seq, Event::TxDone { node, port });
+    }
+
+    /// A queued `TxDone` popped: the port is free, serve what waits.
+    fn tx_done(&mut self, node: NodeId, port: PortId) {
+        let ps = &mut self.ports[node.0 as usize][port.0 as usize];
+        ps.busy = false;
+        ps.tx_done_queued = false;
+        self.kick_port(node, port);
+    }
+
     /// Starts transmitting on `(node, port)` if it is idle, unpaused, and
     /// has a packet queued.
+    ///
+    /// Every path that can make a port transmit funnels through here
+    /// (enqueue in `deliver`, `flush_actions`, PFC resume, the `TxDone`
+    /// arm), which is what lets `TxDone` be lazy: a transmission only
+    /// *reserves* its `TxDone`, and the event is pushed when — and only if
+    /// — something queues up behind the frame while it is still on the
+    /// port. See DESIGN §12 "Lazy TxDone" for the byte-identity argument.
     fn kick_port(&mut self, node: NodeId, port: PortId) {
         let n = node.0 as usize;
         let ps = self.ports[n][port.0 as usize];
-        if ps.busy || ps.paused {
+        // Resolve `busy` before looking at `paused`: a paused port that is
+        // still serializing with a backlog needs its `TxDone` like any
+        // other.
+        if ps.busy {
+            if ps.tx_done_queued {
+                return;
+            }
+            // Compare the `(time, seq)` pair, never the time alone: a frame
+            // enqueued in the very nanosecond the port frees up sees it
+            // busy iff the reserved `TxDone` would pop after the event
+            // being executed.
+            if (ps.free_at, ps.free_seq) > (self.now, self.queue.last_popped_seq()) {
+                if self.has_backlog(node, port) {
+                    self.push_tx_done(node, port);
+                }
+                return;
+            }
+            // The virtual `TxDone` already "fired", and on an empty queue
+            // (anything enqueued before it would have kicked this port and
+            // materialized it): the port is simply idle.
+            self.ports[n][port.0 as usize].busy = false;
+        }
+        if ps.paused {
             return;
         }
+        // `Switch::dequeue` on an empty queue returns `(None, None)` before
+        // touching any counter, tracer or PFC state; eliding the idle
+        // `TxDone` (whose only act was this call) relies on that.
         let pkt = if let Some(sw) = self.switches[n].as_mut() {
             let (pkt, sig) = sw.dequeue(&mut self.pkts, port, self.now);
             if let Some(sig) = sig {
@@ -1318,8 +1419,17 @@ impl Engine {
         let tx = self.faults.tx_time(lid, &spec, wire);
         #[cfg(feature = "strict-invariants")]
         self.ledger.on_tx(lid.0 as usize, wire);
-        self.ports[n][port.0 as usize].busy = true;
-        self.sched(self.now + tx, Event::TxDone { node, port });
+        // Always reserve the `TxDone` tie-break seq here (before the
+        // `Deliver` push, where the eager schedule sat); push the event
+        // only if something already waits behind this frame.
+        let free_seq = self.queue.reserve_seq();
+        let ps = &mut self.ports[n][port.0 as usize];
+        ps.busy = true;
+        ps.free_at = self.now + tx;
+        ps.free_seq = free_seq;
+        if self.has_backlog(node, port) {
+            self.push_tx_done(node, port);
+        }
         // Link failure: the port still spends the serialization time, but
         // the frame goes onto a dead wire and is destroyed.
         if self.faults.is_down(lid) {
@@ -1845,11 +1955,12 @@ mod tests {
 
     /// Every scheduled event must be accounted as executed, stale, or
     /// unpopped, with the component split covering every pop — exercised
-    /// on an incast with timers, PFC, and sampling all active.
+    /// on an incast with timers, PFC, and sampling all active, and on a
+    /// multi-hop fat-tree run where most `TxDone`s are never pushed.
     #[test]
     #[cfg(feature = "profile")]
     fn profile_accounts_every_scheduled_event() {
-        let run = || {
+        let incast = || {
             let mut cfg =
                 SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(9));
             cfg.switch.buffer_bytes = 100_000;
@@ -1859,49 +1970,77 @@ mod tests {
                 .collect();
             Engine::new(cfg, flows).run()
         };
-        let res = run();
-        let p = res.profile.as_ref().expect("profile feature is on");
-        let r = &p.reg;
-        let sched = r.counter("events_scheduled_total");
-        // `agg.events_scheduled` counts logical events (every timer-arm
-        // reserves a seq, pushed or deferred); the profiler counts actual
-        // queue pushes, so it reads lower whenever deferral saved churn.
-        assert!(
-            sched <= res.agg.events_scheduled,
-            "profiler overcounted: {sched} > {}",
-            res.agg.events_scheduled
-        );
-        assert_eq!(
-            r.counter("events_executed_total") + r.counter("events_cancelled_total"),
-            sched
-        );
-        let kind_sched: u64 = crate::profile::EvKind::ALL
-            .iter()
-            .map(|k| r.counter(&format!("event_sched/{}", k.name())))
-            .sum();
-        assert_eq!(kind_sched, sched);
-        assert_eq!(r.counter("event_sched/flow_start"), 8);
-        assert_eq!(r.counter("event_exec/flow_start"), 8);
-        // Component attribution covers every executed-or-stale pop.
-        let comp: u64 = ["switch", "link", "transport", "timer", "fault", "sampler"]
-            .iter()
-            .map(|c| r.counter(&format!("component_exec/{c}")))
-            .sum();
-        let popped = r.counter("events_executed_total") + {
-            crate::profile::EvKind::ALL
-                .iter()
-                .map(|k| r.counter(&format!("event_stale/{}", k.name())))
-                .sum::<u64>()
+        // Eight cross-pod flows over six-hop routes on a k=4 fat-tree.
+        let multi_hop = || {
+            let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(
+                netsim::topology::TopologySpec::paper_fat_tree(4, SimTime::from_us(10)),
+            );
+            let flows: Vec<FlowSpec> = (0..8)
+                .map(|s| FlowSpec::new(s, 15 - s, 60_000, SimTime::from_us(s as u64), true))
+                .collect();
+            Engine::new(cfg, flows).run()
         };
-        assert_eq!(comp, popped);
-        assert!(r.gauge("queue_peak_depth") > 0);
-        assert_eq!(r.counter("queue_pushes"), sched);
-        // The events series saw exactly the popped (executed + stale) events.
-        assert_eq!(p.series_get("events").unwrap().total_count(), popped);
-        assert!(p.series_get("inflight_pkts").unwrap().total_count() > 0);
+        let audit = |res: &SimResult| {
+            let p = res.profile.as_ref().expect("profile feature is on");
+            let r = &p.reg;
+            let sched = r.counter("events_scheduled_total");
+            // `agg.events_scheduled` counts logical events (every timer arm
+            // and every transmission reserves a seq, pushed or not); the
+            // profiler counts actual queue pushes, so it reads lower
+            // whenever laziness saved churn.
+            assert!(
+                sched < res.agg.events_scheduled,
+                "no push was saved: {sched} vs {}",
+                res.agg.events_scheduled
+            );
+            assert_eq!(
+                r.counter("events_executed_total") + r.counter("events_cancelled_total"),
+                sched
+            );
+            let kind_sched: u64 = crate::profile::EvKind::ALL
+                .iter()
+                .map(|k| r.counter(&format!("event_sched/{}", k.name())))
+                .sum();
+            assert_eq!(kind_sched, sched);
+            assert_eq!(r.counter("event_sched/flow_start"), 8);
+            assert_eq!(r.counter("event_exec/flow_start"), 8);
+            // Lazy TxDone: one is pushed only when a frame queues up behind
+            // another, so pushes trail the frames delivered, and each push
+            // is popped or left behind — never lost.
+            assert!(r.counter("event_sched/tx_done") < r.counter("event_exec/deliver"));
+            assert_eq!(
+                r.counter("event_sched/tx_done"),
+                r.counter("event_exec/tx_done") + r.counter("event_unpopped/tx_done")
+            );
+            // Component attribution covers every executed-or-stale pop.
+            let comp: u64 = ["switch", "link", "transport", "timer", "fault", "sampler"]
+                .iter()
+                .map(|c| r.counter(&format!("component_exec/{c}")))
+                .sum();
+            let popped = r.counter("events_executed_total") + {
+                crate::profile::EvKind::ALL
+                    .iter()
+                    .map(|k| r.counter(&format!("event_stale/{}", k.name())))
+                    .sum::<u64>()
+            };
+            assert_eq!(comp, popped);
+            assert!(r.gauge("queue_peak_depth") > 0);
+            assert_eq!(r.counter("queue_pushes"), sched);
+            // The events series saw exactly the popped (executed + stale) events.
+            assert_eq!(p.series_get("events").unwrap().total_count(), popped);
+            assert!(p.series_get("inflight_pkts").unwrap().total_count() > 0);
+        };
+        let res = incast();
+        audit(&res);
+        let hops = multi_hop();
+        assert!(hops.flows.iter().all(|f| f.end.is_some()));
+        audit(&hops);
         // Determinism: a second identical run serializes byte-identically.
-        let again = run();
-        assert_eq!(p.to_json(), again.profile.as_ref().unwrap().to_json());
+        let again = incast();
+        assert_eq!(
+            res.profile.as_ref().unwrap().to_json(),
+            again.profile.as_ref().unwrap().to_json()
+        );
     }
 
     /// Flow-completion callbacks: a dependent flow starts exactly at its
@@ -1945,6 +2084,17 @@ mod tests {
             SimTime::from_us(1),
             "absolute start kept"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1: host 7 out of range (3 hosts)")]
+    fn out_of_range_host_is_rejected_with_the_flow_index() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+        let flows = vec![
+            FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true),
+            FlowSpec::new(2, 7, 1_000, SimTime::ZERO, true),
+        ];
+        let _ = Engine::new(cfg, flows);
     }
 
     #[test]
@@ -2576,6 +2726,284 @@ mod tests {
             assert_eq!(x.stalls, y.stalls);
             assert_eq!(x.end_ns, y.end_ns);
         }
+    }
+
+    /// White-box stepper for the lazy-`TxDone` tests: stands in for the run
+    /// loop so a test can place a send at an exact `(time, seq)` queue
+    /// position and look at the port and the event queue afterwards.
+    struct Rig {
+        eng: Engine,
+        /// The sending host of flow 0.
+        src: NodeId,
+        /// Serialization time of one [`Rig::send`] frame, and the link's
+        /// propagation delay (ns).
+        tx: u64,
+        delay: u64,
+    }
+
+    const RIG_FRAME: u32 = 1440;
+
+    impl Rig {
+        fn new() -> Rig {
+            let cfg =
+                SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
+            // The flow only lends its paths to the frames; its own
+            // FlowStart sits at the horizon and is never popped.
+            let flow = FlowSpec::new(0, 1, 1_000_000, SimTime::from_secs(1), false);
+            let eng = Engine::new(cfg, vec![flow]);
+            let src = eng.flows[0].src;
+            let spec = eng.topo.link_from(src, PortId(0)).1.spec;
+            let wire = Packet::data(FlowId(0), 0, RIG_FRAME).wire_size();
+            Rig {
+                tx: spec.tx_time(wire).as_ns(),
+                delay: spec.delay.as_ns(),
+                eng,
+                src,
+            }
+        }
+
+        /// Schedules a no-op event: a `(time, seq)` position to act from.
+        fn mark(&mut self, at: u64) {
+            self.eng
+                .queue
+                .schedule(SimTime::from_ns(at), Event::QueueSample);
+        }
+
+        /// Pops the next event and advances the clock, as the run loop does.
+        fn pop(&mut self) -> (u64, Event) {
+            let (t, ev) = self.eng.queue.pop().expect("an event is pending");
+            self.eng.now = t;
+            (t.as_ns(), ev)
+        }
+
+        /// Pops the next event, which must be a marker at `at`.
+        fn pop_mark(&mut self, at: u64) {
+            assert!(matches!(self.pop(), (t, Event::QueueSample) if t == at));
+        }
+
+        /// Pops the next event, which must be the NIC's `TxDone` at `at`,
+        /// and executes it.
+        fn pop_tx_done(&mut self, at: u64) {
+            let (t, ev) = self.pop();
+            let Event::TxDone { node, port } = ev else {
+                panic!("expected a TxDone at {at}");
+            };
+            assert_eq!((t, node, port), (at, self.src, PortId(0)));
+            self.eng.tx_done(node, port);
+        }
+
+        /// The source host's transport emits `n` frames at this instant.
+        fn send(&mut self, n: u64) {
+            for i in 0..n {
+                let pkt = Packet::data(FlowId(0), i * u64::from(RIG_FRAME), RIG_FRAME);
+                self.eng.actions.push(Action::Send(pkt));
+            }
+            self.eng.flush_actions(0);
+        }
+
+        fn nic(&self) -> PortState {
+            self.eng.ports[self.src.0 as usize][0]
+        }
+
+        fn waiting(&self) -> usize {
+            self.eng.host_q[self.src.0 as usize].len()
+        }
+
+        /// `(queue pushes, seqs allocated)` so far.
+        fn churn(&self) -> (u64, u64) {
+            (self.eng.queue.scheduled_total(), self.eng.queue.seq_total())
+        }
+
+        /// Drains the queue down to the parked FlowStart; returns the
+        /// arrival times of every `Deliver` on the way.
+        fn arrivals(&mut self) -> Vec<u64> {
+            let mut out = Vec::new();
+            while self.eng.queue.len() > 1 {
+                if let (t, Event::Deliver { .. }) = self.pop() {
+                    out.push(t);
+                }
+            }
+            out
+        }
+    }
+
+    /// Same-nanosecond tie: a frame enqueued at exactly `free_at` sees the
+    /// port busy iff the reserved `TxDone` seq is still ahead of the event
+    /// doing the enqueue. Either way it departs at `free_at`, as in the
+    /// eager engine — but *from which event* decides every seq allocated
+    /// downstream, so the two sides must not be confused.
+    #[test]
+    fn lazy_tx_done_breaks_free_at_ties_on_the_reserved_seq() {
+        for above in [false, true] {
+            let mut r = Rig::new();
+            let (t0, tx, delay) = (1_000, r.tx, r.delay);
+            r.mark(t0);
+            // Scheduled before frame A reserves its `TxDone` seq: "below".
+            r.mark(t0 + tx);
+            r.pop_mark(t0);
+            r.send(1);
+            let a = r.nic();
+            assert!(a.busy && !a.tx_done_queued, "a lone frame pushes no TxDone");
+            assert_eq!(a.free_at, SimTime::from_ns(t0 + tx));
+            // Scheduled after: "above".
+            r.mark(t0 + tx);
+            r.pop_mark(t0 + tx);
+            assert!(r.eng.queue.last_popped_seq() < a.free_seq);
+            if above {
+                r.pop_mark(t0 + tx);
+                assert!(r.eng.queue.last_popped_seq() > a.free_seq);
+            }
+            let before = r.churn();
+            r.send(1);
+            if above {
+                // The virtual TxDone already fired: B leaves on the spot.
+                assert_eq!(r.waiting(), 0);
+                assert_eq!(r.churn(), (before.0 + 1, before.1 + 2), "Deliver only");
+            } else {
+                // Still busy: B waits, and the TxDone is materialized in
+                // its reserved slot — ahead of the "above" marker that was
+                // scheduled (and so pushed) before it.
+                assert_eq!(r.waiting(), 1);
+                assert!(r.nic().tx_done_queued);
+                assert_eq!(r.churn(), (before.0 + 1, before.1), "TxDone only");
+                r.pop_tx_done(t0 + tx);
+                assert_eq!(r.waiting(), 0);
+                r.pop_mark(t0 + tx);
+            }
+            let b = r.nic();
+            assert!(b.busy && !b.tx_done_queued);
+            assert_eq!(
+                b.free_at,
+                SimTime::from_ns(t0 + 2 * tx),
+                "B left at free_at"
+            );
+            assert_eq!(r.arrivals(), [t0 + tx + delay, t0 + 2 * tx + delay]);
+        }
+    }
+
+    /// Host NIC: a lone send pushes no `TxDone`; a burst materializes the
+    /// first frame's `TxDone` when the second queues up behind it, then
+    /// pushes eagerly for as long as a backlog remains. Departures are
+    /// back-to-back at line rate, exactly the eager engine's.
+    #[test]
+    fn lazy_tx_done_pushes_only_behind_a_backlog() {
+        let mut r = Rig::new();
+        let (tx, delay) = (r.tx, r.delay);
+        // A lone send, then another after the virtual TxDone has passed.
+        for t in [1_000, 1_000 + 10 * tx] {
+            r.mark(t);
+            r.pop_mark(t);
+            let before = r.churn();
+            r.send(1);
+            assert_eq!(r.churn(), (before.0 + 1, before.1 + 2), "Deliver only");
+            let ps = r.nic();
+            assert!(ps.busy && !ps.tx_done_queued);
+            assert_eq!(ps.free_at, SimTime::from_ns(t + tx), "left at once");
+        }
+        assert_eq!(r.arrivals(), [1_000 + tx + delay, 1_000 + 11 * tx + delay]);
+        // A burst of three in one transport callback.
+        let t = 100_000;
+        r.mark(t);
+        r.pop_mark(t);
+        let before = r.churn();
+        r.send(3);
+        // Frame 1 left (Deliver); frame 2 materialized frame 1's TxDone;
+        // frame 3 found it queued.
+        assert_eq!(r.churn(), (before.0 + 2, before.1 + 2));
+        assert_eq!(r.waiting(), 2);
+        // Frame 2 leaves with frame 3 behind it: eager push.
+        let before = r.churn();
+        r.pop_tx_done(t + tx);
+        assert_eq!(r.churn(), (before.0 + 2, before.1 + 2), "TxDone + Deliver");
+        assert!(r.nic().tx_done_queued);
+        // Frame 3 leaves an empty queue: lazy again.
+        let before = r.churn();
+        r.pop_tx_done(t + 2 * tx);
+        assert_eq!(r.churn(), (before.0 + 1, before.1 + 2), "Deliver only");
+        let ps = r.nic();
+        assert!(ps.busy && !ps.tx_done_queued);
+        assert_eq!(ps.free_at, SimTime::from_ns(t + 3 * tx));
+        let due = [1, 2, 3].map(|k| t + k * tx + delay);
+        assert_eq!(r.arrivals(), due);
+    }
+
+    /// PFC against a lazily busy port, through the real run loop: host
+    /// index 1 sends a lone frame at 20 us, a pause storm reaches its NIC
+    /// mid-serialization (empty queue, no `TxDone` queued), and a second
+    /// frame is enqueued under the pause. It must leave when the eager
+    /// engine would release it: at `free_at` if the resume came first, at
+    /// the resume otherwise — including when the virtual `TxDone` passed
+    /// unseen while the port was paused.
+    #[test]
+    fn lazy_tx_done_under_pfc_pause_keeps_eager_departure_times() {
+        use telemetry::RingSink;
+        const START: u64 = 20_000;
+        const XOFF_AT_SWITCH: u64 = 10_100;
+        // Arrival times at the switch of the two flows' data frames, and
+        // when the NIC was paused / resumed.
+        let run = |second_start: u64, storm: u64| {
+            let mut cfg =
+                SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+            cfg.faults = faults::FaultSchedule::new().pause_storm(
+                SimTime::from_ns(XOFF_AT_SWITCH),
+                0,
+                1,
+                SimTime::from_ns(storm),
+            );
+            let flows = [START, second_start]
+                .map(|at| FlowSpec::new(1, 0, u64::from(RIG_FRAME), SimTime::from_ns(at), true));
+            let mut eng = Engine::new(cfg, flows.to_vec());
+            let (tracer, sink) = Tracer::new(RingSink::new(1 << 12));
+            eng.set_tracer(tracer);
+            let res = eng.run();
+            assert!(res.flows.iter().all(|f| f.end.is_some()));
+            assert_eq!(res.agg.timeouts, 0);
+            let sink = sink.borrow();
+            let at = |want: &dyn Fn(&TraceEvent) -> bool| {
+                let mut hits = sink.events().filter(|(_, ev)| want(ev));
+                let t = hits.next().expect("event traced").0.as_ns();
+                assert!(hits.next().is_none(), "traced exactly once");
+                t
+            };
+            // A flow's data frame reaching the switch (egress 0 faces the
+            // receiver; ACKs go out the other way).
+            let arrival = |f: u32| {
+                at(&move |ev| match ev {
+                    TraceEvent::Enqueue {
+                        node, port, flow, ..
+                    } => (*node, *port, *flow) == (0, 0, f),
+                    _ => false,
+                })
+            };
+            let paused = at(&|ev| matches!(ev, TraceEvent::LinkPause { node: 2, port: 0 }));
+            let resumed = at(&|ev| matches!(ev, TraceEvent::LinkResume { node: 2, port: 0 }));
+            (arrival(0), arrival(1), paused, resumed)
+        };
+        let rig = Rig::new();
+        let (tx, delay) = (rig.tx, rig.delay);
+        let free_at = START + tx;
+        let pause_at = XOFF_AT_SWITCH + delay;
+        assert!(
+            START < pause_at && pause_at + 50 < free_at,
+            "pause lands mid-frame"
+        );
+
+        // Resume before free_at: the frame waits for the (materialized)
+        // TxDone and leaves at free_at.
+        let (a0, a1, paused, resumed) = run(pause_at + 20, 50);
+        assert_eq!((paused, resumed), (pause_at, pause_at + 50));
+        assert_eq!((a0, a1), (free_at + delay, free_at + tx + delay));
+
+        // Resume after free_at: the TxDone pops into a paused port; the
+        // resume releases the frame.
+        let (a0, a1, _, resumed) = run(pause_at + 20, 5_000);
+        assert_eq!(resumed, pause_at + 5_000);
+        assert_eq!((a0, a1), (free_at + delay, resumed + tx + delay));
+
+        // Enqueued under the pause but after free_at: the virtual TxDone
+        // never materialized and the port is found idle-but-paused.
+        let (a0, a1, _, resumed) = run(free_at + 700, 5_000);
+        assert_eq!((a0, a1), (free_at + delay, resumed + tx + delay));
     }
 
     #[test]

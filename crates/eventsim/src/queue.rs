@@ -64,12 +64,13 @@ pub struct EventQueue<E> {
     pushes: u64,
     /// Redistribution scratch, swapped with a bucket to keep its capacity.
     spare: Vec<Entry<E>>,
-    /// Strict-invariant auditor: `(time, seq)` of the last popped entry,
-    /// asserted non-decreasing so a tie-break regression (or queue misuse)
-    /// surfaces at the pop that breaks simulated causality, not as a
-    /// mysteriously different figure three layers up.
-    #[cfg(feature = "strict-invariants")]
-    last_pop: Option<(SimTime, u64)>,
+    /// Tie-break seq of the most recently popped entry (its time is `top`);
+    /// see [`EventQueue::last_popped_seq`]. The strict-invariant auditor
+    /// asserts the `(top, last_seq)` pair non-decreasing across pops, so a
+    /// tie-break regression (or queue misuse) surfaces at the pop that
+    /// breaks simulated causality, not as a mysteriously different figure
+    /// three layers up.
+    last_seq: u64,
     /// Profiling: high-water mark of pending events.
     #[cfg(feature = "profile")]
     peak_len: usize,
@@ -103,8 +104,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             pushes: 0,
             spare: Vec::new(),
-            #[cfg(feature = "strict-invariants")]
-            last_pop: None,
+            last_seq: 0,
             #[cfg(feature = "profile")]
             peak_len: 0,
             #[cfg(feature = "profile")]
@@ -242,11 +242,14 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        #[cfg(feature = "strict-invariants")]
+        let prev = (SimTime::from_ns(self.top), self.last_seq);
         if self.cur.is_empty() && !self.refill() {
             return None;
         }
         let e = self.cur.pop_front().expect("refill fills cur");
         self.n -= 1;
+        self.last_seq = e.seq;
         #[cfg(feature = "profile")]
         {
             // Counted in the successful-pop arm only, so the counter can
@@ -254,18 +257,24 @@ impl<E> EventQueue<E> {
             self.pops += 1;
         }
         #[cfg(feature = "strict-invariants")]
-        {
-            if let Some((t, s)) = self.last_pop {
-                debug_assert!(
-                    (e.at, e.seq) >= (t, s),
-                    "event queue popped backwards: {:?} after {:?}",
-                    (e.at, e.seq),
-                    (t, s)
-                );
-            }
-            self.last_pop = Some((e.at, e.seq));
-        }
+        debug_assert!(
+            (e.at, e.seq) >= prev,
+            "event queue popped backwards: {:?} after {:?}",
+            (e.at, e.seq),
+            prev
+        );
         Some((e.at, e.event))
+    }
+
+    /// Tie-break sequence number of the most recently popped entry (`0`
+    /// before the first pop). Together with the popped timestamp this is
+    /// the queue position of the event being executed: a caller holding a
+    /// reserved `(at, seq)` can tell whether that slot would already have
+    /// popped — `(at, seq) < (now, last_popped_seq())` — without the entry
+    /// ever having been enqueued. The engine's lazy `TxDone` rests on it.
+    #[inline]
+    pub fn last_popped_seq(&self) -> u64 {
+        self.last_seq
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -520,6 +529,7 @@ mod tests {
         pending: Vec<(u64, u64, E)>,
         floor: u64,
         seq: u64,
+        last_seq: u64,
     }
 
     impl<E> Model<E> {
@@ -528,6 +538,7 @@ mod tests {
                 pending: Vec::new(),
                 floor: 0,
                 seq: 0,
+                last_seq: 0,
             }
         }
         fn schedule(&mut self, at: u64, event: E) {
@@ -550,19 +561,23 @@ mod tests {
                 .enumerate()
                 .min_by_key(|(_, (at, seq, _))| (*at, *seq))
                 .map(|(i, _)| i)?;
-            let (at, _, event) = self.pending.swap_remove(i);
+            let (at, seq, event) = self.pending.swap_remove(i);
             self.floor = at;
+            self.last_seq = seq;
             Some((at, event))
         }
     }
 
     /// Differential property test: the wheel agrees with the reference
     /// model on random schedule/pop interleavings — same-tick FIFO bursts,
-    /// far-future horizon keys, reserved-seq deferrals, and (in non-strict
-    /// builds) schedule-into-past clamping.
+    /// far-future horizon keys, reserved-seq deferrals (including ones
+    /// materialized at exactly the floor, mid-cohort — the lazy `TxDone`
+    /// shape), and (in non-strict builds) schedule-into-past clamping. The
+    /// last-popped seq is checked against the model after every pop.
     #[test]
     fn prop_differential_against_reference_model() {
         let mut rng = crate::SimRng::seed_from(0xD1FF);
+        let mut mid_cohort = 0u32;
         for case in 0..96 {
             let mut q = EventQueue::new();
             let mut m = Model::new();
@@ -570,7 +585,7 @@ mod tests {
             let mut reserved: Vec<u64> = Vec::new();
             let mut id = 0u64;
             for _ in 0..rng.gen_range_usize(0..300) {
-                match rng.gen_range_u64(0..10) {
+                match rng.gen_range_u64(0..11) {
                     // Schedule ahead of the floor, with bursts at `now`
                     // (FIFO tie-break) and occasional far-future spikes.
                     0..=4 => {
@@ -617,6 +632,23 @@ mod tests {
                         m.schedule_with_seq(at, seq, id);
                         id += 1;
                     }
+                    // Materialize a reservation at exactly the floor. A seq
+                    // above the last popped one is still ahead of the pop
+                    // cursor, so this is legal under the strict audit too —
+                    // and it must land *between* the cohort's pending seqs,
+                    // not behind them.
+                    8 => {
+                        let last = q.last_popped_seq();
+                        let Some(i) = reserved.iter().position(|&s| s > last) else {
+                            continue;
+                        };
+                        let seq = reserved.swap_remove(i);
+                        let at_floor = |&(at, s, _): &(u64, u64, u64)| at == now && s > seq;
+                        mid_cohort += u32::from(m.pending.iter().any(at_floor));
+                        q.schedule_with_seq(SimTime::from_ns(now), seq, id);
+                        m.schedule_with_seq(now, seq, id);
+                        id += 1;
+                    }
                     _ => {
                         let got = q.pop();
                         let want = m.pop();
@@ -628,6 +660,11 @@ mod tests {
                         if let Some((t, _)) = got {
                             now = t.as_ns();
                         }
+                        assert_eq!(
+                            q.last_popped_seq(),
+                            m.last_seq,
+                            "case {case}: last-popped seq diverged"
+                        );
                     }
                 }
                 assert_eq!(q.len(), m.pending.len(), "case {case}: len diverged");
@@ -641,10 +678,15 @@ mod tests {
                     want,
                     "case {case}: drain diverged"
                 );
+                assert_eq!(q.last_popped_seq(), m.last_seq, "case {case}: drain seq");
                 if got.is_none() {
                     break;
                 }
             }
         }
+        assert!(
+            mid_cohort > 0,
+            "no reservation ever materialized ahead of a pending same-tick entry"
+        );
     }
 }

@@ -85,3 +85,130 @@ fn standard_mix_fingerprint_unchanged_by_btreemap_swap() {
     });
     assert_eq!(fp, 0x7ed1624ea0934bca);
 }
+
+// ---------------------------------------------------------------------
+// Drain / horizon goldens for the lazy `TxDone` (DESIGN §12).
+//
+// Recorded on the eager engine (PR 11), where every transmission pushed a
+// `TxDone` and an idle one could be the last event executed — so
+// `agg.duration`, the pause close-out and `link_pause_fraction` depended on
+// it. The lazy engine must reproduce every value below exactly; a missing
+// end-of-run clock fix-up shows up here first (the severed flow's last RTO
+// probe serializes onto a dead wire: a `TxDone`, no `Deliver`).
+// ---------------------------------------------------------------------
+
+/// Everything about a run that the end-of-run clock can move.
+fn clock_golden(res: &dcsim::SimResult) -> String {
+    format!(
+        "dur={} ev={} pause={:#018x}",
+        res.agg.duration.as_ns(),
+        res.agg.events_scheduled,
+        res.agg.link_pause_fraction.to_bits()
+    )
+}
+
+/// [`clock_golden`] plus every flow's `(start, end, timeouts)`, as one
+/// comparable string.
+fn drain_golden(res: &dcsim::SimResult) -> String {
+    let flows: Vec<String> = res
+        .flows
+        .iter()
+        .map(|f| {
+            format!(
+                "({},{},{})",
+                f.start.as_ns(),
+                f.end.map_or(-1, |e| e.as_ns() as i64),
+                f.timeouts
+            )
+        })
+        .collect();
+    format!("{} flows=[{}]", clock_golden(res), flows.join(","))
+}
+
+#[test]
+fn golden_permanent_link_down_drain() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(4));
+    cfg.max_time = SimTime::from_ms(50);
+    cfg.faults = dcsim::FaultSchedule::new().link_down(SimTime::from_us(50), 3, 0);
+    let flows = (1..=3)
+        .map(|s| FlowSpec::new(s, 0, 64_000, SimTime::ZERO, true))
+        .collect();
+    let res = Engine::new(cfg, flows).run();
+    assert_eq!(
+        drain_golden(&res),
+        "dur=28049258 ev=951 pause=0x0000000000000000 flows=[(0,109416,0),(0,-1,3),(0,110150,0)]"
+    );
+}
+
+#[test]
+fn golden_max_time_truncation() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Tcp).with_topology(small_single_switch(2));
+    cfg.max_time = SimTime::from_us(50);
+    let flows = vec![FlowSpec::new(0, 1, 10_000_000, SimTime::ZERO, false)];
+    let res = Engine::new(cfg, flows).run();
+    assert_eq!(
+        drain_golden(&res),
+        "dur=46576 ev=132 pause=0x0000000000000000 flows=[(0,-1,0)]"
+    );
+}
+
+#[test]
+fn golden_pause_storm_release() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+    cfg.faults =
+        dcsim::FaultSchedule::new().pause_storm(SimTime::from_us(100), 0, 1, SimTime::from_us(300));
+    let flows = vec![FlowSpec::new(1, 0, 1_000_000, SimTime::ZERO, false)];
+    let res = Engine::new(cfg, flows).run();
+    assert_eq!(
+        drain_golden(&res),
+        "dur=653184 ev=6260 pause=0x3fdd64fc3ccd4816 flows=[(0,633164,0)]"
+    );
+}
+
+/// One `mix_faults`-style cell (benchmark/src/workloads.rs): DCTCP+TLT on
+/// the reduced leaf–spine mix under a rerouted link-down, burst loss, a
+/// flap and a pause storm, cut short by the horizon so truncated flows and
+/// a still-paused port are both in the picture.
+#[test]
+fn golden_faulted_mix_cell() {
+    let mut p = MixParams::reduced(60);
+    p.seed = 3;
+    let link = netsim::link::LinkSpec::new(p.link_bw_bps, SimTime::from_us(10));
+    let faults = dcsim::FaultSchedule::new()
+        .link_down_rerouted(SimTime::from_us(300), 4, 8, SimTime::from_us(200))
+        .burst_loss(SimTime::from_us(100), 5, 0, 0.02, 8.0, 0.5)
+        .link_flap(SimTime::from_us(600), 6, 9, SimTime::from_us(150))
+        .pause_storm(SimTime::from_us(400), 7, 0, SimTime::from_us(300));
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+        .with_topology(netsim::topology::TopologySpec::LeafSpine {
+            cores: p.cores,
+            tors: p.tors,
+            hosts_per_tor: p.hosts / p.tors,
+            host_link: link,
+            fabric_link: link,
+        })
+        .with_tlt()
+        .with_seed(3)
+        .with_faults(faults);
+    cfg.max_time = SimTime::from_ms(2);
+    let res = Engine::new(cfg, standard_mix(&FlowSizeCdf::web_search(), p)).run();
+    let a = &res.agg;
+    // Per-flow (start, end, timeouts), folded order-sensitively.
+    let fp = res.flows.iter().fold(0u64, |acc, f| {
+        acc.wrapping_mul(0x100000001B3)
+            .wrapping_add(f.start.as_ns() ^ f.end.map_or(u64::MAX, |e| e.as_ns()).rotate_left(21))
+            .wrapping_add(f.timeouts)
+    });
+    let done = res.flows.iter().filter(|f| f.end.is_some()).count();
+    assert_eq!(
+        format!(
+            "{} flows={} done={done} fp={fp:#018x} down={} wire={} reroutes={}",
+            clock_golden(&res),
+            res.flows.len(),
+            a.down_drops,
+            a.wire_drops,
+            a.reroutes,
+        ),
+        "dur=1999989 ev=285137 pause=0x3fc3333a1ee23db0 flows=812 done=740 fp=0x485664da8398ebbb down=98 wire=39 reroutes=126"
+    );
+}
