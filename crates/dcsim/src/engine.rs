@@ -457,12 +457,15 @@ impl Engine {
             .unwrap_or(SimTime::from_ns(2 * max_hops * link.delay.as_ns()));
         let bdp = link.bdp_bytes(base_rtt).max(u64::from(cfg.mss) * 4);
 
-        // Pre-size so the wheel does not regrow mid-run; small runs stay
-        // small via the per-flow term. The 128k cap is generous headroom:
-        // it dates from the eager-timer engine (~125k pending at peak),
-        // while with lazy timers and lazy `TxDone` the benchmark's seven
-        // workloads peak between 2.5k and 12.5k pending events.
-        let queue_cap = (specs.len().saturating_mul(32) + 256).min(1 << 17);
+        // Pre-size the queue's node arena to the expected peak depth so it
+        // does not regrow mid-run; small runs stay small via the per-flow
+        // term. Measured peaks on the benchmark's seven workloads
+        // (`eventsim.queue_peak_depth`) are 0.9 to 3.7 pending events per
+        // flow and 2.5k to 12.5k in all, so four nodes per flow under a 16k
+        // cap covers each of them (with room: that depth also counts the
+        // far-heap entries, which take no node). Reserved nodes are
+        // untouched memory until used; a deeper run just grows the arena.
+        let queue_cap = (specs.len().saturating_mul(4) + 256).min(1 << 14);
         let mut queue = EventQueue::with_capacity(queue_cap);
         // Constructor-time scheduling happens before the engine (and its
         // `sched` shim) exists, so the profiler is created here and bumped

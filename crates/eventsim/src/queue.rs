@@ -1,12 +1,21 @@
-//! A stable-order event queue, backed by a radix timer wheel.
+//! A stable-order event queue: a direct-mapped nanosecond wheel for the near
+//! future, a binary heap for the far future.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
-/// Number of radix buckets above the current-time bucket: one per possible
-/// position of the highest bit in which a pending key differs from `top`.
-const BUCKETS: usize = 64;
+/// Wheel span in nanoseconds, and the number of one-nanosecond slots: every
+/// pending key in `[top, top + W)` lives in the wheel, the rest in the far
+/// heap. 2^16 ns (65.5 µs) covers the longest link (10 µs + an MTU's
+/// serialization) and the 55 µs DCQCN timers, so the far heap only ever sees
+/// RTO-class timers (DESIGN §12 has the measured far share per workload).
+const W: usize = 1 << 16;
+const MASK: u64 = W as u64 - 1;
+/// Occupancy bitmap: one bit per slot, plus one summary bit per bitmap word.
+const L0_WORDS: usize = W / 64;
+const L1_WORDS: usize = L0_WORDS / 64;
 
 /// A priority queue of `(SimTime, E)` pairs that pops in time order and, for
 /// equal timestamps, in insertion order.
@@ -17,15 +26,25 @@ const BUCKETS: usize = 64;
 ///
 /// # Implementation
 ///
-/// A radix heap keyed on the ns-resolution [`SimTime`]: `cur` holds the
-/// entries at exactly `top` (the time of the most recent pop), FIFO by
-/// sequence number; entries at later times live in `buckets[b]` where `b`
-/// is the position of the highest bit in which their key differs from
-/// `top`. Popping past `cur` redistributes the lowest non-empty bucket
-/// (found via the `occ` bitmask) around its minimum key, which becomes the
-/// new `top`. Every redistribution moves an entry to a strictly lower
-/// bucket, so each entry is touched O(64) times total — pops are amortized
-/// O(1) instead of the binary heap's O(log n) sift of full entries.
+/// Two tiers keyed on the ns-resolution [`SimTime`], split at push time
+/// relative to `top` (the time of the most recent pop):
+///
+/// - **Wheel.** A key in `[top, top + W)` goes to slot `key & (W - 1)` of a
+///   direct-mapped table of `W` one-nanosecond slots. A slot is the head of
+///   an intrusive FIFO list (ascending tie-break seq) threaded through a
+///   recycled node arena, so a push is one node write and a pop one node
+///   read. Because all wheel keys lie within one span of `top`, slot ↔ key
+///   is one-to-one and the key is not stored: it is decoded as
+///   `top + ((slot - top) & (W - 1))`. A two-level occupancy bitmap finds
+///   the next occupied slot at or circularly after `top`'s own slot.
+/// - **Far heap.** A key at `top + W` or beyond when pushed (RTO-class
+///   timers) goes to a plain binary heap ordered by `(at, seq)`. Far entries
+///   never migrate into the wheel: `pop` takes the smaller `(at, seq)` of
+///   the wheel's next slot head and the heap's minimum, which already
+///   orders the two tiers — also when they share a timestamp.
+///
+/// `top` only rises and `pop` returns the global minimum, so wheel keys
+/// stay inside `[top, top + W)` for as long as they are pending.
 ///
 /// The design requires keys to be monotonically non-decreasing relative to
 /// `top`: scheduling earlier than the last popped timestamp is *clamped up
@@ -47,23 +66,30 @@ const BUCKETS: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Wheel floor: every pending key is `>= top`; `cur` holds keys `== top`.
+    /// Queue floor: the time of the most recent pop. Every pending key is
+    /// `>= top`, and every wheel key is `< top + W`.
     top: u64,
-    /// Entries at exactly `top`, sorted ascending by `seq` (FIFO).
-    cur: VecDeque<Entry<E>>,
-    /// `buckets[b]`: entries whose key differs from `top` first at bit `b`
-    /// (counting from the high end: `b = 63 - (key ^ top).leading_zeros()`).
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmask: bit `b` set ⇔ `buckets[b]` is non-empty.
-    occ: u64,
-    /// Pending entries across `cur` and all buckets.
+    /// `slots[key & MASK]`: head of that key's list as node index + 1, or 0
+    /// when empty — so the table is a zero-initialised allocation whose
+    /// pages are only faulted in when touched, never filled.
+    slots: Box<[u32; W]>,
+    /// Node arena; freed nodes are chained through `next` from `free`
+    /// (LIFO, so only peak-depth many nodes are ever touched).
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node chain (node index + 1, 0 = none).
+    free: u32,
+    /// Bit `s & 63` of `l0[s >> 6]` set ⇔ slot `s` is occupied.
+    l0: Box<[u64; L0_WORDS]>,
+    /// Bit `w & 63` of `l1[w >> 6]` set ⇔ `l0[w] != 0`.
+    l1: [u64; L1_WORDS],
+    /// Entries pushed at `top + W` or beyond, min-ordered by `(at, seq)`.
+    far: BinaryHeap<Far<E>>,
+    /// Pending entries across both tiers.
     n: usize,
     /// Next tie-break sequence number (see [`EventQueue::reserve_seq`]).
     seq: u64,
     /// Entries actually enqueued (reservations excluded).
     pushes: u64,
-    /// Redistribution scratch, swapped with a bucket to keep its capacity.
-    spare: Vec<Entry<E>>,
     /// Tie-break seq of the most recently popped entry (its time is `top`);
     /// see [`EventQueue::last_popped_seq`]. The strict-invariant auditor
     /// asserts the `(top, last_seq)` pair non-decreasing across pops, so a
@@ -79,31 +105,71 @@ pub struct EventQueue<E> {
     pops: u64,
 }
 
+/// One wheel entry. Links are node index + 1, with 0 for "none".
 #[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
+struct Node<E> {
+    seq: u64,
+    /// Next entry of the same slot (larger seq), or next free node.
+    next: u32,
+    /// Index of the slot's last node; meaningful in the head node only,
+    /// which keeps a slot at four bytes.
+    tail: u32,
+    /// `None` only while the node sits on the free chain.
+    event: Option<E>,
+}
+
+/// One far-heap entry; `Ord` is reversed so the max-heap pops the smallest
+/// `(at, seq)`.
+#[derive(Debug)]
+struct Far<E> {
+    at: u64,
     seq: u64,
     event: E,
 }
 
-/// Bucket index of `key` relative to `top`; caller guarantees `key != top`.
-#[inline]
-fn bucket_of(key: u64, top: u64) -> usize {
-    (63 - (key ^ top).leading_zeros()) as usize
+impl<E> PartialEq for Far<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Far<E> {}
+
+impl<E> PartialOrd for Far<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Far<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue. Nothing is filled or built: the slot table
+    /// is zero-initialised memory and the node arena starts empty.
     pub fn new() -> Self {
+        EventQueue::with_capacity(0)
+    }
+
+    /// Creates an empty queue whose node arena has room for `cap` pending
+    /// near-future events before it regrows (size it to the expected peak
+    /// depth; far-future entries live in a separate, small heap).
+    pub fn with_capacity(cap: usize) -> Self {
+        let slots: Box<[u32]> = vec![0u32; W].into_boxed_slice();
         EventQueue {
             top: 0,
-            cur: VecDeque::new(),
-            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
-            occ: 0,
+            slots: slots.try_into().expect("slot table has W entries"),
+            nodes: Vec::with_capacity(cap),
+            free: 0,
+            l0: Box::new([0; L0_WORDS]),
+            l1: [0; L1_WORDS],
+            far: BinaryHeap::new(),
             n: 0,
             seq: 0,
             pushes: 0,
-            spare: Vec::new(),
             last_seq: 0,
             #[cfg(feature = "profile")]
             peak_len: 0,
@@ -112,25 +178,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for roughly `cap` events spread
-    /// over the wheel (the current-time cohort and the redistribution
-    /// scratch get the lion's share; the per-bit buckets a sliver each).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = EventQueue::new();
-        q.cur.reserve(cap / 4);
-        q.spare.reserve(cap / 4);
-        for b in &mut q.buckets {
-            b.reserve(cap / BUCKETS);
-        }
-        q
-    }
-
     /// Schedules `event` to fire at `at`.
     ///
     /// Scheduling earlier than the last popped timestamp is clamped up to
     /// it (and is a `strict-invariants` debug-assertion failure): the
-    /// radix layout cannot file keys below `top`, and an engine scheduling
-    /// into the past has broken causality anyway. The engine layer only
+    /// wheel cannot file keys below `top`, and an engine scheduling into
+    /// the past has broken causality anyway. The engine layer only
     /// schedules at or after its current clock.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
@@ -174,24 +227,18 @@ impl<E> EventQueue<E> {
             );
             key = self.top;
         }
-        let at = SimTime::from_ns(key);
         self.pushes += 1;
         self.n += 1;
-        if key == self.top {
-            // Common case: a fresh seq is larger than everything pending,
-            // so this is a plain append. Reserved seqs may land mid-cohort.
-            let e = Entry { at, seq, event };
-            match self.cur.back() {
-                Some(b) if b.seq > seq => {
-                    let pos = self.cur.partition_point(|x| x.seq < seq);
-                    self.cur.insert(pos, e);
-                }
-                _ => self.cur.push_back(e),
-            }
+        // Span invariant: the wheel takes a key iff it lies within one span
+        // of the floor (`key >= top` after the clamp, so no underflow).
+        if key - self.top < W as u64 {
+            self.push_wheel((key & MASK) as usize, seq, event);
         } else {
-            let b = bucket_of(key, self.top);
-            self.buckets[b].push(Entry { at, seq, event });
-            self.occ |= 1 << b;
+            self.far.push(Far {
+                at: key,
+                seq,
+                event,
+            });
         }
         #[cfg(feature = "profile")]
         {
@@ -199,57 +246,136 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Redistributes the lowest non-empty bucket around its minimum key,
-    /// which becomes the new `top`. Returns `false` when nothing is left.
-    fn refill(&mut self) -> bool {
-        if self.occ == 0 {
-            return false;
-        }
-        let b = self.occ.trailing_zeros() as usize;
-        self.occ &= !(1 << b);
-        std::mem::swap(&mut self.buckets[b], &mut self.spare);
-        let new_top = self
-            .spare
-            .iter()
-            .map(|e| e.at.as_ns())
-            .min()
-            .expect("occupied bucket is non-empty");
-        self.top = new_top;
-        for e in self.spare.drain(..) {
-            let key = e.at.as_ns();
-            if key == new_top {
-                self.cur.push_back(e);
-            } else {
-                // Entries of bucket `b` agree with the old top above bit
-                // `b` and all flip it, so they agree with `new_top` on
-                // bits >= b: each lands in a strictly lower bucket
-                // (amortized-O(1) pops).
-                let nb = bucket_of(key, new_top);
-                debug_assert!(nb < b);
-                self.buckets[nb].push(e);
-                self.occ |= 1 << nb;
+    /// Links a new node into `slot`'s list at its seq position.
+    fn push_wheel(&mut self, slot: usize, seq: u64, event: E) {
+        // The node's index is known before it is written, so it is written
+        // once, as the one-entry list it is if the slot turns out empty.
+        let idx = match self.free {
+            0 => self.nodes.len(),
+            f => f as usize - 1,
+        };
+        let link = u32::try_from(idx + 1).expect("fewer than 2^32 pending events");
+        let this = link - 1;
+        let node = Node {
+            seq,
+            next: 0,
+            tail: this,
+            event: Some(event),
+        };
+        match self.nodes.get_mut(idx) {
+            Some(freed) => {
+                self.free = freed.next;
+                *freed = node;
             }
+            None => self.nodes.push(node),
         }
-        // The bucket held entries in push order, not seq order; restore
-        // the FIFO tie-break for the new current-time cohort. Most refills
-        // surface a single entry, which needs no sorting at all.
-        if self.cur.len() > 1 {
-            self.cur.make_contiguous().sort_unstable_by_key(|e| e.seq);
+        let head_link = self.slots[slot];
+        if head_link == 0 {
+            self.slots[slot] = link;
+            self.l0[slot >> 6] |= 1 << (slot & 63);
+            self.l1[slot >> 12] |= 1 << ((slot >> 6) & 63);
+            return;
         }
-        true
+        let head = head_link as usize - 1;
+        let tail = self.nodes[head].tail as usize;
+        if self.nodes[tail].seq < seq {
+            // Common case: a fresh seq is larger than everything pending.
+            self.nodes[tail].next = link;
+            self.nodes[head].tail = this;
+        } else if seq < self.nodes[head].seq {
+            // Reserved seqs may land anywhere in the list; here, in front.
+            self.nodes[idx].next = head_link;
+            self.nodes[idx].tail = tail as u32;
+            self.slots[slot] = link;
+        } else {
+            // ... or in the middle: the tail's seq is larger, so the walk
+            // stops at a node that has a successor.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev].next as usize - 1;
+                if self.nodes[next].seq > seq {
+                    break;
+                }
+                prev = next;
+            }
+            self.nodes[idx].next = self.nodes[prev].next;
+            self.nodes[prev].next = link;
+        }
+    }
+
+    /// The occupied slot at or circularly after `top`'s own slot, which by
+    /// the span invariant holds the smallest wheel key.
+    #[inline]
+    fn next_slot(&self) -> Option<usize> {
+        if self.n == self.far.len() {
+            return None;
+        }
+        let pos = (self.top & MASK) as usize;
+        let word = pos >> 6;
+        let here = self.l0[word] & (!0 << (pos & 63));
+        if here != 0 {
+            return Some(word << 6 | here.trailing_zeros() as usize);
+        }
+        // Later words, then wrap; the wrap may come back to `word` itself
+        // for the bits below `pos` (an entry almost one full span ahead).
+        let word = self
+            .first_word_from(word + 1)
+            .or_else(|| self.first_word_from(0))
+            .expect("a pending wheel entry has its occupancy bit set");
+        Some(word << 6 | self.l0[word].trailing_zeros() as usize)
+    }
+
+    /// Lowest non-empty bitmap word with index `>= from`.
+    fn first_word_from(&self, from: usize) -> Option<usize> {
+        let mut mask = !0 << (from & 63);
+        for s in (from >> 6)..L1_WORDS {
+            let m = self.l1[s] & mask;
+            if m != 0 {
+                return Some(s << 6 | m.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// Decodes the key filed in an occupied `slot`: the one time in
+    /// `[top, top + W)` that maps to it.
+    #[inline]
+    fn slot_key(&self, slot: usize) -> u64 {
+        self.top + ((slot as u64).wrapping_sub(self.top) & MASK)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         #[cfg(feature = "strict-invariants")]
-        let prev = (SimTime::from_ns(self.top), self.last_seq);
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        let e = self.cur.pop_front().expect("refill fills cur");
+        let prev = (self.top, self.last_seq);
+        // Cross-tier order is the `(at, seq)` pair, never the time alone: a
+        // far entry pushed when `top` was lower can share its timestamp
+        // with wheel entries on either side of its seq.
+        let wheel = self
+            .next_slot()
+            .map(|slot| (self.slot_key(slot), slot))
+            .filter(|&(key, slot)| match self.far.peek() {
+                Some(f) => {
+                    key < f.at
+                        || (key == f.at && self.nodes[self.slots[slot] as usize - 1].seq < f.seq)
+                }
+                None => true,
+            });
+        let (at, seq, event) = match wheel {
+            Some((key, slot)) => {
+                let (seq, event) = self.pop_wheel(slot);
+                (key, seq, event)
+            }
+            None => {
+                let f = self.far.pop()?;
+                (f.at, f.seq, f.event)
+            }
+        };
+        self.top = at;
         self.n -= 1;
-        self.last_seq = e.seq;
+        self.last_seq = seq;
         #[cfg(feature = "profile")]
         {
             // Counted in the successful-pop arm only, so the counter can
@@ -258,12 +384,34 @@ impl<E> EventQueue<E> {
         }
         #[cfg(feature = "strict-invariants")]
         debug_assert!(
-            (e.at, e.seq) >= prev,
+            (at, seq) >= prev,
             "event queue popped backwards: {:?} after {:?}",
-            (e.at, e.seq),
-            prev
+            (SimTime::from_ns(at), seq),
+            (SimTime::from_ns(prev.0), prev.1)
         );
-        Some((e.at, e.event))
+        Some((SimTime::from_ns(at), event))
+    }
+
+    /// Unlinks the head of occupied `slot` and recycles its node.
+    #[inline]
+    fn pop_wheel(&mut self, slot: usize) -> (u64, E) {
+        let idx = self.slots[slot] as usize - 1;
+        let node = &mut self.nodes[idx];
+        let (seq, next, tail) = (node.seq, node.next, node.tail);
+        let event = node.event.take().expect("a linked node holds an event");
+        node.next = self.free;
+        self.free = idx as u32 + 1;
+        self.slots[slot] = next;
+        if next == 0 {
+            let word = slot >> 6;
+            self.l0[word] &= !(1 << (slot & 63));
+            if self.l0[word] == 0 {
+                self.l1[word >> 6] &= !(1 << (word & 63));
+            }
+        } else {
+            self.nodes[next as usize - 1].tail = tail;
+        }
+        (seq, event)
     }
 
     /// Tie-break sequence number of the most recently popped entry (`0`
@@ -280,16 +428,13 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.cur.front() {
-            return Some(e.at);
-        }
-        if self.occ == 0 {
-            return None;
-        }
-        // Rare path (only between draining `cur` and the next pop): scan
-        // the lowest non-empty bucket for its minimum.
-        let b = self.occ.trailing_zeros() as usize;
-        self.buckets[b].iter().map(|e| e.at).min()
+        let wheel = self.next_slot().map(|slot| self.slot_key(slot));
+        let far = self.far.peek().map(|f| f.at);
+        let at = match (wheel, far) {
+            (Some(w), Some(f)) => Some(w.min(f)),
+            (w, f) => w.or(f),
+        };
+        at.map(SimTime::from_ns)
     }
 
     /// Number of pending events.
@@ -393,7 +538,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
         assert_eq!(q.scheduled_total(), 2);
-        // After draining the ns-1 cohort, peek crosses into a bucket.
+        // After draining the ns-1 slot, peek moves on to the next one.
         assert_eq!(q.pop().unwrap().0, SimTime::from_ns(1));
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
     }
@@ -419,8 +564,8 @@ mod tests {
 
     #[test]
     fn far_future_horizon_keys_are_handled() {
-        // Keys whose top bit differs land in the highest bucket; the wheel
-        // must cover the full u64 ns range without overflow.
+        // Keys a span or more ahead of the floor go to the far heap; the
+        // queue must cover the full u64 ns range without overflow.
         let mut q = EventQueue::new();
         q.schedule(SimTime::MAX, "eon");
         q.schedule(SimTime::from_ns(1), "now");
@@ -468,7 +613,7 @@ mod tests {
 
     /// The strict-invariant audit trips when causality is violated:
     /// scheduling into the past *after* a later event was already popped
-    /// is exactly the engine bug the audit exists to catch. The wheel
+    /// is exactly the engine bug the audit exists to catch. The queue
     /// rejects it at the schedule site (it cannot even file such a key).
     #[test]
     #[cfg(feature = "strict-invariants")]
@@ -568,35 +713,183 @@ mod tests {
         }
     }
 
-    /// Differential property test: the wheel agrees with the reference
+    /// The queue and the reference model driven in lockstep. After every
+    /// operation the lengths, the floor and `peek_time` must agree.
+    struct Lockstep {
+        q: EventQueue<u64>,
+        m: Model<u64>,
+        now: u64,
+        /// Tier each pushed event went to, by event id (`true` = far heap):
+        /// the model has no tiers, so the shape counters read it from here.
+        far: Vec<bool>,
+        /// Pops that took the floor past slot 0 while a wheel entry (filed
+        /// before the wrap, keyed after it) was pending.
+        revolutions: u32,
+        case: usize,
+    }
+
+    impl Lockstep {
+        fn new(case: usize) -> Self {
+            Lockstep {
+                q: EventQueue::new(),
+                m: Model::new(),
+                now: 0,
+                far: Vec::new(),
+                revolutions: 0,
+                case,
+            }
+        }
+
+        /// Schedules the next event id at `at`, under a fresh seq or a
+        /// previously reserved one.
+        fn push(&mut self, at: u64, reserved: Option<u64>) {
+            let id = self.far.len() as u64;
+            self.far.push(at.max(self.now) - self.now >= W as u64);
+            match reserved {
+                Some(seq) => {
+                    self.q.schedule_with_seq(SimTime::from_ns(at), seq, id);
+                    self.m.schedule_with_seq(at, seq, id);
+                }
+                None => {
+                    self.q.schedule(SimTime::from_ns(at), id);
+                    self.m.schedule(at, id);
+                }
+            }
+            self.check();
+        }
+
+        fn reserve(&mut self) -> u64 {
+            let seq = self.q.reserve_seq();
+            assert_eq!(
+                seq,
+                self.m.reserve_seq(),
+                "case {}: seq counters",
+                self.case
+            );
+            seq
+        }
+
+        fn pop(&mut self) -> bool {
+            let got = self.q.pop().map(|(t, e)| (t.as_ns(), e));
+            assert_eq!(got, self.m.pop(), "case {}: pop diverged", self.case);
+            assert_eq!(
+                self.q.last_popped_seq(),
+                self.m.last_seq,
+                "case {}: last-popped seq diverged",
+                self.case
+            );
+            if let Some((t, _)) = got {
+                let wheel_pending = self.m.pending.iter().any(|e| !self.far[e.2 as usize]);
+                let wrapped = t / W as u64 > self.now / W as u64;
+                self.revolutions += u32::from(wrapped && wheel_pending);
+                self.now = t;
+            }
+            self.check();
+            got.is_some()
+        }
+
+        fn check(&self) {
+            let case = self.case;
+            assert_eq!(self.q.len(), self.m.pending.len(), "case {case}: len");
+            assert_eq!(self.q.top, self.m.floor, "case {case}: floor");
+            assert_eq!(
+                self.q.peek_time().map(SimTime::as_ns),
+                self.m.pending.iter().map(|&(at, ..)| at).min(),
+                "case {case}: peek_time is not the next pop's time"
+            );
+        }
+
+        /// Seqs of the pending entries at `key` in the given tier.
+        fn seqs_at(&self, key: u64, far: bool) -> Vec<u64> {
+            let in_tier =
+                |&&(at, _, id): &&(u64, u64, u64)| at == key && self.far[id as usize] == far;
+            self.m.pending.iter().filter(in_tier).map(|e| e.1).collect()
+        }
+    }
+
+    /// How often each shape the two-tier layout must get right occurred.
+    #[derive(Debug, Default)]
+    struct Shapes {
+        /// A reservation materialized at the floor ahead of a pending entry.
+        mid_cohort: u32,
+        /// Increments of `W - 2 ..= W + 2` and `k * W ± 1`.
+        straddle: u32,
+        /// Most slot-0 crossings in one case with a wheel entry pending.
+        revolutions: u32,
+        /// A wheel push at a timestamp where a far entry is pending ...
+        tier_tie: u32,
+        /// ... under a reserved seq older than the far entry's ...
+        tier_tie_reserved: u32,
+        /// ... leaving the far seq strictly between two wheel seqs.
+        tier_tie_interleaved: u32,
+        /// Reserved seqs linked into a slot list of three or more entries.
+        list_head: u32,
+        list_mid: u32,
+        list_tail: u32,
+    }
+
+    /// Differential property test: the queue agrees with the reference
     /// model on random schedule/pop interleavings — same-tick FIFO bursts,
-    /// far-future horizon keys, reserved-seq deferrals (including ones
-    /// materialized at exactly the floor, mid-cohort — the lazy `TxDone`
-    /// shape), and (in non-strict builds) schedule-into-past clamping. The
-    /// last-popped seq is checked against the model after every pop.
+    /// far-future horizon keys, increments that straddle the wheel span,
+    /// several wheel revolutions with entries pending across each wrap, far
+    /// and wheel entries sharing a timestamp, reserved-seq deferrals
+    /// (materialized at exactly the floor, mid-cohort — the lazy `TxDone`
+    /// shape — and at the head, middle and tail of longer slot lists), and
+    /// (in non-strict builds) schedule-into-past clamping. Every shape is
+    /// counted and asserted to have occurred.
     #[test]
     fn prop_differential_against_reference_model() {
+        const SPAN: u64 = W as u64;
         let mut rng = crate::SimRng::seed_from(0xD1FF);
-        let mut mid_cohort = 0u32;
-        for case in 0..96 {
-            let mut q = EventQueue::new();
-            let mut m = Model::new();
-            let mut now = 0u64;
-            let mut reserved: Vec<u64> = Vec::new();
-            let mut id = 0u64;
-            for _ in 0..rng.gen_range_usize(0..300) {
-                match rng.gen_range_u64(0..11) {
-                    // Schedule ahead of the floor, with bursts at `now`
-                    // (FIFO tie-break) and occasional far-future spikes.
-                    0..=4 => {
-                        let at = match rng.gen_range_u64(0..8) {
+        let mut shapes = Shapes::default();
+        // The model is quadratic; Miri is ~100x slower than native.
+        let cases = if cfg!(miri) { 24 } else { 96 };
+        for case in 0..cases {
+            let mut s = Lockstep::new(case);
+            // Reserved seqs, each with the key of the slot list it was
+            // interleaved into (if any).
+            let mut reserved: Vec<(u64, Option<u64>)> = Vec::new();
+            // Pop-heavy cases keep the queue shallow, so `now` chases the
+            // straddling increments around the wheel; push-heavy ones build
+            // deep cohorts. Horizon spikes pin `now` near `u64::MAX` once
+            // popped, so only every fourth case draws them.
+            let arms = 12 + 6 * (case as u64 % 3);
+            // Wide increments (still inside the span) make `now` lap the
+            // wheel several times with entries pending across each wrap.
+            let wide = case % 4 >= 2;
+            let spread = if wide { 60_000 } else { 5_000 };
+            for _ in 0..rng.gen_range_usize(0..300) + 300 * usize::from(wide) {
+                let now = s.now;
+                match rng.gen_range_u64(0..arms) {
+                    // Schedule ahead of the floor: bursts at `now` (FIFO
+                    // tie-break), far-future spikes, span straddlers.
+                    0..=3 => {
+                        let at = match rng.gen_range_u64(0..10) {
                             0 => now,
-                            1 => now.max(u64::MAX - rng.gen_range_u64(0..4)),
-                            _ => now.saturating_add(rng.gen_range_u64(0..5_000)),
+                            1 if case % 4 == 0 => now.max(u64::MAX - rng.gen_range_u64(0..4)),
+                            2 => {
+                                shapes.straddle += 1;
+                                now.saturating_add(SPAN - 2 + rng.gen_range_u64(0..5))
+                            }
+                            3 => {
+                                shapes.straddle += 1;
+                                let k = rng.gen_range_u64(1..4);
+                                now.saturating_add(k * SPAN - 1 + 2 * rng.gen_range_u64(0..2))
+                            }
+                            _ => now.saturating_add(rng.gen_range_u64(0..spread)),
                         };
-                        q.schedule(SimTime::from_ns(at), id);
-                        m.schedule(at, id);
-                        id += 1;
+                        s.push(at, None);
+                    }
+                    // A slot list of three with reservations around and
+                    // inside it, to be materialized into that list later.
+                    4 => {
+                        let key = now.saturating_add(1 + rng.gen_range_u64(0..3_000));
+                        reserved.push((s.reserve(), Some(key)));
+                        s.push(key, None);
+                        reserved.push((s.reserve(), Some(key)));
+                        s.push(key, None);
+                        s.push(key, None);
+                        reserved.push((s.reserve(), Some(key)));
                     }
                     // Schedule into the past: clamps to the floor. The
                     // strict build forbids it, so keep the key legal there.
@@ -606,19 +899,16 @@ mod tests {
                         } else {
                             now.saturating_sub(rng.gen_range_u64(0..1_000))
                         };
-                        q.schedule(SimTime::from_ns(at), id);
-                        m.schedule(at, id);
-                        id += 1;
+                        s.push(at, None);
                     }
                     // Reserve now, materialize later (possibly much later).
-                    6 => {
-                        let qs = q.reserve_seq();
-                        let ms = m.reserve_seq();
-                        assert_eq!(qs, ms, "case {case}: seq counters diverged");
-                        reserved.push(qs);
-                    }
+                    6 => reserved.push((s.reserve(), None)),
                     7 if !reserved.is_empty() => {
-                        let at = now.saturating_add(rng.gen_range_u64(0..2_000));
+                        let i = rng.gen_range_usize(0..reserved.len());
+                        let at = match reserved[i].1 {
+                            Some(key) if key > now => key,
+                            _ => now.saturating_add(rng.gen_range_u64(0..2_000)),
+                        };
                         // A reserved (old) seq materializing at the current
                         // floor pops "behind" later seqs already popped
                         // there — legal for the queue, but the strict audit
@@ -626,11 +916,17 @@ mod tests {
                         if cfg!(feature = "strict-invariants") && at <= now {
                             continue;
                         }
-                        let i = rng.gen_range_usize(0..reserved.len());
-                        let seq = reserved.swap_remove(i);
-                        q.schedule_with_seq(SimTime::from_ns(at), seq, id);
-                        m.schedule_with_seq(at, seq, id);
-                        id += 1;
+                        let (seq, _) = reserved.swap_remove(i);
+                        let list = s.seqs_at(at, false);
+                        if list.len() >= 3 {
+                            let below = list.iter().filter(|&&x| x < seq).count();
+                            match below {
+                                0 => shapes.list_head += 1,
+                                n if n == list.len() => shapes.list_tail += 1,
+                                _ => shapes.list_mid += 1,
+                            }
+                        }
+                        s.push(at, Some(seq));
                     }
                     // Materialize a reservation at exactly the floor. A seq
                     // above the last popped one is still ahead of the pop
@@ -638,55 +934,155 @@ mod tests {
                     // and it must land *between* the cohort's pending seqs,
                     // not behind them.
                     8 => {
-                        let last = q.last_popped_seq();
-                        let Some(i) = reserved.iter().position(|&s| s > last) else {
+                        let last = s.q.last_popped_seq();
+                        let Some(i) = reserved.iter().position(|&(seq, _)| seq > last) else {
                             continue;
                         };
-                        let seq = reserved.swap_remove(i);
-                        let at_floor = |&(at, s, _): &(u64, u64, u64)| at == now && s > seq;
-                        mid_cohort += u32::from(m.pending.iter().any(at_floor));
-                        q.schedule_with_seq(SimTime::from_ns(now), seq, id);
-                        m.schedule_with_seq(now, seq, id);
-                        id += 1;
+                        let (seq, _) = reserved.swap_remove(i);
+                        let at_floor = |&(at, x, _): &(u64, u64, u64)| at == now && x > seq;
+                        shapes.mid_cohort += u32::from(s.m.pending.iter().any(at_floor));
+                        s.push(now, Some(seq));
+                    }
+                    // Tie with the far heap: a far entry the floor has since
+                    // come within a span of gets wheel company at its exact
+                    // timestamp, under a fresh (larger) seq or a reserved
+                    // (smaller) one — the other tier either way.
+                    9 => {
+                        let near = |&&(at, _, id): &&(u64, u64, u64)| {
+                            s.far[id as usize] && at > now && at - now < SPAN
+                        };
+                        let Some(&(at, far_seq, _)) = s.m.pending.iter().find(near) else {
+                            continue;
+                        };
+                        let seq = match reserved.iter().position(|&(seq, _)| seq < far_seq) {
+                            Some(i) if rng.gen_bool(0.5) => Some(reserved.swap_remove(i).0),
+                            _ => None,
+                        };
+                        s.push(at, seq);
+                        shapes.tier_tie += 1;
+                        shapes.tier_tie_reserved += u32::from(seq.is_some());
+                        let wheel = s.seqs_at(at, false);
+                        let around = wheel.iter().any(|&x| x < far_seq)
+                            && wheel.iter().any(|&x| x > far_seq);
+                        shapes.tier_tie_interleaved += u32::from(around);
                     }
                     _ => {
-                        let got = q.pop();
-                        let want = m.pop();
-                        assert_eq!(
-                            got.map(|(t, e)| (t.as_ns(), e)),
-                            want,
-                            "case {case}: pop diverged"
-                        );
-                        if let Some((t, _)) = got {
-                            now = t.as_ns();
-                        }
-                        assert_eq!(
-                            q.last_popped_seq(),
-                            m.last_seq,
-                            "case {case}: last-popped seq diverged"
-                        );
+                        s.pop();
                     }
                 }
-                assert_eq!(q.len(), m.pending.len(), "case {case}: len diverged");
             }
             // Drain: the tails must match exactly.
-            loop {
-                let got = q.pop();
-                let want = m.pop();
-                assert_eq!(
-                    got.map(|(t, e)| (t.as_ns(), e)),
-                    want,
-                    "case {case}: drain diverged"
-                );
-                assert_eq!(q.last_popped_seq(), m.last_seq, "case {case}: drain seq");
-                if got.is_none() {
-                    break;
-                }
-            }
+            while s.pop() {}
+            shapes.revolutions = shapes.revolutions.max(s.revolutions);
+        }
+        for (shape, count) in [
+            ("mid_cohort", shapes.mid_cohort),
+            ("straddle", shapes.straddle),
+            ("tier_tie", shapes.tier_tie),
+            ("tier_tie_reserved", shapes.tier_tie_reserved),
+            ("tier_tie_interleaved", shapes.tier_tie_interleaved),
+            ("list_head", shapes.list_head),
+            ("list_mid", shapes.list_mid),
+            ("list_tail", shapes.list_tail),
+        ] {
+            assert!(count > 0, "shape {shape} never occurred: {shapes:?}");
         }
         assert!(
-            mid_cohort > 0,
-            "no reservation ever materialized ahead of a pending same-tick entry"
+            shapes.revolutions >= 4,
+            "no case crossed four wheel revolutions: {shapes:?}"
         );
+    }
+
+    /// Moves a fresh queue's floor to `floor`, schedules `keys`, and drains:
+    /// `peek_time` must name each pop in ascending key order, and popped +
+    /// pending must equal pushed after every operation.
+    fn drains_sorted_from(floor: u64, keys: &[u64]) {
+        let mut q = EventQueue::new();
+        let mut pops = 0u64;
+        let conserved = |q: &EventQueue<u64>, pops: u64| {
+            assert_eq!(pops + q.len() as u64, q.scheduled_total(), "floor {floor}");
+            #[cfg(feature = "profile")]
+            assert_eq!(q.pops_total(), pops, "floor {floor}");
+        };
+        q.schedule(SimTime::from_ns(floor), floor);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(floor), floor)));
+        pops += 1;
+        conserved(&q, pops);
+        for &k in keys {
+            q.schedule(SimTime::from_ns(k), k);
+            conserved(&q, pops);
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        for k in sorted {
+            let at = SimTime::from_ns(k);
+            assert_eq!(q.peek_time(), Some(at), "floor {floor}");
+            assert_eq!(q.pop(), Some((at, k)), "floor {floor}");
+            pops += 1;
+            conserved(&q, pops);
+        }
+        assert_eq!((q.peek_time(), q.pop(), q.len()), (None, None, 0));
+        conserved(&q, pops);
+    }
+
+    /// The occupancy-bitmap search at its boundaries. Slot = key mod `W`;
+    /// a bitmap word covers 64 slots, a summary word 64 bitmap words.
+    #[test]
+    fn next_occupied_slot_search_boundaries() {
+        const SPAN: u64 = W as u64;
+        let rev = 3 * SPAN;
+        // Empty, and a single entry at the floor itself.
+        drains_sorted_from(rev + 100, &[]);
+        drains_sorted_from(rev + 100, &[rev + 100]);
+        // The only entry sits in the floor's own word *below* its bit: the
+        // search goes all the way round (slot 37 -> slot 5, a span later).
+        drains_sorted_from(rev + 37, &[rev + SPAN + 5]);
+        // Bit 63 of one word and bit 0 of the next, floor in the same word
+        // and on bit 63 itself.
+        drains_sorted_from(rev + 10, &[rev + 64, rev + 63]);
+        drains_sorted_from(rev + 63, &[rev + 64]);
+        // Across a summary-word boundary (bitmap word 63 -> 64), with the
+        // floor on the last bit of its summary word's last bitmap word.
+        drains_sorted_from(rev + 63 * 64 + 5, &[rev + 64 * 64]);
+        drains_sorted_from(rev + 64 * 64 - 1, &[rev + 64 * 64 + 1, rev + 2 * 64 * 64]);
+        // Floor at slot 0, entry in the table's last slot; and the mirror
+        // image, floor in the last slot and the entry wrapping to slot 0.
+        drains_sorted_from(rev, &[rev + SPAN - 1]);
+        drains_sorted_from(rev + SPAN - 1, &[rev + SPAN, rev + 2 * SPAN - 2]);
+        // A span exactly: the far heap's first key, alongside the wheel's
+        // last (which shares slot arithmetic with nothing else pending).
+        drains_sorted_from(rev + 7, &[rev + SPAN + 7, rev + SPAN + 6, rev + 7]);
+    }
+
+    /// Keys within half a span of `u64::MAX`: neither the wheel/far split
+    /// (`key - top`) nor the slot-key decode may overflow (tier-1 runs with
+    /// overflow checks on).
+    #[test]
+    fn near_u64_max_floor_does_not_overflow() {
+        let floor = u64::MAX - W as u64 / 2;
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(floor), "floor");
+        let held = q.reserve_seq();
+        q.schedule(SimTime::from_ns(floor), "cohort");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(floor), "floor")));
+        q.schedule(SimTime::MAX, "eon");
+        q.schedule(SimTime::from_ns(u64::MAX - 1), "almost");
+        q.schedule(SimTime::MAX, "eon2");
+        // Ahead of "cohort" at the floor, though scheduled last.
+        q.schedule_with_seq(SimTime::from_ns(floor), held, "reserved");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(floor)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let expected = [
+            (SimTime::from_ns(floor), "reserved"),
+            (SimTime::from_ns(floor), "cohort"),
+            (SimTime::from_ns(u64::MAX - 1), "almost"),
+            (SimTime::MAX, "eon"),
+            (SimTime::MAX, "eon2"),
+        ];
+        assert_eq!(order, expected);
+        // At the very top of the range everything clamps into one slot.
+        q.schedule(SimTime::MAX, "last");
+        assert_eq!(q.pop(), Some((SimTime::MAX, "last")));
+        assert_eq!(q.pop(), None);
     }
 }

@@ -949,27 +949,28 @@ fn serve_crate_is_in_the_determinism_scan_set() {
 
 // ------------------------------------------------- event-queue hot path
 
-/// The radix-wheel event queue is squarely inside the determinism
+/// The wheel-plus-far-heap event queue is squarely inside the determinism
 /// perimeter: a hash container or a wall-clock read in its hot path would
-/// be flagged, while the real implementation's ingredients (fixed-size
-/// `Vec` buckets, `VecDeque` cohort, bit tricks) pass clean.
+/// be flagged, while the real implementation's ingredients (a slot table,
+/// an index-linked node arena, a `BinaryHeap`, bit tricks) pass clean.
 #[test]
 fn queue_module_hot_path_is_lint_covered() {
     let f = lint(&[(
         "crates/eventsim/src/queue.rs",
         "use std::collections::HashMap;\n\
-         struct Q { buckets: HashMap<u64, Vec<u64>> }\n\
+         struct Q { slots: HashMap<u64, Vec<u64>> }\n\
          fn lag() { let t = std::time::Instant::now(); }\n",
     )]);
     assert_eq!(rules(&f), ["D1", "D1", "D2"]);
 
     let f = lint(&[(
         "crates/eventsim/src/queue.rs",
-        "use std::collections::VecDeque;\n\
-         struct Entry { at: u64, seq: u64 }\n\
-         struct Q { cur: VecDeque<Entry>, buckets: Vec<Vec<Entry>>, occ: u64 }\n\
-         fn bucket_of(key: u64, top: u64) -> usize {\n\
-             (63 - (key ^ top).leading_zeros()) as usize\n\
+        "use std::collections::BinaryHeap;\n\
+         struct Node { seq: u64, next: u32, tail: u32 }\n\
+         struct Far { at: u64, seq: u64 }\n\
+         struct Q { slots: Box<[u32; 65536]>, nodes: Vec<Node>, l0: Vec<u64>, far: BinaryHeap<Far> }\n\
+         fn slot_key(slot: usize, top: u64) -> u64 {\n\
+             top + ((slot as u64).wrapping_sub(top) & 65535)\n\
          }\n",
     )]);
     assert!(f.is_empty(), "the wheel's hot path is lint-clean: {f:?}");
