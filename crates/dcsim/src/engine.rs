@@ -4,7 +4,8 @@ use eventsim::{EventQueue, SimTime};
 use faults::{FaultAction, FaultState};
 use netsim::packet::{Color, Direction, FlowId, Packet, PacketRef, PacketSlab};
 use netsim::switch::{DropReason, PfcConfig, PfcSignal, Switch, SwitchConfig};
-use netsim::topology::{Hop, NodeId, NodeKind, PortId, Topology};
+use netsim::topology::{Hop, LinkId, NodeId, NodeKind, PortId, Topology};
+use netsim::LinkSpec;
 use netstats::{FlowRecord, Samples};
 use telemetry::{
     DropWhy, FaultKind, Registry, RtoCause, RtoCauseCounts, TimerId, TraceEvent, Tracer,
@@ -246,23 +247,55 @@ fn timer_slot(kind: TimerKind) -> usize {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct PortState {
+/// One egress port's hot record: everything `kick_port`, `deliver` and
+/// `send_pfc` need for a packet hop, in one cache line (DESIGN §12 "Port
+/// table"). The engine keeps them in one flat table indexed by
+/// `port_base[node] + port`.
+#[derive(Clone, Copy)]
+struct Port {
     /// A frame was handed to the wire and its `TxDone` has not executed.
     /// With `tx_done_queued` clear that `TxDone` is *virtual* (DESIGN §12
     /// "Lazy TxDone"): `busy` then only means "busy until `(free_at,
     /// free_seq)`", and `kick_port` is where it is resolved.
     busy: bool,
     paused: bool,
-    paused_since: SimTime,
-    paused_total: SimTime,
-    ever_paused: bool,
+    /// Whether that `TxDone` is actually in the event queue.
+    tx_done_queued: bool,
     /// When the frame being serialized leaves the port, and the tie-break
     /// seq reserved for the `TxDone` of that instant.
     free_at: SimTime,
     free_seq: u64,
-    /// Whether that `TxDone` is actually in the event queue.
-    tx_done_queued: bool,
+    /// The wire this port transmits on, copied from [`Topology`] at
+    /// construction: the directed link, the `(node, port)` at its far end,
+    /// its rate and delay. Links never change after the build (faults live
+    /// in [`FaultState`], keyed by `lid`), so the copy cannot go stale.
+    lid: LinkId,
+    peer: (NodeId, PortId),
+    spec: LinkSpec,
+    /// One-entry serialization-time memo: `memo_tx` is the transmit time of
+    /// a `memo_wire`-byte frame on this link. Zero bytes means empty (every
+    /// frame carries a header).
+    memo_wire: u32,
+    memo_tx: SimTime,
+}
+
+impl Port {
+    /// The directed link *arriving* at this port: `connect` allocates the
+    /// two directions of a cable as an even/odd pair, so it is the egress
+    /// link with the low bit flipped (`Topology::reverse_link`).
+    #[inline]
+    fn in_link(&self) -> LinkId {
+        LinkId(self.lid.0 ^ 1)
+    }
+}
+
+/// A port's PFC pause accounting, in a vector parallel to the port table:
+/// written on pause transitions and read at collect, never on a packet hop.
+#[derive(Clone, Copy, Default)]
+struct PauseAcct {
+    paused_since: SimTime,
+    paused_total: SimTime,
+    ever_paused: bool,
 }
 
 /// Per-flow ring capacity for [`LossEvent`] provenance records. Bounds the
@@ -293,13 +326,14 @@ struct PauseEpisode {
     end: SimTime,
 }
 
-/// Metrics registry plus per-port metric-name tables, precomputed at
-/// [`Engine::set_metrics`] time so the hot path never formats strings.
+/// Metrics registry plus per-port metric-name tables (on the port-table
+/// index), precomputed at [`Engine::set_metrics`] time so the hot path
+/// never formats strings.
 struct MetricsState {
     reg: Registry,
-    q_name: Vec<Vec<String>>,
-    qmax_name: Vec<Vec<String>>,
-    pause_name: Vec<Vec<String>>,
+    q_name: Vec<String>,
+    qmax_name: Vec<String>,
+    pause_name: Vec<String>,
 }
 
 struct FlowRuntime {
@@ -342,14 +376,15 @@ struct FlowRuntime {
     lg: crate::latency::FlowLedger,
 }
 
-/// Cumulative time `(node, port)` has spent PFC-paused up to `now`. The
-/// latency ledger snapshots this at wait-begin and diffs it at dequeue, so
-/// the PFC share of any wait costs two u64 reads, never a timeline walk.
+/// Cumulative time a port has spent PFC-paused up to `now`. The latency
+/// ledger snapshots this at wait-begin and diffs it at dequeue, so the PFC
+/// share of any wait costs two u64 reads, never a timeline walk.
 #[cfg(feature = "ledger")]
-fn pause_cum_ns(ps: &PortState, now: SimTime) -> u64 {
-    ps.paused_total.as_ns()
-        + if ps.paused {
-            (now - ps.paused_since).as_ns()
+fn pause_cum_ns(paused: bool, acct: Option<&PauseAcct>, now: SimTime) -> u64 {
+    let Some(acct) = acct else { return 0 };
+    acct.paused_total.as_ns()
+        + if paused {
+            (now - acct.paused_since).as_ns()
         } else {
             0
         }
@@ -360,7 +395,14 @@ pub struct Engine {
     cfg: SimConfig,
     topo: Topology,
     switches: Vec<Option<Switch>>,
-    ports: Vec<Vec<PortState>>,
+    /// The port table: `(node, port)` lives at `port_base[node] + port`;
+    /// `port_base` has one entry past the last node so a node's ports are
+    /// `port_base[n]..port_base[n + 1]`.
+    ports: Vec<Port>,
+    /// Pause accounting on the same index. Empty until the first PFC pause
+    /// of the run, so a fabric that never pauses never pays for it.
+    pause_acct: Vec<PauseAcct>,
+    port_base: Vec<u32>,
     host_q: Vec<std::collections::VecDeque<PacketRef>>,
     flows: Vec<FlowRuntime>,
     /// Flow-completion callbacks: `dependents[p]` lists the flows whose
@@ -411,33 +453,55 @@ impl Engine {
         let hosts = topo.hosts().to_vec();
         let n_nodes = topo.node_count();
 
-        // Per-node switch instances.
+        // Per-node switch instances, and the port table: every port's wire
+        // is resolved here, once, so the run loop never walks `topo`.
         let mut switches: Vec<Option<Switch>> = Vec::with_capacity(n_nodes);
+        let mut ports: Vec<Port> = Vec::with_capacity(topo.link_count());
+        let mut port_base: Vec<u32> = Vec::with_capacity(n_nodes + 1);
+        let idx32 = |i: usize| u32::try_from(i).expect("port table fits a u32 index");
         for n in 0..n_nodes {
             let node = NodeId(n as u32);
-            if topo.kind(node) == NodeKind::Switch {
-                let ports = topo.port_count(node);
+            let n_ports = topo.port_count(node);
+            port_base.push(idx32(ports.len()));
+            let mut sw = (topo.kind(node) == NodeKind::Switch).then(|| {
                 let sw_cfg = SwitchConfig {
-                    ports,
+                    ports: n_ports,
                     total_buffer: cfg.switch.buffer_bytes,
                     alpha: cfg.switch.alpha,
                     color_threshold: cfg.switch.color_threshold,
                     ecn: cfg.switch.ecn,
                     pfc: cfg
                         .pfc
-                        .then(|| PfcConfig::derive(cfg.switch.buffer_bytes, ports)),
+                        .then(|| PfcConfig::derive(cfg.switch.buffer_bytes, n_ports)),
                     int_enabled: cfg.transport == TransportKind::Hpcc,
                     port_rate_bps: topo.link_from(node, PortId(0)).1.spec.bandwidth_bps,
                 };
-                switches.push(Some(Switch::new(sw_cfg, cfg.seed ^ (n as u64) << 17)));
-            } else {
-                switches.push(None);
+                Switch::new(sw_cfg, cfg.seed ^ (n as u64) << 17)
+            });
+            for p in 0..n_ports {
+                let port = PortId(idx32(p));
+                let (lid, rec) = topo.link_from(node, port);
+                // INT hops report the capacity of the egress they left by,
+                // which need not be port 0's.
+                if let Some(sw) = sw.as_mut() {
+                    sw.set_port_rate(port, rec.spec.bandwidth_bps);
+                }
+                ports.push(Port {
+                    busy: false,
+                    paused: false,
+                    tx_done_queued: false,
+                    free_at: SimTime::ZERO,
+                    free_seq: 0,
+                    lid,
+                    peer: rec.to,
+                    spec: rec.spec,
+                    memo_wire: 0,
+                    memo_tx: SimTime::ZERO,
+                });
             }
+            switches.push(sw);
         }
-
-        let ports = (0..n_nodes)
-            .map(|n| vec![PortState::default(); topo.port_count(NodeId(n as u32))])
-            .collect();
+        port_base.push(idx32(ports.len()));
         let host_q = (0..n_nodes)
             .map(|_| std::collections::VecDeque::new())
             .collect();
@@ -562,7 +626,7 @@ impl Engine {
             queue.schedule(ev.at, Event::Fault(i as u32));
         }
 
-        Engine {
+        let eng = Engine {
             cfg,
             #[cfg(feature = "strict-invariants")]
             ledger: crate::ledger::ConservationLedger::new(topo.link_count()),
@@ -571,6 +635,8 @@ impl Engine {
             topo,
             switches,
             ports,
+            pause_acct: Vec::new(),
+            port_base,
             host_q,
             flows,
             dependents,
@@ -589,6 +655,52 @@ impl Engine {
             rto_causes: RtoCauseCounts::default(),
             forensics: Vec::new(),
             metrics: None,
+        };
+        if cfg!(debug_assertions) {
+            eng.check_port_table();
+        }
+        eng
+    }
+
+    /// Index of `(node, port)` in the port table.
+    #[inline]
+    fn port_index(&self, node: NodeId, port: PortId) -> usize {
+        let n = node.0 as usize;
+        let i = self.port_base[n] as usize + port.0 as usize;
+        debug_assert!(
+            i < self.port_base[n + 1] as usize,
+            "node {n} has no port {}",
+            port.0
+        );
+        i
+    }
+
+    /// Every record of the port table says what [`Topology`] says about
+    /// its port (run by `new` in debug builds).
+    fn check_port_table(&self) {
+        assert_eq!(self.ports.len(), self.topo.link_count());
+        for n in 0..self.topo.node_count() {
+            let node = NodeId(n as u32);
+            assert_eq!(
+                (self.port_base[n + 1] - self.port_base[n]) as usize,
+                self.topo.port_count(node),
+                "port range of node {n}"
+            );
+            for p in 0..self.topo.port_count(node) {
+                let port = PortId(p as u32);
+                let rec = &self.ports[self.port_index(node, port)];
+                let (lid, link) = self.topo.link_from(node, port);
+                assert_eq!(
+                    (rec.lid, rec.peer, rec.spec),
+                    (lid, link.to, link.spec),
+                    "port table entry for node {n} port {p}"
+                );
+                assert_eq!(
+                    rec.in_link(),
+                    self.topo.incoming_link(node, port),
+                    "incoming link of node {n} port {p}"
+                );
+            }
         }
     }
 
@@ -619,34 +731,20 @@ impl Engine {
     /// before [`Engine::run`]; the populated [`Registry`] is returned in
     /// [`SimResult::metrics`].
     pub fn set_metrics(&mut self) {
-        // Metric names are precomputed per (node, port) so hot-path
-        // observations are a lookup, never a format.
-        let mut q_name = Vec::with_capacity(self.ports.len());
-        let mut qmax_name = Vec::with_capacity(self.ports.len());
-        let mut pause_name = Vec::with_capacity(self.ports.len());
-        for (n, node_ports) in self.ports.iter().enumerate() {
-            let ports = node_ports.len();
-            q_name.push(
-                (0..ports)
-                    .map(|p| format!("port_queue_bytes/n{n}/p{p}"))
-                    .collect(),
-            );
-            qmax_name.push(
-                (0..ports)
-                    .map(|p| format!("port_queue_max/n{n}/p{p}"))
-                    .collect(),
-            );
-            pause_name.push(
-                (0..ports)
-                    .map(|p| format!("pfc_pause_ns/n{n}/p{p}"))
-                    .collect(),
-            );
-        }
+        // Metric names are precomputed per (node, port), in port-table
+        // order, so hot-path observations are a lookup, never a format.
+        let names = |family: &str| -> Vec<String> {
+            self.port_base
+                .windows(2)
+                .enumerate()
+                .flat_map(|(n, w)| (0..w[1] - w[0]).map(move |p| format!("{family}n{n}/p{p}")))
+                .collect()
+        };
         self.metrics = Some(MetricsState {
             reg: Registry::new(),
-            q_name,
-            qmax_name,
-            pause_name,
+            q_name: names("port_queue_bytes/"),
+            qmax_name: names("port_queue_max/"),
+            pause_name: names("pfc_pause_ns/"),
         });
     }
 
@@ -825,19 +923,24 @@ impl Engine {
                     }
                 }
                 Event::PfcSet { node, port, pause } => {
-                    let ps = &mut self.ports[node.0 as usize][port.0 as usize];
+                    let i = self.port_index(node, port);
+                    if self.pause_acct.is_empty() {
+                        self.pause_acct = vec![PauseAcct::default(); self.ports.len()];
+                    }
+                    let ps = &mut self.ports[i];
+                    let acct = &mut self.pause_acct[i];
                     if pause && !ps.paused {
                         ps.paused = true;
-                        ps.ever_paused = true;
-                        ps.paused_since = t;
+                        acct.ever_paused = true;
+                        acct.paused_since = t;
                         self.tracer.emit(t, || TraceEvent::LinkPause {
                             node: node.0,
                             port: port.0,
                         });
                     } else if !pause && ps.paused {
                         ps.paused = false;
-                        let started = ps.paused_since;
-                        ps.paused_total += t - started;
+                        let started = acct.paused_since;
+                        acct.paused_total += t - started;
                         // Log the episode for RTO attribution and observe
                         // its duration when metrics are on.
                         if self.pause_log.len() == PAUSE_LOG {
@@ -850,10 +953,7 @@ impl Engine {
                             end: t,
                         });
                         if let Some(m) = self.metrics.as_mut() {
-                            m.reg.observe(
-                                &m.pause_name[node.0 as usize][port.0 as usize],
-                                (t - started).as_ns(),
-                            );
+                            m.reg.observe(&m.pause_name[i], (t - started).as_ns());
                         }
                         self.tracer.emit(t, || TraceEvent::LinkResume {
                             node: node.0,
@@ -884,7 +984,7 @@ impl Engine {
                         let Some(sw) = sw else { continue };
                         for p in 0..sw.config().ports {
                             let qlen = sw.queue_bytes(PortId(p as u32));
-                            let paused = self.ports[n][p].paused;
+                            let paused = self.ports[self.port_base[n] as usize + p].paused;
                             self.tracer.emit(t, || TraceEvent::PortSample {
                                 node: n as u32,
                                 port: p as u32,
@@ -939,7 +1039,6 @@ impl Engine {
             let last_free = self
                 .ports
                 .iter()
-                .flatten()
                 .filter(|ps| ps.busy && !ps.tx_done_queued && ps.free_at <= horizon)
                 .map(|ps| ps.free_at)
                 .max();
@@ -953,21 +1052,19 @@ impl Engine {
         // Close out pause accounting.
         let end = self.now;
         let mut pause_fracs = Vec::new();
-        for (n, node_ports) in self.ports.iter_mut().enumerate() {
-            for (p, ps) in node_ports.iter_mut().enumerate() {
-                if ps.paused {
-                    let d = end - ps.paused_since;
-                    ps.paused_total += d;
-                    ps.paused = false;
-                    // A port still paused at the end is a truncated episode;
-                    // its duration-so-far still belongs in the histogram.
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.reg.observe(&m.pause_name[n][p], d.as_ns());
-                    }
+        for (i, (ps, acct)) in self.ports.iter_mut().zip(&mut self.pause_acct).enumerate() {
+            if ps.paused {
+                let d = end - acct.paused_since;
+                acct.paused_total += d;
+                ps.paused = false;
+                // A port still paused at the end is a truncated episode;
+                // its duration-so-far still belongs in the histogram.
+                if let Some(m) = self.metrics.as_mut() {
+                    m.reg.observe(&m.pause_name[i], d.as_ns());
                 }
-                if ps.ever_paused && end > SimTime::ZERO {
-                    pause_fracs.push(ps.paused_total.as_secs_f64() / end.as_secs_f64());
-                }
+            }
+            if acct.ever_paused && end > SimTime::ZERO {
+                pause_fracs.push(acct.paused_total.as_secs_f64() / end.as_secs_f64());
             }
         }
 
@@ -1133,7 +1230,7 @@ impl Engine {
     fn deliver(&mut self, to: NodeId, in_port: PortId, pref: PacketRef) -> bool {
         // A frame that was in flight when its link went down is destroyed
         // at the receiving end of the wire.
-        let in_link = self.topo.incoming_link(to, in_port);
+        let in_link = self.ports[self.port_index(to, in_port)].in_link();
         let (f, dir, hop) = {
             let p = self.pkts.get(pref);
             #[cfg(feature = "strict-invariants")]
@@ -1238,10 +1335,11 @@ impl Engine {
             self.prof.deliver_transit += 1;
         }
         let egress = path[h].port;
+        let out = self.port_index(to, egress);
         // Provenance, captured before the switch takes ownership: a drop
         // outcome must be attributable to this flow's loss ring.
         #[cfg(feature = "ledger")]
-        let pause_cum = pause_cum_ns(&self.ports[to.0 as usize][egress.0 as usize], self.now);
+        let pause_cum = pause_cum_ns(self.ports[out].paused, self.pause_acct.get(out), self.now);
         let (p_dir, p_ctrl, p_epoch) = {
             let p = self.pkts.get_mut(pref);
             p.hop += 1;
@@ -1287,9 +1385,8 @@ impl Engine {
         }
         if outcome.enqueued {
             if let Some(m) = self.metrics.as_mut() {
-                let (n, p) = (to.0 as usize, egress.0 as usize);
-                m.reg.observe(&m.q_name[n][p], qlen);
-                m.reg.gauge_max(&m.qmax_name[n][p], qlen);
+                m.reg.observe(&m.q_name[out], qlen);
+                m.reg.gauge_max(&m.qmax_name[out], qlen);
             }
             self.kick_port(to, egress);
         }
@@ -1302,11 +1399,10 @@ impl Engine {
             PfcSignal::Pause(p) => (p, true),
             PfcSignal::Resume(p) => (p, false),
         };
-        let (_, rec) = self.topo.link_from(node, ingress);
-        let (up_node, up_port) = rec.to;
-        let delay = rec.spec.delay;
+        let rec = self.ports[self.port_index(node, ingress)];
+        let (up_node, up_port) = rec.peer;
         self.sched(
-            self.now + delay,
+            self.now + rec.spec.delay,
             Event::PfcSet {
                 node: up_node,
                 port: up_port,
@@ -1327,11 +1423,12 @@ impl Engine {
     }
 
     /// Pushes the `TxDone` of the transmission in progress on `(node,
-    /// port)` into its reserved FIFO slot `(free_at, free_seq)`. The one
-    /// place a `TxDone` enters the queue, so the profiler counts pushes,
-    /// not reservations (`sched_total == queue_pushes`).
-    fn push_tx_done(&mut self, node: NodeId, port: PortId) {
-        let ps = &mut self.ports[node.0 as usize][port.0 as usize];
+    /// port)` — table entry `i` — into its reserved FIFO slot `(free_at,
+    /// free_seq)`. The one place a `TxDone` enters the queue, so the
+    /// profiler counts pushes, not reservations (`sched_total ==
+    /// queue_pushes`).
+    fn push_tx_done(&mut self, i: usize, node: NodeId, port: PortId) {
+        let ps = &mut self.ports[i];
         ps.tx_done_queued = true;
         let (at, seq) = (ps.free_at, ps.free_seq);
         #[cfg(feature = "profile")]
@@ -1342,7 +1439,8 @@ impl Engine {
 
     /// A queued `TxDone` popped: the port is free, serve what waits.
     fn tx_done(&mut self, node: NodeId, port: PortId) {
-        let ps = &mut self.ports[node.0 as usize][port.0 as usize];
+        let i = self.port_index(node, port);
+        let ps = &mut self.ports[i];
         ps.busy = false;
         ps.tx_done_queued = false;
         self.kick_port(node, port);
@@ -1359,7 +1457,8 @@ impl Engine {
     /// port. See DESIGN §12 "Lazy TxDone" for the byte-identity argument.
     fn kick_port(&mut self, node: NodeId, port: PortId) {
         let n = node.0 as usize;
-        let ps = self.ports[n][port.0 as usize];
+        let i = self.port_index(node, port);
+        let ps = self.ports[i];
         // Resolve `busy` before looking at `paused`: a paused port that is
         // still serializing with a backlog needs its `TxDone` like any
         // other.
@@ -1373,14 +1472,14 @@ impl Engine {
             // being executed.
             if (ps.free_at, ps.free_seq) > (self.now, self.queue.last_popped_seq()) {
                 if self.has_backlog(node, port) {
-                    self.push_tx_done(node, port);
+                    self.push_tx_done(i, node, port);
                 }
                 return;
             }
             // The virtual `TxDone` already "fired", and on an empty queue
             // (anything enqueued before it would have kicked this port and
             // materialized it): the port is simply idle.
-            self.ports[n][port.0 as usize].busy = false;
+            self.ports[i].busy = false;
         }
         if ps.paused {
             return;
@@ -1405,7 +1504,7 @@ impl Engine {
         #[cfg(feature = "ledger")]
         {
             let is_host = self.switches[n].is_none();
-            let cum = ps.paused_total.as_ns();
+            let cum = self.pause_acct.get(i).map_or(0, |a| a.paused_total.as_ns());
             let p = self.pkts.get_mut(pkt);
             let waited = self.now.as_ns() - p.lg.wait_since_ns;
             let paused = cum.saturating_sub(p.lg.pause_cum_ns).min(waited);
@@ -1416,22 +1515,33 @@ impl Engine {
                 p.lg.queue_ns += waited - paused;
             }
         }
-        let (lid, rec) = self.topo.link_from(node, port);
-        let (spec, to) = (rec.spec, rec.to);
+        let (lid, spec, to) = (ps.lid, ps.spec, ps.peer);
         let wire = self.pkts.get(pkt).wire_size();
-        let tx = self.faults.tx_time(lid, &spec, wire);
+        // The transmit time of this size on this link was worked out for
+        // the previous frame more often than not (runs of full-size data,
+        // runs of ACKs). Reusing it is exact while no fault has been
+        // installed: same spec, same size, same integer division. After
+        // that `FaultState` answers every time, rate factors included.
+        let tx = if ps.memo_wire == wire && self.faults.is_quiet() {
+            ps.memo_tx
+        } else {
+            let tx = self.faults.tx_time(lid, &spec, wire);
+            let ps = &mut self.ports[i];
+            (ps.memo_wire, ps.memo_tx) = (wire, tx);
+            tx
+        };
         #[cfg(feature = "strict-invariants")]
         self.ledger.on_tx(lid.0 as usize, wire);
         // Always reserve the `TxDone` tie-break seq here (before the
         // `Deliver` push, where the eager schedule sat); push the event
         // only if something already waits behind this frame.
         let free_seq = self.queue.reserve_seq();
-        let ps = &mut self.ports[n][port.0 as usize];
+        let ps = &mut self.ports[i];
         ps.busy = true;
         ps.free_at = self.now + tx;
         ps.free_seq = free_seq;
         if self.has_backlog(node, port) {
-            self.push_tx_done(node, port);
+            self.push_tx_done(i, node, port);
         }
         // Link failure: the port still spends the serialization time, but
         // the frame goes onto a dead wire and is destroyed.
@@ -1602,9 +1712,11 @@ impl Engine {
             'pfc: for path in [&rt.path_fwd, &rt.path_rev] {
                 for hop in path.iter() {
                     let (hn, hp) = (hop.node.0, hop.port.0);
-                    let ps = &self.ports[hn as usize][hp as usize];
-                    if ps.paused && ps.paused_since <= t {
-                        hit = Some((RtoCause::PfcStall, hn, hp, ps.paused_since));
+                    let i = self.port_index(hop.node, hop.port);
+                    // A paused port has its accounting entry.
+                    if self.ports[i].paused && self.pause_acct[i].paused_since <= t {
+                        let since = self.pause_acct[i].paused_since;
+                        hit = Some((RtoCause::PfcStall, hn, hp, since));
                         break 'pfc;
                     }
                     for ep in self.pause_log.iter().rev() {
@@ -1788,6 +1900,12 @@ impl Engine {
                     };
                     pkt.hop = 1;
                     pkt.epoch = rt.tx_epoch;
+                    // HPCC: every switch on the way appends one INT hop to
+                    // a data packet; one allocation of the final size
+                    // instead of the doubling growth.
+                    if self.cfg.transport == TransportKind::Hpcc && !pkt.is_control() {
+                        pkt.int_stack.reserve_exact(rt.path_fwd.len() - 1);
+                    }
                     // Journey origin: the packet enters the host egress
                     // queue (always port 0 of a host) right now.
                     #[cfg(feature = "ledger")]
@@ -1795,8 +1913,12 @@ impl Engine {
                         let now_ns = self.now.as_ns();
                         pkt.lg.origin_ns = now_ns;
                         pkt.lg.wait_since_ns = now_ns;
-                        pkt.lg.pause_cum_ns =
-                            pause_cum_ns(&self.ports[origin.0 as usize][0], self.now);
+                        let nic = self.port_index(origin, PortId(0));
+                        pkt.lg.pause_cum_ns = pause_cum_ns(
+                            self.ports[nic].paused,
+                            self.pause_acct.get(nic),
+                            self.now,
+                        );
                     }
                     // The frame enters the arena here and stays there for
                     // its whole wire lifetime; only handles move from now on.
@@ -2748,14 +2870,21 @@ mod tests {
 
     impl Rig {
         fn new() -> Rig {
-            let cfg =
-                SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
-            // The flow only lends its paths to the frames; its own
-            // FlowStart sits at the horizon and is never popped.
-            let flow = FlowSpec::new(0, 1, 1_000_000, SimTime::from_secs(1), false);
-            let eng = Engine::new(cfg, vec![flow]);
+            Rig::with_faults(faults::FaultSchedule::new())
+        }
+
+        fn with_faults(schedule: faults::FaultSchedule) -> Rig {
+            let cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+                .with_topology(small_single_switch(2))
+                .with_faults(schedule);
+            // The flows only lend their paths to the frames; their own
+            // FlowStarts sit at the horizon and are never popped. Flow 1
+            // runs the other way, so its ACKs leave by flow 0's NIC.
+            let flows = [(0, 1), (1, 0)]
+                .map(|(s, d)| FlowSpec::new(s, d, 1_000_000, SimTime::from_secs(1), false));
+            let eng = Engine::new(cfg, flows.to_vec());
             let src = eng.flows[0].src;
-            let spec = eng.topo.link_from(src, PortId(0)).1.spec;
+            let spec = eng.ports[eng.port_index(src, PortId(0))].spec;
             let wire = Packet::data(FlowId(0), 0, RIG_FRAME).wire_size();
             Rig {
                 tx: spec.tx_time(wire).as_ns(),
@@ -2804,8 +2933,8 @@ mod tests {
             self.eng.flush_actions(0);
         }
 
-        fn nic(&self) -> PortState {
-            self.eng.ports[self.src.0 as usize][0]
+        fn nic(&self) -> Port {
+            self.eng.ports[self.eng.port_index(self.src, PortId(0))]
         }
 
         fn waiting(&self) -> usize {
@@ -2817,11 +2946,11 @@ mod tests {
             (self.eng.queue.scheduled_total(), self.eng.queue.seq_total())
         }
 
-        /// Drains the queue down to the parked FlowStart; returns the
+        /// Drains the queue down to the parked FlowStarts; returns the
         /// arrival times of every `Deliver` on the way.
         fn arrivals(&mut self) -> Vec<u64> {
             let mut out = Vec::new();
-            while self.eng.queue.len() > 1 {
+            while self.eng.queue.len() > self.eng.flows.len() {
                 if let (t, Event::Deliver { .. }) = self.pop() {
                     out.push(t);
                 }
@@ -3007,6 +3136,262 @@ mod tests {
         // never materialized and the port is found idle-but-paused.
         let (a0, a1, _, resumed) = run(free_at + 700, 5_000);
         assert_eq!((a0, a1), (free_at + delay, resumed + tx + delay));
+    }
+
+    /// The serialization-time memo: data and ACK frames of two sizes share
+    /// one NIC, in runs and alternating, so the one-entry memo both hits and
+    /// misses; then a `Degrade` slows the link to 0.4 of its rate. Every
+    /// frame must reach the switch when the closed forms say —
+    /// `LinkSpec::tx_time` before the fault, `FaultState::tx_time`'s ceiling
+    /// after it (the memo still holds the nominal time of the very size sent
+    /// next).
+    #[test]
+    fn tx_time_memo_matches_the_closed_forms_across_a_degrade() {
+        const FACTOR: f64 = 0.4;
+        const DEGRADE_AT: u64 = 50_000;
+        // Host index 0 is node 1 (the switch is node 0).
+        let mut r = Rig::with_faults(faults::FaultSchedule::new().degrade(
+            SimTime::from_ns(DEGRADE_AT),
+            1,
+            0,
+            faults::LossModel::None,
+            Some(FACTOR),
+        ));
+        assert_eq!(r.src, NodeId(1));
+        let spec = r.nic().spec;
+        let data = || Packet::data(FlowId(0), 0, RIG_FRAME);
+        let ack = || Packet::ack(FlowId(1), 0);
+        let burst = |r: &mut Rig, t0: u64, tx_of: &dyn Fn(u32) -> u64| {
+            r.mark(t0);
+            r.pop_mark(t0);
+            let frames = [data(), ack(), ack(), data(), data(), ack(), data()];
+            let mut due = Vec::new();
+            let mut free_at = t0;
+            for pkt in frames {
+                free_at += tx_of(pkt.wire_size());
+                due.push(free_at + r.delay);
+                // Flow 1's ACKs travel `Rev`, i.e. out of flow 0's source.
+                let flow = pkt.flow.0;
+                r.eng.actions.push(Action::Send(pkt));
+                r.eng.flush_actions(flow);
+            }
+            due
+        };
+        let nominal = |wire: u32| spec.tx_time(wire).as_ns();
+        let mut due = burst(&mut r, 1_000, &nominal);
+        assert!(r.eng.faults.is_quiet());
+        assert_ne!(nominal(data().wire_size()), nominal(ack().wire_size()));
+
+        // Serve the NIC queue up to the fault, apply it, send again.
+        let mut got = Vec::new();
+        loop {
+            match r.pop() {
+                (t, Event::Deliver { .. }) => got.push(t),
+                (_, Event::TxDone { node, port }) => r.eng.tx_done(node, port),
+                (t, Event::Fault(i)) => {
+                    assert_eq!(t, DEGRADE_AT);
+                    r.eng.apply_fault(i as usize);
+                    break;
+                }
+                _ => panic!("unexpected event"),
+            }
+        }
+        assert!(!r.eng.faults.is_quiet());
+        assert_eq!(
+            r.nic().memo_wire,
+            data().wire_size(),
+            "memo holds the next size"
+        );
+        let degraded = |wire: u32| ((nominal(wire) as f64 / FACTOR).ceil() as u64).max(1);
+        assert!(degraded(data().wire_size()) > 2 * nominal(data().wire_size()));
+        due.extend(burst(&mut r, 100_000, &degraded));
+        while r.eng.queue.len() > r.eng.flows.len() {
+            match r.pop() {
+                (t, Event::Deliver { .. }) => got.push(t),
+                (_, Event::TxDone { node, port }) => r.eng.tx_done(node, port),
+                _ => panic!("unexpected event"),
+            }
+        }
+        assert_eq!(got, due);
+    }
+
+    fn two_speed_specs() -> [netsim::topology::TopologySpec; 4] {
+        use netsim::topology::TopologySpec;
+        let fast = LinkSpec::new(40_000_000_000, SimTime::from_us(10));
+        let slow = LinkSpec::new(10_000_000_000, SimTime::from_us(3));
+        [
+            TopologySpec::SingleSwitch {
+                hosts: 3,
+                host_link: fast,
+            },
+            TopologySpec::Dumbbell {
+                left_hosts: 2,
+                right_hosts: 3,
+                host_link: fast,
+                cross_link: slow,
+            },
+            TopologySpec::LeafSpine {
+                cores: 2,
+                tors: 3,
+                hosts_per_tor: 2,
+                host_link: fast,
+                fabric_link: slow,
+            },
+            TopologySpec::FatTree {
+                k: 4,
+                host_link: fast,
+                fabric_link: slow,
+            },
+        ]
+    }
+
+    /// The port table against its source, on every topology shape (with
+    /// two link speeds where the shape has two kinds of link): each record
+    /// carries its port's link, peer, rate and delay, the incoming link is
+    /// `lid ^ 1`, and the hot record fits a cache line.
+    #[test]
+    fn port_table_mirrors_the_topology() {
+        assert!(
+            std::mem::size_of::<Port>() <= 64,
+            "hot port record is {} bytes",
+            std::mem::size_of::<Port>()
+        );
+        for spec in two_speed_specs() {
+            let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(spec);
+            let eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]);
+            eng.check_port_table();
+            for (i, rec) in eng.ports.iter().enumerate() {
+                // Peers point at each other.
+                let back = eng.ports[eng.port_index(rec.peer.0, rec.peer.1)];
+                assert_eq!(eng.port_index(back.peer.0, back.peer.1), i);
+                assert_eq!(back.lid, rec.in_link());
+            }
+        }
+    }
+
+    /// INT hops carry the capacity of the egress they left by: on fabrics
+    /// whose links differ in speed every switch port must stamp its own
+    /// link's rate, not port 0's.
+    #[test]
+    fn int_hops_report_each_egress_ports_own_rate() {
+        for spec in two_speed_specs() {
+            let cfg = SimConfig::roce_family(TransportKind::Hpcc).with_topology(spec);
+            let mut eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]);
+            let mut rates = std::collections::BTreeSet::new();
+            for n in 0..eng.switches.len() {
+                let Some(sw) = eng.switches[n].as_mut() else {
+                    continue;
+                };
+                for p in 0..sw.config().ports {
+                    let egress = PortId(p as u32);
+                    let pkt = eng.pkts.insert(Packet::data(FlowId(0), 0, 1_000));
+                    let out = sw.enqueue(pkt, &mut eng.pkts, PortId(0), egress, SimTime::ZERO);
+                    assert!(out.enqueued);
+                    let (pkt, _) = sw.dequeue(&mut eng.pkts, egress, SimTime::ZERO);
+                    let hop = eng.pkts.take(pkt.expect("just enqueued")).int_stack[0];
+                    let link = eng.topo.link_from(NodeId(n as u32), egress).1.spec;
+                    assert_eq!(hop.rate_bps, link.bandwidth_bps, "node {n} port {p}");
+                    rates.insert(hop.rate_bps);
+                }
+            }
+            let two_speeds = !matches!(
+                eng.cfg.topology,
+                netsim::topology::TopologySpec::SingleSwitch { .. }
+            );
+            assert_eq!(rates.len(), 1 + usize::from(two_speeds));
+        }
+    }
+
+    /// Quiet ≡ not quiet. A fault schedule holding only a no-op (bringing
+    /// up a link that is up, or degrading one with no loss model and no
+    /// rate factor) clears `FaultState`'s quiet flag, so every later frame
+    /// takes the per-link table lookups and the memo is bypassed — and the
+    /// run must not differ from the fault-free one in anything but the
+    /// fault bookkeeping and the one extra scheduled event. Checked on a
+    /// lossy DCTCP incast (drops, RTOs, forensics) and a PFC cell (pauses).
+    #[test]
+    fn noop_fault_changes_nothing_but_its_own_bookkeeping() {
+        use faults::{FaultAction, FaultEvent, FaultSchedule, LossModel};
+        // Host index 1 is node 2: a sender's NIC, busy in both cells.
+        let link_up = || {
+            let mut s = FaultSchedule::new();
+            s.push(FaultEvent {
+                at: SimTime::ZERO,
+                node: NodeId(2),
+                port: PortId(0),
+                action: FaultAction::LinkUp,
+            });
+            s
+        };
+        let degrade = || FaultSchedule::new().degrade(SimTime::ZERO, 2, 0, LossModel::None, None);
+        let lossy = |faults: FaultSchedule| {
+            // The synchronized short-flow incast of the tests above.
+            let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+                .with_topology(small_single_switch(49))
+                .with_faults(faults);
+            cfg.switch.buffer_bytes = 800_000;
+            cfg.switch.ecn = netsim::switch::EcnConfig::Threshold { k: 100_000 };
+            let flows: Vec<FlowSpec> = (1..49)
+                .flat_map(|s| [FlowSpec::new(s, 0, 8_000, SimTime::from_us(1), true); 2])
+                .collect();
+            let mut eng = Engine::new(cfg, flows);
+            eng.set_metrics();
+            let res = eng.run();
+            assert!(res.agg.timeouts > 0 && res.agg.drops_dt > 0);
+            res
+        };
+        let pfc = |faults: FaultSchedule| {
+            let mut cfg = SimConfig::tcp_family(TransportKind::Tcp)
+                .with_topology(small_single_switch(5))
+                .with_pfc()
+                .with_faults(faults);
+            cfg.switch.buffer_bytes = 1_000_000;
+            let flows: Vec<FlowSpec> = (1..5)
+                .map(|s| FlowSpec::new(s, 0, 1_000_000, SimTime::from_us(1), true))
+                .collect();
+            let mut eng = Engine::new(cfg, flows);
+            eng.set_metrics();
+            let res = eng.run();
+            assert!(res.agg.pause_frames > 0 && res.agg.link_pause_fraction > 0.0);
+            res
+        };
+        type Cell<'a> = &'a dyn Fn(FaultSchedule) -> SimResult;
+        let cells: [(&str, Cell); 2] = [("lossy", &lossy), ("pfc", &pfc)];
+        for (label, cell) in cells {
+            let clean = cell(FaultSchedule::new());
+            for (what, schedule) in [("link_up", link_up()), ("degrade", degrade())] {
+                let noop = cell(schedule);
+                let label = format!("{label}/{what}");
+                let rows = |r: &SimResult| -> Vec<_> {
+                    r.flows
+                        .iter()
+                        .map(|f| (f.start, f.end, f.timeouts, f.retx))
+                        .collect()
+                };
+                assert_eq!(rows(&clean), rows(&noop), "{label}: flow records");
+                assert_eq!(clean.forensics, noop.forensics, "{label}: forensics");
+                assert_eq!(noop.agg.faults_injected, 1, "{label}");
+                assert_eq!(
+                    noop.agg.events_scheduled,
+                    clean.agg.events_scheduled + 1,
+                    "{label}: the fault is the one extra event"
+                );
+                // Everything else in the aggregate, samples included.
+                let mut agg = noop.agg.clone();
+                agg.faults_injected = clean.agg.faults_injected;
+                agg.first_fault_at = clean.agg.first_fault_at;
+                agg.events_scheduled = clean.agg.events_scheduled;
+                assert_eq!(format!("{agg:?}"), format!("{:?}", clean.agg), "{label}");
+                // Per-port histograms and watermarks; `events_scheduled`
+                // is the one counter that may differ.
+                let metrics = |r: &SimResult| {
+                    let mut reg = r.metrics.clone().expect("metrics enabled");
+                    reg.inc("events_scheduled", u64::MAX - r.agg.events_scheduled);
+                    reg.to_json()
+                };
+                assert_eq!(metrics(&clean), metrics(&noop), "{label}: metrics");
+            }
+        }
     }
 
     #[test]

@@ -238,6 +238,12 @@ struct LinkState {
 #[derive(Clone, Debug)]
 pub struct FaultState {
     links: Vec<LinkState>,
+    /// No setter has run yet, so every link is still in its default state
+    /// (up, no loss model, nominal rate) and the per-frame queries answer
+    /// without reading `links`. Sticky: any setter clears it for good, even
+    /// one that changes nothing, so a fabric that has seen a fault schedule
+    /// takes the table lookups from then on.
+    quiet: bool,
     rng: SimRng,
     /// Frames destroyed by a loss model (corruption).
     pub wire_drops: u64,
@@ -253,6 +259,7 @@ impl FaultState {
     pub fn new(n_links: usize, seed: u64) -> Self {
         FaultState {
             links: vec![LinkState::default(); n_links],
+            quiet: true,
             rng: SimRng::seed_from(seed),
             wire_drops: 0,
             down_drops: 0,
@@ -266,12 +273,14 @@ impl FaultState {
         if rate <= 0.0 {
             return;
         }
+        self.quiet = false;
         for l in &mut self.links {
             l.loss = LossModel::Bernoulli { rate };
         }
     }
 
     pub fn set_loss(&mut self, link: LinkId, loss: LossModel) {
+        self.quiet = false;
         let l = &mut self.links[link.0 as usize];
         l.loss = loss;
         l.in_bad = false;
@@ -281,27 +290,43 @@ impl FaultState {
         if let Some(f) = factor {
             assert!(f > 0.0, "rate_factor must be positive");
         }
+        self.quiet = false;
         self.links[link.0 as usize].rate_factor = factor;
     }
 
     pub fn set_down(&mut self, link: LinkId, down: bool) {
+        self.quiet = false;
         self.links[link.0 as usize].down = down;
     }
 
+    /// Whether no setter has touched any link yet. While this holds,
+    /// [`FaultState::tx_time`] is `spec.tx_time(bytes)` for every link, so
+    /// a caller may reuse a result it computed earlier for the same spec
+    /// and size.
+    #[inline]
+    pub fn is_quiet(&self) -> bool {
+        self.quiet
+    }
+
+    #[inline]
     pub fn is_down(&self, link: LinkId) -> bool {
-        self.links[link.0 as usize].down
+        !self.quiet && self.links[link.0 as usize].down
     }
 
     pub fn any_down(&self) -> bool {
-        self.links.iter().any(|l| l.down)
+        !self.quiet && self.links.iter().any(|l| l.down)
     }
 
     /// Serialization time of `bytes` on `link`, honouring any rate
     /// degradation. With no `rate_factor` this is exactly
     /// `spec.tx_time(bytes)` — no float detour, so undisturbed links keep
     /// byte-identical timing.
+    #[inline]
     pub fn tx_time(&self, link: LinkId, spec: &LinkSpec, bytes: u32) -> SimTime {
         let base = spec.tx_time(bytes);
+        if self.quiet {
+            return base;
+        }
         match self.links[link.0 as usize].rate_factor {
             None => base,
             Some(f) => SimTime::from_ns(((base.as_ns() as f64 / f).ceil() as u64).max(1)),
@@ -311,7 +336,11 @@ impl FaultState {
     /// Does the frame currently serializing onto `link` get corrupted?
     /// Consults the shared RNG only when the link has an active loss model;
     /// otherwise the stream does not advance.
+    #[inline]
     pub fn corrupts(&mut self, link: LinkId) -> bool {
+        if self.quiet {
+            return false;
+        }
         let st = &mut self.links[link.0 as usize];
         if st.loss.is_none() {
             return false;
@@ -455,6 +484,56 @@ mod tests {
         assert_eq!(slowed.as_ns(), s.tx_time(1500).as_ns() * 2);
         f.set_rate_factor(LinkId(0), None);
         assert_eq!(f.tx_time(LinkId(0), &s, 1500), base);
+    }
+
+    /// The quiet flag: set at construction, cleared for good by every
+    /// setter — including ones that leave the link as it was — and never
+    /// by a query. Answers are the same on either side of it.
+    #[test]
+    fn quiet_flag_is_sticky_and_changes_no_answer() {
+        type Setter = fn(&mut FaultState);
+        // None of these moves a down flag or a rate factor.
+        let setters: [Setter; 4] = [
+            |f| f.set_down(LinkId(1), false),
+            |f| f.set_loss(LinkId(1), LossModel::None),
+            |f| f.set_rate_factor(LinkId(1), None),
+            |f| f.set_uniform_loss(0.25),
+        ];
+        let s = spec();
+        for (i, set) in setters.iter().enumerate() {
+            let mut f = FaultState::new(2, 11);
+            f.set_uniform_loss(0.0);
+            assert!(f.is_quiet(), "a zero uniform rate installs nothing");
+            let before = (
+                f.is_down(LinkId(1)),
+                f.any_down(),
+                f.tx_time(LinkId(1), &s, 1500),
+            );
+            assert!(!f.corrupts(LinkId(0)));
+            assert!(f.is_quiet(), "queries leave the flag alone");
+            set(&mut f);
+            assert!(!f.is_quiet(), "setter {i} clears the flag");
+            let after = (
+                f.is_down(LinkId(1)),
+                f.any_down(),
+                f.tx_time(LinkId(1), &s, 1500),
+            );
+            assert_eq!(before, after, "setter {i}");
+            // Undoing a fault does not bring quiet back.
+            f.set_down(LinkId(0), true);
+            f.set_down(LinkId(0), false);
+            assert!(!f.is_quiet());
+        }
+        // Non-quiet answers come from the table.
+        let mut f = FaultState::new(2, 11);
+        f.set_down(LinkId(0), true);
+        f.set_rate_factor(LinkId(1), Some(0.5));
+        assert!(f.is_down(LinkId(0)) && !f.is_down(LinkId(1)) && f.any_down());
+        assert_eq!(
+            f.tx_time(LinkId(1), &s, 1500).as_ns(),
+            2 * s.tx_time(1500).as_ns()
+        );
+        assert_eq!(f.tx_time(LinkId(0), &s, 1500), s.tx_time(1500));
     }
 
     #[test]

@@ -46,6 +46,7 @@ impl LinkSpec {
 
     /// Serialization time of `bytes` on this link, rounded up to a
     /// nanosecond so back-to-back packets never occupy zero time.
+    #[inline]
     pub fn tx_time(&self, bytes: u32) -> SimTime {
         let bits = u64::from(bytes) * 8;
         // ceil(bits * 1e9 / bw)

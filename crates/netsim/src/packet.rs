@@ -252,11 +252,13 @@ impl Packet {
     }
 
     /// Whether this is a pure control packet (no payload).
+    #[inline]
     pub fn is_control(&self) -> bool {
         !matches!(self.kind, PacketKind::Data)
     }
 
     /// Bytes this packet occupies on the wire and in switch buffers.
+    #[inline]
     pub fn wire_size(&self) -> u32 {
         HEADER_BYTES
             + self.len
@@ -320,6 +322,7 @@ impl PacketSlab {
 
     /// Stores `pkt`, returning a handle that must be redeemed exactly once
     /// with [`PacketSlab::take`].
+    #[inline]
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
         if let Some(i) = self.free.pop() {
             debug_assert!(self.slots[i as usize].is_none());
@@ -335,6 +338,7 @@ impl PacketSlab {
     /// Borrows the packet behind `r` without redeeming the handle.
     ///
     /// Panics if the handle was already redeemed.
+    #[inline]
     pub fn get(&self, r: PacketRef) -> &Packet {
         self.slots[r.0 as usize]
             .as_ref()
@@ -344,6 +348,7 @@ impl PacketSlab {
     /// Mutably borrows the packet behind `r` without redeeming the handle.
     ///
     /// Panics if the handle was already redeemed.
+    #[inline]
     pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
         self.slots[r.0 as usize]
             .as_mut()
@@ -354,6 +359,7 @@ impl PacketSlab {
     ///
     /// Panics if the handle was already redeemed — a double-take means the
     /// engine delivered the same event twice.
+    #[inline]
     pub fn take(&mut self, r: PacketRef) -> Packet {
         let pkt = self.slots[r.0 as usize]
             .take()

@@ -121,7 +121,8 @@ pub struct SwitchConfig {
     pub pfc: Option<PfcConfig>,
     /// Append INT telemetry at dequeue (HPCC).
     pub int_enabled: bool,
-    /// Port line rate in bits per second, recorded in INT hops.
+    /// Default port line rate in bits per second, recorded in INT hops;
+    /// [`Switch::set_port_rate`] overrides it per egress port.
     pub port_rate_bps: u64,
 }
 
@@ -230,6 +231,8 @@ pub struct Switch {
     pause_sent: Vec<bool>,
     storm: Vec<bool>,
     tx_bytes: Vec<u64>,
+    /// Line rate of each egress port, stamped into its INT hops.
+    port_rate: Vec<u64>,
     stats: SwitchStats,
     rng: SimRng,
     tracer: Tracer,
@@ -254,6 +257,7 @@ impl Switch {
         }
         let n = cfg.ports;
         Switch {
+            port_rate: vec![cfg.port_rate_bps; n],
             cfg,
             queues: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
             q_bytes: vec![0; n],
@@ -335,12 +339,20 @@ impl Switch {
         self.node = node;
     }
 
+    /// Sets the line rate of egress `port`: links of different speeds can
+    /// hang off one switch, and HPCC normalises each hop's utilisation by
+    /// the capacity that hop reports.
+    pub fn set_port_rate(&mut self, port: PortId, bps: u64) {
+        self.port_rate[port.0 as usize] = bps;
+    }
+
     /// This switch's configuration.
     pub fn config(&self) -> &SwitchConfig {
         &self.cfg
     }
 
     /// Current depth of egress queue `port`, in bytes.
+    #[inline]
     pub fn queue_bytes(&self, port: PortId) -> u64 {
         self.q_bytes[port.0 as usize]
     }
@@ -351,6 +363,7 @@ impl Switch {
     }
 
     /// Whether egress queue `port` holds any packet.
+    #[inline]
     pub fn has_packets(&self, port: PortId) -> bool {
         !self.queues[port.0 as usize].is_empty()
     }
@@ -586,7 +599,7 @@ impl Switch {
                     q_len: self.q_bytes[e],
                     tx_bytes: self.tx_bytes[e],
                     ts: now,
-                    rate_bps: self.cfg.port_rate_bps,
+                    rate_bps: self.port_rate[e],
                 });
             }
             (p.flow.0, p.seq)
@@ -1104,6 +1117,20 @@ mod tests {
         assert_eq!(hop.tx_bytes, 1048);
         assert_eq!(hop.ts, SimTime::from_us(3));
         assert_eq!(hop.rate_bps, 40_000_000_000);
+
+        // A slower egress reports its own capacity, not the default.
+        sw.set_port_rate(PortId(0), 10_000_000_000);
+        for egress in [PortId(0), PortId(1)] {
+            let mut p = Packet::data(FlowId(0), 0, 1000);
+            p.colorize(false);
+            sw.enqueue(p, PortId(1), egress, SimTime::ZERO);
+        }
+        let rate = |sw: &mut Sw, egress| {
+            let (pkt, _) = sw.dequeue(egress, SimTime::from_us(4));
+            pkt.unwrap().int_stack[0].rate_bps
+        };
+        assert_eq!(rate(&mut sw, PortId(0)), 10_000_000_000);
+        assert_eq!(rate(&mut sw, PortId(1)), 40_000_000_000);
     }
 
     #[test]

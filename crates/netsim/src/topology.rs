@@ -516,6 +516,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the port does not exist.
+    #[inline]
     pub fn link_from(&self, node: NodeId, port: PortId) -> (LinkId, &LinkRecord) {
         let id = self.out_links[node.0 as usize][port.0 as usize];
         (id, &self.links[id.0 as usize])
@@ -534,6 +535,7 @@ impl Topology {
     /// The opposite direction of a directed link. `connect` always pushes
     /// the two directions of a cable as an adjacent pair (a->b at an even
     /// id, b->a at the following odd id), so the reverse is `id ^ 1`.
+    #[inline]
     pub fn reverse_link(&self, id: LinkId) -> LinkId {
         debug_assert!((id.0 as usize) < self.links.len());
         LinkId(id.0 ^ 1)
@@ -542,6 +544,7 @@ impl Topology {
     /// The directed link that *arrives* at `(node, port)` — the one a frame
     /// delivered on that ingress just crossed. By port-pair symmetry this
     /// is the reverse of the egress link on the same port.
+    #[inline]
     pub fn incoming_link(&self, node: NodeId, port: PortId) -> LinkId {
         self.reverse_link(self.link_from(node, port).0)
     }

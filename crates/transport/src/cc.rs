@@ -244,7 +244,7 @@ impl Hpcc {
     fn measure_inflight(&mut self, stack: &[IntHop]) {
         if self.last_int.len() != stack.len() {
             // Path view changed (first ACK): just record.
-            self.last_int = stack.to_vec();
+            self.record_int(stack);
             return;
         }
         let t = self.base_rtt.as_ns().max(1) as f64; // ns
@@ -267,7 +267,13 @@ impl Hpcc {
         }
         let tau = tau.min(t);
         self.u = (1.0 - tau / t) * self.u + (tau / t) * u_max;
-        self.last_int = stack.to_vec();
+        self.record_int(stack);
+    }
+
+    /// Keeps `stack` for the next ACK's deltas, in the buffer already held.
+    fn record_int(&mut self, stack: &[IntHop]) {
+        self.last_int.clear();
+        self.last_int.extend_from_slice(stack);
     }
 
     /// ComputeWind (HPCC paper, Algorithm 1).

@@ -430,18 +430,16 @@ impl<C: CongestionControl> WindowSender<C> {
         self.snd_una = new_una;
         self.scoreboard.on_cumulative_ack(new_una);
         self.high_rxt = self.high_rxt.max(new_una);
-        if !self.tx_order.is_empty() {
-            let floor = new_una / u64::from(self.cfg.mss);
-            // Orders below the ACK floor are never queried again. Dropping
-            // them via `split_off` costs O(log n) on the (common) ACK that
-            // has nothing to trim, where `retain` re-walked the whole map.
-            if self
-                .tx_order
-                .first_key_value()
-                .is_some_and(|(&idx, _)| idx < floor)
-            {
-                self.tx_order = self.tx_order.split_off(&floor);
-            }
+        // Orders below the ACK floor are never queried again. Popping them
+        // off the front frees nodes as they empty and allocates nothing;
+        // `split_off` built a new tree on every trimming ACK.
+        let floor = new_una / u64::from(self.cfg.mss);
+        while self
+            .tx_order
+            .first_key_value()
+            .is_some_and(|(&idx, _)| idx < floor)
+        {
+            self.tx_order.pop_first();
         }
     }
 }

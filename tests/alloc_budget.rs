@@ -1,0 +1,120 @@
+//! Heap-allocation budget of the engine's run loop: an exact counter.
+//!
+//! A counting `#[global_allocator]` tallies, per thread, every allocation
+//! made inside `Engine::run` on a k=4 fat-tree cell of eight cross-pod
+//! 200 kB flows (six-hop routes, five switches each), and the tests bound
+//! that count per data packet sent. The count repeats exactly for a seed
+//! on any machine, in debug and release, so a breach is a code change,
+//! never noise.
+//!
+//! Allocations inside `Engine::run` / data packets sent at this cell:
+//!
+//! | transport   | parent of this test | now         | budget per 100 pkts |
+//! |-------------|---------------------|-------------|---------------------|
+//! | DCTCP       | 192 / 1112 (0.17)   | 192 / 1112  | 21                  |
+//! | DCTCP + TLT | 2472 / 1120 (2.21)  | 352 / 1120  | 38                  |
+//! | HPCC        | 6627 / 1600 (4.14)  | 3435 / 1600 | 258                 |
+//!
+//! What the difference was, so a breach can be read: with TLT on,
+//! `WindowSender` trimmed `tx_order` with `BTreeMap::split_off`, which
+//! builds a new tree (a leaf, usually an internal node too) on every
+//! trimming ACK; and an HPCC data packet cost four allocations — its INT
+//! stack's first growth, the regrowth at the fifth hop, the receiver's echo
+//! clone, and `Hpcc::measure_inflight`'s `to_vec` — of which the stack's
+//! one `reserve_exact` and the echo clone remain. Budgets are the measured
+//! value plus 20 %. They are the default build's: the `profile` and
+//! `ledger` observers allocate for their own records, so the file is
+//! compiled out under those features (`strict-invariants` allocates
+//! nothing and is covered).
+
+#![cfg(not(any(feature = "profile", feature = "ledger")))]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dcsim::{Engine, FlowSpec, SimConfig};
+use eventsim::SimTime;
+use netsim::topology::TopologySpec;
+use transport::TransportKind;
+
+thread_local! {
+    /// Allocations made by this thread (no destructor, so the allocator
+    /// may touch it at any point of a thread's life).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a thread-local counter bump, which allocates nothing and cannot unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator and the
+        // caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations inside Engine::run, data packets sent)` for eight 200 kB
+/// cross-pod flows on the k=4 fat-tree.
+fn run_cell(cfg: SimConfig) -> (u64, u64) {
+    let cfg = cfg.with_topology(TopologySpec::paper_fat_tree(4, SimTime::from_us(10)));
+    let flows: Vec<FlowSpec> = (0..8)
+        .map(|s| FlowSpec::new(s, 15 - s, 200_000, SimTime::from_us(s as u64), true))
+        .collect();
+    let eng = Engine::new(cfg, flows);
+    let before = ALLOCS.with(Cell::get);
+    let res = eng.run();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(res.flows.iter().all(|f| f.end.is_some()), "cell completes");
+    (allocs, res.agg.data_pkts_sent)
+}
+
+fn assert_budget(label: &str, (allocs, pkts): (u64, u64), per_100_pkts: u64) {
+    assert!(pkts > 1_000, "{label}: cell too small to average over");
+    assert!(
+        allocs * 100 <= per_100_pkts * pkts,
+        "{label}: {allocs} allocations in Engine::run for {pkts} data packets \
+         ({:.2} per packet) exceeds the budget of {per_100_pkts} per 100",
+        allocs as f64 / pkts as f64
+    );
+}
+
+#[test]
+fn dctcp_run_loop_stays_within_its_allocation_budget() {
+    let cell = run_cell(SimConfig::tcp_family(TransportKind::Dctcp));
+    assert_budget("dctcp", cell, 21);
+}
+
+#[test]
+fn dctcp_tlt_run_loop_stays_within_its_allocation_budget() {
+    let cell = run_cell(SimConfig::tcp_family(TransportKind::Dctcp).with_tlt());
+    assert_budget("dctcp+tlt", cell, 38);
+}
+
+#[test]
+fn hpcc_run_loop_stays_within_its_allocation_budget() {
+    let cell = run_cell(SimConfig::roce_family(TransportKind::Hpcc));
+    assert_budget("hpcc", cell, 258);
+}
