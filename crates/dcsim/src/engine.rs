@@ -18,6 +18,7 @@ use transport::tcp::{TcpReceiver, WindowCfg, WindowSender};
 use transport::TransportKind;
 
 use crate::config::{FlowSpec, SimConfig};
+use crate::metrics::PortMetrics;
 
 /// Aggregate counters of one simulation run.
 #[derive(Clone, Debug, Default)]
@@ -298,6 +299,10 @@ struct PauseAcct {
     ever_paused: bool,
 }
 
+/// Whether construction audits the port table against [`Topology`]: debug
+/// builds, and release builds with the invariant auditors on.
+const CHECK_PORT_TABLE: bool = cfg!(any(debug_assertions, feature = "strict-invariants"));
+
 /// Per-flow ring capacity for [`LossEvent`] provenance records. Bounds the
 /// forensic memory per flow; RTO attribution only needs the recent past.
 const LOSS_RING: usize = 64;
@@ -324,16 +329,6 @@ struct PauseEpisode {
     port: u32,
     start: SimTime,
     end: SimTime,
-}
-
-/// Metrics registry plus per-port metric-name tables (on the port-table
-/// index), precomputed at [`Engine::set_metrics`] time so the hot path
-/// never formats strings.
-struct MetricsState {
-    reg: Registry,
-    q_name: Vec<String>,
-    qmax_name: Vec<String>,
-    pause_name: Vec<String>,
 }
 
 struct FlowRuntime {
@@ -427,8 +422,9 @@ pub struct Engine {
     rto_causes: RtoCauseCounts,
     /// Per-RTO forensic records, in firing order.
     forensics: Vec<RtoForensicRec>,
-    /// Metrics registry; `None` unless [`Engine::set_metrics`] was called.
-    metrics: Option<MetricsState>,
+    /// Per-port metric accumulators, published into the run's registry at
+    /// collect; `None` unless [`Engine::set_metrics`] was called.
+    metrics: Option<PortMetrics>,
     /// Strict-invariant conservation ledger: engine-side per-link and
     /// per-drop-reason accounting, audited against [`AggregateStats`] at
     /// drain time.
@@ -656,7 +652,7 @@ impl Engine {
             forensics: Vec::new(),
             metrics: None,
         };
-        if cfg!(debug_assertions) {
+        if CHECK_PORT_TABLE {
             eng.check_port_table();
         }
         eng
@@ -676,9 +672,14 @@ impl Engine {
     }
 
     /// Every record of the port table says what [`Topology`] says about
-    /// its port (run by `new` in debug builds).
+    /// its port, and everything kept on the port index covers exactly that
+    /// table (run by `new` and `set_metrics` in debug and
+    /// `strict-invariants` builds).
     fn check_port_table(&self) {
         assert_eq!(self.ports.len(), self.topo.link_count());
+        if let Some(m) = &self.metrics {
+            assert_eq!(m.port_count(), self.ports.len(), "metric accumulators");
+        }
         for n in 0..self.topo.node_count() {
             let node = NodeId(n as u32);
             assert_eq!(
@@ -731,21 +732,10 @@ impl Engine {
     /// before [`Engine::run`]; the populated [`Registry`] is returned in
     /// [`SimResult::metrics`].
     pub fn set_metrics(&mut self) {
-        // Metric names are precomputed per (node, port), in port-table
-        // order, so hot-path observations are a lookup, never a format.
-        let names = |family: &str| -> Vec<String> {
-            self.port_base
-                .windows(2)
-                .enumerate()
-                .flat_map(|(n, w)| (0..w[1] - w[0]).map(move |p| format!("{family}n{n}/p{p}")))
-                .collect()
-        };
-        self.metrics = Some(MetricsState {
-            reg: Registry::new(),
-            q_name: names("port_queue_bytes/"),
-            qmax_name: names("port_queue_max/"),
-            pause_name: names("pfc_pause_ns/"),
-        });
+        self.metrics = Some(PortMetrics::new(self.ports.len()));
+        if CHECK_PORT_TABLE {
+            self.check_port_table();
+        }
     }
 
     /// Schedules `ev` at `at`, counting it in the profiler. Every
@@ -953,7 +943,7 @@ impl Engine {
                             end: t,
                         });
                         if let Some(m) = self.metrics.as_mut() {
-                            m.reg.observe(&m.pause_name[i], (t - started).as_ns());
+                            m.on_pause_end(i, (t - started).as_ns());
                         }
                         self.tracer.emit(t, || TraceEvent::LinkResume {
                             node: node.0,
@@ -1060,7 +1050,7 @@ impl Engine {
                 // A port still paused at the end is a truncated episode;
                 // its duration-so-far still belongs in the histogram.
                 if let Some(m) = self.metrics.as_mut() {
-                    m.reg.observe(&m.pause_name[i], d.as_ns());
+                    m.on_pause_end(i, d.as_ns());
                 }
             }
             if acct.ever_paused && end > SimTime::ZERO {
@@ -1174,8 +1164,9 @@ impl Engine {
         // Seal the metrics registry with the end-of-run counters. Every
         // name is always written (even at zero) so the exported schema is
         // identical across runs and configurations.
-        let metrics = self.metrics.take().map(|mut m| {
-            let r = &mut m.reg;
+        let metrics = self.metrics.take().map(|m| {
+            let mut r = Registry::new();
+            m.publish(&self.port_base, &mut r);
             for (cause, n) in agg.rto_causes.iter() {
                 r.inc(&format!("rto_cause_{}", cause.as_str()), n);
             }
@@ -1195,7 +1186,7 @@ impl Engine {
             r.inc("drops_down", agg.down_drops);
             r.inc("events_scheduled", agg.events_scheduled);
             r.gauge_max("max_queue_bytes", agg.max_queue_bytes);
-            m.reg
+            r
         });
         // Seal the profiler: everything still queued (post-horizon samples,
         // disarmed timers, events orphaned by the all-flows-done break) is
@@ -1385,8 +1376,7 @@ impl Engine {
         }
         if outcome.enqueued {
             if let Some(m) = self.metrics.as_mut() {
-                m.reg.observe(&m.q_name[out], qlen);
-                m.reg.gauge_max(&m.qmax_name[out], qlen);
+                m.on_enqueue(out, qlen);
             }
             self.kick_port(to, egress);
         }

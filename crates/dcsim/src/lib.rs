@@ -36,6 +36,7 @@ mod engine;
 pub mod latency;
 #[cfg(feature = "strict-invariants")]
 pub mod ledger;
+mod metrics;
 #[cfg(feature = "profile")]
 pub mod profile;
 

@@ -1325,7 +1325,8 @@ mod tests {
         assert_eq!(c.totals.resumes, s.resumes_sent);
         assert_eq!(c.totals.enqueues, s.enq_pkts);
         assert_eq!(
-            c.per_node[&7].drops_color, s.drops_color,
+            c.per_node()[&7].drops_color,
+            s.drops_color,
             "node id attributed"
         );
     }

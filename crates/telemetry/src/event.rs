@@ -672,15 +672,22 @@ impl TraceEvent {
     /// Encodes the event as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self, t: SimTime) -> String {
         let mut s = String::with_capacity(96);
+        self.write_jsonl(t, &mut s);
+        s
+    }
+
+    /// Appends the event's JSONL encoding (no trailing newline) to `s`, so
+    /// a sink can format every event into one reused buffer.
+    pub fn write_jsonl(&self, t: SimTime, s: &mut String) {
         s.push_str("{\"t\":");
-        push_u64(&mut s, t.as_ns());
+        push_u64(s, t.as_ns());
         s.push_str(",\"ev\":\"");
         s.push_str(self.tag());
         s.push('"');
         match self {
             TraceEvent::RunStart { label, seed } => {
-                push_str_field(&mut s, "label", label);
-                push_field(&mut s, "seed", *seed);
+                push_str_field(s, "label", label);
+                push_field(s, "seed", *seed);
             }
             TraceEvent::RunEnd {
                 drops_color,
@@ -692,25 +699,25 @@ impl TraceEvent {
                 timeouts,
                 rto_causes,
             } => {
-                push_field(&mut s, "drops_color", *drops_color);
-                push_field(&mut s, "drops_dt", *drops_dt);
-                push_field(&mut s, "drops_overflow", *drops_overflow);
-                push_field(&mut s, "wire_drops", *wire_drops);
-                push_field(&mut s, "down_drops", *down_drops);
-                push_field(&mut s, "pause_frames", *pause_frames);
-                push_field(&mut s, "timeouts", *timeouts);
+                push_field(s, "drops_color", *drops_color);
+                push_field(s, "drops_dt", *drops_dt);
+                push_field(s, "drops_overflow", *drops_overflow);
+                push_field(s, "wire_drops", *wire_drops);
+                push_field(s, "down_drops", *down_drops);
+                push_field(s, "pause_frames", *pause_frames);
+                push_field(s, "timeouts", *timeouts);
                 for (cause, n) in rto_causes.iter() {
                     let mut key = String::from("rto_");
                     key.push_str(cause.as_str());
-                    push_field(&mut s, &key, n);
+                    push_field(s, &key, n);
                 }
             }
             TraceEvent::FlowStart { flow, bytes } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "bytes", *bytes);
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "bytes", *bytes);
             }
             TraceEvent::FlowEnd { flow } => {
-                push_field(&mut s, "flow", u64::from(*flow));
+                push_field(s, "flow", u64::from(*flow));
             }
             TraceEvent::Enqueue {
                 node,
@@ -733,11 +740,11 @@ impl TraceEvent {
                 seq,
                 qlen,
             } => {
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "seq", *seq);
-                push_field(&mut s, "q", *qlen);
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "seq", *seq);
+                push_field(s, "q", *qlen);
             }
             TraceEvent::Drop {
                 node,
@@ -747,50 +754,50 @@ impl TraceEvent {
                 why,
                 green,
             } => {
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "seq", *seq);
-                push_str_field(&mut s, "why", why.as_str());
-                push_bool_field(&mut s, "green", *green);
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "seq", *seq);
+                push_str_field(s, "why", why.as_str());
+                push_bool_field(s, "green", *green);
             }
             TraceEvent::TltMark {
                 flow,
                 seq,
                 important,
             } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "seq", *seq);
-                push_bool_field(&mut s, "important", *important);
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "seq", *seq);
+                push_bool_field(s, "important", *important);
             }
             TraceEvent::PfcXoff { node, port }
             | TraceEvent::PfcXon { node, port }
             | TraceEvent::LinkPause { node, port }
             | TraceEvent::LinkResume { node, port } => {
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
             }
             TraceEvent::TimerArm { flow, kind, at } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_str_field(&mut s, "kind", kind.as_str());
-                push_field(&mut s, "at", at.as_ns());
+                push_field(s, "flow", u64::from(*flow));
+                push_str_field(s, "kind", kind.as_str());
+                push_field(s, "at", at.as_ns());
             }
             TraceEvent::TimerCancel { flow, kind } | TraceEvent::TimerFire { flow, kind } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_str_field(&mut s, "kind", kind.as_str());
+                push_field(s, "flow", u64::from(*flow));
+                push_str_field(s, "kind", kind.as_str());
             }
             TraceEvent::Timeout { flow, seq } | TraceEvent::FastRetx { flow, seq } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "seq", *seq);
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "seq", *seq);
             }
             TraceEvent::Fault { kind, node, port } => {
-                push_str_field(&mut s, "kind", kind.as_str());
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
+                push_str_field(s, "kind", kind.as_str());
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
             }
             TraceEvent::Reroute { flow, ok } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_bool_field(&mut s, "ok", *ok);
+                push_field(s, "flow", u64::from(*flow));
+                push_bool_field(s, "ok", *ok);
             }
             TraceEvent::PortSample {
                 node,
@@ -798,10 +805,10 @@ impl TraceEvent {
                 qlen,
                 paused,
             } => {
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
-                push_field(&mut s, "q", *qlen);
-                push_bool_field(&mut s, "paused", *paused);
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
+                push_field(s, "q", *qlen);
+                push_bool_field(s, "paused", *paused);
             }
             TraceEvent::RtoForensic {
                 flow,
@@ -811,16 +818,15 @@ impl TraceEvent {
                 port,
                 root_at,
             } => {
-                push_field(&mut s, "flow", u64::from(*flow));
-                push_field(&mut s, "seq", *seq);
-                push_str_field(&mut s, "cause", cause.as_str());
-                push_field(&mut s, "node", u64::from(*node));
-                push_field(&mut s, "port", u64::from(*port));
-                push_field(&mut s, "root_at", root_at.as_ns());
+                push_field(s, "flow", u64::from(*flow));
+                push_field(s, "seq", *seq);
+                push_str_field(s, "cause", cause.as_str());
+                push_field(s, "node", u64::from(*node));
+                push_field(s, "port", u64::from(*port));
+                push_field(s, "root_at", root_at.as_ns());
             }
         }
         s.push('}');
-        s
     }
 
     /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`].

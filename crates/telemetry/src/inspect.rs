@@ -418,8 +418,8 @@ impl RunBuilder {
             label: self.label,
             seed: self.seed,
             totals: self.counts.totals,
-            per_node: self.counts.per_node,
-            drop_matrix: self.counts.drop_matrix,
+            per_node: self.counts.per_node(),
+            drop_matrix: self.counts.drop_matrix(),
             rto_causes: self.counts.rto_causes,
             declared: self.declared,
             pauses: self.pauses,

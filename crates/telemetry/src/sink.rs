@@ -113,87 +113,124 @@ impl TraceCounts {
         self.drops_color + self.drops_dt + self.drops_overflow
     }
 
-    fn absorb(&mut self, ev: &TraceEvent) {
-        match ev {
-            TraceEvent::Enqueue { .. } => self.enqueues += 1,
-            TraceEvent::Dequeue { .. } => self.dequeues += 1,
-            TraceEvent::Drop { why, green, .. } => {
-                match why {
-                    DropWhy::Color => self.drops_color += 1,
-                    DropWhy::Dynamic => self.drops_dt += 1,
-                    DropWhy::Overflow => self.drops_overflow += 1,
-                    DropWhy::Wire => self.drops_wire += 1,
-                    DropWhy::LinkDown => self.drops_down += 1,
-                }
-                if *green {
-                    self.drops_green += 1;
-                }
-            }
-            TraceEvent::CeMark { .. } => self.ce_marked += 1,
-            TraceEvent::PfcXoff { .. } => self.pauses += 1,
-            TraceEvent::PfcXon { .. } => self.resumes += 1,
-            TraceEvent::Timeout { .. } => self.timeouts += 1,
-            TraceEvent::FastRetx { .. } => self.fast_retx += 1,
-            TraceEvent::FlowStart { .. } => self.flows_started += 1,
-            TraceEvent::FlowEnd { .. } => self.flows_finished += 1,
-            TraceEvent::Fault { .. } => self.faults += 1,
-            TraceEvent::Reroute { .. } => self.reroutes += 1,
-            TraceEvent::RtoForensic { .. } => self.rto_forensics += 1,
-            _ => {}
+    fn count_drop(&mut self, why: DropWhy, green: bool) {
+        match why {
+            DropWhy::Color => self.drops_color += 1,
+            DropWhy::Dynamic => self.drops_dt += 1,
+            DropWhy::Overflow => self.drops_overflow += 1,
+            DropWhy::Wire => self.drops_wire += 1,
+            DropWhy::LinkDown => self.drops_down += 1,
         }
+        self.drops_green += u64::from(green);
     }
 }
 
 /// Per-node aggregate: the same counters, scoped to one switch.
 pub type NodeCounts = TraceCounts;
 
+/// Node ids below this bound are counted in a dense table; the simulator's
+/// own ids always are (a k=48 fat-tree has 30,528 nodes). Ids at or above
+/// it can only come from a trace file the inspector was handed, and land in
+/// an ordered map so a hostile id cannot size an allocation.
+const DENSE_NODES: usize = 1 << 16;
+
 /// An aggregating sink: counts events without storing them.
 ///
 /// This is the zero-allocation-per-event option; memory is proportional to
-/// the number of distinct switch nodes seen, not the trace length.
+/// the highest switch node id seen, not the trace length.
 #[derive(Default)]
 pub struct CountingSink {
     /// Counters over the whole trace.
     pub totals: TraceCounts,
-    /// Counters keyed by switch node id (only events that carry a node).
-    pub per_node: BTreeMap<u32, NodeCounts>,
-    /// Drop cross-tabulation: `(node, reason) -> count`. Every `Drop` event
-    /// lands here, so summing a reason's column reproduces the per-reason
-    /// total and summing a node's row reproduces that node's drop count.
-    pub drop_matrix: BTreeMap<(u32, DropWhy), u64>,
     /// RTO root-cause counts accumulated from `RtoForensic` events.
     pub rto_causes: RtoCauseCounts,
     /// Total events seen, including variants not individually counted.
     pub events: u64,
+    /// Per-node counters indexed by node id, grown to the highest id seen.
+    dense: Vec<NodeCounts>,
+    /// Per-node counters for ids the dense table does not cover.
+    sparse: BTreeMap<u32, NodeCounts>,
 }
 
 impl CountingSink {
-    fn node_of(ev: &TraceEvent) -> Option<u32> {
-        match ev {
-            TraceEvent::Enqueue { node, .. }
-            | TraceEvent::Dequeue { node, .. }
-            | TraceEvent::Drop { node, .. }
-            | TraceEvent::CeMark { node, .. }
-            | TraceEvent::PfcXoff { node, .. }
-            | TraceEvent::PfcXon { node, .. }
-            | TraceEvent::Fault { node, .. } => Some(*node),
-            _ => None,
+    /// Counts one event in the totals and, scoped, in `node`'s counters.
+    #[inline]
+    fn both(&mut self, node: u32, bump: impl Fn(&mut TraceCounts)) {
+        bump(&mut self.totals);
+        let i = node as usize;
+        let scoped = if i < DENSE_NODES {
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, NodeCounts::default());
+            }
+            &mut self.dense[i]
+        } else {
+            self.sparse.entry(node).or_default()
+        };
+        bump(scoped);
+    }
+
+    /// Every node some node-scoped event named, with its counters, in id
+    /// order (each such event bumps a counter, so "named" is "nonzero").
+    fn nodes(&self) -> impl Iterator<Item = (u32, &NodeCounts)> {
+        let untouched = NodeCounts::default();
+        (0u32..)
+            .zip(&self.dense)
+            .chain(self.sparse.iter().map(|(n, c)| (*n, c)))
+            .filter(move |(_, c)| **c != untouched)
+    }
+
+    /// Counters keyed by switch node id: every node that an event carrying
+    /// a node id named (queueing, drops, marks, PFC frames, faults).
+    pub fn per_node(&self) -> BTreeMap<u32, NodeCounts> {
+        self.nodes().map(|(n, c)| (n, *c)).collect()
+    }
+
+    /// Drop cross-tabulation: `(node, reason) -> count`, nonzero cells
+    /// only. Every `Drop` event lands here, so summing a reason's column
+    /// reproduces the per-reason total and summing a node's row reproduces
+    /// that node's drop count.
+    pub fn drop_matrix(&self) -> BTreeMap<(u32, DropWhy), u64> {
+        let mut m = BTreeMap::new();
+        for (node, c) in self.nodes() {
+            let row = [
+                (DropWhy::Color, c.drops_color),
+                (DropWhy::Dynamic, c.drops_dt),
+                (DropWhy::Overflow, c.drops_overflow),
+                (DropWhy::Wire, c.drops_wire),
+                (DropWhy::LinkDown, c.drops_down),
+            ];
+            m.extend(
+                row.into_iter()
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(why, n)| ((node, why), n)),
+            );
         }
+        m
     }
 }
 
 impl TraceSink for CountingSink {
     fn record(&mut self, _t: SimTime, ev: &TraceEvent) {
         self.events += 1;
-        self.totals.absorb(ev);
-        if let Some(node) = CountingSink::node_of(ev) {
-            self.per_node.entry(node).or_default().absorb(ev);
-        }
         match ev {
-            TraceEvent::Drop { node, why, .. } => {
-                *self.drop_matrix.entry((*node, *why)).or_default() += 1;
+            TraceEvent::Enqueue { node, .. } => self.both(*node, |c| c.enqueues += 1),
+            TraceEvent::Dequeue { node, .. } => self.both(*node, |c| c.dequeues += 1),
+            TraceEvent::Drop {
+                node, why, green, ..
+            } => self.both(*node, |c| c.count_drop(*why, *green)),
+            TraceEvent::CeMark { node, .. } => self.both(*node, |c| c.ce_marked += 1),
+            TraceEvent::PfcXoff { node, .. } => self.both(*node, |c| c.pauses += 1),
+            TraceEvent::PfcXon { node, .. } => self.both(*node, |c| c.resumes += 1),
+            TraceEvent::Fault { node, .. } => self.both(*node, |c| c.faults += 1),
+            TraceEvent::Timeout { .. } => self.totals.timeouts += 1,
+            TraceEvent::FastRetx { .. } => self.totals.fast_retx += 1,
+            TraceEvent::FlowStart { .. } => self.totals.flows_started += 1,
+            TraceEvent::FlowEnd { .. } => self.totals.flows_finished += 1,
+            TraceEvent::Reroute { .. } => self.totals.reroutes += 1,
+            TraceEvent::RtoForensic { cause, .. } => {
+                self.totals.rto_forensics += 1;
+                self.rto_causes.bump(*cause);
             }
-            TraceEvent::RtoForensic { cause, .. } => self.rto_causes.bump(*cause),
             _ => {}
         }
     }
@@ -205,6 +242,8 @@ impl TraceSink for CountingSink {
 /// CLI can trace into a `BufWriter<File>`.
 pub struct JsonlSink<W: Write> {
     out: W,
+    /// The line being encoded; reused, so steady state allocates nothing.
+    line: String,
     /// Lines written so far.
     pub lines: u64,
     /// First I/O error encountered, if any (subsequent writes are skipped).
@@ -216,6 +255,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> JsonlSink<W> {
         JsonlSink {
             out,
+            line: String::new(),
             lines: 0,
             error: None,
         }
@@ -238,9 +278,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = ev.to_jsonl(t);
-        line.push('\n');
-        match self.out.write_all(line.as_bytes()) {
+        self.line.clear();
+        ev.write_jsonl(t, &mut self.line);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.lines += 1,
             Err(e) => self.error = Some(e),
         }
@@ -404,18 +445,42 @@ mod tests {
         assert_eq!(c.totals.pauses, 1);
         assert_eq!(c.totals.timeouts, 1);
         assert_eq!(c.events, 6);
-        assert_eq!(c.per_node[&1].drops_color, 1);
-        assert_eq!(c.per_node[&1].drops_dt, 1);
-        assert_eq!(c.per_node[&2].drops_overflow, 1);
-        assert_eq!(c.per_node[&2].pauses, 1);
+        let per_node = c.per_node();
+        assert_eq!(per_node.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(per_node[&1].drops_color, 1);
+        assert_eq!(per_node[&1].drops_dt, 1);
+        assert_eq!(per_node[&2].drops_overflow, 1);
+        assert_eq!(per_node[&2].pauses, 1);
         // Timeout has no node, so it only lands in totals.
-        assert!(c.per_node.values().all(|n| n.timeouts == 0));
+        assert!(per_node.values().all(|n| n.timeouts == 0));
         // The drop matrix cross-tabulates every drop by (node, reason).
-        assert_eq!(c.drop_matrix[&(1, DropWhy::Color)], 1);
-        assert_eq!(c.drop_matrix[&(1, DropWhy::Dynamic)], 1);
-        assert_eq!(c.drop_matrix[&(2, DropWhy::Overflow)], 1);
-        assert_eq!(c.drop_matrix[&(2, DropWhy::Wire)], 1);
-        assert_eq!(c.drop_matrix.values().sum::<u64>(), 4);
+        let drop_matrix = c.drop_matrix();
+        assert_eq!(drop_matrix[&(1, DropWhy::Color)], 1);
+        assert_eq!(drop_matrix[&(1, DropWhy::Dynamic)], 1);
+        assert_eq!(drop_matrix[&(2, DropWhy::Overflow)], 1);
+        assert_eq!(drop_matrix[&(2, DropWhy::Wire)], 1);
+        assert_eq!(drop_matrix.len(), 4, "nonzero cells only");
+    }
+
+    /// A node id far beyond any fabric (a hand-made or corrupt trace file)
+    /// is counted like any other, without a table sized by the id.
+    #[test]
+    fn counting_sink_takes_any_node_id() {
+        let mut c = CountingSink::default();
+        let t = SimTime::ZERO;
+        c.record(t, &drop_ev(u32::MAX, DropWhy::LinkDown, false));
+        c.record(t, &drop_ev(DENSE_NODES as u32, DropWhy::Color, true));
+        c.record(t, &TraceEvent::PfcXon { node: 3, port: 0 });
+        assert!(c.dense.len() <= DENSE_NODES);
+        let per_node = c.per_node();
+        assert_eq!(
+            per_node.keys().copied().collect::<Vec<_>>(),
+            [3, DENSE_NODES as u32, u32::MAX]
+        );
+        assert_eq!(per_node[&3].resumes, 1);
+        assert_eq!(per_node[&u32::MAX].drops_down, 1);
+        assert_eq!(c.drop_matrix()[&(DENSE_NODES as u32, DropWhy::Color)], 1);
+        assert_eq!(c.totals.drops_green, 1);
     }
 
     #[test]

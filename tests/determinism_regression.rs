@@ -165,20 +165,12 @@ fn golden_pause_storm_release() {
     );
 }
 
-/// One `mix_faults`-style cell (benchmark/src/workloads.rs): DCTCP+TLT on
-/// the reduced leaf–spine mix under a rerouted link-down, burst loss, a
-/// flap and a pause storm, cut short by the horizon so truncated flows and
-/// a still-paused port are both in the picture.
-#[test]
-fn golden_faulted_mix_cell() {
+/// DCTCP+TLT on the reduced leaf–spine web-search mix (60 background
+/// flows, seed 3), cut at 2 ms: config and flows.
+fn reduced_mix_cell() -> (SimConfig, Vec<FlowSpec>) {
     let mut p = MixParams::reduced(60);
     p.seed = 3;
     let link = netsim::link::LinkSpec::new(p.link_bw_bps, SimTime::from_us(10));
-    let faults = dcsim::FaultSchedule::new()
-        .link_down_rerouted(SimTime::from_us(300), 4, 8, SimTime::from_us(200))
-        .burst_loss(SimTime::from_us(100), 5, 0, 0.02, 8.0, 0.5)
-        .link_flap(SimTime::from_us(600), 6, 9, SimTime::from_us(150))
-        .pause_storm(SimTime::from_us(400), 7, 0, SimTime::from_us(300));
     let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
         .with_topology(netsim::topology::TopologySpec::LeafSpine {
             cores: p.cores,
@@ -188,10 +180,24 @@ fn golden_faulted_mix_cell() {
             fabric_link: link,
         })
         .with_tlt()
-        .with_seed(3)
-        .with_faults(faults);
+        .with_seed(3);
     cfg.max_time = SimTime::from_ms(2);
-    let res = Engine::new(cfg, standard_mix(&FlowSizeCdf::web_search(), p)).run();
+    (cfg, standard_mix(&FlowSizeCdf::web_search(), p))
+}
+
+/// One `mix_faults`-style cell (benchmark/src/workloads.rs): DCTCP+TLT on
+/// the reduced leaf–spine mix under a rerouted link-down, burst loss, a
+/// flap and a pause storm, cut short by the horizon so truncated flows and
+/// a still-paused port are both in the picture.
+#[test]
+fn golden_faulted_mix_cell() {
+    let faults = dcsim::FaultSchedule::new()
+        .link_down_rerouted(SimTime::from_us(300), 4, 8, SimTime::from_us(200))
+        .burst_loss(SimTime::from_us(100), 5, 0, 0.02, 8.0, 0.5)
+        .link_flap(SimTime::from_us(600), 6, 9, SimTime::from_us(150))
+        .pause_storm(SimTime::from_us(400), 7, 0, SimTime::from_us(300));
+    let (cfg, flows) = reduced_mix_cell();
+    let res = Engine::new(cfg.with_faults(faults), flows).run();
     let a = &res.agg;
     // Per-flow (start, end, timeouts), folded order-sensitively.
     let fp = res.flows.iter().fold(0u64, |acc, f| {
@@ -210,5 +216,98 @@ fn golden_faulted_mix_cell() {
             a.reroutes,
         ),
         "dur=1999989 ev=285137 pause=0x3fc3333a1ee23db0 flows=812 done=740 fp=0x485664da8398ebbb down=98 wire=39 reroutes=126"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Metrics-export goldens (DESIGN §10). Recorded on the engine that called
+// `Registry::observe` / `gauge_max` by name on every switch enqueue and
+// pause end; the per-port accumulators that publish once at collect must
+// reproduce every key, every bucket and every byte of the `tlt-metrics/v1`
+// export. The string pins the key counts, the export's length and an
+// FNV-1a hash of its bytes, plus the number of pause episodes observed.
+// ---------------------------------------------------------------------
+
+/// Runs `eng` with the metrics registry and a ring sink attached; returns
+/// the result and the `(LinkPause, LinkResume)` event counts.
+fn run_observed(mut eng: Engine) -> (dcsim::SimResult, (u64, u64)) {
+    eng.set_metrics();
+    let (tracer, ring) = telemetry::Tracer::new(telemetry::RingSink::new(1 << 22));
+    eng.set_tracer(tracer);
+    let res = eng.run();
+    let ring = ring.borrow();
+    assert_eq!(ring.evicted, 0, "ring holds the whole trace");
+    let count = |want: fn(&telemetry::TraceEvent) -> bool| {
+        ring.events().filter(|(_, ev)| want(ev)).count() as u64
+    };
+    let pauses = count(|ev| matches!(ev, telemetry::TraceEvent::LinkPause { .. }));
+    let resumes = count(|ev| matches!(ev, telemetry::TraceEvent::LinkResume { .. }));
+    (res, (pauses, resumes))
+}
+
+fn metrics_golden(res: &dcsim::SimResult) -> String {
+    let reg = res.metrics.as_ref().expect("metrics enabled");
+    let json = reg.to_json();
+    let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    let pause_obs: u64 = reg
+        .hists()
+        .filter(|(k, _)| k.starts_with("pfc_pause_ns/"))
+        .map(|(_, h)| h.count)
+        .sum();
+    format!(
+        "keys={}c/{}g/{}h pause_obs={pause_obs} bytes={} fnv={fnv:#018x}",
+        reg.counters().count(),
+        reg.gauges().count(),
+        reg.hists().count(),
+        json.len(),
+    )
+}
+
+#[test]
+fn golden_metrics_lossy_dctcp_tlt_leaf_spine() {
+    let (cfg, flows) = reduced_mix_cell();
+    let eng = Engine::new(cfg, flows);
+    let (res, _) = run_observed(eng);
+    assert_eq!(
+        metrics_golden(&res),
+        "keys=24c/97g/96h pause_obs=0 bytes=26908 fnv=0x992102d59e64e242"
+    );
+}
+
+/// A PFC incast (the `pfc_is_lossless_under_heavy_incast` burst) cut by
+/// `max_time` after all 32 senders were paused and before nine of them
+/// were resumed: each truncated episode's duration-so-far is observed at
+/// collect.
+#[test]
+fn golden_metrics_pfc_incast_truncated_pause() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+        .with_topology(small_single_switch(33))
+        .with_pfc();
+    cfg.switch.buffer_bytes = 700_000;
+    cfg.max_time = SimTime::from_us(80);
+    let flows = (1..33)
+        .flat_map(|s| [FlowSpec::new(s, 0, 8_000, SimTime::ZERO, true); 2])
+        .collect();
+    let (res, (pauses, resumes)) = run_observed(Engine::new(cfg, flows));
+    assert_eq!((pauses, resumes), (32, 23), "nine ports still paused");
+    assert_eq!(
+        metrics_golden(&res),
+        "keys=24c/34g/65h pause_obs=32 bytes=8234 fnv=0xfbfaa536ad4c225a"
+    );
+}
+
+#[test]
+fn golden_metrics_pause_storm() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+    cfg.faults =
+        dcsim::FaultSchedule::new().pause_storm(SimTime::from_us(100), 0, 1, SimTime::from_us(300));
+    let flows = vec![FlowSpec::new(1, 0, 1_000_000, SimTime::ZERO, false)];
+    let (res, (pauses, resumes)) = run_observed(Engine::new(cfg, flows));
+    assert_eq!((pauses, resumes), (1, 1), "one storm episode, released");
+    assert_eq!(
+        metrics_golden(&res),
+        "keys=24c/3g/3h pause_obs=1 bytes=1087 fnv=0x6c351ed26b26791a"
     );
 }

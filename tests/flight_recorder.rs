@@ -2,12 +2,16 @@
 //! real engine run must be deterministic, complete, and consistent with the
 //! engine's own aggregate counters.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use dcsim::{small_single_switch, Engine, SimConfig};
 use eventsim::SimTime;
 use telemetry::inspect::inspect_str;
-use telemetry::{CountingSink, JsonlSink, SeriesSink, TraceEvent, Tracer};
+use telemetry::{
+    CountingSink, DropWhy, JsonlSink, RingSink, RtoCauseCounts, SeriesSink, TraceCounts,
+    TraceEvent, TraceSink, Tracer,
+};
 use transport::TransportKind;
 use workload::incast_burst;
 
@@ -218,4 +222,135 @@ fn disabled_tracer_changes_nothing() {
     assert_eq!(base.drops_dt, traced.drops_dt);
     assert_eq!(base.ce_marked, traced.ce_marked);
     assert_eq!(base.duration, traced.duration);
+}
+
+/// What `CountingSink` must equal: a recount of an event list with one
+/// ordered-map entry per node and per `(node, reason)`, written for
+/// obviousness rather than speed.
+#[derive(Default, PartialEq, Debug)]
+struct Recount {
+    totals: TraceCounts,
+    per_node: BTreeMap<u32, TraceCounts>,
+    drop_matrix: BTreeMap<(u32, DropWhy), u64>,
+    rto_causes: RtoCauseCounts,
+    events: u64,
+}
+
+fn recount<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Recount {
+    let mut r = Recount::default();
+    for ev in events {
+        r.events += 1;
+        let bump = |c: &mut TraceCounts| match ev {
+            TraceEvent::Enqueue { .. } => c.enqueues += 1,
+            TraceEvent::Dequeue { .. } => c.dequeues += 1,
+            TraceEvent::Drop { why, green, .. } => {
+                match why {
+                    DropWhy::Color => c.drops_color += 1,
+                    DropWhy::Dynamic => c.drops_dt += 1,
+                    DropWhy::Overflow => c.drops_overflow += 1,
+                    DropWhy::Wire => c.drops_wire += 1,
+                    DropWhy::LinkDown => c.drops_down += 1,
+                }
+                if *green {
+                    c.drops_green += 1;
+                }
+            }
+            TraceEvent::CeMark { .. } => c.ce_marked += 1,
+            TraceEvent::PfcXoff { .. } => c.pauses += 1,
+            TraceEvent::PfcXon { .. } => c.resumes += 1,
+            TraceEvent::Timeout { .. } => c.timeouts += 1,
+            TraceEvent::FastRetx { .. } => c.fast_retx += 1,
+            TraceEvent::FlowStart { .. } => c.flows_started += 1,
+            TraceEvent::FlowEnd { .. } => c.flows_finished += 1,
+            TraceEvent::Fault { .. } => c.faults += 1,
+            TraceEvent::Reroute { .. } => c.reroutes += 1,
+            TraceEvent::RtoForensic { .. } => c.rto_forensics += 1,
+            _ => {}
+        };
+        bump(&mut r.totals);
+        // Events that happen at a switch (or to a fault's target node) are
+        // also counted under that node; an RTO attribution carries the node
+        // of its root cause but is a per-flow event.
+        if let TraceEvent::Enqueue { node, .. }
+        | TraceEvent::Dequeue { node, .. }
+        | TraceEvent::Drop { node, .. }
+        | TraceEvent::CeMark { node, .. }
+        | TraceEvent::PfcXoff { node, .. }
+        | TraceEvent::PfcXon { node, .. }
+        | TraceEvent::Fault { node, .. } = ev
+        {
+            bump(r.per_node.entry(*node).or_default());
+        }
+        match ev {
+            TraceEvent::Drop { node, why, .. } => {
+                *r.drop_matrix.entry((*node, *why)).or_default() += 1;
+            }
+            TraceEvent::RtoForensic { cause, .. } => r.rto_causes.bump(*cause),
+            _ => {}
+        }
+    }
+    r
+}
+
+/// Runs the cell into a ring, then checks that a `CountingSink` fed the
+/// ring's events agrees with [`recount`] on every view it offers.
+fn assert_counting_sink_equals_recount(cfg: SimConfig, flows: Vec<dcsim::FlowSpec>) -> Recount {
+    let (tracer, ring) = Tracer::new(RingSink::new(1 << 22));
+    let mut eng = Engine::new(cfg, flows);
+    eng.set_tracer(tracer);
+    eng.run();
+    let ring = ring.borrow();
+    assert_eq!(ring.evicted, 0, "ring holds the whole run");
+    let mut counting = CountingSink::default();
+    for (t, ev) in ring.events() {
+        counting.record(*t, ev);
+    }
+    let want = recount(ring.events().map(|(_, ev)| ev));
+    let got = Recount {
+        totals: counting.totals,
+        per_node: counting.per_node(),
+        drop_matrix: counting.drop_matrix(),
+        rto_causes: counting.rto_causes,
+        events: counting.events,
+    };
+    assert_eq!(got, want);
+    want
+}
+
+#[test]
+fn counting_sink_equals_a_recount_of_the_ring_lossy_with_faults() {
+    let mut cfg = incast_cfg(3);
+    cfg.switch.buffer_bytes = 600_000;
+    cfg.wire_loss_rate = 0.002;
+    cfg.faults = dcsim::FaultSchedule::new()
+        .link_flap(SimTime::from_us(200), 3, 0, SimTime::from_us(150))
+        .pause_storm(SimTime::from_us(100), 0, 1, SimTime::from_us(300));
+    let r = assert_counting_sink_equals_recount(cfg, incast_burst(80, 8, 32_000, 3));
+    // The cell exercises what the views distinguish.
+    let t = &r.totals;
+    assert!(
+        t.switch_drops() > 0 && t.drops_wire > 0 && t.drops_down > 0 && t.faults > 0,
+        "{t:?}"
+    );
+    assert!(t.timeouts > 0 && t.ce_marked > 0 && t.pauses > 0, "{t:?}");
+    assert!(r.per_node.len() > 1, "host-side wire/down drops name hosts");
+}
+
+/// The `pfc_is_lossless_under_heavy_incast` burst: every sender is paused
+/// and resumed.
+#[test]
+fn counting_sink_equals_a_recount_of_the_ring_pfc() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+        .with_topology(small_single_switch(33))
+        .with_pfc();
+    cfg.switch.buffer_bytes = 700_000;
+    let flows = (1..33)
+        .flat_map(|s| [dcsim::FlowSpec::new(s, 0, 8_000, SimTime::ZERO, true); 2])
+        .collect();
+    let r = assert_counting_sink_equals_recount(cfg, flows);
+    assert!(
+        r.totals.pauses > 0 && r.totals.resumes > 0,
+        "{:?}",
+        r.totals
+    );
 }
