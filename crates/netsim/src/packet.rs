@@ -264,7 +264,7 @@ impl Packet {
             + self.len
             // simlint: allow(truncation, sack is capped at max_sack_blocks (8))
             + SACK_BLOCK_BYTES * self.sack.len() as u32
-            // simlint: allow(truncation, one INT hop per switch on a <=4-hop path)
+            // simlint: allow(truncation, one INT hop per switch and pin_paths bounds a path at 8 hops)
             + INT_HOP_BYTES * self.int_stack.len() as u32
     }
 

@@ -39,6 +39,12 @@ pub enum NodeKind {
     Switch,
 }
 
+/// The most transmission points a pinned path may have; the longest any
+/// preset produces is a cross-pod fat-tree route (a host and five
+/// switches: 6). `Packet::hop: u8`, the `u32` cast in `Packet::wire_size`
+/// and the engine's one-shot INT-stack reservation lean on the bound.
+const MAX_PATH_HOPS: usize = 8;
+
 /// One transmission point along a path: node `node` transmits on `port`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Hop {
@@ -568,7 +574,7 @@ impl Topology {
         assert_ne!(src, dst, "flow endpoints must differ");
         assert_eq!(self.kind(src), NodeKind::Host);
         assert_eq!(self.kind(dst), NodeKind::Host);
-        match self.shape {
+        let (fwd, rev) = match self.shape {
             Shape::SingleSwitch => {
                 let sw = NodeId(0);
                 // Host i (node 1 + i) hangs off switch port i.
@@ -853,7 +859,13 @@ impl Topology {
                     (fwd, rev)
                 }
             }
-        }
+        };
+        debug_assert!(
+            fwd.len() <= MAX_PATH_HOPS && rev.len() <= MAX_PATH_HOPS,
+            "a pinned path has {} hops",
+            fwd.len().max(rev.len())
+        );
+        (fwd, rev)
     }
 
     fn tor_count(&self) -> usize {
@@ -942,6 +954,20 @@ mod tests {
         validate_path(&t, &rev, hosts[95], hosts[0]);
         // Forward and reverse traverse the same core.
         assert_eq!(fwd[2].node, rev[2].node);
+    }
+
+    /// The two longest preset routes, cross-pod fat-tree (five switches)
+    /// and cross-rack leaf–spine (three), pass the hop bound `pin_paths`
+    /// asserts in this build.
+    #[test]
+    fn longest_preset_paths_are_within_the_hop_bound() {
+        let t = TopologySpec::paper_fat_tree(4, SimTime::from_us(1)).build();
+        let hosts = t.hosts().to_vec();
+        let (fwd, rev) = t.pin_paths(hosts[0], hosts[15], 5);
+        assert_eq!((fwd.len(), rev.len()), (6, 6));
+        let t = TopologySpec::paper_leaf_spine(SimTime::from_us(10)).build();
+        let (fwd, rev) = t.pin_paths(t.hosts()[0], t.hosts()[95], 5);
+        assert_eq!((fwd.len(), rev.len()), (4, 4));
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! sender timestamps (for RTT sampling), INT stacks (for HPCC), and TLT
 //! important echoes.
 
+use std::collections::VecDeque;
+
 use eventsim::SimTime;
 use netsim::packet::{FlowId, Packet, TltMark};
 use tlt_core::{WindowTltReceiver, WindowTltSender};
@@ -118,10 +120,11 @@ pub struct WindowSender<C: CongestionControl> {
     rtt_sample_count: u64,
     /// Monotone transmission counter (TLT loss barrier).
     tx_counter: u64,
-    /// Last *full* transmission order per in-window segment index. Keyed by
-    /// segment index in a `BTreeMap`: `retain` iterates it, and ordered
-    /// iteration keeps the sender byte-deterministic (simlint rule D1).
-    tx_order: std::collections::BTreeMap<u64, u64>,
+    /// Last *full* transmission order per in-window segment: a ring indexed
+    /// by `segment - snd_una / mss`, 0 where none is recorded (orders start
+    /// at 1). Reads and trims go by index, so nothing here has an iteration
+    /// order to keep deterministic.
+    tx_order: VecDeque<u64>,
     /// Order of the important packet currently in flight.
     last_important_order: u64,
     /// Barrier learned from the latest important echo: everything fully
@@ -166,7 +169,7 @@ impl<C: CongestionControl> WindowSender<C> {
             seg_first_tx: vec![SimTime::MAX; segs],
             rtt_sample_count: 0,
             tx_counter: 0,
-            tx_order: std::collections::BTreeMap::new(),
+            tx_order: VecDeque::new(),
             last_important_order: 0,
             echo_barrier: None,
             tracer: telemetry::Tracer::off(),
@@ -250,12 +253,31 @@ impl<C: CongestionControl> WindowSender<C> {
     fn note_transmission(&mut self, seq: u64, len: u32, important: bool) {
         self.tx_counter += 1;
         if self.tlt.is_some() && seq + u64::from(len) >= self.seg_grid_end(seq) {
-            self.tx_order
-                .insert(seq / u64::from(self.cfg.mss), self.tx_counter);
+            let mss = u64::from(self.cfg.mss);
+            let slot = (seq / mss - self.snd_una / mss) as usize;
+            if slot >= self.tx_order.len() {
+                self.tx_order.resize(slot + 1, 0);
+            }
+            self.tx_order[slot] = self.tx_counter;
+            debug_assert!(
+                self.tx_order.len() as u64 <= self.snd_nxt.div_ceil(mss) - self.snd_una / mss,
+                "tx_order outgrew the in-flight window"
+            );
         }
         if important {
             self.last_important_order = self.tx_counter;
         }
+    }
+
+    /// Order of the last full transmission of the segment holding `seq`, if
+    /// one is recorded and the segment is not yet wholly acknowledged.
+    fn order_of(&self, seq: u64) -> Option<u64> {
+        let mss = u64::from(self.cfg.mss);
+        let slot = (seq / mss).checked_sub(self.snd_una / mss)?;
+        self.tx_order
+            .get(slot as usize)
+            .copied()
+            .filter(|&o| o != 0)
     }
 
     /// The first segment TLT believes lost: a SACK hole above `high_rxt`,
@@ -266,19 +288,14 @@ impl<C: CongestionControl> WindowSender<C> {
             return Some(h);
         }
         let barrier = self.echo_barrier?;
-        let seg_of = |seq: u64| seq / u64::from(self.cfg.mss);
-        let sent_before = |seq: u64, this: &Self| {
-            this.tx_order
-                .get(&seg_of(seq))
-                .is_some_and(|&o| o < barrier)
-        };
+        let sent_before = |seq: u64| self.order_of(seq).is_some_and(|o| o < barrier);
         // A hole already retransmitted (below high_rxt) whose retransmission
         // predates the barrier was lost again.
         if let Some((hs, he)) = self.scoreboard.first_hole(self.snd_una) {
-            if sent_before(hs, self) {
+            if sent_before(hs) {
                 return Some((hs, he));
             }
-        } else if self.snd_una < self.snd_nxt && sent_before(self.snd_una, self) {
+        } else if self.snd_una < self.snd_nxt && sent_before(self.snd_una) {
             // No SACK information: the first unacked segment is the suspect.
             return Some((
                 self.snd_una,
@@ -427,20 +444,15 @@ impl<C: CongestionControl> WindowSender<C> {
                 }
             }
         }
+        if !self.tx_order.is_empty() {
+            // Orders of wholly acknowledged segments are never queried again.
+            let mss = u64::from(self.cfg.mss);
+            let acked = (new_una / mss - self.snd_una / mss) as usize;
+            self.tx_order.drain(..acked.min(self.tx_order.len()));
+        }
         self.snd_una = new_una;
         self.scoreboard.on_cumulative_ack(new_una);
         self.high_rxt = self.high_rxt.max(new_una);
-        // Orders below the ACK floor are never queried again. Popping them
-        // off the front frees nodes as they empty and allocates nothing;
-        // `split_off` built a new tree on every trimming ACK.
-        let floor = new_una / u64::from(self.cfg.mss);
-        while self
-            .tx_order
-            .first_key_value()
-            .is_some_and(|(&idx, _)| idx < floor)
-        {
-            self.tx_order.pop_first();
-        }
     }
 }
 
@@ -474,11 +486,9 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
                 // retries a hole (otherwise recovery degrades to one MSS
                 // per clocking round-trip — the Figure 3(b) pathology).
                 if let Some((hs, _)) = self.scoreboard.first_hole(self.snd_una) {
-                    let seg = hs / u64::from(self.cfg.mss);
                     let lost_again = self
-                        .tx_order
-                        .get(&seg)
-                        .is_some_and(|&o| o < self.last_important_order);
+                        .order_of(hs)
+                        .is_some_and(|o| o < self.last_important_order);
                     if lost_again && hs < self.high_rxt {
                         self.high_rxt = self.snd_una;
                     }
@@ -969,6 +979,61 @@ mod tests {
         assert_eq!(ack.sack.len(), 1);
         assert_eq!(ack.sack[0].start, 2000);
         assert_eq!(ack.sack[0].end, 3000);
+    }
+
+    /// The loss barrier end to end, on counters recorded while `tx_order`
+    /// was a `BTreeMap`: segments 12 and 25 lose their fast retransmissions
+    /// too, segment 25's third loss is followed by a 1-byte clocking probe
+    /// that must not refresh its order, and the tail's clocking packet — an
+    /// important one — is lost, which only the RTO repairs.
+    #[test]
+    fn tlt_loss_barrier_counters_are_pinned() {
+        let mut plan = DropPlan::none();
+        for (seg, losses) in [(12, 2), (13, 1), (25, 3), (39, 2)] {
+            for _ in 0..losses {
+                plan.drop_data_once(seg * 1440);
+            }
+        }
+        let (res, stats) = run_tcp(tlt_cfg(40 * 1440), plan);
+        assert!(res.receiver_complete && res.sender_done);
+        assert_eq!(stats.fast_retx, 7);
+        assert_eq!(stats.timeouts, 1);
+        assert_eq!((stats.clocking_pkts, stats.clocking_bytes), (2, 1441));
+        assert_eq!(stats.data_pkts_sent, 49);
+        assert_eq!(res.completion_time, SimTime::from_us(4520));
+    }
+
+    #[test]
+    fn order_of_sees_only_recorded_in_window_segments() {
+        let c = tlt_cfg(40 * 1440);
+        let mut tx = WindowSender::new(c.clone(), NewReno::new(c.mss, c.init_cwnd_pkts));
+        let mut actions = Vec::new();
+        let mut ctx = Ctx {
+            now: SimTime::ZERO,
+            actions: &mut actions,
+        };
+        tx.start(&mut ctx);
+        // The initial window is segments 0..10, sent in order.
+        assert_eq!(tx.order_of(0), Some(1));
+        assert_eq!(tx.order_of(9 * 1440 + 7), Some(10));
+        assert_eq!(tx.order_of(10 * 1440), None, "not sent yet");
+        // A 1-byte probe takes an order and records none; a full
+        // transmission two segments past the ring's end pads the skipped
+        // one with "none recorded".
+        tx.snd_nxt = 13 * 1440;
+        tx.note_transmission(12 * 1440, 1, true);
+        assert_eq!(tx.order_of(12 * 1440), None, "never fully sent");
+        tx.note_transmission(12 * 1440, 1440, false);
+        assert_eq!(tx.order_of(12 * 1440), Some(12));
+        assert_eq!(tx.order_of(11 * 1440), None, "padding");
+        // An ACK into segment 4 trims the four segments below it.
+        tx.advance_una(4 * 1440 + 100, SimTime::ZERO);
+        assert_eq!(tx.order_of(3 * 1440), None, "below the ring's base");
+        assert_eq!(tx.order_of(4 * 1440), Some(5), "partly acked: kept");
+        assert_eq!(tx.order_of(12 * 1440), Some(12));
+        tx.advance_una(13 * 1440, SimTime::ZERO);
+        assert_eq!(tx.order_of(12 * 1440), None, "trimmed past it");
+        assert!(tx.tx_order.is_empty());
     }
 
     /// Any pattern of single-transmission drops is recovered; with TLT

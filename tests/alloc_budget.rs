@@ -1,31 +1,40 @@
 //! Heap-allocation budget of the engine's run loop: an exact counter.
 //!
 //! A counting `#[global_allocator]` tallies, per thread, every allocation
-//! made inside `Engine::run` on a k=4 fat-tree cell of eight cross-pod
-//! 200 kB flows (six-hop routes, five switches each), and the tests bound
-//! that count per data packet sent. The count repeats exactly for a seed
-//! on any machine, in debug and release, so a breach is a code change,
-//! never noise.
+//! made inside `Engine::run`, and the tests bound that count per data
+//! packet sent. The lossless cell is a k=4 fat-tree with eight cross-pod
+//! 200 kB flows (six-hop routes, five switches each); the lossy cell is a
+//! 16-to-1 incast of thirty-two 48 kB flows into one switch whose colour
+//! threshold drops 235 unimportant packets, every one fast-retransmitted.
+//! The count repeats exactly for a seed on any machine, in debug and
+//! release, so a breach is a code change, never noise.
 //!
-//! Allocations inside `Engine::run` / data packets sent at this cell:
+//! Allocations inside `Engine::run` / data packets sent:
 //!
-//! | transport   | parent of this test | now         | budget per 100 pkts |
-//! |-------------|---------------------|-------------|---------------------|
-//! | DCTCP       | 192 / 1112 (0.17)   | 192 / 1112  | 21                  |
-//! | DCTCP + TLT | 2472 / 1120 (2.21)  | 352 / 1120  | 38                  |
-//! | HPCC        | 6627 / 1600 (4.14)  | 3435 / 1600 | 258                 |
+//! | cell, transport    | first measured     | tree range sets | now         | budget per 100 pkts |
+//! |--------------------|--------------------|-----------------|-------------|---------------------|
+//! | k=4, DCTCP         | 192 / 1112 (0.17)  | 192 / 1112      | 192 / 1112  | 21                  |
+//! | k=4, DCTCP + TLT   | 2472 / 1120 (2.21) | 352 / 1120      | 240 / 1120  | 26                  |
+//! | k=4, HPCC          | 6627 / 1600 (4.14) | 3435 / 1600     | 3435 / 1600 | 258                 |
+//! | incast, DCTCP + TLT| —                  | 947 / 1355      | 896 / 1355  | 80                  |
 //!
-//! What the difference was, so a breach can be read: with TLT on,
-//! `WindowSender` trimmed `tx_order` with `BTreeMap::split_off`, which
-//! builds a new tree (a leaf, usually an internal node too) on every
-//! trimming ACK; and an HPCC data packet cost four allocations — its INT
-//! stack's first growth, the regrowth at the fifth hop, the receiver's echo
-//! clone, and `Hpcc::measure_inflight`'s `to_vec` — of which the stack's
-//! one `reserve_exact` and the echo clone remain. Budgets are the measured
-//! value plus 20 %. They are the default build's: the `profile` and
-//! `ledger` observers allocate for their own records, so the file is
-//! compiled out under those features (`strict-invariants` allocates
-//! nothing and is covered).
+//! What the differences were, so a breach can be read. First column to
+//! second: with TLT on, `WindowSender` trimmed `tx_order` with
+//! `BTreeMap::split_off`, which builds a new tree (a leaf, usually an
+//! internal node too) on every trimming ACK; and an HPCC data packet cost
+//! four allocations — its INT stack's first growth, the regrowth at the
+//! fifth hop, the receiver's echo clone, and `Hpcc::measure_inflight`'s
+//! `to_vec` — of which the stack's one `reserve_exact` and the echo clone
+//! remain. Second to third: `tx_order` was still a `BTreeMap` splitting and
+//! merging leaves as the window grew past eleven segments, and `RangeSet`
+//! was one whose `insert` and `remove_below` collected the keys they were
+//! about to remove into a `Vec`; both are flat now (a ring, a sorted `Vec`)
+//! and grow by doubling. Of the lossy cell's 896, 411 are the `Vec` of SACK
+//! blocks on each ACK that carries any. Budgets are the measured value
+//! plus 20 %. They are the default build's: the `profile` and `ledger`
+//! observers allocate for their own records, so the file is compiled out
+//! under those features (`strict-invariants` allocates nothing and is
+//! covered).
 
 #![cfg(not(any(feature = "profile", feature = "ledger")))]
 
@@ -94,10 +103,15 @@ fn cell(cfg: SimConfig) -> Engine {
 
 /// `(allocations inside Engine::run, data packets sent)` for [`cell`].
 fn run_cell(cfg: SimConfig) -> (u64, u64) {
-    let eng = cell(cfg);
+    let (allocs, res) = run_counted(cell(cfg));
+    (allocs, res.agg.data_pkts_sent)
+}
+
+/// Runs `eng` to completion, counting the allocations inside `Engine::run`.
+fn run_counted(eng: Engine) -> (u64, dcsim::SimResult) {
     let (allocs, res) = allocs_in(|| eng.run());
     assert!(res.flows.iter().all(|f| f.end.is_some()), "cell completes");
-    (allocs, res.agg.data_pkts_sent)
+    (allocs, res)
 }
 
 fn assert_budget(label: &str, (allocs, pkts): (u64, u64), per_100_pkts: u64) {
@@ -119,7 +133,28 @@ fn dctcp_run_loop_stays_within_its_allocation_budget() {
 #[test]
 fn dctcp_tlt_run_loop_stays_within_its_allocation_budget() {
     let cell = run_cell(SimConfig::tcp_family(TransportKind::Dctcp).with_tlt());
-    assert_budget("dctcp+tlt", cell, 38);
+    assert_budget("dctcp+tlt", cell, 26);
+}
+
+/// The loss path, which the fat-tree cell never takes: a 16-to-1 DCTCP+TLT
+/// incast of 48 kB flows into one switch whose colour threshold drops
+/// unimportant packets, so receivers hold SACK ranges, senders keep a
+/// scoreboard and every drop is fast-retransmitted.
+#[test]
+fn lossy_dctcp_tlt_incast_stays_within_its_allocation_budget() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+        .with_topology(dcsim::small_single_switch(17))
+        .with_tlt();
+    cfg.switch.buffer_bytes = 400_000;
+    cfg.switch.color_threshold = Some(80_000);
+    let flows: Vec<FlowSpec> = (1..17)
+        .flat_map(|s| [0, 2].map(|us| FlowSpec::new(s, 0, 48_000, SimTime::from_us(us), true)))
+        .collect();
+    let (allocs, res) = run_counted(Engine::new(cfg, flows));
+    let a = &res.agg;
+    assert!(a.drops_color > 100, "cell drops: {}", a.drops_color);
+    assert!(a.fast_retx > 100, "cell fast-retransmits: {}", a.fast_retx);
+    assert_budget("lossy dctcp+tlt", (allocs, a.data_pkts_sent), 80);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! without a never-iterated pragma). These tests pin the *exact* aggregate
 //! counters and workload fingerprint captured on the `HashMap` tree, so the
 //! swap is proven behavior-preserving byte for byte — and any future change
-//! that perturbs scheduling or generation order fails loudly.
+//! that perturbs scheduling or generation order fails loudly. (`tx_order`
+//! has since become a ring indexed by segment; the same goldens hold it.)
 
 use dcsim::{small_single_switch, Engine, FlowSpec, SimConfig};
 use eventsim::SimTime;
@@ -13,7 +14,7 @@ use transport::TransportKind;
 use workload::{standard_mix, FlowSizeCdf, MixParams};
 
 /// A TLT incast that exercises `tx_order` heavily: color drops force
-/// important ACK-clocking, whose loss barrier reads/retains the map.
+/// important ACK-clocking, whose loss barrier reads and trims it.
 fn tlt_incast() -> dcsim::SimResult {
     let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
         .with_topology(small_single_switch(17))
