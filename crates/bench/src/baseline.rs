@@ -15,9 +15,8 @@ use transport::TransportKind;
 use workload::{incast_burst, standard_mix, FlowSizeCdf};
 
 use crate::plan::RunPlan;
-use crate::profiler::{self, Provenance, Timed};
+use crate::profiler::{self, Provenance};
 use crate::runner::{self, Args, SchemeResult, TcpVariant};
-use crate::simprof;
 
 /// One workload's report line.
 pub struct WorkloadReport {
@@ -63,9 +62,6 @@ pub struct SuiteReport {
     pub build_profile: &'static str,
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadReport>,
-    /// `simprof` per-phase wall-time totals (empty unless the bench crate
-    /// was built with `--features simprof`).
-    pub profile: Vec<(String, simprof::PhaseTotals)>,
 }
 
 impl SuiteReport {
@@ -140,23 +136,6 @@ impl SuiteReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str(&format!("  \"simprof\": {},\n", simprof::enabled()));
-        if !self.profile.is_empty() {
-            s.push_str("  \"phases\": [\n");
-            for (i, (label, t)) in self.profile.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"phase\": \"{}\", \"calls\": {}, \"wall_ms\": {:.3}, \
-                     \"events\": {}, \"events_per_sec\": {:.0}}}{}\n",
-                    label,
-                    t.calls,
-                    t.wall_ms,
-                    t.events,
-                    t.events_per_sec(),
-                    if i + 1 < self.profile.len() { "," } else { "" },
-                ));
-            }
-            s.push_str("  ],\n");
-        }
         s.push_str(&format!(
             "  \"total\": {{\"wall_ms_jobs1\": {:.3}, \"wall_ms_jobsn\": {:.3}, \
              \"speedup\": {:.3}, \"deterministic\": {}}}\n",
@@ -269,23 +248,6 @@ fn results_equal(a: &[SchemeResult], b: &[SchemeResult]) -> bool {
         })
 }
 
-fn timed(name: &str, args: &Args, jobs: usize) -> Timed {
-    profiler::timed(&format!("{name}/jobs{jobs}"), build(name, args, jobs))
-}
-
-/// The parallel cross-check leg re-runs a workload that the serial leg
-/// already merged into the installed `--trace` / `--metrics` /
-/// `--profile-out` exports, so it runs as a shadow plan: were it to merge
-/// too, every export would double under `--jobs N` while a `--jobs 1`
-/// invocation (which reuses its serial leg) merged once — and the
-/// "byte-identical under any worker count" guarantee would be lost.
-fn timed_shadow(name: &str, args: &Args, jobs: usize) -> Timed {
-    profiler::timed(
-        &format!("{name}/jobs{jobs}"),
-        build(name, args, jobs).shadow(),
-    )
-}
-
 /// Runs the whole suite: every workload sequentially and at
 /// `args.effective_jobs()` workers, with a built-in determinism
 /// cross-check.
@@ -294,7 +256,7 @@ pub fn run_suite(args: &Args) -> SuiteReport {
     let mut workloads = Vec::new();
     for name in WORKLOADS {
         eprintln!("[bench_baseline] {name}: --jobs 1 ...");
-        let seq = timed(name, args, 1);
+        let seq = profiler::timed(build(name, args, 1));
         // On a single-core box (or an explicit --jobs 1) the "parallel"
         // leg would be a second serial run of the same plan — pure wall
         // noise that has reported phantom anti-speedups. Reuse the serial
@@ -314,7 +276,14 @@ pub fn run_suite(args: &Args) -> SuiteReport {
             continue;
         }
         eprintln!("[bench_baseline] {name}: --jobs {jobs} ...");
-        let par = timed_shadow(name, args, jobs);
+        // The parallel cross-check leg re-runs a workload that the serial
+        // leg already merged into the installed `--trace` / `--metrics` /
+        // `--profile-out` exports, so it runs as a shadow plan: were it to
+        // merge too, every export would double under `--jobs N` while a
+        // `--jobs 1` invocation (which reuses its serial leg) merged once —
+        // and the "byte-identical under any worker count" guarantee would
+        // be lost.
+        let par = profiler::timed(build(name, args, jobs).shadow());
         // Determinism bar: parallel results, and (with the profile feature
         // on) the entire event-level profile, must match the sequential
         // run byte for byte.
@@ -343,7 +312,6 @@ pub fn run_suite(args: &Args) -> SuiteReport {
         seeds: args.seeds,
         build_profile: Provenance::build_profile_label(),
         workloads,
-        profile: simprof::report(),
     }
 }
 
@@ -377,14 +345,6 @@ mod tests {
                 events_scheduled: 123_456,
                 deterministic: true,
             }],
-            profile: vec![(
-                "tcp_family_mix/jobs1".to_string(),
-                simprof::PhaseTotals {
-                    wall_ms: 100.0,
-                    calls: 1,
-                    events: 123_456,
-                },
-            )],
         };
         let json = report.to_json();
         for key in [
@@ -395,10 +355,6 @@ mod tests {
             "\"speedup\": 2.500",
             "\"events_scheduled\": 123456",
             "\"deterministic\": true",
-            "\"simprof\":",
-            "\"phases\": [",
-            "\"phase\": \"tcp_family_mix/jobs1\"",
-            "\"events_per_sec\": 1234560",
             "\"total\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -320,20 +320,6 @@ fn flatten_bench(v: &Value, doc: &mut Doc) {
             }
         }
     }
-    if let Some(Value::Arr(ps)) = v.get("phases") {
-        for p in ps {
-            let Some(label) = p.get("phase").and_then(Value::str) else {
-                continue;
-            };
-            if let Value::Obj(fields) = p {
-                for (k, fv) in fields {
-                    if let Some(n) = fv.num() {
-                        doc.nums.insert(format!("phase/{label}/{k}"), n);
-                    }
-                }
-            }
-        }
-    }
     if let Some(Value::Obj(fields)) = v.get("total") {
         for (k, fv) in fields {
             if let Some(n) = fv.num() {
@@ -631,6 +617,8 @@ pub fn compare(old: &Doc, new: &Doc, threshold_pct: f64) -> Comparison {
 mod tests {
     use super::*;
 
+    /// A report as the committed `BENCH_pr*.json` files hold it, retired
+    /// `"simprof"` key included: keys nothing reads are ignored.
     fn bench_json(wall: f64, build: Option<&str>, scale: &str) -> String {
         let build_line = build
             .map(|b| format!("  \"build_profile\": \"{b}\",\n"))

@@ -57,12 +57,6 @@ fn main() {
         report.total_speedup()
     );
 
-    let prof = bench::simprof::render();
-    if !prof.is_empty() {
-        println!();
-        print!("{prof}");
-    }
-
     let path = args.out.as_deref().unwrap_or("bench_baseline.json");
     std::fs::write(path, report.to_json()).expect("write baseline report");
     eprintln!("wrote {path}");

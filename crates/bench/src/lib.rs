@@ -27,4 +27,3 @@ pub mod benchcmp;
 pub mod plan;
 pub mod profiler;
 pub mod runner;
-pub mod simprof;

@@ -2,9 +2,9 @@
 //! measurement artifacts, and the wall-clock workload timer behind
 //! `bench_baseline`.
 //!
-//! This file (like `baseline.rs` and `simprof.rs`) is on simlint's D2
-//! wall-clock allowlist: the harness layer may read real time, the
-//! simulation crates never do.
+//! This file is simlint's D2 wall-clock allowlist for the harness layer:
+//! `bench` may read real time here and nowhere else, the simulation crates
+//! never do.
 
 use std::time::Instant;
 
@@ -12,7 +12,6 @@ use telemetry::{Profile, Registry};
 
 use crate::plan::{PlanOutput, RunPlan};
 use crate::runner::Args;
-use crate::simprof;
 
 /// Provenance of one measurement artifact: the facts `benchcmp` needs to
 /// refuse (or warn about) apples-to-oranges comparisons — a quick-scale
@@ -98,14 +97,11 @@ pub(crate) struct Timed {
     pub out: PlanOutput,
 }
 
-/// Runs a plan under a wall-clock (and, with `--features simprof`,
-/// scope-profiled) measurement.
-pub(crate) fn timed(label: &str, plan: RunPlan<'_>) -> Timed {
-    let mut prof = simprof::scope(label.to_string());
+/// Runs a plan under a wall-clock measurement.
+pub(crate) fn timed(plan: RunPlan<'_>) -> Timed {
     let start = Instant::now();
     let out = plan.run_detailed();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    prof.add_events(out.events_scheduled);
     Timed { wall_ms, out }
 }
 

@@ -1,0 +1,493 @@
+//! Construction: the port table and its audit against `Topology`, flows
+//! and their transports, the fault schedule, and the observers a caller
+//! attaches before `run`.
+
+use super::*;
+
+/// Whether construction audits the port table against [`Topology`]: debug
+/// builds, and release builds with the invariant auditors on.
+const CHECK_PORT_TABLE: bool = cfg!(debug_assertions) || ConservationLedger::ON;
+
+impl Engine {
+    /// Builds an engine for `cfg` over the given flows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow references a host index that does not exist or has
+    /// `src == dst`.
+    pub fn new(cfg: SimConfig, specs: Vec<FlowSpec>) -> Engine {
+        let topo = cfg.topology.build();
+        let hosts = topo.hosts().to_vec();
+        let n_nodes = topo.node_count();
+
+        // Per-node switch instances, and the port table: every port's wire
+        // is resolved here, once, so the run loop never walks `topo`.
+        let mut switches: Vec<Option<Switch>> = Vec::with_capacity(n_nodes);
+        let mut ports: Vec<Port> = Vec::with_capacity(topo.link_count());
+        let mut port_base: Vec<u32> = Vec::with_capacity(n_nodes + 1);
+        let idx32 = |i: usize| u32::try_from(i).expect("port table fits a u32 index");
+        for n in 0..n_nodes {
+            let node = NodeId(n as u32);
+            let n_ports = topo.port_count(node);
+            port_base.push(idx32(ports.len()));
+            let mut sw = (topo.kind(node) == NodeKind::Switch).then(|| {
+                let sw_cfg = SwitchConfig {
+                    ports: n_ports,
+                    total_buffer: cfg.switch.buffer_bytes,
+                    alpha: cfg.switch.alpha,
+                    color_threshold: cfg.switch.color_threshold,
+                    ecn: cfg.switch.ecn,
+                    pfc: cfg
+                        .pfc
+                        .then(|| PfcConfig::derive(cfg.switch.buffer_bytes, n_ports)),
+                    int_enabled: cfg.transport == TransportKind::Hpcc,
+                    port_rate_bps: topo.link_from(node, PortId(0)).1.spec.bandwidth_bps,
+                };
+                Switch::new(sw_cfg, cfg.seed ^ (n as u64) << 17)
+            });
+            for p in 0..n_ports {
+                let port = PortId(idx32(p));
+                let (lid, rec) = topo.link_from(node, port);
+                // INT hops report the capacity of the egress they left by,
+                // which need not be port 0's.
+                if let Some(sw) = sw.as_mut() {
+                    sw.set_port_rate(port, rec.spec.bandwidth_bps);
+                }
+                ports.push(Port {
+                    busy: false,
+                    paused: false,
+                    tx_done_queued: false,
+                    free_at: SimTime::ZERO,
+                    free_seq: 0,
+                    lid,
+                    peer: rec.to,
+                    spec: rec.spec,
+                    memo_wire: 0,
+                    memo_tx: SimTime::ZERO,
+                });
+            }
+            switches.push(sw);
+        }
+        port_base.push(idx32(ports.len()));
+        let host_q = (0..n_nodes)
+            .map(|_| std::collections::VecDeque::new())
+            .collect();
+
+        // Base RTT: twice the one-way delay of the longest path plus a
+        // handful of serialization times — we use the pure propagation
+        // figure the paper quotes (e.g. 80 μs for 4 hops at 10 μs).
+        let max_hops = match cfg.topology {
+            netsim::topology::TopologySpec::FatTree { .. } => 6,
+            netsim::topology::TopologySpec::LeafSpine { .. } => 4,
+            netsim::topology::TopologySpec::Dumbbell { .. } => 3,
+            netsim::topology::TopologySpec::SingleSwitch { .. } => 2,
+        };
+        let link = topo.link_from(hosts[0], PortId(0)).1.spec;
+        let base_rtt = cfg
+            .base_rtt
+            .unwrap_or(SimTime::from_ns(2 * max_hops * link.delay.as_ns()));
+        let bdp = link.bdp_bytes(base_rtt).max(u64::from(cfg.mss) * 4);
+
+        // Pre-size the queue's node arena to the expected peak depth so it
+        // does not regrow mid-run; small runs stay small via the per-flow
+        // term. Measured peaks on the benchmark's seven workloads
+        // (`eventsim.queue_peak_depth`) are 0.9 to 3.7 pending events per
+        // flow and 2.5k to 12.5k in all, so four nodes per flow under a 16k
+        // cap covers each of them (with room: that depth also counts the
+        // far-heap entries, which take no node). Reserved nodes are
+        // untouched memory until used; a deeper run just grows the arena.
+        let queue_cap = (specs.len().saturating_mul(4) + 256).min(1 << 14);
+        let mut queue = EventQueue::with_capacity(queue_cap);
+        // Constructor-time scheduling happens before the engine (and its
+        // `sched` shim) exists, so the profiler is created here and bumped
+        // at each local schedule site.
+        let mut prof = EngineProf::new();
+        let mut flows = Vec::with_capacity(specs.len());
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
+        for (i, spec) in specs.into_iter().enumerate() {
+            for h in [spec.src, spec.dst] {
+                assert!(
+                    h < hosts.len(),
+                    "flow {i}: host {h} out of range ({} hosts)",
+                    hosts.len()
+                );
+            }
+            assert_ne!(spec.src, spec.dst, "flow {i}: src == dst");
+            let src = hosts[spec.src];
+            let dst = hosts[spec.dst];
+            let hash = Topology::ecmp_hash(src, dst, i as u64 ^ cfg.seed);
+            let (path_fwd, path_rev) = topo.pin_paths(src, dst, hash);
+            let (sender, receiver) =
+                build_transport(&cfg, FlowId(i as u32), spec.bytes, base_rtt, bdp);
+            match spec.after {
+                // A dependent flow waits for its parent's completion
+                // callback instead of an absolute FlowStart.
+                Some(parent) => {
+                    assert!(
+                        (parent as usize) < i,
+                        "flow {i}: completion trigger {parent} must precede it"
+                    );
+                    dependents[parent as usize].push(i as u32);
+                }
+                None => {
+                    prof.on_sched(EvKind::FlowStart);
+                    queue.schedule(spec.start, Event::FlowStart(i as u32));
+                }
+            }
+            flows.push(FlowRuntime {
+                spec,
+                src,
+                dst,
+                path_fwd,
+                path_rev,
+                sender,
+                receiver,
+                timer_gen: [0; TIMER_KINDS.len()],
+                timer_armed: [false; TIMER_KINDS.len()],
+                complete_at: None,
+                tx_epoch: 0,
+                rto_armed_at: SimTime::ZERO,
+                losses: std::collections::VecDeque::new(),
+                timer_deadline: [SimTime::ZERO; TIMER_KINDS.len()],
+                timer_queued_at: [None; TIMER_KINDS.len()],
+                timer_queued_gen: [0; TIMER_KINDS.len()],
+                timer_res_seq: [0; TIMER_KINDS.len()],
+                lg: Default::default(),
+            });
+        }
+        if let Some(every) = cfg.queue_sample_every {
+            prof.on_sched(EvKind::QueueSample);
+            queue.schedule(every, Event::QueueSample);
+        }
+
+        // Per-link fault state. The seed derivation matches the old global
+        // `WireFault` exactly, so `wire_loss_rate` runs reproduce the
+        // historical drop pattern byte for byte.
+        let mut fstate = FaultState::new(topo.link_count(), cfg.seed ^ 0x5717E_u64);
+        if cfg.wire_loss_rate > 0.0 {
+            fstate.set_uniform_loss(cfg.wire_loss_rate);
+        }
+        // Faults ride the main event queue (stable FIFO tie-break keeps
+        // list order at equal timestamps), so `--jobs N` determinism holds.
+        for (i, ev) in cfg.faults.events().iter().enumerate() {
+            let n = ev.node.0 as usize;
+            assert!(n < topo.node_count(), "fault {i}: node {n} out of range");
+            assert!(
+                (ev.port.0 as usize) < topo.port_count(ev.node),
+                "fault {i}: port {} out of range for node {n}",
+                ev.port.0
+            );
+            if matches!(ev.action, FaultAction::PauseStorm { .. }) {
+                assert_eq!(
+                    topo.kind(ev.node),
+                    NodeKind::Switch,
+                    "fault {i}: pause storms target a switch ingress"
+                );
+            }
+            prof.on_sched(EvKind::Fault);
+            queue.schedule(ev.at, Event::Fault(i as u32));
+        }
+
+        let eng = Engine {
+            cfg,
+            ledger: ConservationLedger::new(topo.link_count()),
+            prof,
+            topo,
+            switches,
+            ports,
+            pause_acct: Vec::new(),
+            port_base,
+            host_q,
+            flows,
+            dependents,
+            queue,
+            pkts: PacketSlab::with_capacity(1024),
+            now: SimTime::ZERO,
+            actions: Vec::new(),
+            base_rtt,
+            bdp,
+            faults: fstate,
+            faults_injected: 0,
+            first_fault_at: None,
+            reroutes: 0,
+            tracer: Tracer::off(),
+            pause_log: std::collections::VecDeque::new(),
+            rto_causes: RtoCauseCounts::default(),
+            forensics: Vec::new(),
+            metrics: None,
+        };
+        if CHECK_PORT_TABLE {
+            eng.check_port_table();
+        }
+        eng
+    }
+
+    /// Every record of the port table says what [`Topology`] says about
+    /// its port, and everything kept on the port index covers exactly that
+    /// table (run by `new` and `set_metrics` in debug and
+    /// `strict-invariants` builds).
+    fn check_port_table(&self) {
+        assert_eq!(self.ports.len(), self.topo.link_count());
+        if let Some(m) = &self.metrics {
+            assert_eq!(m.port_count(), self.ports.len(), "metric accumulators");
+        }
+        for n in 0..self.topo.node_count() {
+            let node = NodeId(n as u32);
+            assert_eq!(
+                (self.port_base[n + 1] - self.port_base[n]) as usize,
+                self.topo.port_count(node),
+                "port range of node {n}"
+            );
+            for p in 0..self.topo.port_count(node) {
+                let port = PortId(p as u32);
+                let rec = &self.ports[self.port_index(node, port)];
+                let (lid, link) = self.topo.link_from(node, port);
+                assert_eq!(
+                    (rec.lid, rec.peer, rec.spec),
+                    (lid, link.to, link.spec),
+                    "port table entry for node {n} port {p}"
+                );
+                assert_eq!(
+                    rec.in_link(),
+                    self.topo.incoming_link(node, port),
+                    "incoming link of node {n} port {p}"
+                );
+            }
+        }
+    }
+
+    /// Attaches the flight recorder: every switch, transport sender, and the
+    /// engine itself emit [`TraceEvent`]s into `tracer`'s sink. When
+    /// `cfg.trace_sample_every` is set, per-port `PortSample` telemetry is
+    /// scheduled too. Call before [`Engine::run`].
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        for (n, sw) in self.switches.iter_mut().enumerate() {
+            if let Some(sw) = sw {
+                sw.set_tracer(tracer.clone(), n as u32);
+            }
+        }
+        for rt in &mut self.flows {
+            rt.sender.set_tracer(tracer.clone());
+        }
+        if tracer.is_on() {
+            if let Some(every) = self.cfg.trace_sample_every {
+                self.sched(every, Event::TraceSample);
+            }
+        }
+        self.tracer = tracer;
+    }
+
+    /// Enables the metrics registry: per-port queue-depth histograms and
+    /// watermarks, PFC pause-duration histograms, and end-of-run counters
+    /// (RTO root causes, drop/mark totals, TLT transmit overhead). Call
+    /// before [`Engine::run`]; the populated [`Registry`] is returned in
+    /// [`SimResult::metrics`].
+    pub fn set_metrics(&mut self) {
+        self.metrics = Some(PortMetrics::new(self.ports.len()));
+        if CHECK_PORT_TABLE {
+            self.check_port_table();
+        }
+    }
+}
+
+/// Instantiates the sender/receiver pair for one flow.
+fn build_transport(
+    cfg: &SimConfig,
+    flow: FlowId,
+    bytes: u64,
+    base_rtt: SimTime,
+    bdp: u64,
+) -> (Box<dyn FlowSender>, Box<dyn FlowReceiver>) {
+    let tlt_on = cfg.tlt.is_some();
+    match cfg.transport {
+        TransportKind::Tcp | TransportKind::Dctcp | TransportKind::Hpcc => {
+            let mut w = WindowCfg::new(flow, bytes);
+            w.mss = cfg.mss;
+            w.init_cwnd_pkts = cfg.init_cwnd_pkts;
+            w.rto = cfg.rto;
+            w.tlp = cfg.tlp;
+            w.ecn_capable = cfg.transport == TransportKind::Dctcp;
+            w.collect_delivery = cfg.collect_delivery;
+            if let Some(t) = cfg.tlt {
+                w.tlt = TltMode::Window(WindowTltConfig {
+                    clocking: t.clocking,
+                });
+            }
+            let rx = Box::new(TcpReceiver::new(flow, bytes, tlt_on, 8));
+            let tx: Box<dyn FlowSender> = match cfg.transport {
+                TransportKind::Tcp => Box::new(WindowSender::new(
+                    w.clone(),
+                    NewReno::new(w.mss, w.init_cwnd_pkts),
+                )),
+                TransportKind::Dctcp => Box::new(WindowSender::new(
+                    w.clone(),
+                    Dctcp::new(w.mss, w.init_cwnd_pkts),
+                )),
+                TransportKind::Hpcc => Box::new(WindowSender::new(
+                    w.clone(),
+                    Hpcc::new(w.mss, base_rtt, bdp),
+                )),
+                _ => unreachable!(),
+            };
+            (tx, rx)
+        }
+        TransportKind::DcqcnGbn | TransportKind::DcqcnSack | TransportKind::DcqcnIrn => {
+            let recovery = match cfg.transport {
+                TransportKind::DcqcnGbn => RoceRecovery::GoBackN,
+                TransportKind::DcqcnSack => RoceRecovery::Selective { window_cap: None },
+                _ => RoceRecovery::Selective {
+                    window_cap: Some(bdp),
+                },
+            };
+            let mut r = RoceCfg::new(flow, bytes, recovery);
+            r.mss = cfg.mss;
+            if cfg.transport == TransportKind::DcqcnIrn {
+                // IRN's recommended RTO_high (base latency + max one-hop
+                // queueing) and RTO_low for small in-flight counts. The IRN
+                // paper uses RTO_low = 100 us; our shared-buffer queues can
+                // delay ACKs past that even for important packets, so we
+                // calibrate RTO_low to the color-threshold draining time
+                // (200 kB + important headroom at 40 Gbps ~ 250 us) to keep
+                // it aggressive without being dominated by spurious firing.
+                r.rto_high = SimTime::from_us(1930);
+                r.rto_low = Some((SimTime::from_us(300), 3));
+            }
+            if let Some(t) = cfg.tlt {
+                let every_n = if cfg.transport == TransportKind::DcqcnGbn {
+                    t.every_n
+                } else {
+                    // Selective recovery detects losses via SACK; periodic
+                    // marking is unnecessary (§5.2 note 2).
+                    None
+                };
+                r.tlt = TltMode::Rate(RateTltConfig { every_n });
+            }
+            let selective = !matches!(recovery, RoceRecovery::GoBackN);
+            let rx = Box::new(RoceReceiver::new(flow, bytes, selective, tlt_on));
+            (Box::new(RoceSender::new(r)), rx)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::small_single_switch;
+
+    #[test]
+    #[should_panic(expected = "flow 1: host 7 out of range (3 hosts)")]
+    fn out_of_range_host_is_rejected_with_the_flow_index() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+        let flows = vec![
+            FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true),
+            FlowSpec::new(2, 7, 1_000, SimTime::ZERO, true),
+        ];
+        let _ = Engine::new(cfg, flows);
+    }
+
+    #[test]
+    #[should_panic(expected = "must precede")]
+    fn forward_completion_trigger_is_rejected() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+        let flows = vec![
+            FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true).after(1),
+            FlowSpec::new(1, 0, 1_000, SimTime::ZERO, true),
+        ];
+        let _ = Engine::new(cfg, flows);
+    }
+
+    fn two_speed_specs() -> [netsim::topology::TopologySpec; 4] {
+        use netsim::topology::TopologySpec;
+        let fast = LinkSpec::new(40_000_000_000, SimTime::from_us(10));
+        let slow = LinkSpec::new(10_000_000_000, SimTime::from_us(3));
+        [
+            TopologySpec::SingleSwitch {
+                hosts: 3,
+                host_link: fast,
+            },
+            TopologySpec::Dumbbell {
+                left_hosts: 2,
+                right_hosts: 3,
+                host_link: fast,
+                cross_link: slow,
+            },
+            TopologySpec::LeafSpine {
+                cores: 2,
+                tors: 3,
+                hosts_per_tor: 2,
+                host_link: fast,
+                fabric_link: slow,
+            },
+            TopologySpec::FatTree {
+                k: 4,
+                host_link: fast,
+                fabric_link: slow,
+            },
+        ]
+    }
+
+    /// The port table against its source, on every topology shape (with
+    /// two link speeds where the shape has two kinds of link): each record
+    /// carries its port's link, peer, rate and delay, the incoming link is
+    /// `lid ^ 1`, and the hot record fits a cache line.
+    #[test]
+    fn port_table_mirrors_the_topology() {
+        assert!(
+            std::mem::size_of::<Port>() <= 64,
+            "hot port record is {} bytes",
+            std::mem::size_of::<Port>()
+        );
+        for spec in two_speed_specs() {
+            let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(spec);
+            let eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]);
+            eng.check_port_table();
+            for (i, rec) in eng.ports.iter().enumerate() {
+                // Peers point at each other.
+                let back = eng.ports[eng.port_index(rec.peer.0, rec.peer.1)];
+                assert_eq!(eng.port_index(back.peer.0, back.peer.1), i);
+                assert_eq!(back.lid, rec.in_link());
+            }
+        }
+    }
+
+    /// INT hops carry the capacity of the egress they left by: on fabrics
+    /// whose links differ in speed every switch port must stamp its own
+    /// link's rate, not port 0's.
+    #[test]
+    fn int_hops_report_each_egress_ports_own_rate() {
+        for spec in two_speed_specs() {
+            let cfg = SimConfig::roce_family(TransportKind::Hpcc).with_topology(spec);
+            let mut eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]);
+            let mut rates = std::collections::BTreeSet::new();
+            for n in 0..eng.switches.len() {
+                let Some(sw) = eng.switches[n].as_mut() else {
+                    continue;
+                };
+                for p in 0..sw.config().ports {
+                    let egress = PortId(p as u32);
+                    let pkt = eng.pkts.insert(Packet::data(FlowId(0), 0, 1_000));
+                    let out = sw.enqueue(pkt, &mut eng.pkts, PortId(0), egress, SimTime::ZERO);
+                    assert!(out.enqueued);
+                    let (pkt, _) = sw.dequeue(&mut eng.pkts, egress, SimTime::ZERO);
+                    let hop = eng.pkts.take(pkt.expect("just enqueued")).int_stack[0];
+                    let link = eng.topo.link_from(NodeId(n as u32), egress).1.spec;
+                    assert_eq!(hop.rate_bps, link.bandwidth_bps, "node {n} port {p}");
+                    rates.insert(hop.rate_bps);
+                }
+            }
+            let two_speeds = !matches!(
+                eng.cfg.topology,
+                netsim::topology::TopologySpec::SingleSwitch { .. }
+            );
+            assert_eq!(rates.len(), 1 + usize::from(two_speeds));
+        }
+    }
+
+    #[test]
+    fn base_rtt_matches_paper() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp);
+        let eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1000, SimTime::ZERO, false)]);
+        assert_eq!(eng.base_rtt(), SimTime::from_us(80));
+        assert_eq!(eng.bdp(), 400_000);
+    }
+}

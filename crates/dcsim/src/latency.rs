@@ -45,10 +45,8 @@
 //! recovery windows and PFC-pause shares for the span trees and the
 //! Perfetto export; evicting an old interval never affects the phase sums.
 
-use telemetry::{Phase, PhaseTimes};
-
-#[cfg(feature = "ledger")]
 use netsim::packet::JourneyStamps;
+use telemetry::{Phase, PhaseTimes};
 
 /// Per-flow bound on retained stall intervals (oldest evicted first).
 pub const STALL_RING: usize = 16;
@@ -78,6 +76,47 @@ pub enum RecoveryMode {
     Rto,
 }
 
+/// The engine's per-flow ledger slot. The engine calls `begin`,
+/// `on_arrival`, `on_rto`, `on_fast_retx` and `record` on it
+/// unconditionally; the `ledger` feature decides, here, whether the slot is a
+/// [`FlowLedger`] or the zero-sized [`NoLedger`] whose hooks are empty.
+#[cfg(feature = "ledger")]
+pub(crate) type FlowSlot = FlowLedger;
+#[cfg(not(feature = "ledger"))]
+pub(crate) type FlowSlot = NoLedger;
+
+/// The flow slot with the `ledger` feature off: zero-sized, every hook an
+/// empty inline body, no record.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoLedger;
+
+impl NoLedger {
+    /// Whether flows keep a ledger.
+    pub const ON: bool = false;
+
+    /// `FlowStart` executed (no-op).
+    #[inline]
+    pub fn begin(&mut self, _now_ns: u64) {}
+
+    /// A packet of the flow reached an endpoint (no-op).
+    #[inline]
+    pub fn on_arrival(&mut self, _now_ns: u64, _j: &JourneyStamps, _data_fwd: bool) {}
+
+    /// An RTO was attributed (no-op).
+    #[inline]
+    pub fn on_rto(&mut self, _now_ns: u64) {}
+
+    /// A delivered ACK triggered fast retransmission (no-op).
+    #[inline]
+    pub fn on_fast_retx(&mut self, _now_ns: u64) {}
+
+    /// The end-of-run record: there is none.
+    #[inline]
+    pub fn record(&self, _flow: u32, _end_ns: Option<u64>) -> Option<FlowLedgerRecord> {
+        None
+    }
+}
+
 /// One flow's live ledger state (embedded in the engine's flow runtime).
 #[derive(Clone, Debug, Default)]
 pub struct FlowLedger {
@@ -97,6 +136,9 @@ pub struct FlowLedger {
 }
 
 impl FlowLedger {
+    /// Whether flows keep a ledger.
+    pub const ON: bool = true;
+
     /// Opens the ledger at `FlowStart` execution time.
     pub fn begin(&mut self, now_ns: u64) {
         self.started = true;
@@ -248,6 +290,24 @@ impl FlowLedger {
             stalls: self.stalls.clone(),
         }
     }
+
+    /// Seals the ledger at the end of the run. This is where the tentpole
+    /// invariant is audited (under `strict-invariants`): for a completed
+    /// flow the per-arrival windows must tile [start, completion] exactly,
+    /// so Σ phases == FCT with zero unattributed time — across the full
+    /// fault grid, not just clean runs.
+    pub fn record(&self, flow: u32, end_ns: Option<u64>) -> Option<FlowLedgerRecord> {
+        let rec = self.to_record(flow, end_ns);
+        if cfg!(feature = "strict-invariants") {
+            debug_assert_eq!(
+                rec.residue(),
+                end_ns.map(|_| 0i128),
+                "flow {flow}: latency ledger not conserved ({:?})",
+                rec.phases
+            );
+        }
+        Some(rec)
+    }
 }
 
 /// One flow's sealed ledger, surfaced on `SimResult::ledger`.
@@ -335,10 +395,24 @@ mod tests {
         assert_eq!(idle.mode, RecoveryMode::Normal);
     }
 
+    /// "Off costs nothing" as an exact fact: the flow slot the engine
+    /// embeds per flow takes no room without the `ledger` feature.
+    #[test]
+    fn flow_slot_is_zero_sized_when_off() {
+        assert_eq!(std::mem::size_of::<NoLedger>(), 0);
+        if !FlowSlot::ON {
+            assert_eq!(std::mem::size_of::<FlowSlot>(), 0);
+        }
+        assert_eq!(FlowSlot::ON, JourneyStamps::ON, "slot and stamps agree");
+        let mut off = NoLedger;
+        off.begin(0);
+        off.on_rto(10);
+        assert!(off.record(0, Some(10)).is_none());
+    }
+
     #[cfg(feature = "ledger")]
     mod journeys {
         use super::*;
-        use netsim::packet::JourneyStamps;
 
         fn journey(
             origin: u64,
@@ -358,6 +432,30 @@ mod tests {
                 host_ns: host,
                 pause_ns: pause,
             }
+        }
+
+        /// The hooks the engine calls build the stamps the tests below
+        /// write by hand, and such a journey closes the ledger.
+        #[test]
+        fn stamps_built_through_the_hooks_close_the_ledger() {
+            let mut j = JourneyStamps::default();
+            j.start(1_000, 0);
+            j.wait_end(1_050, 0, true);
+            j.on_wire(100, 200);
+            j.wait_begin(1_350, 30);
+            j.wait_end(1_600, 130, false);
+            j.on_wire(100, 200);
+            let want = JourneyStamps {
+                wait_since_ns: 1_350,
+                pause_cum_ns: 30,
+                ..journey(1_000, 200, 400, 150, 50, 100)
+            };
+            assert_eq!(j, want);
+            let mut lg = FlowLedger::default();
+            lg.begin(1_000);
+            lg.on_arrival(1_900, &j, true);
+            let rec = lg.record(0, Some(1_900)).expect("the ledger is on");
+            assert_eq!(rec.residue(), Some(0));
         }
 
         #[test]

@@ -1,4 +1,9 @@
-//! Strict-invariant conservation ledger for the engine (feature-gated).
+//! Strict-invariant conservation ledger for the engine.
+//!
+//! [`ConservationLedger`] is always compiled and the engine calls its hooks
+//! unconditionally; the `strict-invariants` cargo feature is named only in
+//! this file, as [`ConservationLedger::ON`]. Off, every hook returns on its
+//! first line and nothing is allocated.
 //!
 //! The engine moves every frame through the same narrow waist — serialized
 //! at a port, destroyed on a faulty wire, delivered to a switch or an
@@ -18,7 +23,7 @@
 //!
 //! Every [`telemetry::DropWhy`] variant is matched exhaustively in
 //! [`ConservationLedger::account_drop`], so adding a drop reason without
-//! deciding how it is accounted is a compile error here and a simlint D5
+//! deciding how it is accounted is a compile error here and a simlint E1
 //! finding at the source level.
 
 use telemetry::DropWhy;
@@ -66,23 +71,37 @@ pub struct ConservationLedger {
 }
 
 impl ConservationLedger {
+    /// Whether the ledger is compiled in. Every hook opens with `if
+    /// !Self::ON { return; }`: one body per hook, none of it in the default
+    /// build.
+    pub const ON: bool = cfg!(feature = "strict-invariants");
+
     /// A ledger for a topology with `links` unidirectional links.
+    #[inline]
     pub fn new(links: usize) -> ConservationLedger {
         ConservationLedger {
-            links: vec![LinkLedger::default(); links],
+            links: vec![LinkLedger::default(); if Self::ON { links } else { 0 }],
             drops: [0; 5],
         }
     }
 
     /// A frame began serialization on `link`.
+    #[inline]
     pub fn on_tx(&mut self, link: usize, bytes: u32) {
+        if !Self::ON {
+            return;
+        }
         let l = &mut self.links[link];
         l.tx_frames += 1;
         l.tx_bytes += u64::from(bytes);
     }
 
     /// The frame died on the wire at serialization time.
+    #[inline]
     pub fn on_tx_dropped(&mut self, link: usize, bytes: u32, why: DropWhy) {
+        if !Self::ON {
+            return;
+        }
         let l = &mut self.links[link];
         l.txdrop_frames += 1;
         l.txdrop_bytes += u64::from(bytes);
@@ -90,14 +109,22 @@ impl ConservationLedger {
     }
 
     /// The frame's delivery event was scheduled.
+    #[inline]
     pub fn on_scheduled(&mut self, link: usize, bytes: u32) {
+        if !Self::ON {
+            return;
+        }
         let l = &mut self.links[link];
         l.sched_frames += 1;
         l.sched_bytes += u64::from(bytes);
     }
 
     /// The frame's delivery event fired at the receiving end of `link`.
+    #[inline]
     pub fn on_arrival(&mut self, link: usize, bytes: u32) {
+        if !Self::ON {
+            return;
+        }
         let l = &mut self.links[link];
         l.arr_frames += 1;
         l.arr_bytes += u64::from(bytes);
@@ -105,7 +132,11 @@ impl ConservationLedger {
 
     /// A frame that had arrived was dropped (destroyed at arrival on a
     /// downed link or a stale path, or rejected by the switch MMU).
+    #[inline]
     pub fn account_drop(&mut self, why: DropWhy) {
+        if !Self::ON {
+            return;
+        }
         self.drops[drop_slot(why)] += 1;
     }
 
@@ -113,6 +144,9 @@ impl ConservationLedger {
     /// the cross-check of engine-side drop counts against the run's
     /// [`AggregateStats`].
     pub fn audit_final(&self, agg: &AggregateStats) {
+        if !Self::ON {
+            return;
+        }
         for (i, l) in self.links.iter().enumerate() {
             debug_assert_eq!(
                 l.tx_frames,
@@ -157,7 +191,7 @@ impl ConservationLedger {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "strict-invariants"))]
 mod tests {
     use super::*;
 

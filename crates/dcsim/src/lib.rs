@@ -33,11 +33,12 @@
 
 mod config;
 mod engine;
+// The three compile-time observers. Always compiled: each names its cargo
+// feature inside its own file and is a no-op (zero-sized where it rides in a
+// packet or a flow) when that feature is off — DESIGN §16 "Observer seam".
 pub mod latency;
-#[cfg(feature = "strict-invariants")]
 pub mod ledger;
 mod metrics;
-#[cfg(feature = "profile")]
 pub mod profile;
 
 pub use config::{small_single_switch, FlowSpec, SimConfig, SwitchParams, TltSettings};

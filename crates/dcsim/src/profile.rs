@@ -1,8 +1,13 @@
 //! The event-level engine profiler (feature `profile`).
 //!
-//! Compiled in only under the `profile` cargo feature — the same zero-cost
-//! discipline as `strict-invariants` — and collected unconditionally while
-//! enabled, so a profiling build of `bench_baseline` needs no extra flags.
+//! The engine calls [`EngineProf`]'s hooks unconditionally; the `profile`
+//! cargo feature is named only in this file, where it picks the type: the
+//! profiler below, collected on every run so a profiling build of any binary
+//! needs no flag beyond `--profile-out`, or a zero-sized twin whose hooks are
+//! empty inline bodies and whose `seal` returns `None`. (A twin, not one
+//! body per hook behind a constant as in `ledger.rs`: the profiler owns
+//! histograms and series, and a struct that owns heap state leaves its drop
+//! glue in the default binary even when nothing ever fills it.)
 //!
 //! The profiler answers the question ROADMAP items 1–2 keep asking: where
 //! do the engine's millions of events per second actually go? It tracks,
@@ -18,7 +23,7 @@
 //!   scheduled. Wall-clock per event would break the determinism contract
 //!   (and simlint D2); fan-out is the deterministic cost proxy that
 //!   correlates with handler work, and the wall side lives in
-//!   `bench::simprof` where clocks are allowed.
+//!   `benchmark/`, where clocks are allowed.
 //! * **per-component tallies** (switch / link / transport / timer / fault /
 //!   sampler), splitting `Deliver` by where the frame landed — the per-LP
 //!   accounting a conservative-PDES shard split will need.
@@ -30,8 +35,10 @@
 //! Everything is integer and BTreeMap-ordered, so the exported
 //! `tlt-profile/v1` JSON is byte-identical across `--jobs N`.
 
-use eventsim::SimTime;
-use telemetry::{Hist, Profile, TimeSeries, SERIES_BASE_WINDOW_NS};
+use eventsim::{EventQueue, SimTime};
+use telemetry::Profile;
+#[cfg(feature = "profile")]
+use telemetry::{Hist, TimeSeries, SERIES_BASE_WINDOW_NS};
 
 /// Number of event kinds in [`EvKind::ALL`].
 pub const N_KINDS: usize = 10;
@@ -92,8 +99,9 @@ impl EvKind {
         }
     }
 
+    /// Position in [`EvKind::ALL`].
     #[inline]
-    fn idx(self) -> usize {
+    pub fn idx(self) -> usize {
         self as usize
     }
 }
@@ -101,6 +109,7 @@ impl EvKind {
 /// Per-run profiler state, owned by the engine (created in `Engine::new`
 /// like the strict-invariants ledger, so constructor-time scheduling is
 /// counted too).
+#[cfg(feature = "profile")]
 pub(crate) struct EngineProf {
     sched: [u64; N_KINDS],
     popped: [u64; N_KINDS],
@@ -108,11 +117,11 @@ pub(crate) struct EngineProf {
     unpopped: [u64; N_KINDS],
     fanout: [Hist; N_KINDS],
     depth: Hist,
-    pub(crate) deliver_endpoint: u64,
-    pub(crate) deliver_transit: u64,
-    pub(crate) deliver_destroyed: u64,
-    pub(crate) disarm_sweeps: u64,
-    pub(crate) disarm_cancels: u64,
+    deliver_endpoint: u64,
+    deliver_transit: u64,
+    deliver_destroyed: u64,
+    disarm_sweeps: u64,
+    disarm_cancels: u64,
     /// `Deliver` events scheduled but not yet popped — frames on the wire.
     inflight: u64,
     /// Next sim-time (ns) at which to sample the gauge series.
@@ -122,6 +131,7 @@ pub(crate) struct EngineProf {
     s_qbytes: TimeSeries,
 }
 
+#[cfg(feature = "profile")]
 impl EngineProf {
     pub(crate) fn new() -> EngineProf {
         EngineProf {
@@ -194,12 +204,61 @@ impl EngineProf {
         self.next_window = (t.as_ns() / SERIES_BASE_WINDOW_NS + 1) * SERIES_BASE_WINDOW_NS;
     }
 
-    /// Seals the run into a [`Profile`]. `peak`/`pushes`/`pops` come from
-    /// the event queue's own (feature-gated) health counters; `pops` is
-    /// snapshotted before the end-of-run drain that feeds `on_unpopped`.
-    /// Every name is always written, even at zero, so the exported schema
-    /// is identical across runs and configurations.
-    pub(crate) fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
+    /// A `Deliver` handed its frame to a flow endpoint.
+    #[inline]
+    pub(crate) fn deliver_endpoint(&mut self) {
+        self.deliver_endpoint += 1;
+    }
+
+    /// A `Deliver` enqueued (or dropped) its frame at a transit switch.
+    #[inline]
+    pub(crate) fn deliver_transit(&mut self) {
+        self.deliver_transit += 1;
+    }
+
+    /// A `Deliver` found its wire down or its path rerouted away.
+    #[inline]
+    pub(crate) fn deliver_destroyed(&mut self) {
+        self.deliver_destroyed += 1;
+    }
+
+    /// A completed flow's timer slots were swept.
+    #[inline]
+    pub(crate) fn disarm_sweep(&mut self) {
+        self.disarm_sweeps += 1;
+    }
+
+    /// That sweep found a slot armed and cancelled it.
+    #[inline]
+    pub(crate) fn disarm_cancel(&mut self) {
+        self.disarm_cancels += 1;
+    }
+
+    /// Seals the run: everything still queued (post-horizon samples,
+    /// disarmed timers, events orphaned by the all-flows-done break) is
+    /// cancelled-by-truncation, drained here through `kind`. The queue's
+    /// health counters (`eventsim/profile` only) are snapshotted first so
+    /// the accounting drain itself isn't measured.
+    pub(crate) fn seal<E>(
+        &mut self,
+        queue: &mut EventQueue<E>,
+        kind: impl Fn(&E) -> EvKind,
+    ) -> Option<Profile> {
+        let peak = queue.peak_len() as u64;
+        let pushes = queue.scheduled_total();
+        let pops = queue.pops_total();
+        while let Some((_, ev)) = queue.pop() {
+            self.on_unpopped(kind(&ev));
+        }
+        Some(self.finish(peak, pushes, pops))
+    }
+
+    /// Builds the [`Profile`]. `peak`/`pushes`/`pops` come from the event
+    /// queue's own (feature-gated) health counters; `pops` is snapshotted
+    /// before the end-of-run drain that feeds `on_unpopped`. Every name is
+    /// always written, even at zero, so the exported schema is identical
+    /// across runs and configurations.
+    fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
         let mut p = Profile::new();
         let exec = |s: &Self, k: EvKind| s.popped[k.idx()] - s.stale[k.idx()];
 
@@ -284,6 +343,53 @@ impl EngineProf {
     }
 }
 
+/// [`EngineProf`] with the `profile` feature off: zero-sized, every hook an
+/// empty inline body, no profile. The engine calls every hook in every
+/// build, so one missing or mistyped here fails the default build.
+#[cfg(not(feature = "profile"))]
+pub(crate) struct EngineProf;
+
+#[cfg(not(feature = "profile"))]
+impl EngineProf {
+    #[inline]
+    pub(crate) fn new() -> EngineProf {
+        EngineProf
+    }
+    #[inline]
+    pub(crate) fn on_sched(&mut self, _: EvKind) {}
+    #[inline]
+    pub(crate) fn on_pop(&mut self, _: EvKind, _: SimTime, _fanout: u64, _depth: u64) {}
+    #[inline]
+    pub(crate) fn note_stale_timer(&mut self) {}
+    #[inline]
+    pub(crate) fn on_unpopped(&mut self, _: EvKind) {}
+    /// Never: so the caller's queue-bytes sample is not computed either.
+    #[inline]
+    pub(crate) fn window_due(&self, _: SimTime) -> bool {
+        false
+    }
+    #[inline]
+    pub(crate) fn on_window(&mut self, _: SimTime, _queue_bytes: u64) {}
+    #[inline]
+    pub(crate) fn deliver_endpoint(&mut self) {}
+    #[inline]
+    pub(crate) fn deliver_transit(&mut self) {}
+    #[inline]
+    pub(crate) fn deliver_destroyed(&mut self) {}
+    #[inline]
+    pub(crate) fn disarm_sweep(&mut self) {}
+    #[inline]
+    pub(crate) fn disarm_cancel(&mut self) {}
+    #[inline]
+    pub(crate) fn seal<E>(
+        &mut self,
+        _: &mut EventQueue<E>,
+        _: impl Fn(&E) -> EvKind,
+    ) -> Option<Profile> {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +405,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "profile")]
     fn finish_reports_invariant_totals() {
         let mut prof = EngineProf::new();
         prof.on_sched(EvKind::FlowStart);
@@ -307,7 +414,7 @@ mod tests {
         prof.on_sched(EvKind::Timer);
         prof.on_pop(EvKind::FlowStart, SimTime::from_ns(10), 1, 3);
         prof.on_pop(EvKind::Deliver, SimTime::from_ns(20), 0, 2);
-        prof.deliver_endpoint += 1;
+        prof.deliver_endpoint();
         prof.on_pop(EvKind::Timer, SimTime::from_ns(30), 0, 1);
         prof.note_stale_timer();
         prof.on_unpopped(EvKind::Timer);

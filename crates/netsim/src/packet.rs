@@ -98,35 +98,120 @@ pub struct IntHop {
     pub rate_bps: u64,
 }
 
-/// Latency-ledger journey stamps carried by every in-flight packet (`ledger`
-/// feature only). The engine stamps the journey origin when the packet
-/// enters the host source queue and accumulates per-phase nanoseconds as the
-/// packet moves: wait time is measured at the host/switch dequeue sites
-/// (with the port's cumulative PFC pause time snapshotted at wait entry so
-/// the paused share can be split out exactly), serialization and propagation
-/// at the link-transmission site. On arrival at the endpoint the five
-/// journey phases sum to `now - origin_ns` exactly — the per-packet half of
-/// the ledger's conservation invariant.
+// The latency ledger's per-packet observer. The engine calls its four hooks
+// unconditionally; the `ledger` feature decides, here and nowhere else,
+// whether they do anything. Off, the type is zero-sized and the hooks are
+// empty inline bodies, so a packet carries not one byte for it.
 #[cfg(feature = "ledger")]
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct JourneyStamps {
-    /// When the packet entered the host source queue (journey origin, ns).
-    pub origin_ns: u64,
-    /// When the packet entered the queue it currently waits in (ns).
-    pub wait_since_ns: u64,
-    /// The waited-on port's cumulative pause time at wait entry (ns).
-    pub pause_cum_ns: u64,
-    /// Nanoseconds spent serializing onto links so far.
-    pub serialize_ns: u64,
-    /// Nanoseconds spent in flight across links so far.
-    pub propagate_ns: u64,
-    /// Nanoseconds waiting in switch egress FIFOs (pause share excluded).
-    pub queue_ns: u64,
-    /// Nanoseconds blocked behind a PFC pause (host or switch egress).
-    pub pause_ns: u64,
-    /// Nanoseconds waiting in the host source queue (pause share excluded).
-    pub host_ns: u64,
+mod journey {
+    /// Latency-ledger journey stamps, carried by every in-flight packet as
+    /// `Packet::lg`. The engine stamps the journey origin when the packet
+    /// enters the host source queue and accumulates per-phase nanoseconds
+    /// as the packet moves: wait time is measured at the host/switch
+    /// dequeue sites (with the port's cumulative PFC pause time snapshotted
+    /// at wait entry so the paused share can be split out exactly),
+    /// serialization and propagation at the link-transmission site. On
+    /// arrival at the endpoint the five journey phases sum to `now -
+    /// origin_ns` exactly — the per-packet half of the ledger's
+    /// conservation invariant.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    pub struct JourneyStamps {
+        /// When the packet entered the host source queue (journey origin, ns).
+        pub origin_ns: u64,
+        /// When the packet entered the queue it currently waits in (ns).
+        pub wait_since_ns: u64,
+        /// The waited-on port's cumulative pause time at wait entry (ns).
+        pub pause_cum_ns: u64,
+        /// Nanoseconds spent serializing onto links so far.
+        pub serialize_ns: u64,
+        /// Nanoseconds spent in flight across links so far.
+        pub propagate_ns: u64,
+        /// Nanoseconds waiting in switch egress FIFOs (pause share excluded).
+        pub queue_ns: u64,
+        /// Nanoseconds blocked behind a PFC pause (host or switch egress).
+        pub pause_ns: u64,
+        /// Nanoseconds waiting in the host source queue (pause share excluded).
+        pub host_ns: u64,
+    }
+
+    impl JourneyStamps {
+        /// Whether the stamps are compiled in.
+        pub const ON: bool = true;
+
+        /// Journey origin: the packet enters its host's source queue at
+        /// `now_ns`; the NIC has been paused `pause_cum_ns` so far.
+        #[inline]
+        pub fn start(&mut self, now_ns: u64, pause_cum_ns: u64) {
+            self.origin_ns = now_ns;
+            self.wait_begin(now_ns, pause_cum_ns);
+        }
+
+        /// Wait-begin: the packet enters an egress queue at `now_ns`; the
+        /// port has been paused `pause_cum_ns` so far.
+        #[inline]
+        pub fn wait_begin(&mut self, now_ns: u64, pause_cum_ns: u64) {
+            self.wait_since_ns = now_ns;
+            self.pause_cum_ns = pause_cum_ns;
+        }
+
+        /// Wait-close: the packet leaves the queue at `now_ns`, from a port
+        /// that is unpaused now and has been paused `pause_cum_ns` in all,
+        /// so the cumulative counter alone bounds how much of the wait was
+        /// PFC back-pressure; the rest is host/pacing wait at a NIC
+        /// (`at_host`) or switch queueing at a switch.
+        #[inline]
+        pub fn wait_end(&mut self, now_ns: u64, pause_cum_ns: u64, at_host: bool) {
+            let waited = now_ns - self.wait_since_ns;
+            let paused = pause_cum_ns.saturating_sub(self.pause_cum_ns).min(waited);
+            self.pause_ns += paused;
+            if at_host {
+                self.host_ns += waited - paused;
+            } else {
+                self.queue_ns += waited - paused;
+            }
+        }
+
+        /// Journey contiguity: dequeue at `now`, arrival at `now + tx +
+        /// delay` — accumulating exactly those two terms keeps the journey's
+        /// phase sum equal to arrival − origin with no gap.
+        #[inline]
+        pub fn on_wire(&mut self, tx_ns: u64, delay_ns: u64) {
+            self.serialize_ns += tx_ns;
+            self.propagate_ns += delay_ns;
+        }
+    }
 }
+
+#[cfg(not(feature = "ledger"))]
+mod journey {
+    /// Latency-ledger journey stamps with the `ledger` feature off:
+    /// zero-sized, every hook an empty inline body.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    pub struct JourneyStamps;
+
+    impl JourneyStamps {
+        /// Whether the stamps are compiled in.
+        pub const ON: bool = false;
+
+        /// Journey origin (no-op).
+        #[inline]
+        pub fn start(&mut self, _now_ns: u64, _pause_cum_ns: u64) {}
+
+        /// Wait-begin (no-op).
+        #[inline]
+        pub fn wait_begin(&mut self, _now_ns: u64, _pause_cum_ns: u64) {}
+
+        /// Wait-close (no-op).
+        #[inline]
+        pub fn wait_end(&mut self, _now_ns: u64, _pause_cum_ns: u64, _at_host: bool) {}
+
+        /// Link transmission (no-op).
+        #[inline]
+        pub fn on_wire(&mut self, _tx_ns: u64, _delay_ns: u64) {}
+    }
+}
+
+pub use journey::JourneyStamps;
 
 /// Fixed L2+L3+L4 header overhead added to every packet's wire size (bytes).
 pub const HEADER_BYTES: u32 = 48;
@@ -190,8 +275,8 @@ pub struct Packet {
     /// a loss record can tell pre-timeout losses from retransmission-round
     /// losses without storing per-packet history.
     pub epoch: u32,
-    /// Latency-ledger journey stamps (`ledger` feature only).
-    #[cfg(feature = "ledger")]
+    /// Latency-ledger journey stamps (zero-sized unless the `ledger`
+    /// feature is on).
     pub lg: JourneyStamps,
 }
 
@@ -218,8 +303,7 @@ impl Packet {
             is_retx: false,
             is_tail: false,
             epoch: 0,
-            #[cfg(feature = "ledger")]
-            lg: JourneyStamps::default(),
+            lg: Default::default(),
         }
     }
 
@@ -406,6 +490,42 @@ mod tests {
         let r = slab.insert(Packet::ack(FlowId(0), 0));
         let _ = slab.take(r);
         let _ = slab.take(r);
+    }
+
+    /// "Off costs nothing" as an exact fact: without the `ledger` feature
+    /// the journey stamps take no room in a packet.
+    #[test]
+    fn journey_stamps_are_zero_sized_when_off() {
+        if !JourneyStamps::ON {
+            assert_eq!(std::mem::size_of::<JourneyStamps>(), 0);
+            assert_eq!(std::mem::size_of::<Packet>(), 96);
+        } else {
+            assert_eq!(std::mem::size_of::<JourneyStamps>(), 64);
+        }
+    }
+
+    /// The per-packet half of the conservation invariant, through the
+    /// hooks the engine calls: host wait (part of it paused), a first
+    /// link, a switch queue (the whole wait paused, and a pause counter
+    /// that ran further than the wait), a second link.
+    #[test]
+    #[cfg(feature = "ledger")]
+    fn journey_phases_sum_to_arrival_minus_origin() {
+        let mut j = JourneyStamps::default();
+        j.start(1_000, 40);
+        j.wait_end(1_300, 140, true);
+        assert_eq!((j.host_ns, j.pause_ns, j.queue_ns), (200, 100, 0));
+        j.on_wire(300, 10_000);
+        j.wait_begin(11_600, 7);
+        j.wait_end(11_650, 90, false);
+        assert_eq!((j.host_ns, j.pause_ns, j.queue_ns), (200, 150, 0));
+        j.on_wire(300, 2_000);
+        let arrival = 11_650 + 300 + 2_000;
+        assert_eq!(j.origin_ns, 1_000);
+        assert_eq!(
+            j.serialize_ns + j.propagate_ns + j.queue_ns + j.host_ns + j.pause_ns,
+            arrival - j.origin_ns
+        );
     }
 
     #[test]

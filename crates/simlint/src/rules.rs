@@ -6,7 +6,7 @@
 //! the D-rules (it still participates in the cross-file E/S rules and L1).
 //! `bench` is exempt from everything *except* a narrowed D2: wall-clock
 //! reads (`Instant`/`SystemTime`) in the harness must flow through the
-//! sanctioned profiling modules (`bench::simprof`, `bench::baseline`).
+//! sanctioned timing module (`bench::profiler`).
 //! `simlint` lints itself under D1–D3 (its fixtures, which deliberately
 //! embed violating text, stay exempt via the tree walk).
 //!
@@ -107,13 +107,10 @@ const D4_FILES: [&str; 3] = [
 const D3_EXEMPT: &str = "crates/stats/src/percentile.rs";
 
 /// Bench-crate files sanctioned to read wall clocks (the narrowed D2 for
-/// the harness layer): the scope profiler itself and the provenance/timing
-/// module that wraps it (`profiler::timed` is the baseline suite's timer).
-/// Everything else in `bench` must route timing through these.
-const D2_BENCH_WALLCLOCK_OK: [&str; 2] = [
-    "crates/bench/src/profiler.rs",
-    "crates/bench/src/simprof.rs",
-];
+/// the harness layer): the provenance/timing module (`profiler::timed` is
+/// the baseline suite's timer). Everything else in `bench` must route
+/// timing through it.
+const D2_BENCH_WALLCLOCK_OK: [&str; 1] = ["crates/bench/src/profiler.rs"];
 
 pub(crate) fn crate_of(rel: &str) -> Option<&str> {
     let rest = rel.strip_prefix("crates/")?;
@@ -293,9 +290,8 @@ fn d2_bench(rel: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFindi
                 "D2",
                 "wallclock",
                 format!(
-                    "std::time::{} read outside the sanctioned harness timing modules; \
-                     route wall-clock profiling through bench::simprof (or time whole \
-                     suites in bench::baseline)",
+                    "std::time::{} read outside the sanctioned harness timing module; \
+                     route wall-clock timing through bench::profiler",
                     tok.text
                 ),
             ));

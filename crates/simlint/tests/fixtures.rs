@@ -157,7 +157,7 @@ fn d2_bench_flags_wallclock_outside_sanctioned_modules() {
          fn u() { let e = std::time::SystemTime::now(); }\n",
     )]);
     assert_eq!(rules(&f), ["D2", "D2"]);
-    assert!(f[0].msg.contains("bench::simprof"), "{}", f[0].msg);
+    assert!(f[0].msg.contains("bench::profiler"), "{}", f[0].msg);
 
     // baseline.rs lost its sanction when its timer moved into profiler.rs;
     // a wall-clock read reappearing there must be flagged again.
@@ -169,13 +169,12 @@ fn d2_bench_flags_wallclock_outside_sanctioned_modules() {
 }
 
 #[test]
-fn d2_bench_allows_simprof_profiler_env_and_tests() {
+fn d2_bench_allows_profiler_env_and_tests() {
     let wallclock = "fn t() { let w = std::time::Instant::now(); }\n";
     let f = lint(&[
-        // The sanctioned harness timing modules.
-        ("crates/bench/src/simprof.rs", wallclock),
+        // The sanctioned harness timing module.
         ("crates/bench/src/profiler.rs", wallclock),
-        // Micro-benches are a test-only location.
+        // `benches/` is a test-only location.
         ("crates/bench/benches/micro.rs", wallclock),
         // env/thread reads stay legal in the harness (CLI + worker pool).
         (
