@@ -3,7 +3,7 @@
 use eventsim::SimTime;
 use faults::FaultSchedule;
 use netsim::switch::EcnConfig;
-use netsim::topology::TopologySpec;
+use netsim::topology::{TopologyError, TopologySpec};
 use netsim::LinkSpec;
 use tlt_core::ClockingPolicy;
 use transport::{RtoMode, TransportKind};
@@ -52,6 +52,111 @@ impl FlowSpec {
     pub fn after(mut self, parent: u32) -> FlowSpec {
         self.after = Some(parent);
         self
+    }
+}
+
+/// Why an engine cannot be built from a [`SimConfig`] and its flows.
+///
+/// Returned by [`Engine::try_new`](crate::Engine::try_new);
+/// [`Engine::new`](crate::Engine::new) panics with the same message. Flows
+/// and faults are named by their index in the list they came in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ConfigError {
+    /// The topology spec is degenerate.
+    Topology(TopologyError),
+    /// A flow endpoint is not a host index of the topology.
+    HostOutOfRange {
+        /// The offending flow.
+        flow: usize,
+        /// The host index it names.
+        host: usize,
+        /// Hosts the topology has.
+        hosts: usize,
+    },
+    /// A flow from a host to itself.
+    SameEndpoints {
+        /// The offending flow.
+        flow: usize,
+        /// The host index that is both ends.
+        host: usize,
+    },
+    /// [`FlowSpec::after`] names a flow that does not precede this one.
+    TriggerNotEarlier {
+        /// The offending flow.
+        flow: usize,
+        /// The flow index it waits for.
+        parent: u32,
+    },
+    /// A fault aimed at a node the topology does not have.
+    FaultNodeOutOfRange {
+        /// The offending fault-schedule entry.
+        fault: usize,
+        /// The node it names.
+        node: u32,
+        /// Nodes the topology has.
+        nodes: usize,
+    },
+    /// A fault aimed at a port its node does not have.
+    FaultPortOutOfRange {
+        /// The offending fault-schedule entry.
+        fault: usize,
+        /// The node it names.
+        node: u32,
+        /// The port it names.
+        port: u32,
+        /// Ports that node has.
+        ports: usize,
+    },
+    /// A pause storm aimed at a host: only a switch ingress sends PFC.
+    StormAtHost {
+        /// The offending fault-schedule entry.
+        fault: usize,
+        /// The host node it names.
+        node: u32,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::Topology(e) => write!(f, "{e}"),
+            ConfigError::HostOutOfRange { flow, host, hosts } => {
+                write!(f, "flow {flow}: host {host} out of range ({hosts} hosts)")
+            }
+            ConfigError::SameEndpoints { flow, host } => {
+                write!(f, "flow {flow}: src == dst (host {host})")
+            }
+            ConfigError::TriggerNotEarlier { flow, parent } => {
+                write!(
+                    f,
+                    "flow {flow}: completion trigger {parent} must precede it"
+                )
+            }
+            ConfigError::FaultNodeOutOfRange { fault, node, nodes } => {
+                write!(f, "fault {fault}: node {node} out of range ({nodes} nodes)")
+            }
+            ConfigError::FaultPortOutOfRange {
+                fault,
+                node,
+                port,
+                ports,
+            } => write!(
+                f,
+                "fault {fault}: port {port} out of range for node {node} ({ports} ports)"
+            ),
+            ConfigError::StormAtHost { fault, node } => write!(
+                f,
+                "fault {fault}: pause storms target a switch ingress, node {node} is a host"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<TopologyError> for ConfigError {
+    fn from(e: TopologyError) -> ConfigError {
+        ConfigError::Topology(e)
     }
 }
 

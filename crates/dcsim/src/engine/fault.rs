@@ -107,8 +107,12 @@ impl Engine {
                 let (pf, pr) = self.topo.pin_paths(src, dst, hash);
                 if path_up(&self.topo, &self.faults, &pf) && path_up(&self.topo, &self.faults, &pr)
                 {
-                    self.flows[i].path_fwd = pf;
-                    self.flows[i].path_rev = pr;
+                    self.flows[i].path_fwd = pf.into_boxed_slice();
+                    self.flows[i].path_rev = pr.into_boxed_slice();
+                    // Cleared, never rewritten: frames of this flow may
+                    // still be in flight on the old path, and only the
+                    // path walk tells them from frames on the new one.
+                    self.routes[i] = FlowRoute::default();
                     ok = true;
                     break;
                 }
@@ -177,6 +181,24 @@ mod tests {
         assert_eq!(res.agg.timeouts, 0, "recovery did not need an RTO");
         assert!(res.agg.fast_retx > 0, "fast retransmit repaired the hole");
         assert_eq!(res.agg.faults_injected, 2, "down + up both applied");
+    }
+
+    /// A frame on the wire when its link goes down is destroyed where it
+    /// arrives. `deliver` names the ingress link only once a fault has
+    /// cleared `FaultState`'s quiet flag; were that test lost, this frame
+    /// would reach the receiver and the one drop would be its ACK instead.
+    #[test]
+    fn frame_in_flight_on_a_downed_link_is_destroyed_at_arrival() {
+        let mut cfg =
+            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
+        cfg.max_time = SimTime::from_ms(1);
+        // Host index 0 is node 1. Its one-frame flow leaves at 0 and is 10 us
+        // on the wire; the link dies under it at 5 us.
+        cfg.faults = faults::FaultSchedule::new().link_down(SimTime::from_us(5), 1, 0);
+        let res = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]).run();
+        assert_eq!(res.agg.data_pkts_sent, 1, "no RTO inside the horizon");
+        assert_eq!(res.agg.down_drops, 1);
+        assert!(res.flows[0].end.is_none(), "the receiver never saw it");
     }
 
     #[test]

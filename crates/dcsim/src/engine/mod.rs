@@ -4,8 +4,9 @@
 //! code already had (DESIGN §16 "Engine modules"): construction
 //! (`setup.rs`), the wire path (`wire.rs`), timers and transport actions
 //! (`timers.rs`), fault application and reroute (`fault.rs`), RTO forensics
-//! (`forensics.rs`) and results (`results.rs`). This file keeps the types
-//! they share, `sched`, and the run loop.
+//! (`forensics.rs`), results (`results.rs`) and the per-flow route table
+//! (`route.rs`). This file keeps the types they share, `sched`, and the run
+//! loop.
 //!
 //! The three compile-time observers — `profile::EngineProf`,
 //! `ledger::ConservationLedger`, and the latency ledger's flow slot and
@@ -29,7 +30,7 @@ use transport::roce::{RoceCfg, RoceReceiver, RoceRecovery, RoceSender};
 use transport::tcp::{TcpReceiver, WindowCfg, WindowSender};
 use transport::TransportKind;
 
-use crate::config::{FlowSpec, SimConfig};
+use crate::config::{ConfigError, FlowSpec, SimConfig};
 use crate::latency::FlowSlot;
 use crate::ledger::ConservationLedger;
 use crate::metrics::PortMetrics;
@@ -38,6 +39,7 @@ use crate::profile::{EngineProf, EvKind};
 mod fault;
 mod forensics;
 mod results;
+mod route;
 mod setup;
 mod timers;
 mod wire;
@@ -46,8 +48,15 @@ pub use self::forensics::RtoForensicRec;
 pub use self::results::{AggregateStats, SimResult};
 
 use self::forensics::{LossEvent, PauseEpisode, PAUSE_LOG};
+use self::route::FlowRoute;
 use self::timers::TIMER_KINDS;
 use self::wire::{PauseAcct, Port};
+
+/// Whether the engine audits its derived tables against their sources — the
+/// port table against [`Topology`] at construction, every route-table hit
+/// against the path walk: debug builds, and release builds with the
+/// invariant auditors on.
+const CHECK_PORT_TABLE: bool = cfg!(debug_assertions) || ConservationLedger::ON;
 
 enum Event {
     FlowStart(u32),
@@ -107,8 +116,9 @@ struct FlowRuntime {
     spec: FlowSpec,
     src: NodeId,
     dst: NodeId,
-    path_fwd: Vec<Hop>,
-    path_rev: Vec<Hop>,
+    /// The pinned paths; only ever replaced whole (`reroute_flows`).
+    path_fwd: Box<[Hop]>,
+    path_rev: Box<[Hop]>,
     sender: Box<dyn FlowSender>,
     receiver: Box<dyn FlowReceiver>,
     timer_gen: [u64; TIMER_KINDS.len()],
@@ -142,6 +152,17 @@ struct FlowRuntime {
     lg: FlowSlot,
 }
 
+impl FlowRuntime {
+    /// The pinned path packets travelling `dir` follow.
+    #[inline]
+    fn path(&self, dir: Direction) -> &[Hop] {
+        match dir {
+            Direction::Fwd => &self.path_fwd,
+            Direction::Rev => &self.path_rev,
+        }
+    }
+}
+
 /// The simulation engine. See the crate docs for an end-to-end example.
 pub struct Engine {
     cfg: SimConfig,
@@ -157,6 +178,9 @@ pub struct Engine {
     port_base: Vec<u32>,
     host_q: Vec<std::collections::VecDeque<PacketRef>>,
     flows: Vec<FlowRuntime>,
+    /// The route table, on the flow index: what a transit hop reads in
+    /// place of `flows[f]` and its path.
+    routes: Vec<FlowRoute>,
     /// Flow-completion callbacks: `dependents[p]` lists the flows whose
     /// `FlowSpec::after == Some(p)`; their FlowStart is scheduled when `p`
     /// completes (fan-out/fan-in request chains). Drained on fire.

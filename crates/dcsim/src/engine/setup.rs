@@ -4,19 +4,24 @@
 
 use super::*;
 
-/// Whether construction audits the port table against [`Topology`]: debug
-/// builds, and release builds with the invariant auditors on.
-const CHECK_PORT_TABLE: bool = cfg!(debug_assertions) || ConservationLedger::ON;
-
 impl Engine {
     /// Builds an engine for `cfg` over the given flows.
     ///
     /// # Panics
     ///
-    /// Panics if a flow references a host index that does not exist or has
-    /// `src == dst`.
+    /// Panics, with the [`ConfigError`]'s message, on anything
+    /// [`Engine::try_new`] rejects.
     pub fn new(cfg: SimConfig, specs: Vec<FlowSpec>) -> Engine {
-        let topo = cfg.topology.build();
+        Engine::try_new(cfg, specs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds an engine for `cfg` over the given flows, rejecting a
+    /// degenerate topology, a flow whose endpoints are not two distinct
+    /// hosts or whose completion trigger does not precede it, and a fault
+    /// aimed at a node or port that does not exist (or a pause storm at a
+    /// host) with a typed error instead of a panic.
+    pub fn try_new(cfg: SimConfig, specs: Vec<FlowSpec>) -> Result<Engine, ConfigError> {
+        let topo = cfg.topology.try_build()?;
         let hosts = topo.hosts().to_vec();
         let n_nodes = topo.node_count();
 
@@ -103,30 +108,38 @@ impl Engine {
         // at each local schedule site.
         let mut prof = EngineProf::new();
         let mut flows = Vec::with_capacity(specs.len());
+        let mut routes = Vec::with_capacity(specs.len());
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
         for (i, spec) in specs.into_iter().enumerate() {
-            for h in [spec.src, spec.dst] {
-                assert!(
-                    h < hosts.len(),
-                    "flow {i}: host {h} out of range ({} hosts)",
-                    hosts.len()
-                );
+            for host in [spec.src, spec.dst] {
+                if host >= hosts.len() {
+                    return Err(ConfigError::HostOutOfRange {
+                        flow: i,
+                        host,
+                        hosts: hosts.len(),
+                    });
+                }
             }
-            assert_ne!(spec.src, spec.dst, "flow {i}: src == dst");
+            if spec.src == spec.dst {
+                return Err(ConfigError::SameEndpoints {
+                    flow: i,
+                    host: spec.src,
+                });
+            }
             let src = hosts[spec.src];
             let dst = hosts[spec.dst];
             let hash = Topology::ecmp_hash(src, dst, i as u64 ^ cfg.seed);
             let (path_fwd, path_rev) = topo.pin_paths(src, dst, hash);
+            routes.push(FlowRoute::pin(&path_fwd, &path_rev));
             let (sender, receiver) =
                 build_transport(&cfg, FlowId(i as u32), spec.bytes, base_rtt, bdp);
             match spec.after {
                 // A dependent flow waits for its parent's completion
                 // callback instead of an absolute FlowStart.
                 Some(parent) => {
-                    assert!(
-                        (parent as usize) < i,
-                        "flow {i}: completion trigger {parent} must precede it"
-                    );
+                    if parent as usize >= i {
+                        return Err(ConfigError::TriggerNotEarlier { flow: i, parent });
+                    }
                     dependents[parent as usize].push(i as u32);
                 }
                 None => {
@@ -138,8 +151,8 @@ impl Engine {
                 spec,
                 src,
                 dst,
-                path_fwd,
-                path_rev,
+                path_fwd: path_fwd.into_boxed_slice(),
+                path_rev: path_rev.into_boxed_slice(),
                 sender,
                 receiver,
                 timer_gen: [0; TIMER_KINDS.len()],
@@ -170,19 +183,27 @@ impl Engine {
         // Faults ride the main event queue (stable FIFO tie-break keeps
         // list order at equal timestamps), so `--jobs N` determinism holds.
         for (i, ev) in cfg.faults.events().iter().enumerate() {
-            let n = ev.node.0 as usize;
-            assert!(n < topo.node_count(), "fault {i}: node {n} out of range");
-            assert!(
-                (ev.port.0 as usize) < topo.port_count(ev.node),
-                "fault {i}: port {} out of range for node {n}",
-                ev.port.0
-            );
-            if matches!(ev.action, FaultAction::PauseStorm { .. }) {
-                assert_eq!(
-                    topo.kind(ev.node),
-                    NodeKind::Switch,
-                    "fault {i}: pause storms target a switch ingress"
-                );
+            let (node, port) = (ev.node.0, ev.port.0);
+            if node as usize >= n_nodes {
+                return Err(ConfigError::FaultNodeOutOfRange {
+                    fault: i,
+                    node,
+                    nodes: n_nodes,
+                });
+            }
+            let ports = topo.port_count(ev.node);
+            if port as usize >= ports {
+                return Err(ConfigError::FaultPortOutOfRange {
+                    fault: i,
+                    node,
+                    port,
+                    ports,
+                });
+            }
+            if matches!(ev.action, FaultAction::PauseStorm { .. })
+                && topo.kind(ev.node) != NodeKind::Switch
+            {
+                return Err(ConfigError::StormAtHost { fault: i, node });
             }
             prof.on_sched(EvKind::Fault);
             queue.schedule(ev.at, Event::Fault(i as u32));
@@ -199,6 +220,7 @@ impl Engine {
             port_base,
             host_q,
             flows,
+            routes,
             dependents,
             queue,
             pkts: PacketSlab::with_capacity(1024),
@@ -219,7 +241,7 @@ impl Engine {
         if CHECK_PORT_TABLE {
             eng.check_port_table();
         }
-        eng
+        Ok(eng)
     }
 
     /// Every record of the port table says what [`Topology`] says about
@@ -394,6 +416,113 @@ mod tests {
             FlowSpec::new(1, 0, 1_000, SimTime::ZERO, true),
         ];
         let _ = Engine::new(cfg, flows);
+    }
+
+    /// What `try_new` says about `flows` (and `faults`) on a three-host
+    /// single switch: node 0 is the switch, hosts are nodes 1..=3.
+    fn rejected(flows: Vec<FlowSpec>, faults: faults::FaultSchedule) -> ConfigError {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+            .with_topology(small_single_switch(3))
+            .with_faults(faults);
+        Engine::try_new(cfg, flows).err().expect("rejected")
+    }
+
+    fn flow(src: usize, dst: usize) -> FlowSpec {
+        FlowSpec::new(src, dst, 1_000, SimTime::ZERO, true)
+    }
+
+    #[test]
+    fn try_new_wraps_a_topology_error() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(1));
+        let e = Engine::try_new(cfg, vec![]).err().expect("rejected");
+        let inner = netsim::topology::TopologyError::TooFewHosts { hosts: 1 };
+        assert_eq!(e, ConfigError::Topology(inner));
+        assert_eq!(e.to_string(), inner.to_string());
+    }
+
+    #[test]
+    fn try_new_names_the_flow_with_an_unknown_host() {
+        let e = rejected(vec![flow(0, 1), flow(2, 7)], Default::default());
+        let want = ConfigError::HostOutOfRange {
+            flow: 1,
+            host: 7,
+            hosts: 3,
+        };
+        assert_eq!(e, want);
+        assert_eq!(e.to_string(), "flow 1: host 7 out of range (3 hosts)");
+    }
+
+    #[test]
+    fn try_new_names_the_flow_from_a_host_to_itself() {
+        let e = rejected(vec![flow(0, 1), flow(0, 2), flow(2, 2)], Default::default());
+        assert_eq!(e, ConfigError::SameEndpoints { flow: 2, host: 2 });
+        assert_eq!(e.to_string(), "flow 2: src == dst (host 2)");
+    }
+
+    #[test]
+    fn try_new_names_the_flow_whose_trigger_does_not_precede_it() {
+        // Itself, and a later flow: neither can have completed first.
+        for parent in [1, 2] {
+            let flows = vec![flow(0, 1), flow(1, 0).after(parent), flow(2, 0)];
+            let e = rejected(flows, Default::default());
+            assert_eq!(e, ConfigError::TriggerNotEarlier { flow: 1, parent });
+            assert_eq!(
+                e.to_string(),
+                format!("flow 1: completion trigger {parent} must precede it")
+            );
+        }
+    }
+
+    #[test]
+    fn try_new_names_the_fault_at_an_unknown_node() {
+        let schedule = faults::FaultSchedule::new()
+            .link_down(SimTime::ZERO, 1, 0)
+            .link_down(SimTime::ZERO, 4, 0);
+        let e = rejected(vec![flow(0, 1)], schedule);
+        let want = ConfigError::FaultNodeOutOfRange {
+            fault: 1,
+            node: 4,
+            nodes: 4,
+        };
+        assert_eq!(e, want);
+        assert_eq!(e.to_string(), "fault 1: node 4 out of range (4 nodes)");
+    }
+
+    #[test]
+    fn try_new_names_the_fault_at_an_unknown_port() {
+        // A host has the one NIC port; the switch has ports 0..=2.
+        for (node, port, ports) in [(2, 1, 1), (0, 3, 3)] {
+            let schedule = faults::FaultSchedule::new().link_down(SimTime::ZERO, node, port);
+            let e = rejected(vec![flow(0, 1)], schedule);
+            let want = ConfigError::FaultPortOutOfRange {
+                fault: 0,
+                node,
+                port,
+                ports,
+            };
+            assert_eq!(e, want);
+            assert_eq!(
+                e.to_string(),
+                format!("fault 0: port {port} out of range for node {node} ({ports} ports)")
+            );
+        }
+    }
+
+    #[test]
+    fn try_new_names_the_pause_storm_aimed_at_a_host() {
+        let storm = |node| {
+            faults::FaultSchedule::new().pause_storm(SimTime::ZERO, node, 0, SimTime::from_us(1))
+        };
+        let e = rejected(vec![flow(0, 1)], storm(3));
+        assert_eq!(e, ConfigError::StormAtHost { fault: 0, node: 3 });
+        assert_eq!(
+            e.to_string(),
+            "fault 0: pause storms target a switch ingress, node 3 is a host"
+        );
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+            .with_topology(small_single_switch(3))
+            .with_faults(storm(0));
+        assert!(Engine::try_new(cfg, vec![flow(0, 1)]).is_ok());
     }
 
     fn two_speed_specs() -> [netsim::topology::TopologySpec; 4] {

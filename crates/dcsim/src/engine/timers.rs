@@ -134,7 +134,10 @@ impl Engine {
                     // a data packet; one allocation of the final size
                     // instead of the doubling growth.
                     if self.cfg.transport == TransportKind::Hpcc && !pkt.is_control() {
-                        pkt.int_stack.reserve_exact(rt.path_fwd.len() - 1);
+                        let hops = self.routes[f as usize]
+                            .path_len(Direction::Fwd)
+                            .unwrap_or(rt.path_fwd.len());
+                        pkt.int_stack.reserve_exact(hops - 1);
                     }
                     // Journey origin: the packet enters the host egress
                     // queue (always port 0 of a host) right now.

@@ -2,6 +2,7 @@
 //! machine, switch enqueue/dequeue, PFC, and the one path a frame is lost on.
 
 use super::*;
+use std::ops::ControlFlow;
 
 /// One egress port's hot record: everything `kick_port`, `deliver` and
 /// `send_pfc` need for a packet hop, in one cache line (DESIGN §12 "Port
@@ -59,24 +60,59 @@ impl Engine {
     /// the packet reached a flow endpoint (so the caller re-checks flow
     /// doneness).
     pub(super) fn deliver(&mut self, to: NodeId, in_port: PortId, pref: PacketRef) -> bool {
-        // A frame that was in flight when its link went down is destroyed
-        // at the receiving end of the wire.
-        let in_link = self.ports[self.port_index(to, in_port)].in_link();
         let (f, dir, hop) = {
             let p = self.pkts.get(pref);
-            self.ledger.on_arrival(in_link.0 as usize, p.wire_size());
             (p.flow.0, p.dir, p.hop)
         };
-        if self.faults.is_down(in_link) {
-            let pkt = self.pkts.take(pref);
-            self.destroy_frame(to, in_port, &pkt);
-            return false;
+        // The link the frame arrived on is named by the ingress port's
+        // record, which only the conservation ledger and a fabric that has
+        // seen a fault look at: a quiet run does not load it.
+        if ConservationLedger::ON || !self.faults.is_quiet() {
+            let in_link = self.ports[self.port_index(to, in_port)].in_link();
+            let wire = self.pkts.get(pref).wire_size();
+            self.ledger.on_arrival(in_link.0 as usize, wire);
+            // A frame that was in flight when its link went down is
+            // destroyed at the receiving end of the wire.
+            if self.faults.is_down(in_link) {
+                let pkt = self.pkts.take(pref);
+                self.destroy_frame(to, in_port, &pkt);
+                return false;
+            }
         }
-        let rt = &mut self.flows[f as usize];
-        let path = match dir {
-            Direction::Fwd => &rt.path_fwd,
-            Direction::Rev => &rt.path_rev,
+        let egress = match self.routes[f as usize].egress(dir, hop) {
+            // A transit hop of a flow that was never re-pinned: neither the
+            // flow nor its path is touched.
+            Some(egress) => {
+                if CHECK_PORT_TABLE {
+                    self.check_route_hit(f, dir, hop, to, egress);
+                }
+                egress
+            }
+            None => match self.walk(to, in_port, pref, f, dir, hop) {
+                ControlFlow::Continue(egress) => egress,
+                ControlFlow::Break(endpoint) => return endpoint,
+            },
         };
+        self.transit(to, in_port, pref, f, egress);
+        false
+    }
+
+    /// Where the route table has no answer — an endpoint arrival, a flow
+    /// that was re-pinned, a path the table cannot hold — the flow's pinned
+    /// path decides: `Continue(egress)` at a switch the path names at this
+    /// hop, else `Break` with [`Engine::deliver`]'s result once the packet
+    /// has been handed to its transport (`true`) or destroyed (`false`).
+    fn walk(
+        &mut self,
+        to: NodeId,
+        in_port: PortId,
+        pref: PacketRef,
+        f: u32,
+        dir: Direction,
+        hop: u8,
+    ) -> ControlFlow<bool, PortId> {
+        let rt = &mut self.flows[f as usize];
+        let path = rt.path(dir);
         let h = hop as usize;
         if h >= path.len() {
             // A reroute may have swapped the path under a frame in flight;
@@ -88,7 +124,7 @@ impl Engine {
             if to != endpoint {
                 let pkt = self.pkts.take(pref);
                 self.destroy_frame(to, in_port, &pkt);
-                return false;
+                return ControlFlow::Break(false);
             }
             // Endpoint: the frame leaves the wire, so redeem its handle and
             // hand the packet to the transport.
@@ -148,7 +184,7 @@ impl Engine {
                 }
             }
             self.flush_actions(f);
-            return true;
+            return ControlFlow::Break(true);
         }
         // Transit switch. After a mid-flight reroute the hop index points
         // into the *new* path, which may visit different nodes: frames
@@ -156,10 +192,15 @@ impl Engine {
         if path[h].node != to {
             let pkt = self.pkts.take(pref);
             self.destroy_frame(to, in_port, &pkt);
-            return false;
+            return ControlFlow::Break(false);
         }
+        ControlFlow::Continue(path[h].port)
+    }
+
+    /// The transit half of [`Engine::deliver`]: flow `f`'s frame `pref`
+    /// arrived at switch `to` on `in_port` and leaves by `egress`.
+    fn transit(&mut self, to: NodeId, in_port: PortId, pref: PacketRef, f: u32, egress: PortId) {
         self.prof.deliver_transit();
-        let egress = path[h].port;
         let out = self.port_index(to, egress);
         let pause_cum = self.pause_cum_ns(out);
         // Provenance, captured before the switch takes ownership: a drop
@@ -206,7 +247,6 @@ impl Engine {
             }
             self.kick_port(to, egress);
         }
-        false
     }
 
     /// Schedules a PFC pause/resume toward the device feeding `ingress`.

@@ -41,7 +41,9 @@ pub mod ledger;
 mod metrics;
 pub mod profile;
 
-pub use config::{small_single_switch, FlowSpec, SimConfig, SwitchParams, TltSettings};
+pub use config::{
+    small_single_switch, ConfigError, FlowSpec, SimConfig, SwitchParams, TltSettings,
+};
 pub use engine::{AggregateStats, Engine, RtoForensicRec, SimResult};
 pub use latency::{FlowLedgerRecord, StallInterval};
 

@@ -215,6 +215,10 @@ impl<E> EventQueue<E> {
         self.push_entry(at, seq, event);
     }
 
+    // Forced in (with `push_wheel`): at plain `#[inline]` both stay calls,
+    // and every engine `sched` then spills its 16-byte event to the stack
+    // to pass it (EXPERIMENTS "What the route table bought").
+    #[inline(always)]
     fn push_entry(&mut self, at: SimTime, seq: u64, event: E) {
         let mut key = at.as_ns();
         if key < self.top {
@@ -247,6 +251,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Links a new node into `slot`'s list at its seq position.
+    #[inline(always)]
     fn push_wheel(&mut self, slot: usize, seq: u64, event: E) {
         // The node's index is known before it is written, so it is written
         // once, as the one-entry list it is if the slot turns out empty.

@@ -41,9 +41,10 @@ pub enum NodeKind {
 
 /// The most transmission points a pinned path may have; the longest any
 /// preset produces is a cross-pod fat-tree route (a host and five
-/// switches: 6). `Packet::hop: u8`, the `u32` cast in `Packet::wire_size`
-/// and the engine's one-shot INT-stack reservation lean on the bound.
-const MAX_PATH_HOPS: usize = 8;
+/// switches: 6). `Packet::hop: u8`, the `u32` cast in `Packet::wire_size`,
+/// the engine's one-shot INT-stack reservation and the rows of its route
+/// table lean on the bound.
+pub const MAX_PATH_HOPS: usize = 8;
 
 /// One transmission point along a path: node `node` transmits on `port`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -865,6 +866,9 @@ impl Topology {
             "a pinned path has {} hops",
             fwd.len().max(rev.len())
         );
+        // Each side is built at its exact length: the engine keeps them as
+        // boxed slices, and the conversion must not reallocate.
+        debug_assert!(fwd.capacity() == fwd.len() && rev.capacity() == rev.len());
         (fwd, rev)
     }
 
