@@ -1,52 +1,37 @@
-//! Cross-run perf diff: compares two measurement artifacts and grades the
-//! deltas against a regression threshold.
+//! Cross-run diff: compares two exported artifacts key by key and prints
+//! every count that moved.
 //!
 //! ```text
-//! benchcmp [--threshold-pct N] [--fail-on-regression] [--json] [--force] OLD NEW
+//! benchcmp [--json] [--force] OLD NEW
 //! ```
 //!
-//! `OLD` and `NEW` are JSON files of the same schema: `tlt-bench-baseline/v1`
-//! (from `bench_baseline`), `tlt-profile/v1` (from `--profile-out`), or
-//! `tlt-metrics/v1` (from `--metrics-out`). Keys containing `wall_ms` are
-//! graded lower-is-better, `events_per_sec`/`speedup` higher-is-better, and
-//! everything else is informational.
+//! `OLD` and `NEW` are JSON files of the same schema: `tlt-metrics/v1`
+//! (from `--metrics`), `tlt-profile/v1` (from `--profile-out`),
+//! `tlt-serve/v1` (from `serve_grid --serve-out`) or `tlt-spans/v1` (from
+//! `serve_grid --spans-out`). The diff is informational: a moved count is
+//! a behaviour change to read, never a verdict.
 //!
-//! Exit codes: `0` compared cleanly (regressions are informational by
-//! default), `1` regressions found *and* `--fail-on-regression` was given,
-//! `2` usage error, unreadable/malformed input, or a provenance refusal
-//! (different `scale`/`build_profile`/`seeds`) without `--force`.
+//! Exit codes: `0` compared, `2` usage error, unreadable/malformed input,
+//! or a provenance refusal (different `scale`/`build_profile`/`seeds`)
+//! without `--force`.
 
-use bench::benchcmp::{compare, load};
+use bench::benchcmp::{compare, load, Doc};
+
+const USAGE: &str = "usage: benchcmp [--json] [--force] OLD NEW";
 
 struct Opts {
-    threshold_pct: f64,
-    fail_on_regression: bool,
     json: bool,
     force: bool,
     old: String,
     new: String,
 }
 
-const USAGE: &str =
-    "usage: benchcmp [--threshold-pct N] [--fail-on-regression] [--json] [--force] OLD NEW";
-
 fn parse_opts(argv: &[String]) -> Result<Opts, String> {
-    let mut threshold_pct = 5.0;
-    let mut fail_on_regression = false;
     let mut json = false;
     let mut force = false;
     let mut files = Vec::new();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
+    for arg in argv {
         match arg.as_str() {
-            "--threshold-pct" => {
-                threshold_pct = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| *v >= 0.0)
-                    .ok_or("--threshold-pct needs a non-negative number")?;
-            }
-            "--fail-on-regression" => fail_on_regression = true,
             "--json" => json = true,
             "--force" => force = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -59,8 +44,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
     let [old, new] = <[String; 2]>::try_from(files)
         .map_err(|_| format!("expected exactly two input files\n{USAGE}"))?;
     Ok(Opts {
-        threshold_pct,
-        fail_on_regression,
         json,
         force,
         old,
@@ -68,7 +51,7 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
     })
 }
 
-fn read_doc(path: &str) -> Result<bench::benchcmp::Doc, String> {
+fn read_doc(path: &str) -> Result<Doc, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     load(&text).map_err(|e| format!("{path}: {e}"))
 }
@@ -90,7 +73,7 @@ fn main() {
         }
     };
 
-    let cmp = compare(&old, &new, opts.threshold_pct);
+    let cmp = compare(&old, &new);
     if let Some(reason) = &cmp.refusal {
         if opts.force {
             eprintln!("warning: comparing anyway (--force): {reason}");
@@ -105,9 +88,5 @@ fn main() {
     } else {
         println!("benchcmp: {} vs {} ({})", opts.old, opts.new, old.schema);
         print!("{}", cmp.render());
-    }
-
-    if opts.fail_on_regression && cmp.regressions().count() > 0 {
-        std::process::exit(1);
     }
 }

@@ -6,13 +6,11 @@
 //! `--out file.csv`), the scheme/variant builders, and paper-style table
 //! printing, while [`plan`] executes the (scheme, seed) grid across worker
 //! threads with a deterministic fold (output is byte-identical under any
-//! `--jobs` value). The [`baseline`] module is the `bench_baseline`
-//! binary's workload suite, which records the wall-clock/events-per-second
-//! trajectory in `BENCH_pr*.json`; [`benchcmp`] diffs two such reports (or
-//! two `tlt-profile/v1` exports) as the cross-run perf-regression gate, and
-//! [`profiler`] stamps every artifact with provenance metadata. DESIGN.md
-//! carries the experiment index; EXPERIMENTS.md records paper-vs-measured
-//! values.
+//! `--jobs` value). [`profiler`] stamps every exported artifact with
+//! provenance metadata, and [`benchcmp`] diffs two such exports key by key
+//! (informational; speed is measured by the repo benchmark under
+//! `benchmark/`). DESIGN.md carries the experiment index; EXPERIMENTS.md
+//! records paper-vs-measured values.
 //!
 //! Run any experiment with, e.g.:
 //!
@@ -22,7 +20,6 @@
 //! cargo run --release -p bench --bin fig05_tcp_family -- --jobs 8
 //! ```
 
-pub mod baseline;
 pub mod benchcmp;
 pub mod plan;
 pub mod profiler;

@@ -83,7 +83,6 @@ pub struct RunPlan<'a> {
     default_seeds: u64,
     capture_trace: Option<Option<SimTime>>,
     capture_metrics: bool,
-    shadow: bool,
     analyze: Option<Box<AnalyzeFn<'a>>>,
 }
 
@@ -93,8 +92,8 @@ impl<'a> RunPlan<'a> {
         RunPlan::sized(args.effective_jobs(), args.seeds)
     }
 
-    /// A plan with explicit worker and default-seed counts (tests,
-    /// benchmarks).
+    /// A plan with explicit worker and default-seed counts (tests, and
+    /// binaries that size their own grid).
     pub fn sized(jobs: usize, default_seeds: u64) -> RunPlan<'a> {
         assert!(default_seeds >= 1, "a plan needs at least one seed");
         RunPlan {
@@ -103,7 +102,6 @@ impl<'a> RunPlan<'a> {
             default_seeds,
             capture_trace: None,
             capture_metrics: false,
-            shadow: false,
             analyze: None,
         }
     }
@@ -121,18 +119,6 @@ impl<'a> RunPlan<'a> {
     /// tests.
     pub fn capture_metrics(mut self) -> RunPlan<'a> {
         self.capture_metrics = true;
-        self
-    }
-
-    /// Marks this plan as a shadow run: it executes normally and returns a
-    /// full [`PlanOutput`], but contributes nothing to the globally
-    /// installed `--trace` / `--metrics` / `--profile-out` exports. Used
-    /// for cross-check legs (e.g. `bench_baseline`'s parallel re-run) whose
-    /// output is compared against a canonical run that already merged —
-    /// letting the same leg merge again would make the exports depend on
-    /// how many legs the cross-check happened to execute.
-    pub fn shadow(mut self) -> RunPlan<'a> {
-        self.shadow = true;
         self
     }
 
@@ -291,18 +277,16 @@ impl<'a> RunPlan<'a> {
                 a.merge(r);
             }
         }
-        if global.is_some() && !self.shadow {
+        if global.is_some() {
             runner::append_trace(&trace);
         }
-        if metrics_global && !self.shadow {
+        if metrics_global {
             if let Some(m) = &merged {
                 runner::merge_metrics(m);
             }
         }
-        if !self.shadow {
-            if let Some(p) = &profile {
-                runner::merge_profile(p);
-            }
+        if let Some(p) = &profile {
+            runner::merge_profile(p);
         }
         PlanOutput {
             results,
@@ -456,31 +440,6 @@ mod tests {
         // And it round-trips through its own parser.
         let parsed = Profile::from_json(&a).expect("self-parse");
         assert_eq!(parsed.to_json(), a);
-    }
-
-    /// A shadow plan must be a full-fidelity run — identical results,
-    /// metrics, and (with the feature on) profile — that merely skips the
-    /// global export merges. The skip itself is exercised at the CLI
-    /// surface: CI byte-compares `bench_baseline --profile-out` under
-    /// `--jobs 1` vs `--jobs 4`, which diverges 2x-vs-1x if the parallel
-    /// cross-check leg ever merges again.
-    #[test]
-    fn shadow_plans_produce_identical_output() {
-        let normal = tiny_plan(2).capture_metrics().run_detailed();
-        let shadow = tiny_plan(2).capture_metrics().shadow().run_detailed();
-        assert_eq!(normal.events_scheduled, shadow.events_scheduled);
-        assert_eq!(normal.jobs_run, shadow.jobs_run);
-        assert_eq!(
-            normal.metrics.as_ref().map(|m| m.to_json()),
-            shadow.metrics.as_ref().map(|m| m.to_json()),
-            "shadow changed the captured metrics"
-        );
-        #[cfg(feature = "profile")]
-        assert_eq!(
-            normal.profile.as_ref().map(|p| p.to_json()),
-            shadow.profile.as_ref().map(|p| p.to_json()),
-            "shadow changed the captured profile"
-        );
     }
 
     #[test]

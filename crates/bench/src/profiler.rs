@@ -1,58 +1,49 @@
-//! Harness-side profiling plumbing: provenance stamps for exported
-//! measurement artifacts, and the wall-clock workload timer behind
-//! `bench_baseline`.
+//! Provenance stamps for exported measurement artifacts.
 //!
-//! This file is simlint's D2 wall-clock allowlist for the harness layer:
-//! `bench` may read real time here and nowhere else, the simulation crates
-//! never do.
-
-use std::time::Instant;
+//! Nothing in `bench` reads a wall clock: every artifact it writes is a
+//! deterministic count, and speed is measured by the repo benchmark under
+//! `benchmark/`.
 
 use telemetry::{Profile, Registry};
 
-use crate::plan::{PlanOutput, RunPlan};
 use crate::runner::Args;
 
 /// Provenance of one measurement artifact: the facts `benchcmp` needs to
 /// refuse (or warn about) apples-to-oranges comparisons — a quick-scale
-/// debug run diffed against a full-scale release baseline says nothing.
+/// debug run diffed against a full-scale release export says nothing.
 #[derive(Clone, Debug)]
 pub struct Provenance {
     /// Cores the host offers.
     pub cores: usize,
-    /// Worker count — the literal `"any"` for deterministic artifacts
-    /// (metrics/profile exports are byte-identical under every `--jobs`
-    /// value, and CI compares them across worker counts), or the actual
-    /// count for wall-clock reports.
-    pub jobs: String,
     /// Scale label (`quick` / `default` / `full`).
     pub scale: &'static str,
     /// Seeds per scheme.
     pub seeds: u64,
-    /// `release` or `debug` — wall-clock numbers from a debug build are
-    /// not comparable to release numbers.
+    /// `release` or `debug`.
     pub build_profile: &'static str,
 }
 
 impl Provenance {
-    /// The running binary's build profile label.
-    pub fn build_profile_label() -> &'static str {
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-    }
-
-    /// Provenance for a *deterministic* artifact (a metrics or profile
-    /// export): `jobs` is `"any"` by construction.
+    /// Provenance for a deterministic artifact (a metrics, profile or serve
+    /// export). These are byte-identical under every `--jobs` value, so the
+    /// stamp records `jobs` as the literal `"any"` and CI compares them
+    /// across worker counts.
     pub fn deterministic(args: &Args) -> Provenance {
         Provenance {
-            cores: available_cores(),
-            jobs: "any".to_string(),
-            scale: scale_label(args),
+            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            scale: if args.full {
+                "full"
+            } else if args.quick {
+                "quick"
+            } else {
+                "default"
+            },
             seeds: args.seeds,
-            build_profile: Provenance::build_profile_label(),
+            build_profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
         }
     }
 
@@ -61,7 +52,7 @@ impl Provenance {
     /// folds in pins these values for the whole process.
     pub fn stamp(&self, reg: &mut Registry) {
         reg.set_meta("cores", &self.cores.to_string());
-        reg.set_meta("jobs", &self.jobs);
+        reg.set_meta("jobs", "any");
         reg.set_meta("scale", self.scale);
         reg.set_meta("seeds", &self.seeds.to_string());
         reg.set_meta("build_profile", self.build_profile);
@@ -73,38 +64,6 @@ impl Provenance {
     }
 }
 
-/// The host's available parallelism (1 when undeterminable).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The scale label (`quick` / `default` / `full`) of an argument set.
-pub fn scale_label(args: &Args) -> &'static str {
-    if args.full {
-        "full"
-    } else if args.quick {
-        "quick"
-    } else {
-        "default"
-    }
-}
-
-/// Measurements of one workload plan at one worker count.
-pub(crate) struct Timed {
-    pub wall_ms: f64,
-    pub out: PlanOutput,
-}
-
-/// Runs a plan under a wall-clock measurement.
-pub(crate) fn timed(plan: RunPlan<'_>) -> Timed {
-    let start = Instant::now();
-    let out = plan.run_detailed();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    Timed { wall_ms, out }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,11 +72,14 @@ mod tests {
     fn deterministic_provenance_stamps_jobs_any() {
         let args = Args::parse_from(["--quick", "--jobs", "7"]).unwrap();
         let prov = Provenance::deterministic(&args);
-        assert_eq!(prov.jobs, "any", "deterministic artifacts ignore --jobs");
         assert_eq!(prov.scale, "quick");
         let mut reg = Registry::new();
         prov.stamp(&mut reg);
-        assert_eq!(reg.meta_get("jobs"), Some("any"));
+        assert_eq!(
+            reg.meta_get("jobs"),
+            Some("any"),
+            "deterministic artifacts ignore --jobs"
+        );
         assert_eq!(reg.meta_get("scale"), Some("quick"));
         assert!(reg.meta_get("cores").is_some());
         assert!(matches!(

@@ -1,8 +1,8 @@
 //! End-to-end tests for the harness binaries' error paths and exit codes:
 //! `trace_inspect --metrics` must fail loudly (exit 2, positional
 //! diagnostic) on malformed or truncated registry exports, and `benchcmp`
-//! must diff two reports, refuse provenance mismatches without `--force`,
-//! and gate regressions only under `--fail-on-regression`.
+//! must diff two exports, print exactly the counts that moved, and refuse
+//! provenance mismatches without `--force`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -142,77 +142,80 @@ fn trace_inspect_rejects_malformed_spans_with_diagnostic() {
     }
 }
 
-fn bench_report(wall_ms: f64, build_profile: &str) -> String {
-    format!(
-        "{{\n  \"schema\": \"tlt-bench-baseline/v1\",\n  \"generated_by\": \"bench_baseline\",\n\
-         \x20 \"cores\": 8,\n  \"jobs\": 8,\n  \"scale\": \"quick\",\n  \"seeds\": 3,\n\
-         \x20 \"build_profile\": \"{build_profile}\",\n\
-         \x20 \"workloads\": [\n    {{\"name\": \"incast_micro\", \"wall_ms_jobs1\": {wall_ms:.3}, \
-         \"wall_ms_jobsn\": {:.3}, \"speedup\": 2.0, \"events_scheduled\": 1000}}\n  ],\n\
-         \x20 \"total\": {{\"wall_ms_jobs1\": {wall_ms:.3}}}\n}}\n",
-        wall_ms / 2.0
-    )
+/// A `tlt-metrics/v1` export stamped like the harness stamps its own.
+fn stamped_metrics(sent: u64, scale: &str) -> String {
+    let mut reg = telemetry::Registry::new();
+    reg.inc("data_pkts_sent", sent);
+    reg.inc("timeouts", 3);
+    reg.observe("fct_us", 250);
+    reg.set_meta("build_profile", "release");
+    reg.set_meta("scale", scale);
+    reg.set_meta("seeds", "1");
+    reg.to_json()
 }
 
 #[test]
-fn benchcmp_diffs_grades_and_refuses() {
+fn benchcmp_diffs_counts_and_refuses() {
     let bin = env!("CARGO_BIN_EXE_benchcmp");
-    let old = tmp("cmp-old.json", &bench_report(100.0, "release"));
-    let slower = tmp("cmp-slow.json", &bench_report(150.0, "release"));
-    let debug = tmp("cmp-debug.json", &bench_report(100.0, "debug"));
-    let (old_p, slower_p, debug_p) = (
-        old.to_str().unwrap(),
-        slower.to_str().unwrap(),
-        debug.to_str().unwrap(),
-    );
+    let good = stamped_metrics(128, "quick");
+    let old = tmp("cmp-old.json", &good);
+    let moved = tmp("cmp-moved.json", &stamped_metrics(129, "quick"));
+    let full = tmp("cmp-full.json", &stamped_metrics(128, "full"));
+    let cut = tmp("cmp-cut.json", &good[..good.len() / 2]);
+    let [old_p, moved_p, full_p, cut_p] = [&old, &moved, &full, &cut].map(|p| p.to_str().unwrap());
 
-    // Same file against itself: clean table, exit 0.
+    // An identical pair: exit 0, no changed row.
     let out = run(bin, &[old_p, old_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("0 regression(s)"));
+    let body = stdout(&out);
+    assert!(body.contains("5 keys compared, 0 changed"), "{body}");
+    assert!(!body.contains("counter/"), "{body}");
 
-    // +50% wall time: reported as a regression, but informational by default.
-    let out = run(bin, &["--threshold-pct", "10", old_p, slower_p]);
+    // One moved counter: exactly one row, and still exit 0 (informational).
+    let out = run(bin, &[old_p, moved_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("REGRESSION"));
+    let body = stdout(&out);
+    let rows: Vec<_> = body.lines().filter(|l| l.contains("counter/")).collect();
+    assert_eq!(rows.len(), 1, "{body}");
+    assert!(rows[0].starts_with("counter/data_pkts_sent"), "{body}");
+    assert!(body.contains("5 keys compared, 1 changed"), "{body}");
 
-    // ... and a gate with --fail-on-regression.
-    let out = run(
-        bin,
-        &[
-            "--threshold-pct",
-            "10",
-            "--fail-on-regression",
-            old_p,
-            slower_p,
-        ],
-    );
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-
-    // --json output carries the machine-readable verdict.
-    let out = run(bin, &["--threshold-pct", "10", "--json", old_p, slower_p]);
+    // --json carries the same verdict-free summary.
+    let out = run(bin, &["--json", old_p, moved_p]);
     assert_eq!(out.status.code(), Some(0));
     let js = stdout(&out);
-    assert!(js.contains("\"schema\": \"tlt-benchcmp/v1\""));
-    // All three wall_ms keys (workload jobs1/jobsN and the total) moved +50%.
-    assert!(js.contains("\"regressions\": 3"), "json: {js}");
+    assert!(js.contains("\"schema\": \"tlt-benchcmp/v2\""), "{js}");
+    assert!(js.contains("\"changed\": 1,"), "{js}");
+    for gone in ["threshold_pct", "regression", "improvements"] {
+        assert!(!js.contains(gone), "{gone} in {js}");
+    }
 
-    // debug-vs-release provenance: refuse without --force, warn with it.
-    let out = run(bin, &[old_p, debug_p]);
+    // A scale mismatch: refuse without --force, compare with it.
+    let out = run(bin, &[old_p, full_p]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("build_profile"));
-    let out = run(bin, &["--force", old_p, debug_p]);
+    assert!(stderr(&out).contains("scale mismatch"));
+    let out = run(bin, &["--force", old_p, full_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
 
-    // Malformed input and bad usage both exit 2.
-    let bad = tmp("cmp-bad.json", "{\"schema\": ");
-    let out = run(bin, &[old_p, bad.to_str().unwrap()]);
+    // A truncated file: exit 2 with the telemetry parser's positional
+    // diagnostic, naming the file.
+    let out = run(bin, &[old_p, cut_p]);
     assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("cmp-cut.json"), "{err}");
+    assert!(err.contains("at byte"), "{err}");
+
+    // Bad usage exits 2; the retired grading flags are unknown flags now.
     let out = run(bin, &[old_p]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"));
+    for flag in ["--threshold-pct", "--fail-on-regression"] {
+        let out = run(bin, &[flag, "10", old_p, old_p]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(stderr(&out).contains("unknown flag"), "{flag}");
+    }
 
-    for p in [old, slower, debug, bad] {
+    for p in [old, moved, full, cut] {
         let _ = std::fs::remove_file(p);
     }
 }

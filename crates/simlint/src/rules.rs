@@ -4,9 +4,9 @@
 //! `faults`, `workload`, `core`, `stats`, `serve`) plus the root package's
 //! `src/` and `tests/`. `telemetry` is an output-only layer and exempt from
 //! the D-rules (it still participates in the cross-file E/S rules and L1).
-//! `bench` is exempt from everything *except* a narrowed D2: wall-clock
-//! reads (`Instant`/`SystemTime`) in the harness must flow through the
-//! sanctioned timing module (`bench::profiler`).
+//! `bench` is exempt from everything *except* a narrowed D2: the harness
+//! reads no wall clock (`Instant`/`SystemTime`) at all — speed is the repo
+//! benchmark's to measure.
 //! `simlint` lints itself under D1–D3 (its fixtures, which deliberately
 //! embed violating text, stay exempt via the tree walk).
 //!
@@ -105,12 +105,6 @@ const D4_FILES: [&str; 3] = [
 /// `stats::percentile` is the one sanctioned float-ordering site (it uses
 /// `total_cmp`, and D3 exists to funnel everything through it).
 const D3_EXEMPT: &str = "crates/stats/src/percentile.rs";
-
-/// Bench-crate files sanctioned to read wall clocks (the narrowed D2 for
-/// the harness layer): the provenance/timing module (`profiler::timed` is
-/// the baseline suite's timer). Everything else in `bench` must route
-/// timing through it.
-const D2_BENCH_WALLCLOCK_OK: [&str; 1] = ["crates/bench/src/profiler.rs"];
 
 pub(crate) fn crate_of(rel: &str) -> Option<&str> {
     let rest = rel.strip_prefix("crates/")?;
@@ -275,9 +269,8 @@ fn d2(rel: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFinding>) {
 
 /// D2 (bench extension): wall-clock reads in the harness crate. `bench`
 /// legitimately uses `std::env` (CLI flags) and threads (the worker pool),
-/// but `Instant`/`SystemTime` belong only in the allowlisted profiling
-/// modules — anywhere else, elapsed-time readings are one refactor away from
-/// contaminating deterministic output.
+/// but every artifact it writes is deterministic, and an elapsed-time
+/// reading is one refactor away from contaminating one.
 fn d2_bench(rel: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFinding>) {
     for tok in &l.toks {
         if tok.kind != TokKind::Ident || in_test_region(regions, tok.line) {
@@ -290,8 +283,8 @@ fn d2_bench(rel: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFindi
                 "D2",
                 "wallclock",
                 format!(
-                    "std::time::{} read outside the sanctioned harness timing module; \
-                     route wall-clock timing through bench::profiler",
+                    "std::time::{} read in the harness crate, whose outputs are \
+                     deterministic; time runs with the repo benchmark (benchmark/)",
                     tok.text
                 ),
             ));
@@ -505,7 +498,7 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
         if crate_of(rel).is_some() {
             p_rules(rel, &l, &regions, &mut findings);
         }
-    } else if crate_of(rel) == Some("bench") && !D2_BENCH_WALLCLOCK_OK.contains(&rel) {
+    } else if crate_of(rel) == Some("bench") {
         d2_bench(rel, &l, &regions, &mut findings);
     }
     FileAnalysis { items, findings }
