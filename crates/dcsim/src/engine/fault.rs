@@ -91,7 +91,7 @@ impl Engine {
         };
         for i in 0..self.flows.len() {
             let rt = &self.flows[i];
-            if rt.complete_at.is_some() && rt.sender.is_done() {
+            if rt.is_done() {
                 continue;
             }
             if path_up(&self.topo, &self.faults, &rt.path_fwd)

@@ -138,7 +138,7 @@ impl Engine {
             hit = Some((RtoCause::Delay, 0, 0, armed));
         }
         let (cause, node, port, root_at) = hit.unwrap_or((RtoCause::Unknown, 0, 0, SimTime::ZERO));
-        let seq = rt.sender.stats().last_rto_seq;
+        let seq = self.sender_stats(f).last_rto_seq;
         self.flows[f as usize].tx_epoch += 1;
         self.rto_causes.bump(cause);
         self.tracer.emit(t, || TraceEvent::RtoForensic {

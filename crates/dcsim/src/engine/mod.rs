@@ -4,9 +4,9 @@
 //! code already had (DESIGN §16 "Engine modules"): construction
 //! (`setup.rs`), the wire path (`wire.rs`), timers and transport actions
 //! (`timers.rs`), fault application and reroute (`fault.rs`), RTO forensics
-//! (`forensics.rs`), results (`results.rs`) and the per-flow route table
-//! (`route.rs`). This file keeps the types they share, `sched`, and the run
-//! loop.
+//! (`forensics.rs`), results (`results.rs`), the per-flow route table
+//! (`route.rs`) and each flow's transport lifetime (`lifetime.rs`). This
+//! file keeps the types they share, `sched`, and the run loop.
 //!
 //! The three compile-time observers — `profile::EngineProf`,
 //! `ledger::ConservationLedger`, and the latency ledger's flow slot and
@@ -25,7 +25,7 @@ use telemetry::{
 };
 use tlt_core::{RateTltConfig, WindowTltConfig};
 use transport::cc::{Dctcp, Hpcc, NewReno};
-use transport::iface::{Action, Ctx, FlowReceiver, FlowSender, TimerKind, TltMode};
+use transport::iface::{Action, Ctx, FlowReceiver, FlowSender, SenderStats, TimerKind, TltMode};
 use transport::roce::{RoceCfg, RoceReceiver, RoceRecovery, RoceSender};
 use transport::tcp::{TcpReceiver, WindowCfg, WindowSender};
 use transport::TransportKind;
@@ -38,6 +38,7 @@ use crate::profile::{EngineProf, EvKind};
 
 mod fault;
 mod forensics;
+mod lifetime;
 mod results;
 mod route;
 mod setup;
@@ -119,8 +120,12 @@ struct FlowRuntime {
     /// The pinned paths; only ever replaced whole (`reroute_flows`).
     path_fwd: Box<[Hop]>,
     path_rev: Box<[Hop]>,
-    sender: Box<dyn FlowSender>,
-    receiver: Box<dyn FlowReceiver>,
+    /// Built at `FlowStart` and folded into `Engine::counters` once the flow
+    /// is done (`lifetime.rs`).
+    tx: Option<Box<dyn FlowSender>>,
+    /// Built with the sender and kept to the end of the run: late duplicate
+    /// data still gets its ACK.
+    rx: Option<Box<dyn FlowReceiver>>,
     timer_gen: [u64; TIMER_KINDS.len()],
     timer_armed: [bool; TIMER_KINDS.len()],
     complete_at: Option<SimTime>,
@@ -178,6 +183,11 @@ pub struct Engine {
     port_base: Vec<u32>,
     host_q: Vec<std::collections::VecDeque<PacketRef>>,
     flows: Vec<FlowRuntime>,
+    /// Each flow's sender counters while it has no sender, on the flow
+    /// index: the defaults before its `FlowStart`, the folded sender's once
+    /// it is done. Written once per flow and read at collect, so they stay
+    /// off the hot per-flow record.
+    counters: Vec<SenderStats>,
     /// The route table, on the flow index: what a transit hop reads in
     /// place of `flows[f]` and its path.
     routes: Vec<FlowRoute>,
@@ -215,6 +225,10 @@ pub struct Engine {
     /// `profile`). Created in `new` (like the ledger) so constructor-time
     /// scheduling is counted too.
     prof: EngineProf,
+    /// Every pair was built in `try_new` and none is folded: the reference
+    /// side of `transport_lifetime_matches_eager`.
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl Engine {
@@ -277,16 +291,15 @@ impl Engine {
         macro_rules! check_done {
             ($f:expr) => {{
                 let i = $f as usize;
-                if !done_flag[i] {
-                    let rt = &self.flows[i];
-                    if rt.complete_at.is_some() && rt.sender.is_done() {
-                        done_flag[i] = true;
-                        remaining -= 1;
-                        // A finished flow must not leave timers armed: a
-                        // stale RTO would keep the event loop spinning and
-                        // show up as a leak in the end-of-run audit.
-                        self.disarm_timers($f);
-                    }
+                if !done_flag[i] && self.flows[i].is_done() {
+                    done_flag[i] = true;
+                    remaining -= 1;
+                    // A finished flow must not leave timers armed: a stale
+                    // RTO would keep the event loop spinning and show up as
+                    // a leak in the end-of-run audit. With none armed, the
+                    // sender is folded into its counters.
+                    self.disarm_timers($f);
+                    self.fold_sender($f);
                 }
             }};
         }
@@ -313,16 +326,12 @@ impl Engine {
                     let bytes = self.flows[f as usize].spec.bytes;
                     self.tracer
                         .emit(t, || TraceEvent::FlowStart { flow: f, bytes });
-                    let rt = &mut self.flows[f as usize];
                     // The ledger opens at FlowStart *execution*, which is
                     // also the recorded `spec.start` (dependent flows have
                     // it rewritten to the absolute release time), so the
                     // frontier and the FCT base coincide exactly.
-                    rt.lg.begin(t.as_ns());
-                    rt.sender.start(&mut Ctx {
-                        now: t,
-                        actions: &mut self.actions,
-                    });
+                    self.flows[f as usize].lg.begin(t.as_ns());
+                    self.start_transport(f);
                     self.flush_actions(f);
                     check_done!(f);
                 }
@@ -419,6 +428,9 @@ impl Engine {
         }
     }
 }
+
+#[cfg(test)]
+mod drawn;
 
 #[cfg(test)]
 mod tests {

@@ -176,12 +176,12 @@ impl Engine {
 
         let mut flows = Vec::with_capacity(self.flows.len());
         for (i, rt) in self.flows.iter().enumerate() {
-            if rt.complete_at.is_some() && rt.sender.is_done() {
+            if rt.is_done() {
                 // Completion disarms every slot; anything still armed is a
                 // leak (and would have kept the event loop busy).
                 agg.timers_leaked += rt.timer_armed.iter().filter(|a| **a).count() as u64;
             }
-            let st = rt.sender.stats();
+            let st = self.sender_stats(i as u32);
             agg.timeouts += st.timeouts;
             agg.fast_retx += st.fast_retx;
             agg.data_pkts_sent += st.data_pkts_sent;

@@ -1,6 +1,7 @@
 //! Construction: the port table and its audit against `Topology`, flows
-//! and their transports, the fault schedule, and the observers a caller
-//! attaches before `run`.
+//! and their routes (their transports are built at `FlowStart`, in
+//! `lifetime.rs`), the fault schedule, and the observers a caller attaches
+//! before `run`.
 
 use super::*;
 
@@ -131,8 +132,6 @@ impl Engine {
             let hash = Topology::ecmp_hash(src, dst, i as u64 ^ cfg.seed);
             let (path_fwd, path_rev) = topo.pin_paths(src, dst, hash);
             routes.push(FlowRoute::pin(&path_fwd, &path_rev));
-            let (sender, receiver) =
-                build_transport(&cfg, FlowId(i as u32), spec.bytes, base_rtt, bdp);
             match spec.after {
                 // A dependent flow waits for its parent's completion
                 // callback instead of an absolute FlowStart.
@@ -153,8 +152,8 @@ impl Engine {
                 dst,
                 path_fwd: path_fwd.into_boxed_slice(),
                 path_rev: path_rev.into_boxed_slice(),
-                sender,
-                receiver,
+                tx: None,
+                rx: None,
                 timer_gen: [0; TIMER_KINDS.len()],
                 timer_armed: [false; TIMER_KINDS.len()],
                 complete_at: None,
@@ -219,6 +218,7 @@ impl Engine {
             pause_acct: Vec::new(),
             port_base,
             host_q,
+            counters: vec![SenderStats::default(); flows.len()],
             flows,
             routes,
             dependents,
@@ -237,6 +237,8 @@ impl Engine {
             rto_causes: RtoCauseCounts::default(),
             forensics: Vec::new(),
             metrics: None,
+            #[cfg(test)]
+            eager: false,
         };
         if CHECK_PORT_TABLE {
             eng.check_port_table();
@@ -278,18 +280,16 @@ impl Engine {
         }
     }
 
-    /// Attaches the flight recorder: every switch, transport sender, and the
-    /// engine itself emit [`TraceEvent`]s into `tracer`'s sink. When
-    /// `cfg.trace_sample_every` is set, per-port `PortSample` telemetry is
-    /// scheduled too. Call before [`Engine::run`].
+    /// Attaches the flight recorder: every switch, transport sender (as it
+    /// is built, at its `FlowStart`), and the engine itself emit
+    /// [`TraceEvent`]s into `tracer`'s sink. When `cfg.trace_sample_every`
+    /// is set, per-port `PortSample` telemetry is scheduled too. Call before
+    /// [`Engine::run`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for (n, sw) in self.switches.iter_mut().enumerate() {
             if let Some(sw) = sw {
                 sw.set_tracer(tracer.clone(), n as u32);
             }
-        }
-        for rt in &mut self.flows {
-            rt.sender.set_tracer(tracer.clone());
         }
         if tracer.is_on() {
             if let Some(every) = self.cfg.trace_sample_every {
@@ -308,85 +308,6 @@ impl Engine {
         self.metrics = Some(PortMetrics::new(self.ports.len()));
         if CHECK_PORT_TABLE {
             self.check_port_table();
-        }
-    }
-}
-
-/// Instantiates the sender/receiver pair for one flow.
-fn build_transport(
-    cfg: &SimConfig,
-    flow: FlowId,
-    bytes: u64,
-    base_rtt: SimTime,
-    bdp: u64,
-) -> (Box<dyn FlowSender>, Box<dyn FlowReceiver>) {
-    let tlt_on = cfg.tlt.is_some();
-    match cfg.transport {
-        TransportKind::Tcp | TransportKind::Dctcp | TransportKind::Hpcc => {
-            let mut w = WindowCfg::new(flow, bytes);
-            w.mss = cfg.mss;
-            w.init_cwnd_pkts = cfg.init_cwnd_pkts;
-            w.rto = cfg.rto;
-            w.tlp = cfg.tlp;
-            w.ecn_capable = cfg.transport == TransportKind::Dctcp;
-            w.collect_delivery = cfg.collect_delivery;
-            if let Some(t) = cfg.tlt {
-                w.tlt = TltMode::Window(WindowTltConfig {
-                    clocking: t.clocking,
-                });
-            }
-            let rx = Box::new(TcpReceiver::new(flow, bytes, tlt_on, 8));
-            let tx: Box<dyn FlowSender> = match cfg.transport {
-                TransportKind::Tcp => Box::new(WindowSender::new(
-                    w.clone(),
-                    NewReno::new(w.mss, w.init_cwnd_pkts),
-                )),
-                TransportKind::Dctcp => Box::new(WindowSender::new(
-                    w.clone(),
-                    Dctcp::new(w.mss, w.init_cwnd_pkts),
-                )),
-                TransportKind::Hpcc => Box::new(WindowSender::new(
-                    w.clone(),
-                    Hpcc::new(w.mss, base_rtt, bdp),
-                )),
-                _ => unreachable!(),
-            };
-            (tx, rx)
-        }
-        TransportKind::DcqcnGbn | TransportKind::DcqcnSack | TransportKind::DcqcnIrn => {
-            let recovery = match cfg.transport {
-                TransportKind::DcqcnGbn => RoceRecovery::GoBackN,
-                TransportKind::DcqcnSack => RoceRecovery::Selective { window_cap: None },
-                _ => RoceRecovery::Selective {
-                    window_cap: Some(bdp),
-                },
-            };
-            let mut r = RoceCfg::new(flow, bytes, recovery);
-            r.mss = cfg.mss;
-            if cfg.transport == TransportKind::DcqcnIrn {
-                // IRN's recommended RTO_high (base latency + max one-hop
-                // queueing) and RTO_low for small in-flight counts. The IRN
-                // paper uses RTO_low = 100 us; our shared-buffer queues can
-                // delay ACKs past that even for important packets, so we
-                // calibrate RTO_low to the color-threshold draining time
-                // (200 kB + important headroom at 40 Gbps ~ 250 us) to keep
-                // it aggressive without being dominated by spurious firing.
-                r.rto_high = SimTime::from_us(1930);
-                r.rto_low = Some((SimTime::from_us(300), 3));
-            }
-            if let Some(t) = cfg.tlt {
-                let every_n = if cfg.transport == TransportKind::DcqcnGbn {
-                    t.every_n
-                } else {
-                    // Selective recovery detects losses via SACK; periodic
-                    // marking is unnecessary (§5.2 note 2).
-                    None
-                };
-                r.tlt = TltMode::Rate(RateTltConfig { every_n });
-            }
-            let selective = !matches!(recovery, RoceRecovery::GoBackN);
-            let rx = Box::new(RoceReceiver::new(flow, bytes, selective, tlt_on));
-            (Box::new(RoceSender::new(r)), rx)
         }
     }
 }

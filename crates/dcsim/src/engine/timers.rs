@@ -77,10 +77,11 @@ impl Engine {
             // registered a timeout (the transport may ignore a
             // stale timer), and attribute it *before* flushing
             // actions so the retransmissions carry the new epoch.
-            let pre_rto =
-                (kind == TimerKind::Rto).then(|| self.flows[flow as usize].sender.stats().timeouts);
-            let rt = &mut self.flows[flow as usize];
-            rt.sender.on_timer(
+            let pre_rto = (kind == TimerKind::Rto).then(|| self.sender_stats(flow).timeouts);
+            // A live timer belongs to a running flow: a done one had every
+            // slot disarmed before its sender was folded.
+            let tx = self.flows[flow as usize].tx.as_mut();
+            tx.expect("a live timer's flow has a sender").on_timer(
                 kind,
                 &mut Ctx {
                     now: t,
@@ -88,7 +89,7 @@ impl Engine {
                 },
             );
             if let Some(pre) = pre_rto {
-                if self.flows[flow as usize].sender.stats().timeouts > pre {
+                if self.sender_stats(flow).timeouts > pre {
                     self.attribute_rto(flow, t);
                 }
             }

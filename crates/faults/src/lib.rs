@@ -237,12 +237,14 @@ struct LinkState {
 /// transmitted frame. Replaces the old single global `WireFault`.
 #[derive(Clone, Debug)]
 pub struct FaultState {
+    /// The per-link table: empty while `quiet`, `n_links` entries after.
     links: Vec<LinkState>,
+    n_links: usize,
     /// No setter has run yet, so every link is still in its default state
     /// (up, no loss model, nominal rate) and the per-frame queries answer
-    /// without reading `links`. Sticky: any setter clears it for good, even
-    /// one that changes nothing, so a fabric that has seen a fault schedule
-    /// takes the table lookups from then on.
+    /// without reading `links`, which is not even allocated. Sticky: any
+    /// setter clears it for good, even one that changes nothing, so a fabric
+    /// that has seen a fault schedule takes the table lookups from then on.
     quiet: bool,
     rng: SimRng,
     /// Frames destroyed by a loss model (corruption).
@@ -258,11 +260,21 @@ impl FaultState {
     /// `wire_loss_rate` runs reproduce the exact historical drop pattern.
     pub fn new(n_links: usize, seed: u64) -> Self {
         FaultState {
-            links: vec![LinkState::default(); n_links],
+            links: Vec::new(),
+            n_links,
             quiet: true,
             rng: SimRng::seed_from(seed),
             wire_drops: 0,
             down_drops: 0,
+        }
+    }
+
+    /// Leaves the quiet state, allocating the per-link table. Every setter
+    /// calls it and no query does, so a fault-free run never holds a table.
+    fn wake(&mut self) {
+        if self.quiet {
+            self.quiet = false;
+            self.links = vec![LinkState::default(); self.n_links];
         }
     }
 
@@ -273,14 +285,14 @@ impl FaultState {
         if rate <= 0.0 {
             return;
         }
-        self.quiet = false;
+        self.wake();
         for l in &mut self.links {
             l.loss = LossModel::Bernoulli { rate };
         }
     }
 
     pub fn set_loss(&mut self, link: LinkId, loss: LossModel) {
-        self.quiet = false;
+        self.wake();
         let l = &mut self.links[link.0 as usize];
         l.loss = loss;
         l.in_bad = false;
@@ -290,12 +302,12 @@ impl FaultState {
         if let Some(f) = factor {
             assert!(f > 0.0, "rate_factor must be positive");
         }
-        self.quiet = false;
+        self.wake();
         self.links[link.0 as usize].rate_factor = factor;
     }
 
     pub fn set_down(&mut self, link: LinkId, down: bool) {
-        self.quiet = false;
+        self.wake();
         self.links[link.0 as usize].down = down;
     }
 
@@ -488,7 +500,9 @@ mod tests {
 
     /// The quiet flag: set at construction, cleared for good by every
     /// setter — including ones that leave the link as it was — and never
-    /// by a query. Answers are the same on either side of it.
+    /// by a query. Answers are the same on either side of it. A quiet state
+    /// holds no table; the first setter allocates exactly one entry per
+    /// link.
     #[test]
     fn quiet_flag_is_sticky_and_changes_no_answer() {
         type Setter = fn(&mut FaultState);
@@ -511,8 +525,10 @@ mod tests {
             );
             assert!(!f.corrupts(LinkId(0)));
             assert!(f.is_quiet(), "queries leave the flag alone");
+            assert_eq!(f.links.capacity(), 0, "a quiet state holds no table");
             set(&mut f);
             assert!(!f.is_quiet(), "setter {i} clears the flag");
+            assert_eq!((f.links.len(), f.links.capacity()), (2, 2), "setter {i}");
             let after = (
                 f.is_down(LinkId(1)),
                 f.any_down(),

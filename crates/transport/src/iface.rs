@@ -117,6 +117,12 @@ pub struct SenderStats {
 }
 
 /// A sender-side transport state machine.
+///
+/// **A done sender is inert.** Once [`FlowSender::is_done`] holds,
+/// `on_packet` (ACK, NACK or CNP) and `on_timer` (any kind) emit no action
+/// and leave [`FlowSender::stats`] unchanged. The engine relies on this to
+/// consume a done flow's sender into its counters
+/// ([`FlowSender::into_stats`]) and to skip what would have reached it.
 pub trait FlowSender {
     /// Starts the flow: transmit the initial window / first paced packet.
     fn start(&mut self, ctx: &mut Ctx);
@@ -128,6 +134,11 @@ pub trait FlowSender {
     fn is_done(&self) -> bool;
     /// Counters for the harness.
     fn stats(&self) -> &SenderStats;
+    /// Consumes the sender into its counters. The default clones them;
+    /// senders that own theirs move them out.
+    fn into_stats(self: Box<Self>) -> SenderStats {
+        self.stats().clone()
+    }
     /// Attaches a flight-recorder handle; instrumented senders emit
     /// timeout / fast-retransmit / TLT-marking events through it. The
     /// default ignores it so minimal test senders need no changes.
@@ -259,5 +270,135 @@ mod tests {
         assert!(!TltMode::Off.enabled());
         assert!(TltMode::Window(Default::default()).enabled());
         assert!(TltMode::Rate(Default::default()).enabled());
+    }
+
+    type Pair = (Box<dyn FlowSender>, Box<dyn FlowReceiver>);
+
+    /// The six transports, with TLT on (and TLP for the window family) so
+    /// that every timer slot and every echo path has state behind it.
+    fn six_transports(flow: FlowId, bytes: u64) -> [(&'static str, Pair); 6] {
+        use crate::cc::{Dctcp, Hpcc, NewReno};
+        use crate::roce::{RoceCfg, RoceReceiver, RoceRecovery, RoceSender};
+        use crate::tcp::{TcpReceiver, WindowCfg, WindowSender};
+        let window = |ecn_capable: bool| {
+            let mut c = WindowCfg::new(flow, bytes);
+            c.tlp = true;
+            c.ecn_capable = ecn_capable;
+            c.tlt = TltMode::Window(Default::default());
+            c
+        };
+        let tcp_rx = || Box::new(TcpReceiver::new(flow, bytes, true, 8));
+        let rate = |recovery| -> Pair {
+            let mut c = RoceCfg::new(flow, bytes, recovery);
+            c.tlt = TltMode::Rate(tlt_core::RateTltConfig { every_n: Some(8) });
+            let selective = !matches!(recovery, RoceRecovery::GoBackN);
+            let rx = Box::new(RoceReceiver::new(flow, bytes, selective, true));
+            (Box::new(RoceSender::new(c)), rx)
+        };
+        let (c, d) = (window(false), window(true));
+        let rtt = SimTime::from_us(8);
+        [
+            (
+                "tcp",
+                (
+                    Box::new(WindowSender::new(c.clone(), NewReno::new(c.mss, 10))),
+                    tcp_rx(),
+                ),
+            ),
+            (
+                "dctcp",
+                (
+                    Box::new(WindowSender::new(d.clone(), Dctcp::new(d.mss, 10))),
+                    tcp_rx(),
+                ),
+            ),
+            (
+                "hpcc",
+                (
+                    Box::new(WindowSender::new(c.clone(), Hpcc::new(c.mss, rtt, 40_000))),
+                    tcp_rx(),
+                ),
+            ),
+            ("dcqcn", rate(RoceRecovery::GoBackN)),
+            (
+                "dcqcn+sack",
+                rate(RoceRecovery::Selective { window_cap: None }),
+            ),
+            (
+                "dcqcn+irn",
+                rate(RoceRecovery::Selective {
+                    window_cap: Some(40_000),
+                }),
+            ),
+        ]
+    }
+
+    /// The contract on [`FlowSender`]: each of the six transports, run to
+    /// `is_done` through a first-packet loss, is offered ACKs (behind, at
+    /// and past the end, with SACK blocks, ECE, timestamps and both TLT
+    /// echo marks), NACKs, a CNP and every timer kind. None may emit an
+    /// action or move a counter, and `into_stats` hands back those same
+    /// counters.
+    #[test]
+    fn a_done_sender_is_inert() {
+        use crate::testutil::{DropPlan, Harness};
+        use netsim::packet::{SackBlock, TltMark};
+        const BYTES: u64 = 60_000;
+        let flow = FlowId(3);
+        let acks = [0, 14_400, BYTES, BYTES + 1_000]
+            .into_iter()
+            .flat_map(|seq| {
+                [
+                    TltMark::None,
+                    TltMark::ImportantEcho,
+                    TltMark::ImportantClockEcho,
+                ]
+                .map(|mark| {
+                    let mut ack = Packet::ack(flow, seq);
+                    ack.mark = mark;
+                    ack.ece = true;
+                    ack.ts_echo = SimTime::from_us(1);
+                    ack.sack = vec![SackBlock {
+                        start: seq + 1_000,
+                        end: seq + 3_000,
+                    }];
+                    ack
+                })
+            });
+        let nacks = [0, BYTES / 2, BYTES].map(|seq| Packet::nack(flow, seq));
+        let offers: Vec<Packet> = acks.chain(nacks).chain([Packet::cnp(flow)]).collect();
+        let kinds = [
+            TimerKind::Rto,
+            TimerKind::Tlp,
+            TimerKind::Pace,
+            TimerKind::DcqcnAlpha,
+            TimerKind::DcqcnIncrease,
+        ];
+        for (name, (mut tx, mut rx)) in six_transports(flow, BYTES) {
+            let mut h = Harness::new(SimTime::from_us(4), DropPlan::data_once(0));
+            let res = h.run(tx.as_mut(), rx.as_mut(), SimTime::from_secs(1));
+            assert!(res.sender_done && res.receiver_complete, "{name} finished");
+            assert!(tx.stats().data_pkts_sent > BYTES / 1_440, "{name} sent");
+            let before = format!("{:?}", tx.stats());
+            let mut actions = Vec::new();
+            let mut ctx = Ctx {
+                now: SimTime::from_ms(50),
+                actions: &mut actions,
+            };
+            for pkt in &offers {
+                tx.on_packet(pkt, &mut ctx);
+            }
+            for kind in kinds {
+                tx.on_timer(kind, &mut ctx);
+            }
+            assert!(actions.is_empty(), "{name} acted: {actions:?}");
+            assert!(tx.is_done(), "{name}");
+            assert_eq!(format!("{:?}", tx.stats()), before, "{name} stats");
+            assert_eq!(
+                format!("{:?}", tx.into_stats()),
+                before,
+                "{name} into_stats"
+            );
+        }
     }
 }

@@ -583,6 +583,10 @@ impl FlowSender for RoceSender {
         &self.stats
     }
 
+    fn into_stats(self: Box<Self>) -> SenderStats {
+        self.stats
+    }
+
     fn set_tracer(&mut self, tracer: telemetry::Tracer) {
         self.tracer = tracer;
     }

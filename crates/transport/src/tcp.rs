@@ -607,6 +607,10 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
         &self.stats
     }
 
+    fn into_stats(self: Box<Self>) -> SenderStats {
+        self.stats
+    }
+
     fn set_tracer(&mut self, tracer: telemetry::Tracer) {
         self.tracer = tracer;
     }
