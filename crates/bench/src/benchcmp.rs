@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use telemetry::json::{self, Value};
 use telemetry::{
     Profile, Registry, ServeReport, SpanReport, METRICS_SCHEMA, PROFILE_SCHEMA, SERVE_SCHEMA,
     SPANS_SCHEMA,
@@ -69,29 +70,17 @@ impl Doc {
     }
 }
 
-type Loader = fn(&str) -> Result<Doc, String>;
-
-/// The readable formats, each through its own telemetry parser.
-const FORMATS: [Loader; 4] = [
-    |t| Registry::parse(t).map(|r| Doc::of(METRICS_SCHEMA, &r)),
-    |t| Profile::parse(t).map(Doc::of_profile),
-    |t| ServeReport::parse(t).map(|r| Doc::of(SERVE_SCHEMA, &r.reg)),
-    |t| SpanReport::parse(t).map(|r| Doc::of(SPANS_SCHEMA, &r.reg)),
-];
-
-/// Parses and flattens one artifact of any of the four formats.
+/// Parses and flattens one artifact of any of the four formats: its
+/// `"schema"` tag picks the telemetry parser that owns the format.
 pub fn load(text: &str) -> Result<Doc, String> {
-    let mut mismatch = String::new();
-    for parse in FORMATS {
-        match parse(text) {
-            Ok(doc) => return Ok(doc),
-            // Every parser reads the leading schema tag first and rejects
-            // another format's tag this way: try the next format.
-            Err(e) if e.starts_with("schema mismatch") => mismatch = e,
-            Err(e) => return Err(e),
-        }
+    match json::parse(text)?.get("schema").and_then(Value::as_str) {
+        Some(METRICS_SCHEMA) => Registry::parse(text).map(|r| Doc::of(METRICS_SCHEMA, &r)),
+        Some(PROFILE_SCHEMA) => Profile::parse(text).map(Doc::of_profile),
+        Some(SERVE_SCHEMA) => ServeReport::parse(text).map(|r| Doc::of(SERVE_SCHEMA, &r.reg)),
+        Some(SPANS_SCHEMA) => SpanReport::parse(text).map(|r| Doc::of(SPANS_SCHEMA, &r.reg)),
+        Some(other) => Err(format!("unsupported schema {other:?}")),
+        None => Err("missing \"schema\" key".to_string()),
     }
-    Err(format!("unsupported schema ({mismatch})"))
 }
 
 /// One key's before/after pair.
@@ -165,10 +154,11 @@ impl Comparison {
         let _ = writeln!(s, "  \"changed\": {},", self.changed().count());
         s.push_str("  \"deltas\": [\n");
         for (i, d) in self.deltas.iter().enumerate() {
+            s.push_str("    {\"key\": ");
+            json::push_str(&mut s, &d.key);
             let _ = write!(
                 s,
-                "    {{\"key\": \"{}\", \"old\": {}, \"new\": {}, \"pct\": {}}}",
-                d.key,
+                ", \"old\": {}, \"new\": {}, \"pct\": {}}}",
                 d.old,
                 d.new,
                 d.pct().map_or("null".to_string(), |p| format!("{p:.4}"))
@@ -354,6 +344,21 @@ mod tests {
     }
 
     #[test]
+    fn json_summary_escapes_keys() {
+        let doc = |n| {
+            let mut reg = Registry::new();
+            reg.inc("a\"b\\c", n);
+            load(&reg.to_json()).unwrap()
+        };
+        let js = compare(&doc(0), &doc(5)).to_json();
+        let v = json::parse(&js).expect("--json output is JSON");
+        let delta = &v.get("deltas").unwrap().items()[0];
+        let key = delta.get("key").and_then(Value::as_str);
+        assert_eq!(key, Some("counter/a\"b\\c"), "{js}");
+        assert_eq!(delta.get("new").and_then(Value::as_u64), Some(5));
+    }
+
+    #[test]
     fn provenance_mismatch_refuses_and_missing_only_warns() {
         let release = load(&metrics(1, Some("release"), "quick")).unwrap();
         let debug = load(&metrics(1, Some("debug"), "quick")).unwrap();
@@ -380,6 +385,7 @@ mod tests {
         let unknown = load("{\"schema\": \"wat/v9\"}").unwrap_err();
         assert!(unknown.contains("unsupported schema"), "{unknown}");
         assert!(unknown.contains("wat/v9"), "{unknown}");
+        assert!(load("{}").unwrap_err().contains("missing"));
         let good = metrics(128, Some("release"), "quick");
         assert!(load(&format!("{good}garbage")).is_err());
         // Every truncation of a valid document fails cleanly, never panics.

@@ -438,7 +438,7 @@ mod tests {
         assert!(a.contains("event_sched/deliver"));
         assert_eq!(a, b, "profile JSON differs under --jobs");
         // And it round-trips through its own parser.
-        let parsed = Profile::from_json(&a).expect("self-parse");
+        let parsed = Profile::parse(&a).expect("self-parse");
         assert_eq!(parsed.to_json(), a);
     }
 
@@ -446,7 +446,7 @@ mod tests {
     fn captured_metrics_round_trip_and_merge_count_all_jobs() {
         let out = tiny_plan(2).capture_metrics().run_detailed();
         let merged = out.metrics.expect("metrics captured");
-        let parsed = Registry::from_json(&merged.to_json()).expect("self-parse");
+        let parsed = Registry::parse(&merged.to_json()).expect("self-parse");
         assert_eq!(parsed, merged, "JSON round trip is lossless");
         // The merged registry sums every (scheme, seed) job: RTO counts
         // across all jobs equal the plan's per-scheme totals.

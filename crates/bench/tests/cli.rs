@@ -55,13 +55,20 @@ fn trace_inspect_rejects_malformed_metrics_with_diagnostic() {
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("invalid tlt-metrics JSON"));
 
+    // A cut directly after a backslash inside the first key: exit 2 with
+    // the positional diagnostic, not a panic.
+    let escape = tmp("escape-cut.json", "{\"schema\\");
+    let out = run(bin, &["--metrics", escape.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("at byte"), "{}", stderr(&out));
+
     // The intact export still renders and exits 0.
     let intact = tmp("intact.json", &good);
     let out = run(bin, &["--metrics", intact.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("data_pkts_sent"));
 
-    for p in [garbage, truncated, intact] {
+    for p in [garbage, truncated, escape, intact] {
         let _ = std::fs::remove_file(p);
     }
 }

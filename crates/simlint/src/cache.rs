@@ -19,7 +19,7 @@ use crate::rules::{FileAnalysis, RawFinding};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::json::{self, Value};
+use telemetry::json::{self, Value};
 
 /// Bumped whenever rule or extraction semantics change, invalidating all
 /// prior entries (the content hash only covers the *input* file).
@@ -211,6 +211,11 @@ mod tests {
         assert!(Cache::load(&path).entries.is_empty());
         std::fs::write(&path, r#"{"version": 999999, "files": {}}"#).unwrap();
         assert!(Cache::load(&path).entries.is_empty());
+        // Hostile nesting is a miss too, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            std::fs::write(&path, open.repeat(100_000)).unwrap();
+            assert!(Cache::load(&path).entries.is_empty());
+        }
         assert!(Cache::load(&dir.join("missing.json")).entries.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

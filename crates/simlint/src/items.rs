@@ -9,9 +9,9 @@
 //! extraction for unchanged files while the cheap cross-file passes in
 //! [`crate::graph`] rerun every time.
 
-use crate::json::Value;
 use crate::lexer::{str_contents, Lexed, TokKind};
 use std::collections::BTreeMap;
+use telemetry::json::Value;
 
 /// How rule E1 decides a variant has an accounting site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -742,8 +742,8 @@ mod tests {
         let l = lex(EVENT_SNIPPET);
         let items = extract(&l, &[]);
         let v = items.to_json();
-        let text = crate::json::write(&v);
-        let back = FileItems::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let text = telemetry::json::write(&v);
+        let back = FileItems::from_json(&telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.enums, items.enums);
         assert_eq!(back.refs, items.refs);
         assert_eq!(back.emits, items.emits);

@@ -13,8 +13,8 @@
 //!
 //! The pass is a hand-rolled lexer (see [`lexer`]) plus a per-file item
 //! graph (see [`items`]) over the workspace — no `syn`, no proc-macros, no
-//! dependencies — so it compiles in well under a second and runs as a
-//! tier-1 CI gate:
+//! external crate; JSON goes through the workspace's own `telemetry::json`
+//! — so it builds in seconds and runs as a tier-1 CI gate:
 //!
 //! ```text
 //! cargo run -p simlint                      # lint the enclosing workspace
@@ -35,7 +35,6 @@
 pub mod cache;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod schema;

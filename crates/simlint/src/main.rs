@@ -83,10 +83,10 @@ fn report(findings: &[simlint::Finding], format: Format) {
                 }
                 out.push_str(&format!(
                     "{{\"file\":{},\"line\":{},\"rule\":{},\"msg\":{}}}",
-                    simlint::json::escape(&f.file),
+                    telemetry::json::escape(&f.file),
                     f.line,
-                    simlint::json::escape(f.rule),
-                    simlint::json::escape(&f.msg),
+                    telemetry::json::escape(f.rule),
+                    telemetry::json::escape(&f.msg),
                 ));
             }
             out.push_str(&format!("],\"count\":{}}}", findings.len()));

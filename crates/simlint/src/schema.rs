@@ -15,7 +15,7 @@
 //! checking exactly like `required_*`, but presence validators must not
 //! demand them in every export.
 
-use crate::json::{self, Value};
+use telemetry::json::{self, Value};
 
 /// One declared key or key prefix.
 #[derive(Clone, Debug)]

@@ -1,11 +1,17 @@
-//! The trace event schema and its hand-rolled JSONL codec.
+//! The trace event schema and its JSONL codec.
 //!
 //! Every event serializes to one JSON object per line with a shared shape:
 //! `{"t":<ns>,"ev":"<tag>", ...fields}`. All numeric fields are unsigned
 //! integers (never floats), so a deterministic simulation produces a
-//! byte-identical trace — the property the determinism tests pin.
+//! byte-identical trace — the property the determinism tests pin. Lines
+//! are written by hand into one reused buffer and read back through
+//! [`crate::json::Cursor`].
+
+use std::borrow::Cow;
 
 use eventsim::SimTime;
+
+use crate::json::{self, Cursor};
 
 /// Why a packet was dropped, as recorded in [`TraceEvent::Drop`].
 ///
@@ -834,12 +840,12 @@ impl TraceEvent {
     /// Returns `None` for malformed lines (the inspector reports them
     /// rather than panicking on a truncated trace).
     pub fn from_jsonl(line: &str) -> Option<(SimTime, TraceEvent)> {
-        let fields = parse_object(line)?;
+        let fields = Fields::parse(line).ok()?;
         let t = SimTime::from_ns(fields.num("t")?);
         let u32_of = |k: &str| fields.num(k).and_then(|v| u32::try_from(v).ok());
         let ev = match fields.str("ev")? {
             "run_start" => TraceEvent::RunStart {
-                label: fields.string("label")?,
+                label: fields.str("label")?.to_string(),
                 seed: fields.num("seed")?,
             },
             "run_end" => TraceEvent::RunEnd {
@@ -989,36 +995,43 @@ fn push_bool_field(s: &mut String, key: &str, v: bool) {
 fn push_str_field(s: &mut String, key: &str, v: &str) {
     s.push_str(",\"");
     s.push_str(key);
-    s.push_str("\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
+    s.push_str("\":");
+    json::push_str(s, v);
 }
 
-/// A flat JSON object decoded into (key, value) pairs.
+/// A flat JSON object decoded into (key, value) pairs, strings borrowed
+/// from the line unless they hold an escape.
 struct Fields<'a> {
-    pairs: Vec<(&'a str, Value<'a>)>,
+    pairs: Vec<(Cow<'a, str>, Value<'a>)>,
 }
 
 enum Value<'a> {
     Num(u64),
-    Str(&'a str),
+    Str(Cow<'a, str>),
     Bool(bool),
 }
 
 impl<'a> Fields<'a> {
+    /// Reads one line holding a flat object of unsigned numbers, strings
+    /// and booleans — the only shapes the codec emits.
+    fn parse(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut c = Cursor::new(line);
+        let mut pairs = Vec::with_capacity(8);
+        c.object(|c, key| {
+            let v = match c.peek() {
+                Some(b'"') => Value::Str(c.string()?),
+                Some(b't' | b'f') => Value::Bool(c.bool()?),
+                _ => Value::Num(c.u64()?),
+            };
+            pairs.push((key, v));
+            Ok(())
+        })?;
+        c.end()?;
+        Ok(Fields { pairs })
+    }
+
     fn get(&self, key: &str) -> Option<&Value<'a>> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     fn num(&self, key: &str) -> Option<u64> {
@@ -1028,39 +1041,11 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn str(&self, key: &str) -> Option<&'a str> {
+    fn str(&self, key: &str) -> Option<&str> {
         match self.get(key)? {
             Value::Str(v) => Some(v),
             _ => None,
         }
-    }
-
-    /// Like [`Fields::str`] but unescapes into an owned string.
-    fn string(&self, key: &str) -> Option<String> {
-        let raw = self.str(key)?;
-        if !raw.contains('\\') {
-            return Some(raw.to_string());
-        }
-        let mut out = String::with_capacity(raw.len());
-        let mut chars = raw.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
     }
 
     fn boolean(&self, key: &str) -> Option<bool> {
@@ -1069,74 +1054,6 @@ impl<'a> Fields<'a> {
             _ => None,
         }
     }
-}
-
-/// Parses a single-line flat JSON object of unsigned numbers, strings, and
-/// booleans — the only shapes the codec emits.
-fn parse_object(line: &str) -> Option<Fields<'_>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = body.as_bytes();
-    let mut pairs = Vec::with_capacity(8);
-    let mut i = 0;
-    while i < bytes.len() {
-        // Key: "name"
-        if bytes[i] != b'"' {
-            return None;
-        }
-        let key_end = find_string_end(bytes, i + 1)?;
-        let key = &body[i + 1..key_end];
-        i = key_end + 1;
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        // Value.
-        let value = match bytes.get(i)? {
-            b'"' => {
-                let end = find_string_end(bytes, i + 1)?;
-                let v = Value::Str(&body[i + 1..end]);
-                i = end + 1;
-                v
-            }
-            b't' if body[i..].starts_with("true") => {
-                i += 4;
-                Value::Bool(true)
-            }
-            b'f' if body[i..].starts_with("false") => {
-                i += 5;
-                Value::Bool(false)
-            }
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                Value::Num(body[start..i].parse().ok()?)
-            }
-            _ => return None,
-        };
-        pairs.push((key, value));
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            None => break,
-            _ => return None,
-        }
-    }
-    Some(Fields { pairs })
-}
-
-/// Index of the closing quote of a string starting at `from`, honoring
-/// backslash escapes.
-fn find_string_end(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut i = from;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -276,7 +276,7 @@ impl RunSummary {
                             p.port,
                             p.start.as_ns(),
                             end.as_ns(),
-                            end.as_ns() - p.start.as_ns()
+                            end.as_ns().saturating_sub(p.start.as_ns())
                         );
                     }
                     None => {
@@ -725,6 +725,18 @@ mod tests {
         let errs = report.runs[0].check();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("rto_cause_pfc"), "{errs:?}");
+    }
+
+    #[test]
+    fn a_resume_stamped_before_its_pause_still_renders() {
+        let text = concat!(
+            "{\"t\":0,\"ev\":\"run_start\",\"label\":\"x\",\"seed\":0}\n",
+            "{\"t\":100,\"ev\":\"xoff\",\"node\":1,\"port\":0}\n",
+            "{\"t\":50,\"ev\":\"xon\",\"node\":1,\"port\":0}\n",
+        );
+        assert!(inspect_str(text)
+            .render()
+            .contains("paused 100 .. 50 ns (0 ns)"));
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! histograms, and the [`profile`] module the `tlt-profile/v1` engine
 //! profiles (per-event-kind tallies plus bounded sim-time [`TimeSeries`]),
 //! and the [`serve`] module the `tlt-serve/v1` per-request SLO reports;
-//! all merge deterministically in plan order.
+//! all merge deterministically in plan order. The [`json`] module is the
+//! one JSON reader and string escaper behind all of them, the JSONL codec,
+//! and simlint.
 //!
 //! Everything is `std`-only: the crate must build with no registry access.
 //!
@@ -53,6 +55,7 @@
 
 mod event;
 pub mod inspect;
+pub mod json;
 pub mod profile;
 pub mod registry;
 mod series;

@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 
 use eventsim::SimTime;
 
+use crate::json::Cursor;
 use crate::registry::{self, Registry};
 
 /// Export schema identifier written by [`Profile::to_json`].
@@ -199,54 +200,41 @@ impl TimeSeries {
         s.push_str("]}");
     }
 
-    pub(crate) fn parse(p: &mut registry::Parser) -> Result<TimeSeries, String> {
-        p.expect('{')?;
+    pub(crate) fn parse(c: &mut Cursor) -> Result<TimeSeries, String> {
         let mut window = 0u64;
         let mut buckets: Vec<SeriesBucket> = Vec::new();
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "window_ns" => window = p.number()?,
-                "buckets" => {
-                    p.expect('[')?;
-                    if !p.peek_close(']') {
-                        loop {
-                            p.expect('[')?;
-                            let i = p.number()? as usize;
-                            p.expect(',')?;
-                            let sum = p.number()?;
-                            p.expect(',')?;
-                            let count = p.number()?;
-                            p.expect(',')?;
-                            let max = p.number()?;
-                            p.expect(']')?;
-                            if i >= SERIES_MAX_BUCKETS {
-                                return Err(format!(
-                                    "series bucket index {i} exceeds cap {SERIES_MAX_BUCKETS}"
-                                ));
-                            }
-                            if i >= buckets.len() {
-                                buckets.resize(i + 1, SeriesBucket::default());
-                            }
-                            if !buckets[i].is_empty() {
-                                return Err(format!("duplicate series bucket index {i}"));
-                            }
-                            buckets[i] = SeriesBucket { sum, count, max };
-                            if !p.comma()? {
-                                break;
-                            }
-                        }
-                    }
-                    p.expect(']')?;
+        c.object(|c, key| match &*key {
+            "window_ns" => {
+                window = c.u64()?;
+                Ok(())
+            }
+            "buckets" => c.array(|c| {
+                c.expect('[')?;
+                let i = c.u64()?;
+                c.expect(',')?;
+                let sum = c.u64()?;
+                c.expect(',')?;
+                let count = c.u64()?;
+                c.expect(',')?;
+                let max = c.u64()?;
+                c.expect(']')?;
+                if i >= SERIES_MAX_BUCKETS as u64 {
+                    return Err(format!(
+                        "series bucket index {i} exceeds cap {SERIES_MAX_BUCKETS}"
+                    ));
                 }
-                _ => return Err(format!("unknown series field {key:?}")),
-            }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
+                let i = i as usize;
+                if i >= buckets.len() {
+                    buckets.resize(i + 1, SeriesBucket::default());
+                }
+                if !buckets[i].is_empty() {
+                    return Err(format!("duplicate series bucket index {i}"));
+                }
+                buckets[i] = SeriesBucket { sum, count, max };
+                Ok(())
+            }),
+            _ => Err(format!("unknown series field {key:?}")),
+        })?;
         if !window.is_power_of_two() {
             return Err(format!("series window_ns {window} is not a power of two"));
         }
@@ -311,20 +299,7 @@ impl Profile {
         s.push('"');
         self.reg.push_body(&mut s);
         s.push_str(",\n  \"series\": {");
-        let mut first = true;
-        for (k, ts) in &self.series {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    ");
-            registry::push_json_string(&mut s, k);
-            s.push_str(": ");
-            ts.push_json(&mut s);
-        }
-        if !self.series.is_empty() {
-            s.push_str("\n  ");
-        }
+        registry::push_map(&mut s, &self.series, |s, ts| ts.push_json(s));
         s.push_str("}\n}\n");
         s
     }
@@ -332,54 +307,19 @@ impl Profile {
     /// Parses a `tlt-profile/v1` JSON export, reporting why a malformed or
     /// truncated file was rejected.
     pub fn parse(text: &str) -> Result<Profile, String> {
-        let mut p = registry::Parser::new(text);
-        let mut prof = Profile::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != PROFILE_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {PROFILE_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if key == "series" {
-                p.expect('{')?;
-                if !p.peek_close('}') {
-                    loop {
-                        let name = p.string()?;
-                        p.expect(':')?;
-                        let ts = TimeSeries::parse(&mut p)
-                            .map_err(|e| format!("series {name:?}: {e}"))?;
-                        prof.series.insert(name, ts);
-                        if !p.comma()? {
-                            break;
-                        }
-                    }
-                }
-                p.expect('}')?;
-            } else if !registry::parse_body_key(&mut p, &mut prof.reg, &key)? {
-                return Err(format!("unknown key {key:?} in profile JSON"));
+        let mut series = BTreeMap::new();
+        let reg = registry::parse_envelope(text, PROFILE_SCHEMA, "profile", |key, c| {
+            if key != "series" {
+                return Ok(false);
             }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
-        Ok(prof)
-    }
-
-    /// Parses a `tlt-profile/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<Profile> {
-        Profile::parse(text).ok()
+            c.object(|c, name| {
+                let ts = TimeSeries::parse(c).map_err(|e| format!("series {name:?}: {e}"))?;
+                series.insert(name.into_owned(), ts);
+                Ok(())
+            })?;
+            Ok(true)
+        })?;
+        Ok(Profile { reg, series })
     }
 
     /// Renders the human-readable observatory table: provenance, the
@@ -545,6 +485,7 @@ mod tests {
     fn sample_profile() -> Profile {
         let mut p = Profile::new();
         p.reg.set_meta("scale", "quick");
+        p.reg.set_meta("note", "a \"quoted\" \\ note, µs");
         p.reg.inc("event_sched/deliver", 10);
         p.reg.inc("event_exec/deliver", 9);
         p.reg.inc("event_stale/deliver", 0);
@@ -557,6 +498,8 @@ mod tests {
         ts.record(SimTime::from_ns(100), 1);
         ts.record(SimTime::from_ns(200_000), 1);
         p.series_mut("inflight_pkts").record(SimTime::from_ns(0), 3);
+        p.series_mut("odd \"series\" \\ µ")
+            .record(SimTime::from_ns(9), 1);
         p
     }
 
@@ -569,18 +512,12 @@ mod tests {
         let back = Profile::parse(&json).expect("parses");
         assert_eq!(back, p);
         assert_eq!(back.to_json(), json);
-        assert!(Profile::from_json(&json).is_some());
     }
 
     #[test]
     fn profile_parse_rejects_corrupt_input_with_diagnostics() {
         let json = sample_profile().to_json();
-        for cut in 0..json.len() - 1 {
-            if !json.is_char_boundary(cut) {
-                continue;
-            }
-            assert!(Profile::parse(&json[..cut]).is_err(), "accepted cut {cut}");
-        }
+        crate::json::assert_every_prefix_rejected(&json, Profile::parse);
         let err = Profile::parse("{\"schema\": \"tlt-metrics/v1\"}").unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         let err = Profile::parse(

@@ -25,6 +25,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{self, Cursor};
+
 /// Export schema identifier written by [`Registry::to_json`].
 pub const METRICS_SCHEMA: &str = "tlt-metrics/v1";
 
@@ -130,7 +132,7 @@ impl Hist {
         if self.count == 0 {
             return 0;
         }
-        let rank = (self.count - 1) * pct.min(100) / 100;
+        let rank = ((self.count - 1) as u128 * u128::from(pct.min(100)) / 100) as u64;
         let mut seen = 0u64;
         for (i, n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -155,7 +157,7 @@ impl Hist {
         if self.count == 0 {
             return 0;
         }
-        let rank = (self.count - 1) * q.min(1000) / 1000;
+        let rank = ((self.count - 1) as u128 * u128::from(q.min(1000)) / 1000) as u64;
         let mut seen = 0u64;
         for (i, n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -217,7 +219,7 @@ impl Hist {
             h.buckets[idx] = h.buckets[idx].checked_add(n)?;
             total = total.checked_add(n)?;
         }
-        if total != count {
+        if total != count || (count > 0 && min > max) {
             return None;
         }
         Some(h)
@@ -380,25 +382,21 @@ impl Registry {
     pub(crate) fn push_body(&self, s: &mut String) {
         if !self.meta.is_empty() {
             s.push_str(",\n  \"meta\": {");
-            push_string_map(s, &self.meta);
+            push_map(s, &self.meta, |s, v| json::push_str(s, v));
             s.push('}');
         }
+        let num = |s: &mut String, v: &u64| {
+            let _ = write!(s, "{v}");
+        };
         s.push_str(",\n  \"counters\": {");
-        push_scalar_map(s, &self.counters);
+        push_map(s, &self.counters, num);
         s.push_str("},\n  \"gauges\": {");
-        push_scalar_map(s, &self.gauges);
+        push_map(s, &self.gauges, num);
         s.push_str("},\n  \"hists\": {");
-        let mut first = true;
-        for (k, h) in &self.hists {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    ");
-            push_json_string(s, k);
+        push_map(s, &self.hists, |s, h| {
             let _ = write!(
                 s,
-                ": {{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
+                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
                 h.count,
                 h.sum,
                 h.min(),
@@ -411,10 +409,7 @@ impl Registry {
                 let _ = write!(s, "[{lo},{n}]");
             }
             s.push_str("]}");
-        }
-        if !self.hists.is_empty() {
-            s.push_str("\n  ");
-        }
+        });
         s.push('}');
     }
 
@@ -444,42 +439,7 @@ impl Registry {
     /// Parses a `tlt-metrics/v1` JSON export, reporting *why* (and roughly
     /// where) a malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<Registry, String> {
-        let mut p = Parser::new(text);
-        let mut reg = Registry::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != METRICS_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {METRICS_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if !parse_body_key(&mut p, &mut reg, &key)? {
-                return Err(format!("unknown key {key:?} in metrics JSON"));
-            }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
-        Ok(reg)
-    }
-
-    /// Parses a `tlt-metrics/v1` JSON export.
-    ///
-    /// Returns `None` on malformed input or a wrong schema tag; use
-    /// [`Registry::parse`] when the caller wants the diagnostic.
-    pub fn from_json(text: &str) -> Option<Registry> {
-        Registry::parse(text).ok()
+        parse_envelope(text, METRICS_SCHEMA, "metrics", |_, _| Ok(false))
     }
 
     /// Renders a human-readable summary (used by `trace_inspect --metrics`).
@@ -540,320 +500,112 @@ pub fn metrics_summary(text: &str) -> Result<String, String> {
     Ok(reg.render())
 }
 
-/// Dispatches one top-level body key (`meta`/`counters`/`gauges`/`hists`)
-/// into `reg`. `Ok(false)` means the key is not a body section; the caller
-/// decides whether that is an error. Shared by the metrics and profile
-/// schema parsers.
-pub(crate) fn parse_body_key(
-    p: &mut Parser,
-    reg: &mut Registry,
-    key: &str,
-) -> Result<bool, String> {
+/// Parses the envelope all four `tlt-*` exports share: one object holding
+/// a `"schema"` tag equal to `schema`, the registry body sections
+/// (`meta`/`counters`/`gauges`/`hists`), and any key `extra` claims by
+/// consuming its value and returning `Ok(true)` (profile's `series`,
+/// spans' `spans`). Any other key is an error naming `what`.
+pub(crate) fn parse_envelope(
+    text: &str,
+    schema: &str,
+    what: &str,
+    mut extra: impl FnMut(&str, &mut Cursor) -> Result<bool, String>,
+) -> Result<Registry, String> {
+    let mut c = Cursor::new(text);
+    let mut reg = Registry::new();
+    let mut saw_schema = false;
+    c.object(|c, key| {
+        if key == "schema" {
+            let got = c.string()?;
+            if got != schema {
+                return Err(format!(
+                    "schema mismatch: expected {schema:?}, found {got:?}"
+                ));
+            }
+            saw_schema = true;
+        } else if !parse_body_key(c, &mut reg, &key)? && !extra(&key, c)? {
+            return Err(format!("unknown key {key:?} in {what} JSON"));
+        }
+        Ok(())
+    })?;
+    c.end()?;
+    if !saw_schema {
+        return Err("missing \"schema\" key".to_string());
+    }
+    Ok(reg)
+}
+
+/// Reads one top-level body section (`meta`/`counters`/`gauges`/`hists`)
+/// into `reg`; `Ok(false)` means `key` is not a body section.
+fn parse_body_key(c: &mut Cursor, reg: &mut Registry, key: &str) -> Result<bool, String> {
     match key {
-        "meta" => {
-            for (k, v) in p.string_map()? {
-                reg.meta.insert(k, v);
-            }
-        }
-        "counters" => {
-            for (k, v) in p.scalar_map()? {
-                reg.counters.insert(k, v);
-            }
-        }
-        "gauges" => {
-            for (k, v) in p.scalar_map()? {
-                reg.gauges.insert(k, v);
-            }
-        }
-        "hists" => {
-            p.expect('{')?;
-            if !p.peek_close('}') {
-                loop {
-                    let name = p.string()?;
-                    p.expect(':')?;
-                    let h = p.hist().map_err(|e| format!("hist {name:?}: {e}"))?;
-                    reg.hists.insert(name, h);
-                    if !p.comma()? {
-                        break;
-                    }
-                }
-            }
-            p.expect('}')?;
-        }
+        "meta" => c.object(|c, k| {
+            reg.meta.insert(k.into_owned(), c.string()?.into_owned());
+            Ok(())
+        })?,
+        "counters" => scalar_map(c, &mut reg.counters)?,
+        "gauges" => scalar_map(c, &mut reg.gauges)?,
+        "hists" => c.object(|c, name| {
+            let h = hist(c).map_err(|e| format!("hist {name:?}: {e}"))?;
+            reg.hists.insert(name.into_owned(), h);
+            Ok(())
+        })?,
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-pub(crate) fn push_scalar_map(s: &mut String, map: &BTreeMap<String, u64>) {
-    let mut first = true;
-    for (k, v) in map {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str("\n    ");
-        push_json_string(s, k);
-        let _ = write!(s, ": {v}");
-    }
-    if !map.is_empty() {
-        s.push_str("\n  ");
-    }
+/// `{ "name": 1, ... }`
+fn scalar_map(c: &mut Cursor, map: &mut BTreeMap<String, u64>) -> Result<(), String> {
+    c.object(|c, k| {
+        map.insert(k.into_owned(), c.u64()?);
+        Ok(())
+    })
 }
 
-pub(crate) fn push_string_map(s: &mut String, map: &BTreeMap<String, String>) {
-    let mut first = true;
-    for (k, v) in map {
-        if !first {
-            s.push(',');
+/// `{"count":N,"sum":N,"min":N,"max":N,"buckets":[[lo,n],..]}`
+fn hist(c: &mut Cursor) -> Result<Hist, String> {
+    let (mut count, mut sum, mut min, mut max) = (0, 0, 0, 0);
+    let mut pairs = Vec::new();
+    c.object(|c, key| {
+        match &*key {
+            "count" => count = c.u64()?,
+            "sum" => sum = c.u64()?,
+            "min" => min = c.u64()?,
+            "max" => max = c.u64()?,
+            "buckets" => c.array(|c| {
+                c.expect('[')?;
+                let lo = c.u64()?;
+                c.expect(',')?;
+                pairs.push((lo, c.u64()?));
+                c.expect(']')
+            })?,
+            _ => return c.fail(&format!("unknown hist field {key:?}")),
         }
-        first = false;
-        s.push_str("\n    ");
-        push_json_string(s, k);
+        Ok(())
+    })?;
+    Hist::from_parts(count, sum, min, max, &pairs).ok_or_else(|| {
+        "bucket data inconsistent with summary (bad boundary, count mismatch, or overflow)"
+            .to_string()
+    })
+}
+
+/// Writes a section's entries as `"key": <value>` lines, comma-separated,
+/// closing on a newline when there are any.
+pub(crate) fn push_map<V>(
+    s: &mut String,
+    map: &BTreeMap<String, V>,
+    value: impl Fn(&mut String, &V),
+) {
+    for (i, (k, v)) in map.iter().enumerate() {
+        s.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        json::push_str(s, k);
         s.push_str(": ");
-        push_json_string(s, v);
+        value(s, v);
     }
     if !map.is_empty() {
         s.push_str("\n  ");
     }
-}
-
-pub(crate) fn push_json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// A minimal cursor parser for the exact JSON shape `to_json` emits
-/// (objects of strings/numbers plus `[[lo,count],..]` bucket arrays).
-/// Every method reports failures as `Err(diagnostic)` — never a panic —
-/// so truncated or corrupt files surface as clean error messages.
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    text: &'a str,
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            text,
-            i: 0,
-        }
-    }
-
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        let end = (self.i + 24).min(self.bytes.len());
-        let near = String::from_utf8_lossy(&self.bytes[self.i..end]);
-        if self.i >= self.bytes.len() {
-            Err(format!(
-                "{what} at byte {} (unexpected end of input)",
-                self.i
-            ))
-        } else {
-            Err(format!("{what} at byte {} (near {near:?})", self.i))
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.bytes.len() && self.bytes[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.i) == Some(&(c as u8)) {
-            self.i += 1;
-            Ok(())
-        } else {
-            self.fail(&format!("expected {c:?}"))
-        }
-    }
-
-    /// Consumes a comma if present; `Ok(false)` means the container ends.
-    pub(crate) fn comma(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        match self.bytes.get(self.i) {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b'}') | Some(b']') => Ok(false),
-            _ => self.fail("expected ',' or a closing bracket"),
-        }
-    }
-
-    pub(crate) fn peek_close(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.i) == Some(&(c as u8))
-    }
-
-    /// Fails unless only whitespace remains.
-    pub(crate) fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.bytes.len() {
-            self.fail("trailing data after document")
-        } else {
-            Ok(())
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.i;
-        while self.i < self.bytes.len() {
-            match self.bytes[self.i] {
-                b'\\' => self.i += 2,
-                b'"' => {
-                    let raw = &self.text[start..self.i];
-                    self.i += 1;
-                    return match unescape(raw) {
-                        Some(s) => Ok(s),
-                        None => self.fail("bad string escape"),
-                    };
-                }
-                _ => self.i += 1,
-            }
-        }
-        self.fail("unterminated string")
-    }
-
-    pub(crate) fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.bytes.len() && self.bytes[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return self.fail("expected a number");
-        }
-        match self.text[start..self.i].parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("number out of range"),
-        }
-    }
-
-    /// `{ "name": 1, ... }`
-    pub(crate) fn scalar_map(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if !self.peek_close('}') {
-            loop {
-                let k = self.string()?;
-                self.expect(':')?;
-                let v = self.number()?;
-                out.push((k, v));
-                if !self.comma()? {
-                    break;
-                }
-            }
-        }
-        self.expect('}')?;
-        Ok(out)
-    }
-
-    /// `{ "name": "value", ... }`
-    pub(crate) fn string_map(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if !self.peek_close('}') {
-            loop {
-                let k = self.string()?;
-                self.expect(':')?;
-                let v = self.string()?;
-                out.push((k, v));
-                if !self.comma()? {
-                    break;
-                }
-            }
-        }
-        self.expect('}')?;
-        Ok(out)
-    }
-
-    /// `{"count":N,"sum":N,"min":N,"max":N,"buckets":[[lo,n],..]}`
-    pub(crate) fn hist(&mut self) -> Result<Hist, String> {
-        self.expect('{')?;
-        let (mut count, mut sum, mut min, mut max) = (0, 0, 0, 0);
-        let mut pairs = Vec::new();
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "count" => count = self.number()?,
-                "sum" => sum = self.number()?,
-                "min" => min = self.number()?,
-                "max" => max = self.number()?,
-                "buckets" => {
-                    self.expect('[')?;
-                    if !self.peek_close(']') {
-                        loop {
-                            self.expect('[')?;
-                            let lo = self.number()?;
-                            self.expect(',')?;
-                            let n = self.number()?;
-                            self.expect(']')?;
-                            pairs.push((lo, n));
-                            if !self.comma()? {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(']')?;
-                }
-                _ => return self.fail(&format!("unknown hist field {key:?}")),
-            }
-            if !self.comma()? {
-                break;
-            }
-        }
-        self.expect('}')?;
-        match Hist::from_parts(count, sum, min, max, &pairs) {
-            Some(h) => Ok(h),
-            None => Err(
-                "bucket data inconsistent with summary (bad boundary, count mismatch, or overflow)"
-                    .to_string(),
-            ),
-        }
-    }
-}
-
-fn unescape(raw: &str) -> Option<String> {
-    if !raw.contains('\\') {
-        return Some(raw.to_string());
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1021,7 +773,7 @@ mod tests {
         // And the merged histogram survives a JSON round-trip.
         let mut r = Registry::new();
         r.hists.insert("edges".to_string(), a);
-        let back = Registry::from_json(&r.to_json()).expect("parses");
+        let back = Registry::parse(&r.to_json()).expect("parses");
         assert_eq!(back, r);
     }
 
@@ -1106,7 +858,7 @@ mod tests {
             r.observe("pfc_pause_ns/n0/p1", v);
         }
         let json = r.to_json();
-        let back = Registry::from_json(&json).expect("parses");
+        let back = Registry::parse(&json).expect("parses");
         assert_eq!(back, r);
         // Byte-stable: re-serializing the parsed registry is identical.
         assert_eq!(back.to_json(), json);
@@ -1126,7 +878,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"meta\""), "{json}");
         assert!(json.contains("\"scale\": \"quick\""), "{json}");
-        let back = Registry::from_json(&json).expect("parses");
+        let back = Registry::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
         assert_eq!(back.meta_get("jobs"), Some("any"));
@@ -1153,8 +905,9 @@ mod tests {
             r#"{"counters": {"a": 1}}"#, // no schema
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":2,"sum":0,"min":0,"max":0,"buckets":[[0,1]]}}}"#, // bucket total != count
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":1,"sum":17,"min":17,"max":17,"buckets":[[17,1]]}}}"#, // 17 is not a bucket boundary
+            r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}}}"#, // min above max
         ] {
-            assert!(Registry::from_json(bad).is_none(), "accepted {bad:?}");
+            assert!(Registry::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1162,17 +915,16 @@ mod tests {
     fn parse_diagnoses_truncated_and_corrupt_input_without_panicking() {
         let mut r = Registry::new();
         r.set_meta("scale", "quick");
+        r.set_meta("label", "a \"quoted\" \\ label, µs");
         r.inc("data_pkts", 41);
+        r.inc("odd \"key\" \\ µ", 1);
         r.observe("lat", 100);
         let json = r.to_json();
-        // Truncation at every prefix length must fail cleanly, never panic.
-        for cut in 0..json.len() - 1 {
-            if !json.is_char_boundary(cut) {
-                continue;
-            }
-            let err = Registry::parse(&json[..cut]);
-            assert!(err.is_err(), "accepted truncation at {cut}");
-        }
+        assert_eq!(Registry::parse(&json).as_ref(), Ok(&r));
+        // Truncation at every prefix must fail cleanly, never panic.
+        crate::json::assert_every_prefix_rejected(&json, Registry::parse);
+        let err = Registry::parse("{\"schema\\").unwrap_err();
+        assert!(err.contains("at byte"), "{err}");
         // Diagnostics carry a position and a reason.
         let err = Registry::parse(&json[..json.len() / 2]).unwrap_err();
         assert!(err.contains("byte"), "no position in {err:?}");

@@ -75,39 +75,8 @@ impl ServeReport {
     /// Parses a `tlt-serve/v1` JSON export, reporting why (and roughly
     /// where) a malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<ServeReport, String> {
-        let mut p = registry::Parser::new(text);
-        let mut rep = ServeReport::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != SERVE_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {SERVE_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if !registry::parse_body_key(&mut p, &mut rep.reg, &key)? {
-                return Err(format!("unknown key {key:?} in serve JSON"));
-            }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
-        Ok(rep)
-    }
-
-    /// Parses a `tlt-serve/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<ServeReport> {
-        ServeReport::parse(text).ok()
+        registry::parse_envelope(text, SERVE_SCHEMA, "serve", |_, _| Ok(false))
+            .map(|reg| ServeReport { reg })
     }
 
     /// The scheme labels that recorded a latency histogram, in name order.
@@ -200,6 +169,8 @@ mod tests {
         let mut r = ServeReport::new();
         r.reg.set_meta("scale", "k8");
         r.reg.set_meta("slo_ns", "2000000");
+        r.reg.set_meta("note", "a \"quoted\" \\ note, µs");
+        r.reg.inc("odd \"key\" \\ µ", 1);
         for scheme in ["dctcp", "dctcp+tlt"] {
             r.reg.inc(&format!("serve_requests/{scheme}"), 100);
             let name = format!("{REQ_LATENCY_PREFIX}{scheme}");
@@ -223,21 +194,12 @@ mod tests {
         let back = ServeReport::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
-        assert!(ServeReport::from_json(&json).is_some());
     }
 
     #[test]
     fn serve_parse_rejects_corrupt_input_with_diagnostics() {
         let json = sample_report().to_json();
-        for cut in 0..json.len() - 1 {
-            if !json.is_char_boundary(cut) {
-                continue;
-            }
-            assert!(
-                ServeReport::parse(&json[..cut]).is_err(),
-                "accepted cut {cut}"
-            );
-        }
+        crate::json::assert_every_prefix_rejected(&json, ServeReport::parse);
         let err = ServeReport::parse("{\"schema\": \"tlt-metrics/v1\"}").unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         let err = ServeReport::parse("{\"counters\": {}}").unwrap_err();

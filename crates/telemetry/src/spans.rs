@@ -31,7 +31,8 @@
 use std::fmt::Write as _;
 
 use crate::event::{Phase, PhaseTimes};
-use crate::registry::{self, Parser, Registry};
+use crate::json::{self, Cursor};
+use crate::registry::{self, Registry};
 
 /// Export schema identifier written by [`SpanReport::to_json`].
 pub const SPANS_SCHEMA: &str = "tlt-spans/v1";
@@ -234,50 +235,18 @@ impl SpanReport {
     /// Parses a `tlt-spans/v1` JSON export, reporting why (and roughly
     /// where) a malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<SpanReport, String> {
-        let mut p = Parser::new(text);
-        let mut rep = SpanReport::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != SPANS_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {SPANS_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if key == "spans" {
-                p.expect('[')?;
-                if !p.peek_close(']') {
-                    loop {
-                        rep.spans.push(parse_span(&mut p)?);
-                        if !p.comma()? {
-                            break;
-                        }
-                    }
-                }
-                p.expect(']')?;
-            } else if !registry::parse_body_key(&mut p, &mut rep.reg, &key)? {
-                return Err(format!("unknown key {key:?} in spans JSON"));
+        let mut spans = Vec::new();
+        let reg = registry::parse_envelope(text, SPANS_SCHEMA, "spans", |key, c| {
+            if key != "spans" {
+                return Ok(false);
             }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
-        Ok(rep)
-    }
-
-    /// Parses a `tlt-spans/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<SpanReport> {
-        SpanReport::parse(text).ok()
+            c.array(|c| {
+                spans.push(parse_span(c)?);
+                Ok(())
+            })?;
+            Ok(true)
+        })?;
+        Ok(SpanReport { reg, spans })
     }
 
     /// Renders the per-scheme "phase × percentile" table (where p50 vs p99
@@ -397,7 +366,7 @@ impl SpanReport {
             }
             first = false;
             s.push_str("\n{\"name\":");
-            registry::push_json_string(s, name);
+            json::push_str(s, name);
             let _ = write!(
                 s,
                 ",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}}}"
@@ -465,7 +434,7 @@ fn push_phases(s: &mut String, phases: &PhaseTimes) {
 
 fn push_span(s: &mut String, span: &RequestSpan) {
     s.push_str("{\"scheme\":");
-    registry::push_json_string(s, &span.scheme);
+    json::push_str(s, &span.scheme);
     let _ = write!(
         s,
         ",\"seed\":{},\"req\":{},\"start\":{},\"lat\":{},\"dom\":\"{}\",\"flows\":[",
@@ -480,7 +449,7 @@ fn push_span(s: &mut String, span: &RequestSpan) {
             s.push(',');
         }
         let _ = write!(s, "{{\"id\":{},\"role\":", flow.id);
-        registry::push_json_string(s, &flow.role);
+        json::push_str(s, &flow.role);
         let _ = write!(
             s,
             ",\"start\":{},\"end\":{},\"phases\":",
@@ -509,41 +478,32 @@ fn parse_phase_tag(tag: &str) -> Result<Phase, String> {
     Phase::parse(tag).ok_or_else(|| format!("unknown phase tag {tag:?}"))
 }
 
-fn parse_phases(p: &mut Parser) -> Result<PhaseTimes, String> {
+fn parse_phases(c: &mut Cursor) -> Result<PhaseTimes, String> {
     let mut out = PhaseTimes::default();
-    p.expect('{')?;
-    if !p.peek_close('}') {
-        loop {
-            let tag = p.string()?;
-            p.expect(':')?;
-            let ns = p.number()?;
-            out.add(parse_phase_tag(&tag)?, ns);
-            if !p.comma()? {
-                break;
-            }
+    c.object(|c, tag| {
+        let ns = c.u64()?;
+        let phase = parse_phase_tag(&tag)?;
+        // A repeated tag would sum, and could overflow.
+        if out.get(phase) != 0 {
+            return Err(format!("duplicate phase tag {tag:?}"));
         }
-    }
-    p.expect('}')?;
+        out.add(phase, ns);
+        Ok(())
+    })?;
     Ok(out)
 }
 
-fn parse_stall(p: &mut Parser) -> Result<StallSpan, String> {
+fn parse_stall(c: &mut Cursor) -> Result<StallSpan, String> {
     let (mut phase, mut start, mut dur) = (None, None, None);
-    p.expect('{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(':')?;
-        match key.as_str() {
-            "phase" => phase = Some(parse_phase_tag(&p.string()?)?),
-            "start" => start = Some(p.number()?),
-            "dur" => dur = Some(p.number()?),
+    c.object(|c, key| {
+        match &*key {
+            "phase" => phase = Some(parse_phase_tag(&c.string()?)?),
+            "start" => start = Some(c.u64()?),
+            "dur" => dur = Some(c.u64()?),
             _ => return Err(format!("unknown stall field {key:?}")),
         }
-        if !p.comma()? {
-            break;
-        }
-    }
-    p.expect('}')?;
+        Ok(())
+    })?;
     match (phase, start, dur) {
         (Some(phase), Some(start_ns), Some(dur_ns)) => Ok(StallSpan {
             phase,
@@ -554,7 +514,7 @@ fn parse_stall(p: &mut Parser) -> Result<StallSpan, String> {
     }
 }
 
-fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
+fn parse_flow(c: &mut Cursor) -> Result<FlowSpan, String> {
     let mut flow = FlowSpan {
         id: 0,
         role: String::new(),
@@ -564,45 +524,31 @@ fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
         stalls: Vec::new(),
     };
     let mut saw_id = false;
-    p.expect('{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(':')?;
-        match key.as_str() {
+    c.object(|c, key| {
+        match &*key {
             "id" => {
-                flow.id = p.number()?;
+                flow.id = c.u64()?;
                 saw_id = true;
             }
-            "role" => flow.role = p.string()?,
-            "start" => flow.start_ns = p.number()?,
-            "end" => flow.end_ns = p.number()?,
-            "phases" => flow.phases = parse_phases(p)?,
-            "stalls" => {
-                p.expect('[')?;
-                if !p.peek_close(']') {
-                    loop {
-                        flow.stalls.push(parse_stall(p)?);
-                        if !p.comma()? {
-                            break;
-                        }
-                    }
-                }
-                p.expect(']')?;
-            }
+            "role" => flow.role = c.string()?.into_owned(),
+            "start" => flow.start_ns = c.u64()?,
+            "end" => flow.end_ns = c.u64()?,
+            "phases" => flow.phases = parse_phases(c)?,
+            "stalls" => c.array(|c| {
+                flow.stalls.push(parse_stall(c)?);
+                Ok(())
+            })?,
             _ => return Err(format!("unknown flow-span field {key:?}")),
         }
-        if !p.comma()? {
-            break;
-        }
-    }
-    p.expect('}')?;
+        Ok(())
+    })?;
     if !saw_id {
         return Err("flow span missing id".to_string());
     }
     Ok(flow)
 }
 
-fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
+fn parse_span(c: &mut Cursor) -> Result<RequestSpan, String> {
     let mut span = RequestSpan {
         scheme: String::new(),
         seed: 0,
@@ -613,39 +559,25 @@ fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
         flows: Vec::new(),
     };
     let mut saw_scheme = false;
-    p.expect('{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(':')?;
-        match key.as_str() {
+    c.object(|c, key| {
+        match &*key {
             "scheme" => {
-                span.scheme = p.string()?;
+                span.scheme = c.string()?.into_owned();
                 saw_scheme = true;
             }
-            "seed" => span.seed = p.number()?,
-            "req" => span.req = p.number()?,
-            "start" => span.start_ns = p.number()?,
-            "lat" => span.latency_ns = p.number()?,
-            "dom" => span.dominant = parse_phase_tag(&p.string()?)?,
-            "flows" => {
-                p.expect('[')?;
-                if !p.peek_close(']') {
-                    loop {
-                        span.flows.push(parse_flow(p)?);
-                        if !p.comma()? {
-                            break;
-                        }
-                    }
-                }
-                p.expect(']')?;
-            }
+            "seed" => span.seed = c.u64()?,
+            "req" => span.req = c.u64()?,
+            "start" => span.start_ns = c.u64()?,
+            "lat" => span.latency_ns = c.u64()?,
+            "dom" => span.dominant = parse_phase_tag(&c.string()?)?,
+            "flows" => c.array(|c| {
+                span.flows.push(parse_flow(c)?);
+                Ok(())
+            })?,
             _ => return Err(format!("unknown request-span field {key:?}")),
         }
-        if !p.comma()? {
-            break;
-        }
-    }
-    p.expect('}')?;
+        Ok(())
+    })?;
     if !saw_scheme {
         return Err("request span missing scheme".to_string());
     }
@@ -693,6 +625,8 @@ mod tests {
     fn sample_report() -> SpanReport {
         let mut r = SpanReport::new();
         r.reg.set_meta("scale", "k8");
+        r.reg.set_meta("note", "a \"quoted\" \\ note, µs");
+        r.reg.inc("odd \"key\" \\ µ", 1);
         for scheme in ["dctcp", "dctcp+tlt"] {
             for i in 1..=50u64 {
                 let mut phases = PhaseTimes::default();
@@ -719,7 +653,6 @@ mod tests {
         let back = SpanReport::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
-        assert!(SpanReport::from_json(&json).is_some());
         // Empty report round-trips too (empty spans array).
         let empty = SpanReport::new().to_json();
         assert_eq!(
@@ -731,21 +664,16 @@ mod tests {
     #[test]
     fn spans_parse_rejects_corrupt_input_with_diagnostics() {
         let json = sample_report().to_json();
-        for cut in 0..json.len() - 1 {
-            if !json.is_char_boundary(cut) {
-                continue;
-            }
-            assert!(
-                SpanReport::parse(&json[..cut]).is_err(),
-                "accepted cut {cut}"
-            );
-        }
+        crate::json::assert_every_prefix_rejected(&json, SpanReport::parse);
         let err = SpanReport::parse("{\"schema\": \"tlt-metrics/v1\"}").unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         let err = SpanReport::parse("{\"counters\": {}}").unwrap_err();
         assert!(err.contains("schema"), "{err}");
         let bad_phase = json.replace("rto_stall", "rto_stallz");
         assert!(SpanReport::parse(&bad_phase).is_err());
+        let twice = json.replacen("\"phases\":{", "\"phases\":{\"rto_stall\":1,", 1);
+        let err = SpanReport::parse(&twice).unwrap_err();
+        assert!(err.contains("duplicate phase tag"), "{err}");
         let err = spans_summary("nope").unwrap_err();
         assert!(err.contains("invalid tlt-spans JSON"), "{err}");
     }
