@@ -5,10 +5,10 @@
 //! bursty traffic — >10% of foreground flows computed RTOs above 1.1 ms
 //! while the 90th-percentile RTT was 0.48 ms.
 
-use bench::runner::{self, Args};
+use bench::runner::{self, Args, Table};
 
 use transport::{RtoMode, TransportKind};
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
@@ -20,12 +20,10 @@ fn main() {
         false,
     );
     cfg.rto = RtoMode::microsecond();
-    let mut mp = p;
-    mp.seed = 1;
-    let flows = standard_mix(&FlowSizeCdf::web_search(), mp);
+    let flows = runner::mix_flows(&FlowSizeCdf::web_search(), p)(1);
     let res = runner::traced_run("fig01/dctcp-rto200us", cfg, flows);
 
-    let mut rows = Vec::new();
+    let mut t = Table::new(&args, &["series", "value_us", "quantile"], &[]);
     println!("== Figure 1: RTT vs computed RTO CDFs (DCTCP, RTO_min=200us) ==");
     for (label, samples) in [
         ("bg_rtt", res.agg.bg_rtt.clone()),
@@ -43,7 +41,7 @@ fn main() {
             s.max() * 1e6,
         );
         for (v, q) in s.cdf(40) {
-            rows.push(vec![
+            t.push(vec![
                 label.to_string(),
                 format!("{:.2}", v * 1e6),
                 format!("{q:.4}"),
@@ -58,7 +56,7 @@ fn main() {
         100.0 * (1.0 - cdf_at(&mut fg_rto, 1.1e-3)),
         fg_rtt.percentile(90.0).unwrap_or(0.0) * 1e6
     );
-    runner::maybe_csv(&args, &["series", "value_us", "quantile"], &rows);
+    t.finish();
 }
 
 /// Empirical CDF value at `x`.

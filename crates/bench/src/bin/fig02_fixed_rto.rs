@@ -5,15 +5,14 @@
 //! 51× increase in timeouts — aggressive static timeouts are harmful.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, BG_AVG, BG_GBPS, FG_P99, TO_1K};
 use eventsim::SimTime;
 use transport::{RtoMode, TransportKind};
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let mut p = args.mix();
     p.fg_fraction = 0.15;
 
@@ -22,55 +21,19 @@ fn main() {
         ("baseline 4ms RTOmin", RtoMode::linux_default()),
         ("fixed 160us RTO", RtoMode::Fixed(SimTime::from_us(160))),
     ] {
-        plan.scheme(
-            name,
-            move |_s| {
-                let mut cfg =
-                    runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Baseline, false);
-                cfg.rto = rto;
-                cfg
-            },
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
-        );
+        let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, false, false);
+        cfg.rto = rto;
+        plan.scheme(name, cfg, runner::mix_flows(&cdf, p));
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
+    let cols = [FG_P99, BG_AVG, BG_GBPS, TO_1K];
+    let mut t = Table::new(&args, &["scheme"], &cols);
+    t.section(
         "Figure 2: fixed 160us RTO vs 4ms RTO_min (DCTCP, fg=15%)",
-        &["fg p99 (ms)", "bg avg (ms)", "bg gbps", "TO/1k"],
+        &cols,
     );
-    for r in &results {
-        runner::print_row(
-            &r.name,
-            &[
-                &r.fg_p99_ms,
-                &r.bg_avg_ms,
-                &r.bg_goodput_gbps,
-                &r.timeouts_per_1k,
-            ],
-        );
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.4}", r.bg_avg_ms.mean()),
-            format!("{:.4}", r.bg_goodput_gbps.mean()),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-        ]);
+    for r in &plan.run() {
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "scheme",
-            "fg_p99_ms",
-            "bg_avg_ms",
-            "bg_goodput_gbps",
-            "timeouts_per_1k",
-        ],
-        &rows,
-    );
+    t.finish();
 }

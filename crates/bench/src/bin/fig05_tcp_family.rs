@@ -9,14 +9,13 @@
 //! than baseline with only a slight bg increase.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, TcpVariant, BG_AVG, FG_P99, FG_P999, TO_1K};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
     let mut plan = RunPlan::new(&args);
@@ -31,50 +30,18 @@ fn main() {
                 );
                 plan.scheme(
                     name,
-                    move |_s| runner::tcp_cfg(&p, kind, v, pfc),
-                    move |s| {
-                        let mut mp = p;
-                        mp.seed = s;
-                        standard_mix(cdf, mp)
-                    },
+                    runner::tcp_cfg(&p, kind, v, pfc),
+                    runner::mix_flows(&cdf, p),
                 );
             }
         }
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
-        "Figure 5: TCP/DCTCP FCT (standard mix)",
-        &["fg p99.9 (ms)", "fg p99 (ms)", "bg avg (ms)", "TO/1k"],
-    );
-    for r in &results {
-        runner::print_row(
-            &r.name,
-            &[
-                &r.fg_p999_ms,
-                &r.fg_p99_ms,
-                &r.bg_avg_ms,
-                &r.timeouts_per_1k,
-            ],
-        );
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.4}", r.bg_avg_ms.mean()),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-        ]);
+    let cols = [FG_P999, FG_P99, BG_AVG, TO_1K];
+    let mut t = Table::new(&args, &["scheme"], &cols);
+    t.section("Figure 5: TCP/DCTCP FCT (standard mix)", &cols);
+    for r in &plan.run() {
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "scheme",
-            "fg_p999_ms",
-            "fg_p99_ms",
-            "bg_avg_ms",
-            "timeouts_per_1k",
-        ],
-        &rows,
-    );
+    t.finish();
 }

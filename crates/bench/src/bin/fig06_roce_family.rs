@@ -9,85 +9,48 @@
 //! 21.4% via fewer PAUSE frames.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args};
+use bench::runner::{self, Args, Table, BG_AVG, FG_P99, FG_P999, TO_1K};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
-    let schemes: Vec<(TransportKind, bool, bool)> = vec![
-        // (kind, tlt, pfc)
-        (TransportKind::Hpcc, false, false),
-        (TransportKind::Hpcc, false, true),
-        (TransportKind::Hpcc, true, false),
-        (TransportKind::Hpcc, true, true),
-        (TransportKind::DcqcnIrn, false, false),
-        (TransportKind::DcqcnIrn, true, false),
-        (TransportKind::DcqcnSack, false, false),
-        (TransportKind::DcqcnSack, false, true),
-        (TransportKind::DcqcnSack, true, false),
-        (TransportKind::DcqcnSack, true, true),
-        (TransportKind::DcqcnGbn, false, false),
-        (TransportKind::DcqcnGbn, false, true),
-        (TransportKind::DcqcnGbn, true, false),
-        (TransportKind::DcqcnGbn, true, true),
-    ];
     let mut plan = RunPlan::new(&args);
-    for (kind, tlt, pfc) in schemes {
-        let name = format!(
-            "{}{}{}",
-            kind.name(),
-            if pfc { "+PFC" } else { "" },
-            if tlt { "+TLT" } else { "" }
-        );
-        plan.scheme(
-            name,
-            move |_s| runner::roce_cfg(&p, kind, tlt, pfc),
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
-        );
+    for kind in [
+        TransportKind::Hpcc,
+        TransportKind::DcqcnIrn,
+        TransportKind::DcqcnSack,
+        TransportKind::DcqcnGbn,
+    ] {
+        for tlt in [false, true] {
+            // IRN runs without PFC, as in the paper.
+            for pfc in [false, true] {
+                if pfc && kind == TransportKind::DcqcnIrn {
+                    continue;
+                }
+                let name = format!(
+                    "{}{}{}",
+                    kind.name(),
+                    if pfc { "+PFC" } else { "" },
+                    if tlt { "+TLT" } else { "" }
+                );
+                plan.scheme(
+                    name,
+                    runner::roce_cfg(&p, kind, tlt, pfc),
+                    runner::mix_flows(&cdf, p),
+                );
+            }
+        }
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
-        "Figure 6: RoCE-family FCT (standard mix)",
-        &["fg p99.9 (ms)", "fg p99 (ms)", "bg avg (ms)", "TO/1k"],
-    );
-    for r in &results {
-        runner::print_row(
-            &r.name,
-            &[
-                &r.fg_p999_ms,
-                &r.fg_p99_ms,
-                &r.bg_avg_ms,
-                &r.timeouts_per_1k,
-            ],
-        );
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.4}", r.bg_avg_ms.mean()),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-        ]);
+    let cols = [FG_P999, FG_P99, BG_AVG, TO_1K];
+    let mut t = Table::new(&args, &["scheme"], &cols);
+    t.section("Figure 6: RoCE-family FCT (standard mix)", &cols);
+    for r in &plan.run() {
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "scheme",
-            "fg_p999_ms",
-            "fg_p99_ms",
-            "bg_avg_ms",
-            "timeouts_per_1k",
-        ],
-        &rows,
-    );
+    t.finish();
 }

@@ -7,14 +7,13 @@
 //! frames by 27.7% (DCTCP) / 93.2% (TCP) and paused time by 66.7% / 95.8%.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, TcpVariant, IMP_LOSS, PAUSE_1K, PAUSE_FRAC, TO_1K};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
     // Panels (a) and (b)/(c) share one plan so every (scheme, seed) job
@@ -24,12 +23,8 @@ fn main() {
         for v in TcpVariant::ALL {
             plan.scheme(
                 format!("{} {}", kind.name(), v.label()),
-                move |_s| runner::tcp_cfg(&p, kind, v, false),
-                move |s| {
-                    let mut mp = p;
-                    mp.seed = s;
-                    standard_mix(cdf, mp)
-                },
+                runner::tcp_cfg(&p, kind, v, false),
+                runner::mix_flows(&cdf, p),
             );
         }
     }
@@ -40,66 +35,29 @@ fn main() {
         (TransportKind::Tcp, false),
         (TransportKind::Tcp, true),
     ] {
-        let v = if tlt {
-            TcpVariant::Tlt
-        } else {
-            TcpVariant::Baseline
-        };
         plan.scheme(
             format!("{}+PFC{}", kind.name(), if tlt { "+TLT" } else { "" }),
-            move |_s| runner::tcp_cfg(&p, kind, v, true),
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
+            runner::scheme_cfg(&p, kind, tlt, true),
+            runner::mix_flows(&cdf, p),
         );
     }
     let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
+    // Both panels write one CSV; each leaves the other's columns empty.
+    let mut t = Table::new(&args, &["scheme"], &[TO_1K, IMP_LOSS, PAUSE_1K, PAUSE_FRAC]);
+    t.section(
         "Figure 7a: timeouts per 1k flows (lossy network)",
-        &["TO/1k", "imp loss rate"],
+        &[TO_1K, IMP_LOSS.head("imp loss rate")],
     );
     for r in &results[..panel_a] {
-        runner::print_row(&r.name, &[&r.timeouts_per_1k, &r.important_loss]);
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-            format!("{:.3e}", r.important_loss.mean()),
-            String::new(),
-            String::new(),
-        ]);
+        t.row(&[&r.name], r);
     }
-
-    runner::print_header(
+    t.section(
         "Figure 7b/7c: PAUSE frames and paused time (PFC network)",
-        &["PAUSE/1k", "pause frac", "TO/1k"],
+        &[PAUSE_1K, PAUSE_FRAC, TO_1K],
     );
     for r in &results[panel_a..] {
-        runner::print_row(
-            &r.name,
-            &[&r.pause_per_1k, &r.pause_frac, &r.timeouts_per_1k],
-        );
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-            String::new(),
-            format!("{:.3}", r.pause_per_1k.mean()),
-            format!("{:.5}", r.pause_frac.mean()),
-        ]);
+        t.row(&[&r.name], r);
     }
-
-    runner::maybe_csv(
-        &args,
-        &[
-            "scheme",
-            "timeouts_per_1k",
-            "important_loss",
-            "pause_per_1k",
-            "pause_frac",
-        ],
-        &rows,
-    );
+    t.finish();
 }

@@ -7,79 +7,42 @@
 //! frequent, until extreme HoL blocking reverses the fg trend.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, BG_AVG, FG_P999, IMP_LOSS, PAUSE_1K};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const KS: [u64; 9] = [200, 300, 400, 500, 600, 700, 800, 900, 1000];
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
     let mut plan = RunPlan::new(&args);
     for pfc in [false, true] {
         for k in KS {
-            plan.scheme(
-                format!("K={k}kB"),
-                move |_s| {
-                    let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Tlt, pfc);
-                    cfg.switch.color_threshold = Some(k * 1000);
-                    cfg
-                },
-                move |s| {
-                    let mut mp = p;
-                    mp.seed = s;
-                    standard_mix(cdf, mp)
-                },
-            );
+            let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, true, pfc);
+            cfg.switch.color_threshold = Some(k * 1000);
+            plan.scheme(format!("K={k}kB"), cfg, runner::mix_flows(&cdf, p));
         }
     }
     let mut results = plan.run().into_iter();
 
-    let mut rows = Vec::new();
+    let cols = [FG_P999, BG_AVG, IMP_LOSS, PAUSE_1K];
+    let mut t = Table::new(&args, &["pfc", "k_kb"], &cols);
     for pfc in [false, true] {
-        runner::print_header(
+        t.section(
             &format!(
                 "Figure 8{}: K sweep (DCTCP+TLT{})",
                 if pfc { "b" } else { "a" },
                 if pfc { "+PFC" } else { "" }
             ),
-            &["fg p99.9 (ms)", "bg avg (ms)", "imp loss", "PAUSE/1k"],
+            &cols,
         );
         for k in KS {
             let r = results.next().expect("one result per scheme");
-            runner::print_row(
-                &r.name,
-                &[
-                    &r.fg_p999_ms,
-                    &r.bg_avg_ms,
-                    &r.important_loss,
-                    &r.pause_per_1k,
-                ],
-            );
-            rows.push(vec![
-                format!("{}", pfc),
-                format!("{k}"),
-                format!("{:.4}", r.fg_p999_ms.mean()),
-                format!("{:.4}", r.bg_avg_ms.mean()),
-                format!("{:.3e}", r.important_loss.mean()),
-                format!("{:.3}", r.pause_per_1k.mean()),
-            ]);
+            t.row(&[&pfc, &k], &r);
         }
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "pfc",
-            "k_kb",
-            "fg_p999_ms",
-            "bg_avg_ms",
-            "important_loss",
-            "pause_per_1k",
-        ],
-        &rows,
-    );
+    t.finish();
 }

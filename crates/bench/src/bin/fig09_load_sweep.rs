@@ -6,9 +6,9 @@
 //! penalty overtakes the HoL-blocking penalty beyond it.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, BG_AVG, FG_P99, PAUSE_1K};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const PANELS: [(&str, TransportKind); 2] = [
     ("a: HPCC+PFC", TransportKind::Hpcc),
@@ -19,7 +19,6 @@ const LOADS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
 
     let mut plan = RunPlan::new(&args);
     for (_panel, kind) in PANELS {
@@ -29,60 +28,24 @@ fn main() {
                 p.load = load;
                 plan.scheme(
                     format!("load={load:.1}{}", if tlt { " +TLT" } else { "" }),
-                    move |_s| {
-                        if kind.is_roce() {
-                            runner::roce_cfg(&p, kind, tlt, true)
-                        } else {
-                            let v = if tlt {
-                                TcpVariant::Tlt
-                            } else {
-                                TcpVariant::Baseline
-                            };
-                            runner::tcp_cfg(&p, kind, v, true)
-                        }
-                    },
-                    move |s| {
-                        let mut mp = p;
-                        mp.seed = s;
-                        standard_mix(cdf, mp)
-                    },
+                    runner::scheme_cfg(&p, kind, tlt, true),
+                    runner::mix_flows(&cdf, p),
                 );
             }
         }
     }
     let mut results = plan.run().into_iter();
 
-    let mut rows = Vec::new();
+    let cols = [FG_P99, BG_AVG, PAUSE_1K];
+    let mut t = Table::new(&args, &["transport", "load", "tlt"], &cols);
     for (panel, kind) in PANELS {
-        runner::print_header(
-            &format!("Figure 9{panel} load sweep"),
-            &["fg p99 (ms)", "bg avg (ms)", "PAUSE/1k"],
-        );
+        t.section(&format!("Figure 9{panel} load sweep"), &cols);
         for load in LOADS {
             for tlt in [false, true] {
                 let r = results.next().expect("one result per scheme");
-                runner::print_row(&r.name, &[&r.fg_p99_ms, &r.bg_avg_ms, &r.pause_per_1k]);
-                rows.push(vec![
-                    kind.name().to_string(),
-                    format!("{load:.1}"),
-                    format!("{tlt}"),
-                    format!("{:.4}", r.fg_p99_ms.mean()),
-                    format!("{:.4}", r.bg_avg_ms.mean()),
-                    format!("{:.3}", r.pause_per_1k.mean()),
-                ]);
+                t.row(&[&kind.name(), &format!("{load:.1}"), &tlt], &r);
             }
         }
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "transport",
-            "load",
-            "tlt",
-            "fg_p99_ms",
-            "bg_avg_ms",
-            "pause_per_1k",
-        ],
-        &rows,
-    );
+    t.finish();
 }

@@ -6,16 +6,15 @@
 //! congestion shrinks windows).
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, FG_P999, IMP_FRAC};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const FG_SHARES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
 
     let mut plan = RunPlan::new(&args);
     for fg_pct in FG_SHARES {
@@ -23,32 +22,19 @@ fn main() {
         p.fg_fraction = fg_pct;
         plan.scheme(
             format!("fg={:.0}%", fg_pct * 100.0),
-            move |_s| runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Tlt, false),
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
+            runner::scheme_cfg(&p, TransportKind::Dctcp, true, false),
+            runner::mix_flows(&cdf, p),
         );
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
+    let cols = [IMP_FRAC, FG_P999];
+    let mut t = Table::new(&args, &["fg_fraction"], &cols);
+    t.section(
         "Figure 10: important-packet fraction vs fg share (DCTCP+TLT)",
-        &["important frac", "fg p99.9 (ms)"],
+        &cols,
     );
-    for (fg_pct, r) in FG_SHARES.iter().zip(&results) {
-        runner::print_row(&r.name, &[&r.important_frac, &r.fg_p999_ms]);
-        rows.push(vec![
-            format!("{fg_pct:.2}"),
-            format!("{:.4}", r.important_frac.mean()),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-        ]);
+    for (fg_pct, r) in FG_SHARES.iter().zip(&plan.run()) {
+        t.row(&[&format!("{fg_pct:.2}")], r);
     }
-    runner::maybe_csv(
-        &args,
-        &["fg_fraction", "important_frac", "fg_p999_ms"],
-        &rows,
-    );
+    t.finish();
 }

@@ -8,85 +8,52 @@
 //! median near 130 kB, under the ECN threshold.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, IMP_FRAC, MAX_Q, MEDIAN_Q};
 use eventsim::SimTime;
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const KS: [u64; 5] = [200, 300, 400, 500, 600];
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
     let mut plan = RunPlan::new(&args);
     for k in KS {
-        plan.scheme(
-            format!("K={k}kB"),
-            move |_s| {
-                let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Tlt, false);
-                cfg.switch.color_threshold = Some(k * 1000);
-                cfg
-            },
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
-        );
+        let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, true, false);
+        cfg.switch.color_threshold = Some(k * 1000);
+        plan.scheme(format!("K={k}kB"), cfg, runner::mix_flows(&cdf, p));
     }
     let panel_a = plan.len();
     for tlt in [false, true] {
-        let v = if tlt {
-            TcpVariant::Tlt
-        } else {
-            TcpVariant::Baseline
-        };
+        let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, tlt, false);
+        cfg.queue_sample_every = Some(SimTime::from_us(20));
         plan.scheme(
             format!("DCTCP{}", if tlt { "+TLT" } else { "" }),
-            move |_s| {
-                let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, v, false);
-                cfg.queue_sample_every = Some(SimTime::from_us(20));
-                cfg
-            },
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
+            cfg,
+            runner::mix_flows(&cdf, p),
         );
     }
     let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
+    // The two panels share two untyped value columns.
+    let (v1, v2) = (MAX_Q.csv("value1"), MEDIAN_Q.csv("value2"));
+    let mut t = Table::new(&args, &["panel", "scheme_or_k"], &[v1, v2]);
+    t.section(
         "Figure 11a: important fraction vs K (DCTCP+TLT)",
-        &["important frac"],
+        &[IMP_FRAC.csv("value1")],
     );
     for (k, r) in KS.iter().zip(&results[..panel_a]) {
-        runner::print_row(&r.name, &[&r.important_frac]);
-        rows.push(vec![
-            "11a".into(),
-            format!("{k}"),
-            format!("{:.4}", r.important_frac.mean()),
-            String::new(),
-        ]);
+        t.row(&[&"11a", k], r);
     }
-
-    runner::print_header(
+    t.section(
         "Figure 11b: queue occupancy (DCTCP vs DCTCP+TLT)",
-        &["max q (kB)", "median q (kB)"],
+        &[v1, v2],
     );
     for r in &results[panel_a..] {
-        runner::print_row(&r.name, &[&r.max_queue_kb, &r.median_queue_kb]);
-        rows.push(vec![
-            "11b".into(),
-            r.name.clone(),
-            format!("{:.1}", r.max_queue_kb.mean()),
-            format!("{:.1}", r.median_queue_kb.mean()),
-        ]);
+        t.row(&[&"11b", &r.name], r);
     }
-    runner::maybe_csv(&args, &["panel", "scheme_or_k", "value1", "value2"], &rows);
+    t.finish();
 }

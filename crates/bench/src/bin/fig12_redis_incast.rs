@@ -8,10 +8,10 @@
 //! up to 91.7% (TCP) / 91.5% (DCTCP) lower at the max.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
-use dcsim::{small_single_switch, SimConfig};
+use bench::runner::{self, Args, Scale, Table, FG_P99};
+use dcsim::small_single_switch;
 use transport::TransportKind;
-use workload::cache_requests;
+use workload::{cache_requests, MixParams};
 
 const SCHEMES: [(TransportKind, bool); 4] = [
     (TransportKind::Tcp, false),
@@ -20,57 +20,28 @@ const SCHEMES: [(TransportKind, bool); 4] = [
     (TransportKind::Dctcp, true),
 ];
 
-fn cfg(kind: TransportKind, tlt: bool) -> SimConfig {
-    let v = if tlt {
-        TcpVariant::Tlt
-    } else {
-        TcpVariant::Baseline
-    };
-    let p = workload::MixParams::reduced(1); // only for link params
-    runner::tcp_cfg(&p, kind, v, false).with_topology(small_single_switch(9))
-}
-
 fn main() {
     let args = Args::parse();
-    let counts: Vec<usize> = if args.quick {
+    let counts: Vec<usize> = if args.scale == Scale::Quick {
         vec![60, 180]
     } else {
         vec![20, 60, 100, 140, 180]
     };
+    let p = MixParams::reduced(1); // only for link params
 
     let mut plan = RunPlan::new(&args);
     for &n in &counts {
         for (kind, tlt) in SCHEMES {
             plan.scheme(
                 "",
-                move |_s| cfg(kind, tlt),
+                runner::scheme_cfg(&p, kind, tlt, false).with_topology(small_single_switch(9)),
                 move |s| cache_requests(n, 8, 32_000, s),
             );
         }
     }
-    let mut results = plan.run().into_iter();
+    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
-        "Figure 12: 99% response time (ms) vs concurrent 32kB SETs",
-        &["TCP", "TCP+TLT", "DCTCP", "DCTCP+TLT"],
-    );
-    for &n in &counts {
-        let mut line = format!("{n:<28}");
-        let mut row = vec![n.to_string()];
-        for _ in SCHEMES {
-            let r = results.next().expect("one result per scheme");
-            line.push_str(&format!(
-                "{:>10.3}±{:<5.3}",
-                r.fg_p99_ms.mean(),
-                r.fg_p99_ms.std()
-            ));
-            row.push(format!("{:.4}", r.fg_p99_ms.mean()));
-        }
-        println!("{line}");
-        rows.push(row);
-    }
-    runner::maybe_csv(
+    let mut t = Table::new(
         &args,
         &[
             "requests",
@@ -79,6 +50,14 @@ fn main() {
             "dctcp_p99_ms",
             "dctcp_tlt_p99_ms",
         ],
-        &rows,
+        &[],
     );
+    runner::print_header(
+        "Figure 12: 99% response time (ms) vs concurrent 32kB SETs",
+        &["TCP", "TCP+TLT", "DCTCP", "DCTCP+TLT"],
+    );
+    for (n, rs) in counts.iter().zip(results.chunks(SCHEMES.len())) {
+        t.across(n, &[n], rs, FG_P99);
+    }
+    t.finish();
 }

@@ -6,55 +6,31 @@
 //! 5.6% background-goodput dip.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
-use dcsim::{small_single_switch, SimConfig};
+use bench::runner::{self, Args, Table, BG_GBPS, FG_P99, TO_1K};
+use dcsim::small_single_switch;
 use transport::TransportKind;
-use workload::cache_mixed;
-
-fn cfg(tlt: bool) -> SimConfig {
-    let v = if tlt {
-        TcpVariant::Tlt
-    } else {
-        TcpVariant::Baseline
-    };
-    let p = workload::MixParams::reduced(1);
-    runner::tcp_cfg(&p, TransportKind::Dctcp, v, false).with_topology(small_single_switch(10))
-}
+use workload::{cache_mixed, MixParams};
 
 fn main() {
     let args = Args::parse();
+    let p = MixParams::reduced(1); // only for link params
 
     let mut plan = RunPlan::new(&args);
     for tlt in [false, true] {
         plan.scheme_seeds(
             format!("DCTCP{}", if tlt { "+TLT" } else { "" }),
             args.seeds.max(4), // the paper averages four runs
-            move |_s| cfg(tlt),
-            move |s| cache_mixed(152, 8, 32_000, 8_000_000, s),
+            runner::scheme_cfg(&p, TransportKind::Dctcp, tlt, false)
+                .with_topology(small_single_switch(10)),
+            |s| cache_mixed(152, 8, 32_000, 8_000_000, s),
         );
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
-        "Figure 13: 152 x 32kB SETs + 8MB bulk flow (DCTCP)",
-        &["fg p99 (ms)", "bg gbps", "TO/1k"],
-    );
-    for r in &results {
-        runner::print_row(
-            &r.name,
-            &[&r.fg_p99_ms, &r.bg_goodput_gbps, &r.timeouts_per_1k],
-        );
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.4}", r.bg_goodput_gbps.mean()),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-        ]);
+    let cols = [FG_P99, BG_GBPS, TO_1K];
+    let mut t = Table::new(&args, &["scheme"], &cols);
+    t.section("Figure 13: 152 x 32kB SETs + 8MB bulk flow (DCTCP)", &cols);
+    for r in &plan.run() {
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &["scheme", "fg_p99_ms", "bg_goodput_gbps", "timeouts_per_1k"],
-        &rows,
-    );
+    t.finish();
 }

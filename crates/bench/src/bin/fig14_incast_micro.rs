@@ -8,13 +8,14 @@
 //! and cuts p99 FCT by up to 97.2%.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Scale, Table, TcpVariant, FG_P99};
 use dcsim::{small_single_switch, SimConfig};
 use netstats::Samples;
 use transport::TransportKind;
 use workload::incast_burst;
 
 const VARIANTS: [TcpVariant; 3] = [TcpVariant::Baseline, TcpVariant::Us200, TcpVariant::Tlt];
+const KINDS: [TransportKind; 2] = [TransportKind::Tcp, TransportKind::Dctcp];
 
 fn cfg(kind: TransportKind, v: TcpVariant) -> SimConfig {
     let p = workload::MixParams::reduced(1);
@@ -23,46 +24,36 @@ fn cfg(kind: TransportKind, v: TcpVariant) -> SimConfig {
 
 fn main() {
     let args = Args::parse();
-    let counts: Vec<usize> = if args.quick {
+    let counts: Vec<usize> = if args.scale == Scale::Quick {
         vec![40, 120]
     } else {
         vec![20, 40, 60, 80, 100, 120, 160, 200]
     };
 
     let mut plan = RunPlan::new(&args);
-    for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
+    for kind in KINDS {
         for &n in &counts {
             for v in VARIANTS {
-                plan.scheme(
-                    "",
-                    move |_s| cfg(kind, v),
-                    move |s| incast_burst(n, 8, 32_000, s),
-                );
+                plan.scheme("", cfg(kind, v), move |s| incast_burst(n, 8, 32_000, s));
             }
         }
     }
-    let mut results = plan.run().into_iter();
+    let results = plan.run();
 
-    let mut rows = Vec::new();
-    for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
+    let mut t = Table::new(
+        &args,
+        &["transport", "flows", "p99_4ms", "p99_200us", "p99_tlt"],
+        &[],
+    );
+    let mut rows = results.chunks(VARIANTS.len());
+    for kind in KINDS {
         runner::print_header(
             &format!("Figure 14: 99% FCT (ms) vs #flows, {}", kind.name()),
             &["4ms", "200us", "TLT"],
         );
-        for &n in &counts {
-            let mut line = format!("{n:<28}");
-            let mut row = vec![kind.name().to_string(), n.to_string()];
-            for _ in VARIANTS {
-                let r = results.next().expect("one result per scheme");
-                line.push_str(&format!(
-                    "{:>10.3}±{:<5.3}",
-                    r.fg_p99_ms.mean(),
-                    r.fg_p99_ms.std()
-                ));
-                row.push(format!("{:.4}", r.fg_p99_ms.mean()));
-            }
-            println!("{line}");
-            rows.push(row);
+        for n in &counts {
+            let rs = rows.next().expect("one row per count");
+            t.across(n, &[&kind.name(), n], rs, FG_P99);
         }
     }
 
@@ -92,9 +83,5 @@ fn main() {
             fcts.max()
         );
     }
-    runner::maybe_csv(
-        &args,
-        &["transport", "flows", "p99_4ms", "p99_200us", "p99_tlt"],
-        &rows,
-    );
+    t.finish();
 }

@@ -9,9 +9,9 @@
 //! but TLT still wins on background FCT.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Scale, Table, TcpVariant};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf, MixParams};
+use workload::FlowSizeCdf;
 
 const ROCE: [(TransportKind, bool); 3] = [
     (TransportKind::DcqcnSack, true),
@@ -19,19 +19,15 @@ const ROCE: [(TransportKind, bool); 3] = [
     (TransportKind::Hpcc, true),
 ];
 
-fn mix_for(args: &Args, load: f64) -> MixParams {
-    let mut p = args.mix();
-    p.load = load;
-    p.incast_flows_per_sender = 4;
-    p.incast_flow_bytes = 16_000;
-    p
-}
-
 fn main() {
     let args = Args::parse();
     // This table is 14 schemes x 4 loads x 3 workloads; default to 1 seed.
-    let seeds = if args.full { args.seeds } else { 1 };
-    let loads: Vec<f64> = if args.quick {
+    let seeds = if args.scale == Scale::Full {
+        args.seeds
+    } else {
+        1
+    };
+    let loads: Vec<f64> = if args.scale == Scale::Quick {
         vec![0.3]
     } else {
         vec![0.2, 0.3, 0.4, 0.5]
@@ -45,19 +41,18 @@ fn main() {
     let mut plan = RunPlan::new(&args);
     for (_wname, cdf) in &workloads {
         for &load in &loads {
-            let p = mix_for(&args, load);
+            let mut p = args.mix();
+            p.load = load;
+            p.incast_flows_per_sender = 4;
+            p.incast_flow_bytes = 16_000;
             // TCP family.
             for kind in [TransportKind::Dctcp, TransportKind::Tcp] {
                 for v in TcpVariant::ALL {
                     plan.scheme_seeds(
                         format!("{} {}", kind.name(), v.label()),
                         seeds,
-                        move |_s| runner::tcp_cfg(&p, kind, v, false),
-                        move |s| {
-                            let mut mp = p;
-                            mp.seed = s;
-                            standard_mix(cdf, mp)
-                        },
+                        runner::tcp_cfg(&p, kind, v, false),
+                        runner::mix_flows(cdf, p),
                     );
                 }
             }
@@ -73,35 +68,16 @@ fn main() {
                             if tlt { "+TLT" } else { "" }
                         ),
                         seeds,
-                        move |_s| runner::roce_cfg(&p, kind, tlt, pfc),
-                        move |s| {
-                            let mut mp = p;
-                            mp.seed = s;
-                            standard_mix(cdf, mp)
-                        },
+                        runner::roce_cfg(&p, kind, tlt, pfc),
+                        runner::mix_flows(cdf, p),
                     );
                 }
             }
         }
     }
-    let mut results = plan.run().into_iter();
+    let results = plan.run();
 
-    let mut rows = Vec::new();
-    for (wname, _cdf) in &workloads {
-        for &load in &loads {
-            println!("\n== Figure 15: {wname}, load {load:.1} — fg p99.9 (ms) ==");
-            let mut row = vec![wname.to_string(), format!("{load:.1}")];
-            // 8 TCP-family schemes, then 6 RoCE-family schemes, in the
-            // order they were enqueued above.
-            for _ in 0..14 {
-                let r = results.next().expect("one result per scheme");
-                println!("  {:<24}{:8.3}", r.name, r.fg_p999_ms.mean());
-                row.push(format!("{:.4}", r.fg_p999_ms.mean()));
-            }
-            rows.push(row);
-        }
-    }
-    runner::maybe_csv(
+    let mut t = Table::new(
         &args,
         &[
             "workload",
@@ -121,6 +97,21 @@ fn main() {
             "hpcc_pfc",
             "hpcc_tlt",
         ],
-        &rows,
+        &[],
     );
+    // 8 TCP-family schemes, then 6 RoCE-family schemes, in the order they
+    // were enqueued above.
+    let mut cells = results.chunks(14);
+    for (wname, _cdf) in &workloads {
+        for &load in &loads {
+            println!("\n== Figure 15: {wname}, load {load:.1} — fg p99.9 (ms) ==");
+            let mut row = vec![wname.to_string(), format!("{load:.1}")];
+            for r in cells.next().expect("one cell per workload and load") {
+                println!("  {:<24}{:8.3}", r.name, r.fg_p999_ms.mean());
+                row.push(format!("{:.4}", r.fg_p999_ms.mean()));
+            }
+            t.push(row);
+        }
+    }
+    t.finish();
 }

@@ -5,41 +5,31 @@
 //! 99%-ile by 22.8% and the 99.9%-ile by 57.6% — loss *recovery* is timely,
 //! not just loss detection.
 
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table};
 
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let mut rows = Vec::new();
+    let p = args.mix();
+    let flows = runner::mix_flows(&cdf, p);
+    let mut t = Table::new(&args, &["scheme", "delivery_us", "quantile"], &[]);
 
     println!("== Figure 16: segment delivery time CDF (DCTCP) ==");
-    for tlt in [false, true] {
+    for (name, tlt) in [("DCTCP", false), ("DCTCP+TLT", true)] {
+        let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, tlt, false);
+        cfg.collect_delivery = true;
+        let label = format!("fig16/{}", name.to_lowercase());
         let mut all = netstats::Samples::new();
         for seed in 1..=args.seeds {
-            let mut p = args.mix();
-            p.seed = seed;
-            let v = if tlt {
-                TcpVariant::Tlt
-            } else {
-                TcpVariant::Baseline
-            };
-            let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, v, false).with_seed(seed);
-            cfg.collect_delivery = true;
-            let label = if tlt {
-                "fig16/dctcp+tlt"
-            } else {
-                "fig16/dctcp"
-            };
-            let res = runner::traced_run(label, cfg, standard_mix(&cdf, p));
+            let res = runner::traced_run(&label, cfg.clone().with_seed(seed), flows(seed));
             let mut d = res.agg.delivery.clone();
             for (val, _) in d.cdf(2000) {
                 all.push(val);
             }
         }
-        let name = if tlt { "DCTCP+TLT" } else { "DCTCP" };
         println!(
             "{name:>12}: p50={:9.1}us p99={:9.1}us p99.9={:9.1}us max={:9.1}us (n={})",
             all.percentile(50.0).unwrap_or(0.0) * 1e6,
@@ -49,12 +39,12 @@ fn main() {
             all.len()
         );
         for (v, q) in all.cdf(40) {
-            rows.push(vec![
+            t.push(vec![
                 name.to_string(),
                 format!("{:.2}", v * 1e6),
                 format!("{q:.4}"),
             ]);
         }
     }
-    runner::maybe_csv(&args, &["scheme", "delivery_us", "quantile"], &rows);
+    t.finish();
 }

@@ -7,15 +7,14 @@
 //! adaptive gets 1-MTU-like recovery at 1-byte-like overhead.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, CLOCK_KB, FG_P999, PAUSE_1K};
 use tlt_core::ClockingPolicy;
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
     let p = args.mix();
 
     let mut plan = RunPlan::new(&args);
@@ -24,41 +23,21 @@ fn main() {
         ("adaptive (TLT)", ClockingPolicy::Adaptive),
         ("1-MTU", ClockingPolicy::AlwaysMss),
     ] {
-        plan.scheme(
-            name,
-            move |_s| {
-                let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Tlt, true);
-                if let Some(t) = &mut cfg.tlt {
-                    t.clocking = policy;
-                }
-                cfg
-            },
-            move |s| {
-                let mut mp = p;
-                mp.seed = s;
-                standard_mix(cdf, mp)
-            },
-        );
+        let mut cfg = runner::scheme_cfg(&p, TransportKind::Dctcp, true, true);
+        if let Some(t) = &mut cfg.tlt {
+            t.clocking = policy;
+        }
+        plan.scheme(name, cfg, runner::mix_flows(&cdf, p));
     }
-    let results = plan.run();
 
-    let mut rows = Vec::new();
-    runner::print_header(
+    let cols = [FG_P999, CLOCK_KB, PAUSE_1K];
+    let mut t = Table::new(&args, &["policy"], &cols);
+    t.section(
         "Figure 17: ACK-clocking policy ablation (DCTCP+TLT+PFC)",
-        &["fg p99.9 (ms)", "clock kB", "PAUSE/1k"],
+        &cols,
     );
-    for r in &results {
-        runner::print_row(&r.name, &[&r.fg_p999_ms, &r.clocking_kb, &r.pause_per_1k]);
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-            format!("{:.2}", r.clocking_kb.mean()),
-            format!("{:.3}", r.pause_per_1k.mean()),
-        ]);
+    for r in &plan.run() {
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &["policy", "fg_p999_ms", "clocking_kb", "pause_per_1k"],
-        &rows,
-    );
+    t.finish();
 }

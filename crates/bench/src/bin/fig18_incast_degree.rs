@@ -5,9 +5,9 @@
 //! (HPCC) and 67.0% (TCP) lower fg tail FCT at the highest degrees.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table, BG_AVG, FG_P99};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const KINDS: [TransportKind; 2] = [TransportKind::Hpcc, TransportKind::Tcp];
 const DEGREES: [u32; 5] = [2, 4, 6, 8, 10];
@@ -15,7 +15,6 @@ const DEGREES: [u32; 5] = [2, 4, 6, 8, 10];
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
 
     let mut plan = RunPlan::new(&args);
     for kind in KINDS {
@@ -25,52 +24,27 @@ fn main() {
                 p.incast_flows_per_sender = degree;
                 plan.scheme(
                     format!("deg={degree}{}", if tlt { " +TLT" } else { "" }),
-                    move |_s| {
-                        if kind.is_roce() {
-                            runner::roce_cfg(&p, kind, tlt, false)
-                        } else {
-                            let v = if tlt {
-                                TcpVariant::Tlt
-                            } else {
-                                TcpVariant::Baseline
-                            };
-                            runner::tcp_cfg(&p, kind, v, false)
-                        }
-                    },
-                    move |s| {
-                        let mut mp = p;
-                        mp.seed = s;
-                        standard_mix(cdf, mp)
-                    },
+                    runner::scheme_cfg(&p, kind, tlt, false),
+                    runner::mix_flows(&cdf, p),
                 );
             }
         }
     }
     let mut results = plan.run().into_iter();
 
-    let mut rows = Vec::new();
+    let cols = [FG_P99, BG_AVG];
+    let mut t = Table::new(&args, &["transport", "degree", "tlt"], &cols);
     for kind in KINDS {
-        runner::print_header(
+        t.section(
             &format!("Figure 18: incast degree sweep, {}", kind.name()),
-            &["fg p99 (ms)", "bg avg (ms)"],
+            &cols,
         );
         for degree in DEGREES {
             for tlt in [false, true] {
                 let r = results.next().expect("one result per scheme");
-                runner::print_row(&r.name, &[&r.fg_p99_ms, &r.bg_avg_ms]);
-                rows.push(vec![
-                    kind.name().to_string(),
-                    degree.to_string(),
-                    tlt.to_string(),
-                    format!("{:.4}", r.fg_p99_ms.mean()),
-                    format!("{:.4}", r.bg_avg_ms.mean()),
-                ]);
+                t.row(&[&kind.name(), &degree, &tlt], &r);
             }
         }
     }
-    runner::maybe_csv(
-        &args,
-        &["transport", "degree", "tlt", "fg_p99_ms", "bg_avg_ms"],
-        &rows,
-    );
+    t.finish();
 }

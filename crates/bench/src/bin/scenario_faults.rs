@@ -21,7 +21,9 @@
 //!   switch ingress.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args};
+use bench::runner::{
+    Args, Table, DOWN_DROPS, FAST_RTX, FG_P99, FG_P999, RECOVERY, RTO, WIRE_DROPS,
+};
 use dcsim::{small_single_switch, FlowSpec, SimConfig};
 use eventsim::SimTime;
 use faults::FaultSchedule;
@@ -114,16 +116,13 @@ fn main() {
     let args = Args::parse();
 
     let mut plan = RunPlan::new(&args);
-    let mut layout = Vec::new(); // (scenario, scheme-label) in plan order
-    for (scenario, faults) in scenarios() {
+    let scenarios = scenarios();
+    for (scenario, faults) in &scenarios {
         for (tname, kind) in KINDS {
             for tlt in [false, true] {
-                let label = format!("{scenario}/{tname}{}", if tlt { "+tlt" } else { "" });
-                layout.push((scenario, label.clone()));
-                let faults = faults.clone();
                 plan.scheme(
-                    label,
-                    move |_s| scenario_cfg(kind, tlt, faults.clone()),
+                    format!("{scenario}/{tname}{}", if tlt { "+tlt" } else { "" }),
+                    scenario_cfg(kind, tlt, faults.clone()),
                     |_s| scenario_flows(),
                 );
             }
@@ -131,63 +130,23 @@ fn main() {
     }
     let results = plan.run();
 
-    let mut rows = Vec::new();
-    let mut shown = "";
-    for ((scenario, _), r) in layout.iter().zip(&results) {
-        if *scenario != shown {
-            shown = scenario;
-            runner::print_header(
-                &format!("Recovery under failure: {scenario}"),
-                &[
-                    "RTO",
-                    "fast-rtx",
-                    "down-drop",
-                    "wire-drop",
-                    "recov ms",
-                    "fg p99 ms",
-                    "fg p999 ms",
-                ],
-            );
+    let cols = [
+        RTO,
+        FAST_RTX,
+        DOWN_DROPS,
+        WIRE_DROPS,
+        RECOVERY,
+        FG_P99.head("fg p99 ms"),
+        FG_P999.head("fg p999 ms"),
+    ];
+    let mut t = Table::new(&args, &["scenario", "scheme"], &cols);
+    for ((scenario, _), cell) in scenarios.iter().zip(results.chunks(2 * KINDS.len())) {
+        t.section(&format!("Recovery under failure: {scenario}"), &cols);
+        for r in cell {
+            t.row(&[scenario, &r.name], r);
         }
-        runner::print_row(
-            &r.name,
-            &[
-                &r.timeouts_total,
-                &r.fast_retx_total,
-                &r.down_drops,
-                &r.wire_drops,
-                &r.recovery_ms,
-                &r.fg_p99_ms,
-                &r.fg_p999_ms,
-            ],
-        );
-        rows.push(vec![
-            scenario.to_string(),
-            r.name.clone(),
-            format!("{:.1}", r.timeouts_total.mean()),
-            format!("{:.1}", r.fast_retx_total.mean()),
-            format!("{:.1}", r.down_drops.mean()),
-            format!("{:.1}", r.wire_drops.mean()),
-            format!("{:.4}", r.recovery_ms.mean()),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-        ]);
     }
-    runner::maybe_csv(
-        &args,
-        &[
-            "scenario",
-            "scheme",
-            "rto",
-            "fast_retx",
-            "down_drops",
-            "wire_drops",
-            "recovery_ms",
-            "fg_p99_ms",
-            "fg_p999_ms",
-        ],
-        &rows,
-    );
+    t.finish();
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use bench::plan::RunPlan;
 use bench::profiler::Provenance;
-use bench::runner::{self, Args};
+use bench::runner::{self, Args, Scale, Table, FG_P99, FG_P999, TO_1K};
 use dcsim::SimConfig;
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
@@ -112,21 +112,25 @@ fn run_grid(
     ServeReport,
     Option<telemetry::SpanReport>,
 ) {
-    // Scheme label → the exact params that generated its request stream;
-    // the analyze hook regenerates the (cheap) request index from these to
-    // join request ids against the finished run.
-    let mut params_by_scheme: BTreeMap<String, ServeParams> = BTreeMap::new();
+    // One cell per scheme × load, in plan order: its label, its config and
+    // the exact params that generate its request stream.
+    let mut cells = Vec::new();
     for load in &spec.loads {
         for &kind in &spec.kinds {
             for tlt in [false, true] {
-                let name = format!("{}{}", scheme_label(kind, tlt), load.suffix);
                 let mut p = spec.base.clone();
                 p.mean_gap = SimTime::from_secs_f64(p.mean_gap.as_secs_f64() / load.rate);
-                params_by_scheme.insert(name, p);
+                let name = format!("{}{}", scheme_label(kind, tlt), load.suffix);
+                cells.push((name, grid_cfg(kind, tlt, spec.k), p));
             }
         }
     }
-    let slo = spec.base.slo;
+    // The analyze hook regenerates the (cheap) request index from a cell's
+    // params to join request ids against the finished run.
+    let params_by_scheme: BTreeMap<String, ServeParams> = cells
+        .iter()
+        .map(|(name, _, p)| (name.clone(), p.clone()))
+        .collect();
 
     // Span-tree side channel: the analyze hook returns only a Registry, so
     // per-cell SpanReports land in a shared map keyed by (scheme, seed) and
@@ -158,23 +162,8 @@ fn run_grid(
         }
         rep.reg
     });
-    for load in &spec.loads {
-        for &kind in &spec.kinds {
-            for tlt in [false, true] {
-                let name = format!("{}{}", scheme_label(kind, tlt), load.suffix);
-                let k = spec.k;
-                let params = {
-                    let mut p = spec.base.clone();
-                    p.mean_gap = SimTime::from_secs_f64(p.mean_gap.as_secs_f64() / load.rate);
-                    p
-                };
-                plan.scheme(
-                    name,
-                    move |_s| grid_cfg(kind, tlt, k),
-                    move |s| serve::generate(&params, s).flows,
-                );
-            }
-        }
+    for (name, cfg, params) in cells {
+        plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
     }
     let out = plan.run_detailed();
     let mut rep = ServeReport {
@@ -199,14 +188,14 @@ fn run_grid(
     };
     #[cfg(not(feature = "ledger"))]
     let spans = None;
-    (out.results, verify_forensic_join(rep, slo), spans)
+    (out.results, verify_forensic_join(rep), spans)
 }
 
 /// Cross-checks the timeout join: per scheme, the per-cause breakdown sums
 /// exactly to the timeout-violation counter, and no scheme attributes more
 /// violations than it recorded RTOs. Aborts loudly on mismatch — a silent
 /// inconsistency here would falsify the headline table.
-fn verify_forensic_join(rep: ServeReport, _slo: SimTime) -> ServeReport {
+fn verify_forensic_join(rep: ServeReport) -> ServeReport {
     for scheme in rep.schemes() {
         let viol_t = rep.reg.counter(&format!("serve_slo_viol_timeout/{scheme}"));
         let causes: u64 = rep
@@ -310,13 +299,14 @@ fn main() {
     };
     args.init_outputs();
 
+    let quick = args.scale == Scale::Quick;
     let cdf = FlowSizeCdf::by_name(&workload_name)
         .unwrap_or_else(|| usage(&format!("unknown workload {workload_name:?}")));
     let (k, hosts, default_gap_us, requests) = match scale.as_str() {
-        "k8" => (8, 128, 20, if args.quick { 64 } else { 256 }),
+        "k8" => (8, 128, 20, if quick { 64 } else { 256 }),
         // k=24 ≈ 3456 hosts: the bounded-memory smoke scale. Fewer
         // requests per host, same accounting structures.
-        "k24" => (24, 3456, 10, if args.quick { 128 } else { 512 }),
+        "k24" => (24, 3456, 10, if quick { 128 } else { 512 }),
         other => usage(&format!("unknown scale {other:?} (expected k8 or k24)")),
     };
     if fanout >= hosts {
@@ -335,7 +325,7 @@ fn main() {
         think: SimTime::from_us(5),
         slo: SimTime::from_us(slo_us),
     };
-    let loads = if args.quick {
+    let loads = if quick {
         vec![Load {
             suffix: "",
             rate: 1.0,
@@ -383,25 +373,13 @@ fn main() {
         std::process::exit(2);
     }
 
-    runner::print_header(
-        "flow-level cross-reference (request flows are fg)",
-        &["fg p99.9 (ms)", "fg p99 (ms)", "TO/1k"],
-    );
-    let mut rows = Vec::new();
+    let cols = [FG_P999, FG_P99, TO_1K];
+    let mut t = Table::new(&args, &["scheme"], &cols);
+    t.section("flow-level cross-reference (request flows are fg)", &cols);
     for r in &results {
-        runner::print_row(&r.name, &[&r.fg_p999_ms, &r.fg_p99_ms, &r.timeouts_per_1k]);
-        rows.push(vec![
-            r.name.clone(),
-            format!("{:.4}", r.fg_p999_ms.mean()),
-            format!("{:.4}", r.fg_p99_ms.mean()),
-            format!("{:.3}", r.timeouts_per_1k.mean()),
-        ]);
+        t.row(&[&r.name], r);
     }
-    runner::maybe_csv(
-        &args,
-        &["scheme", "fg_p999_ms", "fg_p99_ms", "timeouts_per_1k"],
-        &rows,
-    );
+    t.finish();
 
     if let Some(path) = &serve_out {
         std::fs::write(path, rep.to_json())

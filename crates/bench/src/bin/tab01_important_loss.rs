@@ -7,9 +7,9 @@
 //! slightly more.
 
 use bench::plan::RunPlan;
-use bench::runner::{self, Args, TcpVariant};
+use bench::runner::{self, Args, Table};
 use transport::TransportKind;
-use workload::{standard_mix, FlowSizeCdf};
+use workload::FlowSizeCdf;
 
 const KINDS: [TransportKind; 2] = [TransportKind::Dctcp, TransportKind::Tcp];
 const FG_SHARES: [f64; 2] = [0.05, 0.10];
@@ -18,7 +18,6 @@ const KS: [u64; 3] = [400, 500, 600];
 fn main() {
     let args = Args::parse();
     let cdf = FlowSizeCdf::web_search();
-    let cdf = &cdf;
 
     let mut plan = RunPlan::new(&args);
     for kind in KINDS {
@@ -26,29 +25,24 @@ fn main() {
             for k in KS {
                 let mut p = args.mix();
                 p.fg_fraction = fg;
-                plan.scheme(
-                    "",
-                    move |_s| {
-                        let mut cfg = runner::tcp_cfg(&p, kind, TcpVariant::Tlt, false);
-                        cfg.switch.color_threshold = Some(k * 1000);
-                        cfg
-                    },
-                    move |s| {
-                        let mut mp = p;
-                        mp.seed = s;
-                        standard_mix(cdf, mp)
-                    },
-                );
+                let mut cfg = runner::scheme_cfg(&p, kind, true, false);
+                cfg.switch.color_threshold = Some(k * 1000);
+                plan.scheme("", cfg, runner::mix_flows(&cdf, p));
             }
         }
     }
-    let mut results = plan.run().into_iter();
+    let results = plan.run();
 
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        &args,
+        &["transport", "fg_fraction", "k400", "k500", "k600"],
+        &[],
+    );
     runner::print_header(
         "Table 1: important-packet loss rate",
         &["K=400kB", "K=500kB", "K=600kB"],
     );
+    let mut cells = results.chunks(KS.len());
     for kind in KINDS {
         for fg in FG_SHARES {
             let mut line = format!(
@@ -56,18 +50,13 @@ fn main() {
                 format!("{}+TLT fg={:.0}%", kind.name(), fg * 100.0)
             );
             let mut row = vec![kind.name().to_string(), format!("{fg:.2}")];
-            for _ in KS {
-                let r = results.next().expect("one result per scheme");
+            for r in cells.next().expect("one cell per kind and share") {
                 line.push_str(&format!("{:>16.3e}", r.important_loss.mean()));
                 row.push(format!("{:.3e}", r.important_loss.mean()));
             }
             println!("{line}");
-            rows.push(row);
+            t.push(row);
         }
     }
-    runner::maybe_csv(
-        &args,
-        &["transport", "fg_fraction", "k400", "k500", "k600"],
-        &rows,
-    );
+    t.finish();
 }

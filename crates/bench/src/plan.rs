@@ -25,11 +25,12 @@ use telemetry::{Profile, Registry};
 
 use crate::runner::{self, Args, MixOutcome, SchemeResult};
 
-/// One scheme of the grid: a label plus per-seed config/workload builders.
+/// One scheme of the grid: a label, its config (each job re-seeds a copy)
+/// and its per-seed workload builder.
 struct SchemeSpec<'a> {
     name: String,
     seeds: u64,
-    make_cfg: Box<dyn Fn(u64) -> SimConfig + Sync + 'a>,
+    cfg: SimConfig,
     make_flows: Box<dyn Fn(u64) -> Vec<FlowSpec> + Sync + 'a>,
 }
 
@@ -137,17 +138,18 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// Adds a scheme over the default seed range. Returns its index into
+    /// Adds a scheme over the default seed range; seed `s` runs
+    /// `cfg.with_seed(s)` on `make_flows(s)`. Returns its index into
     /// [`RunPlan::run`]'s result vector (schemes come back in insertion
     /// order).
     pub fn scheme(
         &mut self,
         name: impl Into<String>,
-        make_cfg: impl Fn(u64) -> SimConfig + Sync + 'a,
+        cfg: SimConfig,
         make_flows: impl Fn(u64) -> Vec<FlowSpec> + Sync + 'a,
     ) -> usize {
         let seeds = self.default_seeds;
-        self.scheme_seeds(name, seeds, make_cfg, make_flows)
+        self.scheme_seeds(name, seeds, cfg, make_flows)
     }
 
     /// Adds a scheme with an explicit seed count (some tables average a
@@ -156,14 +158,14 @@ impl<'a> RunPlan<'a> {
         &mut self,
         name: impl Into<String>,
         seeds: u64,
-        make_cfg: impl Fn(u64) -> SimConfig + Sync + 'a,
+        cfg: SimConfig,
         make_flows: impl Fn(u64) -> Vec<FlowSpec> + Sync + 'a,
     ) -> usize {
         assert!(seeds >= 1, "a scheme needs at least one seed");
         self.schemes.push(SchemeSpec {
             name: name.into(),
             seeds,
-            make_cfg: Box::new(make_cfg),
+            cfg,
             make_flows: Box::new(make_flows),
         });
         self.schemes.len() - 1
@@ -208,7 +210,7 @@ impl<'a> RunPlan<'a> {
 
         let run_job = |&(si, seed): &(usize, u64)| -> JobOut {
             let spec = &self.schemes[si];
-            let cfg = (spec.make_cfg)(seed).with_seed(seed);
+            let cfg = spec.cfg.clone().with_seed(seed);
             let flows = (spec.make_flows)(seed);
             let (mut res, trace) =
                 runner::buffered_run(&spec.name, cfg, flows, trace_on, sample_every, metrics_on);
@@ -310,22 +312,11 @@ mod tests {
     fn tiny_plan(jobs: usize) -> RunPlan<'static> {
         let mut plan = RunPlan::sized(jobs, 2);
         for (name, tlt) in [("base", false), ("tlt", true)] {
+            let p = workload::MixParams::reduced(1);
             plan.scheme(
                 name,
-                move |_s| {
-                    let p = workload::MixParams::reduced(1);
-                    let cfg = crate::runner::tcp_cfg(
-                        &p,
-                        TransportKind::Dctcp,
-                        if tlt {
-                            crate::runner::TcpVariant::Tlt
-                        } else {
-                            crate::runner::TcpVariant::Baseline
-                        },
-                        false,
-                    );
-                    cfg.with_topology(small_single_switch(9))
-                },
+                runner::scheme_cfg(&p, TransportKind::Dctcp, tlt, false)
+                    .with_topology(small_single_switch(9)),
                 |s| workload::incast_burst(16, 8, 8_000, s),
             );
         }

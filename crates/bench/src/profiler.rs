@@ -31,13 +31,7 @@ impl Provenance {
     pub fn deterministic(args: &Args) -> Provenance {
         Provenance {
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            scale: if args.full {
-                "full"
-            } else if args.quick {
-                "quick"
-            } else {
-                "default"
-            },
+            scale: args.scale.label(),
             seeds: args.seeds,
             build_profile: if cfg!(debug_assertions) {
                 "debug"

@@ -1,11 +1,12 @@
 //! Shared experiment plumbing: CLI arguments, scheme variants, multi-seed
-//! execution, flight-recorder wiring, and table printing.
+//! execution, flight-recorder wiring, and the figure [`Table`].
 //!
 //! Simulations run through [`crate::plan::RunPlan`], which executes the
 //! (scheme, seed) grid across worker threads and folds results back in
 //! deterministic plan order — the table, CSV, and trace output is
 //! byte-identical under any `--jobs` value.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,17 +19,35 @@ use netsim::LinkSpec;
 use netstats::{summarize_flows, FctSummary, Metric};
 use telemetry::{BufferSink, Profile, Registry, TraceEvent, Tracer};
 use transport::{RtoMode, TransportKind};
-use workload::MixParams;
+use workload::{standard_mix, FlowSizeCdf, MixParams};
 
-use crate::plan::RunPlan;
+/// Experiment scale: `--quick`, the default, or `--full`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Smallest credible scale, for smoke runs (one seed).
+    Quick,
+    /// Reduced scale (400 background flows).
+    Default,
+    /// Paper-scale parameters (96 hosts, 10 k background flows). Slow.
+    Full,
+}
+
+impl Scale {
+    /// The provenance label: `quick`, `default` or `full`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Default => "default",
+            Scale::Full => "full",
+        }
+    }
+}
 
 /// Command-line options common to every experiment binary.
 #[derive(Clone, Debug)]
 pub struct Args {
-    /// Paper-scale parameters (96 hosts, 10 k background flows). Slow.
-    pub full: bool,
-    /// Smallest credible scale, for smoke runs.
-    pub quick: bool,
+    /// `--quick`, `--full`, or neither.
+    pub scale: Scale,
     /// Number of seeds to average over (≥ 1).
     pub seeds: u64,
     /// Worker threads for the (scheme, seed) grid; `None` means one per
@@ -51,8 +70,7 @@ pub struct Args {
 impl Default for Args {
     fn default() -> Args {
         Args {
-            full: false,
-            quick: false,
+            scale: Scale::Default,
             seeds: 3,
             jobs: None,
             out: None,
@@ -69,9 +87,8 @@ impl Args {
     /// help.
     ///
     /// When `--trace` is given, every simulation the binary subsequently
-    /// runs through [`run_scheme`] / [`traced_run`] / a
-    /// [`RunPlan`] appends its events to the named JSONL file
-    /// (created fresh at startup).
+    /// runs through [`traced_run`] or a [`crate::plan::RunPlan`] appends its
+    /// events to the named JSONL file (created fresh at startup).
     pub fn parse() -> Args {
         let args = match Args::parse_from(std::env::args().skip(1)) {
             Ok(args) => args,
@@ -124,7 +141,8 @@ impl Args {
     ///
     /// Rejected with an error: `--seeds 0` (the seed loop `1..=0` would run
     /// nothing and print all-zero tables), `--trace-sample-ns 0` (a
-    /// zero-period sampler would loop forever), and `--jobs 0`.
+    /// zero-period sampler would loop forever), `--jobs 0`, and `--full`
+    /// together with `--quick` (no scale is both).
     pub fn parse_from<I>(iter: I) -> Result<Args, String>
     where
         I: IntoIterator,
@@ -134,8 +152,17 @@ impl Args {
         let mut it = iter.into_iter().map(Into::into);
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--full" => args.full = true,
-                "--quick" => args.quick = true,
+                "--full" | "--quick" => {
+                    let scale = if a == "--full" {
+                        Scale::Full
+                    } else {
+                        Scale::Quick
+                    };
+                    if args.scale != Scale::Default && args.scale != scale {
+                        return Err("--full and --quick exclude each other".into());
+                    }
+                    args.scale = scale;
+                }
                 "--seeds" => {
                     args.seeds = parse_positive(it.next(), "--seeds")?;
                 }
@@ -161,7 +188,7 @@ impl Args {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if args.quick {
+        if args.scale == Scale::Quick {
             args.seeds = args.seeds.min(1);
         }
         Ok(args)
@@ -169,12 +196,10 @@ impl Args {
 
     /// The standard-mix parameters for this scale.
     pub fn mix(&self) -> MixParams {
-        if self.full {
-            MixParams::paper()
-        } else if self.quick {
-            MixParams::reduced(100)
-        } else {
-            MixParams::reduced(400)
+        match self.scale {
+            Scale::Quick => MixParams::reduced(100),
+            Scale::Default => MixParams::reduced(400),
+            Scale::Full => MixParams::paper(),
         }
     }
 
@@ -204,7 +229,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <experiment> [--full] [--quick] [--seeds N] [--jobs N] [--out file.csv] \
+        "usage: <experiment> [--full | --quick] [--seeds N] [--jobs N] [--out file.csv] \
          [--trace file.jsonl] [--trace-sample-ns N] [--metrics file.json] \
          [--profile-out file.json]"
     );
@@ -216,8 +241,8 @@ fn usage(msg: &str) -> ! {
 /// Simulations never write here directly: each run records into a private
 /// [`BufferSink`] (which is `Send`, so runs may execute on worker threads)
 /// and the encoded bytes are appended under this lock afterwards — by
-/// [`traced_run`] immediately for sequential callers, and by
-/// [`RunPlan`] in deterministic plan order for parallel grids.
+/// [`traced_run`] immediately for sequential callers, and by a
+/// [`crate::plan::RunPlan`] in deterministic plan order for parallel grids.
 struct TraceState {
     out: BufWriter<File>,
     sample_every: Option<SimTime>,
@@ -232,8 +257,8 @@ static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
 /// Opens (truncating) the JSONL flight-recorder file at `path` and routes
-/// every subsequent [`traced_run`] / [`run_scheme`] / [`RunPlan`]
-/// simulation through it. `sample_ns`, when set, enables per-port
+/// every subsequent [`traced_run`] / [`crate::plan::RunPlan`] simulation
+/// through it. `sample_ns`, when set, enables per-port
 /// `port_sample` telemetry at that period for configs that do not already
 /// request their own.
 ///
@@ -377,8 +402,8 @@ fn write_profile(state: &mut ProfileOut) {
 /// making the trace self-verifying for `trace_inspect`.
 ///
 /// This is the thread-agnostic core: it touches no global state, so
-/// [`RunPlan`] workers call it concurrently and merge the returned
-/// buffers in plan order.
+/// [`crate::plan::RunPlan`] workers call it concurrently and merge the
+/// returned buffers in plan order.
 pub(crate) fn buffered_run(
     label: &str,
     mut cfg: SimConfig,
@@ -423,7 +448,7 @@ pub(crate) fn buffered_run(
 /// installed ([`init_trace`]), and appends its events to the trace file
 /// immediately; likewise the metrics export ([`init_metrics`]). Sequential
 /// convenience for bespoke experiment loops; grids should go through a
-/// [`RunPlan`].
+/// [`crate::plan::RunPlan`].
 pub fn traced_run(label: &str, cfg: SimConfig, flows: Vec<FlowSpec>) -> SimResult {
     let sample_every = trace_config();
     let (res, bytes) = buffered_run(
@@ -527,6 +552,26 @@ pub fn roce_cfg(p: &MixParams, kind: TransportKind, tlt: bool, pfc: bool) -> Sim
     cfg
 }
 
+/// Either family's baseline or TLT config: [`roce_cfg`] for a RoCE `kind`,
+/// otherwise [`tcp_cfg`] under [`TcpVariant::Baseline`] or
+/// [`TcpVariant::Tlt`].
+pub fn scheme_cfg(p: &MixParams, kind: TransportKind, tlt: bool, pfc: bool) -> SimConfig {
+    if kind.is_roce() {
+        return roce_cfg(p, kind, tlt, pfc);
+    }
+    let v = if tlt {
+        TcpVariant::Tlt
+    } else {
+        TcpVariant::Baseline
+    };
+    tcp_cfg(p, kind, v, pfc)
+}
+
+/// The per-seed standard mix over `cdf`: `p` with its seed replaced.
+pub fn mix_flows(cdf: &FlowSizeCdf, p: MixParams) -> impl Fn(u64) -> Vec<FlowSpec> + Sync + '_ {
+    move |seed| standard_mix(cdf, MixParams { seed, ..p })
+}
+
 /// The outcome of one simulation, pre-summarized.
 pub struct MixOutcome {
     /// Foreground-flow FCT summary.
@@ -546,12 +591,6 @@ impl MixOutcome {
             agg: res.agg,
         }
     }
-}
-
-/// Runs one simulation (through the flight recorder when installed) and
-/// summarizes it.
-pub fn run_once(label: &str, cfg: SimConfig, flows: Vec<FlowSpec>) -> MixOutcome {
-    MixOutcome::from_result(traced_run(label, cfg, flows))
 }
 
 /// Cross-seed metrics of one scheme (one bar/line of a figure).
@@ -632,21 +671,177 @@ impl SchemeResult {
     }
 }
 
-/// Runs `scheme` over the standard seed range and aggregates, using up to
-/// `args.effective_jobs()` worker threads across the seeds.
+/// One metric column of a figure: its printed head, its CSV name, the
+/// [`SchemeResult`] field it reads and the CSV precision of that field's
+/// cross-seed mean (scientific notation when `sci`). The catalogue below
+/// holds one per column the figures print.
+#[derive(Clone, Copy)]
+pub struct Col {
+    head: &'static str,
+    csv: &'static str,
+    get: fn(&SchemeResult) -> &Metric,
+    prec: usize,
+    sci: bool,
+}
+
+impl Col {
+    /// This column under another printed head.
+    pub const fn head(self, head: &'static str) -> Col {
+        Col { head, ..self }
+    }
+
+    /// This column under another CSV name.
+    pub const fn csv(self, csv: &'static str) -> Col {
+        Col { csv, ..self }
+    }
+
+    /// The CSV cell: `r`'s cross-seed mean.
+    fn cell(&self, r: &SchemeResult) -> String {
+        let v = (self.get)(r).mean();
+        if self.sci {
+            format!("{:.*e}", self.prec, v)
+        } else {
+            format!("{:.*}", self.prec, v)
+        }
+    }
+}
+
+const fn col(
+    head: &'static str,
+    csv: &'static str,
+    get: fn(&SchemeResult) -> &Metric,
+    prec: usize,
+) -> Col {
+    Col {
+        head,
+        csv,
+        get,
+        prec,
+        sci: false,
+    }
+}
+
+/// Foreground 99.9th-percentile FCT.
+pub const FG_P999: Col = col("fg p99.9 (ms)", "fg_p999_ms", |r| &r.fg_p999_ms, 4);
+/// Foreground 99th-percentile FCT.
+pub const FG_P99: Col = col("fg p99 (ms)", "fg_p99_ms", |r| &r.fg_p99_ms, 4);
+/// Background average FCT.
+pub const BG_AVG: Col = col("bg avg (ms)", "bg_avg_ms", |r| &r.bg_avg_ms, 4);
+/// Background goodput.
+pub const BG_GBPS: Col = col("bg gbps", "bg_goodput_gbps", |r| &r.bg_goodput_gbps, 4);
+/// Timeouts per 1 k flows.
+pub const TO_1K: Col = col("TO/1k", "timeouts_per_1k", |r| &r.timeouts_per_1k, 3);
+/// PAUSE frames per 1 k flows.
+pub const PAUSE_1K: Col = col("PAUSE/1k", "pause_per_1k", |r| &r.pause_per_1k, 3);
+/// Fraction of time a paused link spent paused.
+pub const PAUSE_FRAC: Col = col("pause frac", "pause_frac", |r| &r.pause_frac, 5);
+/// Fraction of data packets marked important.
+pub const IMP_FRAC: Col = col("important frac", "important_frac", |r| &r.important_frac, 4);
+/// Important-packet loss rate.
+pub const IMP_LOSS: Col = Col {
+    sci: true,
+    ..col("imp loss", "important_loss", |r| &r.important_loss, 3)
+};
+/// Payload injected by important ACK-clocking.
+pub const CLOCK_KB: Col = col("clock kB", "clocking_kb", |r| &r.clocking_kb, 2);
+/// Largest egress queue.
+pub const MAX_Q: Col = col("max q (kB)", "max_queue_kb", |r| &r.max_queue_kb, 1);
+/// Median of the sampled deepest-queue series.
+pub const MEDIAN_Q: Col = col(
+    "median q (kB)",
+    "median_queue_kb",
+    |r| &r.median_queue_kb,
+    1,
+);
+/// Raw RTO count.
+pub const RTO: Col = col("RTO", "rto", |r| &r.timeouts_total, 1);
+/// Raw fast-retransmission count.
+pub const FAST_RTX: Col = col("fast-rtx", "fast_retx", |r| &r.fast_retx_total, 1);
+/// Frames destroyed on downed links.
+pub const DOWN_DROPS: Col = col("down-drop", "down_drops", |r| &r.down_drops, 1);
+/// Frames lost to injected wire corruption.
+pub const WIRE_DROPS: Col = col("wire-drop", "wire_drops", |r| &r.wire_drops, 1);
+/// Time from the first injected fault to the end of the run.
+pub const RECOVERY: Col = col("recov ms", "recovery_ms", |r| &r.recovery_ms, 4);
+
+/// A figure's printed table and its `--out` CSV, filled in plan order.
 ///
-/// Single-scheme convenience over [`RunPlan`]; binaries with a grid
-/// of schemes should enqueue them all on one plan so scheme × seed jobs
-/// share the worker pool.
-pub fn run_scheme(
-    name: impl Into<String>,
-    args: &Args,
-    make_cfg: impl Fn(u64) -> SimConfig + Sync,
-    make_flows: impl Fn(u64) -> Vec<FlowSpec> + Sync,
-) -> SchemeResult {
-    let mut plan = RunPlan::new(args);
-    plan.scheme(name, make_cfg, make_flows);
-    plan.run().pop().expect("one scheme")
+/// The CSV header is the key columns, then the table's metric columns. A
+/// [`Table::row`] writes its keys, then, per metric column, the mean when
+/// the current [`Table::section`] shows that column (matched by CSV name)
+/// and an empty cell when it does not.
+pub struct Table {
+    out: Option<String>,
+    header: Vec<&'static str>,
+    keys: usize,
+    shown: Vec<Col>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table whose CSV header is `keys` followed by the CSV names of
+    /// `cols`. Tables filled only by [`Table::across`] or [`Table::push`]
+    /// pass their whole header as `keys`.
+    pub fn new(args: &Args, keys: &[&'static str], cols: &[Col]) -> Table {
+        let mut header = keys.to_vec();
+        header.extend(cols.iter().map(|c| c.csv));
+        Table {
+            out: args.out.clone(),
+            header,
+            keys: keys.len(),
+            shown: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Prints a section head, `title` over the heads of `shown`, the
+    /// columns the rows after it print.
+    pub fn section(&mut self, title: &str, shown: &[Col]) {
+        let heads: Vec<&str> = shown.iter().map(|c| c.head).collect();
+        print_header(title, &heads);
+        self.shown = shown.to_vec();
+    }
+
+    /// Prints `r` under the current section and adds its CSV row.
+    pub fn row(&mut self, keys: &[&dyn Display], r: &SchemeResult) {
+        let metrics: Vec<&Metric> = self.shown.iter().map(|c| (c.get)(r)).collect();
+        print_row(&r.name, &metrics);
+        let mut row: Vec<String> = keys.iter().map(ToString::to_string).collect();
+        for name in &self.header[self.keys..] {
+            let shown = self.shown.iter().find(|c| c.csv == *name);
+            row.push(shown.map_or_else(String::new, |c| c.cell(r)));
+        }
+        self.rows.push(row);
+    }
+
+    /// Prints one row of a scheme-per-column matrix, `label` then `col` of
+    /// each of `rs`, and adds the CSV row `keys` then each of their means.
+    pub fn across(
+        &mut self,
+        label: &dyn Display,
+        keys: &[&dyn Display],
+        rs: &[SchemeResult],
+        col: Col,
+    ) {
+        let metrics: Vec<&Metric> = rs.iter().map(col.get).collect();
+        print_row(&label.to_string(), &metrics);
+        let mut row: Vec<String> = keys.iter().map(ToString::to_string).collect();
+        row.extend(rs.iter().map(|r| col.cell(r)));
+        self.rows.push(row);
+    }
+
+    /// Adds a CSV row the figure formats itself.
+    pub fn push(&mut self, row: Vec<String>) {
+        self.rows.push(row);
+    }
+
+    /// Writes the CSV if `--out` was given.
+    pub fn finish(self) {
+        if let Some(path) = &self.out {
+            netstats::write_csv(path, &self.header, &self.rows).expect("write csv");
+            eprintln!("wrote {path}");
+        }
+    }
 }
 
 /// Prints a header line for a paper-style table.
@@ -660,20 +855,12 @@ pub fn print_header(title: &str, cols: &[&str]) {
 }
 
 /// Prints one row, `mean ±std` per metric.
-pub fn print_row(name: &str, metrics: &[&Metric]) {
+fn print_row(name: &str, metrics: &[&Metric]) {
     print!("{name:<28}");
     for m in metrics {
         print!("{:>10.3}±{:<5.3}", m.mean(), m.std());
     }
     println!();
-}
-
-/// Writes scheme rows to CSV if `--out` was given.
-pub fn maybe_csv(args: &Args, headers: &[&str], rows: &[Vec<String>]) {
-    if let Some(path) = &args.out {
-        netstats::write_csv(path, headers, rows).expect("write csv");
-        eprintln!("wrote {path}");
-    }
 }
 
 #[cfg(test)]
@@ -687,7 +874,7 @@ mod tests {
     #[test]
     fn parse_defaults() {
         let a = parse(&[]).unwrap();
-        assert!(!a.full && !a.quick);
+        assert_eq!(a.scale, Scale::Default);
         assert_eq!(a.seeds, 3);
         assert_eq!(a.jobs, None);
         assert!(a.effective_jobs() >= 1);
@@ -713,7 +900,7 @@ mod tests {
             "p.json",
         ])
         .unwrap();
-        assert!(a.full);
+        assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.seeds, 5);
         assert_eq!(a.jobs, Some(2));
         assert_eq!(a.effective_jobs(), 2);
@@ -733,6 +920,16 @@ mod tests {
         assert!(parse(&["--trace-sample-ns", "0"])
             .unwrap_err()
             .contains("--trace-sample-ns"));
+    }
+
+    /// Regression: `--full --quick` used to be accepted, giving paper-scale
+    /// mixes stamped `full` under quick's one-seed cap and shrunken grids.
+    #[test]
+    fn parse_rejects_full_with_quick() {
+        for pair in [["--full", "--quick"], ["--quick", "--full"]] {
+            assert!(parse(&pair).unwrap_err().contains("--full and --quick"));
+        }
+        assert_eq!(parse(&["--quick", "--quick"]).unwrap().scale, Scale::Quick);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end tests for the harness binaries' error paths and exit codes:
 //! `trace_inspect --metrics` must fail loudly (exit 2, positional
-//! diagnostic) on malformed or truncated registry exports, and `benchcmp`
+//! diagnostic) on malformed or truncated registry exports, `benchcmp`
 //! must diff two exports, print exactly the counts that moved, and refuse
-//! provenance mismatches without `--force`.
+//! provenance mismatches without `--force`, and an experiment binary must
+//! refuse `--full --quick`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -159,6 +160,22 @@ fn stamped_metrics(sent: u64, scale: &str) -> String {
     reg.set_meta("scale", scale);
     reg.set_meta("seeds", "1");
     reg.to_json()
+}
+
+/// No scale is both quick and full: the pair exits 2 before anything runs.
+#[test]
+fn full_with_quick_exits_2() {
+    let out = run(
+        env!("CARGO_BIN_EXE_fig02_fixed_rto"),
+        &["--full", "--quick"],
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--full and --quick"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty());
 }
 
 #[test]

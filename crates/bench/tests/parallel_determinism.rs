@@ -43,11 +43,12 @@ fn mix_flows(seed: u64) -> Vec<dcsim::FlowSpec> {
 /// Every regime ± TLT: two seeds per mix cell, three per incast cell.
 fn grid(jobs: usize) -> RunPlan<'static> {
     let mut plan = RunPlan::sized(jobs, 3);
+    let mix = tiny_mix(1);
     for v in [TcpVariant::Baseline, TcpVariant::Tlt] {
         plan.scheme_seeds(
             format!("mix/DCTCP/{}", v.label()),
             2,
-            move |s| runner::tcp_cfg(&tiny_mix(s), TransportKind::Dctcp, v, false),
+            runner::tcp_cfg(&mix, TransportKind::Dctcp, v, false),
             mix_flows,
         );
     }
@@ -56,19 +57,17 @@ fn grid(jobs: usize) -> RunPlan<'static> {
             plan.scheme_seeds(
                 format!("mix/{}{}", kind.name(), if tlt { "/+TLT" } else { "" }),
                 2,
-                move |s| runner::roce_cfg(&tiny_mix(s), kind, tlt, false),
+                runner::roce_cfg(&mix, kind, tlt, false),
                 mix_flows,
             );
         }
     }
+    let p = MixParams::reduced(1);
     for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
         for v in [TcpVariant::Baseline, TcpVariant::Tlt] {
             plan.scheme(
                 format!("incast/{}/{}", kind.name(), v.label()),
-                move |_s| {
-                    let p = MixParams::reduced(1);
-                    runner::tcp_cfg(&p, kind, v, false).with_topology(small_single_switch(9))
-                },
+                runner::tcp_cfg(&p, kind, v, false).with_topology(small_single_switch(9)),
                 |s| incast_burst(24, 8, 16_000, s),
             );
         }
