@@ -55,13 +55,16 @@ pub(super) struct PauseEpisode {
 }
 
 impl Engine {
-    /// Appends a loss to flow `f`'s bounded forensic ring.
+    /// Appends a loss to flow `f`'s bounded forensic ring. A folded flow has
+    /// none and records nothing: only a live RTO reads the ring.
     pub(super) fn note_loss(&mut self, f: u32, ev: LossEvent) {
-        let rt = &mut self.flows[f as usize];
-        if rt.losses.len() == LOSS_RING {
-            rt.losses.pop_front();
+        let Some(run) = self.flows[f as usize].run.as_deref_mut() else {
+            return;
+        };
+        if run.losses.len() == LOSS_RING {
+            run.losses.pop_front();
         }
-        rt.losses.push_back(ev);
+        run.losses.push_back(ev);
     }
 
     /// Attributes the RTO that flow `f`'s sender just registered at `t`.
@@ -82,8 +85,9 @@ impl Engine {
             self.flows[f as usize].lg.on_rto(t.as_ns());
         }
         let rt = &self.flows[f as usize];
+        let run = rt.run.as_deref().expect("an RTO fires on a running flow");
         let epoch = rt.tx_epoch;
-        let armed = rt.rto_armed_at;
+        let armed = run.rto_armed_at;
         let classify = |l: &LossEvent| {
             if l.dir == Direction::Fwd && !l.control {
                 RtoCause::from_drop(l.why)
@@ -95,7 +99,7 @@ impl Engine {
             // Forward data losses outrank reverse/control ones: a lost ACK
             // only matters when no data frame of the epoch died.
             let pick = |data_only: bool| {
-                rt.losses
+                run.losses
                     .iter()
                     .rev()
                     .filter(|l| want_epoch.is_none_or(|e| l.epoch == e))
@@ -130,7 +134,7 @@ impl Engine {
         if hit.is_none() {
             hit = from_ring(None);
         }
-        if hit.is_none() && rt.losses.is_empty() {
+        if hit.is_none() && run.losses.is_empty() {
             // Not a single frame of this connection ever died: the
             // outstanding data (or its ACK) is still queued in the network
             // and the timeout is spurious — queueing delay outgrew the

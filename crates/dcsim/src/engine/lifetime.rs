@@ -1,8 +1,10 @@
-//! Each flow's transport lives exactly as long as the flow (DESIGN §12
-//! "Flow lifecycle"). Before its `FlowStart` a flow has no sender and no
-//! receiver; `FlowStart` builds both; once the flow is done and its timers
-//! are disarmed the sender is consumed into its counters. The receiver stays
-//! to the end of the run, to ACK late duplicate data.
+//! Each flow's running state lives exactly as long as the flow runs (DESIGN
+//! §12 "Flow lifecycle"). Before its `FlowStart` a flow has no sender, no
+//! receiver and no timer slots; `FlowStart` builds the receiver and the
+//! [`Running`] box (sender, timer slots, loss ring); once the flow is done
+//! and its timers are disarmed the box is dropped and its sender consumed
+//! into its counters. The receiver stays to the end of the run, to ACK late
+//! duplicate data.
 
 use super::*;
 
@@ -10,7 +12,24 @@ impl FlowRuntime {
     /// Delivered and acknowledged in full. A flow that has not started has
     /// no `complete_at`; a folded one was done when it was folded.
     pub(super) fn is_done(&self) -> bool {
-        self.complete_at.is_some() && self.tx.as_ref().is_none_or(|tx| tx.is_done())
+        self.complete_at.is_some() && self.run.as_ref().is_none_or(|run| run.tx.is_done())
+    }
+}
+
+impl Running {
+    /// A started flow's box: `tx`, every timer slot unarmed, no loss seen.
+    fn new(tx: Box<dyn FlowSender>) -> Running {
+        Running {
+            tx,
+            timer_gen: [0; TIMER_KINDS.len()],
+            timer_armed: [false; TIMER_KINDS.len()],
+            rto_armed_at: SimTime::ZERO,
+            losses: std::collections::VecDeque::new(),
+            timer_deadline: [SimTime::ZERO; TIMER_KINDS.len()],
+            timer_queued_at: [None; TIMER_KINDS.len()],
+            timer_queued_gen: [0; TIMER_KINDS.len()],
+            timer_res_seq: [0; TIMER_KINDS.len()],
+        }
     }
 }
 
@@ -19,62 +38,64 @@ impl Engine {
     /// a sender that never started reports), runs, or is done (what its
     /// sender was folded into).
     pub(super) fn sender_stats(&self, f: u32) -> &SenderStats {
-        match &self.flows[f as usize].tx {
-            Some(tx) => tx.stats(),
+        match &self.flows[f as usize].run {
+            Some(run) => run.tx.stats(),
             None => &self.counters[f as usize],
         }
     }
 
-    /// The transport half of flow `f`'s `FlowStart`: builds its pair,
-    /// attaches the tracer when it is on, and starts the sender.
-    /// Construction reads no RNG and no clock, so when it happens changes
-    /// nothing about the pair.
+    /// The transport half of flow `f`'s `FlowStart`: builds its receiver and
+    /// running state, attaches the tracer when it is on, and starts the
+    /// sender. Construction reads no RNG and no clock, so when it happens
+    /// changes nothing about the pair.
     pub(super) fn start_transport(&mut self, f: u32) {
         self.build_pair(f);
-        let tx = self.flows[f as usize].tx.as_mut().expect("just built");
+        let run = self.flows[f as usize].run.as_mut().expect("just built");
         if self.tracer.is_on() {
-            tx.set_tracer(self.tracer.clone());
+            run.tx.set_tracer(self.tracer.clone());
         }
-        tx.start(&mut Ctx {
+        run.tx.start(&mut Ctx {
             now: self.now,
             actions: &mut self.actions,
         });
     }
 
-    /// Builds flow `f`'s sender and receiver unless they exist (which only
-    /// the test-only eager mode arranges).
+    /// Builds flow `f`'s receiver and running state unless they exist (which
+    /// only the test-only eager mode arranges).
     fn build_pair(&mut self, f: u32) {
         let rt = &mut self.flows[f as usize];
         if rt.rx.is_none() {
             let (tx, rx) =
                 build_transport(&self.cfg, FlowId(f), rt.spec.bytes, self.base_rtt, self.bdp);
-            rt.tx = Some(tx);
+            rt.run = Some(Box::new(Running::new(tx)));
             rt.rx = Some(rx);
         }
     }
 
-    /// Flow `f` is done and no timer of it is armed: consume its sender into
-    /// its counters. Nothing can observe the difference. Every timer pop
-    /// still queued for the flow is stale and rejected by generation before
-    /// any sender is touched, and a late ACK, NACK or CNP would find a done
-    /// sender, which is inert (the [`FlowSender`] contract), so `deliver`
-    /// skips the call.
+    /// Flow `f` is done and no timer of it is armed: drop its running state
+    /// and consume its sender into its counters. Nothing can observe the
+    /// difference. A timer pop still queued for the flow finds no box and is
+    /// stale, as the generation check would have ruled, with no parked
+    /// deadline to re-arm (`fire_timer`); a loss of one of its frames is
+    /// never read, since only a live RTO reads the ring; and a late ACK, NACK
+    /// or CNP would find a done sender, which is inert (the [`FlowSender`]
+    /// contract), so `deliver` skips the call.
     pub(super) fn fold_sender(&mut self, f: u32) {
-        assert!(
-            !self.flows[f as usize].timer_armed.contains(&true),
-            "flow {f} folded with a timer armed"
-        );
         #[cfg(test)]
         if self.eager {
             return;
         }
-        if let Some(tx) = self.flows[f as usize].tx.take() {
-            self.counters[f as usize] = tx.into_stats();
+        if let Some(run) = self.flows[f as usize].run.take() {
+            assert!(
+                !run.timer_armed.contains(&true),
+                "flow {f} folded with a timer armed"
+            );
+            self.counters[f as usize] = run.tx.into_stats();
         }
     }
 
-    /// Builds every flow's pair now and never folds one: the reference side
-    /// of `transport_lifetime_matches_eager`.
+    /// Builds every flow's receiver and running state now and never folds
+    /// one: the reference side of `transport_lifetime_matches_eager`.
     #[cfg(test)]
     fn eager_transports(&mut self) {
         self.eager = true;
@@ -287,6 +308,84 @@ mod tests {
             1 => vec![serve_chains(rng)],
             2 => vec![cut(rng)],
             k => vec![fabric_cell(k - 3, rng)],
+        }
+    }
+
+    /// The record every flow pays for from `try_new` to the end of the run
+    /// keeps only what outlives the flow (136 bytes with the ledger off);
+    /// the sender, timer slots and loss ring are the 304-byte [`Running`]
+    /// box, which exists only between a flow's `FlowStart` and its fold.
+    #[test]
+    fn the_record_keeps_only_what_outlives_the_flow() {
+        if std::mem::size_of::<FlowSlot>() == 0 {
+            assert_eq!(std::mem::size_of::<FlowRuntime>(), 136);
+        }
+        assert_eq!(std::mem::size_of::<Running>(), 304);
+    }
+
+    /// A `Timer` entry still queued for a folded flow pops as stale:
+    /// `fire_timer` returns `false` and moves nothing but the profiler's
+    /// stale-pop tally, and the run's event accounting still closes
+    /// (`executed + cancelled == scheduled`).
+    #[test]
+    fn a_folded_flows_queued_timer_pops_as_stale() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
+        let flows = vec![FlowSpec::new(0, 1, 1_000_000, SimTime::ZERO, true)];
+        let mut eng = Engine::new(cfg, flows);
+        // The run loop's `FlowStart` arm, minus the sends: only the timers
+        // the sender arms reach the queue.
+        let (t, ev) = eng.queue.pop().expect("the FlowStart");
+        assert!(matches!(ev, Event::FlowStart(0)));
+        eng.now = t;
+        eng.flows[0].lg.begin(t.as_ns());
+        eng.start_transport(0);
+        eng.actions.retain(|a| !matches!(a, Action::Send(_)));
+        eng.flush_actions(0);
+        eng.prof
+            .on_pop(EvKind::FlowStart, t, 0, eng.queue.len() as u64);
+        // `check_done!`'s two steps.
+        eng.disarm_timers(0);
+        eng.fold_sender(0);
+        assert!(eng.flows[0].run.is_none());
+
+        let (at, ev) = eng.queue.pop().expect("a timer the sender armed");
+        let Event::Timer { flow, kind, gen } = ev else {
+            panic!("expected a Timer");
+        };
+        assert_eq!(flow, 0);
+        let state = |eng: &Engine| {
+            (
+                eng.queue.seq_total(),
+                eng.queue.scheduled_total(),
+                eng.queue.len(),
+                format!("{:?}", eng.counters[0]),
+                eng.forensics.len(),
+                eng.rto_causes.total(),
+                eng.flows[0].tx_epoch,
+                eng.actions.len(),
+            )
+        };
+        let before = state(&eng);
+        eng.now = at;
+        assert!(
+            !eng.fire_timer(flow, kind, gen),
+            "a folded flow's timer is stale"
+        );
+        eng.prof
+            .on_pop(EvKind::Timer, at, 0, eng.queue.len() as u64);
+        assert_eq!(state(&eng), before);
+        assert!(eng.flows[0].run.is_none(), "a stale pop builds nothing");
+
+        let res = eng.collect(Samples::new());
+        assert_eq!(res.agg.timers_leaked, 0);
+        if let Some(p) = res.profile {
+            let r = &p.reg;
+            assert_eq!(r.counter("event_stale/timer"), 1);
+            assert_eq!(r.counter("event_exec/timer"), 0);
+            assert_eq!(
+                r.counter("events_executed_total") + r.counter("events_cancelled_total"),
+                r.counter("events_scheduled_total")
+            );
         }
     }
 

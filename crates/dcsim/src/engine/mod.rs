@@ -113,6 +113,8 @@ impl Event {
     }
 }
 
+/// What a flow keeps from `try_new` to the end of the run (DESIGN §12 "Flow
+/// lifecycle" lists every field's lifetime).
 struct FlowRuntime {
     spec: FlowSpec,
     src: NodeId,
@@ -120,18 +122,28 @@ struct FlowRuntime {
     /// The pinned paths; only ever replaced whole (`reroute_flows`).
     path_fwd: Box<[Hop]>,
     path_rev: Box<[Hop]>,
-    /// Built at `FlowStart` and folded into `Engine::counters` once the flow
-    /// is done (`lifetime.rs`).
-    tx: Option<Box<dyn FlowSender>>,
-    /// Built with the sender and kept to the end of the run: late duplicate
+    /// Built at `FlowStart` and kept to the end of the run: late duplicate
     /// data still gets its ACK.
     rx: Option<Box<dyn FlowReceiver>>,
-    timer_gen: [u64; TIMER_KINDS.len()],
-    timer_armed: [bool; TIMER_KINDS.len()],
     complete_at: Option<SimTime>,
     /// Transmit epoch stamped onto outgoing packets; advances when an RTO
-    /// is attributed, so loss records separate retransmission rounds.
+    /// is attributed, so loss records separate retransmission rounds. The
+    /// receiver's ACKs still carry it once the flow is done.
     tx_epoch: u32,
+    /// Latency-ledger state: timeline frontier, recovery mode, per-phase
+    /// accumulators, stall ring (zero-sized when the ledger is off).
+    lg: FlowSlot,
+    /// Built at `FlowStart`, dropped once the flow is done and its sender
+    /// folded into `Engine::counters` (`lifetime.rs`).
+    run: Option<Box<Running>>,
+}
+
+/// What only a running flow reads: its sender, its timer slots and its loss
+/// ring, in one box that lives from the flow's `FlowStart` to its fold.
+struct Running {
+    tx: Box<dyn FlowSender>,
+    timer_gen: [u64; TIMER_KINDS.len()],
+    timer_armed: [bool; TIMER_KINDS.len()],
     /// When the currently-armed RTO timer was set (the PFC-stall window).
     rto_armed_at: SimTime,
     /// Recent losses involving this flow's packets, oldest first.
@@ -152,9 +164,44 @@ struct FlowRuntime {
     timer_queued_at: [Option<SimTime>; TIMER_KINDS.len()],
     timer_queued_gen: [u64; TIMER_KINDS.len()],
     timer_res_seq: [u64; TIMER_KINDS.len()],
-    /// Latency-ledger state: timeline frontier, recovery mode, per-phase
-    /// accumulators, stall ring (zero-sized when the ledger is off).
-    lg: FlowSlot,
+}
+
+/// Flow-completion callbacks as one table: the flows whose
+/// `FlowSpec::after == Some(p)` are `flows[start[p]..start[p + 1]]`, in
+/// ascending order, and their FlowStarts are scheduled in that order when
+/// `p` completes (fan-out/fan-in request chains).
+struct Dependents {
+    start: Vec<u32>,
+    flows: Vec<u32>,
+}
+
+impl Dependents {
+    /// The table for `after`, each flow's trigger (already checked to
+    /// precede the flow).
+    fn new(after: impl Iterator<Item = Option<u32>> + Clone) -> Dependents {
+        let n = after.clone().count();
+        let mut start = vec![0u32; n + 1];
+        for p in after.clone().flatten() {
+            start[p as usize + 1] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        let mut next = start.clone();
+        let mut flows = vec![0; start[n] as usize];
+        for (i, p) in after.enumerate() {
+            if let Some(p) = p {
+                flows[next[p as usize] as usize] = i as u32;
+                next[p as usize] += 1;
+            }
+        }
+        Dependents { start, flows }
+    }
+
+    /// Where flow `p`'s dependents sit in `flows`.
+    fn range(&self, p: u32) -> std::ops::Range<usize> {
+        self.start[p as usize] as usize..self.start[p as usize + 1] as usize
+    }
 }
 
 impl FlowRuntime {
@@ -191,10 +238,8 @@ pub struct Engine {
     /// The route table, on the flow index: what a transit hop reads in
     /// place of `flows[f]` and its path.
     routes: Vec<FlowRoute>,
-    /// Flow-completion callbacks: `dependents[p]` lists the flows whose
-    /// `FlowSpec::after == Some(p)`; their FlowStart is scheduled when `p`
-    /// completes (fan-out/fan-in request chains). Drained on fire.
-    dependents: Vec<Vec<u32>>,
+    /// Flow-completion callbacks, on the flow index.
+    dependents: Dependents,
     queue: EventQueue<Event>,
     /// Arena for in-flight packets (see [`Event::Deliver`]).
     pkts: PacketSlab,

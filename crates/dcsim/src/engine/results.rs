@@ -178,8 +178,13 @@ impl Engine {
         for (i, rt) in self.flows.iter().enumerate() {
             if rt.is_done() {
                 // Completion disarms every slot; anything still armed is a
-                // leak (and would have kept the event loop busy).
-                agg.timers_leaked += rt.timer_armed.iter().filter(|a| **a).count() as u64;
+                // leak (and would have kept the event loop busy). A folded
+                // flow has no slots left.
+                let armed = rt
+                    .run
+                    .as_ref()
+                    .map_or(0, |run| run.timer_armed.iter().filter(|a| **a).count());
+                agg.timers_leaked += armed as u64;
             }
             let st = self.sender_stats(i as u32);
             agg.timeouts += st.timeouts;

@@ -244,19 +244,4 @@ mod tests {
         assert!(res.flows[0].end.is_some());
         assert_eq!((res.agg.reroutes, res.agg.down_drops), (1, 20));
     }
-
-    /// The 16-byte record is paid for by the boxed paths (`Vec` 24 bytes,
-    /// `Box<[_]>` 16, twice): 432 bytes, was 448. Per-flow transport
-    /// lifetimes (`lifetime.rs`) left it there on purpose: sender and
-    /// receiver became `Option`s of the same two boxed pointers, and the
-    /// counters of a flow with no sender (136 bytes) sit in
-    /// `Engine::counters`. Held inline they made the record 552 bytes and
-    /// the leaf–spine mixes 1–2 % slower (EXPERIMENTS.md "What per-flow
-    /// lifetimes bought").
-    #[test]
-    fn the_record_is_paid_for_by_the_boxed_paths() {
-        if std::mem::size_of::<FlowSlot>() == 0 {
-            assert_eq!(std::mem::size_of::<FlowRuntime>(), 432);
-        }
-    }
 }

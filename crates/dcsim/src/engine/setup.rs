@@ -1,7 +1,7 @@
-//! Construction: the port table and its audit against `Topology`, flows
-//! and their routes (their transports are built at `FlowStart`, in
-//! `lifetime.rs`), the fault schedule, and the observers a caller attaches
-//! before `run`.
+//! Construction: the port table and its audit against `Topology`, flows,
+//! their routes and their completion callbacks (their transports and timer
+//! slots are built at `FlowStart`, in `lifetime.rs`), the fault schedule,
+//! and the observers a caller attaches before `run`.
 
 use super::*;
 
@@ -110,7 +110,6 @@ impl Engine {
         let mut prof = EngineProf::new();
         let mut flows = Vec::with_capacity(specs.len());
         let mut routes = Vec::with_capacity(specs.len());
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
         for (i, spec) in specs.into_iter().enumerate() {
             for host in [spec.src, spec.dst] {
                 if host >= hosts.len() {
@@ -139,7 +138,6 @@ impl Engine {
                     if parent as usize >= i {
                         return Err(ConfigError::TriggerNotEarlier { flow: i, parent });
                     }
-                    dependents[parent as usize].push(i as u32);
                 }
                 None => {
                     prof.on_sched(EvKind::FlowStart);
@@ -152,21 +150,14 @@ impl Engine {
                 dst,
                 path_fwd: path_fwd.into_boxed_slice(),
                 path_rev: path_rev.into_boxed_slice(),
-                tx: None,
                 rx: None,
-                timer_gen: [0; TIMER_KINDS.len()],
-                timer_armed: [false; TIMER_KINDS.len()],
                 complete_at: None,
                 tx_epoch: 0,
-                rto_armed_at: SimTime::ZERO,
-                losses: std::collections::VecDeque::new(),
-                timer_deadline: [SimTime::ZERO; TIMER_KINDS.len()],
-                timer_queued_at: [None; TIMER_KINDS.len()],
-                timer_queued_gen: [0; TIMER_KINDS.len()],
-                timer_res_seq: [0; TIMER_KINDS.len()],
                 lg: Default::default(),
+                run: None,
             });
         }
+        let dependents = Dependents::new(flows.iter().map(|rt| rt.spec.after));
         if let Some(every) = cfg.queue_sample_every {
             prof.on_sched(EvKind::QueueSample);
             queue.schedule(every, Event::QueueSample);
@@ -530,6 +521,46 @@ mod tests {
                 netsim::topology::TopologySpec::SingleSwitch { .. }
             );
             assert_eq!(rates.len(), 1 + usize::from(two_speeds));
+        }
+    }
+
+    /// The completion callbacks are one table: flow 0 has three dependents,
+    /// flow 1 (one of them) has one of its own, flow 2 and the leaves none.
+    /// Each parent's children sit ascending in one slice, and the run
+    /// releases each at its parent's completion plus its think time.
+    #[test]
+    fn dependents_form_one_table_in_flow_order() {
+        let after = [None, Some(0), None, Some(0), Some(1), Some(0)];
+        let deps = Dependents::new(after.into_iter());
+        let of = |p: u32| &deps.flows[deps.range(p)];
+        assert_eq!(of(0), [1, 3, 5]);
+        assert_eq!(of(1), [4]);
+        for p in [2, 3, 4, 5] {
+            assert!(of(p).is_empty(), "flow {p}");
+        }
+        assert_eq!(deps.start.len(), after.len() + 1);
+
+        let flows: Vec<FlowSpec> = after
+            .iter()
+            .enumerate()
+            .map(|(i, parent)| {
+                let spec =
+                    FlowSpec::new(i % 3, (i + 1) % 3, 20_000, SimTime::from_us(i as u64), true);
+                match parent {
+                    Some(p) => spec.after(*p),
+                    None => spec,
+                }
+            })
+            .collect();
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+        let res = Engine::new(cfg, flows).run();
+        for (i, parent) in after.iter().enumerate() {
+            let rec = &res.flows[i];
+            assert!(rec.end.is_some(), "flow {i} completed");
+            if let Some(p) = parent {
+                let released = res.flows[*p as usize].end.expect("parent completed");
+                assert_eq!(rec.start, released + SimTime::from_us(i as u64), "flow {i}");
+            }
         }
     }
 

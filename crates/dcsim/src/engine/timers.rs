@@ -24,6 +24,10 @@ pub(super) const TIMER_KINDS: [TimerKind; 5] = [
     TimerKind::DcqcnIncrease,
 ];
 
+/// Only a sender arms or cancels a timer, so a flow that does has its
+/// running state.
+const SENDER_ACTION: &str = "a timer action comes from a running flow's sender";
+
 fn timer_slot(kind: TimerKind) -> usize {
     match kind {
         TimerKind::Rto => 0,
@@ -41,73 +45,73 @@ impl Engine {
     pub(super) fn fire_timer(&mut self, flow: u32, kind: TimerKind, gen: u64) -> bool {
         let t = self.now;
         let slot = timer_slot(kind);
-        let rt = &mut self.flows[flow as usize];
+        // A folded flow has no timer slots. Its slots were all disarmed
+        // before the fold, so this pop is a cancellation, and no superseding
+        // arm can have parked a deadline behind it.
+        let Some(run) = self.flows[flow as usize].run.as_deref_mut() else {
+            self.prof.note_stale_timer();
+            return false;
+        };
         // This pop consumes the slot's in-queue entry (if it is
         // still ours: a later arm may have queued a new one).
-        if rt.timer_queued_at[slot].is_some() && rt.timer_queued_gen[slot] == gen {
-            rt.timer_queued_at[slot] = None;
+        if run.timer_queued_at[slot].is_some() && run.timer_queued_gen[slot] == gen {
+            run.timer_queued_at[slot] = None;
         }
-        let live = rt.timer_gen[slot] == gen;
-        if !live {
+        if run.timer_gen[slot] != gen {
             // Generation mismatch: this pop is a cancellation.
             self.prof.note_stale_timer();
             // A superseding arm may have parked a deadline on
             // this slot waiting for our entry to clear —
             // materialize it now, at its reserved seq, exactly
             // where an eager push would have popped.
-            let rt = &mut self.flows[flow as usize];
-            if rt.timer_armed[slot] && rt.timer_queued_at[slot].is_none() {
-                let at = rt.timer_deadline[slot];
-                let g = rt.timer_gen[slot];
-                let seq = rt.timer_res_seq[slot];
-                rt.timer_queued_at[slot] = Some(at);
-                rt.timer_queued_gen[slot] = g;
+            if run.timer_armed[slot] && run.timer_queued_at[slot].is_none() {
+                let at = run.timer_deadline[slot];
+                let g = run.timer_gen[slot];
+                let seq = run.timer_res_seq[slot];
+                run.timer_queued_at[slot] = Some(at);
+                run.timer_queued_gen[slot] = g;
                 self.prof.on_sched(EvKind::Timer);
                 self.queue
                     .schedule_with_seq(at, seq, Event::Timer { flow, kind, gen: g });
             }
+            return false;
         }
-        if live {
-            self.flows[flow as usize].timer_armed[slot] = false;
-            self.tracer.emit(t, || TraceEvent::TimerFire {
-                flow,
-                kind: timer_id(kind),
-            });
-            // RTO forensics: detect whether this firing actually
-            // registered a timeout (the transport may ignore a
-            // stale timer), and attribute it *before* flushing
-            // actions so the retransmissions carry the new epoch.
-            let pre_rto = (kind == TimerKind::Rto).then(|| self.sender_stats(flow).timeouts);
-            // A live timer belongs to a running flow: a done one had every
-            // slot disarmed before its sender was folded.
-            let tx = self.flows[flow as usize].tx.as_mut();
-            tx.expect("a live timer's flow has a sender").on_timer(
-                kind,
-                &mut Ctx {
-                    now: t,
-                    actions: &mut self.actions,
-                },
-            );
-            if let Some(pre) = pre_rto {
-                if self.sender_stats(flow).timeouts > pre {
-                    self.attribute_rto(flow, t);
-                }
-            }
-            self.flush_actions(flow);
+        run.timer_armed[slot] = false;
+        self.tracer.emit(t, || TraceEvent::TimerFire {
+            flow,
+            kind: timer_id(kind),
+        });
+        // RTO forensics: detect whether this firing actually
+        // registered a timeout (the transport may ignore a
+        // stale timer), and attribute it *before* flushing
+        // actions so the retransmissions carry the new epoch.
+        let pre_rto = (kind == TimerKind::Rto).then(|| run.tx.stats().timeouts);
+        run.tx.on_timer(
+            kind,
+            &mut Ctx {
+                now: t,
+                actions: &mut self.actions,
+            },
+        );
+        if pre_rto.is_some_and(|pre| run.tx.stats().timeouts > pre) {
+            self.attribute_rto(flow, t);
         }
-        live
+        self.flush_actions(flow);
+        true
     }
 
     /// Cancels every armed timer of flow `f` (fixed slot order, so the
     /// trace and generation bumps are deterministic).
     pub(super) fn disarm_timers(&mut self, f: u32) {
         self.prof.disarm_sweep();
+        let Some(run) = self.flows[f as usize].run.as_deref_mut() else {
+            return;
+        };
         for kind in TIMER_KINDS {
             let s = timer_slot(kind);
-            let rt = &mut self.flows[f as usize];
-            if rt.timer_armed[s] {
-                rt.timer_gen[s] += 1;
-                rt.timer_armed[s] = false;
+            if run.timer_armed[s] {
+                run.timer_gen[s] += 1;
+                run.timer_armed[s] = false;
                 self.prof.disarm_cancel();
                 self.tracer.emit(self.now, || TraceEvent::TimerCancel {
                     flow: f,
@@ -153,16 +157,19 @@ impl Engine {
                     self.kick_port(origin, PortId(0));
                 }
                 Action::SetTimer { kind, at } => {
-                    let rt = &mut self.flows[f as usize];
+                    let run = self.flows[f as usize]
+                        .run
+                        .as_deref_mut()
+                        .expect(SENDER_ACTION);
                     let s = timer_slot(kind);
-                    rt.timer_gen[s] += 1;
-                    rt.timer_armed[s] = true;
+                    run.timer_gen[s] += 1;
+                    run.timer_armed[s] = true;
                     if kind == TimerKind::Rto {
-                        rt.rto_armed_at = self.now;
+                        run.rto_armed_at = self.now;
                     }
-                    let gen = rt.timer_gen[s];
+                    let gen = run.timer_gen[s];
                     let at = at.max(self.now);
-                    rt.timer_deadline[s] = at;
+                    run.timer_deadline[s] = at;
                     self.tracer.emit(self.now, || TraceEvent::TimerArm {
                         flow: f,
                         kind: timer_id(kind),
@@ -171,25 +178,27 @@ impl Engine {
                     // Reserve the tie-break seq unconditionally so pop
                     // order is independent of whether the push is deferred.
                     let seq = self.queue.reserve_seq();
-                    let rt = &mut self.flows[f as usize];
-                    rt.timer_res_seq[s] = seq;
+                    run.timer_res_seq[s] = seq;
                     // Push only when this deadline beats the slot's pending
                     // queue entry; otherwise park it — the pending pop will
                     // re-arm us (or a later SetTimer supersedes us first,
                     // and this deadline never touches the queue at all).
-                    if rt.timer_queued_at[s].is_none_or(|q| at < q) {
-                        rt.timer_queued_at[s] = Some(at);
-                        rt.timer_queued_gen[s] = gen;
+                    if run.timer_queued_at[s].is_none_or(|q| at < q) {
+                        run.timer_queued_at[s] = Some(at);
+                        run.timer_queued_gen[s] = gen;
                         self.prof.on_sched(EvKind::Timer);
                         self.queue
                             .schedule_with_seq(at, seq, Event::Timer { flow: f, kind, gen });
                     }
                 }
                 Action::CancelTimer { kind } => {
-                    let rt = &mut self.flows[f as usize];
+                    let run = self.flows[f as usize]
+                        .run
+                        .as_deref_mut()
+                        .expect(SENDER_ACTION);
                     let s = timer_slot(kind);
-                    rt.timer_gen[s] += 1;
-                    rt.timer_armed[s] = false;
+                    run.timer_gen[s] += 1;
+                    run.timer_armed[s] = false;
                     self.tracer.emit(self.now, || TraceEvent::TimerCancel {
                         flow: f,
                         kind: timer_id(kind),

@@ -157,7 +157,7 @@ impl Engine {
                 // A done flow's sender was folded: the ACK/NACK/CNP would
                 // have found it done and changed nothing.
                 Direction::Rev => {
-                    if let Some(tx) = rt.tx.as_mut() {
+                    if let Some(Running { tx, .. }) = rt.run.as_deref_mut() {
                         // A delivered ACK/NACK that triggers fast (or
                         // go-back-N) retransmission flips the ledger into
                         // fast recovery; the triggering arrival itself was
@@ -182,8 +182,8 @@ impl Engine {
                 // `start` now interpreted as think-time after completion.
                 // The spec's relative delay is rewritten to the absolute
                 // start so `SimResult` records stay uniform.
-                let deps = std::mem::take(&mut self.dependents[f as usize]);
-                for d in deps {
+                for i in self.dependents.range(f) {
+                    let d = self.dependents.flows[i];
                     let at = self.now + self.flows[d as usize].spec.start;
                     self.flows[d as usize].spec.start = at;
                     self.sched(at, Event::FlowStart(d));
