@@ -293,6 +293,9 @@ fn main() {
             other => rest.push(other.to_string()),
         }
     }
+    if !cfg!(feature = "ledger") && (spans_out.is_some() || perfetto_out.is_some()) {
+        usage("--spans-out/--perfetto-out need a build with the `ledger` feature");
+    }
     let args = match Args::parse_from(rest) {
         Ok(args) => args,
         Err(msg) => usage(&msg),
@@ -368,9 +371,6 @@ fn main() {
         }
         print!("{}", sp.render());
         println!("  conservation cross-check: ok (sum phases == sum FCT, zero unattributed)");
-    } else if spans_out.is_some() || perfetto_out.is_some() {
-        eprintln!("error: --spans-out/--perfetto-out need a build with the `ledger` feature");
-        std::process::exit(2);
     }
 
     let cols = [FG_P999, FG_P99, TO_1K];

@@ -62,8 +62,8 @@ pub struct Args {
     /// Optional metrics-registry export path (`.csv` for CSV, JSON
     /// otherwise).
     pub metrics: Option<String>,
-    /// Optional engine-profile export path (`tlt-profile/v1` JSON).
-    /// Meaningful only when built with `--features profile`.
+    /// Optional engine-profile export path (`tlt-profile/v1` JSON). Only
+    /// a build with `--features profile` accepts it.
     pub profile_out: Option<String>,
 }
 
@@ -111,12 +111,6 @@ impl Args {
             init_metrics(path);
         }
         if let Some(path) = &self.profile_out {
-            if !cfg!(feature = "profile") {
-                eprintln!(
-                    "warning: --profile-out was given but the bench crate was built \
-                     without --features profile; {path} will stay empty"
-                );
-            }
             init_profile(path);
         }
         // Stamp provenance into the deterministic exports before any run
@@ -141,8 +135,9 @@ impl Args {
     ///
     /// Rejected with an error: `--seeds 0` (the seed loop `1..=0` would run
     /// nothing and print all-zero tables), `--trace-sample-ns 0` (a
-    /// zero-period sampler would loop forever), `--jobs 0`, and `--full`
-    /// together with `--quick` (no scale is both).
+    /// zero-period sampler would loop forever), `--jobs 0`, `--full`
+    /// together with `--quick` (no scale is both), and `--profile-out` in a
+    /// build without the `profile` feature (it would write an empty export).
     pub fn parse_from<I>(iter: I) -> Result<Args, String>
     where
         I: IntoIterator,
@@ -182,6 +177,9 @@ impl Args {
                     args.metrics = Some(it.next().ok_or("--metrics needs a path")?);
                 }
                 "--profile-out" => {
+                    if !cfg!(feature = "profile") {
+                        return Err("--profile-out needs a build with the `profile` feature".into());
+                    }
                     args.profile_out = Some(it.next().ok_or("--profile-out needs a path")?);
                 }
                 "--help" | "-h" => return Err(String::new()),
@@ -896,8 +894,6 @@ mod tests {
             "1000",
             "--metrics",
             "m.json",
-            "--profile-out",
-            "p.json",
         ])
         .unwrap();
         assert_eq!(a.scale, Scale::Full);
@@ -908,7 +904,10 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.trace_sample_ns, Some(1000));
         assert_eq!(a.metrics.as_deref(), Some("m.json"));
-        assert_eq!(a.profile_out.as_deref(), Some("p.json"));
+        // Only a `profile` build accepts `--profile-out`.
+        let p = parse(&["--profile-out", "p.json"]).map(|a| a.profile_out);
+        let want = cfg!(feature = "profile").then_some("p.json");
+        assert_eq!(p.ok().flatten().as_deref(), want);
     }
 
     /// Regression: `--seeds 0` used to be accepted, making the `1..=0`

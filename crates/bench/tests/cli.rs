@@ -3,7 +3,7 @@
 //! diagnostic) on malformed or truncated registry exports, `benchcmp`
 //! must diff two exports, print exactly the counts that moved, and refuse
 //! provenance mismatches without `--force`, and an experiment binary must
-//! refuse `--full --quick`.
+//! refuse `--full --quick` and an observer flag its build cannot honour.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -162,20 +162,45 @@ fn stamped_metrics(sent: u64, scale: &str) -> String {
     reg.to_json()
 }
 
-/// No scale is both quick and full: the pair exits 2 before anything runs.
+/// `bin args` exits 2 with `msg` on stderr before any simulation runs
+/// (nothing on stdout).
+fn exits_2_before_running(bin: &str, args: &[&str], msg: &str) {
+    let out = run(bin, args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    assert!(stderr(&out).contains(msg), "{args:?}: {}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{args:?} ran a simulation");
+}
+
+/// No scale is both quick and full.
 #[test]
 fn full_with_quick_exits_2() {
-    let out = run(
-        env!("CARGO_BIN_EXE_fig02_fixed_rto"),
-        &["--full", "--quick"],
-    );
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("--full and --quick"),
-        "{}",
-        stderr(&out)
-    );
-    assert!(stdout(&out).is_empty());
+    let bin = env!("CARGO_BIN_EXE_fig02_fixed_rto");
+    exits_2_before_running(bin, &["--full", "--quick"], "--full and --quick");
+}
+
+/// An observer flag the build cannot honour is refused up front, and no
+/// empty export is left behind.
+#[test]
+#[cfg(not(feature = "profile"))]
+fn profile_out_without_the_profile_feature_exits_2() {
+    let bin = env!("CARGO_BIN_EXE_fig02_fixed_rto");
+    let path = std::env::temp_dir().join(format!("tlt-cli-{}-prof.json", std::process::id()));
+    let args = [
+        "--quick",
+        "--profile-out",
+        path.to_str().expect("utf-8 path"),
+    ];
+    exits_2_before_running(bin, &args, "`profile` feature");
+    assert!(!path.exists(), "--profile-out left a file");
+}
+
+#[test]
+#[cfg(not(feature = "ledger"))]
+fn spans_out_without_the_ledger_feature_exits_2() {
+    let bin = env!("CARGO_BIN_EXE_serve_grid");
+    for flag in ["--spans-out", "--perfetto-out"] {
+        exits_2_before_running(bin, &["--quick", flag, "out.json"], "`ledger` feature");
+    }
 }
 
 #[test]

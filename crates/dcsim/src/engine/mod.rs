@@ -53,12 +53,6 @@ use self::route::FlowRoute;
 use self::timers::TIMER_KINDS;
 use self::wire::{PauseAcct, Port};
 
-/// Whether the engine audits its derived tables against their sources — the
-/// port table against [`Topology`] at construction, every route-table hit
-/// against the path walk: debug builds, and release builds with the
-/// invariant auditors on.
-const CHECK_PORT_TABLE: bool = cfg!(debug_assertions) || ConservationLedger::ON;
-
 enum Event {
     FlowStart(u32),
     TxDone {
@@ -261,9 +255,9 @@ pub struct Engine {
     /// Per-port metric accumulators, published into the run's registry at
     /// collect; `None` unless [`Engine::set_metrics`] was called.
     metrics: Option<PortMetrics>,
-    /// Strict-invariant conservation ledger: engine-side per-link and
-    /// per-drop-reason accounting, audited against [`AggregateStats`] at
-    /// drain time (inert without `strict-invariants`).
+    /// Conservation ledger: engine-side per-link and per-drop-reason
+    /// accounting, audited against [`AggregateStats`] at drain time (inert
+    /// without `debug_assertions`).
     ledger: ConservationLedger,
     /// Event-level profiler: per-kind schedule/execute tallies, fan-out and
     /// queue-depth histograms, and sim-time series (inert without

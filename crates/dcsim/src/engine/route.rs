@@ -53,8 +53,8 @@ impl FlowRoute {
 }
 
 impl Engine {
-    /// The per-hop audit behind [`CHECK_PORT_TABLE`]: a table hit names the
-    /// node and the port the path walk would have.
+    /// The per-hop audit of builds with debug assertions: a table hit names
+    /// the node and the port the path walk would have.
     pub(super) fn check_route_hit(
         &self,
         f: u32,

@@ -231,7 +231,7 @@ impl Engine {
             #[cfg(test)]
             eager: false,
         };
-        if CHECK_PORT_TABLE {
+        if cfg!(debug_assertions) {
             eng.check_port_table();
         }
         Ok(eng)
@@ -239,8 +239,8 @@ impl Engine {
 
     /// Every record of the port table says what [`Topology`] says about
     /// its port, and everything kept on the port index covers exactly that
-    /// table (run by `new` and `set_metrics` in debug and
-    /// `strict-invariants` builds).
+    /// table (run by `new` and `set_metrics` in builds with debug
+    /// assertions).
     fn check_port_table(&self) {
         assert_eq!(self.ports.len(), self.topo.link_count());
         if let Some(m) = &self.metrics {
@@ -297,7 +297,7 @@ impl Engine {
     /// [`SimResult::metrics`].
     pub fn set_metrics(&mut self) {
         self.metrics = Some(PortMetrics::new(self.ports.len()));
-        if CHECK_PORT_TABLE {
+        if cfg!(debug_assertions) {
             self.check_port_table();
         }
     }

@@ -83,7 +83,7 @@ impl Engine {
             // A transit hop of a flow that was never re-pinned: neither the
             // flow nor its path is touched.
             Some(egress) => {
-                if CHECK_PORT_TABLE {
+                if cfg!(debug_assertions) {
                     self.check_route_hit(f, dir, hop, to, egress);
                 }
                 egress

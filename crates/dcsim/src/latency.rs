@@ -3,8 +3,8 @@
 //!
 //! Every flow owns a [`FlowLedger`] that splits its completion time into the
 //! seven [`Phase`]s **exactly** — `Σ phases == FCT` with zero unattributed
-//! time, `debug_assert`ed under `strict-invariants` like the MMU and
-//! per-link conservation ledgers.
+//! time, `debug_assert`ed in debug builds like the MMU and per-link
+//! conservation ledgers.
 //!
 //! # How conservation is closed
 //!
@@ -292,20 +292,18 @@ impl FlowLedger {
     }
 
     /// Seals the ledger at the end of the run. This is where the tentpole
-    /// invariant is audited (under `strict-invariants`): for a completed
+    /// invariant is audited (in debug builds): for a completed
     /// flow the per-arrival windows must tile [start, completion] exactly,
     /// so Σ phases == FCT with zero unattributed time — across the full
     /// fault grid, not just clean runs.
     pub fn record(&self, flow: u32, end_ns: Option<u64>) -> Option<FlowLedgerRecord> {
         let rec = self.to_record(flow, end_ns);
-        if cfg!(feature = "strict-invariants") {
-            debug_assert_eq!(
-                rec.residue(),
-                end_ns.map(|_| 0i128),
-                "flow {flow}: latency ledger not conserved ({:?})",
-                rec.phases
-            );
-        }
+        debug_assert_eq!(
+            rec.residue(),
+            end_ns.map(|_| 0i128),
+            "flow {flow}: latency ledger not conserved ({:?})",
+            rec.phases
+        );
         Some(rec)
     }
 }
@@ -393,6 +391,18 @@ mod tests {
         idle.on_fast_retx(600);
         assert_eq!(idle.phases.total(), 0);
         assert_eq!(idle.mode, RecoveryMode::Normal);
+    }
+
+    /// The Σ phases == FCT audit is live: a ledger whose windows stop short
+    /// of the completion it is sealed with fails at `record`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "latency ledger not conserved")]
+    fn record_audit_fires_on_untiled_windows() {
+        let mut lg = FlowLedger::default();
+        lg.begin(1_000);
+        lg.on_rto(5_000);
+        let _ = lg.record(0, Some(6_000));
     }
 
     /// "Off costs nothing" as an exact fact: the flow slot the engine

@@ -1,9 +1,9 @@
-//! Strict-invariant conservation ledger for the engine.
+//! The engine's conservation ledger, armed in debug builds.
 //!
 //! [`ConservationLedger`] is always compiled and the engine calls its hooks
-//! unconditionally; the `strict-invariants` cargo feature is named only in
-//! this file, as [`ConservationLedger::ON`]. Off, every hook returns on its
-//! first line and nothing is allocated.
+//! unconditionally; whether it records is [`ConservationLedger::ON`], which
+//! follows `debug_assertions` like the audits it feeds. Off (a release
+//! build), every hook returns on its first line and nothing is allocated.
 //!
 //! The engine moves every frame through the same narrow waist — serialized
 //! at a port, destroyed on a faulty wire, delivered to a switch or an
@@ -71,10 +71,10 @@ pub struct ConservationLedger {
 }
 
 impl ConservationLedger {
-    /// Whether the ledger is compiled in. Every hook opens with `if
-    /// !Self::ON { return; }`: one body per hook, none of it in the default
-    /// build.
-    pub const ON: bool = cfg!(feature = "strict-invariants");
+    /// Whether the ledger records: builds with debug assertions. Every hook
+    /// opens with `if !Self::ON { return; }`: one body per hook, none of it
+    /// in a release build.
+    pub const ON: bool = cfg!(debug_assertions);
 
     /// A ledger for a topology with `links` unidirectional links.
     #[inline]
@@ -144,9 +144,6 @@ impl ConservationLedger {
     /// the cross-check of engine-side drop counts against the run's
     /// [`AggregateStats`].
     pub fn audit_final(&self, agg: &AggregateStats) {
-        if !Self::ON {
-            return;
-        }
         for (i, l) in self.links.iter().enumerate() {
             debug_assert_eq!(
                 l.tx_frames,
@@ -191,7 +188,7 @@ impl ConservationLedger {
     }
 }
 
-#[cfg(all(test, feature = "strict-invariants"))]
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
 

@@ -107,8 +107,8 @@ impl EvKind {
 }
 
 /// Per-run profiler state, owned by the engine (created in `Engine::new`
-/// like the strict-invariants ledger, so constructor-time scheduling is
-/// counted too).
+/// like the conservation ledger, so constructor-time scheduling is counted
+/// too).
 #[cfg(feature = "profile")]
 pub(crate) struct EngineProf {
     sched: [u64; N_KINDS],
@@ -237,8 +237,8 @@ impl EngineProf {
     /// Seals the run: everything still queued (post-horizon samples,
     /// disarmed timers, events orphaned by the all-flows-done break) is
     /// cancelled-by-truncation, drained here through `kind`. The queue's
-    /// health counters (`eventsim/profile` only) are snapshotted first so
-    /// the accounting drain itself isn't measured.
+    /// health counters are snapshotted first so the accounting drain
+    /// itself isn't measured.
     pub(crate) fn seal<E>(
         &mut self,
         queue: &mut EventQueue<E>,
@@ -254,10 +254,10 @@ impl EngineProf {
     }
 
     /// Builds the [`Profile`]. `peak`/`pushes`/`pops` come from the event
-    /// queue's own (feature-gated) health counters; `pops` is snapshotted
-    /// before the end-of-run drain that feeds `on_unpopped`. Every name is
-    /// always written, even at zero, so the exported schema is identical
-    /// across runs and configurations.
+    /// queue's own health counters; `pops` is snapshotted before the
+    /// end-of-run drain that feeds `on_unpopped`. Every name is always
+    /// written, even at zero, so the exported schema is identical across
+    /// runs and configurations.
     fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
         let mut p = Profile::new();
         let exec = |s: &Self, k: EvKind| s.popped[k.idx()] - s.stale[k.idx()];

@@ -48,8 +48,8 @@ const L1_WORDS: usize = L0_WORDS / 64;
 ///
 /// The design requires keys to be monotonically non-decreasing relative to
 /// `top`: scheduling earlier than the last popped timestamp is *clamped up
-/// to it* (and trips a debug assertion under `strict-invariants`, since an
-/// engine doing that has broken causality). The simulation engine never
+/// to it* (and trips a debug assertion in debug builds, since an engine
+/// doing that has broken causality). The simulation engine never
 /// schedules into the past — it clamps timers to `now` itself.
 ///
 /// # Examples
@@ -90,19 +90,15 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Entries actually enqueued (reservations excluded).
     pushes: u64,
-    /// Tie-break seq of the most recently popped entry (its time is `top`);
-    /// see [`EventQueue::last_popped_seq`]. The strict-invariant auditor
-    /// asserts the `(top, last_seq)` pair non-decreasing across pops, so a
-    /// tie-break regression (or queue misuse) surfaces at the pop that
-    /// breaks simulated causality, not as a mysteriously different figure
-    /// three layers up.
-    last_seq: u64,
-    /// Profiling: high-water mark of pending events.
-    #[cfg(feature = "profile")]
+    /// High-water mark of `n`.
     peak_len: usize,
-    /// Profiling: events popped so far (push churn is `scheduled_total`).
-    #[cfg(feature = "profile")]
-    pops: u64,
+    /// Tie-break seq of the most recently popped entry (its time is `top`);
+    /// see [`EventQueue::last_popped_seq`]. The pop-order audit (debug
+    /// builds) asserts the `(top, last_seq)` pair non-decreasing across
+    /// pops, so a tie-break regression (or queue misuse) surfaces at the pop
+    /// that breaks simulated causality, not as a mysteriously different
+    /// figure three layers up.
+    last_seq: u64,
 }
 
 /// One wheel entry. Links are node index + 1, with 0 for "none".
@@ -170,20 +166,17 @@ impl<E> EventQueue<E> {
             n: 0,
             seq: 0,
             pushes: 0,
-            last_seq: 0,
-            #[cfg(feature = "profile")]
             peak_len: 0,
-            #[cfg(feature = "profile")]
-            pops: 0,
+            last_seq: 0,
         }
     }
 
     /// Schedules `event` to fire at `at`.
     ///
     /// Scheduling earlier than the last popped timestamp is clamped up to
-    /// it (and is a `strict-invariants` debug-assertion failure): the
-    /// wheel cannot file keys below `top`, and an engine scheduling into
-    /// the past has broken causality anyway. The engine layer only
+    /// it (and is a debug-assertion failure): the wheel cannot file keys
+    /// below `top`, and an engine scheduling into the past has broken
+    /// causality anyway. The engine layer only
     /// schedules at or after its current clock.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
@@ -208,7 +201,7 @@ impl<E> EventQueue<E> {
     /// returned by [`EventQueue::reserve_seq`]. The caller must ensure
     /// `(at, seq)` does not precede anything already popped (the engine's
     /// deferred timers satisfy this by construction); a violation trips
-    /// the `strict-invariants` pop audit.
+    /// the pop-order audit in debug builds.
     #[inline]
     pub fn schedule_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.seq, "seq was never reserved");
@@ -222,7 +215,6 @@ impl<E> EventQueue<E> {
     fn push_entry(&mut self, at: SimTime, seq: u64, event: E) {
         let mut key = at.as_ns();
         if key < self.top {
-            #[cfg(feature = "strict-invariants")]
             debug_assert!(
                 false,
                 "scheduled into the past: {:?} below wheel floor {:?}",
@@ -233,6 +225,7 @@ impl<E> EventQueue<E> {
         }
         self.pushes += 1;
         self.n += 1;
+        self.peak_len = self.peak_len.max(self.n);
         // Span invariant: the wheel takes a key iff it lies within one span
         // of the floor (`key >= top` after the clamp, so no underflow).
         if key - self.top < W as u64 {
@@ -243,10 +236,6 @@ impl<E> EventQueue<E> {
                 seq,
                 event,
             });
-        }
-        #[cfg(feature = "profile")]
-        {
-            self.peak_len = self.peak_len.max(self.n);
         }
     }
 
@@ -353,7 +342,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        #[cfg(feature = "strict-invariants")]
         let prev = (self.top, self.last_seq);
         // Cross-tier order is the `(at, seq)` pair, never the time alone: a
         // far entry pushed when `top` was lower can share its timestamp
@@ -381,13 +369,6 @@ impl<E> EventQueue<E> {
         self.top = at;
         self.n -= 1;
         self.last_seq = seq;
-        #[cfg(feature = "profile")]
-        {
-            // Counted in the successful-pop arm only, so the counter can
-            // never drift from what was actually handed out.
-            self.pops += 1;
-        }
-        #[cfg(feature = "strict-invariants")]
         debug_assert!(
             (at, seq) >= prev,
             "event queue popped backwards: {:?} after {:?}",
@@ -470,19 +451,17 @@ impl<E> EventQueue<E> {
         self.seq
     }
 
-    /// Profiling: the deepest the queue has ever been.
-    #[cfg(feature = "profile")]
+    /// The deepest the queue has ever been.
     #[inline]
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
 
-    /// Profiling: total successful pops (so `pops_total + len ==
-    /// scheduled_total` at any instant).
-    #[cfg(feature = "profile")]
+    /// Total successful pops: `n` rises only beside `pushes` and falls only
+    /// in a successful pop, so this is `scheduled_total - len` exactly.
     #[inline]
     pub fn pops_total(&self) -> u64 {
-        self.pops
+        self.pushes - self.n as u64
     }
 }
 
@@ -581,8 +560,9 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Release semantics; a debug build trips the audit below instead.
     #[test]
-    #[cfg(not(feature = "strict-invariants"))]
+    #[cfg(not(debug_assertions))]
     fn schedule_into_past_clamps_to_wheel_floor() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(10), "late");
@@ -616,12 +596,12 @@ mod tests {
         }
     }
 
-    /// The strict-invariant audit trips when causality is violated:
+    /// The debug-build audit trips when causality is violated:
     /// scheduling into the past *after* a later event was already popped
     /// is exactly the engine bug the audit exists to catch. The queue
     /// rejects it at the schedule site (it cannot even file such a key).
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled into the past")]
     fn strict_pop_order_audit_fires_on_time_travel() {
         let mut q = EventQueue::new();
@@ -633,7 +613,6 @@ mod tests {
 
     /// Queue-health stats track the high-water mark and pop churn.
     #[test]
-    #[cfg(feature = "profile")]
     fn profile_tracks_peak_depth_and_pops() {
         let mut q = EventQueue::new();
         assert_eq!((q.peak_len(), q.pops_total()), (0, 0));
@@ -646,8 +625,6 @@ mod tests {
         q.schedule(SimTime::from_ns(9), 9);
         // Peak stays at the high-water mark; failed pops don't count.
         assert_eq!(q.peak_len(), 5);
-        // The pop counter lives in the successful-pop arm, so it can never
-        // drift from reality: popped + pending == enqueued, always.
         assert_eq!(q.pops_total() + q.len() as u64, q.scheduled_total());
         while q.pop().is_some() {}
         assert!(q.pop().is_none());
@@ -840,7 +817,7 @@ mod tests {
     /// and wheel entries sharing a timestamp, reserved-seq deferrals
     /// (materialized at exactly the floor, mid-cohort — the lazy `TxDone`
     /// shape — and at the head, middle and tail of longer slot lists), and
-    /// (in non-strict builds) schedule-into-past clamping. Every shape is
+    /// (in release builds) schedule-into-past clamping. Every shape is
     /// counted and asserted to have occurred.
     #[test]
     fn prop_differential_against_reference_model() {
@@ -896,10 +873,10 @@ mod tests {
                         s.push(key, None);
                         reserved.push((s.reserve(), Some(key)));
                     }
-                    // Schedule into the past: clamps to the floor. The
-                    // strict build forbids it, so keep the key legal there.
+                    // Schedule into the past: clamps to the floor. A debug
+                    // build forbids it, so keep the key legal there.
                     5 => {
-                        let at = if cfg!(feature = "strict-invariants") {
+                        let at = if cfg!(debug_assertions) {
                             now
                         } else {
                             now.saturating_sub(rng.gen_range_u64(0..1_000))
@@ -916,9 +893,9 @@ mod tests {
                         };
                         // A reserved (old) seq materializing at the current
                         // floor pops "behind" later seqs already popped
-                        // there — legal for the queue, but the strict audit
+                        // there — legal for the queue, but the debug audit
                         // rightly flags it (the engine can't produce it).
-                        if cfg!(feature = "strict-invariants") && at <= now {
+                        if cfg!(debug_assertions) && at <= now {
                             continue;
                         }
                         let (seq, _) = reserved.swap_remove(i);
@@ -935,7 +912,7 @@ mod tests {
                     }
                     // Materialize a reservation at exactly the floor. A seq
                     // above the last popped one is still ahead of the pop
-                    // cursor, so this is legal under the strict audit too —
+                    // cursor, so this is legal under the debug audit too —
                     // and it must land *between* the cohort's pending seqs,
                     // not behind them.
                     8 => {
@@ -1006,7 +983,6 @@ mod tests {
         let mut pops = 0u64;
         let conserved = |q: &EventQueue<u64>, pops: u64| {
             assert_eq!(pops + q.len() as u64, q.scheduled_total(), "floor {floor}");
-            #[cfg(feature = "profile")]
             assert_eq!(q.pops_total(), pops, "floor {floor}");
         };
         q.schedule(SimTime::from_ns(floor), floor);

@@ -181,12 +181,12 @@ struct Queued {
     wire: u32,
 }
 
-/// Strict-invariant MMU ledger: independent byte totals for every way a
+/// Debug-build MMU ledger: independent byte totals for every way a
 /// frame can enter or leave the shared buffer. `audit_conservation`
 /// cross-checks them against the live occupancy and [`SwitchStats`], so a
 /// new admission/drop path that forgets its bookkeeping fails the next
 /// audit instead of silently skewing figures.
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 #[derive(Clone, Copy, Debug, Default)]
 struct MmuLedger {
     /// Bytes offered to `enqueue` (admitted or not).
@@ -237,7 +237,7 @@ pub struct Switch {
     rng: SimRng,
     tracer: Tracer,
     node: u32,
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     ledger: MmuLedger,
 }
 
@@ -270,12 +270,12 @@ impl Switch {
             rng: SimRng::seed_from(seed ^ 0xD1E5_EA5E),
             tracer: Tracer::off(),
             node: 0,
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             ledger: MmuLedger::default(),
         }
     }
 
-    /// Audits MMU conservation and PFC parity (strict-invariants only):
+    /// Audits MMU conservation and PFC parity (debug builds only):
     ///
     /// - every offered byte was admitted or dropped, never both or neither;
     /// - admitted bytes equal forwarded bytes plus current occupancy;
@@ -286,7 +286,7 @@ impl Switch {
     ///
     /// Runs automatically after every `enqueue`/`dequeue`; also callable at
     /// drain time by the engine. All checks are `debug_assert!`-based.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     pub fn audit_conservation(&self) {
         let l = &self.ledger;
         debug_assert_eq!(
@@ -319,15 +319,9 @@ impl Switch {
         );
     }
 
-    #[inline]
-    fn debug_audit(&self) {
-        #[cfg(feature = "strict-invariants")]
-        self.audit_conservation();
-    }
-
     /// Deliberately unbalances the ledger so tests can prove the audit is
     /// live (a dead auditor is worse than none).
-    #[cfg(all(test, feature = "strict-invariants"))]
+    #[cfg(all(test, debug_assertions))]
     fn corrupt_ledger_for_test(&mut self) {
         self.ledger.admitted_bytes += 1;
     }
@@ -416,7 +410,7 @@ impl Switch {
         };
         let wire = u64::from(wire32);
         let q = self.q_bytes[e];
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.offered_bytes += wire;
         }
@@ -424,7 +418,7 @@ impl Switch {
         let reject = |this: &mut Self, slab: &mut PacketSlab, reason: DropReason| {
             // A rejected frame dies here: release its arena slot.
             drop(slab.take(pkt));
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             {
                 this.ledger.dropped_bytes += wire;
             }
@@ -448,7 +442,8 @@ impl Switch {
                 },
                 green: is_green_data,
             });
-            this.debug_audit();
+            #[cfg(debug_assertions)]
+            this.audit_conservation();
             EnqueueOutcome {
                 enqueued: false,
                 drop: Some(reason),
@@ -504,7 +499,7 @@ impl Switch {
         }
 
         // 4. Commit.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.admitted_bytes += wire;
         }
@@ -555,7 +550,8 @@ impl Switch {
             }
         }
 
-        self.debug_audit();
+        #[cfg(debug_assertions)]
+        self.audit_conservation();
         EnqueueOutcome {
             enqueued: true,
             drop: None,
@@ -581,7 +577,7 @@ impl Switch {
             return (None, None);
         };
         let wire = u64::from(q.wire);
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.forwarded_bytes += wire;
         }
@@ -627,7 +623,8 @@ impl Switch {
                 });
             }
         }
-        self.debug_audit();
+        #[cfg(debug_assertions)]
+        self.audit_conservation();
         (Some(pkt), pfc)
     }
 
@@ -1244,7 +1241,7 @@ mod tests {
     /// deliberately corrupted ledger makes it fire — proving the auditor
     /// itself is alive, not vacuously passing.
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     fn strict_audit_passes_on_honest_ledger() {
         let mut cfg = small_cfg();
         cfg.color_threshold = Some(10_000);
@@ -1268,7 +1265,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "MMU ledger")]
     fn strict_audit_fires_on_corrupted_ledger() {
         let mut sw = Sw::new(small_cfg(), 0);

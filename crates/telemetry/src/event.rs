@@ -216,7 +216,7 @@ impl RtoCauseCounts {
 ///
 /// Every completed flow's wall time (`FCT`) splits exactly into these seven
 /// phases — the conservation invariant `Σ phases == FCT` is closed by
-/// construction and `debug_assert`ed under `strict-invariants`. The first
+/// construction and `debug_assert`ed in debug builds. The first
 /// five describe where a delivered packet's journey time went; the last two
 /// are recovery modes during which the whole flow timeline is attributed to
 /// loss recovery rather than to individual packet journeys.

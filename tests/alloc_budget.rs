@@ -66,7 +66,7 @@
 //! that it fails at the previous column. All budgets are the default
 //! build's: the `profile` and `ledger` observers allocate for their own
 //! records, so the file is compiled out under those features
-//! (`strict-invariants` allocates nothing and is covered).
+//! (the debug-build conservation ledger allocates once, at `Engine::new`).
 
 #![cfg(not(any(feature = "profile", feature = "ledger")))]
 

@@ -1,16 +1,14 @@
-//! End-to-end exercise of the strict-invariant auditors.
+//! End-to-end exercise of the runtime invariant auditors.
 //!
-//! Built only under `--features strict-invariants`. Each scenario drives
-//! the engine through every drop path the conservation ledgers account —
-//! color/DT/overflow rejects at the MMU, corruption on the wire, frames
-//! destroyed by a downed link, PFC pause/resume churn — and then simply
-//! finishing the run is the assertion: the eventsim pop-order audit, the
+//! The auditors follow `debug_assertions`, so a plain `cargo test` arms
+//! them, and `--profile checked` arms them in optimised code. Each scenario
+//! drives the engine through every drop path the conservation ledgers
+//! account — color/DT/overflow rejects at the MMU, corruption on the wire,
+//! frames destroyed by a downed link, PFC pause/resume churn — and then
+//! simply finishing the run is the assertion: the eventsim pop-order audit, the
 //! switch MMU ledger, and the engine's per-link ledger cross-checked
-//! against `AggregateStats` all `debug_assert!` along the way (tests build
-//! with debug assertions on). The explicit checks below only confirm the
-//! audited paths actually ran.
-
-#![cfg(feature = "strict-invariants")]
+//! against `AggregateStats` all `debug_assert!` along the way. The
+//! explicit checks below only confirm the audited paths actually ran.
 
 use dcsim::{small_single_switch, Engine, FaultSchedule, FlowSpec, SimConfig};
 use eventsim::SimTime;
