@@ -12,9 +12,9 @@
 //! overruns attributed to RTO forensics.
 //!
 //! Output: a per-scheme SLO table (p50/p99/p999 request latency,
-//! timeout-induced vs other violations, incompletes), a `tlt-serve/v1`
-//! artifact via `--serve-out` that `benchcmp` can diff and `trace_inspect
-//! --serve` can render, and the usual flow-level FCT table for
+//! timeout-induced vs other violations, incompletes), a `tlt-metrics/v1`
+//! artifact via `--serve-out` that `trace_inspect --metrics` renders and
+//! `trace_inspect --diff` compares, and the usual flow-level FCT table for
 //! cross-reference. Accounting memory is bounded: requests fold straight
 //! into log-linear histograms, so `--scale k24` (3456 hosts) costs the
 //! same per-request memory as `--scale k8` (128 hosts).
@@ -22,7 +22,11 @@
 //! Bespoke flags on top of the standard harness set:
 //!
 //! * `--scale k8|k24` — fat-tree degree (default k8);
-//! * `--serve-out <file>` — write the merged `tlt-serve/v1` report;
+//! * `--serve-out <file>` — write the merged serve report;
+//! * `--spans-out <file>` — write the merged latency-ledger report (the
+//!   registry plus the worst-request `spans` section; `ledger` builds);
+//! * `--perfetto-out <file>` — write that reservoir as Perfetto trace-event
+//!   JSON (`ledger` builds);
 //! * `--workload <name>` — response-size CDF (`web_search`, `web_server`,
 //!   `cache_follower`; default `cache_follower`);
 //! * `--slo-us N` — per-request SLO in microseconds (default 2000);
@@ -46,7 +50,7 @@ use dcsim::SimConfig;
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
 use serve::ServeParams;
-use telemetry::ServeReport;
+use telemetry::Artifact;
 use transport::TransportKind;
 use workload::FlowSizeCdf;
 
@@ -101,17 +105,13 @@ struct GridSpec {
 }
 
 /// Runs the scheme × load × seed grid and folds the per-request SLO
-/// accounting in plan order. The third element is the merged `tlt-spans/v1`
-/// report — `Some` only when the `ledger` feature is compiled in.
+/// accounting in plan order. The third element is the merged spans report —
+/// `Some` only when the `ledger` feature is compiled in.
 fn run_grid(
     spec: &GridSpec,
     seeds: u64,
     jobs: usize,
-) -> (
-    Vec<runner::SchemeResult>,
-    ServeReport,
-    Option<telemetry::SpanReport>,
-) {
+) -> (Vec<runner::SchemeResult>, Artifact, Option<Artifact>) {
     // One cell per scheme × load, in plan order: its label, its config and
     // the exact params that generate its request stream.
     let mut cells = Vec::new();
@@ -133,14 +133,13 @@ fn run_grid(
         .collect();
 
     // Span-tree side channel: the analyze hook returns only a Registry, so
-    // per-cell SpanReports land in a shared map keyed by (scheme, seed) and
-    // merge in BTreeMap key order after the run — SpanReport::merge is
+    // per-cell spans reports land in a shared map keyed by (scheme, seed) and
+    // merge in BTreeMap key order after the run — the reservoir merge is
     // order-independent, so the export stays byte-identical under any
     // `--jobs` value.
     #[cfg(feature = "ledger")]
-    let spans_acc: std::sync::Arc<
-        std::sync::Mutex<BTreeMap<(String, u64), telemetry::SpanReport>>,
-    > = Default::default();
+    let spans_acc: std::sync::Arc<std::sync::Mutex<BTreeMap<(String, u64), Artifact>>> =
+        Default::default();
     #[cfg(feature = "ledger")]
     let spans_in = spans_acc.clone();
 
@@ -166,8 +165,9 @@ fn run_grid(
         plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
     }
     let out = plan.run_detailed();
-    let mut rep = ServeReport {
+    let mut rep = Artifact {
         reg: out.analysis.expect("analyze hook installed"),
+        ..Artifact::new()
     };
     rep.reg.set_meta("scale", spec.scale);
     rep.reg
@@ -176,7 +176,7 @@ fn run_grid(
     #[cfg(feature = "ledger")]
     let spans = {
         let map = std::mem::take(&mut *spans_acc.lock().expect("spans accumulator"));
-        let mut sp = telemetry::SpanReport::new();
+        let mut sp = Artifact::new();
         for frag in map.values() {
             sp.merge(frag);
         }
@@ -195,8 +195,8 @@ fn run_grid(
 /// exactly to the timeout-violation counter, and no scheme attributes more
 /// violations than it recorded RTOs. Aborts loudly on mismatch — a silent
 /// inconsistency here would falsify the headline table.
-fn verify_forensic_join(rep: ServeReport) -> ServeReport {
-    for scheme in rep.schemes() {
+fn verify_forensic_join(rep: Artifact) -> Artifact {
+    for scheme in rep.serve_schemes() {
         let viol_t = rep.reg.counter(&format!("serve_slo_viol_timeout/{scheme}"));
         let causes: u64 = rep
             .reg
@@ -365,7 +365,7 @@ fn main() {
     if let Some(sp) = &spans {
         // Runtime conservation gate (release builds included): a nonzero
         // residue would falsify the whole phase table, so abort loudly.
-        for scheme in sp.schemes() {
+        for scheme in sp.span_schemes() {
             let r = sp.conservation_residue(&scheme);
             assert_eq!(r, 0, "scheme {scheme}: latency ledger residue {r} ns");
         }
@@ -426,7 +426,7 @@ mod tests {
         }
     }
 
-    /// The acceptance bar: the merged `tlt-serve/v1` report is
+    /// The acceptance bar: the merged serve report is
     /// byte-identical under different worker counts, covers every scheme ±
     /// TLT, and survives its own parser.
     #[test]
@@ -436,8 +436,7 @@ mod tests {
         let a = seq.to_json();
         let b = par.to_json();
         assert_eq!(a, b, "serve report differs under --jobs");
-        assert!(a.contains("tlt-serve/v1"));
-        let schemes = seq.schemes();
+        let schemes = seq.serve_schemes();
         assert_eq!(
             schemes,
             vec!["dctcp", "dctcp+tlt", "dctcp+tlt@2x", "dctcp@2x"],
@@ -446,11 +445,11 @@ mod tests {
         for s in &schemes {
             assert_eq!(seq.reg.counter(&format!("serve_requests/{s}")), 16);
         }
-        let back = ServeReport::parse(&a).expect("self-parse");
+        let back = Artifact::parse(&a).expect("self-parse");
         assert_eq!(back.to_json(), a);
     }
 
-    /// The spans acceptance bar: `tlt-spans/v1` and its Perfetto rendering
+    /// The spans acceptance bar: the spans report and its Perfetto rendering
     /// are byte-identical under different worker counts, conservation is
     /// closed for every scheme, and the export survives its own parser.
     #[test]
@@ -467,8 +466,7 @@ mod tests {
             par.to_perfetto(),
             "perfetto export differs under --jobs"
         );
-        assert!(a.contains("tlt-spans/v1"));
-        for scheme in seq.schemes() {
+        for scheme in seq.span_schemes() {
             assert_eq!(
                 seq.conservation_residue(&scheme),
                 0,
@@ -480,7 +478,7 @@ mod tests {
             );
         }
         assert!(!seq.spans.is_empty(), "worst-request reservoir populated");
-        let back = telemetry::SpanReport::parse(&a).expect("self-parse");
+        let back = Artifact::parse(&a).expect("self-parse");
         assert_eq!(back.to_json(), a);
     }
 

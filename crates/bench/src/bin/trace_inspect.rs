@@ -1,40 +1,67 @@
-//! Flight-recorder trace inspector.
+//! Flight-recorder trace inspector and artifact reader.
 //!
-//! Reads a JSONL trace produced by any experiment binary's `--trace` flag,
-//! summarizes every `run_start`/`run_end` bracket — per-switch drop-reason
+//! ```text
+//! trace_inspect [--metrics FILE]... [--diff OLD NEW]... [TRACE.jsonl]...
+//! ```
+//!
+//! A JSONL trace produced by any experiment binary's `--trace` flag is
+//! summarized per `run_start`/`run_end` bracket — per-switch drop-reason
 //! tables, RTO root-cause attribution, PFC pause timeline, event counts —
-//! and cross-checks the counted events against the totals the producer
+//! and the counted events are cross-checked against the totals the producer
 //! declared in `run_end`.
 //!
-//! `--metrics <file>` additionally (or instead) renders a metrics-registry
-//! export produced by the experiment binaries' `--metrics` flag, and
-//! `--serve <file>` a `tlt-serve/v1` SLO report produced by `serve_grid
-//! --serve-out`: the per-scheme p50/p99/p999 request-latency table plus the
-//! timeout-violation cause breakdown. `--spans <file>` renders a
-//! `tlt-spans/v1` latency-ledger export produced by `serve_grid
-//! --spans-out`: the per-scheme phase × percentile table, the worst-request
-//! span trees, and the SLO-violation dominant-phase breakdown.
+//! `--metrics FILE` renders any `tlt-metrics/v1` artifact: a `--metrics`
+//! registry export, a `--profile-out` engine profile (event-kind and series
+//! tables), a `serve_grid --serve-out` report (per-scheme p50/p99/p999 SLO
+//! table and timeout-violation causes) or a `--spans-out` latency-ledger
+//! export (phase × percentile table and the worst-request span trees).
+//!
+//! `--diff OLD NEW` compares two artifacts key by key and prints every
+//! count that moved (informational: a moved count is a behaviour change to
+//! read, never a verdict). Two artifacts whose `scale`, `build_profile` or
+//! `seeds` provenance differ are refused.
 //!
 //! Exit status: 0 when every run is internally consistent, 1 when any run's
 //! counted events disagree with its declared totals (or the file contains
-//! malformed/orphaned lines), 2 on usage or I/O errors — including a
-//! malformed `--metrics`/`--serve`/`--spans` file, whose positional parse
-//! diagnostic is forwarded.
+//! malformed/orphaned lines), 2 on usage or I/O errors, a malformed
+//! artifact (its positional parse diagnostic is forwarded) or a refused
+//! diff.
 
 use std::fs::File;
 use std::io::BufReader;
 
+use telemetry::diff::compare;
 use telemetry::inspect::inspect_reader;
-use telemetry::{metrics_summary, serve_summary, spans_summary};
+use telemetry::Artifact;
 
-const USAGE: &str = "usage: trace_inspect [--metrics metrics.json] [--serve serve.json] \
-     [--spans spans.json] <trace.jsonl>...";
+const USAGE: &str = "usage: trace_inspect [--metrics FILE]... [--diff OLD NEW]... [TRACE.jsonl]...";
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Reads and parses one artifact, exiting 2 with the diagnostic on failure.
+fn load(path: &str) -> Artifact {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
+    Artifact::parse(&text).unwrap_or_else(|e| {
+        fail(&format!(
+            "cannot parse {path}: invalid tlt-metrics JSON: {e}"
+        ))
+    })
+}
+
+/// The file argument following `flag`.
+fn operand(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| fail(&format!("{flag} needs a file argument\n{USAGE}")))
+}
 
 fn main() {
     let mut paths: Vec<String> = Vec::new();
     let mut metrics: Vec<String> = Vec::new();
-    let mut serve: Vec<String> = Vec::new();
-    let mut spans: Vec<String> = Vec::new();
+    let mut diffs: Vec<(String, String)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -42,53 +69,24 @@ fn main() {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            "--metrics" => {
-                let Some(path) = args.next() else {
-                    eprintln!("error: --metrics needs a file argument");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                };
-                metrics.push(path);
+            "--metrics" => metrics.push(operand(&mut args, "--metrics")),
+            "--diff" => {
+                let old = operand(&mut args, "--diff");
+                diffs.push((old, operand(&mut args, "--diff")));
             }
-            "--serve" => {
-                let Some(path) = args.next() else {
-                    eprintln!("error: --serve needs a file argument");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                };
-                serve.push(path);
-            }
-            "--spans" => {
-                let Some(path) = args.next() else {
-                    eprintln!("error: --spans needs a file argument");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                };
-                spans.push(path);
-            }
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => fail(&format!("unknown flag {other}\n{USAGE}")),
             path => paths.push(path.to_string()),
         }
     }
-    if paths.is_empty() && metrics.is_empty() && serve.is_empty() && spans.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+    if paths.is_empty() && metrics.is_empty() && diffs.is_empty() {
+        fail(USAGE);
     }
 
     let mut clean = true;
     for path in &paths {
-        let file = File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(2);
-        });
-        let report = inspect_reader(BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
+        let file = File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
+        let report = inspect_reader(BufReader::new(file))
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         if paths.len() > 1 {
             println!("### {path}");
         }
@@ -96,40 +94,17 @@ fn main() {
         clean &= report.is_clean();
     }
     for path in &metrics {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(2);
-        });
-        let summary = metrics_summary(&text).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
+        let summary = load(path).render();
         println!("### metrics {path}");
         print!("{summary}");
     }
-    for path in &serve {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(2);
-        });
-        let summary = serve_summary(&text).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("### serve {path}");
-        print!("{summary}");
-    }
-    for path in &spans {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(2);
-        });
-        let summary = spans_summary(&text).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("### spans {path}");
-        print!("{summary}");
+    for (old, new) in &diffs {
+        let cmp = compare(&load(old), &load(new));
+        if let Some(reason) = &cmp.refusal {
+            fail(&format!("refusing to compare {old} and {new}: {reason}"));
+        }
+        println!("### diff {old} {new}");
+        print!("{}", cmp.render());
     }
     std::process::exit(if clean { 0 } else { 1 });
 }

@@ -7,8 +7,8 @@
 //! [`runner::Table`], while [`plan`] executes the (scheme, seed) grid across
 //! worker threads with a deterministic fold (output is byte-identical under
 //! any `--jobs` value). [`profiler`] stamps every exported artifact with
-//! provenance metadata, and [`benchcmp`] diffs two such exports key by key
-//! (informational; speed is measured by the repo benchmark under
+//! provenance metadata; `trace_inspect --diff` compares two such exports
+//! key by key (informational; speed is measured by the repo benchmark under
 //! `benchmark/`). DESIGN.md carries the experiment index; EXPERIMENTS.md
 //! records paper-vs-measured values.
 //!
@@ -54,7 +54,6 @@
 //! `--quick` stdout and CSV; `bash ci/figures.sh target/release <dir>`
 //! writes the same set for a `diff -r`.
 
-pub mod benchcmp;
 pub mod plan;
 pub mod profiler;
 pub mod runner;

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use dcsim::{FlowSpec, SimConfig, SimResult};
 use eventsim::SimTime;
-use telemetry::{Profile, Registry};
+use telemetry::{Artifact, Registry};
 
 use crate::runner::{self, Args, MixOutcome, SchemeResult};
 
@@ -39,7 +39,7 @@ struct JobOut {
     outcome: MixOutcome,
     trace: Option<Vec<u8>>,
     metrics: Option<Registry>,
-    profile: Option<Profile>,
+    profile: Option<Artifact>,
     analysis: Option<Registry>,
 }
 
@@ -60,7 +60,7 @@ pub struct PlanOutput {
     /// byte-identical under any `--jobs` value. When a global
     /// `--profile-out` export is installed the merge has already been
     /// folded into it.
-    pub profile: Option<Profile>,
+    pub profile: Option<Artifact>,
     /// Simulator events scheduled, summed over every job.
     pub events_scheduled: u64,
     /// Number of (scheme, seed) jobs executed.
@@ -197,7 +197,7 @@ impl<'a> RunPlan<'a> {
             (None, Some(sample)) => (true, sample),
             (None, None) => (false, None),
         };
-        let metrics_global = runner::metrics_on();
+        let metrics_global = runner::METRICS.is_on();
         let metrics_on = metrics_global || self.capture_metrics;
 
         let jobs: Vec<(usize, u64)> = self
@@ -259,7 +259,7 @@ impl<'a> RunPlan<'a> {
             .collect();
         let mut trace = Vec::new();
         let mut merged = metrics_on.then(Registry::new);
-        let mut profile: Option<Profile> = None;
+        let mut profile: Option<Artifact> = None;
         let mut analysis = self.analyze.is_some().then(Registry::new);
         let mut events_scheduled = 0u64;
         for (slot, &(si, _seed)) in slots.iter().zip(&jobs) {
@@ -273,7 +273,7 @@ impl<'a> RunPlan<'a> {
                 m.merge(r);
             }
             if let Some(p) = &out.profile {
-                profile.get_or_insert_with(Profile::new).merge(p);
+                profile.get_or_insert_with(Artifact::new).merge(p);
             }
             if let (Some(a), Some(r)) = (&mut analysis, &out.analysis) {
                 a.merge(r);
@@ -284,11 +284,11 @@ impl<'a> RunPlan<'a> {
         }
         if metrics_global {
             if let Some(m) = &merged {
-                runner::merge_metrics(m);
+                runner::METRICS.merge(|doc| doc.reg.merge(m));
             }
         }
         if let Some(p) = &profile {
-            runner::merge_profile(p);
+            runner::PROFILE.merge(|doc| doc.merge(p));
         }
         PlanOutput {
             results,
@@ -402,7 +402,7 @@ mod tests {
     }
 
     /// The acceptance bar for the engine profiler: the plan-order fold
-    /// makes the `tlt-profile/v1` export byte-identical under any worker
+    /// makes the profile export byte-identical under any worker
     /// count, and the per-kind accounting covers every scheduled event.
     #[test]
     #[cfg(feature = "profile")]
@@ -425,11 +425,11 @@ mod tests {
         );
         let a = p.to_json();
         let b = par.profile.as_ref().unwrap().to_json();
-        assert!(a.contains("tlt-profile/v1"));
+        assert!(a.contains("\"series\""));
         assert!(a.contains("event_sched/deliver"));
         assert_eq!(a, b, "profile JSON differs under --jobs");
         // And it round-trips through its own parser.
-        let parsed = Profile::parse(&a).expect("self-parse");
+        let parsed = Artifact::parse(&a).expect("self-parse");
         assert_eq!(parsed.to_json(), a);
     }
 
@@ -437,8 +437,8 @@ mod tests {
     fn captured_metrics_round_trip_and_merge_count_all_jobs() {
         let out = tiny_plan(2).capture_metrics().run_detailed();
         let merged = out.metrics.expect("metrics captured");
-        let parsed = Registry::parse(&merged.to_json()).expect("self-parse");
-        assert_eq!(parsed, merged, "JSON round trip is lossless");
+        let parsed = Artifact::parse(&merged.to_json()).expect("self-parse");
+        assert_eq!(parsed.reg, merged, "JSON round trip is lossless");
         // The merged registry sums every (scheme, seed) job: RTO counts
         // across all jobs equal the plan's per-scheme totals.
         let total: u64 = out

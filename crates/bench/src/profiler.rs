@@ -4,13 +4,14 @@
 //! deterministic count, and speed is measured by the repo benchmark under
 //! `benchmark/`.
 
-use telemetry::{Profile, Registry};
+use telemetry::Registry;
 
 use crate::runner::Args;
 
-/// Provenance of one measurement artifact: the facts `benchcmp` needs to
-/// refuse (or warn about) apples-to-oranges comparisons — a quick-scale
-/// debug run diffed against a full-scale release export says nothing.
+/// Provenance of one measurement artifact: the facts `trace_inspect --diff`
+/// needs to refuse (or warn about) apples-to-oranges comparisons — a
+/// quick-scale debug run diffed against a full-scale release export says
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct Provenance {
     /// Cores the host offers.
@@ -50,11 +51,6 @@ impl Provenance {
         reg.set_meta("scale", self.scale);
         reg.set_meta("seeds", &self.seeds.to_string());
         reg.set_meta("build_profile", self.build_profile);
-    }
-
-    /// Stamps into a profile export (its embedded registry's meta).
-    pub fn stamp_profile(&self, p: &mut Profile) {
-        self.stamp(&mut p.reg);
     }
 }
 

@@ -17,7 +17,7 @@ use eventsim::SimTime;
 use netsim::topology::TopologySpec;
 use netsim::LinkSpec;
 use netstats::{summarize_flows, FctSummary, Metric};
-use telemetry::{BufferSink, Profile, Registry, TraceEvent, Tracer};
+use telemetry::{Artifact, BufferSink, TraceEvent, Tracer};
 use transport::{RtoMode, TransportKind};
 use workload::{standard_mix, FlowSizeCdf, MixParams};
 
@@ -62,8 +62,9 @@ pub struct Args {
     /// Optional metrics-registry export path (`.csv` for CSV, JSON
     /// otherwise).
     pub metrics: Option<String>,
-    /// Optional engine-profile export path (`tlt-profile/v1` JSON). Only
-    /// a build with `--features profile` accepts it.
+    /// Optional engine-profile export path (a `tlt-metrics/v1` artifact
+    /// with a `series` section; CSV when the path ends in `.csv`). Only a
+    /// build with `--features profile` accepts it.
     pub profile_out: Option<String>,
 }
 
@@ -107,25 +108,10 @@ impl Args {
         if let Some(path) = &self.trace {
             init_trace(path, self.trace_sample_ns);
         }
-        if let Some(path) = &self.metrics {
-            init_metrics(path);
-        }
-        if let Some(path) = &self.profile_out {
-            init_profile(path);
-        }
-        // Stamp provenance into the deterministic exports before any run
-        // merges in (meta merges first-wins, so the stamp is pinned).
-        if self.metrics.is_some() || self.profile_out.is_some() {
-            let prov = crate::profiler::Provenance::deterministic(self);
-            if self.metrics.is_some() {
-                let mut r = Registry::new();
-                prov.stamp(&mut r);
-                merge_metrics(&r);
-            }
-            if self.profile_out.is_some() {
-                let mut p = Profile::new();
-                prov.stamp_profile(&mut p);
-                merge_profile(&p);
+        let prov = crate::profiler::Provenance::deterministic(self);
+        for (export, path) in [(&METRICS, &self.metrics), (&PROFILE, &self.profile_out)] {
+            if let Some(path) = path {
+                export.install(path, &prov);
             }
         }
     }
@@ -293,104 +279,72 @@ pub(crate) fn append_trace(bytes: &[u8]) {
     }
 }
 
-/// Process-wide metrics export installed by [`init_metrics`]: the merged
-/// registry plus its output path. The file is rewritten after every merge,
-/// so at any instant it holds a valid document covering every run so far.
-struct MetricsOut {
-    path: String,
-    reg: Registry,
+/// A process-wide artifact export (`--metrics`, `--profile-out`): the
+/// merged document behind a mutex, its output path, and a fast-path gate
+/// (see [`TRACE_ON`] for the protocol). Runs merge in plan order —
+/// counters sum, gauges take the max, histograms and series add, meta
+/// merges first-wins — so the file is byte-identical under any `--jobs`
+/// value. It is rewritten after every merge, so at any instant it holds a
+/// valid document covering every run so far: CSV when the path ends in
+/// `.csv`, `tlt-metrics/v1` JSON otherwise.
+pub(crate) struct Export {
+    what: &'static str,
+    out: Mutex<Option<(String, Artifact)>>,
+    on: AtomicBool,
 }
 
-static METRICS: Mutex<Option<MetricsOut>> = Mutex::new(None);
-/// Fast-path gate for [`METRICS`]; see [`TRACE_ON`] for the protocol.
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
+/// Every run's metrics registry (`--metrics`).
+pub(crate) static METRICS: Export = Export::new("metrics");
+/// Every run's engine profile (`--profile-out`; only a build with the
+/// `profile` feature produces profiles).
+pub(crate) static PROFILE: Export = Export::new("profile");
 
-/// Routes every subsequent simulation's metrics registry into `path`
-/// (written as CSV when the path ends in `.csv`, pretty JSON otherwise).
-/// Registries merge deterministically — counters sum, gauges take the max,
-/// histograms add bucket-wise — in plan order, so the exported file is
-/// byte-identical under any `--jobs` value.
-///
-/// [`Args::parse`] calls this when `--metrics` is present.
-pub fn init_metrics(path: &str) {
-    let mut state = MetricsOut {
-        path: path.to_string(),
-        reg: Registry::new(),
-    };
-    write_metrics(&mut state);
-    *METRICS.lock().unwrap() = Some(state);
-    METRICS_ON.store(true, Ordering::Relaxed);
-}
-
-/// Whether a metrics export is installed.
-pub(crate) fn metrics_on() -> bool {
-    METRICS_ON.load(Ordering::Relaxed)
-}
-
-/// Merges one run's (or one plan's) registry into the installed export and
-/// rewrites the file. No-op when `--metrics` is off.
-pub(crate) fn merge_metrics(reg: &Registry) {
-    if !METRICS_ON.load(Ordering::Relaxed) {
-        return;
+impl Export {
+    const fn new(what: &'static str) -> Export {
+        Export {
+            what,
+            out: Mutex::new(None),
+            on: AtomicBool::new(false),
+        }
     }
-    if let Some(state) = METRICS.lock().unwrap().as_mut() {
-        state.reg.merge(reg);
-        write_metrics(state);
+
+    /// Creates the file at `path` holding only the provenance stamp and
+    /// routes every later merge into it. Stamping before any run merges in
+    /// pins the provenance (meta merges first-wins).
+    fn install(&self, path: &str, prov: &crate::profiler::Provenance) {
+        let mut doc = Artifact::new();
+        prov.stamp(&mut doc.reg);
+        self.write(path, &doc);
+        *self.out.lock().unwrap() = Some((path.to_string(), doc));
+        self.on.store(true, Ordering::Relaxed);
     }
-}
 
-fn write_metrics(state: &mut MetricsOut) {
-    let body = if state.path.ends_with(".csv") {
-        state.reg.to_csv()
-    } else {
-        state.reg.to_json()
-    };
-    std::fs::write(&state.path, body)
-        .unwrap_or_else(|e| usage(&format!("cannot write metrics file {}: {e}", state.path)));
-}
-
-/// Process-wide engine-profile export installed by [`init_profile`]: the
-/// merged `tlt-profile/v1` document plus its output path. Mirrors the
-/// metrics export: rewritten after every merge, byte-identical under any
-/// `--jobs` value because merges happen in plan order.
-struct ProfileOut {
-    path: String,
-    prof: Profile,
-}
-
-static PROFILE: Mutex<Option<ProfileOut>> = Mutex::new(None);
-/// Fast-path gate for [`PROFILE`]; see [`TRACE_ON`] for the protocol.
-static PROFILE_ON: AtomicBool = AtomicBool::new(false);
-
-/// Routes every subsequent simulation's engine profile into `path` as
-/// `tlt-profile/v1` JSON. Only runs built with the `profile` feature
-/// produce profiles; without it the export holds just the provenance
-/// stamp. [`Args::parse`] calls this when `--profile-out` is present.
-pub fn init_profile(path: &str) {
-    let mut state = ProfileOut {
-        path: path.to_string(),
-        prof: Profile::new(),
-    };
-    write_profile(&mut state);
-    *PROFILE.lock().unwrap() = Some(state);
-    PROFILE_ON.store(true, Ordering::Relaxed);
-}
-
-/// Merges one run's (or one plan's) engine profile into the installed
-/// export and rewrites the file. No-op when `--profile-out` is off.
-pub(crate) fn merge_profile(prof: &Profile) {
-    if !PROFILE_ON.load(Ordering::Relaxed) {
-        return;
+    /// Whether the export is installed.
+    pub(crate) fn is_on(&self) -> bool {
+        self.on.load(Ordering::Relaxed)
     }
-    if let Some(state) = PROFILE.lock().unwrap().as_mut() {
-        state.prof.merge(prof);
-        write_profile(state);
-    }
-}
 
-fn write_profile(state: &mut ProfileOut) {
-    std::fs::write(&state.path, state.prof.to_json())
-        .unwrap_or_else(|e| usage(&format!("cannot write profile file {}: {e}", state.path)));
+    /// Folds one run's (or one plan's) data into the installed document
+    /// with `fold` and rewrites the file. No-op when not installed.
+    pub(crate) fn merge(&self, fold: impl FnOnce(&mut Artifact)) {
+        if !self.is_on() {
+            return;
+        }
+        if let Some((path, doc)) = self.out.lock().unwrap().as_mut() {
+            fold(doc);
+            self.write(path, doc);
+        }
+    }
+
+    fn write(&self, path: &str, doc: &Artifact) {
+        let body = if path.ends_with(".csv") {
+            doc.reg.to_csv()
+        } else {
+            doc.to_json()
+        };
+        std::fs::write(path, body)
+            .unwrap_or_else(|e| usage(&format!("cannot write {} file {path}: {e}", self.what)));
+    }
 }
 
 /// Runs one simulation, recording it into a private buffer when `trace` is
@@ -444,7 +398,7 @@ pub(crate) fn buffered_run(
 
 /// Runs one simulation, recording it to the flight recorder when one is
 /// installed ([`init_trace`]), and appends its events to the trace file
-/// immediately; likewise the metrics export ([`init_metrics`]). Sequential
+/// immediately; likewise the `--metrics` and `--profile-out` exports. Sequential
 /// convenience for bespoke experiment loops; grids should go through a
 /// [`crate::plan::RunPlan`].
 pub fn traced_run(label: &str, cfg: SimConfig, flows: Vec<FlowSpec>) -> SimResult {
@@ -455,16 +409,16 @@ pub fn traced_run(label: &str, cfg: SimConfig, flows: Vec<FlowSpec>) -> SimResul
         flows,
         sample_every.is_some(),
         sample_every.flatten(),
-        metrics_on(),
+        METRICS.is_on(),
     );
     if let Some(b) = bytes {
         append_trace(&b);
     }
     if let Some(r) = &res.metrics {
-        merge_metrics(r);
+        METRICS.merge(|doc| doc.reg.merge(r));
     }
     if let Some(p) = &res.profile {
-        merge_profile(p);
+        PROFILE.merge(|doc| doc.merge(p));
     }
     res
 }

@@ -1,9 +1,9 @@
 //! End-to-end tests for the harness binaries' error paths and exit codes:
 //! `trace_inspect --metrics` must fail loudly (exit 2, positional
-//! diagnostic) on malformed or truncated registry exports, `benchcmp`
-//! must diff two exports, print exactly the counts that moved, and refuse
-//! provenance mismatches without `--force`, and an experiment binary must
-//! refuse `--full --quick` and an observer flag its build cannot honour.
+//! diagnostic) on malformed, truncated or retired-schema artifacts,
+//! `trace_inspect --diff` must print exactly the counts that moved and
+//! refuse provenance mismatches, and an experiment binary must refuse
+//! `--full --quick` and an observer flag its build cannot honour.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,10 +74,10 @@ fn trace_inspect_rejects_malformed_metrics_with_diagnostic() {
     }
 }
 
-/// A minimal well-formed `tlt-spans/v1` export: one flow's phase breakdown
-/// plus one request span so every section of the document is exercised.
+/// A minimal well-formed spans export: one flow's phase breakdown plus one
+/// request span so every section of the document is exercised.
 fn spans_json() -> String {
-    let mut rep = telemetry::SpanReport::new();
+    let mut rep = telemetry::Artifact::new();
     let mut phases = telemetry::PhaseTimes::default();
     phases.add(telemetry::Phase::Serialization, 64_000);
     phases.add(telemetry::Phase::SwitchQueue, 21_000);
@@ -109,7 +109,7 @@ fn trace_inspect_rejects_malformed_spans_with_diagnostic() {
 
     // Outright garbage: exit 2 and a parse diagnostic naming the file.
     let garbage = tmp("spans-garbage.json", "not even json [");
-    let out = run(bin, &["--spans", garbage.to_str().unwrap()]);
+    let out = run(bin, &["--metrics", garbage.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     let err = stderr(&out);
     assert!(err.contains("cannot parse"), "diagnostic missing: {err}");
@@ -122,28 +122,33 @@ fn trace_inspect_rejects_malformed_spans_with_diagnostic() {
     // positional schema diagnostic, never render a partial span report.
     let good = spans_json();
     let truncated = tmp("spans-truncated.json", &good[..good.len() * 2 / 3]);
-    let out = run(bin, &["--spans", truncated.to_str().unwrap()]);
+    let out = run(bin, &["--metrics", truncated.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("invalid tlt-spans JSON"));
+    assert!(stderr(&out).contains("invalid tlt-metrics JSON"));
 
-    // A document with the wrong schema tag is rejected, not misrendered.
-    let wrong = tmp("spans-wrong-schema.json", &metrics_json());
-    let out = run(bin, &["--spans", wrong.to_str().unwrap()]);
+    // A document under a retired schema tag is rejected, not misrendered.
+    let retired = good.replace("tlt-metrics/v1", "tlt-spans/v1");
+    let wrong = tmp("spans-wrong-schema.json", &retired);
+    let out = run(bin, &["--metrics", wrong.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("invalid tlt-spans JSON"));
+    assert!(stderr(&out).contains("expected \"tlt-metrics/v1\""));
 
     // Missing file: exit 2 with an open diagnostic.
-    let out = run(bin, &["--spans", "/nonexistent/spans.json"]);
+    let out = run(bin, &["--metrics", "/nonexistent/spans.json"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("cannot open"));
 
     // The intact export renders the phase table and exits 0.
     let intact = tmp("spans-intact.json", &good);
-    let out = run(bin, &["--spans", intact.to_str().unwrap()]);
+    let out = run(bin, &["--metrics", intact.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let body = stdout(&out);
     assert!(body.contains("rto_stall"), "phase table missing: {body}");
-    assert!(body.contains("### spans"), "section header missing: {body}");
+    assert!(body.contains("worst requests"), "reservoir missing: {body}");
+    assert!(
+        body.contains("### metrics"),
+        "section header missing: {body}"
+    );
 
     for p in [garbage, truncated, wrong, intact] {
         let _ = std::fs::remove_file(p);
@@ -204,8 +209,8 @@ fn spans_out_without_the_ledger_feature_exits_2() {
 }
 
 #[test]
-fn benchcmp_diffs_counts_and_refuses() {
-    let bin = env!("CARGO_BIN_EXE_benchcmp");
+fn trace_inspect_diff_diffs_counts_and_refuses() {
+    let bin = env!("CARGO_BIN_EXE_trace_inspect");
     let good = stamped_metrics(128, "quick");
     let old = tmp("cmp-old.json", &good);
     let moved = tmp("cmp-moved.json", &stamped_metrics(129, "quick"));
@@ -214,52 +219,42 @@ fn benchcmp_diffs_counts_and_refuses() {
     let [old_p, moved_p, full_p, cut_p] = [&old, &moved, &full, &cut].map(|p| p.to_str().unwrap());
 
     // An identical pair: exit 0, no changed row.
-    let out = run(bin, &[old_p, old_p]);
+    let out = run(bin, &["--diff", old_p, old_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let body = stdout(&out);
     assert!(body.contains("5 keys compared, 0 changed"), "{body}");
     assert!(!body.contains("counter/"), "{body}");
 
     // One moved counter: exactly one row, and still exit 0 (informational).
-    let out = run(bin, &[old_p, moved_p]);
+    let out = run(bin, &["--diff", old_p, moved_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let body = stdout(&out);
     let rows: Vec<_> = body.lines().filter(|l| l.contains("counter/")).collect();
     assert_eq!(rows.len(), 1, "{body}");
     assert!(rows[0].starts_with("counter/data_pkts_sent"), "{body}");
+    assert!(rows[0].ends_with("+0.8%"), "{body}");
     assert!(body.contains("5 keys compared, 1 changed"), "{body}");
 
-    // --json carries the same verdict-free summary.
-    let out = run(bin, &["--json", old_p, moved_p]);
-    assert_eq!(out.status.code(), Some(0));
-    let js = stdout(&out);
-    assert!(js.contains("\"schema\": \"tlt-benchcmp/v2\""), "{js}");
-    assert!(js.contains("\"changed\": 1,"), "{js}");
-    for gone in ["threshold_pct", "regression", "improvements"] {
-        assert!(!js.contains(gone), "{gone} in {js}");
-    }
-
-    // A scale mismatch: refuse without --force, compare with it.
-    let out = run(bin, &[old_p, full_p]);
+    // A scale mismatch is refused: exit 2, nothing compared.
+    let out = run(bin, &["--diff", old_p, full_p]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("scale mismatch"));
-    let out = run(bin, &["--force", old_p, full_p]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).is_empty());
 
     // A truncated file: exit 2 with the telemetry parser's positional
     // diagnostic, naming the file.
-    let out = run(bin, &[old_p, cut_p]);
+    let out = run(bin, &["--diff", old_p, cut_p]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr(&out);
     assert!(err.contains("cmp-cut.json"), "{err}");
     assert!(err.contains("at byte"), "{err}");
 
-    // Bad usage exits 2; the retired grading flags are unknown flags now.
-    let out = run(bin, &[old_p]);
+    // One operand short is a usage error; the retired flags are unknown.
+    let out = run(bin, &["--diff", old_p]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"));
-    for flag in ["--threshold-pct", "--fail-on-regression"] {
-        let out = run(bin, &[flag, "10", old_p, old_p]);
+    for flag in ["--serve", "--spans", "--json", "--force"] {
+        let out = run(bin, &[flag, old_p]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains("unknown flag"), "{flag}");
     }

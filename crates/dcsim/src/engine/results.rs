@@ -113,7 +113,7 @@ pub struct SimResult {
     pub metrics: Option<Registry>,
     /// The engine profile (per-event-kind tallies, queue health, sim-time
     /// series). `Some` only when the `profile` feature is compiled in.
-    pub profile: Option<telemetry::Profile>,
+    pub profile: Option<telemetry::Artifact>,
     /// Per-flow latency ledgers: the closed per-phase time decomposition
     /// (`Σ phases == FCT` for completed flows). `Some` only when the
     /// `ledger` feature is compiled in.

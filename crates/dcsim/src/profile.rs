@@ -33,10 +33,11 @@
 //!   flight, and aggregate switch queue occupancy.
 //!
 //! Everything is integer and BTreeMap-ordered, so the exported
-//! `tlt-profile/v1` JSON is byte-identical across `--jobs N`.
+//! profile artifact (`tlt-metrics/v1` with a `series` section) is
+//! byte-identical across `--jobs N`.
 
 use eventsim::{EventQueue, SimTime};
-use telemetry::Profile;
+use telemetry::Artifact;
 #[cfg(feature = "profile")]
 use telemetry::{Hist, TimeSeries, SERIES_BASE_WINDOW_NS};
 
@@ -243,7 +244,7 @@ impl EngineProf {
         &mut self,
         queue: &mut EventQueue<E>,
         kind: impl Fn(&E) -> EvKind,
-    ) -> Option<Profile> {
+    ) -> Option<Artifact> {
         let peak = queue.peak_len() as u64;
         let pushes = queue.scheduled_total();
         let pops = queue.pops_total();
@@ -253,13 +254,13 @@ impl EngineProf {
         Some(self.finish(peak, pushes, pops))
     }
 
-    /// Builds the [`Profile`]. `peak`/`pushes`/`pops` come from the event
+    /// Builds the profile [`Artifact`]. `peak`/`pushes`/`pops` come from the event
     /// queue's own health counters; `pops` is snapshotted before the
     /// end-of-run drain that feeds `on_unpopped`. Every name is always
     /// written, even at zero, so the exported schema is identical across
     /// runs and configurations.
-    fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
-        let mut p = Profile::new();
+    fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Artifact {
+        let mut p = Artifact::new();
         let exec = |s: &Self, k: EvKind| s.popped[k.idx()] - s.stale[k.idx()];
 
         let (mut sched_t, mut exec_t, mut stale_t, mut unpopped_t) = (0u64, 0u64, 0u64, 0u64);
@@ -385,7 +386,7 @@ impl EngineProf {
         &mut self,
         _: &mut EventQueue<E>,
         _: impl Fn(&E) -> EvKind,
-    ) -> Option<Profile> {
+    ) -> Option<Artifact> {
         None
     }
 }

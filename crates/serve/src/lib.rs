@@ -21,7 +21,7 @@
 //!   starts only when its query is fully delivered — plus the [`Request`]
 //!   index mapping each request to its flows;
 //! - [`account`]: joins a finished [`dcsim::SimResult`] against that index
-//!   and folds every request into a [`telemetry::ServeReport`]: a bounded
+//!   and folds every request into a [`telemetry::Artifact`]: a bounded
 //!   log-linear latency histogram per scheme (quantiles via
 //!   [`telemetry::Hist::quantile_permille`]) and violation counters split
 //!   into timeout-induced (some flow of the request appears in the RTO
@@ -32,12 +32,12 @@
 //!
 //! Everything is a pure function of `(params, seed)`: the bench harness
 //! runs (scheme, seed) jobs in parallel and folds reports in plan order,
-//! keeping `tlt-serve/v1` exports byte-identical under any `--jobs` value.
+//! keeping the exports byte-identical under any `--jobs` value.
 
 use eventsim::{SimRng, SimTime};
 
 use dcsim::{FlowSpec, SimResult};
-use telemetry::ServeReport;
+use telemetry::Artifact;
 use workload::FlowSizeCdf;
 
 /// Shape of the open-loop serving workload.
@@ -193,7 +193,8 @@ pub fn generate(params: &ServeParams, seed: u64) -> ServeWorkload {
 }
 
 /// Joins a finished run against the request index and folds every request
-/// into a [`ServeReport`] fragment for `scheme`, using bounded memory.
+/// into an [`Artifact`] fragment for `scheme` (the serve key layout of
+/// [`telemetry::serve`]), using bounded memory.
 ///
 /// Per request:
 ///
@@ -210,16 +211,16 @@ pub fn generate(params: &ServeParams, seed: u64) -> ServeWorkload {
 /// The timeout join is cross-checkable: `serve_slo_viol_timeout` equals the
 /// sum of the scheme's `serve_viol_cause/*` counters, and is bounded by the
 /// run's forensic record count.
-pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) -> ServeReport {
-    let mut rep = ServeReport::new();
+pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) -> Artifact {
+    let mut rep = Artifact::new();
     let reg = &mut rep.reg;
     reg.inc(
         &format!("serve_requests/{scheme}"),
         wl.requests.len() as u64,
     );
     // Materialize the outcome counters even when zero: the export schema
-    // stays stable across runs, and benchcmp diffs show explicit zeros
-    // instead of missing keys.
+    // stays stable across runs, and `trace_inspect --diff` shows explicit
+    // zeros instead of missing keys.
     reg.inc(&format!("serve_incomplete/{scheme}"), 0);
     reg.inc(&format!("serve_slo_viol_timeout/{scheme}"), 0);
     reg.inc(&format!("serve_slo_viol_other/{scheme}"), 0);
@@ -258,7 +259,7 @@ pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) 
 }
 
 /// Joins a finished ledger-enabled run against the request index and builds
-/// the `tlt-spans/v1` fragment for `scheme`: per-scheme phase/FCT
+/// the spans fragment for `scheme`: per-scheme phase/FCT
 /// histograms from *every* completed flow, dominant-phase attribution for
 /// each SLO violation, and a span tree (request → query flows → response
 /// flows → stall intervals) offered to the worst-K reservoir.
@@ -279,14 +280,14 @@ pub fn account_spans(
     wl: &ServeWorkload,
     res: &SimResult,
     slo: SimTime,
-) -> telemetry::SpanReport {
-    use telemetry::{FlowSpan, PhaseTimes, RequestSpan, SpanReport, StallSpan};
+) -> Artifact {
+    use telemetry::{FlowSpan, PhaseTimes, RequestSpan, StallSpan};
 
     let recs = res
         .ledger
         .as_ref()
         .expect("account_spans needs a ledger-enabled SimResult");
-    let mut rep = SpanReport::new();
+    let mut rep = Artifact::new();
     for rec in recs {
         if let Some(fct) = rec.fct_ns() {
             // Conservation makes this zero; it is *recorded*, not silently
@@ -474,7 +475,7 @@ mod tests {
         .run();
         let b = account("s", &wl, &res2, params.slo).to_json();
         assert_eq!(a, b);
-        assert!(a.contains("tlt-serve/v1"));
+        assert!(a.contains("tlt-metrics/v1"));
     }
 
     /// The span join: every completed flow lands in the phase histograms

@@ -1,7 +1,7 @@
 //! The workspace's one JSON reader and one JSON string escaper.
 //!
-//! Every JSON text the workspace reads goes through [`Cursor`]: the four
-//! `tlt-*` exports (`registry`, `profile`, `serve`, `spans`), each JSONL
+//! Every JSON text the workspace reads goes through [`Cursor`]: the
+//! `tlt-metrics/v1` artifact (`crate::Artifact::parse`), each JSONL
 //! trace line (`TraceEvent::from_jsonl`), `ci/metrics_schema.json` and
 //! simlint's cache. Every string any of them writes goes through
 //! [`push_str`]. The dialect is what the writers emit: objects, arrays,
@@ -13,7 +13,7 @@
 //! The typed parsers walk their known shapes with the cursor directly.
 //! [`parse`] builds a small DOM ([`Value`]) whose strings remember their
 //! source line, for documents whose shape is open (simlint's schema and
-//! cache, `benchcmp`'s schema dispatch); its nesting depth is capped by
+//! cache); its nesting depth is capped by
 //! [`MAX_DEPTH`], so hostile input cannot overflow the stack.
 
 use std::borrow::Cow;

@@ -22,13 +22,14 @@
 //! per-switch drop-reason tables, a PFC pause timeline, and a consistency
 //! check against the run-end totals the producer declared.
 //!
-//! The [`registry`] module holds the `tlt-metrics/v1` counters / gauges /
-//! histograms, and the [`profile`] module the `tlt-profile/v1` engine
-//! profiles (per-event-kind tallies plus bounded sim-time [`TimeSeries`]),
-//! and the [`serve`] module the `tlt-serve/v1` per-request SLO reports;
-//! all merge deterministically in plan order. The [`json`] module is the
-//! one JSON reader and string escaper behind all of them, the JSONL codec,
-//! and simlint.
+//! Every exported artifact is one [`Artifact`], schema `tlt-metrics/v1`:
+//! the [`registry`] counters / gauges / histograms, plus the [`profile`]
+//! module's bounded sim-time [`TimeSeries`] and the [`spans`] module's
+//! worst-request span trees as optional sections; the [`serve`] module
+//! names the per-request SLO keys. Artifacts merge deterministically in
+//! plan order, and [`diff`] compares two key by key. The [`json`] module is
+//! the one JSON reader and string escaper behind all of them, the JSONL
+//! codec, and simlint.
 //!
 //! Everything is `std`-only: the crate must build with no registry access.
 //!
@@ -53,6 +54,8 @@
 //! assert!(!off.is_on()); // emit() closures are never run
 //! ```
 
+mod artifact;
+pub mod diff;
 mod event;
 pub mod inspect;
 pub mod json;
@@ -64,17 +67,15 @@ mod sink;
 pub mod spans;
 mod tracer;
 
+pub use artifact::{Artifact, METRICS_SCHEMA};
 pub use event::{
     DropWhy, FaultKind, Phase, PhaseTimes, RtoCause, RtoCauseCounts, TimerId, TraceEvent,
 };
-pub use profile::{
-    Profile, SeriesBucket, TimeSeries, PROFILE_SCHEMA, SERIES_BASE_WINDOW_NS, SERIES_MAX_BUCKETS,
-};
-pub use registry::{metrics_summary, Hist, Registry, METRICS_SCHEMA};
+pub use profile::{SeriesBucket, TimeSeries, SERIES_BASE_WINDOW_NS, SERIES_MAX_BUCKETS};
+pub use registry::{Hist, Registry};
 pub use series::{PortKey, SeriesPoint, SeriesSink};
-pub use serve::{serve_summary, ServeReport, SERVE_SCHEMA};
 pub use sink::{
     BufferSink, CountingSink, FanoutSink, JsonlSink, NodeCounts, RingSink, TraceCounts, TraceSink,
 };
-pub use spans::{spans_summary, FlowSpan, RequestSpan, SpanReport, StallSpan, SPANS_SCHEMA};
+pub use spans::{FlowSpan, RequestSpan, StallSpan};
 pub use tracer::Tracer;

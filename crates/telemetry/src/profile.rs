@@ -1,17 +1,17 @@
-//! The `tlt-profile/v1` schema: event-level engine profiles with sim-time
-//! windowed series.
+//! The `series` section of `tlt-metrics/v1`: event-level engine profiles
+//! with sim-time windowed series.
 //!
-//! A [`Profile`] is what the (feature-gated) engine profiler hands back per
-//! run: a [`Registry`] of per-event-kind and per-component counters and
-//! cost histograms, plus a set of [`TimeSeries`] tracking how the run
-//! progressed *in simulated time* — events executed per window, packets in
-//! flight, aggregate queue occupancy.
+//! An engine profile is what the (feature-gated) engine profiler hands back
+//! per run: an [`Artifact`] whose registry holds per-event-kind and
+//! per-component counters and cost histograms, and whose `series` track how
+//! the run progressed *in simulated time* — events executed per window,
+//! packets in flight, aggregate queue occupancy.
 //!
 //! Everything merges deterministically so the bench harness can fold
 //! per-job profiles in plan order and get byte-identical JSON for
 //! `--jobs 1` and `--jobs N`:
 //!
-//! * the registry merges as in `tlt-metrics/v1` (sum / max / bucket-sum),
+//! * the registry merges as every registry does (sum / max / bucket-sum),
 //! * a series' window width is always `2^k` nanoseconds, so two series
 //!   recorded at different granularities align exactly — the finer one is
 //!   coalesced down to the coarser before an element-wise add.
@@ -22,16 +22,12 @@
 //! the export stays small. No wall-clock anywhere — this module is safe
 //! for sim crates (simlint D2).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use eventsim::SimTime;
 
+use crate::artifact::Artifact;
 use crate::json::Cursor;
-use crate::registry::{self, Registry};
-
-/// Export schema identifier written by [`Profile::to_json`].
-pub const PROFILE_SCHEMA: &str = "tlt-profile/v1";
 
 /// Initial (and minimum) series window width: 2^16 ns ≈ 65.5 µs.
 pub const SERIES_BASE_WINDOW_NS: u64 = 1 << 16;
@@ -245,23 +241,7 @@ impl TimeSeries {
     }
 }
 
-/// A full engine profile: counters/gauges/histograms plus named sim-time
-/// series, exported as `tlt-profile/v1`.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct Profile {
-    /// Per-event-kind and per-component tallies, cost histograms, and
-    /// provenance metadata (shares the `tlt-metrics/v1` section layout).
-    pub reg: Registry,
-    /// Named sim-time series (`events`, `inflight_pkts`, `queue_bytes`).
-    pub series: BTreeMap<String, TimeSeries>,
-}
-
-impl Profile {
-    /// An empty profile.
-    pub fn new() -> Profile {
-        Profile::default()
-    }
-
+impl Artifact {
     /// The named series, created empty on first use.
     pub fn series_mut(&mut self, name: &str) -> &mut TimeSeries {
         self.series.entry(name.to_string()).or_default()
@@ -272,69 +252,9 @@ impl Profile {
         self.series.get(name)
     }
 
-    /// Whether nothing was recorded (metadata aside).
-    pub fn is_empty(&self) -> bool {
-        self.reg.is_empty() && self.series.values().all(|s| s.buckets.is_empty())
-    }
-
-    /// Folds `other` into `self` (the plan-order fold): registry sections
-    /// merge as in `tlt-metrics/v1`, series merge window-aligned.
-    pub fn merge(&mut self, other: &Profile) {
-        self.reg.merge(&other.reg);
-        for (k, s) in &other.series {
-            match self.series.get_mut(k) {
-                Some(mine) => mine.merge(s),
-                None => {
-                    self.series.insert(k.clone(), s.clone());
-                }
-            }
-        }
-    }
-
-    /// Serializes as `tlt-profile/v1` JSON (name-sorted, byte-stable).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n  \"schema\": \"");
-        s.push_str(PROFILE_SCHEMA);
-        s.push('"');
-        self.reg.push_body(&mut s);
-        s.push_str(",\n  \"series\": {");
-        registry::push_map(&mut s, &self.series, |s, ts| ts.push_json(s));
-        s.push_str("}\n}\n");
-        s
-    }
-
-    /// Parses a `tlt-profile/v1` JSON export, reporting why a malformed or
-    /// truncated file was rejected.
-    pub fn parse(text: &str) -> Result<Profile, String> {
-        let mut series = BTreeMap::new();
-        let reg = registry::parse_envelope(text, PROFILE_SCHEMA, "profile", |key, c| {
-            if key != "series" {
-                return Ok(false);
-            }
-            c.object(|c, name| {
-                let ts = TimeSeries::parse(c).map_err(|e| format!("series {name:?}: {e}"))?;
-                series.insert(name.into_owned(), ts);
-                Ok(())
-            })?;
-            Ok(true)
-        })?;
-        Ok(Profile { reg, series })
-    }
-
-    /// Renders the human-readable observatory table: provenance, the
-    /// per-event-kind breakdown, component tallies, and series summaries.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "profile ({PROFILE_SCHEMA})");
-        let meta: Vec<_> = self.reg.meta().collect();
-        if !meta.is_empty() {
-            let _ = write!(s, "  meta:");
-            for (k, v) in meta {
-                let _ = write!(s, " {k}={v}");
-            }
-            s.push('\n');
-        }
+    /// The observatory view: the per-event-kind breakdown, component
+    /// tallies, queue depth and series summaries.
+    pub(crate) fn render_profile(&self, s: &mut String) {
         let kinds: Vec<String> = self
             .reg
             .counters()
@@ -411,7 +331,6 @@ impl Profile {
                 );
             }
         }
-        s
     }
 }
 
@@ -482,8 +401,8 @@ mod tests {
         assert!(r.is_err());
     }
 
-    fn sample_profile() -> Profile {
-        let mut p = Profile::new();
+    fn sample_profile() -> Artifact {
+        let mut p = Artifact::new();
         p.reg.set_meta("scale", "quick");
         p.reg.set_meta("note", "a \"quoted\" \\ note, µs");
         p.reg.inc("event_sched/deliver", 10);
@@ -507,9 +426,9 @@ mod tests {
     fn profile_json_roundtrips_and_is_stable() {
         let p = sample_profile();
         let json = p.to_json();
-        assert!(json.contains("\"schema\": \"tlt-profile/v1\""), "{json}");
+        assert!(json.contains("\"schema\": \"tlt-metrics/v1\""), "{json}");
         assert!(json.contains("\"series\""), "{json}");
-        let back = Profile::parse(&json).expect("parses");
+        let back = Artifact::parse(&json).expect("parses");
         assert_eq!(back, p);
         assert_eq!(back.to_json(), json);
     }
@@ -517,16 +436,14 @@ mod tests {
     #[test]
     fn profile_parse_rejects_corrupt_input_with_diagnostics() {
         let json = sample_profile().to_json();
-        crate::json::assert_every_prefix_rejected(&json, Profile::parse);
-        let err = Profile::parse("{\"schema\": \"tlt-metrics/v1\"}").unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        let err = Profile::parse(
-            "{\"schema\": \"tlt-profile/v1\", \"series\": {\"e\": {\"window_ns\":1000,\"buckets\":[]}}}",
+        crate::json::assert_every_prefix_rejected(&json, Artifact::parse);
+        let err = Artifact::parse(
+            "{\"schema\": \"tlt-metrics/v1\", \"series\": {\"e\": {\"window_ns\":1000,\"buckets\":[]}}}",
         )
         .unwrap_err();
         assert!(err.contains("power of two"), "{err}");
-        let err = Profile::parse(
-            "{\"schema\": \"tlt-profile/v1\", \"series\": {\"e\": {\"window_ns\":65536,\"buckets\":[[0,1,1,1],[0,1,1,1]]}}}",
+        let err = Artifact::parse(
+            "{\"schema\": \"tlt-metrics/v1\", \"series\": {\"e\": {\"window_ns\":65536,\"buckets\":[[0,1,1,1],[0,1,1,1]]}}}",
         )
         .unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
@@ -535,7 +452,7 @@ mod tests {
     #[test]
     fn profile_merge_folds_registry_and_series() {
         let mut a = sample_profile();
-        let mut b = Profile::new();
+        let mut b = Artifact::new();
         b.reg.inc("event_sched/deliver", 5);
         b.reg.gauge_max("queue_peak_depth", 40);
         b.series_mut("events").record(SimTime::from_ns(100), 2);
@@ -545,8 +462,6 @@ mod tests {
         assert_eq!(a.reg.gauge("queue_peak_depth"), 40);
         assert_eq!(a.series_get("events").unwrap().total_sum(), 4);
         assert_eq!(a.series_get("queue_bytes").unwrap().total_sum(), 99);
-        assert!(!a.is_empty());
-        assert!(Profile::new().is_empty());
     }
 
     #[test]
@@ -556,6 +471,6 @@ mod tests {
         assert!(text.contains("deliver"), "{text}");
         assert!(text.contains("components"), "{text}");
         assert!(text.contains("events"), "{text}");
-        assert!(text.contains("scale=quick"), "{text}");
+        assert!(text.contains("quick"), "{text}");
     }
 }

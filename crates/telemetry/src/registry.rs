@@ -14,21 +14,19 @@
 //! * All arithmetic is integer; no floats touch the stored state.
 //!
 //! Each registry also carries a `meta` section of string provenance
-//! (`build_profile`, `cores`, `jobs`, `scale`, …) so downstream tools like
-//! `benchcmp` can refuse apples-to-oranges comparisons. Meta merges
-//! first-wins: the fold keeps the provenance of the run that stamped it.
+//! (`build_profile`, `cores`, `jobs`, `scale`, …) so `trace_inspect --diff`
+//! can refuse apples-to-oranges comparisons. Meta merges first-wins: the
+//! fold keeps the provenance of the run that stamped it.
 //!
-//! The export schema is `"tlt-metrics/v1"`; [`Registry::parse`] parses it
-//! back — with a positional diagnostic on failure — so `trace_inspect
-//! --metrics` can render (or cleanly reject) a file it did not write.
+//! A registry is the body of every `tlt-metrics/v1` document:
+//! [`Registry::to_json`] writes one with no optional sections, and
+//! [`crate::Artifact::parse`] reads any of them back — with a positional
+//! diagnostic on failure.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::{self, Cursor};
-
-/// Export schema identifier written by [`Registry::to_json`].
-pub const METRICS_SCHEMA: &str = "tlt-metrics/v1";
 
 /// Number of fixed histogram buckets: 16 exact values (0..=15) plus four
 /// sub-buckets for each power of two from 2^4 through 2^63.
@@ -365,20 +363,14 @@ impl Registry {
         }
     }
 
-    /// Serializes as `tlt-metrics/v1` JSON (name-sorted, byte-stable).
+    /// Serializes as a `tlt-metrics/v1` document with no optional
+    /// sections (name-sorted, byte-stable).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"");
-        s.push_str(METRICS_SCHEMA);
-        s.push('"');
-        self.push_body(&mut s);
-        s.push_str("\n}\n");
-        s
+        crate::artifact::encode(self, &BTreeMap::new(), &[])
     }
 
-    /// Writes the shared body sections (`meta` when non-empty, then
-    /// `counters`/`gauges`/`hists`) starting with a leading comma, so both
-    /// the metrics and profile schemas wrap the same section encoder.
+    /// Writes the body sections (`meta` when non-empty, then
+    /// `counters`/`gauges`/`hists`), each starting with a leading comma.
     pub(crate) fn push_body(&self, s: &mut String) {
         if !self.meta.is_empty() {
             s.push_str(",\n  \"meta\": {");
@@ -436,28 +428,9 @@ impl Registry {
         s
     }
 
-    /// Parses a `tlt-metrics/v1` JSON export, reporting *why* (and roughly
-    /// where) a malformed or truncated file was rejected.
-    pub fn parse(text: &str) -> Result<Registry, String> {
-        parse_envelope(text, METRICS_SCHEMA, "metrics", |_, _| Ok(false))
-    }
-
-    /// Renders a human-readable summary (used by `trace_inspect --metrics`).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "metrics ({METRICS_SCHEMA}): {} counters, {} gauges, {} hists",
-            self.counters.len(),
-            self.gauges.len(),
-            self.hists.len()
-        );
-        if !self.meta.is_empty() {
-            let _ = writeln!(s, "  meta:");
-            for (k, v) in &self.meta {
-                let _ = writeln!(s, "    {k:<42} {v}");
-            }
-        }
+    /// The plain dump of every counter, gauge and histogram — the render
+    /// of a document no specialised view claims.
+    pub(crate) fn render_body(&self, s: &mut String) {
         if !self.counters.is_empty() {
             let _ = writeln!(s, "  counters:");
             for (k, v) in &self.counters {
@@ -488,71 +461,27 @@ impl Registry {
                 );
             }
         }
-        s
     }
-}
 
-/// Parses and renders a metrics file, with a human-friendly diagnostic on
-/// failure — the `trace_inspect --metrics` entry point, factored out so it
-/// is unit-testable against corrupted input.
-pub fn metrics_summary(text: &str) -> Result<String, String> {
-    let reg = Registry::parse(text).map_err(|e| format!("invalid tlt-metrics JSON: {e}"))?;
-    Ok(reg.render())
-}
-
-/// Parses the envelope all four `tlt-*` exports share: one object holding
-/// a `"schema"` tag equal to `schema`, the registry body sections
-/// (`meta`/`counters`/`gauges`/`hists`), and any key `extra` claims by
-/// consuming its value and returning `Ok(true)` (profile's `series`,
-/// spans' `spans`). Any other key is an error naming `what`.
-pub(crate) fn parse_envelope(
-    text: &str,
-    schema: &str,
-    what: &str,
-    mut extra: impl FnMut(&str, &mut Cursor) -> Result<bool, String>,
-) -> Result<Registry, String> {
-    let mut c = Cursor::new(text);
-    let mut reg = Registry::new();
-    let mut saw_schema = false;
-    c.object(|c, key| {
-        if key == "schema" {
-            let got = c.string()?;
-            if got != schema {
-                return Err(format!(
-                    "schema mismatch: expected {schema:?}, found {got:?}"
-                ));
-            }
-            saw_schema = true;
-        } else if !parse_body_key(c, &mut reg, &key)? && !extra(&key, c)? {
-            return Err(format!("unknown key {key:?} in {what} JSON"));
+    /// Reads one top-level body section (`meta`/`counters`/`gauges`/`hists`)
+    /// into `self`; `Ok(false)` means `key` is not a body section.
+    pub(crate) fn parse_body_key(&mut self, c: &mut Cursor, key: &str) -> Result<bool, String> {
+        match key {
+            "meta" => c.object(|c, k| {
+                self.meta.insert(k.into_owned(), c.string()?.into_owned());
+                Ok(())
+            })?,
+            "counters" => scalar_map(c, &mut self.counters)?,
+            "gauges" => scalar_map(c, &mut self.gauges)?,
+            "hists" => c.object(|c, name| {
+                let h = hist(c).map_err(|e| format!("hist {name:?}: {e}"))?;
+                self.hists.insert(name.into_owned(), h);
+                Ok(())
+            })?,
+            _ => return Ok(false),
         }
-        Ok(())
-    })?;
-    c.end()?;
-    if !saw_schema {
-        return Err("missing \"schema\" key".to_string());
+        Ok(true)
     }
-    Ok(reg)
-}
-
-/// Reads one top-level body section (`meta`/`counters`/`gauges`/`hists`)
-/// into `reg`; `Ok(false)` means `key` is not a body section.
-fn parse_body_key(c: &mut Cursor, reg: &mut Registry, key: &str) -> Result<bool, String> {
-    match key {
-        "meta" => c.object(|c, k| {
-            reg.meta.insert(k.into_owned(), c.string()?.into_owned());
-            Ok(())
-        })?,
-        "counters" => scalar_map(c, &mut reg.counters)?,
-        "gauges" => scalar_map(c, &mut reg.gauges)?,
-        "hists" => c.object(|c, name| {
-            let h = hist(c).map_err(|e| format!("hist {name:?}: {e}"))?;
-            reg.hists.insert(name.into_owned(), h);
-            Ok(())
-        })?,
-        _ => return Ok(false),
-    }
-    Ok(true)
 }
 
 /// `{ "name": 1, ... }`
@@ -611,6 +540,11 @@ pub(crate) fn push_map<V>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The registry body of a `tlt-metrics/v1` document.
+    fn parse(text: &str) -> Result<Registry, String> {
+        crate::Artifact::parse(text).map(|a| a.reg)
+    }
 
     #[test]
     fn bucket_boundaries_are_monotone_and_self_consistent() {
@@ -773,7 +707,7 @@ mod tests {
         // And the merged histogram survives a JSON round-trip.
         let mut r = Registry::new();
         r.hists.insert("edges".to_string(), a);
-        let back = Registry::parse(&r.to_json()).expect("parses");
+        let back = parse(&r.to_json()).expect("parses");
         assert_eq!(back, r);
     }
 
@@ -858,7 +792,7 @@ mod tests {
             r.observe("pfc_pause_ns/n0/p1", v);
         }
         let json = r.to_json();
-        let back = Registry::parse(&json).expect("parses");
+        let back = parse(&json).expect("parses");
         assert_eq!(back, r);
         // Byte-stable: re-serializing the parsed registry is identical.
         assert_eq!(back.to_json(), json);
@@ -878,7 +812,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"meta\""), "{json}");
         assert!(json.contains("\"scale\": \"quick\""), "{json}");
-        let back = Registry::parse(&json).expect("parses");
+        let back = parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
         assert_eq!(back.meta_get("jobs"), Some("any"));
@@ -890,9 +824,8 @@ mod tests {
         merged.merge(&other);
         assert_eq!(merged.meta_get("scale"), Some("quick"));
         assert_eq!(merged.meta_get("cores"), Some("8"));
-        // Meta shows up in CSV and render too.
+        // Meta shows up in CSV too.
         assert!(merged.to_csv().contains("meta,scale,value,quick"));
-        assert!(merged.render().contains("meta"));
     }
 
     #[test]
@@ -907,7 +840,7 @@ mod tests {
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":1,"sum":17,"min":17,"max":17,"buckets":[[17,1]]}}}"#, // 17 is not a bucket boundary
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}}}"#, // min above max
         ] {
-            assert!(Registry::parse(bad).is_err(), "accepted {bad:?}");
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -920,32 +853,28 @@ mod tests {
         r.inc("odd \"key\" \\ µ", 1);
         r.observe("lat", 100);
         let json = r.to_json();
-        assert_eq!(Registry::parse(&json).as_ref(), Ok(&r));
+        assert_eq!(parse(&json).as_ref(), Ok(&r));
         // Truncation at every prefix must fail cleanly, never panic.
-        crate::json::assert_every_prefix_rejected(&json, Registry::parse);
-        let err = Registry::parse("{\"schema\\").unwrap_err();
+        crate::json::assert_every_prefix_rejected(&json, parse);
+        let err = parse("{\"schema\\").unwrap_err();
         assert!(err.contains("at byte"), "{err}");
         // Diagnostics carry a position and a reason.
-        let err = Registry::parse(&json[..json.len() / 2]).unwrap_err();
+        let err = parse(&json[..json.len() / 2]).unwrap_err();
         assert!(err.contains("byte"), "no position in {err:?}");
-        let err = Registry::parse("{\"schema\": \"other/v9\"}").unwrap_err();
+        let err = parse("{\"schema\": \"other/v9\"}").unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
-        let err = Registry::parse("{\"schema\": \"tlt-metrics/v1\", \"bogus\": {}}").unwrap_err();
+        let err = parse("{\"schema\": \"tlt-metrics/v1\", \"bogus\": {}}").unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
         // Bucket-count overflow is an error, not a debug-mode panic.
         let overflow = format!(
             "{{\"schema\": \"tlt-metrics/v1\", \"hists\": {{\"h\": {{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[[0,{m}],[1,{m}]]}}}}}}",
             m = u64::MAX
         );
-        let err = Registry::parse(&overflow).unwrap_err();
+        let err = parse(&overflow).unwrap_err();
         assert!(err.contains("hist"), "{err}");
         // Trailing garbage after the document is rejected.
         let trailing = format!("{json}garbage");
-        assert!(Registry::parse(&trailing).is_err());
-        // metrics_summary forwards the diagnostic.
-        let err = metrics_summary("not json").unwrap_err();
-        assert!(err.contains("invalid tlt-metrics JSON"), "{err}");
-        assert!(metrics_summary(&json).unwrap().contains("data_pkts"));
+        assert!(parse(&trailing).is_err());
     }
 
     #[test]
@@ -968,7 +897,8 @@ mod tests {
         r.inc("c", 1);
         r.gauge_max("g", 2);
         r.observe("h", 3);
-        let text = r.render();
+        let mut text = String::new();
+        r.render_body(&mut text);
         assert!(text.contains("counters"));
         assert!(text.contains("gauges"));
         assert!(text.contains("hists"));

@@ -129,10 +129,11 @@ impl TraceCounts {
 pub type NodeCounts = TraceCounts;
 
 /// Node ids below this bound are counted in a dense table; the simulator's
-/// own ids always are (a k=48 fat-tree has 30,528 nodes). Ids at or above
-/// it can only come from a trace file the inspector was handed, and land in
-/// an ordered map so a hostile id cannot size an allocation.
-const DENSE_NODES: usize = 1 << 16;
+/// own ids always are (its largest fabric, the k=24 fat-tree, has 4,176
+/// nodes). Ids at or above it can only come from a trace file the inspector
+/// was handed, and land in an ordered map, so a far id neither sizes an
+/// allocation nor makes every run's walk of the table long.
+const DENSE_NODES: usize = 1 << 13;
 
 /// An aggregating sink: counts events without storing them.
 ///

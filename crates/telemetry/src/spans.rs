@@ -1,8 +1,8 @@
-//! The `tlt-spans/v1` schema: the latency ledger's per-scheme phase
-//! decomposition plus the top-K-worst-request span trees.
+//! The `spans` section of `tlt-metrics/v1`: the latency ledger's
+//! per-scheme phase decomposition plus the top-K-worst-request span trees.
 //!
-//! A [`SpanReport`] wraps a [`Registry`] whose names follow a fixed layout,
-//! keyed by scheme label (e.g. `dctcp+tlt`):
+//! `serve::account_spans` returns an [`Artifact`] whose registry names
+//! follow a fixed layout, keyed by scheme label (e.g. `dctcp+tlt`):
 //!
 //! * `span_phase_ns/<scheme>/<phase>` — per-completed-flow nanoseconds
 //!   attributed to that [`Phase`] (log-linear [`crate::Hist`], bounded
@@ -17,25 +17,20 @@
 //! * `serve_viol_phase/<scheme>/<phase>` — SLO violations whose request
 //!   latency was dominated by that phase (serving workload only).
 //!
-//! Alongside the registry, the report retains a deterministic reservoir of
-//! the [`TOP_K_REQUESTS`] worst requests **in full**: a span tree per
-//! request (request → query/response flows → stall intervals), ordered by
-//! descending latency with a total `(scheme, seed, req)` tie-break so the
-//! retained set is independent of merge order (`--jobs N` byte-equality).
-//! [`SpanReport::to_perfetto`] converts the reservoir to Chrome/Perfetto
-//! trace-event JSON so a p999 request can be inspected visually.
-//!
-//! Serialization reuses the `tlt-metrics/v1` body encoder plus a custom
-//! `"spans"` section (the same wrapper pattern as `tlt-profile/v1`).
+//! Alongside the registry, the artifact's `spans` section retains a
+//! deterministic reservoir of the [`TOP_K_REQUESTS`] worst requests **in
+//! full**: a span tree per request (request → query/response flows → stall
+//! intervals), ordered by descending latency with a total `(scheme, seed,
+//! req)` tie-break so the retained set is independent of merge order
+//! (`--jobs N` byte-equality). [`Artifact::to_perfetto`] converts the
+//! reservoir to Chrome/Perfetto trace-event JSON so a p999 request can be
+//! inspected visually.
 
 use std::fmt::Write as _;
 
+use crate::artifact::{Artifact, METRICS_SCHEMA};
 use crate::event::{Phase, PhaseTimes};
 use crate::json::{self, Cursor};
-use crate::registry::{self, Registry};
-
-/// Export schema identifier written by [`SpanReport::to_json`].
-pub const SPANS_SCHEMA: &str = "tlt-spans/v1";
 
 /// Histogram-name prefix for per-scheme per-phase attributed time.
 pub const SPAN_PHASE_PREFIX: &str = "span_phase_ns/";
@@ -108,29 +103,7 @@ impl RequestSpan {
     }
 }
 
-/// A `tlt-spans/v1` report: the phase-breakdown registry plus the worst-K
-/// request span trees.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct SpanReport {
-    /// Counters / histograms following the layout in the module docs, plus
-    /// provenance metadata.
-    pub reg: Registry,
-    /// Worst-request reservoir, in [`RequestSpan::key`] order, at most
-    /// [`TOP_K_REQUESTS`] long.
-    pub spans: Vec<RequestSpan>,
-}
-
-impl SpanReport {
-    /// An empty report.
-    pub fn new() -> SpanReport {
-        SpanReport::default()
-    }
-
-    /// Whether nothing was recorded (metadata aside).
-    pub fn is_empty(&self) -> bool {
-        self.reg.is_empty() && self.spans.is_empty()
-    }
-
+impl Artifact {
     /// Folds one completed flow's ledger row into the per-scheme hists.
     /// `unattributed_ns` must be zero when conservation holds; it is
     /// recorded (not asserted) so the exported artifact carries the proof.
@@ -168,23 +141,16 @@ impl SpanReport {
         self.seal_reservoir();
     }
 
-    fn seal_reservoir(&mut self) {
+    /// Sorts the reservoir on the total key, drops duplicates and keeps
+    /// the worst [`TOP_K_REQUESTS`].
+    pub(crate) fn seal_reservoir(&mut self) {
         self.spans.sort_by(|a, b| a.key().cmp(&b.key()));
         self.spans.dedup_by(|a, b| a.key() == b.key());
         self.spans.truncate(TOP_K_REQUESTS);
     }
 
-    /// Folds `other` into `self` (the plan-order fold): registry sections
-    /// merge as in `tlt-metrics/v1`; the reservoirs concatenate, re-sort on
-    /// the total key, and truncate — order-independent by construction.
-    pub fn merge(&mut self, other: &SpanReport) {
-        self.reg.merge(&other.reg);
-        self.spans.extend(other.spans.iter().cloned());
-        self.seal_reservoir();
-    }
-
     /// The scheme labels that recorded an FCT histogram, in name order.
-    pub fn schemes(&self) -> Vec<String> {
+    pub fn span_schemes(&self) -> Vec<String> {
         self.reg
             .hists()
             .filter_map(|(k, _)| k.strip_prefix(SPAN_FCT_PREFIX).map(|s| s.to_string()))
@@ -210,64 +176,10 @@ impl SpanReport {
         phase_sum - fct_sum + unattributed
     }
 
-    /// Serializes as `tlt-spans/v1` JSON (name-sorted, byte-stable).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n  \"schema\": \"");
-        s.push_str(SPANS_SCHEMA);
-        s.push('"');
-        self.reg.push_body(&mut s);
-        s.push_str(",\n  \"spans\": [");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_span(&mut s, span);
-        }
-        if !self.spans.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-
-    /// Parses a `tlt-spans/v1` JSON export, reporting why (and roughly
-    /// where) a malformed or truncated file was rejected.
-    pub fn parse(text: &str) -> Result<SpanReport, String> {
-        let mut spans = Vec::new();
-        let reg = registry::parse_envelope(text, SPANS_SCHEMA, "spans", |key, c| {
-            if key != "spans" {
-                return Ok(false);
-            }
-            c.array(|c| {
-                spans.push(parse_span(c)?);
-                Ok(())
-            })?;
-            Ok(true)
-        })?;
-        Ok(SpanReport { reg, spans })
-    }
-
-    /// Renders the per-scheme "phase × percentile" table (where p50 vs p99
-    /// vs p999 live) plus the worst-request reservoir summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "spans report ({SPANS_SCHEMA})");
-        let meta: Vec<_> = self.reg.meta().collect();
-        if !meta.is_empty() {
-            let _ = write!(s, "  meta:");
-            for (k, v) in meta {
-                let _ = write!(s, " {k}={v}");
-            }
-            s.push('\n');
-        }
-        let schemes = self.schemes();
-        if schemes.is_empty() {
-            let _ = writeln!(s, "  (no span histograms)");
-            return s;
-        }
-        for scheme in &schemes {
+    /// The ledger view: the per-scheme "phase × percentile" table (where
+    /// p50 vs p99 vs p999 live) plus the worst-request reservoir summary.
+    pub(crate) fn render_spans(&self, s: &mut String) {
+        for scheme in &self.span_schemes() {
             let fct = self
                 .reg
                 .hist(&format!("{SPAN_FCT_PREFIX}{scheme}"))
@@ -341,7 +253,6 @@ impl SpanReport {
                 );
             }
         }
-        s
     }
 
     /// Converts the worst-request reservoir to Chrome/Perfetto trace-event
@@ -351,7 +262,7 @@ impl SpanReport {
     pub fn to_perfetto(&self) -> String {
         let mut s = String::with_capacity(2048);
         s.push_str("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"schema\":\"");
-        s.push_str(SPANS_SCHEMA);
+        s.push_str(METRICS_SCHEMA);
         s.push_str("\"},\"traceEvents\":[");
         let mut first = true;
         let mut emit = |s: &mut String,
@@ -432,7 +343,7 @@ fn push_phases(s: &mut String, phases: &PhaseTimes) {
     s.push('}');
 }
 
-fn push_span(s: &mut String, span: &RequestSpan) {
+pub(crate) fn push_span(s: &mut String, span: &RequestSpan) {
     s.push_str("{\"scheme\":");
     json::push_str(s, &span.scheme);
     let _ = write!(
@@ -548,7 +459,7 @@ fn parse_flow(c: &mut Cursor) -> Result<FlowSpan, String> {
     Ok(flow)
 }
 
-fn parse_span(c: &mut Cursor) -> Result<RequestSpan, String> {
+pub(crate) fn parse_span(c: &mut Cursor) -> Result<RequestSpan, String> {
     let mut span = RequestSpan {
         scheme: String::new(),
         seed: 0,
@@ -584,14 +495,6 @@ fn parse_span(c: &mut Cursor) -> Result<RequestSpan, String> {
     Ok(span)
 }
 
-/// Parses span-report JSON and renders the phase × percentile table,
-/// forwarding the positional parse diagnostic on failure
-/// (`trace_inspect --spans`).
-pub fn spans_summary(text: &str) -> Result<String, String> {
-    let rep = SpanReport::parse(text).map_err(|e| format!("invalid tlt-spans JSON: {e}"))?;
-    Ok(rep.render())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,8 +525,8 @@ mod tests {
         }
     }
 
-    fn sample_report() -> SpanReport {
-        let mut r = SpanReport::new();
+    fn sample_report() -> Artifact {
+        let mut r = Artifact::new();
         r.reg.set_meta("scale", "k8");
         r.reg.set_meta("note", "a \"quoted\" \\ note, µs");
         r.reg.inc("odd \"key\" \\ µ", 1);
@@ -646,46 +549,28 @@ mod tests {
     }
 
     #[test]
-    fn spans_json_roundtrips_and_is_stable() {
+    fn spans_json_roundtrips_and_rejects_corrupt_spans() {
         let r = sample_report();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": \"tlt-spans/v1\""), "{json}");
-        let back = SpanReport::parse(&json).expect("parses");
+        let back = Artifact::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
-        // Empty report round-trips too (empty spans array).
-        let empty = SpanReport::new().to_json();
-        assert_eq!(
-            SpanReport::parse(&empty).expect("parses"),
-            SpanReport::new()
-        );
-    }
-
-    #[test]
-    fn spans_parse_rejects_corrupt_input_with_diagnostics() {
-        let json = sample_report().to_json();
-        crate::json::assert_every_prefix_rejected(&json, SpanReport::parse);
-        let err = SpanReport::parse("{\"schema\": \"tlt-metrics/v1\"}").unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        let err = SpanReport::parse("{\"counters\": {}}").unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        crate::json::assert_every_prefix_rejected(&json, Artifact::parse);
         let bad_phase = json.replace("rto_stall", "rto_stallz");
-        assert!(SpanReport::parse(&bad_phase).is_err());
+        assert!(Artifact::parse(&bad_phase).is_err());
         let twice = json.replacen("\"phases\":{", "\"phases\":{\"rto_stall\":1,", 1);
-        let err = SpanReport::parse(&twice).unwrap_err();
+        let err = Artifact::parse(&twice).unwrap_err();
         assert!(err.contains("duplicate phase tag"), "{err}");
-        let err = spans_summary("nope").unwrap_err();
-        assert!(err.contains("invalid tlt-spans JSON"), "{err}");
     }
 
     #[test]
     fn conservation_residue_is_closed_for_recorded_flows() {
         let r = sample_report();
-        for scheme in r.schemes() {
+        for scheme in r.span_schemes() {
             assert_eq!(r.conservation_residue(&scheme), 0, "{scheme}");
         }
         // A flow with unattributed time shows a positive residue.
-        let mut r = SpanReport::new();
+        let mut r = Artifact::new();
         let mut phases = PhaseTimes::default();
         phases.add(Phase::Propagation, 70);
         r.record_flow("x", &phases, 100, 30);
@@ -696,8 +581,8 @@ mod tests {
 
     #[test]
     fn reservoir_is_bounded_and_merge_is_order_independent() {
-        let mut a = SpanReport::new();
-        let mut b = SpanReport::new();
+        let mut a = Artifact::new();
+        let mut b = Artifact::new();
         for i in 0..TOP_K_REQUESTS as u64 + 5 {
             a.push_request(sample_span("dctcp", 1, i, 1000 + i));
             b.push_request(sample_span("dctcp", 2, i, 2000 + i));
@@ -728,9 +613,7 @@ mod tests {
         assert!(text.contains("residue=0"), "{text}");
         assert!(text.contains("SLO violations by dominant phase"), "{text}");
         assert!(text.contains("worst requests"), "{text}");
-        assert!(text.contains("scale=k8"), "{text}");
-        let text = SpanReport::new().render();
-        assert!(text.contains("no span histograms"), "{text}");
+        assert!(text.contains("k8"), "{text}");
     }
 
     #[test]
@@ -748,7 +631,7 @@ mod tests {
         let open = p.matches('{').count();
         let close = p.matches('}').count();
         assert_eq!(open, close);
-        let empty = SpanReport::new().to_perfetto();
+        let empty = Artifact::new().to_perfetto();
         assert!(empty.contains("\"traceEvents\":[]"), "{empty}");
     }
 

@@ -1,14 +1,15 @@
 //! A deterministic mutation corpus against every JSON reader in the
-//! workspace: the four `tlt-*` parsers, the JSONL line decoder, the trace
-//! inspector and the generic reader (`telemetry::json::parse`), each with
-//! the render `trace_inspect` prints. The contract is the same for each:
-//! `Ok` or `Err`, never a panic, and no single allocation sized by a
-//! number in the input.
+//! workspace: the one artifact parser (`Artifact::parse`), the JSONL line
+//! decoder, the trace inspector and the generic reader
+//! (`telemetry::json::parse`), each with the render `trace_inspect` prints.
+//! The contract is the same for each: `Ok` or `Err`, never a panic, and no
+//! single allocation sized by a number in the input.
 //!
-//! Sources: one export of each schema from a small serving run (metrics
+//! Sources: the four kinds of artifact from a small serving run (metrics
 //! and serve straight from the engine and `serve::account`; profile and
 //! spans built from the same run's registry and flows), a slice of that
-//! run's JSONL trace, and `ci/metrics_schema.json`. Mutations: truncation
+//! run's JSONL trace, and `ci/metrics_schema.json`; and, on its own, a
+//! trace of 200 short runs that each name one far node id. Mutations: truncation
 //! at every char boundary, ASCII substitutions at drawn positions,
 //! duplicated keys, numbers at and past `u64::MAX`, and 10k-deep nesting.
 //! Drawn cases are few under `debug_assertions` (tier-1) and many in an
@@ -22,8 +23,8 @@ use eventsim::{SimRng, SimTime};
 use telemetry::inspect::inspect_reader;
 use telemetry::json::{self, Cursor};
 use telemetry::{
-    BufferSink, FlowSpan, NodeCounts, Phase, PhaseTimes, Profile, Registry, RequestSpan,
-    ServeReport, SpanReport, StallSpan, TraceEvent, Tracer,
+    Artifact, BufferSink, DropWhy, FlowSpan, NodeCounts, Phase, PhaseTimes, RequestSpan, StallSpan,
+    TraceEvent, Tracer,
 };
 use transport::TransportKind;
 
@@ -74,10 +75,7 @@ fn largest_alloc(head: &str, read: impl FnOnce() + std::panic::UnwindSafe) -> us
 fn feed(text: &str) {
     let head: String = text.chars().take(160).collect();
     let parsers = largest_alloc(&head, || {
-        let _ = Registry::parse(text).map(|r| r.render());
-        let _ = Profile::parse(text).map(|r| r.render());
-        let _ = ServeReport::parse(text).map(|r| r.render());
-        let _ = SpanReport::parse(text).map(|r| r.render());
+        let _ = Artifact::parse(text).map(|a| a.render());
         let _ = json::parse(text);
         text.lines().for_each(|l| drop(TraceEvent::from_jsonl(l)));
     });
@@ -86,17 +84,17 @@ fn feed(text: &str) {
     });
     let bound = 64 * text.len() + (64 << 10);
     assert!(parsers <= bound, "{parsers} bytes at once for {head:?}");
-    // The inspector's `CountingSink` counts node ids below 2^16 in a dense
+    // The inspector's `CountingSink` counts node ids below 2^13 in a dense
     // table (larger ones in an ordered map): one id in the input can size
     // that table up to its fixed ceiling (twice that while `Vec` growth
     // doubles it), and no further.
-    let dense = 2 * (1 << 16) * std::mem::size_of::<NodeCounts>();
+    let dense = 2 * (1 << 13) * std::mem::size_of::<NodeCounts>();
     assert!(inspect <= bound + dense, "{inspect} bytes for {head:?}");
 }
 
 const LABEL: &str = "dctcp \"corpus\" \\ µs";
 
-/// The six sources: the four exports and a JSONL trace slice from one
+/// The six sources: the four artifacts and a JSONL trace slice from one
 /// small serving run whose labels hold `"`, `\` and a non-ASCII char, then
 /// the metrics schema.
 fn sources() -> Vec<String> {
@@ -131,11 +129,11 @@ fn sources() -> Vec<String> {
 
     let mut reg = res.metrics.clone().expect("metrics enabled");
     reg.set_meta("label", LABEL);
-    let mut profile = Profile {
+    let mut profile = Artifact {
         reg: reg.clone(),
-        ..Profile::new()
+        ..Artifact::new()
     };
-    let mut spans = SpanReport::new();
+    let mut spans = Artifact::new();
     spans.reg.set_meta("label", LABEL);
     for f in &res.flows {
         let (Some(end), Some(fct)) = (f.end, f.fct()) else {
@@ -177,8 +175,7 @@ fn sources() -> Vec<String> {
         slice,
         include_str!("../ci/metrics_schema.json").to_string(),
     ];
-    assert!(Registry::parse(&all[0]).is_ok() && Profile::parse(&all[1]).is_ok());
-    assert!(ServeReport::parse(&all[2]).is_ok() && SpanReport::parse(&all[3]).is_ok());
+    assert!(all[..4].iter().all(|doc| Artifact::parse(doc).is_ok()));
     let report = inspect_reader(all[4].as_bytes()).expect("in memory");
     assert!(report.malformed == 0 && report.runs[0].label == LABEL);
     assert!(json::parse(&all[5]).is_ok());
@@ -268,4 +265,76 @@ fn deep_nesting_is_a_positioned_error() {
         feed(&deep);
         assert!(json::parse(&deep).unwrap_err().contains("at byte"));
     }
+}
+
+/// The retired per-kind tags are not aliases: each real document under one
+/// of them is refused with an error naming the one schema.
+#[test]
+fn retired_schema_tags_are_refused_naming_the_one_schema() {
+    let docs = sources();
+    for (doc, tag) in docs[1..4]
+        .iter()
+        .zip(["tlt-profile/v1", "tlt-serve/v1", "tlt-spans/v1"])
+    {
+        let retired = doc.replacen("tlt-metrics/v1", tag, 1);
+        let err = Artifact::parse(&retired).unwrap_err();
+        assert!(err.contains("expected \"tlt-metrics/v1\""), "{tag}: {err}");
+        feed(&retired);
+    }
+}
+
+/// 200 three-line runs (`run_start`, one colour drop at `node`, `run_end`).
+fn many_runs(node: u32) -> String {
+    let (tracer, sink) = Tracer::new(BufferSink::new());
+    for seed in 0..200 {
+        let label = "far".to_string();
+        tracer.emit(SimTime::ZERO, || TraceEvent::RunStart { label, seed });
+        tracer.emit(SimTime::from_ns(1), || TraceEvent::Drop {
+            node,
+            port: 0,
+            flow: 1,
+            seq: 0,
+            why: DropWhy::Color,
+            green: false,
+        });
+        tracer.emit(SimTime::from_ns(2), || TraceEvent::RunEnd {
+            drops_color: 1,
+            drops_dt: 0,
+            drops_overflow: 0,
+            wire_drops: 0,
+            down_drops: 0,
+            pause_frames: 0,
+            timeouts: 0,
+            rto_causes: Default::default(),
+        });
+    }
+    let bytes = sink.borrow_mut().take_bytes();
+    String::from_utf8(bytes).expect("UTF-8")
+}
+
+/// A node id past every topology the simulator builds lands in the
+/// inspector's ordered map, not its dense table: the run naming node
+/// 65535 allocates no more at once than the run naming node 1, so a
+/// per-run walk of that table costs nothing either.
+#[test]
+fn many_runs_naming_a_far_node_stay_off_the_dense_table() {
+    let mut rng = SimRng::seed_from(0x0FA2);
+    let [near, far] = [1, 65_535].map(|node| {
+        let trace = many_runs(node);
+        let report = inspect_reader(trace.as_bytes()).expect("in memory");
+        assert!(report.is_clean() && report.runs.len() == 200, "node {node}");
+        feed(&trace);
+        for kind in 0..4 {
+            feed(&mutant(&trace, kind, &mut rng));
+        }
+        largest_alloc("many runs", || {
+            inspect_reader(trace.as_bytes())
+                .expect("in memory")
+                .render();
+        })
+    });
+    assert!(
+        far <= near + (4 << 10),
+        "node 65535: {far} bytes, node 1: {near}"
+    );
 }
