@@ -50,6 +50,7 @@ use dcsim::SimConfig;
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
 use serve::ServeParams;
+use telemetry::schema::Schema;
 use telemetry::Artifact;
 use transport::TransportKind;
 use workload::FlowSizeCdf;
@@ -188,33 +189,22 @@ fn run_grid(
     };
     #[cfg(not(feature = "ledger"))]
     let spans = None;
-    (out.results, verify_forensic_join(rep), spans)
+    (out.results, rep, spans)
 }
 
-/// Cross-checks the timeout join: per scheme, the per-cause breakdown sums
-/// exactly to the timeout-violation counter, and no scheme attributes more
-/// violations than it recorded RTOs. Aborts loudly on mismatch — a silent
-/// inconsistency here would falsify the headline table.
-fn verify_forensic_join(rep: Artifact) -> Artifact {
-    for scheme in rep.serve_schemes() {
-        let viol_t = rep.reg.counter(&format!("serve_slo_viol_timeout/{scheme}"));
-        let causes: u64 = rep
-            .reg
-            .counters()
-            .filter(|(k, _)| k.starts_with(&format!("serve_viol_cause/{scheme}/")))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(
-            causes, viol_t,
-            "scheme {scheme}: cause breakdown {causes} != timeout violations {viol_t}"
-        );
-        let rtos = rep.reg.counter(&format!("serve_rtos/{scheme}"));
-        assert!(
-            viol_t <= rtos,
-            "scheme {scheme}: {viol_t} timeout violations but only {rtos} forensic RTOs"
-        );
+/// Holds the serve export (and the spans export, in `ledger` builds) to
+/// every `tlt-metrics/v1` invariant: the forensic join (per scheme, the
+/// cause breakdown sums to the timeout violations, bounded by the recorded
+/// RTOs), complete SLO accounting and the ledger's conservation. Panics,
+/// release builds included: a silent inconsistency here would falsify the
+/// headline table.
+fn validate(rep: &Artifact, spans: Option<&Artifact>) {
+    let schema = Schema::builtin();
+    for a in std::iter::once(rep).chain(spans) {
+        if let Err(e) = a.validate(&schema) {
+            panic!("serve_grid export breaks an invariant: {e}");
+        }
     }
-    rep
 }
 
 fn usage(msg: &str) -> ! {
@@ -358,17 +348,12 @@ fn main() {
     // The fabric degree is this report's identity; re-pin it over the
     // harness quick/default/full label the provenance stamp wrote.
     rep.reg.set_meta("scale", spec.scale);
+    validate(&rep, spans.as_ref());
 
     print!("{}", rep.render());
     println!("  forensic cross-check: ok (causes sum to timeout violations, bounded by RTOs)");
 
     if let Some(sp) = &spans {
-        // Runtime conservation gate (release builds included): a nonzero
-        // residue would falsify the whole phase table, so abort loudly.
-        for scheme in sp.span_schemes() {
-            let r = sp.conservation_residue(&scheme);
-            assert_eq!(r, 0, "scheme {scheme}: latency ledger residue {r} ns");
-        }
         print!("{}", sp.render());
         println!("  conservation cross-check: ok (sum phases == sum FCT, zero unattributed)");
     }
@@ -449,12 +434,44 @@ mod tests {
         assert_eq!(back.to_json(), a);
     }
 
+    /// Every scheme of the paper ± TLT names exactly one row of each export
+    /// (the scheme count the exports cannot check themselves), and the
+    /// exports, stamped as `main` stamps them, hold every invariant.
+    #[test]
+    fn exports_name_every_scheme_once_and_validate() {
+        let spec = GridSpec {
+            loads: vec![Load {
+                suffix: "",
+                rate: 1.0,
+            }],
+            kinds: KINDS.to_vec(),
+            ..tiny_spec()
+        };
+        let (_, mut rep, spans) = run_grid(&spec, 1, 2);
+        let mut labels: Vec<String> = KINDS
+            .iter()
+            .flat_map(|&k| [scheme_label(k, false), scheme_label(k, true)])
+            .collect();
+        labels.sort();
+        assert_eq!(labels.len(), 10);
+        assert_eq!(rep.serve_schemes(), labels);
+        if let Some(sp) = &spans {
+            assert_eq!(sp.span_schemes(), labels);
+        }
+        let args = Args::parse_from(["--quick"]).expect("harness flags");
+        Provenance::deterministic(&args).stamp(&mut rep.reg);
+        validate(&rep, spans.as_ref());
+    }
+
     /// The spans acceptance bar: the spans report and its Perfetto rendering
-    /// are byte-identical under different worker counts, conservation is
-    /// closed for every scheme, and the export survives its own parser.
+    /// are byte-identical under different worker counts, the export holds
+    /// every invariant (conservation closed for every scheme) and survives
+    /// its own parser, and the Perfetto document has the trace-event shape.
     #[test]
     #[cfg(feature = "ledger")]
     fn spans_report_is_byte_identical_and_conserved_across_jobs() {
+        use telemetry::json::{self, Value};
+
         let (_, _, seq) = run_grid(&tiny_spec(), 2, 1);
         let (_, _, par) = run_grid(&tiny_spec(), 2, 4);
         let seq = seq.expect("ledger feature on");
@@ -466,20 +483,29 @@ mod tests {
             par.to_perfetto(),
             "perfetto export differs under --jobs"
         );
-        for scheme in seq.span_schemes() {
-            assert_eq!(
-                seq.conservation_residue(&scheme),
-                0,
-                "scheme {scheme} not conserved"
-            );
-            assert_eq!(
-                seq.reg.counter(&format!("span_unattributed_ns/{scheme}")),
-                0
-            );
-        }
+        validate(&seq, None);
         assert!(!seq.spans.is_empty(), "worst-request reservoir populated");
         let back = Artifact::parse(&a).expect("self-parse");
         assert_eq!(back.to_json(), a);
+
+        let pf = json::parse(&seq.to_perfetto()).expect("perfetto JSON parses");
+        let text = |v: Option<&Value>| v.and_then(Value::as_str).map(str::to_string);
+        assert_eq!(text(pf.get("displayTimeUnit")).as_deref(), Some("ns"));
+        let other = pf.get("otherData").and_then(|o| o.get("schema"));
+        assert_eq!(text(other).as_deref(), Some("tlt-metrics/v1"));
+        let events = pf.get("traceEvents").map_or(&[][..], Value::items);
+        assert!(!events.is_empty(), "no trace events");
+        for e in events {
+            for k in ["name", "cat", "ph", "ts", "dur", "pid", "tid"] {
+                assert!(e.get(k).is_some(), "{k} missing: {e:?}");
+            }
+            assert_eq!(text(e.get("ph")).as_deref(), Some("X"), "{e:?}");
+            let cat = text(e.get("cat"));
+            assert!(
+                matches!(cat.as_deref(), Some("request" | "flow" | "stall")),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! registry export, a `--profile-out` engine profile (event-kind and series
 //! tables), a `serve_grid --serve-out` report (per-scheme p50/p99/p999 SLO
 //! table and timeout-violation causes) or a `--spans-out` latency-ledger
-//! export (phase × percentile table and the worst-request span trees).
+//! export (phase × percentile table and the worst-request span trees), and
+//! holds it to every export invariant (`telemetry::Artifact::validate`,
+//! against `ci/metrics_schema.json` compiled in, and `check_bytes`).
 //!
 //! `--diff OLD NEW` compares two artifacts key by key and prints every
 //! count that moved (informational: a moved count is a behaviour change to
@@ -23,15 +25,16 @@
 //!
 //! Exit status: 0 when every run is internally consistent, 1 when any run's
 //! counted events disagree with its declared totals (or the file contains
-//! malformed/orphaned lines), 2 on usage or I/O errors, a malformed
-//! artifact (its positional parse diagnostic is forwarded) or a refused
-//! diff.
+//! malformed/orphaned lines) or an artifact breaks an invariant (named on
+//! stderr with its values), 2 on usage or I/O errors, a malformed artifact
+//! (its positional parse diagnostic is forwarded) or a refused diff.
 
 use std::fs::File;
 use std::io::BufReader;
 
 use telemetry::diff::compare;
 use telemetry::inspect::inspect_reader;
+use telemetry::schema::Schema;
 use telemetry::Artifact;
 
 const USAGE: &str = "usage: trace_inspect [--metrics FILE]... [--diff OLD NEW]... [TRACE.jsonl]...";
@@ -41,15 +44,16 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Reads and parses one artifact, exiting 2 with the diagnostic on failure.
-fn load(path: &str) -> Artifact {
+/// Reads and parses one artifact (kept with its text), exiting 2 on failure.
+fn load(path: &str) -> (Artifact, String) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
-    Artifact::parse(&text).unwrap_or_else(|e| {
+    let artifact = Artifact::parse(&text).unwrap_or_else(|e| {
         fail(&format!(
             "cannot parse {path}: invalid tlt-metrics JSON: {e}"
         ))
-    })
+    });
+    (artifact, text)
 }
 
 /// The file argument following `flag`.
@@ -93,13 +97,21 @@ fn main() {
         print!("{}", report.render());
         clean &= report.is_clean();
     }
+    let schema = Schema::builtin();
     for path in &metrics {
-        let summary = load(path).render();
+        let (artifact, text) = load(path);
         println!("### metrics {path}");
-        print!("{summary}");
+        print!("{}", artifact.render());
+        let verdict = artifact
+            .check_bytes(&text)
+            .and_then(|()| artifact.validate(&schema));
+        if let Err(e) = verdict {
+            eprintln!("error: {path}: invariant violated: {e}");
+            clean = false;
+        }
     }
     for (old, new) in &diffs {
-        let cmp = compare(&load(old), &load(new));
+        let cmp = compare(&load(old).0, &load(new).0);
         if let Some(reason) = &cmp.refusal {
             fail(&format!("refusing to compare {old} and {new}: {reason}"));
         }

@@ -1,6 +1,8 @@
 //! End-to-end tests for the harness binaries' error paths and exit codes:
 //! `trace_inspect --metrics` must fail loudly (exit 2, positional
-//! diagnostic) on malformed, truncated or retired-schema artifacts,
+//! diagnostic) on malformed, truncated or retired-schema artifacts and
+//! (exit 1, the invariant named) on a well-formed one that breaks an export
+//! invariant,
 //! `trace_inspect --diff` must print exactly the counts that moved and
 //! refuse provenance mismatches, and an experiment binary must refuse
 //! `--full --quick` and an observer flag its build cannot honour.
@@ -26,12 +28,26 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// A minimal well-formed `tlt-metrics/v1` export.
-fn metrics_json() -> String {
+/// A minimal valid `tlt-metrics/v1` export: the provenance a harness
+/// export carries, and `timeouts` RTOs attributed to causes that sum to
+/// `causes`.
+fn metrics_json(timeouts: u64, causes: u64) -> String {
     let mut reg = telemetry::Registry::new();
     reg.inc("data_pkts_sent", 128);
+    reg.inc("timeouts", timeouts);
+    reg.inc("rto_cause_color", causes);
+    reg.inc("rto_cause_unknown", 0);
     reg.gauge_max("queue_peak_bytes", 9000);
     reg.observe("fct_us", 250);
+    for (k, v) in [
+        ("build_profile", "release"),
+        ("cores", "2"),
+        ("jobs", "any"),
+        ("scale", "quick"),
+        ("seeds", "1"),
+    ] {
+        reg.set_meta(k, v);
+    }
     reg.to_json()
 }
 
@@ -50,7 +66,7 @@ fn trace_inspect_rejects_malformed_metrics_with_diagnostic() {
     // A truncated export (simulating a crashed producer) also exits 2 —
     // every prefix of a valid document must fail cleanly, never render a
     // partial registry as if it were complete.
-    let good = metrics_json();
+    let good = metrics_json(3, 3);
     let truncated = tmp("truncated.json", &good[..good.len() / 2]);
     let out = run(bin, &["--metrics", truncated.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
@@ -74,10 +90,51 @@ fn trace_inspect_rejects_malformed_metrics_with_diagnostic() {
     }
 }
 
+/// A well-formed artifact whose RTO causes do not sum to its timeouts
+/// still renders, but exits 1 with the invariant and its values.
+#[test]
+fn trace_inspect_exits_1_on_a_broken_invariant() {
+    let bin = env!("CARGO_BIN_EXE_trace_inspect");
+    let broken = tmp("broken-causes.json", &metrics_json(3, 2));
+    let out = run(bin, &["--metrics", broken.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("broken-causes.json"), "{err}");
+    assert!(
+        err.contains("registry: rto_cause_* == timeouts: 2 != 3"),
+        "{err}"
+    );
+    assert!(stdout(&out).contains("data_pkts_sent"), "still renders");
+
+    // Valid JSON whose keys are not in canonical order: exit 1 too.
+    let good = metrics_json(3, 3);
+    let reordered = good.replacen(
+        "    \"build_profile\": \"release\",\n    \"cores\": \"2\",",
+        "    \"cores\": \"2\",\n    \"build_profile\": \"release\",",
+        1,
+    );
+    assert_ne!(reordered, good);
+    let moved = tmp("reordered.json", &reordered);
+    let out = run(bin, &["--metrics", moved.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("canonical bytes: line 4"),
+        "{}",
+        stderr(&out)
+    );
+
+    for p in [broken, moved] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 /// A minimal well-formed spans export: one flow's phase breakdown plus one
 /// request span so every section of the document is exercised.
 fn spans_json() -> String {
     let mut rep = telemetry::Artifact::new();
+    rep.reg.set_meta("scale", "k8");
+    rep.reg.set_meta("slo_ns", "2000000");
+    rep.reg.set_meta("workload", "cache_follower");
     let mut phases = telemetry::PhaseTimes::default();
     phases.add(telemetry::Phase::Serialization, 64_000);
     phases.add(telemetry::Phase::SwitchQueue, 21_000);

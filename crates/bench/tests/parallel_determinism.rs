@@ -7,14 +7,18 @@
 //! The grid covers the three regimes the retired wall-clock suite
 //! (`bench_baseline`) cross-checked at `--jobs 1` against `--jobs N` on every
 //! run: a leaf–spine DCTCP ± TLT mix, a leaf–spine DCQCN+SACK / HPCC mix and
-//! a single-switch incast. This test is that check, at a size that runs in
-//! about two seconds in a debug build.
+//! a single-switch incast; plus one incast under a fault schedule (a
+//! permanent link-down and burst loss, as in `scenario_faults`), so frame
+//! destruction and fault events are in the compared trace bytes. This test
+//! is that check, at a size that runs in about three seconds in a debug
+//! build.
 
 use std::sync::OnceLock;
 
 use bench::plan::{PlanOutput, RunPlan};
 use bench::runner::{self, SchemeResult, TcpVariant};
-use dcsim::small_single_switch;
+use dcsim::{small_single_switch, FaultSchedule};
+use eventsim::SimTime;
 use netstats::Metric;
 use telemetry::TraceEvent;
 use transport::TransportKind;
@@ -72,10 +76,20 @@ fn grid(jobs: usize) -> RunPlan<'static> {
             );
         }
     }
+    // Server 2's uplink goes down for good mid-burst and the client's
+    // downlink drops in bursts; the horizon cuts the stranded flows.
+    let faults = FaultSchedule::new()
+        .link_down(SimTime::from_us(50), 3, 0)
+        .burst_loss(SimTime::ZERO, 0, 0, 0.02, 8.0, 0.5);
+    let mut cfg = runner::tcp_cfg(&p, TransportKind::Dctcp, TcpVariant::Tlt, false)
+        .with_topology(small_single_switch(9))
+        .with_faults(faults);
+    cfg.max_time = SimTime::from_ms(5);
+    plan.scheme("faults/DCTCP/+TLT", cfg, |s| incast_burst(24, 8, 16_000, s));
     plan
 }
 
-const JOBS_RUN: usize = 6 * 2 + 4 * 3;
+const JOBS_RUN: usize = 6 * 2 + 5 * 3;
 
 /// The grid at `--jobs 1` and at `--jobs 4`, traced, run once and shared by
 /// every test below.
@@ -145,17 +159,20 @@ fn jobs4_matches_jobs1_trace_bytes() {
     let text = std::str::from_utf8(&seq.trace).expect("trace is utf-8");
     let mut starts = 0;
     let mut ends = 0;
+    let mut faults = 0;
     for line in text.lines() {
         let (_, ev) = TraceEvent::from_jsonl(line)
             .unwrap_or_else(|| panic!("unparseable trace line: {line}"));
         match ev {
             TraceEvent::RunStart { .. } => starts += 1,
             TraceEvent::RunEnd { .. } => ends += 1,
+            TraceEvent::Fault { .. } => faults += 1,
             _ => {}
         }
     }
     assert_eq!(starts, JOBS_RUN, "one run_start per (scheme, seed) job");
     assert_eq!(ends, JOBS_RUN, "one run_end per (scheme, seed) job");
+    assert!(faults > 0, "the faulted cell injected its schedule");
 }
 
 #[test]

@@ -23,7 +23,7 @@ use telemetry::json::{self, Value};
 
 /// Bumped whenever rule or extraction semantics change, invalidating all
 /// prior entries (the content hash only covers the *input* file).
-pub const RULES_VERSION: u64 = 2;
+pub const RULES_VERSION: u64 = 3;
 
 /// 64-bit FNV-1a over the file's bytes.
 pub fn content_hash(src: &str) -> u64 {
@@ -38,9 +38,11 @@ pub fn content_hash(src: &str) -> u64 {
 /// Maps a cached rule-id string back to the static used by the rules
 /// (cached findings are per-file, so only the local rules appear here).
 fn intern_rule(s: &str) -> Option<&'static str> {
-    ["D1", "D2", "D3", "D4", "P1", "P2", "P3"]
-        .into_iter()
-        .find(|r| *r == s)
+    [
+        "D1", "D2", "D3", "D4", "P1", "P2", "P3", "G1", "G2", "G3", "G4",
+    ]
+    .into_iter()
+    .find(|r| *r == s)
 }
 
 fn intern_pragma(s: &str) -> Option<&'static str> {

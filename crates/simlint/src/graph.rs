@@ -25,7 +25,7 @@
 
 use crate::items::{AccountingMode, AuditedEnum, EnumDef, FileItems, AUDITED};
 use crate::rules::{crate_of, in_s1_scope, RawFinding};
-use crate::schema::Schema;
+use telemetry::schema::{DeclaredKey, Schema};
 
 /// Repo-relative schema path S2 findings point into.
 pub const SCHEMA_PATH: &str = "ci/metrics_schema.json";
@@ -291,7 +291,7 @@ fn s2(files: &[(String, FileItems)], schema: &Schema, out: &mut Vec<RawFinding>)
     }
 }
 
-fn dead(d: &crate::schema::DeclaredKey, what: &str) -> RawFinding {
+fn dead(d: &DeclaredKey, what: &str) -> RawFinding {
     let section = if d.section.is_empty() {
         String::new()
     } else {

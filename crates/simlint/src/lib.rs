@@ -28,22 +28,23 @@
 //! as `file:line: rule: message`. See [`rules`] for the ruleset — per-file
 //! determinism rules (D1–D4), cross-file exhaustive-accounting rules
 //! (E1–E3, driven by [`items::AUDITED`]), schema-drift rules (S1/S2 against
-//! `ci/metrics_schema.json`), PDES-readiness rules (P1–P3), and the
-//! stale-pragma rule (L1) — plus the `// simlint: allow(<rule>, <reason>)`
-//! suppression pragma.
+//! `ci/metrics_schema.json`), PDES-readiness rules (P1–P3), the
+//! stale-pragma rule (L1) and the layout guards (G1–G4) — plus the
+//! `// simlint: allow(<rule>, <reason>)` pragma, which S2 and G ignore.
 
 pub mod cache;
 pub mod graph;
 pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod schema;
 
 pub use rules::{lint_files, lint_files_with_schema, Finding};
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use telemetry::schema::Schema;
 
 /// Directories never descended into. `results/` holds run exports — large,
 /// generated, and occasionally containing `.rs`-suffixed scratch artifacts.
@@ -80,24 +81,15 @@ fn read_with_context(path: &Path) -> io::Result<String> {
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
-/// Lints the workspace rooted at `root` (using the per-file cache) and
-/// returns all findings.
+/// Lints the workspace rooted at `root` and returns all findings.
+/// `use_cache: false` bypasses `target/simlint-cache.json` entirely —
+/// neither read nor written.
 ///
 /// # Errors
 ///
 /// Returns an error when `root` has no `Cargo.toml` (wrong directory), a
 /// source file cannot be read, or `ci/metrics_schema.json` is malformed.
-pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_root_opts(root, true)
-}
-
-/// [`lint_root`] with explicit cache control (`use_cache: false` bypasses
-/// `target/simlint-cache.json` entirely — neither read nor written).
-///
-/// # Errors
-///
-/// Same conditions as [`lint_root`].
-pub fn lint_root_opts(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
+pub fn lint_root(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
     if !root.join("Cargo.toml").exists() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
@@ -147,7 +139,7 @@ pub fn lint_root_opts(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> 
     let schema_file = root.join(graph::SCHEMA_PATH);
     let schema = if schema_file.exists() {
         let text = read_with_context(&schema_file)?;
-        Some(schema::Schema::parse(&text).map_err(|e| {
+        Some(Schema::parse(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: {e}", schema_file.display()),

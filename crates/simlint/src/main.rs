@@ -47,7 +47,7 @@ fn main() {
         || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
     );
 
-    match simlint::lint_root_opts(&root, use_cache) {
+    match simlint::lint_root(&root, use_cache) {
         Ok(findings) => {
             report(&findings, format);
             if !findings.is_empty() {

@@ -10,9 +10,10 @@
 //! `simlint` lints itself under D1–D3 (its fixtures, which deliberately
 //! embed violating text, stay exempt via the tree walk).
 //!
-//! Every per-file rule can be suppressed for one binding with
-//! `// simlint: allow(<pragma>, <reason>)` on the same or the preceding
-//! line. A pragma that suppresses nothing is itself a finding (L1).
+//! Every per-file rule but the G-rules can be suppressed for one binding
+//! with `// simlint: allow(<pragma>, <reason>)` on the same or the
+//! preceding line. A pragma that suppresses nothing is itself a finding
+//! (L1).
 //!
 //! | rule | pragma           | what it forbids                                  |
 //! |------|------------------|--------------------------------------------------|
@@ -29,18 +30,27 @@
 //! | P2   | `interior-mut`   | `Rc`/`RefCell`/`Cell`/`UnsafeCell` in sim crates |
 //! | P3   | `thread-local`   | `thread_local!` in sim crates                    |
 //! | L1   | —                | a pragma that suppresses zero findings           |
+//! | G1   | —                | a `cfg` predicate naming a feature in the engine |
+//! | G2   | —                | a `crates/dcsim/src` file over 900 lines         |
+//! | G3   | —                | `BTreeMap` in `transport/src/{buffer,tcp}.rs`    |
+//! | G4   | —                | a JSON reader outside `telemetry/src/json.rs`    |
 //!
 //! The P-rules exist for ROADMAP item 1 (conservative-PDES sharding): an
 //! engine split across worker threads can only stay byte-deterministic if
 //! its state is share-nothing and mergeable, so non-`Send` interior
 //! mutability and process-global state are rejected *before* the sharding
 //! refactor, not debugged after it.
+//!
+//! The G-rules are the layout guards DESIGN §9 describes, by path and with
+//! no pragma. G1 and G3 skip test-only modules (`cfg(test)`,
+//! `cfg(all(test, ..))`; not `cfg(not(test))` or `cfg(any(test, ..))`);
+//! G2 and G4 read whole files.
 
 use crate::graph;
 use crate::items::{self, FileItems};
-use crate::lexer::{lex, Lexed, TokKind};
-use crate::schema::Schema;
+use crate::lexer::{lex, Lexed, Tok, TokKind};
 use std::collections::BTreeMap;
+use telemetry::schema::Schema;
 
 /// One diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,7 +59,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D1`…`D4`, `E1`…`E3`, `S1`/`S2`, `P1`…`P3`, `L1`).
+    /// Rule id (`D1`…`D4`, `E1`…`E3`, `S1`/`S2`, `P1`…`P3`, `L1`,
+    /// `G1`…`G4`).
     pub rule: &'static str,
     /// Human-readable message.
     pub msg: String,
@@ -136,29 +147,45 @@ fn file_is_test(rel: &str) -> bool {
     rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
 }
 
-/// Line ranges of `#[cfg(test…)] mod … { }` items, found by brace matching.
+/// Whether an attribute's tokens (between `#[` and `]`) compile its item
+/// in test builds only: `cfg(test)` or `cfg(all(.., test, ..))`. A
+/// `cfg(not(test))` or `cfg(any(test, ..))` item is non-test code.
+fn cfg_test_only(attr: &[Tok]) -> bool {
+    let text: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    match text.as_slice() {
+        ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ .., ")", ")"] => {
+            // Split at the top-level commas; one argument must be `test`.
+            let mut depth = 0i32;
+            args.split(|&a| {
+                depth += i32::from(a == "(") - i32::from(a == ")");
+                a == "," && depth == 0
+            })
+            .any(|arg| arg == ["test"])
+        }
+        _ => false,
+    }
+}
+
+/// Line ranges of test-only ([`cfg_test_only`]) `mod … { }` items, found
+/// by brace matching.
 fn test_regions(l: &Lexed) -> Vec<(u32, u32)> {
     let t = &l.toks;
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < t.len() {
-        // An attribute `#[ … ]` containing both `cfg` and `test`.
         if t[i].text == "#" && i + 1 < t.len() && t[i + 1].text == "[" {
             let mut depth = 1usize;
             let mut j = i + 2;
-            let mut saw_cfg = false;
-            let mut saw_test = false;
             while j < t.len() && depth > 0 {
                 match t[j].text.as_str() {
                     "[" => depth += 1,
                     "]" => depth -= 1,
-                    "cfg" => saw_cfg = true,
-                    "test" => saw_test = true,
                     _ => {}
                 }
                 j += 1;
             }
-            if saw_cfg && saw_test {
+            if cfg_test_only(&t[i + 2..j.saturating_sub(1).max(i + 2)]) {
                 // Skip any further attributes, then expect `mod name {`.
                 let mut k = j;
                 while k + 1 < t.len() && t[k].text == "#" && t[k + 1].text == "[" {
@@ -460,6 +487,56 @@ fn p_rules(rel: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFindin
     }
 }
 
+/// G1–G4: the layout guards (see the module docs). No pragma reaches them.
+fn g_rules(rel: &str, src: &str, l: &Lexed, regions: &[(u32, u32)], out: &mut Vec<RawFinding>) {
+    let mut hit = |line, rule, msg| {
+        out.push(RawFinding {
+            pragma: None,
+            ..raw(rel, line, rule, "", msg)
+        })
+    };
+    let engine = rel.starts_with("crates/dcsim/src/engine/");
+    let g3_file = matches!(
+        rel,
+        "crates/transport/src/buffer.rs" | "crates/transport/src/tcp.rs"
+    );
+    let t = &l.toks;
+    for (i, tok) in t.iter().enumerate() {
+        if tok.kind != TokKind::Ident {
+            continue;
+        }
+        let prev = if i > 0 { t[i - 1].text.as_str() } else { "" };
+        let next = t.get(i + 1).map_or("", |n| n.text.as_str());
+        let outside_tests = !in_test_region(regions, tok.line);
+        // `(feature =` / `, feature =`: a cfg predicate naming a feature.
+        let feature = tok.text == "feature" && matches!(prev, "(" | ",") && next == "=";
+        if feature && engine && outside_tests {
+            let msg = "the engine names a cargo feature; switch observers in their own modules";
+            hit(tok.line, "G1", msg.to_string());
+        }
+        if tok.text == "BTreeMap" && outside_tests && g3_file {
+            let msg = "BTreeMap on the per-packet path; only the test reference may keep one";
+            hit(tok.line, "G3", msg.to_string());
+        }
+        let reader = matches!(
+            (tok.text.as_str(), next),
+            ("fn", "skip_ws" | "unescape") | ("struct", "Parser") | ("find_string_end", _)
+        );
+        if reader && rel.starts_with("crates/") && rel.contains("/src/") && rel != G4_READER {
+            let msg = format!("a second JSON reader; read JSON through {G4_READER}");
+            hit(tok.line, "G4", msg);
+        }
+    }
+    let lines = src.lines().count();
+    if lines > 900 && rel.starts_with("crates/dcsim/src/") {
+        let msg = format!("{lines} lines, over the 900-line cap on dcsim sources");
+        hit(901, "G2", msg);
+    }
+}
+
+/// The one file G4 lets hold a JSON reader.
+const G4_READER: &str = "crates/telemetry/src/json.rs";
+
 /// Everything the pipeline derives from one file: its item summary (for
 /// the cross-file rules and the pragma filter) plus the per-file rule
 /// findings. This is the unit the content-hash cache stores.
@@ -481,6 +558,7 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     };
     let items = items::extract(&l, &regions);
     let mut findings = Vec::new();
+    g_rules(rel, src, &l, &regions, &mut findings);
     if crate_of(rel) == Some("simlint") {
         // Self-lint: the linter's own sources hold no simulation state, so
         // only the generic determinism rules apply (its CLI legitimately

@@ -969,3 +969,173 @@ fn queue_module_hot_path_is_lint_covered() {
     )]);
     assert!(f.is_empty(), "the wheel's hot path is lint-clean: {f:?}");
 }
+
+// ------------------------------------------------------------ G-rules
+
+/// An engine file whose test helper sits at column 0 above a later
+/// non-test item: a guard that stopped reading at the first
+/// `#[cfg(test)]` would never see the feature gate below it.
+const ENGINE_LATE_FEATURE: &str = "pub fn run() {}\n\
+    #[cfg(test)]\n\
+    fn helper() {}\n\
+    #[cfg(feature = \"profile\")]\n\
+    pub fn observe() {}\n";
+
+#[test]
+fn g1_flags_feature_gates_in_the_engine_outside_test_modules() {
+    let f = lint(&[("crates/dcsim/src/engine/timers.rs", ENGINE_LATE_FEATURE)]);
+    assert_eq!(rules(&f), ["G1"]);
+    assert_eq!(f[0].line, 4);
+    let f = lint(&[(
+        "crates/dcsim/src/engine/wire.rs",
+        "#[cfg(not(feature = \"ledger\"))]\nfn a() {}\n#![cfg_attr(feature = \"x\", allow(dead_code))]\n\
+         fn b() -> bool { cfg!(feature = \"profile\") }\n",
+    )]);
+    assert_eq!(rules(&f), ["G1", "G1", "G1"]);
+    // No pragma reaches it.
+    let f = lint(&[(
+        "crates/dcsim/src/engine/mod.rs",
+        "// simlint: allow(G1, observer)\n#[cfg(feature = \"profile\")]\nfn a() {}\n",
+    )]);
+    assert_eq!(rules(&f), ["L1", "G1"]);
+    // Modules that also compile outside tests are not test modules.
+    let f = lint(&[(
+        "crates/dcsim/src/engine/mod.rs",
+        "#[cfg(any(test, feature = \"profile\"))]\nmod observe {\n    fn a() {}\n}\n\
+         #[cfg(not(test))]\nmod live {\n    #[cfg(feature = \"ledger\")]\n    fn b() {}\n}\n",
+    )]);
+    assert_eq!(rules(&f), ["G1", "G1"]);
+    assert_eq!((f[0].line, f[1].line), (1, 7));
+}
+
+#[test]
+fn g1_passes_test_modules_other_cfgs_and_the_observer_modules() {
+    let f = lint(&[
+        (
+            "crates/dcsim/src/engine/results.rs",
+            "#[cfg(test)]\nfn helper() {}\n#[cfg(debug_assertions)]\nfn audit() {}\n\
+             #[cfg(test)]\nmod tests {\n    #[cfg(feature = \"profile\")]\n    fn t() {}\n}\n\
+             #[cfg(all(debug_assertions, test))]\nmod audit {\n    #[cfg(feature = \"ledger\")]\n    fn u() {}\n}\n",
+        ),
+        (
+            "crates/dcsim/src/profile.rs",
+            "#[cfg(feature = \"profile\")]\npub struct EngineProf;\n",
+        ),
+    ]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn g2_caps_dcsim_sources_at_900_lines() {
+    let long = "fn f() {}\n".repeat(901);
+    let f = lint(&[("crates/dcsim/src/engine/mod.rs", &long)]);
+    assert_eq!(rules(&f), ["G2"]);
+    assert_eq!(f[0].line, 901);
+    assert!(f[0].msg.starts_with("901 lines"), "{}", f[0].msg);
+    let at_cap = "fn f() {}\n".repeat(900);
+    let f = lint(&[
+        ("crates/dcsim/src/engine/mod.rs", &at_cap),
+        ("crates/netsim/src/switch.rs", &long),
+    ]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn g3_keeps_btreemap_to_the_transport_test_modules() {
+    let f = lint(&[(
+        "crates/transport/src/buffer.rs",
+        "use std::collections::BTreeMap;\npub struct RangeSet;\n",
+    )]);
+    assert_eq!(rules(&f), ["G3"]);
+    let f = lint(&[(
+        "crates/transport/src/tcp.rs",
+        "#[cfg(not(test))]\nmod m {\n    use std::collections::BTreeMap;\n}\n\
+         #[cfg(any(test, feature = \"ledger\"))]\nmod n {\n    use std::collections::BTreeMap;\n}\n",
+    )]);
+    assert_eq!(rules(&f), ["G3", "G3"]);
+    let f = lint(&[
+        (
+            "crates/transport/src/buffer.rs",
+            "pub struct RangeSet { v: Vec<u64> }\n// a BTreeMap once lived here\n\
+             #[cfg(test)]\nmod reference {\n    use std::collections::BTreeMap;\n}\n",
+        ),
+        (
+            "crates/transport/src/rto.rs",
+            "use std::collections::BTreeMap;\n",
+        ),
+    ]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn g4_allows_one_json_reader() {
+    let f = lint(&[(
+        "crates/bench/src/lib.rs",
+        "struct Parser;\nfn skip_ws() {}\nfn unescape() {}\nfn find_string_end() {}\n",
+    )]);
+    assert_eq!(rules(&f), ["G4", "G4", "G4", "G4"]);
+    // The reader itself, the words inside strings and comments, and the
+    // rule tables that name them all pass.
+    let f = lint(&[
+        (
+            "crates/telemetry/src/json.rs",
+            "struct Parser;\nfn skip_ws() {}\n",
+        ),
+        (
+            "crates/simlint/src/rules.rs",
+            "// fn skip_ws\nconst R: &str = \"fn unescape / struct Parser\";\n",
+        ),
+        ("tests/json.rs", "fn skip_ws() {}\n"),
+    ]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+// ------------------------------------------------------- CLI JSON output
+
+/// The CLI's `--format json` on a tree with findings is well-formed JSON
+/// whose `count` matches its findings, each carrying file, line and rule.
+#[test]
+fn json_output_is_well_formed_and_counted() {
+    use telemetry::json::{self, Value};
+    let root = std::env::temp_dir().join(format!("simlint-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, src) in [
+        ("Cargo.toml", "[workspace]\n"),
+        (
+            "crates/netsim/src/lib.rs",
+            "pub fn f() {}\nuse std::collections::HashMap;\n",
+        ),
+        ("crates/dcsim/src/engine/timers.rs", ENGINE_LATE_FEATURE),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .arg(&root)
+        .args(["--format", "json", "--no-cache"])
+        .output()
+        .expect("spawn simlint");
+    assert_eq!(out.status.code(), Some(1), "findings exit 1");
+    let doc = json::parse(std::str::from_utf8(&out.stdout).unwrap()).expect("well-formed JSON");
+    let findings = doc.get("findings").unwrap().items();
+    assert_eq!(doc.get("count").and_then(Value::as_u64), Some(2));
+    let got: Vec<(&str, u64, &str)> = findings
+        .iter()
+        .map(|f| {
+            (
+                f.get("file").and_then(Value::as_str).unwrap(),
+                f.get("line").and_then(Value::as_u64).unwrap(),
+                f.get("rule").and_then(Value::as_str).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("crates/dcsim/src/engine/timers.rs", 4, "G1"),
+            ("crates/netsim/src/lib.rs", 2, "D1"),
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -17,7 +17,8 @@
 //! `serve_req_latency_ns/*` hists exist, the phase table when
 //! `span_fct_ns/*` hists or spans exist, the profiler tables when series
 //! exist, and the plain registry dump otherwise. `trace_inspect --metrics`
-//! renders any artifact; `trace_inspect --diff` compares two
+//! renders any artifact and holds it to its invariants
+//! ([`Artifact::validate`]); `trace_inspect --diff` compares two
 //! ([`crate::diff`]).
 
 use std::collections::BTreeMap;

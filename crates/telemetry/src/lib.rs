@@ -27,7 +27,8 @@
 //! module's bounded sim-time [`TimeSeries`] and the [`spans`] module's
 //! worst-request span trees as optional sections; the [`serve`] module
 //! names the per-request SLO keys. Artifacts merge deterministically in
-//! plan order, and [`diff`] compares two key by key. The [`json`] module is
+//! plan order, [`diff`] compares two key by key, and [`Artifact::validate`]
+//! holds one to its invariants and to the [`schema`]. The [`json`] module is
 //! the one JSON reader and string escaper behind all of them, the JSONL
 //! codec, and simlint.
 //!
@@ -61,11 +62,13 @@ pub mod inspect;
 pub mod json;
 pub mod profile;
 pub mod registry;
+pub mod schema;
 mod series;
 pub mod serve;
 mod sink;
 pub mod spans;
 mod tracer;
+mod validate;
 
 pub use artifact::{Artifact, METRICS_SCHEMA};
 pub use event::{

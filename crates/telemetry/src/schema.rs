@@ -1,21 +1,23 @@
-//! The declared-key model over `ci/metrics_schema.json`.
+//! The declared-key model over `ci/metrics_schema.json`, the one reader of
+//! that file.
 //!
-//! The S-rules cross-check registry keys in two directions: code → schema
-//! (S1: an emitted key must be declared) and schema → code (S2: a declared
-//! key must still be emitted somewhere). This module flattens the schema
-//! document — the root section plus the nested `serve`, `profile`, and
-//! `spans` sections — into two lists: *exact* keys (from `required_counters`,
-//! `required_gauges`, `required_series` and their `optional_*` twins) and
-//! *prefixes* (from the `*_prefixes` arrays). Each entry remembers the
-//! schema line it was declared on so drift findings point into the JSON
-//! file itself.
+//! Two consumers share it. simlint's S-rules cross-check registry keys in
+//! two directions: code → schema (S1: an emitted key must be declared) and
+//! schema → code (S2: a declared key must still be emitted somewhere).
+//! [`Artifact::validate`](crate::Artifact::validate) holds an export to the
+//! `required_meta` of each section it belongs to. This module flattens the
+//! schema document — the root section plus the nested `serve`, `profile`,
+//! and `spans` sections — into three lists: *exact* keys (from
+//! `required_counters`, `required_gauges`, `required_series` and their
+//! `optional_*` twins), *prefixes* (from the `*_prefixes` arrays) and
+//! *meta* keys (from `required_meta`). Each entry remembers the schema line
+//! it was declared on so drift findings point into the JSON file itself.
 //!
 //! `optional_*` arrays exist for keys the simulator emits only under some
 //! configurations (e.g. per-port gauges): they participate in drift
-//! checking exactly like `required_*`, but presence validators must not
-//! demand them in every export.
+//! checking exactly like `required_*`, but no export must carry them.
 
-use telemetry::json::{self, Value};
+use crate::json::{self, Value};
 
 /// One declared key or key prefix.
 #[derive(Clone, Debug)]
@@ -36,6 +38,8 @@ pub struct Schema {
     pub exact: Vec<DeclaredKey>,
     /// Metric key prefixes (dynamic families like `port_queue_bytes/`).
     pub prefixes: Vec<DeclaredKey>,
+    /// Provenance keys every export of the section must carry in `meta`.
+    pub(crate) meta: Vec<DeclaredKey>,
 }
 
 /// Array fields holding exact keys.
@@ -64,6 +68,13 @@ const PREFIX_FIELDS: [&str; 8] = [
 const SECTIONS: [&str; 3] = ["serve", "profile", "spans"];
 
 impl Schema {
+    /// `ci/metrics_schema.json`, compiled in: the schema every export is
+    /// validated against ([`Artifact::validate`](crate::Artifact::validate)).
+    pub fn builtin() -> Schema {
+        Schema::parse(include_str!("../../../ci/metrics_schema.json"))
+            .expect("ci/metrics_schema.json parses (validate's tests read it)")
+    }
+
     /// Parses the schema document text into the flattened key model.
     ///
     /// # Errors
@@ -79,7 +90,7 @@ impl Schema {
         collect_section(&doc, "", &mut s);
         for name in SECTIONS {
             if let Some(sub) = doc.get(name) {
-                collect_section(sub, section_tag(name), &mut s);
+                collect_section(sub, name, &mut s);
             }
         }
         Ok(s)
@@ -105,30 +116,17 @@ impl Schema {
     }
 }
 
-fn section_tag(name: &str) -> &'static str {
-    match name {
-        "serve" => "serve",
-        "profile" => "profile",
-        "spans" => "spans",
-        _ => "",
-    }
-}
-
 fn collect_section(obj: &Value, section: &'static str, out: &mut Schema) {
-    for (fields, dest_is_prefix) in [(&EXACT_FIELDS[..], false), (&PREFIX_FIELDS[..], true)] {
+    for (fields, dest) in [
+        (&EXACT_FIELDS[..], &mut out.exact),
+        (&PREFIX_FIELDS[..], &mut out.prefixes),
+        (&["required_meta"][..], &mut out.meta),
+    ] {
         for field in fields {
             let Some(arr) = obj.get(field) else { continue };
             for (key, line) in arr.str_items() {
-                let d = DeclaredKey {
-                    key: key.to_string(),
-                    line,
-                    section,
-                };
-                if dest_is_prefix {
-                    out.prefixes.push(d);
-                } else {
-                    out.exact.push(d);
-                }
+                let key = key.to_string();
+                dest.push(DeclaredKey { key, line, section });
             }
         }
     }
@@ -139,11 +137,13 @@ mod tests {
     use super::*;
 
     const DOC: &str = r#"{
+        "required_meta": ["jobs", "scale"],
         "required_counters": ["timeouts", "drops_color"],
         "required_gauges": ["max_queue_bytes"],
         "required_hist_prefixes": ["port_queue_bytes/"],
         "optional_gauge_prefixes": ["port_queue_max/"],
         "serve": {
+            "required_meta": ["slo_ns"],
             "required_counter_prefixes": ["serve_requests/"],
             "required_hist_prefixes": ["serve_req_latency_ns/"]
         },
@@ -163,7 +163,7 @@ mod tests {
             exacts,
             ["timeouts", "drops_color", "max_queue_bytes", "events"]
         );
-        assert_eq!(s.exact[0].line, 2);
+        assert_eq!(s.exact[0].line, 3);
         assert_eq!(s.exact[3].section, "profile");
         let prefixes: Vec<&str> = s.prefixes.iter().map(|d| d.key.as_str()).collect();
         assert!(prefixes.contains(&"serve_requests/"));
@@ -174,6 +174,8 @@ mod tests {
             .find(|d| d.key == "span_phase_ns/")
             .unwrap();
         assert_eq!(spans.section, "spans");
+        let meta: Vec<(&str, &str)> = s.meta.iter().map(|d| (d.section, d.key.as_str())).collect();
+        assert_eq!(meta, [("", "jobs"), ("", "scale"), ("serve", "slo_ns")]);
     }
 
     #[test]

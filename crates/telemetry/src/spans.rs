@@ -12,8 +12,8 @@
 //! * `span_unattributed_ns/<scheme>` — nanoseconds the ledger could not
 //!   attribute to any phase. The conservation invariant is that this is
 //!   **always zero** and `Σ_phase sum(span_phase_ns/<scheme>/<phase>) ==
-//!   sum(span_fct_ns/<scheme>)` exactly — CI re-validates both from the
-//!   exported JSON.
+//!   sum(span_fct_ns/<scheme>)` exactly — [`Artifact::validate`] checks
+//!   both on the export.
 //! * `serve_viol_phase/<scheme>/<phase>` — SLO violations whose request
 //!   latency was dominated by that phase (serving workload only).
 //!
