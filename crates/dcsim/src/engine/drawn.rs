@@ -101,8 +101,8 @@ pub(super) fn fabric_cell(kind: usize, rng: &mut SimRng) -> (SimConfig, Vec<Flow
             // Flow 0's ToR uplink goes down for good and its users are
             // re-pinned; later flow 1's core downlink flaps.
             let probe = Engine::new(cfg.clone(), flows.clone());
-            let uplink = probe.flows[0].path_fwd[1];
-            let downlink = probe.flows[1].path_fwd[2];
+            let uplink = probe.path(0, Direction::Fwd)[1];
+            let downlink = probe.path(1, Direction::Fwd)[2];
             let us =
                 |rng: &mut SimRng, r: std::ops::Range<u64>| SimTime::from_us(rng.gen_range_u64(r));
             let schedule = faults::FaultSchedule::new()

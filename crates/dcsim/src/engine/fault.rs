@@ -51,9 +51,7 @@ impl Engine {
                     port: port.0,
                 });
                 let now = self.now;
-                let sw = self.switches[node.0 as usize]
-                    .as_mut()
-                    .expect("storm target must be a switch");
+                let sw = &mut self.switches[node.0 as usize];
                 if let Some(sig) = sw.storm_xoff(port, now) {
                     self.send_pfc(node, sig);
                 }
@@ -71,9 +69,7 @@ impl Engine {
             node: node.0,
             port: port.0,
         });
-        let sw = self.switches[node.0 as usize]
-            .as_mut()
-            .expect("storm target must be a switch");
+        let sw = &mut self.switches[node.0 as usize];
         if let Some(sig) = sw.storm_xon(port, t) {
             self.send_pfc(node, sig);
         }
@@ -85,43 +81,35 @@ impl Engine {
         if !self.faults.any_down() {
             return;
         }
-        let path_up = |topo: &Topology, faults: &FaultState, path: &[Hop]| {
-            path.iter()
-                .all(|hop| !faults.is_down(topo.link_from(hop.node, hop.port).0))
+        let up = |eng: &Engine, (fwd, rev): (PinnedPath, PinnedPath)| {
+            fwd.iter()
+                .chain(rev.iter())
+                .all(|hop| !eng.faults.is_down(eng.topo.link_from(hop.node, hop.port).0))
         };
-        for i in 0..self.flows.len() {
-            let rt = &self.flows[i];
-            if rt.is_done() {
+        for f in 0..self.flows.len() as u32 {
+            if self.flows[f as usize].is_done() || up(self, self.paths(f)) {
                 continue;
             }
-            if path_up(&self.topo, &self.faults, &rt.path_fwd)
-                && path_up(&self.topo, &self.faults, &rt.path_rev)
-            {
-                continue;
-            }
-            let (src, dst) = (rt.src, rt.dst);
+            let current = self.flows[f as usize].repins;
             let mut ok = false;
-            for bump in 1..=8u64 {
-                let salt = (i as u64 ^ self.cfg.seed).wrapping_add(bump << 32);
-                let hash = Topology::ecmp_hash(src, dst, salt);
-                let (pf, pr) = self.topo.pin_paths(src, dst, hash);
-                if path_up(&self.topo, &self.faults, &pf) && path_up(&self.topo, &self.faults, &pr)
-                {
-                    self.flows[i].path_fwd = pf.into_boxed_slice();
-                    self.flows[i].path_rev = pr.into_boxed_slice();
+            for bump in 1..=8 {
+                self.flows[f as usize].repins = bump;
+                if up(self, self.paths(f)) {
                     // Cleared, never rewritten: frames of this flow may
                     // still be in flight on the old path, and only the
                     // path walk tells them from frames on the new one.
-                    self.routes[i] = FlowRoute::default();
+                    self.routes[f as usize] = FlowRoute::default();
                     ok = true;
                     break;
                 }
             }
             if ok {
                 self.reroutes += 1;
+            } else {
+                self.flows[f as usize].repins = current;
             }
             self.tracer
-                .emit(self.now, || TraceEvent::Reroute { flow: i as u32, ok });
+                .emit(self.now, || TraceEvent::Reroute { flow: f, ok });
         }
     }
 }

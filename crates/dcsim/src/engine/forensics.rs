@@ -112,7 +112,8 @@ impl Engine {
         if hit.is_none() {
             // Nothing was dropped this epoch: a PFC stall on the path can
             // hold ACKs (or data) past the timer without losing a frame.
-            'pfc: for path in [&rt.path_fwd, &rt.path_rev] {
+            let (fwd, rev) = self.paths(f);
+            'pfc: for path in [fwd, rev] {
                 for hop in path.iter() {
                     let (hn, hp) = (hop.node.0, hop.port.0);
                     let i = self.port_index(hop.node, hop.port);

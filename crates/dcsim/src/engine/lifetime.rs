@@ -312,13 +312,14 @@ mod tests {
     }
 
     /// The record every flow pays for from `try_new` to the end of the run
-    /// keeps only what outlives the flow (136 bytes with the ledger off);
-    /// the sender, timer slots and loss ring are the 304-byte [`Running`]
-    /// box, which exists only between a flow's `FlowStart` and its fold.
+    /// keeps only what outlives the flow (104 bytes with the ledger off: its
+    /// paths are derived, not stored); the sender, timer slots and loss ring
+    /// are the 304-byte [`Running`] box, which exists only between a flow's
+    /// `FlowStart` and its fold.
     #[test]
     fn the_record_keeps_only_what_outlives_the_flow() {
         if std::mem::size_of::<FlowSlot>() == 0 {
-            assert_eq!(std::mem::size_of::<FlowRuntime>(), 136);
+            assert_eq!(std::mem::size_of::<FlowRuntime>(), 104);
         }
         assert_eq!(std::mem::size_of::<Running>(), 304);
     }

@@ -17,7 +17,7 @@ use eventsim::{EventQueue, SimTime};
 use faults::{FaultAction, FaultState};
 use netsim::packet::{Color, Direction, FlowId, JourneyStamps, Packet, PacketRef, PacketSlab};
 use netsim::switch::{DropReason, PfcConfig, PfcSignal, Switch, SwitchConfig};
-use netsim::topology::{Hop, LinkId, NodeId, NodeKind, PortId, Topology};
+use netsim::topology::{Hop, LinkId, NodeId, NodeKind, PinnedPath, PortId, Topology};
 use netsim::LinkSpec;
 use netstats::{FlowRecord, Samples};
 use telemetry::{
@@ -113,9 +113,10 @@ struct FlowRuntime {
     spec: FlowSpec,
     src: NodeId,
     dst: NodeId,
-    /// The pinned paths; only ever replaced whole (`reroute_flows`).
-    path_fwd: Box<[Hop]>,
-    path_rev: Box<[Hop]>,
+    /// Which ECMP pin the flow's paths are: 0 is the one `try_new` chose,
+    /// `n` the salt bump `reroute_flows` re-pinned it with. The paths
+    /// themselves are derived where they are read ([`Engine::path`]).
+    repins: u8,
     /// Built at `FlowStart` and kept to the end of the run: late duplicate
     /// data still gets its ACK.
     rx: Option<Box<dyn FlowReceiver>>,
@@ -131,6 +132,10 @@ struct FlowRuntime {
     /// folded into `Engine::counters` (`lifetime.rs`).
     run: Option<Box<Running>>,
 }
+
+// With the ledger off, the record is what `try_new` builds for every flow.
+const _: () =
+    assert!(std::mem::size_of::<FlowSlot>() > 0 || std::mem::size_of::<FlowRuntime>() <= 104);
 
 /// What only a running flow reads: its sender, its timer slots and its loss
 /// ring, in one box that lives from the flow's `FlowStart` to its fold.
@@ -158,6 +163,11 @@ struct Running {
     timer_queued_at: [Option<SimTime>; TIMER_KINDS.len()],
     timer_queued_gen: [u64; TIMER_KINDS.len()],
     timer_res_seq: [u64; TIMER_KINDS.len()],
+}
+
+/// The ECMP salt of flow `f`'s pin number `repins` (0: its first).
+fn pin_salt(f: u32, seed: u64, repins: u8) -> u64 {
+    (u64::from(f) ^ seed).wrapping_add(u64::from(repins) << 32)
 }
 
 /// Flow-completion callbacks as one table: the flows whose
@@ -198,22 +208,14 @@ impl Dependents {
     }
 }
 
-impl FlowRuntime {
-    /// The pinned path packets travelling `dir` follow.
-    #[inline]
-    fn path(&self, dir: Direction) -> &[Hop] {
-        match dir {
-            Direction::Fwd => &self.path_fwd,
-            Direction::Rev => &self.path_rev,
-        }
-    }
-}
-
 /// The simulation engine. See the crate docs for an end-to-end example.
 pub struct Engine {
     cfg: SimConfig,
     topo: Topology,
-    switches: Vec<Option<Switch>>,
+    /// One switch per switch id: every shape numbers its switches
+    /// `0..switch_count` before its hosts, so `switches.get(n)` is `None`
+    /// exactly for a host.
+    switches: Vec<Switch>,
     /// The port table: `(node, port)` lives at `port_base[node] + port`;
     /// `port_base` has one entry past the last node so a node's ports are
     /// `port_base[n]..port_base[n + 1]`.
@@ -222,6 +224,7 @@ pub struct Engine {
     /// of the run, so a fabric that never pauses never pays for it.
     pause_acct: Vec<PauseAcct>,
     port_base: Vec<u32>,
+    /// Each host's NIC queue, on the host index (`node - switches.len()`).
     host_q: Vec<std::collections::VecDeque<PacketRef>>,
     flows: Vec<FlowRuntime>,
     /// Each flow's sender counters while it has no sender, on the flow
@@ -284,6 +287,25 @@ impl Engine {
         i
     }
 
+    /// Flow `f`'s pinned path for packets travelling `dir`, derived from
+    /// its endpoints, its index, the seed and its re-pin count: the pin
+    /// `try_new` chose, or the one `reroute_flows` last chose. Allocates
+    /// nothing; read where there is no route record to answer instead.
+    fn path(&self, f: u32, dir: Direction) -> PinnedPath {
+        let rt = &self.flows[f as usize];
+        let salt = pin_salt(f, self.cfg.seed, rt.repins);
+        let hash = Topology::ecmp_hash(rt.src, rt.dst, salt);
+        match dir {
+            Direction::Fwd => self.topo.pinned_path(rt.src, rt.dst, hash),
+            Direction::Rev => self.topo.pinned_path(rt.dst, rt.src, hash),
+        }
+    }
+
+    /// Flow `f`'s forward and reverse paths ([`Engine::path`]).
+    fn paths(&self, f: u32) -> (PinnedPath, PinnedPath) {
+        (self.path(f, Direction::Fwd), self.path(f, Direction::Rev))
+    }
+
     /// Schedules `ev` at `at`, counting it in the profiler. Every
     /// post-construction schedule site routes through here — `finish()`
     /// debug-asserts that the per-kind tallies sum to the queue's own
@@ -299,7 +321,6 @@ impl Engine {
     fn total_queue_bytes(&self) -> u64 {
         self.switches
             .iter()
-            .flatten()
             .map(|sw| {
                 (0..sw.config().ports)
                     .map(|p| sw.queue_bytes(PortId(p as u32)))
@@ -431,7 +452,6 @@ impl Engine {
         let max_q = self
             .switches
             .iter()
-            .flatten()
             .flat_map(|sw| (0..sw.config().ports).map(move |p| sw.queue_bytes(PortId(p as u32))))
             .max()
             .unwrap_or(0);
@@ -448,7 +468,6 @@ impl Engine {
     fn trace_sample(&mut self, more: bool) {
         let t = self.now;
         for (n, sw) in self.switches.iter().enumerate() {
-            let Some(sw) = sw else { continue };
             for p in 0..sw.config().ports {
                 let qlen = sw.queue_bytes(PortId(p as u32));
                 let paused = self.ports[self.port_base[n] as usize + p].paused;

@@ -162,7 +162,7 @@ impl Engine {
             },
             ..AggregateStats::default()
         };
-        for sw in self.switches.iter().flatten() {
+        for sw in &self.switches {
             let s = sw.stats();
             agg.drops_color += s.drops_color;
             agg.drops_dt += s.drops_dt;
@@ -173,6 +173,17 @@ impl Engine {
             agg.pause_frames += s.pauses_sent;
             agg.max_queue_bytes = agg.max_queue_bytes.max(s.max_queue_bytes);
         }
+
+        // Nothing below reads the fabric: free it before the results are
+        // built, so the run's peak heap is the larger of the two, not their
+        // sum. `port_base` stays for `PortMetrics::publish`, the queue for
+        // `prof.seal`.
+        self.switches = Vec::new();
+        self.ports = Vec::new();
+        self.pause_acct = Vec::new();
+        self.host_q = Vec::new();
+        self.pkts = PacketSlab::new();
+        self.routes = Vec::new();
 
         let mut flows = Vec::with_capacity(self.flows.len());
         for (i, rt) in self.flows.iter().enumerate() {

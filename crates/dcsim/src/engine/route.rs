@@ -64,7 +64,7 @@ impl Engine {
         egress: PortId,
     ) {
         assert_eq!(
-            self.flows[f as usize].path(dir).get(usize::from(hop)),
+            self.path(f, dir).get(usize::from(hop)),
             Some(&Hop {
                 node: to,
                 port: egress
@@ -131,8 +131,10 @@ mod tests {
         );
     }
 
-    /// A record is `path[h].port` for every transit index `h`, both ways, on
-    /// every topology shape, and answers `None` from the path's end on.
+    /// A flow's derived pair is the pair `pin_paths` returned for it at
+    /// construction, and its record is `path[h].port` for every transit
+    /// index `h`, both ways, on every topology shape, answering `None` from
+    /// the path's end on.
     #[test]
     fn records_mirror_the_pinned_paths() {
         let link = LinkSpec::new(40_000_000_000, SimTime::from_us(1));
@@ -162,9 +164,12 @@ mod tests {
                 .collect();
             let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(shape);
             let eng = Engine::new(cfg, flows);
-            for (rt, route) in eng.flows.iter().zip(&eng.routes) {
-                for dir in [Direction::Fwd, Direction::Rev] {
-                    let path = rt.path(dir);
+            for (f, (rt, route)) in eng.flows.iter().zip(&eng.routes).enumerate() {
+                let hash = Topology::ecmp_hash(rt.src, rt.dst, f as u64 ^ eng.cfg.seed);
+                let (fwd, rev) = eng.topo.pin_paths(rt.src, rt.dst, hash);
+                let (dfwd, drev) = eng.paths(f as u32);
+                assert_eq!((&dfwd[..], &drev[..]), (&fwd[..], &rev[..]), "flow {f}");
+                for (dir, path) in [(Direction::Fwd, &fwd), (Direction::Rev, &rev)] {
                     assert_eq!(route.path_len(dir), Some(path.len()));
                     for (h, hop) in path.iter().enumerate().skip(1) {
                         assert_eq!(route.egress(dir, h as u8), Some(hop.port));
@@ -192,7 +197,7 @@ mod tests {
         ];
         let eng = Engine::new(cfg, flows);
         // Host index i hangs off switch port i.
-        assert_eq!(eng.flows[0].path_fwd[1].port, PortId(299));
+        assert_eq!(eng.path(0, Direction::Fwd)[1].port, PortId(299));
         assert_eq!(eng.routes[0].path_len(Direction::Fwd), None);
         assert_eq!(eng.routes[0].egress(Direction::Fwd, 1), None);
         assert_eq!(eng.routes[0].egress(Direction::Rev, 1), Some(PortId(0)));
@@ -224,7 +229,7 @@ mod tests {
     fn a_re_pinned_flow_loses_its_record() {
         let flows = vec![FlowSpec::new(0, 95, 2_000_000, SimTime::ZERO, false)];
         let cfg = SimConfig::tcp_family(TransportKind::Dctcp);
-        let uplink = Engine::new(cfg.clone(), flows.clone()).flows[0].path_fwd[1];
+        let uplink = Engine::new(cfg.clone(), flows.clone()).path(0, Direction::Fwd)[1];
         let cfg = cfg.with_faults(faults::FaultSchedule::new().link_down_rerouted(
             SimTime::from_us(100),
             uplink.node.0,
@@ -236,12 +241,75 @@ mod tests {
         eng.apply_fault(0);
         eng.reroute_flows();
         assert_eq!(eng.reroutes, 1);
-        assert_ne!(eng.flows[0].path_fwd[1], uplink, "onto another core");
+        assert_ne!(eng.path(0, Direction::Fwd)[1], uplink, "onto another core");
         for dir in [Direction::Fwd, Direction::Rev] {
             assert_eq!(eng.routes[0].path_len(dir), None);
         }
         let res = Engine::new(cfg, flows).run();
         assert!(res.flows[0].end.is_some());
         assert_eq!((res.agg.reroutes, res.agg.down_drops), (1, 20));
+    }
+
+    /// Derived ≡ chosen. Every flow that crosses a downed ToR uplink is
+    /// re-pinned, and from then on derives exactly the pair `reroute_flows`
+    /// found up: the first salt bump whose `pin_paths` pair avoids the dead
+    /// link. The flows it leaves alone keep their first pin.
+    #[test]
+    fn a_re_pinned_flow_derives_the_path_reroute_chose() {
+        // Rack 0 to rack 11 and back, so every flow crosses a core.
+        let flows: Vec<FlowSpec> = (0..16)
+            .map(|i| {
+                let (a, b) = (i % 8, 88 + (i * 3) % 8);
+                let (s, d) = if i % 2 == 0 { (a, b) } else { (b, a) };
+                FlowSpec::new(s, d, 100_000, SimTime::ZERO, false)
+            })
+            .collect();
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_seed(5);
+        let probe = Engine::new(cfg.clone(), flows.clone());
+        let uplink = probe.path(0, Direction::Fwd)[1];
+        let (lid, _) = probe.topo.link_from(uplink.node, uplink.port);
+        let cfg = cfg.with_faults(faults::FaultSchedule::new().link_down_rerouted(
+            SimTime::ZERO,
+            uplink.node.0,
+            uplink.port.0,
+            SimTime::from_us(1),
+        ));
+        let mut eng = Engine::new(cfg, flows);
+        let before: Vec<_> = (0..eng.flows.len() as u32).map(|f| eng.paths(f)).collect();
+        eng.apply_fault(0);
+        eng.reroute_flows();
+        let dead = [lid, eng.topo.reverse_link(lid)];
+        let crosses = |path: &[Hop]| {
+            path.iter()
+                .any(|hop| dead.contains(&eng.topo.link_from(hop.node, hop.port).0))
+        };
+        let mut moved = 0;
+        for (f, (fwd, rev)) in before.iter().enumerate() {
+            let rt = &eng.flows[f];
+            let derived = eng.paths(f as u32);
+            if !crosses(fwd) && !crosses(rev) {
+                assert_eq!(rt.repins, 0, "flow {f} left alone");
+                assert_eq!(derived, (*fwd, *rev), "flow {f}");
+                continue;
+            }
+            let chosen = (1..=8u64)
+                .map(|bump| {
+                    let salt = (f as u64 ^ eng.cfg.seed).wrapping_add(bump << 32);
+                    let hash = Topology::ecmp_hash(rt.src, rt.dst, salt);
+                    (bump, eng.topo.pin_paths(rt.src, rt.dst, hash))
+                })
+                .find(|(_, (pf, pr))| !crosses(pf) && !crosses(pr))
+                .expect("a core survives");
+            assert_eq!(u64::from(rt.repins), chosen.0, "flow {f}");
+            assert_eq!(
+                (&derived.0[..], &derived.1[..]),
+                (&chosen.1 .0[..], &chosen.1 .1[..]),
+                "flow {f}"
+            );
+            assert_eq!(eng.routes[f].path_len(Direction::Fwd), None);
+            moved += 1;
+        }
+        assert_eq!(eng.reroutes, moved);
+        assert!(moved > 1 && moved < 16, "{moved} of 16 flows re-pinned");
     }
 }

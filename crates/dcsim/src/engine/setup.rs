@@ -26,9 +26,16 @@ impl Engine {
         let hosts = topo.hosts().to_vec();
         let n_nodes = topo.node_count();
 
-        // Per-node switch instances, and the port table: every port's wire
-        // is resolved here, once, so the run loop never walks `topo`.
-        let mut switches: Vec<Option<Switch>> = Vec::with_capacity(n_nodes);
+        // One switch per switch id, and the port table: every port's wire is
+        // resolved here, once, so the run loop never walks `topo`.
+        let n_switches = topo.switch_count();
+        if cfg!(debug_assertions) {
+            for n in 0..n_nodes {
+                let switch = topo.kind(NodeId(n as u32)) == NodeKind::Switch;
+                assert_eq!(switch, n < n_switches, "node {n}: switches come first");
+            }
+        }
+        let mut switches: Vec<Switch> = Vec::with_capacity(n_switches);
         let mut ports: Vec<Port> = Vec::with_capacity(topo.link_count());
         let mut port_base: Vec<u32> = Vec::with_capacity(n_nodes + 1);
         let idx32 = |i: usize| u32::try_from(i).expect("port table fits a u32 index");
@@ -36,7 +43,7 @@ impl Engine {
             let node = NodeId(n as u32);
             let n_ports = topo.port_count(node);
             port_base.push(idx32(ports.len()));
-            let mut sw = (topo.kind(node) == NodeKind::Switch).then(|| {
+            let mut sw = (n < n_switches).then(|| {
                 let sw_cfg = SwitchConfig {
                     ports: n_ports,
                     total_buffer: cfg.switch.buffer_bytes,
@@ -72,10 +79,10 @@ impl Engine {
                     memo_tx: SimTime::ZERO,
                 });
             }
-            switches.push(sw);
+            switches.extend(sw);
         }
         port_base.push(idx32(ports.len()));
-        let host_q = (0..n_nodes)
+        let host_q = (0..hosts.len())
             .map(|_| std::collections::VecDeque::new())
             .collect();
 
@@ -128,9 +135,9 @@ impl Engine {
             }
             let src = hosts[spec.src];
             let dst = hosts[spec.dst];
-            let hash = Topology::ecmp_hash(src, dst, i as u64 ^ cfg.seed);
-            let (path_fwd, path_rev) = topo.pin_paths(src, dst, hash);
-            routes.push(FlowRoute::pin(&path_fwd, &path_rev));
+            let hash = Topology::ecmp_hash(src, dst, pin_salt(i as u32, cfg.seed, 0));
+            let (fwd, rev) = topo.pinned_paths(src, dst, hash);
+            routes.push(FlowRoute::pin(&fwd, &rev));
             match spec.after {
                 // A dependent flow waits for its parent's completion
                 // callback instead of an absolute FlowStart.
@@ -148,8 +155,7 @@ impl Engine {
                 spec,
                 src,
                 dst,
-                path_fwd: path_fwd.into_boxed_slice(),
-                path_rev: path_rev.into_boxed_slice(),
+                repins: 0,
                 rx: None,
                 complete_at: None,
                 tx_epoch: 0,
@@ -278,9 +284,7 @@ impl Engine {
     /// [`Engine::run`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for (n, sw) in self.switches.iter_mut().enumerate() {
-            if let Some(sw) = sw {
-                sw.set_tracer(tracer.clone(), n as u32);
-            }
+            sw.set_tracer(tracer.clone(), n as u32);
         }
         if tracer.is_on() {
             if let Some(every) = self.cfg.trace_sample_every {
@@ -500,10 +504,7 @@ mod tests {
             let cfg = SimConfig::roce_family(TransportKind::Hpcc).with_topology(spec);
             let mut eng = Engine::new(cfg, vec![FlowSpec::new(0, 1, 1_000, SimTime::ZERO, true)]);
             let mut rates = std::collections::BTreeSet::new();
-            for n in 0..eng.switches.len() {
-                let Some(sw) = eng.switches[n].as_mut() else {
-                    continue;
-                };
+            for (n, sw) in eng.switches.iter_mut().enumerate() {
                 for p in 0..sw.config().ports {
                     let egress = PortId(p as u32);
                     let pkt = eng.pkts.insert(Packet::data(FlowId(0), 0, 1_000));

@@ -141,7 +141,7 @@ impl Engine {
                     if self.cfg.transport == TransportKind::Hpcc && !pkt.is_control() {
                         let hops = self.routes[f as usize]
                             .path_len(Direction::Fwd)
-                            .unwrap_or(rt.path_fwd.len());
+                            .unwrap_or_else(|| self.path(f, Direction::Fwd).len());
                         pkt.int_stack.reserve_exact(hops - 1);
                     }
                     // Journey origin: the packet enters the host egress
@@ -153,7 +153,7 @@ impl Engine {
                     // The frame enters the arena here and stays there for
                     // its whole wire lifetime; only handles move from now on.
                     let pkt = self.pkts.insert(pkt);
-                    self.host_q[origin.0 as usize].push_back(pkt);
+                    self.host_q[origin.0 as usize - self.switches.len()].push_back(pkt);
                     self.kick_port(origin, PortId(0));
                 }
                 Action::SetTimer { kind, at } => {

@@ -101,7 +101,10 @@ impl Engine {
     /// that was re-pinned, a path the table cannot hold — the flow's pinned
     /// path decides: `Continue(egress)` at a switch the path names at this
     /// hop, else `Break` with [`Engine::deliver`]'s result once the packet
-    /// has been handed to its transport (`true`) or destroyed (`false`).
+    /// has been handed to its transport (`true`) or destroyed (`false`). A
+    /// flow with a record is past its path's last switch (the record
+    /// answered every transit hop), so only a flow without one derives its
+    /// path.
     fn walk(
         &mut self,
         to: NodeId,
@@ -111,10 +114,16 @@ impl Engine {
         dir: Direction,
         hop: u8,
     ) -> ControlFlow<bool, PortId> {
-        let rt = &mut self.flows[f as usize];
-        let path = rt.path(dir);
-        let h = hop as usize;
-        if h >= path.len() {
+        let h = usize::from(hop);
+        let transit = match self.routes[f as usize].path_len(dir) {
+            Some(len) => {
+                debug_assert!(h >= len, "the record answers hop {h} of {len}");
+                None
+            }
+            None => self.path(f, dir).get(h).copied(),
+        };
+        let Some(next) = transit else {
+            let rt = &self.flows[f as usize];
             // A reroute may have swapped the path under a frame in flight;
             // only frames arriving at the real endpoint are delivered.
             let endpoint = match dir {
@@ -191,16 +200,16 @@ impl Engine {
             }
             self.flush_actions(f);
             return ControlFlow::Break(true);
-        }
+        };
         // Transit switch. After a mid-flight reroute the hop index points
         // into the *new* path, which may visit different nodes: frames
         // stranded on the old path are destroyed, not misrouted.
-        if path[h].node != to {
+        if next.node != to {
             let pkt = self.pkts.take(pref);
             self.destroy_frame(to, in_port, &pkt);
             return ControlFlow::Break(false);
         }
-        ControlFlow::Continue(path[h].port)
+        ControlFlow::Continue(next.port)
     }
 
     /// The transit half of [`Engine::deliver`]: flow `f`'s frame `pref`
@@ -219,9 +228,7 @@ impl Engine {
             p.lg.wait_begin(self.now.as_ns(), pause_cum);
             (p.dir, p.is_control(), p.epoch)
         };
-        let sw = self.switches[to.0 as usize]
-            .as_mut()
-            .expect("transit node must be a switch");
+        let sw = &mut self.switches[to.0 as usize];
         let outcome = sw.enqueue(pref, &mut self.pkts, in_port, egress, self.now);
         let qlen = sw.queue_bytes(egress);
         let dropped = outcome.drop.map(|r| match r {
@@ -341,9 +348,9 @@ impl Engine {
     #[inline]
     fn has_backlog(&self, node: NodeId, port: PortId) -> bool {
         let n = node.0 as usize;
-        match &self.switches[n] {
+        match self.switches.get(n) {
             Some(sw) => sw.has_packets(port),
-            None => !self.host_q[n].is_empty(),
+            None => !self.host_q[n - self.switches.len()].is_empty(),
         }
     }
 
@@ -411,21 +418,21 @@ impl Engine {
         // `Switch::dequeue` on an empty queue returns `(None, None)` before
         // touching any counter, tracer or PFC state; eliding the idle
         // `TxDone` (whose only act was this call) relies on that.
-        let pkt = if let Some(sw) = self.switches[n].as_mut() {
+        let pkt = if let Some(sw) = self.switches.get_mut(n) {
             let (pkt, sig) = sw.dequeue(&mut self.pkts, port, self.now);
             if let Some(sig) = sig {
                 self.send_pfc(node, sig);
             }
             pkt
         } else {
-            self.host_q[n].pop_front()
+            self.host_q[n - self.switches.len()].pop_front()
         };
         let Some(pkt) = pkt else { return };
         // Wait-close (the early return above guarantees the port is
         // unpaused now); the wire-time stamp follows once `tx` is known,
         // through the same lookup — a frame the wire then destroys takes
         // its stamps with it.
-        let (pause_cum, at_host) = (self.pause_cum_ns(i), self.switches[n].is_none());
+        let (pause_cum, at_host) = (self.pause_cum_ns(i), n >= self.switches.len());
         let p = self.pkts.get_mut(pkt);
         p.lg.wait_end(self.now.as_ns(), pause_cum, at_host);
         let (lid, spec, to) = (ps.lid, ps.spec, ps.peer);

@@ -3,8 +3,10 @@
 //! Production datacenters use ECMP, which hashes a flow's 5-tuple so that
 //! every packet of a flow takes the same path (§5 of the paper relies on
 //! this to set the duplicate-ACK threshold to one). We implement the same
-//! property directly: a flow's forward and reverse paths are computed once
-//! from a flow hash and pinned; packets carry only a hop index.
+//! property directly: a flow's forward and reverse paths are a pure function
+//! of its endpoints and a flow hash, so they stay pinned for the flow's life
+//! and can be derived again wherever they are read; packets carry only a
+//! hop index.
 //!
 //! Four topologies cover every experiment in the paper plus the serving
 //! grid:
@@ -41,9 +43,9 @@ pub enum NodeKind {
 
 /// The most transmission points a pinned path may have; the longest any
 /// preset produces is a cross-pod fat-tree route (a host and five
-/// switches: 6). `Packet::hop: u8`, the `u32` cast in `Packet::wire_size`,
-/// the engine's one-shot INT-stack reservation and the rows of its route
-/// table lean on the bound.
+/// switches: 6). [`PinnedPath`] holds this many, and `Packet::hop: u8`, the
+/// `u32` cast in `Packet::wire_size`, the engine's one-shot INT-stack
+/// reservation and the rows of its route table lean on the bound.
 pub const MAX_PATH_HOPS: usize = 8;
 
 /// One transmission point along a path: node `node` transmits on `port`.
@@ -53,6 +55,43 @@ pub struct Hop {
     pub node: NodeId,
     /// The egress port used.
     pub port: PortId,
+}
+
+/// A pinned path held in place: up to [`MAX_PATH_HOPS`] hops and how many
+/// of them are in use. Derefs to the hops.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PinnedPath {
+    hops: [Hop; MAX_PATH_HOPS],
+    len: u8,
+}
+
+impl PinnedPath {
+    /// The path `hops`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hops` is longer than [`MAX_PATH_HOPS`].
+    fn of(hops: &[Hop]) -> PinnedPath {
+        let unused = Hop {
+            node: NodeId(0),
+            port: PortId(0),
+        };
+        let mut path = PinnedPath {
+            hops: [unused; MAX_PATH_HOPS],
+            len: u8::try_from(hops.len()).expect("a path fits a u8 length"),
+        };
+        path.hops[..hops.len()].copy_from_slice(hops);
+        path
+    }
+}
+
+impl std::ops::Deref for PinnedPath {
+    type Target = [Hop];
+
+    #[inline]
+    fn deref(&self) -> &[Hop] {
+        &self.hops[..usize::from(self.len)]
+    }
 }
 
 /// A directed link record.
@@ -508,6 +547,12 @@ impl Topology {
         self.kinds.len()
     }
 
+    /// Number of switches. Every shape numbers its switches before its
+    /// hosts, so the switches are exactly the ids `0..switch_count()`.
+    pub fn switch_count(&self) -> usize {
+        self.kinds.len() - self.hosts.len()
+    }
+
     /// The kind of `node`.
     pub fn kind(&self, node: NodeId) -> NodeKind {
         self.kinds[node.0 as usize]
@@ -565,93 +610,82 @@ impl Topology {
     }
 
     /// Pins the forward and reverse paths of a flow from `src` to `dst`
-    /// given the flow's ECMP hash. Both directions traverse the same
-    /// switches (the paper's same-path assumption).
+    /// given the flow's ECMP hash, as vectors: [`Topology::pinned_paths`]
+    /// copied out at their exact lengths.
     ///
     /// # Panics
     ///
     /// Panics if `src == dst` or either is not a host.
     pub fn pin_paths(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> (Vec<Hop>, Vec<Hop>) {
+        let (fwd, rev) = self.pinned_paths(src, dst, flow_hash);
+        (fwd.to_vec(), rev.to_vec())
+    }
+
+    /// Pins the forward and reverse paths of a flow from `src` to `dst`
+    /// given the flow's ECMP hash, held in place: deriving a flow's paths
+    /// again allocates nothing. Both directions traverse the same switches
+    /// (the paper's same-path assumption): the reverse path is the forward
+    /// path of `dst` to `src` under the same hash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` or either is not a host.
+    pub fn pinned_paths(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        flow_hash: u64,
+    ) -> (PinnedPath, PinnedPath) {
+        (
+            self.pinned_path(src, dst, flow_hash),
+            self.pinned_path(dst, src, flow_hash),
+        )
+    }
+
+    /// The path from host `src` to host `dst` of a flow with ECMP hash
+    /// `flow_hash`, held in place. Every ECMP choice is a function of the
+    /// hash alone, not of the direction, so swapping `src` and `dst` under
+    /// the same hash gives the same switches in reverse order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` or either is not a host.
+    pub fn pinned_path(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> PinnedPath {
         assert_ne!(src, dst, "flow endpoints must differ");
         assert_eq!(self.kind(src), NodeKind::Host);
         assert_eq!(self.kind(dst), NodeKind::Host);
-        let (fwd, rev) = match self.shape {
-            Shape::SingleSwitch => {
-                let sw = NodeId(0);
-                // Host i (node 1 + i) hangs off switch port i.
-                let port_of = |h: NodeId| PortId(h.0 - 1);
-                let fwd = vec![
-                    Hop {
-                        node: src,
-                        port: PortId(0),
-                    },
-                    Hop {
-                        node: sw,
-                        port: port_of(dst),
-                    },
-                ];
-                let rev = vec![
-                    Hop {
-                        node: dst,
-                        port: PortId(0),
-                    },
-                    Hop {
-                        node: sw,
-                        port: port_of(src),
-                    },
-                ];
-                (fwd, rev)
-            }
+        let nic = Hop {
+            node: src,
+            port: PortId(0),
+        };
+        let hop = |node: NodeId, port: u32| Hop {
+            node,
+            port: PortId(port),
+        };
+        match self.shape {
+            // Host i (node 1 + i) hangs off switch port i.
+            Shape::SingleSwitch => PinnedPath::of(&[nic, hop(NodeId(0), dst.0 - 1)]),
             Shape::Dumbbell { left_hosts } => {
-                let side = |h: NodeId| (h.0 as usize - 2) >= left_hosts; // false=left
-                let local_port = |h: NodeId| {
-                    let idx = h.0 as usize - 2;
-                    if idx < left_hosts {
-                        PortId(idx as u32)
-                    } else {
-                        PortId((idx - left_hosts) as u32)
-                    }
-                };
-                let sw_of = |h: NodeId| if side(h) { NodeId(1) } else { NodeId(0) };
-                let cross_port = |sw: NodeId, n_local: usize| {
-                    let _ = sw;
-                    PortId(n_local as u32)
-                };
-                let n_left = left_hosts;
-                let n_right = self.hosts.len() - left_hosts;
-                let one_way = |a: NodeId, b: NodeId| -> Vec<Hop> {
-                    let sa = sw_of(a);
-                    let sb = sw_of(b);
-                    if sa == sb {
-                        vec![
-                            Hop {
-                                node: a,
-                                port: PortId(0),
-                            },
-                            Hop {
-                                node: sa,
-                                port: local_port(b),
-                            },
-                        ]
-                    } else {
-                        let n_local = if sa == NodeId(0) { n_left } else { n_right };
-                        vec![
-                            Hop {
-                                node: a,
-                                port: PortId(0),
-                            },
-                            Hop {
-                                node: sa,
-                                port: cross_port(sa, n_local),
-                            },
-                            Hop {
-                                node: sb,
-                                port: local_port(b),
-                            },
-                        ]
-                    }
-                };
-                (one_way(src, dst), one_way(dst, src))
+                // Host i is node 2 + i; the first `left_hosts` hang off
+                // switch 0, the rest off switch 1. Each switch numbers its
+                // host ports first and gives the cross link the next one.
+                let idx = |h: NodeId| h.0 as usize - 2;
+                let right = |h: NodeId| idx(h) >= left_hosts;
+                let switch = |h: NodeId| NodeId(u32::from(right(h)));
+                let local_port = |h: NodeId| (idx(h) - usize::from(right(h)) * left_hosts) as u32;
+                if right(src) == right(dst) {
+                    PinnedPath::of(&[nic, hop(switch(src), local_port(dst))])
+                } else {
+                    let local_hosts = match right(src) {
+                        false => left_hosts,
+                        true => self.hosts.len() - left_hosts,
+                    };
+                    PinnedPath::of(&[
+                        nic,
+                        hop(switch(src), local_hosts as u32),
+                        hop(switch(dst), local_port(dst)),
+                    ])
+                }
             }
             Shape::LeafSpine {
                 cores,
@@ -662,77 +696,21 @@ impl Topology {
                 let host_idx = |h: NodeId| (h.0 - first_host) as usize;
                 let tor_of =
                     |h: NodeId| NodeId(cores as u32 + (host_idx(h) / hosts_per_tor) as u32);
-                let local_port = |h: NodeId| PortId((host_idx(h) % hosts_per_tor) as u32);
-                let src_tor = tor_of(src);
-                let dst_tor = tor_of(dst);
+                let local_port = |h: NodeId| (host_idx(h) % hosts_per_tor) as u32;
+                let (src_tor, dst_tor) = (tor_of(src), tor_of(dst));
                 if src_tor == dst_tor {
-                    let fwd = vec![
-                        Hop {
-                            node: src,
-                            port: PortId(0),
-                        },
-                        Hop {
-                            node: src_tor,
-                            port: local_port(dst),
-                        },
-                    ];
-                    let rev = vec![
-                        Hop {
-                            node: dst,
-                            port: PortId(0),
-                        },
-                        Hop {
-                            node: dst_tor,
-                            port: local_port(src),
-                        },
-                    ];
-                    (fwd, rev)
-                } else {
-                    let core_idx = (flow_hash % cores as u64) as u32;
-                    let core = NodeId(core_idx);
-                    // ToR uplink ports start after the host ports; core port
-                    // c on a ToR reaches core c. Core ports are in ToR
-                    // order: port t reaches ToR t.
-                    let up_port = PortId(hosts_per_tor as u32 + core_idx);
-                    let core_port_to = |tor: NodeId| PortId(tor.0 - cores as u32);
-                    let fwd = vec![
-                        Hop {
-                            node: src,
-                            port: PortId(0),
-                        },
-                        Hop {
-                            node: src_tor,
-                            port: up_port,
-                        },
-                        Hop {
-                            node: core,
-                            port: core_port_to(dst_tor),
-                        },
-                        Hop {
-                            node: dst_tor,
-                            port: local_port(dst),
-                        },
-                    ];
-                    let rev = vec![
-                        Hop {
-                            node: dst,
-                            port: PortId(0),
-                        },
-                        Hop {
-                            node: dst_tor,
-                            port: up_port,
-                        },
-                        Hop {
-                            node: core,
-                            port: core_port_to(src_tor),
-                        },
-                        Hop {
-                            node: src_tor,
-                            port: local_port(src),
-                        },
-                    ];
-                    (fwd, rev)
+                    return PinnedPath::of(&[nic, hop(src_tor, local_port(dst))]);
                 }
+                // ToR uplink ports start after the host ports; uplink c on
+                // a ToR reaches core c. Core ports are in ToR order: port t
+                // reaches ToR t.
+                let core = (flow_hash % cores as u64) as u32;
+                PinnedPath::of(&[
+                    nic,
+                    hop(src_tor, hosts_per_tor as u32 + core),
+                    hop(NodeId(core), dst_tor.0 - cores as u32),
+                    hop(dst_tor, local_port(dst)),
+                ])
             }
             Shape::FatTree { k } => {
                 let half = (k / 2) as u32;
@@ -744,132 +722,38 @@ impl Topology {
                 let hidx = |h: NodeId| h.0 - first_host;
                 let pod_of = |h: NodeId| hidx(h) / (half * half);
                 let edge_within = |h: NodeId| (hidx(h) % (half * half)) / half;
-                let local_port = |h: NodeId| PortId(hidx(h) % half);
+                let local_port = |h: NodeId| hidx(h) % half;
                 let edge_node = |p: u32, e: u32| NodeId(first_edge + p * half + e);
                 let agg_node = |p: u32, a: u32| NodeId(first_agg + p * half + a);
                 let (sp, se) = (pod_of(src), edge_within(src));
                 let (dp, de) = (pod_of(dst), edge_within(dst));
-                let host_hop = |h: NodeId| Hop {
-                    node: h,
-                    port: PortId(0),
-                };
+                // Two-level ECMP: agg `a` of the pod, then core `j` within
+                // its group; the core fixes agg `a` in the other pod too.
+                let a = (flow_hash % u64::from(half)) as u32;
+                let j = ((flow_hash / u64::from(half)) % u64::from(half)) as u32;
                 if sp == dp && se == de {
                     // Same edge switch: two transmission hops.
-                    let fwd = vec![
-                        host_hop(src),
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: local_port(dst),
-                        },
-                    ];
-                    let rev = vec![
-                        host_hop(dst),
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: local_port(src),
-                        },
-                    ];
-                    (fwd, rev)
+                    PinnedPath::of(&[nic, hop(edge_node(sp, se), local_port(dst))])
                 } else if sp == dp {
                     // Same pod: up to one of the k/2 aggs, back down.
-                    let a = (flow_hash % u64::from(half)) as u32;
-                    let fwd = vec![
-                        host_hop(src),
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: PortId(half + a),
-                        },
-                        Hop {
-                            node: agg_node(sp, a),
-                            port: PortId(de),
-                        },
-                        Hop {
-                            node: edge_node(dp, de),
-                            port: local_port(dst),
-                        },
-                    ];
-                    let rev = vec![
-                        host_hop(dst),
-                        Hop {
-                            node: edge_node(dp, de),
-                            port: PortId(half + a),
-                        },
-                        Hop {
-                            node: agg_node(sp, a),
-                            port: PortId(se),
-                        },
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: local_port(src),
-                        },
-                    ];
-                    (fwd, rev)
+                    PinnedPath::of(&[
+                        nic,
+                        hop(edge_node(sp, se), half + a),
+                        hop(agg_node(sp, a), de),
+                        hop(edge_node(dp, de), local_port(dst)),
+                    ])
                 } else {
-                    // Cross-pod: two-level ECMP picks agg `a` then core `j`
-                    // within its group; the core fixes agg `a` in the
-                    // destination pod, so both directions share switches.
-                    let a = (flow_hash % u64::from(half)) as u32;
-                    let j = ((flow_hash / u64::from(half)) % u64::from(half)) as u32;
-                    let core = NodeId(a * half + j);
-                    let fwd = vec![
-                        host_hop(src),
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: PortId(half + a),
-                        },
-                        Hop {
-                            node: agg_node(sp, a),
-                            port: PortId(half + j),
-                        },
-                        Hop {
-                            node: core,
-                            port: PortId(dp),
-                        },
-                        Hop {
-                            node: agg_node(dp, a),
-                            port: PortId(de),
-                        },
-                        Hop {
-                            node: edge_node(dp, de),
-                            port: local_port(dst),
-                        },
-                    ];
-                    let rev = vec![
-                        host_hop(dst),
-                        Hop {
-                            node: edge_node(dp, de),
-                            port: PortId(half + a),
-                        },
-                        Hop {
-                            node: agg_node(dp, a),
-                            port: PortId(half + j),
-                        },
-                        Hop {
-                            node: core,
-                            port: PortId(sp),
-                        },
-                        Hop {
-                            node: agg_node(sp, a),
-                            port: PortId(se),
-                        },
-                        Hop {
-                            node: edge_node(sp, se),
-                            port: local_port(src),
-                        },
-                    ];
-                    (fwd, rev)
+                    PinnedPath::of(&[
+                        nic,
+                        hop(edge_node(sp, se), half + a),
+                        hop(agg_node(sp, a), half + j),
+                        hop(NodeId(a * half + j), dp),
+                        hop(agg_node(dp, a), de),
+                        hop(edge_node(dp, de), local_port(dst)),
+                    ])
                 }
             }
-        };
-        debug_assert!(
-            fwd.len() <= MAX_PATH_HOPS && rev.len() <= MAX_PATH_HOPS,
-            "a pinned path has {} hops",
-            fwd.len().max(rev.len())
-        );
-        // Each side is built at its exact length: the engine keeps them as
-        // boxed slices, and the conversion must not reallocate.
-        debug_assert!(fwd.capacity() == fwd.len() && rev.capacity() == rev.len());
-        (fwd, rev)
+        }
     }
 
     fn tor_count(&self) -> usize {
@@ -1084,6 +968,49 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             for hop in &fwd {
                 assert!(seen.insert(hop.node), "case {case}: loop in path");
+            }
+        }
+    }
+
+    /// Every shape numbers its switches before its hosts, which is what
+    /// lets the engine keep one switch per id `0..switch_count()` and none
+    /// per host; and the in-place pin is the vector pin, hop for hop.
+    #[test]
+    fn switches_come_before_hosts_on_every_shape() {
+        let shapes = [
+            TopologySpec::SingleSwitch {
+                hosts: 5,
+                host_link: l(),
+            },
+            TopologySpec::Dumbbell {
+                left_hosts: 3,
+                right_hosts: 4,
+                host_link: l(),
+                cross_link: l(),
+            },
+            TopologySpec::LeafSpine {
+                cores: 3,
+                tors: 4,
+                hosts_per_tor: 2,
+                host_link: l(),
+                fabric_link: l(),
+            },
+            TopologySpec::paper_fat_tree(6, SimTime::from_us(1)),
+        ];
+        for spec in shapes {
+            let t = spec.build();
+            assert!(t.switch_count() > 0, "{spec:?}");
+            assert_eq!(t.switch_count() + t.hosts().len(), t.node_count());
+            for i in 0..t.node_count() {
+                let switch = t.kind(NodeId(i as u32)) == NodeKind::Switch;
+                assert_eq!(switch, i < t.switch_count(), "{spec:?}: node {i}");
+            }
+            let hosts = t.hosts();
+            for (a, b) in [(0, hosts.len() - 1), (1, 0), (0, 1)] {
+                let (fwd, rev) = t.pinned_paths(hosts[a], hosts[b], 11);
+                let (vf, vr) = t.pin_paths(hosts[a], hosts[b], 11);
+                assert_eq!((&fwd[..], &rev[..]), (&vf[..], &vr[..]), "{spec:?}");
+                assert_eq!(vf.capacity(), vf.len());
             }
         }
     }

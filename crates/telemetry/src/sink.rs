@@ -128,17 +128,15 @@ impl TraceCounts {
 /// Per-node aggregate: the same counters, scoped to one switch.
 pub type NodeCounts = TraceCounts;
 
-/// Node ids below this bound are counted in a dense table; the simulator's
-/// own ids always are (its largest fabric, the k=24 fat-tree, has 4,176
-/// nodes). Ids at or above it can only come from a trace file the inspector
-/// was handed, and land in an ordered map, so a far id neither sizes an
-/// allocation nor makes every run's walk of the table long.
-const DENSE_NODES: usize = 1 << 13;
+/// Node ids below this are counted in the dense table however few nodes
+/// the trace has named: every fabric's first switches.
+const DENSE_FLOOR: usize = 64;
 
 /// An aggregating sink: counts events without storing them.
 ///
 /// This is the zero-allocation-per-event option; memory is proportional to
-/// the highest switch node id seen, not the trace length.
+/// the distinct nodes the trace names, not to the trace length or to how
+/// large a node id is.
 #[derive(Default)]
 pub struct CountingSink {
     /// Counters over the whole trace.
@@ -147,10 +145,19 @@ pub struct CountingSink {
     pub rto_causes: RtoCauseCounts,
     /// Total events seen, including variants not individually counted.
     pub events: u64,
-    /// Per-node counters indexed by node id, grown to the highest id seen.
+    /// Per-node counters for the ids `0..dense.len()`.
     dense: Vec<NodeCounts>,
-    /// Per-node counters for ids the dense table does not cover.
+    /// Per-node counters for the ids from `dense.len()` on.
     sparse: BTreeMap<u32, NodeCounts>,
+    /// A lower bound on the distinct nodes named so far, which bounds the
+    /// dense table at `DENSE_FLOOR + 2 * named` entries: ids first named at
+    /// or past the table's end are counted as they come, ids filling a gap
+    /// in the table only when it is recounted.
+    named: usize,
+    /// The value of `events` from which the dense table may be recounted
+    /// (one recount per table length of events, so recounting costs O(1)
+    /// per event).
+    recount_at: u64,
 }
 
 impl CountingSink {
@@ -158,16 +165,45 @@ impl CountingSink {
     #[inline]
     fn both(&mut self, node: u32, bump: impl Fn(&mut TraceCounts)) {
         bump(&mut self.totals);
+        match self.dense.get_mut(node as usize) {
+            Some(scoped) => bump(scoped),
+            None => bump(self.past_dense(node)),
+        }
+    }
+
+    /// The counters of a node the dense table does not reach. The table
+    /// grows to take it in when the distinct nodes named justify the length
+    /// (moving in the map's entries it then covers), so a simulator trace,
+    /// whose node ids are dense, ends up all in the table, while a far id
+    /// that the trace's few nodes do not justify stays in the ordered map.
+    #[cold]
+    fn past_dense(&mut self, node: u32) -> &mut NodeCounts {
         let i = node as usize;
-        let scoped = if i < DENSE_NODES {
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, NodeCounts::default());
-            }
-            &mut self.dense[i]
-        } else {
-            self.sparse.entry(node).or_default()
+        let new = !self.sparse.contains_key(&node);
+        self.named += usize::from(new);
+        if i >= DENSE_FLOOR + 2 * self.named && self.events >= self.recount_at {
+            let untouched = NodeCounts::default();
+            let filled = self.dense.iter().filter(|c| **c != untouched).count();
+            self.named = filled + self.sparse.len() + usize::from(new);
+            self.recount_at = self.events + self.dense.len() as u64;
+        }
+        let limit = DENSE_FLOOR + 2 * self.named;
+        if i >= limit {
+            return self.sparse.entry(node).or_default();
+        }
+        // Every id of the map below the limit moves into the table.
+        let below = u32::try_from(limit).unwrap_or(u32::MAX);
+        let last = self.sparse.range(..below).next_back().map(|(n, _)| *n);
+        let len = last.map_or(i, |n| i.max(n as usize)) + 1;
+        let rest = match u32::try_from(len) {
+            Ok(len) => self.sparse.split_off(&len),
+            Err(_) => BTreeMap::new(),
         };
-        bump(scoped);
+        self.dense.resize(len, NodeCounts::default());
+        for (n, c) in std::mem::replace(&mut self.sparse, rest) {
+            self.dense[n as usize] = c;
+        }
+        &mut self.dense[i]
     }
 
     /// Every node some node-scoped event named, with its counters, in id
@@ -467,12 +503,13 @@ mod tests {
     /// is counted like any other, without a table sized by the id.
     #[test]
     fn counting_sink_takes_any_node_id() {
+        const DENSE_NODES: usize = 1 << 13;
         let mut c = CountingSink::default();
         let t = SimTime::ZERO;
         c.record(t, &drop_ev(u32::MAX, DropWhy::LinkDown, false));
         c.record(t, &drop_ev(DENSE_NODES as u32, DropWhy::Color, true));
         c.record(t, &TraceEvent::PfcXon { node: 3, port: 0 });
-        assert!(c.dense.len() <= DENSE_NODES);
+        assert_eq!(c.dense.len(), 4, "only node 3 is near enough");
         let per_node = c.per_node();
         assert_eq!(
             per_node.keys().copied().collect::<Vec<_>>(),
@@ -482,6 +519,43 @@ mod tests {
         assert_eq!(per_node[&u32::MAX].drops_down, 1);
         assert_eq!(c.drop_matrix()[&(DENSE_NODES as u32, DropWhy::Color)], 1);
         assert_eq!(c.totals.drops_green, 1);
+    }
+
+    /// The dense table grows only as far as the distinct nodes named
+    /// justify: one far id beside a few near ones stays in the map, while
+    /// ids that are all named (a fabric's switches, in any order) move into
+    /// the table, taking their counts from the map along.
+    #[test]
+    fn counting_sink_sizes_its_table_by_the_nodes_named() {
+        let t = SimTime::ZERO;
+        let mut c = CountingSink::default();
+        for node in [1, 2, 8_000] {
+            c.record(t, &TraceEvent::PfcXon { node, port: 0 });
+        }
+        assert_eq!(c.dense.len(), 3, "8000 is not justified by 3 nodes");
+        assert_eq!(c.sparse.keys().copied().collect::<Vec<_>>(), [8_000]);
+
+        // 720 switches named from the top down, then again: the first ones
+        // wait in the map until enough nodes are named, the table grows as
+        // they are, and the second pass moves the rest in.
+        let mut c = CountingSink::default();
+        for why in [DropWhy::Dynamic, DropWhy::Color] {
+            for node in (0..720).rev() {
+                c.record(t, &drop_ev(node, why, false));
+            }
+            assert!(c.dense.len() <= DENSE_FLOOR + 2 * c.named);
+        }
+        assert!(
+            c.sparse.is_empty(),
+            "{} ids left in the map",
+            c.sparse.len()
+        );
+        assert_eq!(c.dense.len(), 720);
+        let per_node = c.per_node();
+        assert_eq!(per_node.len(), 720);
+        assert!(per_node
+            .values()
+            .all(|n| n.drops_dt == 1 && n.drops_color == 1));
     }
 
     #[test]

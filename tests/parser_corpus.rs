@@ -23,8 +23,8 @@ use eventsim::{SimRng, SimTime};
 use telemetry::inspect::inspect_reader;
 use telemetry::json::{self, Cursor};
 use telemetry::{
-    Artifact, BufferSink, DropWhy, FlowSpan, NodeCounts, Phase, PhaseTimes, RequestSpan, StallSpan,
-    TraceEvent, Tracer,
+    Artifact, BufferSink, DropWhy, FlowSpan, Phase, PhaseTimes, RequestSpan, StallSpan, TraceEvent,
+    Tracer,
 };
 use transport::TransportKind;
 
@@ -84,12 +84,7 @@ fn feed(text: &str) {
     });
     let bound = 64 * text.len() + (64 << 10);
     assert!(parsers <= bound, "{parsers} bytes at once for {head:?}");
-    // The inspector's `CountingSink` counts node ids below 2^13 in a dense
-    // table (larger ones in an ordered map): one id in the input can size
-    // that table up to its fixed ceiling (twice that while `Vec` growth
-    // doubles it), and no further.
-    let dense = 2 * (1 << 13) * std::mem::size_of::<NodeCounts>();
-    assert!(inspect <= bound + dense, "{inspect} bytes for {head:?}");
+    assert!(inspect <= bound, "{inspect} bytes for {head:?}");
 }
 
 const LABEL: &str = "dctcp \"corpus\" \\ µs";
