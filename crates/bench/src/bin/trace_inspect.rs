@@ -25,9 +25,10 @@
 //!
 //! Exit status: 0 when every run is internally consistent, 1 when any run's
 //! counted events disagree with its declared totals (or the file contains
-//! malformed/orphaned lines) or an artifact breaks an invariant (named on
-//! stderr with its values), 2 on usage or I/O errors, a malformed artifact
-//! (its positional parse diagnostic is forwarded) or a refused diff.
+//! malformed or orphaned lines; a line that is not UTF-8 is malformed) or
+//! an artifact breaks an invariant (named on stderr with its values), 2 on
+//! usage or I/O errors, a malformed artifact (its positional parse
+//! diagnostic is forwarded) or a refused diff.
 
 use std::fs::File;
 use std::io::BufReader;

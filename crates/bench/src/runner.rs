@@ -59,12 +59,12 @@ pub struct Args {
     pub trace: Option<String>,
     /// Per-port telemetry sampling period in nanoseconds (with `--trace`).
     pub trace_sample_ns: Option<u64>,
-    /// Optional metrics-registry export path (`.csv` for CSV, JSON
-    /// otherwise).
+    /// Optional metrics-registry export path (a `tlt-metrics/v1`
+    /// artifact).
     pub metrics: Option<String>,
     /// Optional engine-profile export path (a `tlt-metrics/v1` artifact
-    /// with a `series` section; CSV when the path ends in `.csv`). Only a
-    /// build with `--features profile` accepts it.
+    /// with a `series` section). Only a build with `--features profile`
+    /// accepts it.
     pub profile_out: Option<String>,
 }
 
@@ -285,8 +285,7 @@ pub(crate) fn append_trace(bytes: &[u8]) {
 /// counters sum, gauges take the max, histograms and series add, meta
 /// merges first-wins — so the file is byte-identical under any `--jobs`
 /// value. It is rewritten after every merge, so at any instant it holds a
-/// valid document covering every run so far: CSV when the path ends in
-/// `.csv`, `tlt-metrics/v1` JSON otherwise.
+/// valid `tlt-metrics/v1` document covering every run so far.
 pub(crate) struct Export {
     what: &'static str,
     out: Mutex<Option<(String, Artifact)>>,
@@ -337,12 +336,7 @@ impl Export {
     }
 
     fn write(&self, path: &str, doc: &Artifact) {
-        let body = if path.ends_with(".csv") {
-            doc.reg.to_csv()
-        } else {
-            doc.to_json()
-        };
-        std::fs::write(path, body)
+        std::fs::write(path, doc.to_json())
             .unwrap_or_else(|e| usage(&format!("cannot write {} file {path}: {e}", self.what)));
     }
 }

@@ -20,9 +20,7 @@ use netsim::switch::{DropReason, PfcConfig, PfcSignal, Switch, SwitchConfig};
 use netsim::topology::{Hop, LinkId, NodeId, NodeKind, PinnedPath, PortId, Topology};
 use netsim::LinkSpec;
 use netstats::{FlowRecord, Samples};
-use telemetry::{
-    DropWhy, FaultKind, Registry, RtoCause, RtoCauseCounts, TimerId, TraceEvent, Tracer,
-};
+use telemetry::{DropWhy, FaultKind, Registry, RtoCause, RtoCauseCounts, TraceEvent, Tracer};
 use tlt_core::{RateTltConfig, WindowTltConfig};
 use transport::cc::{Dctcp, Hpcc, NewReno};
 use transport::iface::{Action, Ctx, FlowReceiver, FlowSender, SenderStats, TimerKind, TltMode};

@@ -3,17 +3,6 @@
 
 use super::*;
 
-/// Maps a transport timer slot onto the telemetry schema's id.
-fn timer_id(kind: TimerKind) -> TimerId {
-    match kind {
-        TimerKind::Rto => TimerId::Rto,
-        TimerKind::Tlp => TimerId::Tlp,
-        TimerKind::Pace => TimerId::Pace,
-        TimerKind::DcqcnAlpha => TimerId::DcqcnAlpha,
-        TimerKind::DcqcnIncrease => TimerId::DcqcnIncrease,
-    }
-}
-
 /// Every timer slot, in a *fixed* order — audits and disarm sweeps iterate
 /// this array (never a hash map) so event schedules stay deterministic.
 pub(super) const TIMER_KINDS: [TimerKind; 5] = [
@@ -77,10 +66,7 @@ impl Engine {
             return false;
         }
         run.timer_armed[slot] = false;
-        self.tracer.emit(t, || TraceEvent::TimerFire {
-            flow,
-            kind: timer_id(kind),
-        });
+        self.tracer.emit(t, || TraceEvent::TimerFire { flow, kind });
         // RTO forensics: detect whether this firing actually
         // registered a timeout (the transport may ignore a
         // stale timer), and attribute it *before* flushing
@@ -113,10 +99,8 @@ impl Engine {
                 run.timer_gen[s] += 1;
                 run.timer_armed[s] = false;
                 self.prof.disarm_cancel();
-                self.tracer.emit(self.now, || TraceEvent::TimerCancel {
-                    flow: f,
-                    kind: timer_id(kind),
-                });
+                self.tracer
+                    .emit(self.now, || TraceEvent::TimerCancel { flow: f, kind });
             }
         }
     }
@@ -170,11 +154,8 @@ impl Engine {
                     let gen = run.timer_gen[s];
                     let at = at.max(self.now);
                     run.timer_deadline[s] = at;
-                    self.tracer.emit(self.now, || TraceEvent::TimerArm {
-                        flow: f,
-                        kind: timer_id(kind),
-                        at,
-                    });
+                    self.tracer
+                        .emit(self.now, || TraceEvent::TimerArm { flow: f, kind, at });
                     // Reserve the tie-break seq unconditionally so pop
                     // order is independent of whether the push is deferred.
                     let seq = self.queue.reserve_seq();
@@ -199,10 +180,8 @@ impl Engine {
                     let s = timer_slot(kind);
                     run.timer_gen[s] += 1;
                     run.timer_armed[s] = false;
-                    self.tracer.emit(self.now, || TraceEvent::TimerCancel {
-                        flow: f,
-                        kind: timer_id(kind),
-                    });
+                    self.tracer
+                        .emit(self.now, || TraceEvent::TimerCancel { flow: f, kind });
                 }
             }
         }

@@ -220,7 +220,6 @@ fn lazy_tx_done_pushes_only_behind_a_backlog() {
 /// unseen while the port was paused.
 #[test]
 fn lazy_tx_done_under_pfc_pause_keeps_eager_departure_times() {
-    use telemetry::RingSink;
     const START: u64 = 20_000;
     const XOFF_AT_SWITCH: u64 = 10_100;
     // Arrival times at the switch of the two flows' data frames, and
@@ -237,14 +236,14 @@ fn lazy_tx_done_under_pfc_pause_keeps_eager_departure_times() {
         let flows = [START, second_start]
             .map(|at| FlowSpec::new(1, 0, u64::from(RIG_FRAME), SimTime::from_ns(at), true));
         let mut eng = Engine::new(cfg, flows.to_vec());
-        let (tracer, sink) = Tracer::new(RingSink::new(1 << 12));
+        let (tracer, sink) = Tracer::new(Vec::<(SimTime, TraceEvent)>::new());
         eng.set_tracer(tracer);
         let res = eng.run();
         assert!(res.flows.iter().all(|f| f.end.is_some()));
         assert_eq!(res.agg.timeouts, 0);
         let sink = sink.borrow();
         let at = |want: &dyn Fn(&TraceEvent) -> bool| {
-            let mut hits = sink.events().filter(|(_, ev)| want(ev));
+            let mut hits = sink.iter().filter(|(_, ev)| want(ev));
             let t = hits.next().expect("event traced").0.as_ns();
             assert!(hits.next().is_none(), "traced exactly once");
             t

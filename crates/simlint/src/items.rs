@@ -4,14 +4,10 @@
 //! skeletons the cross-file rules need — audited enum definitions (with
 //! their variants, `ALL` initializers, and wire-tag match arms), variant
 //! references, registry-key emission sites, and metric-shaped string
-//! literals. A [`FileItems`] is small, content-addressed, and serializable
-//! (see [`FileItems::to_json`]), so the per-file cache can skip lexing and
-//! extraction for unchanged files while the cheap cross-file passes in
-//! [`crate::graph`] rerun every time.
+//! literals. The cross-file passes in [`crate::graph`] run over the
+//! [`FileItems`] of every file.
 
 use crate::lexer::{str_contents, Lexed, TokKind};
-use std::collections::BTreeMap;
-use telemetry::json::Value;
 
 /// How rule E1 decides a variant has an accounting site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -458,196 +454,6 @@ fn first_key_in_args(t: &[crate::lexer::Tok], mut j: usize, line: u32) -> Option
     None
 }
 
-// ---------------------------------------------------------------------------
-// Cache (de)serialization.
-
-impl FileItems {
-    /// Serializes to a JSON value for the per-file cache.
-    pub fn to_json(&self) -> Value {
-        let mut m = BTreeMap::new();
-        let arr = |v: Vec<Value>| Value::Arr(v);
-        m.insert(
-            "pragmas".to_string(),
-            (
-                arr(self
-                    .pragmas
-                    .iter()
-                    .map(|(r, l)| arr(vec![s(r), n(*l)]))
-                    .collect()),
-                1,
-            ),
-        );
-        m.insert(
-            "enums".to_string(),
-            (arr(self.enums.iter().map(enum_to_json).collect()), 1),
-        );
-        m.insert(
-            "refs".to_string(),
-            (
-                arr(self
-                    .refs
-                    .iter()
-                    .map(|r| {
-                        arr(vec![
-                            s(&r.enum_name),
-                            s(&r.variant),
-                            n(r.line),
-                            Value::Bool(r.in_test),
-                        ])
-                    })
-                    .collect()),
-                1,
-            ),
-        );
-        m.insert(
-            "anchors".to_string(),
-            (arr(self.anchors.iter().map(|a| s(a)).collect()), 1),
-        );
-        m.insert(
-            "emits".to_string(),
-            (
-                arr(self
-                    .emits
-                    .iter()
-                    .map(|e| arr(vec![s(&e.key), Value::Bool(e.prefix), n(e.line)]))
-                    .collect()),
-                1,
-            ),
-        );
-        m.insert(
-            "literals".to_string(),
-            (arr(self.literals.iter().map(|a| s(a)).collect()), 1),
-        );
-        Value::Obj(m)
-    }
-
-    /// Deserializes a cached value; `None` on any shape mismatch (treated
-    /// as a cache miss by the caller).
-    pub fn from_json(v: &Value) -> Option<FileItems> {
-        let mut out = FileItems::default();
-        for p in v.get("pragmas")?.items() {
-            out.pragmas
-                .push((p.items().first()?.as_str()?.to_string(), line_of(p, 1)?));
-        }
-        for e in v.get("enums")?.items() {
-            out.enums.push(enum_from_json(e)?);
-        }
-        for r in v.get("refs")?.items() {
-            let it = r.items();
-            out.refs.push(VariantRef {
-                enum_name: it.first()?.as_str()?.to_string(),
-                variant: it.get(1)?.as_str()?.to_string(),
-                line: u32::try_from(it.get(2)?.as_u64()?).ok()?,
-                in_test: matches!(it.get(3)?, Value::Bool(true)),
-            });
-        }
-        for a in v.get("anchors")?.items() {
-            out.anchors.push(a.as_str()?.to_string());
-        }
-        for e in v.get("emits")?.items() {
-            let it = e.items();
-            out.emits.push(EmittedKey {
-                key: it.first()?.as_str()?.to_string(),
-                prefix: matches!(it.get(1)?, Value::Bool(true)),
-                line: u32::try_from(it.get(2)?.as_u64()?).ok()?,
-            });
-        }
-        for l in v.get("literals")?.items() {
-            out.literals.push(l.as_str()?.to_string());
-        }
-        Some(out)
-    }
-}
-
-fn s(t: &str) -> Value {
-    Value::Str(t.to_string(), 1)
-}
-
-fn n(v: u32) -> Value {
-    Value::Num(u64::from(v))
-}
-
-fn line_of(arr: &Value, idx: usize) -> Option<u32> {
-    u32::try_from(arr.items().get(idx)?.as_u64()?).ok()
-}
-
-fn enum_to_json(d: &EnumDef) -> Value {
-    let mut m = BTreeMap::new();
-    m.insert("name".to_string(), (s(&d.name), 1));
-    m.insert("line".to_string(), (n(d.line), 1));
-    m.insert(
-        "variants".to_string(),
-        (
-            Value::Arr(
-                d.variants
-                    .iter()
-                    .map(|(v, l)| Value::Arr(vec![s(v), n(*l)]))
-                    .collect(),
-            ),
-            1,
-        ),
-    );
-    m.insert(
-        "all".to_string(),
-        (
-            match &d.all {
-                None => Value::Null,
-                Some(vars) => Value::Arr(vars.iter().map(|v| s(v)).collect()),
-            },
-            1,
-        ),
-    );
-    let arms = |list: &[(String, String, u32)]| {
-        Value::Arr(
-            list.iter()
-                .map(|(a, b, l)| Value::Arr(vec![s(a), s(b), n(*l)]))
-                .collect(),
-        )
-    };
-    m.insert("render".to_string(), (arms(&d.render), 1));
-    m.insert("parse".to_string(), (arms(&d.parse), 1));
-    Value::Obj(m)
-}
-
-fn enum_from_json(v: &Value) -> Option<EnumDef> {
-    let mut d = EnumDef {
-        name: v.get("name")?.as_str()?.to_string(),
-        line: u32::try_from(v.get("line")?.as_u64()?).ok()?,
-        ..EnumDef::default()
-    };
-    for pair in v.get("variants")?.items() {
-        d.variants.push((
-            pair.items().first()?.as_str()?.to_string(),
-            line_of(pair, 1)?,
-        ));
-    }
-    d.all = match v.get("all")? {
-        Value::Null => None,
-        arr => {
-            let mut vars = Vec::new();
-            for x in arr.items() {
-                vars.push(x.as_str()?.to_string());
-            }
-            Some(vars)
-        }
-    };
-    let arms = |key: &str| -> Option<Vec<(String, String, u32)>> {
-        let mut out = Vec::new();
-        for a in v.get(key)?.items() {
-            let it = a.items();
-            out.push((
-                it.first()?.as_str()?.to_string(),
-                it.get(1)?.as_str()?.to_string(),
-                u32::try_from(it.get(2)?.as_u64()?).ok()?,
-            ));
-        }
-        Some(out)
-    };
-    d.render = arms("render")?;
-    d.parse = arms("parse")?;
-    Some(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,21 +541,6 @@ mod tests {
         assert!(!color.in_test);
         let wire = items.refs.iter().find(|r| r.variant == "Wire").unwrap();
         assert!(wire.in_test);
-    }
-
-    #[test]
-    fn items_roundtrip_through_json() {
-        let l = lex(EVENT_SNIPPET);
-        let items = extract(&l, &[]);
-        let v = items.to_json();
-        let text = telemetry::json::write(&v);
-        let back = FileItems::from_json(&telemetry::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.enums, items.enums);
-        assert_eq!(back.refs, items.refs);
-        assert_eq!(back.emits, items.emits);
-        assert_eq!(back.literals, items.literals);
-        assert_eq!(back.pragmas, items.pragmas);
-        assert_eq!(back.anchors, items.anchors);
     }
 
     #[test]

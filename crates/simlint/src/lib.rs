@@ -21,7 +21,6 @@
 //! cargo run -p simlint -- <root>            # lint an explicit tree
 //! cargo run -p simlint -- --format json     # machine-readable findings
 //! cargo run -p simlint -- --format github   # CI annotations
-//! cargo run -p simlint -- --no-cache        # bypass target/simlint-cache.json
 //! ```
 //!
 //! Exit status is nonzero when any finding is produced; each finding prints
@@ -32,7 +31,6 @@
 //! stale-pragma rule (L1) and the layout guards (G1–G4) — plus the
 //! `// simlint: allow(<rule>, <reason>)` pragma, which S2 and G ignore.
 
-pub mod cache;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -82,14 +80,12 @@ fn read_with_context(path: &Path) -> io::Result<String> {
 }
 
 /// Lints the workspace rooted at `root` and returns all findings.
-/// `use_cache: false` bypasses `target/simlint-cache.json` entirely —
-/// neither read nor written.
 ///
 /// # Errors
 ///
 /// Returns an error when `root` has no `Cargo.toml` (wrong directory), a
 /// source file cannot be read, or `ci/metrics_schema.json` is malformed.
-pub fn lint_root(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
+pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
     if !root.join("Cargo.toml").exists() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
@@ -99,13 +95,6 @@ pub fn lint_root(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
             ),
         ));
     }
-
-    let cache_path = root.join("target").join("simlint-cache.json");
-    let mut cached = if use_cache {
-        cache::Cache::load(&cache_path)
-    } else {
-        cache::Cache::default()
-    };
 
     let mut analyses = Vec::new();
     for path in collect_rs(root)? {
@@ -121,16 +110,7 @@ pub fn lint_root(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
         if rel.starts_with("crates/simlint/tests/") {
             continue;
         }
-        let src = read_with_context(&path)?;
-        let hash = cache::content_hash(&src);
-        let analysis = match cached.get(&rel, hash) {
-            Some(hit) => hit,
-            None => {
-                let fresh = rules::analyze_file(&rel, &src);
-                cached.put(&rel, hash, fresh.clone());
-                fresh
-            }
-        };
+        let analysis = rules::analyze_file(&rel, &read_with_context(&path)?);
         analyses.push((rel, analysis));
     }
 
@@ -148,9 +128,5 @@ pub fn lint_root(root: &Path, use_cache: bool) -> io::Result<Vec<Finding>> {
     } else {
         None
     };
-
-    if use_cache {
-        cached.store(&cache_path);
-    }
     Ok(rules::finish(&analyses, schema.as_ref()))
 }

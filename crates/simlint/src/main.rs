@@ -1,4 +1,4 @@
-//! CLI: `cargo run -p simlint [-- <root>] [--format text|json|github] [--no-cache]`.
+//! CLI: `cargo run -p simlint [-- <root>] [--format text|json|github]`.
 //!
 //! `text` prints `file:line: rule: message` diagnostics; `json` prints one
 //! machine-readable object with every finding; `github` prints workflow
@@ -15,14 +15,13 @@ enum Format {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: simlint [root] [--format text|json|github] [--no-cache]");
+    eprintln!("usage: simlint [root] [--format text|json|github]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut use_cache = true;
     // CLI argv is the one sanctioned environment read in this binary.
     let mut args = std::env::args().skip(1); // simlint: allow(wallclock, CLI flag parsing)
     while let Some(arg) = args.next() {
@@ -35,7 +34,6 @@ fn main() {
                     _ => usage(),
                 };
             }
-            "--no-cache" => use_cache = false,
             _ if arg.starts_with('-') => usage(),
             _ if root.is_none() => root = Some(PathBuf::from(arg)),
             _ => usage(),
@@ -47,7 +45,7 @@ fn main() {
         || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
     );
 
-    match simlint::lint_root(&root, use_cache) {
+    match simlint::lint_root(&root) {
         Ok(findings) => {
             report(&findings, format);
             if !findings.is_empty() {

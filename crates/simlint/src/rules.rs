@@ -539,8 +539,8 @@ const G4_READER: &str = "crates/telemetry/src/json.rs";
 
 /// Everything the pipeline derives from one file: its item summary (for
 /// the cross-file rules and the pragma filter) plus the per-file rule
-/// findings. This is the unit the content-hash cache stores.
-#[derive(Clone, Debug, Default)]
+/// findings.
+#[derive(Debug, Default)]
 pub struct FileAnalysis {
     /// Item skeleton (enums, refs, emits, literals, pragmas).
     pub items: FileItems,
@@ -583,8 +583,7 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
 }
 
 /// Runs the cross-file rules, applies the pragma filter, and reports stale
-/// pragmas (L1). This always reruns in full — it is cheap next to lexing —
-/// so the per-file cache never affects cross-file results.
+/// pragmas (L1).
 pub fn finish(files: &[(String, FileAnalysis)], schema: Option<&Schema>) -> Vec<Finding> {
     let item_view: Vec<(String, FileItems)> = files
         .iter()

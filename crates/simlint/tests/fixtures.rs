@@ -1113,7 +1113,7 @@ fn json_output_is_well_formed_and_counted() {
     }
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
         .arg(&root)
-        .args(["--format", "json", "--no-cache"])
+        .args(["--format", "json"])
         .output()
         .expect("spawn simlint");
     assert_eq!(out.status.code(), Some(1), "findings exit 1");

@@ -382,43 +382,43 @@ impl FaultKind {
     }
 }
 
-/// Logical transport timer identity, as recorded in timer events.
-///
-/// Mirrors `transport::TimerKind` without depending on the transport crate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TimerId {
+/// Logical timers a transport may arm, as recorded in timer events. Each
+/// kind is a separate slot: arming a kind again moves that timer;
+/// cancelling clears it. `transport::TimerKind` is this type.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum TimerKind {
     /// Retransmission timeout.
     Rto,
-    /// Tail loss probe.
+    /// Tail loss probe (PTO).
     Tlp,
-    /// Pacing tick.
+    /// Rate-limiter pacing tick (rate-based senders).
     Pace,
-    /// DCQCN α-decay timer.
+    /// DCQCN α-decay timer (55 μs without CNP).
     DcqcnAlpha,
     /// DCQCN rate-increase timer.
     DcqcnIncrease,
 }
 
-impl TimerId {
+impl TimerKind {
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
-            TimerId::Rto => "rto",
-            TimerId::Tlp => "tlp",
-            TimerId::Pace => "pace",
-            TimerId::DcqcnAlpha => "alpha",
-            TimerId::DcqcnIncrease => "incr",
+            TimerKind::Rto => "rto",
+            TimerKind::Tlp => "tlp",
+            TimerKind::Pace => "pace",
+            TimerKind::DcqcnAlpha => "alpha",
+            TimerKind::DcqcnIncrease => "incr",
         }
     }
 
     /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<TimerId> {
+    pub fn parse(s: &str) -> Option<TimerKind> {
         Some(match s {
-            "rto" => TimerId::Rto,
-            "tlp" => TimerId::Tlp,
-            "pace" => TimerId::Pace,
-            "alpha" => TimerId::DcqcnAlpha,
-            "incr" => TimerId::DcqcnIncrease,
+            "rto" => TimerKind::Rto,
+            "tlp" => TimerKind::Tlp,
+            "pace" => TimerKind::Pace,
+            "alpha" => TimerKind::DcqcnAlpha,
+            "incr" => TimerKind::DcqcnIncrease,
             _ => return None,
         })
     }
@@ -568,7 +568,7 @@ pub enum TraceEvent {
         /// Flow index.
         flow: u32,
         /// Timer slot.
-        kind: TimerId,
+        kind: TimerKind,
         /// Absolute expiry time.
         at: SimTime,
     },
@@ -577,14 +577,14 @@ pub enum TraceEvent {
         /// Flow index.
         flow: u32,
         /// Timer slot.
-        kind: TimerId,
+        kind: TimerKind,
     },
     /// An armed timer fired (and was still current).
     TimerFire {
         /// Flow index.
         flow: u32,
         /// Timer slot.
-        kind: TimerId,
+        kind: TimerKind,
     },
     /// A sender took a retransmission timeout (the event TLT exists to
     /// prevent).
@@ -925,16 +925,16 @@ impl TraceEvent {
             },
             "timer_arm" => TraceEvent::TimerArm {
                 flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
+                kind: TimerKind::parse(fields.str("kind")?)?,
                 at: SimTime::from_ns(fields.num("at")?),
             },
             "timer_cancel" => TraceEvent::TimerCancel {
                 flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
+                kind: TimerKind::parse(fields.str("kind")?)?,
             },
             "timer_fire" => TraceEvent::TimerFire {
                 flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
+                kind: TimerKind::parse(fields.str("kind")?)?,
             },
             "timeout" => TraceEvent::Timeout {
                 flow: u32_of("flow")?,
@@ -1143,11 +1143,11 @@ mod tests {
         roundtrip(TraceEvent::LinkPause { node: 4, port: 0 });
         roundtrip(TraceEvent::LinkResume { node: 4, port: 0 });
         for kind in [
-            TimerId::Rto,
-            TimerId::Tlp,
-            TimerId::Pace,
-            TimerId::DcqcnAlpha,
-            TimerId::DcqcnIncrease,
+            TimerKind::Rto,
+            TimerKind::Tlp,
+            TimerKind::Pace,
+            TimerKind::DcqcnAlpha,
+            TimerKind::DcqcnIncrease,
         ] {
             roundtrip(TraceEvent::TimerArm {
                 flow: 1,

@@ -315,7 +315,7 @@ impl RunSummary {
 pub struct Report {
     /// Runs in file order.
     pub runs: Vec<RunSummary>,
-    /// Lines that failed to parse.
+    /// Lines that are not UTF-8 or do not decode to an event.
     pub malformed: u64,
     /// Events seen outside any `RunStart`..`RunEnd` bracket.
     pub orphans: u64,
@@ -432,13 +432,30 @@ impl RunBuilder {
 
 /// Inspects a trace held in memory.
 pub fn inspect_str(text: &str) -> Report {
+    inspect_reader(text.as_bytes()).expect("a byte slice reads without error")
+}
+
+/// Inspects a trace read line by line from `reader` (e.g. a file). Lines
+/// end at `\n` (a `\r` before it is dropped); a line that is not UTF-8 is
+/// malformed, like any line that does not decode to an event, and blank
+/// lines are skipped.
+pub fn inspect_reader(mut reader: impl BufRead) -> io::Result<Report> {
     let mut report = Report::default();
     let mut current: Option<RunBuilder> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let Some((t, ev)) = TraceEvent::from_jsonl(line) else {
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let decoded = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => TraceEvent::from_jsonl(line),
+            Err(_) => None,
+        };
+        let Some((t, ev)) = decoded else {
             report.malformed += 1;
             continue;
         };
@@ -485,26 +502,18 @@ pub fn inspect_str(text: &str) -> Report {
     if let Some(b) = current.take() {
         report.runs.push(b.finish());
     }
-    report
-}
-
-/// Inspects a trace read line-by-line from `reader` (e.g. a file).
-pub fn inspect_reader(reader: impl BufRead) -> io::Result<Report> {
-    let mut text = String::new();
-    let mut r = reader;
-    r.read_to_string(&mut text)?;
-    Ok(inspect_str(&text))
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::DropWhy;
-    use crate::sink::JsonlSink;
+    use crate::sink::{BufferSink, TraceSink};
 
     /// Builds a two-run trace via the real JSONL sink.
     fn sample_trace(declared_color: u64) -> String {
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut sink = BufferSink::new();
         let mut t = 0u64;
         let mut emit = |ev: TraceEvent| {
             t += 10;
@@ -555,7 +564,7 @@ mod tests {
             timeouts: 0,
             rto_causes: Default::default(),
         });
-        String::from_utf8(sink.into_inner()).unwrap()
+        String::from_utf8(sink.take_bytes()).unwrap()
     }
 
     #[test]
@@ -592,7 +601,7 @@ mod tests {
 
     /// A run with a link flap, a fault-attributed drop, and a reroute.
     fn fault_trace(declared_down: u64) -> String {
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut sink = BufferSink::new();
         let mut t = 0u64;
         let mut emit = |ev: TraceEvent| {
             t += 100;
@@ -631,7 +640,7 @@ mod tests {
             timeouts: 0,
             rto_causes: Default::default(),
         });
-        String::from_utf8(sink.into_inner()).unwrap()
+        String::from_utf8(sink.take_bytes()).unwrap()
     }
 
     #[test]
@@ -667,7 +676,7 @@ mod tests {
     /// A run with one timeout attributed by a forensic record.
     fn forensic_trace(declared_pfc: u64) -> String {
         use crate::event::RtoCause;
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut sink = BufferSink::new();
         let mut t = 0u64;
         let mut emit = |ev: TraceEvent| {
             t += 10;
@@ -698,7 +707,7 @@ mod tests {
             timeouts: 1,
             rto_causes: rc,
         });
-        String::from_utf8(sink.into_inner()).unwrap()
+        String::from_utf8(sink.take_bytes()).unwrap()
     }
 
     #[test]
@@ -742,7 +751,7 @@ mod tests {
     #[test]
     fn truncated_and_orphaned_traces_are_flagged() {
         // Orphan event before any run, then a run with no run_end.
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut sink = BufferSink::new();
         sink.record(SimTime::from_ns(1), &TraceEvent::FlowEnd { flow: 0 });
         sink.record(
             SimTime::from_ns(2),
@@ -755,7 +764,7 @@ mod tests {
             SimTime::from_ns(3),
             &TraceEvent::FlowStart { flow: 1, bytes: 10 },
         );
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.take_bytes()).unwrap();
         let report = inspect_str(&format!("not json\n{text}"));
         assert_eq!(report.malformed, 1);
         assert_eq!(report.orphans, 1);

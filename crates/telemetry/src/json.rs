@@ -2,9 +2,9 @@
 //!
 //! Every JSON text the workspace reads goes through [`Cursor`]: the
 //! `tlt-metrics/v1` artifact (`crate::Artifact::parse`), each JSONL
-//! trace line (`TraceEvent::from_jsonl`), `ci/metrics_schema.json` and
-//! simlint's cache. Every string any of them writes goes through
-//! [`push_str`]. The dialect is what the writers emit: objects, arrays,
+//! trace line (`TraceEvent::from_jsonl`) and `ci/metrics_schema.json`.
+//! Every string the workspace writes into JSON goes through [`push_str`].
+//! The dialect is what the writers emit: objects, arrays,
 //! strings, `true`/`false`/`null` and **unsigned integers only**, so a
 //! deterministic producer writes byte-identical text. Raw control
 //! characters inside strings are rejected, and nothing here panics on
@@ -12,9 +12,9 @@
 //!
 //! The typed parsers walk their known shapes with the cursor directly.
 //! [`parse`] builds a small DOM ([`Value`]) whose strings remember their
-//! source line, for documents whose shape is open (simlint's schema and
-//! cache); its nesting depth is capped by
-//! [`MAX_DEPTH`], so hostile input cannot overflow the stack.
+//! source line, for documents whose shape is open (the schema); its
+//! nesting depth is capped by [`MAX_DEPTH`], so hostile input cannot
+//! overflow the stack.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -292,7 +292,7 @@ pub fn escape(t: &str) -> String {
 }
 
 /// A parsed JSON value. Numbers are unsigned integers — nothing the
-/// workspace stores needs more, and refusing floats keeps the writer
+/// workspace stores needs more, and refusing floats keeps the writers
 /// byte-deterministic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Value {
@@ -403,47 +403,6 @@ fn value(c: &mut Cursor, depth: usize) -> Result<Value, String> {
     }
 }
 
-/// Serializes `v` compactly and deterministically (object keys are already
-/// sorted by the `BTreeMap`).
-pub fn write(v: &Value) -> String {
-    let mut s = String::new();
-    write_into(v, &mut s);
-    s
-}
-
-fn write_into(v: &Value, s: &mut String) {
-    match v {
-        Value::Null => s.push_str("null"),
-        Value::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            let _ = write!(s, "{n}");
-        }
-        Value::Str(t, _) => push_str(s, t),
-        Value::Arr(items) => {
-            s.push('[');
-            for (i, it) in items.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                write_into(it, s);
-            }
-            s.push(']');
-        }
-        Value::Obj(m) => {
-            s.push('{');
-            for (i, (k, (val, _))) in m.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_str(s, k);
-                s.push(':');
-                write_into(val, s);
-            }
-            s.push('}');
-        }
-    }
-}
-
 /// Asserts that `parse` rejects every char-boundary prefix of `text` short
 /// of the whole document (trailing whitespace aside), and that `text`
 /// holds an escape and a non-ASCII char, so the cuts include one directly
@@ -467,14 +426,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_objects_arrays_and_scalars() {
+    fn parses_objects_arrays_and_scalars() {
         let text = r#"{"b": true, "arr": [1, 2, "x"], "nested": {"n": null, "k": 7}}"#;
         let v = parse(text).unwrap();
         assert_eq!(v.get("b"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("arr").unwrap().items().len(), 3);
-        assert_eq!(v.get("nested").unwrap().get("k").unwrap().as_u64(), Some(7));
-        let re = parse(&write(&v)).unwrap();
-        assert_eq!(v, re);
+        assert_eq!(
+            v.get("arr").unwrap().items(),
+            [Value::Num(1), Value::Num(2), Value::Str("x".to_string(), 1)]
+        );
+        let nested = v.get("nested").unwrap();
+        assert_eq!(nested.get("n"), Some(&Value::Null));
+        assert_eq!(nested.get("k").unwrap().as_u64(), Some(7));
+        let Value::Obj(m) = &v else {
+            panic!("not an object: {v:?}")
+        };
+        assert_eq!(m.keys().collect::<Vec<_>>(), ["arr", "b", "nested"]);
     }
 
     #[test]
@@ -486,11 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn escapes_roundtrip() {
+    fn escapes_decode_and_encode() {
         let text = r#"{"k": "a\"b\\c\ndA\/\t\u00e9"}"#;
         let v = parse(text).unwrap();
-        assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\ndA/\té"));
-        assert_eq!(parse(&write(&v)).unwrap(), v);
+        let k = "a\"b\\c\ndA/\té";
+        assert_eq!(v.get("k").unwrap().as_str(), Some(k));
+        assert_eq!(parse(&escape(k)).unwrap().as_str(), Some(k));
         assert_eq!(escape("q\"b\\n\nt\tx"), r#""q\"b\\n\nt\u0009x""#);
     }
 

@@ -3,16 +3,14 @@
 //! The TLT paper's claims are causal — important packets survive specific
 //! drop and pause episodes — so end-of-run aggregates alone cannot explain a
 //! deviating figure. This crate records the packet/flow lifecycle as
-//! structured [`TraceEvent`]s flowing through pluggable [`TraceSink`]s:
+//! structured [`TraceEvent`]s flowing into a [`TraceSink`]:
 //!
-//! - [`RingSink`]: bounded in-memory ring of the most recent events,
 //! - [`CountingSink`]: per-switch and global aggregation (no event storage),
-//! - [`JsonlSink`]: hand-rolled JSON-lines file/byte output (no serde),
-//! - [`BufferSink`]: in-memory JSONL buffer that is `Send`, so parallel
-//!   workers can trace privately and hand bytes back for an ordered merge,
-//! - [`SeriesSink`]: per-port time series of queue depth, pause state, and
-//!   cumulative drops, built from periodic `PortSample` events,
-//! - [`FanoutSink`]: duplicates events into several sinks.
+//! - [`BufferSink`]: hand-rolled JSON-lines (no serde) in an in-memory
+//!   buffer that is `Send`, so parallel workers can trace privately and
+//!   hand bytes back for an ordered merge (`--trace`),
+//! - `Vec<(SimTime, TraceEvent)>`: every event, for tests that read the
+//!   run back.
 //!
 //! Producers hold a [`Tracer`] — a cheap clone-able handle that is a single
 //! `Option` check (and no event construction) when tracing is disabled, so
@@ -63,7 +61,6 @@ pub mod json;
 pub mod profile;
 pub mod registry;
 pub mod schema;
-mod series;
 pub mod serve;
 mod sink;
 pub mod spans;
@@ -72,13 +69,10 @@ mod validate;
 
 pub use artifact::{Artifact, METRICS_SCHEMA};
 pub use event::{
-    DropWhy, FaultKind, Phase, PhaseTimes, RtoCause, RtoCauseCounts, TimerId, TraceEvent,
+    DropWhy, FaultKind, Phase, PhaseTimes, RtoCause, RtoCauseCounts, TimerKind, TraceEvent,
 };
 pub use profile::{SeriesBucket, TimeSeries, SERIES_BASE_WINDOW_NS, SERIES_MAX_BUCKETS};
 pub use registry::{Hist, Registry};
-pub use series::{PortKey, SeriesPoint, SeriesSink};
-pub use sink::{
-    BufferSink, CountingSink, FanoutSink, JsonlSink, NodeCounts, RingSink, TraceCounts, TraceSink,
-};
+pub use sink::{BufferSink, CountingSink, NodeCounts, TraceCounts, TraceSink};
 pub use spans::{FlowSpan, RequestSpan, StallSpan};
 pub use tracer::Tracer;

@@ -6,7 +6,7 @@
 //! counters, while preserving the repository's determinism contract:
 //!
 //! * Every structure is keyed by `BTreeMap`, so iteration — and therefore
-//!   the JSON/CSV export — is byte-stable across runs and across `--jobs N`.
+//!   the JSON export — is byte-stable across runs and across `--jobs N`.
 //! * Histograms use *fixed* log-linear buckets (exact below 16, then four
 //!   sub-buckets per power of two), so merging registries produced by
 //!   parallel workers is an element-wise sum with no data-dependent bucket
@@ -405,29 +405,6 @@ impl Registry {
         s.push('}');
     }
 
-    /// Serializes as CSV (`kind,name,field,value`), for spreadsheet use.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("kind,name,field,value\n");
-        for (k, v) in &self.meta {
-            let _ = writeln!(s, "meta,{k},value,{v}");
-        }
-        for (k, v) in &self.counters {
-            let _ = writeln!(s, "counter,{k},value,{v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(s, "gauge,{k},value,{v}");
-        }
-        for (k, h) in &self.hists {
-            let _ = writeln!(s, "hist,{k},count,{}", h.count);
-            let _ = writeln!(s, "hist,{k},sum,{}", h.sum);
-            let _ = writeln!(s, "hist,{k},min,{}", h.min());
-            let _ = writeln!(s, "hist,{k},max,{}", h.max());
-            let _ = writeln!(s, "hist,{k},p50,{}", h.quantile(50));
-            let _ = writeln!(s, "hist,{k},p99,{}", h.quantile(99));
-        }
-        s
-    }
-
     /// The plain dump of every counter, gauge and histogram — the render
     /// of a document no specialised view claims.
     pub(crate) fn render_body(&self, s: &mut String) {
@@ -824,8 +801,6 @@ mod tests {
         merged.merge(&other);
         assert_eq!(merged.meta_get("scale"), Some("quick"));
         assert_eq!(merged.meta_get("cores"), Some("8"));
-        // Meta shows up in CSV too.
-        assert!(merged.to_csv().contains("meta,scale,value,quick"));
     }
 
     #[test]
@@ -875,20 +850,6 @@ mod tests {
         // Trailing garbage after the document is rejected.
         let trailing = format!("{json}garbage");
         assert!(parse(&trailing).is_err());
-    }
-
-    #[test]
-    fn csv_lists_every_metric() {
-        let mut r = Registry::new();
-        r.inc("c", 1);
-        r.gauge_max("g", 2);
-        r.observe("h", 3);
-        let csv = r.to_csv();
-        assert!(csv.starts_with("kind,name,field,value\n"));
-        assert!(csv.contains("counter,c,value,1"));
-        assert!(csv.contains("gauge,g,value,2"));
-        assert!(csv.contains("hist,h,count,1"));
-        assert!(csv.contains("hist,h,p99,3"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Trace sinks: where emitted events go.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
+use std::collections::BTreeMap;
 
 use eventsim::SimTime;
 
@@ -14,53 +13,13 @@ use crate::event::{DropWhy, RtoCauseCounts, TraceEvent};
 pub trait TraceSink {
     /// Records one event at simulation time `t`.
     fn record(&mut self, t: SimTime, ev: &TraceEvent);
-
-    /// Flushes buffered output, if any.
-    fn flush(&mut self) {}
 }
 
-/// A bounded ring of the most recent events, for post-mortem inspection in
-/// tests and interactive debugging.
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<(SimTime, TraceEvent)>,
-    /// Events evicted because the ring was full.
-    pub evicted: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            buf: VecDeque::with_capacity(cap.clamp(1, 4096)),
-            evicted: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
+/// Keeps every event, in order: the whole run as a list, for tests that
+/// read it back.
+impl TraceSink for Vec<(SimTime, TraceEvent)> {
     fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back((t, ev.clone()));
+        self.push((t, ev.clone()));
     }
 }
 
@@ -273,87 +232,24 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// A JSON-lines sink writing one event per line, hand-rolled (no serde).
-///
-/// Generic over any [`Write`] so tests can trace into a `Vec<u8>` and the
-/// CLI can trace into a `BufWriter<File>`.
-pub struct JsonlSink<W: Write> {
-    out: W,
-    /// The line being encoded; reused, so steady state allocates nothing.
-    line: String,
-    /// Lines written so far.
-    pub lines: u64,
-    /// First I/O error encountered, if any (subsequent writes are skipped).
-    pub error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out,
-            line: String::new(),
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Consumes the sink and returns the writer (flushing it first).
-    pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
-    }
-
-    /// Borrows the underlying writer.
-    pub fn get_ref(&self) -> &W {
-        &self.out
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        ev.write_jsonl(t, &mut self.line);
-        self.line.push('\n');
-        match self.out.write_all(self.line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
-/// An in-memory JSONL sink whose buffer can be moved across threads.
+/// An in-memory JSONL sink whose buffer can be moved across threads: one
+/// event per line, `{"t":<ns>,"ev":"<tag>", ...fields}`, encoded by
+/// [`TraceEvent::write_jsonl`].
 ///
 /// This is the building block for parallel experiment execution: each
 /// worker thread records its run into a private `BufferSink`, and the
 /// coordinator concatenates the extracted byte buffers in a deterministic
-/// order afterwards. Unlike the [`Tracer`](crate::Tracer) handle (which is
-/// `Rc`-based and thread-local by design), `BufferSink` itself — and the
-/// `Vec<u8>` taken out of it — is `Send`, so a run's trace can be produced
-/// on one thread and folded on another.
-///
-/// The encoded bytes are exactly what a [`JsonlSink`] writing to a file
-/// would produce, so concatenating buffers from several runs yields a
-/// valid multi-run trace file.
+/// order afterwards, which yields a valid multi-run trace file. Unlike the
+/// [`Tracer`](crate::Tracer) handle (which is `Rc`-based and thread-local
+/// by design), `BufferSink` itself — and the `Vec<u8>` taken out of it — is
+/// `Send`, so a run's trace can be produced on one thread and folded on
+/// another.
+#[derive(Default)]
 pub struct BufferSink {
-    inner: JsonlSink<Vec<u8>>,
-}
-
-impl Default for BufferSink {
-    fn default() -> BufferSink {
-        BufferSink::new()
-    }
+    /// The encoded lines; once grown, recording allocates nothing.
+    out: String,
+    /// Lines (= events) recorded since the last [`BufferSink::take_bytes`].
+    lines: u64,
 }
 
 // Compile-time guarantee that worker threads can hand buffers back.
@@ -365,65 +261,26 @@ const _: fn() = || {
 impl BufferSink {
     /// An empty buffer sink.
     pub fn new() -> BufferSink {
-        BufferSink {
-            inner: JsonlSink::new(Vec::new()),
-        }
+        BufferSink::default()
     }
 
     /// Lines (= events) recorded so far.
     pub fn lines(&self) -> u64 {
-        self.inner.lines
+        self.lines
     }
 
     /// Takes the encoded bytes out, leaving the sink empty and reusable.
     pub fn take_bytes(&mut self) -> Vec<u8> {
-        self.inner.lines = 0;
-        std::mem::take(&mut self.inner.out)
-    }
-
-    /// Consumes the sink and returns the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.inner.into_inner()
+        self.lines = 0;
+        std::mem::take(&mut self.out).into_bytes()
     }
 }
 
 impl TraceSink for BufferSink {
     fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        self.inner.record(t, ev);
-    }
-}
-
-/// Duplicates every event into several sinks (e.g. a JSONL file plus a
-/// counting cross-check).
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl FanoutSink {
-    /// An empty fanout; add sinks with [`FanoutSink::push`].
-    pub fn new() -> FanoutSink {
-        FanoutSink::default()
-    }
-
-    /// Adds a sink (builder style).
-    pub fn push(mut self, sink: impl TraceSink + 'static) -> FanoutSink {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        for s in &mut self.sinks {
-            s.record(t, ev);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
+        ev.write_jsonl(t, &mut self.out);
+        self.out.push('\n');
+        self.lines += 1;
     }
 }
 
@@ -443,24 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_and_counts_evictions() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5u32 {
-            ring.record(
-                SimTime::from_ns(u64::from(i)),
-                &TraceEvent::FlowEnd { flow: i },
-            );
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.evicted, 2);
-        let flows: Vec<u32> = ring
-            .events()
-            .map(|(_, ev)| match ev {
-                TraceEvent::FlowEnd { flow } => *flow,
-                other => panic!("unexpected {other:?}"),
+    fn vec_keeps_every_event_in_order() {
+        let events: Vec<_> = (0..5u32)
+            .map(|i| {
+                (
+                    SimTime::from_ns(u64::from(i)),
+                    TraceEvent::FlowEnd { flow: i },
+                )
             })
             .collect();
-        assert_eq!(flows, vec![2, 3, 4], "oldest events evicted first");
+        let mut all = Vec::new();
+        for (t, ev) in &events {
+            all.record(*t, ev);
+        }
+        assert_eq!(all, events);
     }
 
     #[test]
@@ -587,54 +440,31 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(SimTime::from_ns(5), &drop_ev(3, DropWhy::Color, true));
-        sink.record(
+    fn buffer_sink_writes_parseable_lines_and_crosses_threads() {
+        let mut buf = BufferSink::new();
+        buf.record(SimTime::from_ns(5), &drop_ev(3, DropWhy::Color, true));
+        buf.record(
             SimTime::from_ns(9),
             &TraceEvent::PfcXon { node: 3, port: 2 },
         );
-        assert_eq!(sink.lines, 2);
-        let bytes = sink.into_inner();
+        assert_eq!(buf.lines(), 2);
+        // Bytes taken out on another thread parse back line by line.
+        let (bytes, buf) = std::thread::spawn(move || (buf.take_bytes(), buf))
+            .join()
+            .unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let parsed: Vec<_> = text
             .lines()
             .map(|l| TraceEvent::from_jsonl(l).expect("parseable"))
             .collect();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, SimTime::from_ns(5));
-        assert_eq!(parsed[1].1, TraceEvent::PfcXon { node: 3, port: 2 });
-    }
-
-    #[test]
-    fn buffer_sink_matches_jsonl_encoding_and_crosses_threads() {
-        let ev = drop_ev(3, DropWhy::Color, true);
-        let mut jsonl = JsonlSink::new(Vec::new());
-        jsonl.record(SimTime::from_ns(5), &ev);
-
-        let mut buf = BufferSink::new();
-        buf.record(SimTime::from_ns(5), &ev);
-        assert_eq!(buf.lines(), 1);
-        // Bytes extracted on another thread are identical to the direct
-        // JsonlSink encoding; take_bytes leaves the sink reusable.
-        let bytes = std::thread::spawn(move || buf.take_bytes()).join().unwrap();
-        assert_eq!(bytes, jsonl.into_inner());
-    }
-
-    #[test]
-    fn fanout_duplicates_into_all_children() {
-        let counts = std::rc::Rc::new(std::cell::RefCell::new(CountingSink::default()));
-        struct Shared(std::rc::Rc<std::cell::RefCell<CountingSink>>);
-        impl TraceSink for Shared {
-            fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-                self.0.borrow_mut().record(t, ev);
-            }
-        }
-        let mut fan = FanoutSink::new()
-            .push(Shared(counts.clone()))
-            .push(Shared(counts.clone()));
-        fan.record(SimTime::ZERO, &drop_ev(0, DropWhy::Dynamic, false));
-        fan.flush();
-        assert_eq!(counts.borrow().totals.drops_dt, 2);
+        assert_eq!(
+            parsed,
+            [
+                (SimTime::from_ns(5), drop_ev(3, DropWhy::Color, true)),
+                (SimTime::from_ns(9), TraceEvent::PfcXon { node: 3, port: 2 }),
+            ]
+        );
+        // take_bytes leaves the sink empty and reusable.
+        assert_eq!(buf.lines(), 0);
     }
 }

@@ -30,12 +30,10 @@ impl Tracer {
     /// sink, so callers can inspect it after the run without downcasting.
     pub fn new<S: TraceSink + 'static>(sink: S) -> (Tracer, Rc<RefCell<S>>) {
         let shared = Rc::new(RefCell::new(sink));
-        (Tracer::from_shared(shared.clone()), shared)
-    }
-
-    /// Wraps an existing shared sink.
-    pub fn from_shared<S: TraceSink + 'static>(sink: Rc<RefCell<S>>) -> Tracer {
-        Tracer { sink: Some(sink) }
+        let tracer = Tracer {
+            sink: Some(shared.clone()),
+        };
+        (tracer, shared)
     }
 
     /// Whether events are being recorded.
@@ -51,13 +49,6 @@ impl Tracer {
     pub fn emit(&self, t: SimTime, make: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.sink {
             sink.borrow_mut().record(t, &make());
-        }
-    }
-
-    /// Flushes the underlying sink (no-op when disabled or unbuffered).
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().flush();
         }
     }
 }
@@ -78,7 +69,6 @@ mod tests {
             TraceEvent::FlowEnd { flow: 0 }
         });
         assert!(!built, "closure must not run when tracing is off");
-        t.flush();
     }
 
     #[test]

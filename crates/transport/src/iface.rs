@@ -9,21 +9,7 @@
 use eventsim::SimTime;
 use netsim::packet::Packet;
 
-/// Logical timers a transport may arm. Each kind is a separate slot: arming
-/// a kind again moves that timer; cancelling clears it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum TimerKind {
-    /// Retransmission timeout.
-    Rto,
-    /// Tail loss probe (PTO).
-    Tlp,
-    /// Rate-limiter pacing tick (rate-based senders).
-    Pace,
-    /// DCQCN α-decay timer (55 μs without CNP).
-    DcqcnAlpha,
-    /// DCQCN rate-increase timer.
-    DcqcnIncrease,
-}
+pub use telemetry::TimerKind;
 
 /// An effect requested by a transport.
 #[derive(Clone, Debug)]

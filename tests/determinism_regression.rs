@@ -229,17 +229,16 @@ fn golden_faulted_mix_cell() {
 // FNV-1a hash of its bytes, plus the number of pause episodes observed.
 // ---------------------------------------------------------------------
 
-/// Runs `eng` with the metrics registry and a ring sink attached; returns
-/// the result and the `(LinkPause, LinkResume)` event counts.
+/// Runs `eng` with the metrics registry and an event list attached;
+/// returns the result and the `(LinkPause, LinkResume)` event counts.
 fn run_observed(mut eng: Engine) -> (dcsim::SimResult, (u64, u64)) {
     eng.set_metrics();
-    let (tracer, ring) = telemetry::Tracer::new(telemetry::RingSink::new(1 << 22));
+    let (tracer, events) = telemetry::Tracer::new(Vec::new());
     eng.set_tracer(tracer);
     let res = eng.run();
-    let ring = ring.borrow();
-    assert_eq!(ring.evicted, 0, "ring holds the whole trace");
+    let events: &Vec<(SimTime, telemetry::TraceEvent)> = &events.borrow();
     let count = |want: fn(&telemetry::TraceEvent) -> bool| {
-        ring.events().filter(|(_, ev)| want(ev)).count() as u64
+        events.iter().filter(|(_, ev)| want(ev)).count() as u64
     };
     let pauses = count(|ev| matches!(ev, telemetry::TraceEvent::LinkPause { .. }));
     let resumes = count(|ev| matches!(ev, telemetry::TraceEvent::LinkResume { .. }));
@@ -310,5 +309,68 @@ fn golden_metrics_pause_storm() {
     assert_eq!(
         metrics_golden(&res),
         "keys=24c/3g/3h pause_obs=1 bytes=1087 fnv=0x6c351ed26b26791a"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Trace-bytes golden. `--trace` writes each run as the JSONL bytes of a
+// `BufferSink`, bracketed by `run_start` and `run_end`; the `--jobs` checks
+// only compare those bytes with themselves. This pins them: the length and
+// an FNV-1a hash of one traced cell, plus how many lines of each kind the
+// cell has to exercise.
+// ---------------------------------------------------------------------
+
+/// A PFC incast under wire loss, a link flap and a pause storm, with port
+/// samples every 100 µs, traced as `bench::runner` traces a `--trace` run.
+#[test]
+fn golden_trace_bytes_pfc_incast_with_faults() {
+    let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
+        .with_topology(small_single_switch(9))
+        .with_pfc()
+        .with_seed(6);
+    cfg.max_time = SimTime::from_ms(50);
+    cfg.switch.buffer_bytes = 300_000;
+    cfg.wire_loss_rate = 0.002;
+    cfg.trace_sample_every = Some(SimTime::from_us(100));
+    cfg.faults = dcsim::FaultSchedule::new()
+        .link_flap(SimTime::from_us(200), 3, 0, SimTime::from_us(150))
+        .pause_storm(SimTime::from_us(100), 0, 1, SimTime::from_us(300));
+    let flows = workload::incast_burst(60, 8, 32_000, 6);
+
+    let (tracer, sink) = telemetry::Tracer::new(telemetry::BufferSink::new());
+    tracer.emit(SimTime::ZERO, || telemetry::TraceEvent::RunStart {
+        label: "golden/pfc_incast_faults".to_string(),
+        seed: cfg.seed,
+    });
+    let mut eng = Engine::new(cfg, flows);
+    eng.set_tracer(tracer.clone());
+    let agg = eng.run().agg;
+    tracer.emit(agg.duration, || telemetry::TraceEvent::RunEnd {
+        drops_color: agg.drops_color,
+        drops_dt: agg.drops_dt,
+        drops_overflow: agg.drops_overflow,
+        wire_drops: agg.wire_drops,
+        down_drops: agg.down_drops,
+        pause_frames: agg.pause_frames,
+        timeouts: agg.timeouts,
+        rto_causes: agg.rto_causes,
+    });
+    let bytes = sink.borrow_mut().take_bytes();
+
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
+    });
+    let text = std::str::from_utf8(&bytes).expect("trace is utf-8");
+    let lines = |ev: &str| text.matches(&format!("\"ev\":\"{ev}\"")).count();
+    assert_eq!(
+        format!(
+            "bytes={} fnv={fnv:#018x} drop={} xoff={} fault={} port_sample={}",
+            bytes.len(),
+            lines("drop"),
+            lines("xoff"),
+            lines("fault"),
+            lines("port_sample"),
+        ),
+        "bytes=1025647 fnv=0xcde16f8e752030e4 drop=350 xoff=16 fault=4 port_sample=4005"
     );
 }

@@ -253,6 +253,35 @@ fn drawn_mutants_of_every_source_are_ok_or_err() {
     }
 }
 
+/// A byte that is not UTF-8 costs the inspector one malformed line, not
+/// the file: every other line of the trace slice is read as before, with
+/// no allocation past the corpus bound.
+#[test]
+fn a_non_utf8_line_is_malformed_and_the_rest_is_read() {
+    let trace = sources().swap_remove(4);
+    let clean = inspect_reader(trace.as_bytes()).expect("in memory");
+    let first = trace.find('\n').expect("several lines") + 1;
+    let mut bytes = trace.clone().into_bytes();
+    bytes.splice(
+        first..first,
+        *b"{\"t\":5,\"ev\":\"flow_end\",\"flow\":7\xff}\n",
+    );
+    assert!(std::str::from_utf8(&bytes).is_err());
+    let report = inspect_reader(&bytes[..]).expect("in memory");
+    assert_eq!(report.malformed, 1);
+    assert_eq!(report.orphans, clean.orphans);
+    assert_eq!(report.runs.len(), 1);
+    let (got, want) = (&report.runs[0], &clean.runs[0]);
+    assert_eq!(got.label, LABEL);
+    assert_eq!((got.events, got.totals), (want.events, want.totals));
+    assert_eq!(got.check(), want.check());
+    let largest = largest_alloc("non-UTF-8", || {
+        inspect_reader(&bytes[..]).expect("in memory").render();
+    });
+    let bound = 64 * bytes.len() + (64 << 10);
+    assert!(largest <= bound, "{largest} bytes at once");
+}
+
 #[test]
 fn deep_nesting_is_a_positioned_error() {
     for open in ["[", "{\"a\":"] {
