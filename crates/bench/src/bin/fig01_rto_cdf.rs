@@ -5,6 +5,7 @@
 //! bursty traffic — >10% of foreground flows computed RTOs above 1.1 ms
 //! while the 90th-percentile RTT was 0.48 ms.
 
+use bench::plan::RunPlan;
 use bench::runner::{self, Args, Table};
 
 use transport::{RtoMode, TransportKind};
@@ -20,18 +21,23 @@ fn main() {
         false,
     );
     cfg.rto = RtoMode::microsecond();
-    let flows = runner::mix_flows(&FlowSizeCdf::web_search(), p)(1);
-    let res = runner::traced_run("fig01/dctcp-rto200us", cfg, flows);
+    let cdf = FlowSizeCdf::web_search();
+    let mut plan = RunPlan::new(&args);
+    plan.scheme_seeds("fig01/dctcp-rto200us", 1, cfg, runner::mix_flows(&cdf, p));
+    let out = plan.run_detailed(|_, _, res| {
+        let a = &res.agg;
+        [&a.bg_rtt, &a.bg_rto, &a.fg_rtt, &a.fg_rto].map(Clone::clone)
+    });
+    let [bg_rtt, bg_rto, mut fg_rtt, mut fg_rto] = out.values.into_iter().next().expect("one job");
 
     let mut t = Table::new(&args, &["series", "value_us", "quantile"], &[]);
     println!("== Figure 1: RTT vs computed RTO CDFs (DCTCP, RTO_min=200us) ==");
-    for (label, samples) in [
-        ("bg_rtt", res.agg.bg_rtt.clone()),
-        ("bg_rto", res.agg.bg_rto.clone()),
-        ("fg_rtt", res.agg.fg_rtt.clone()),
-        ("fg_rto", res.agg.fg_rto.clone()),
+    for (label, mut s) in [
+        ("bg_rtt", bg_rtt),
+        ("bg_rto", bg_rto),
+        ("fg_rtt", fg_rtt.clone()),
+        ("fg_rto", fg_rto.clone()),
     ] {
-        let mut s = samples;
         println!(
             "{label:>8}: n={:<8} p50={:9.1}us p90={:9.1}us p99={:9.1}us max={:9.1}us",
             s.len(),
@@ -49,8 +55,6 @@ fn main() {
         }
     }
     // The paper's observation, quantified.
-    let mut fg_rto = res.agg.fg_rto.clone();
-    let mut fg_rtt = res.agg.fg_rtt.clone();
     println!(
         "\nfraction of fg flows with RTO > 1.1ms: {:.1}%  (fg RTT p90 = {:.0}us)",
         100.0 * (1.0 - cdf_at(&mut fg_rto, 1.1e-3)),

@@ -57,23 +57,23 @@ fn main() {
         }
     }
 
-    // Panel (c): CDF of FCT at 100 flows, TCP. Bespoke per-flow data, so it
-    // stays on the sequential traced-run path.
-    println!("\n== Figure 14c: FCT CDF at 100 flows (TCP) ==");
+    // Panel (c): CDF of FCT at 100 flows, TCP, pooled over seeds.
+    let mut plan = RunPlan::new(&args);
     for v in VARIANTS {
-        let mut fcts = Samples::new();
-        for seed in 1..=args.seeds {
-            let res = runner::traced_run(
-                &format!("fig14c/{}", v.label()),
-                cfg(TransportKind::Tcp, v).with_seed(seed),
-                incast_burst(100, 8, 32_000, seed),
-            );
-            for f in &res.flows {
-                if let Some(fct) = f.fct() {
-                    fcts.push(fct.as_secs_f64() * 1e3);
-                }
-            }
-        }
+        plan.scheme(
+            format!("fig14c/{}", v.label()),
+            cfg(TransportKind::Tcp, v),
+            |s| incast_burst(100, 8, 32_000, s),
+        );
+    }
+    let out = plan.run_detailed(|_, _, res| {
+        let fcts = res.flows.iter().filter_map(|f| f.fct());
+        fcts.map(|t| t.as_secs_f64() * 1e3).collect::<Vec<_>>()
+    });
+    println!("\n== Figure 14c: FCT CDF at 100 flows (TCP) ==");
+    let per_variant = out.values.chunks(args.seeds as usize);
+    for (v, seeds) in VARIANTS.into_iter().zip(per_variant) {
+        let mut fcts = Samples::from_values(seeds.concat());
         println!(
             "{:>8}: p50={:8.3}ms p90={:8.3}ms p99={:8.3}ms max={:8.3}ms",
             v.label(),

@@ -37,7 +37,7 @@
 //!   paying timeouts).
 //!
 //! Determinism: the request stream is a pure function of (params, seed),
-//! accounting runs in the plan's analyze hook, and fragments fold in plan
+//! accounting runs in the plan's per-job closure, and fragments fold in plan
 //! order — the table and the `--serve-out` bytes are identical under any
 //! `--jobs` value.
 
@@ -126,25 +126,18 @@ fn run_grid(
             }
         }
     }
-    // The analyze hook regenerates the (cheap) request index from a cell's
-    // params to join request ids against the finished run.
+    // The per-job closure regenerates the (cheap) request index from a
+    // cell's params to join request ids against the finished run.
     let params_by_scheme: BTreeMap<String, ServeParams> = cells
         .iter()
         .map(|(name, _, p)| (name.clone(), p.clone()))
         .collect();
 
-    // Span-tree side channel: the analyze hook returns only a Registry, so
-    // per-cell spans reports land in a shared map keyed by (scheme, seed) and
-    // merge in BTreeMap key order after the run — the reservoir merge is
-    // order-independent, so the export stays byte-identical under any
-    // `--jobs` value.
-    #[cfg(feature = "ledger")]
-    let spans_acc: std::sync::Arc<std::sync::Mutex<BTreeMap<(String, u64), Artifact>>> =
-        Default::default();
-    #[cfg(feature = "ledger")]
-    let spans_in = spans_acc.clone();
-
-    let mut plan = RunPlan::sized(jobs, seeds).analyze(move |name, seed, res| {
+    let mut plan = RunPlan::sized(jobs, seeds);
+    for (name, cfg, params) in cells {
+        plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
+    }
+    let out = plan.run_detailed(|name, seed, res| {
         let params = &params_by_scheme[name];
         let wl = serve::generate(params, seed);
         let mut rep = serve::account(name, &wl, res, params.slo);
@@ -153,42 +146,25 @@ fn run_grid(
         rep.reg
             .inc(&format!("serve_rtos/{name}"), res.forensics.len() as u64);
         #[cfg(feature = "ledger")]
-        {
-            let sp = serve::account_spans(name, seed, &wl, res, params.slo);
-            spans_in
-                .lock()
-                .expect("spans accumulator")
-                .insert((name.to_string(), seed), sp);
-        }
-        rep.reg
+        let spans = Some(serve::account_spans(name, seed, &wl, res, params.slo));
+        #[cfg(not(feature = "ledger"))]
+        let spans = None;
+        (rep.reg, spans)
     });
-    for (name, cfg, params) in cells {
-        plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
-    }
-    let out = plan.run_detailed();
-    let mut rep = Artifact {
-        reg: out.analysis.expect("analyze hook installed"),
-        ..Artifact::new()
-    };
-    rep.reg.set_meta("scale", spec.scale);
-    rep.reg
-        .set_meta("slo_ns", &spec.base.slo.as_ns().to_string());
-    rep.reg.set_meta("workload", spec.base.response_cdf.name());
-    #[cfg(feature = "ledger")]
-    let spans = {
-        let map = std::mem::take(&mut *spans_acc.lock().expect("spans accumulator"));
-        let mut sp = Artifact::new();
-        for frag in map.values() {
-            sp.merge(frag);
+    let mut rep = Artifact::new();
+    let mut spans: Option<Artifact> = None;
+    for (reg, sp) in &out.values {
+        rep.reg.merge(reg);
+        if let Some(sp) = sp {
+            spans.get_or_insert_with(Artifact::new).merge(sp);
         }
-        sp.reg.set_meta("scale", spec.scale);
-        sp.reg
+    }
+    for doc in std::iter::once(&mut rep).chain(spans.as_mut()) {
+        doc.reg.set_meta("scale", spec.scale);
+        doc.reg
             .set_meta("slo_ns", &spec.base.slo.as_ns().to_string());
-        sp.reg.set_meta("workload", spec.base.response_cdf.name());
-        Some(sp)
-    };
-    #[cfg(not(feature = "ledger"))]
-    let spans = None;
+        doc.reg.set_meta("workload", spec.base.response_cdf.name());
+    }
     (out.results, rep, spans)
 }
 

@@ -51,8 +51,9 @@
 //! ```
 //!
 //! `ci/figures/` holds every `fig*`/`tab*` binary's and `scenario_faults`'
-//! `--quick` stdout and CSV; `bash ci/figures.sh target/release <dir>`
-//! writes the same set for a `diff -r`.
+//! `--quick` stdout and CSV, and `results/` the same set at default scale;
+//! `bash ci/figures.sh target/release <dir> [jobs] [quick|default]` writes
+//! either for a `diff -r`.
 
 pub mod plan;
 pub mod profiler;

@@ -35,16 +35,16 @@ struct SchemeSpec<'a> {
 }
 
 /// What one (scheme, seed) job hands back to the fold.
-struct JobOut {
+struct JobOut<T> {
     outcome: MixOutcome,
     trace: Option<Vec<u8>>,
     metrics: Option<Registry>,
     profile: Option<Artifact>,
-    analysis: Option<Registry>,
+    value: T,
 }
 
 /// Everything a finished plan knows beyond the per-scheme metrics.
-pub struct PlanOutput {
+pub struct PlanOutput<T> {
     /// Per-scheme cross-seed results, in the order schemes were added.
     pub results: Vec<SchemeResult>,
     /// Concatenated flight-recorder bytes in plan order (empty when tracing
@@ -67,15 +67,11 @@ pub struct PlanOutput {
     pub jobs_run: usize,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Per-job analysis registries merged in plan order — `Some` only when
-    /// an [`RunPlan::analyze`] hook was installed. Like the other folds,
-    /// byte-identical under any `--jobs` value.
-    pub analysis: Option<Registry>,
+    /// What [`RunPlan::run_detailed`]'s per-job closure returned for each
+    /// job, in plan order: schemes in insertion order, seeds ascending
+    /// within a scheme. Independent of the `--jobs` value.
+    pub values: Vec<T>,
 }
-
-/// Per-job analysis hook: `(scheme name, seed, finished run) -> registry
-/// fragment`, installed via [`RunPlan::analyze`].
-type AnalyzeFn<'a> = dyn Fn(&str, u64, &SimResult) -> Registry + Sync + 'a;
 
 /// A deterministic parallel experiment plan. See the module docs.
 pub struct RunPlan<'a> {
@@ -84,7 +80,6 @@ pub struct RunPlan<'a> {
     default_seeds: u64,
     capture_trace: Option<Option<SimTime>>,
     capture_metrics: bool,
-    analyze: Option<Box<AnalyzeFn<'a>>>,
 }
 
 impl<'a> RunPlan<'a> {
@@ -103,7 +98,6 @@ impl<'a> RunPlan<'a> {
             default_seeds,
             capture_trace: None,
             capture_metrics: false,
-            analyze: None,
         }
     }
 
@@ -120,21 +114,6 @@ impl<'a> RunPlan<'a> {
     /// tests.
     pub fn capture_metrics(mut self) -> RunPlan<'a> {
         self.capture_metrics = true;
-        self
-    }
-
-    /// Installs a per-job analysis hook, called as `(scheme_name, seed,
-    /// &result)` on every finished simulation *before* the raw result is
-    /// summarized away. The returned [`Registry`] fragments merge in plan
-    /// order into [`PlanOutput::analysis`], so any application-level
-    /// accounting built on the raw flow records (e.g. the serve layer's
-    /// per-request SLO join) inherits the byte-determinism of the other
-    /// folds for free.
-    pub fn analyze(
-        mut self,
-        f: impl Fn(&str, u64, &SimResult) -> Registry + Sync + 'a,
-    ) -> RunPlan<'a> {
-        self.analyze = Some(Box::new(f));
         self
     }
 
@@ -183,12 +162,20 @@ impl<'a> RunPlan<'a> {
 
     /// Executes the grid and returns per-scheme results in insertion order.
     pub fn run(self) -> Vec<SchemeResult> {
-        self.run_detailed().results
+        self.run_detailed(|_, _, _| ()).results
     }
 
-    /// Executes the grid and returns results plus trace bytes and work
-    /// accounting.
-    pub fn run_detailed(self) -> PlanOutput {
+    /// Executes the grid and returns results plus trace bytes, work
+    /// accounting and one value per job. `per_job` is called as
+    /// `(scheme name, seed, &result)` on every finished simulation *before*
+    /// the raw result is summarized away, so a figure that reads raw flow
+    /// records or sample series (a CDF, the serve layer's per-request SLO
+    /// join) runs on the same workers as every other job and gets its
+    /// values back in [`PlanOutput::values`].
+    pub fn run_detailed<T: Send>(
+        self,
+        per_job: impl Fn(&str, u64, &SimResult) -> T + Sync,
+    ) -> PlanOutput<T> {
         // Tracing: the globally installed `--trace` file wins; a forced
         // capture (tests) applies when no file is installed.
         let global = runner::trace_config();
@@ -208,7 +195,7 @@ impl<'a> RunPlan<'a> {
             .collect();
         let workers = self.jobs.min(jobs.len()).max(1);
 
-        let run_job = |&(si, seed): &(usize, u64)| -> JobOut {
+        let run_job = |&(si, seed): &(usize, u64)| -> JobOut<T> {
             let spec = &self.schemes[si];
             let cfg = spec.cfg.clone().with_seed(seed);
             let flows = (spec.make_flows)(seed);
@@ -216,19 +203,19 @@ impl<'a> RunPlan<'a> {
                 runner::buffered_run(&spec.name, cfg, flows, trace_on, sample_every, metrics_on);
             let metrics = res.metrics.take();
             let profile = res.profile.take();
-            let analysis = self.analyze.as_ref().map(|f| f(&spec.name, seed, &res));
+            let value = per_job(&spec.name, seed, &res);
             JobOut {
                 outcome: MixOutcome::from_result(res),
                 trace,
                 metrics,
                 profile,
-                analysis,
+                value,
             }
         };
 
         // One slot per job; workers fill slots, the fold below reads them
         // in plan order so the output is independent of completion order.
-        let slots: Vec<Mutex<Option<JobOut>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<JobOut<T>>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         if workers == 1 {
             for (slot, job) in slots.iter().zip(&jobs) {
                 *slot.lock().unwrap() = Some(run_job(job));
@@ -260,7 +247,7 @@ impl<'a> RunPlan<'a> {
         let mut trace = Vec::new();
         let mut merged = metrics_on.then(Registry::new);
         let mut profile: Option<Artifact> = None;
-        let mut analysis = self.analyze.is_some().then(Registry::new);
+        let mut values = Vec::with_capacity(jobs.len());
         let mut events_scheduled = 0u64;
         for (slot, &(si, _seed)) in slots.iter().zip(&jobs) {
             let out = slot.lock().unwrap().take().expect("every job completed");
@@ -275,9 +262,7 @@ impl<'a> RunPlan<'a> {
             if let Some(p) = &out.profile {
                 profile.get_or_insert_with(Artifact::new).merge(p);
             }
-            if let (Some(a), Some(r)) = (&mut analysis, &out.analysis) {
-                a.merge(r);
-            }
+            values.push(out.value);
         }
         if global.is_some() {
             runner::append_trace(&trace);
@@ -298,7 +283,7 @@ impl<'a> RunPlan<'a> {
             events_scheduled,
             jobs_run: jobs.len(),
             workers,
-            analysis,
+            values,
         }
     }
 }
@@ -325,8 +310,8 @@ mod tests {
 
     #[test]
     fn parallel_fold_matches_sequential() {
-        let seq = tiny_plan(1).run_detailed();
-        let par = tiny_plan(4).run_detailed();
+        let seq = tiny_plan(1).run_detailed(|_, _, _| ());
+        let par = tiny_plan(4).run_detailed(|_, _, _| ());
         assert_eq!(seq.jobs_run, 4);
         assert_eq!(par.jobs_run, 4);
         assert_eq!(seq.events_scheduled, par.events_scheduled);
@@ -341,8 +326,8 @@ mod tests {
 
     #[test]
     fn captured_traces_are_identical_across_jobs() {
-        let seq = tiny_plan(1).capture_trace(None).run_detailed();
-        let par = tiny_plan(3).capture_trace(None).run_detailed();
+        let seq = tiny_plan(1).capture_trace(None).run_detailed(|_, _, _| ());
+        let par = tiny_plan(3).capture_trace(None).run_detailed(|_, _, _| ());
         assert!(!seq.trace.is_empty());
         assert_eq!(seq.trace, par.trace, "trace bytes differ under --jobs");
     }
@@ -352,7 +337,7 @@ mod tests {
         let run = |jobs: usize| {
             tiny_plan(jobs)
                 .capture_metrics()
-                .run_detailed()
+                .run_detailed(|_, _, _| ())
                 .metrics
                 .expect("metrics captured")
                 .to_json()
@@ -370,35 +355,29 @@ mod tests {
         assert_eq!(par, again, "metrics JSON differs across identical runs");
     }
 
-    /// The analysis hook sees every (scheme, seed) job's raw result and its
-    /// fragments fold byte-identically under any worker count.
+    /// The per-job closure sees every (scheme, seed) job's raw result, and
+    /// its values come back in plan order (scheme-major, seeds ascending)
+    /// and equal under any worker count.
     #[test]
-    fn analysis_fold_is_byte_identical_across_jobs() {
+    fn per_job_values_arrive_in_plan_order_across_jobs() {
         let run = |jobs: usize| {
             tiny_plan(jobs)
-                .analyze(|name, seed, res| {
-                    let mut r = Registry::new();
-                    r.inc(&format!("jobs_seen/{name}"), 1);
-                    r.inc(&format!("seed_sum/{name}"), seed);
-                    r.inc(&format!("flows/{name}"), res.flows.len() as u64);
-                    r
+                .run_detailed(|name, seed, res| {
+                    let fcts: Vec<u64> = res
+                        .flows
+                        .iter()
+                        .filter_map(|f| f.fct().map(|t| t.as_ns()))
+                        .collect();
+                    (name.to_string(), seed, fcts)
                 })
-                .run_detailed()
-                .analysis
-                .expect("analyze hook installed")
+                .values
         };
         let seq = run(1);
         let par = run(4);
-        assert_eq!(seq.counter("jobs_seen/base"), 2, "one per seed");
-        assert_eq!(seq.counter("seed_sum/tlt"), 3, "seeds 1 + 2");
-        assert!(seq.counter("flows/base") > 0);
-        assert_eq!(
-            seq.to_json(),
-            par.to_json(),
-            "analysis differs under --jobs"
-        );
-        // Without the hook, the output stays None.
-        assert!(tiny_plan(1).run_detailed().analysis.is_none());
+        let order: Vec<(&str, u64)> = seq.iter().map(|(n, s, _)| (n.as_str(), *s)).collect();
+        assert_eq!(order, [("base", 1), ("base", 2), ("tlt", 1), ("tlt", 2)]);
+        assert!(seq.iter().all(|(_, _, fcts)| !fcts.is_empty()));
+        assert_eq!(seq, par, "per-job values differ under --jobs");
     }
 
     /// The acceptance bar for the engine profiler: the plan-order fold
@@ -407,7 +386,7 @@ mod tests {
     #[test]
     #[cfg(feature = "profile")]
     fn plan_profiles_are_byte_identical_across_jobs_and_account_all_events() {
-        let run = |jobs: usize| tiny_plan(jobs).run_detailed();
+        let run = |jobs: usize| tiny_plan(jobs).run_detailed(|_, _, _| ());
         let seq = run(1);
         let par = run(4);
         let p = seq.profile.as_ref().expect("profile feature is on");
@@ -435,7 +414,7 @@ mod tests {
 
     #[test]
     fn captured_metrics_round_trip_and_merge_count_all_jobs() {
-        let out = tiny_plan(2).capture_metrics().run_detailed();
+        let out = tiny_plan(2).capture_metrics().run_detailed(|_, _, _| ());
         let merged = out.metrics.expect("metrics captured");
         let parsed = Artifact::parse(&merged.to_json()).expect("self-parse");
         assert_eq!(parsed.reg, merged, "JSON round trip is lossless");

@@ -16,7 +16,7 @@ use dcsim::{Engine, FlowSpec, SimConfig, SimResult};
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
 use netsim::LinkSpec;
-use netstats::{summarize_flows, FctSummary, Metric};
+use netstats::{summarize_flows, FctSummary, Metric, Samples};
 use telemetry::{Artifact, BufferSink, TraceEvent, Tracer};
 use transport::{RtoMode, TransportKind};
 use workload::{standard_mix, FlowSizeCdf, MixParams};
@@ -88,8 +88,8 @@ impl Args {
     /// help.
     ///
     /// When `--trace` is given, every simulation the binary subsequently
-    /// runs through [`traced_run`] or a [`crate::plan::RunPlan`] appends its
-    /// events to the named JSONL file (created fresh at startup).
+    /// runs through a [`crate::plan::RunPlan`] appends its events to the
+    /// named JSONL file (created fresh at startup).
     pub fn parse() -> Args {
         let args = match Args::parse_from(std::env::args().skip(1)) {
             Ok(args) => args,
@@ -224,9 +224,8 @@ fn usage(msg: &str) -> ! {
 ///
 /// Simulations never write here directly: each run records into a private
 /// [`BufferSink`] (which is `Send`, so runs may execute on worker threads)
-/// and the encoded bytes are appended under this lock afterwards — by
-/// [`traced_run`] immediately for sequential callers, and by a
-/// [`crate::plan::RunPlan`] in deterministic plan order for parallel grids.
+/// and a [`crate::plan::RunPlan`] appends the encoded bytes under this lock
+/// afterwards, in deterministic plan order.
 struct TraceState {
     out: BufWriter<File>,
     sample_every: Option<SimTime>,
@@ -241,14 +240,11 @@ static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
 /// Opens (truncating) the JSONL flight-recorder file at `path` and routes
-/// every subsequent [`traced_run`] / [`crate::plan::RunPlan`] simulation
-/// through it. `sample_ns`, when set, enables per-port
-/// `port_sample` telemetry at that period for configs that do not already
-/// request their own.
-///
-/// [`Args::parse`] calls this when `--trace` is present; experiments with
-/// bespoke main loops may also call it directly.
-pub fn init_trace(path: &str, sample_ns: Option<u64>) {
+/// every subsequent [`crate::plan::RunPlan`] simulation through it.
+/// `sample_ns`, when set, enables per-port `port_sample` telemetry at that
+/// period for configs that do not already request their own.
+/// [`Args::init_outputs`] calls this when `--trace` is present.
+fn init_trace(path: &str, sample_ns: Option<u64>) {
     let file = File::create(path)
         .unwrap_or_else(|e| usage(&format!("cannot create trace file {path}: {e}")));
     *TRACE.lock().unwrap() = Some(TraceState {
@@ -267,8 +263,8 @@ pub(crate) fn trace_config() -> Option<Option<SimTime>> {
     TRACE.lock().unwrap().as_ref().map(|s| s.sample_every)
 }
 
-/// Appends one run's (or one plan's) encoded trace bytes to the installed
-/// flight-recorder file. No-op when tracing is off or `bytes` is empty.
+/// Appends one plan's encoded trace bytes to the installed flight-recorder
+/// file. No-op when tracing is off or `bytes` is empty.
 pub(crate) fn append_trace(bytes: &[u8]) {
     if bytes.is_empty() || !TRACE_ON.load(Ordering::Relaxed) {
         return;
@@ -323,8 +319,8 @@ impl Export {
         self.on.load(Ordering::Relaxed)
     }
 
-    /// Folds one run's (or one plan's) data into the installed document
-    /// with `fold` and rewrites the file. No-op when not installed.
+    /// Folds one plan's data into the installed document with `fold` and
+    /// rewrites the file. No-op when not installed.
     pub(crate) fn merge(&self, fold: impl FnOnce(&mut Artifact)) {
         if !self.is_on() {
             return;
@@ -388,33 +384,6 @@ pub(crate) fn buffered_run(
     });
     let bytes = sink.borrow_mut().take_bytes();
     (res, Some(bytes))
-}
-
-/// Runs one simulation, recording it to the flight recorder when one is
-/// installed ([`init_trace`]), and appends its events to the trace file
-/// immediately; likewise the `--metrics` and `--profile-out` exports. Sequential
-/// convenience for bespoke experiment loops; grids should go through a
-/// [`crate::plan::RunPlan`].
-pub fn traced_run(label: &str, cfg: SimConfig, flows: Vec<FlowSpec>) -> SimResult {
-    let sample_every = trace_config();
-    let (res, bytes) = buffered_run(
-        label,
-        cfg,
-        flows,
-        sample_every.is_some(),
-        sample_every.flatten(),
-        METRICS.is_on(),
-    );
-    if let Some(b) = bytes {
-        append_trace(&b);
-    }
-    if let Some(r) = &res.metrics {
-        METRICS.merge(|doc| doc.reg.merge(r));
-    }
-    if let Some(p) = &res.profile {
-        PROFILE.merge(|doc| doc.merge(p));
-    }
-    res
 }
 
 /// The leaf–spine topology matching a [`MixParams`] instance, with the
@@ -529,12 +498,25 @@ pub struct MixOutcome {
 }
 
 impl MixOutcome {
-    /// Summarizes a raw simulation result.
+    /// Summarizes a raw simulation result. Of the sample series it keeps
+    /// only the queue samples [`SchemeResult::add`] reads: a plan holds
+    /// every job's outcome until its fold, and the delivery series
+    /// (`SimConfig::collect_delivery`) is memory-heavy.
     pub fn from_result(res: SimResult) -> MixOutcome {
+        let mut agg = res.agg;
+        for s in [
+            &mut agg.delivery,
+            &mut agg.fg_rtt,
+            &mut agg.bg_rtt,
+            &mut agg.fg_rto,
+            &mut agg.bg_rto,
+        ] {
+            *s = Samples::new();
+        }
         MixOutcome {
             fg: summarize_flows(res.flows.iter(), |f| f.fg),
             bg: summarize_flows(res.flows.iter(), |f| !f.fg),
-            agg: res.agg,
+            agg,
         }
     }
 }

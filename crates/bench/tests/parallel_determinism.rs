@@ -93,10 +93,10 @@ const JOBS_RUN: usize = 6 * 2 + 5 * 3;
 
 /// The grid at `--jobs 1` and at `--jobs 4`, traced, run once and shared by
 /// every test below.
-fn runs() -> &'static (PlanOutput, PlanOutput) {
-    static RUNS: OnceLock<(PlanOutput, PlanOutput)> = OnceLock::new();
+fn runs() -> &'static (PlanOutput<()>, PlanOutput<()>) {
+    static RUNS: OnceLock<(PlanOutput<()>, PlanOutput<()>)> = OnceLock::new();
     RUNS.get_or_init(|| {
-        let run = |jobs| grid(jobs).capture_trace(None).run_detailed();
+        let run = |jobs| grid(jobs).capture_trace(None).run_detailed(|_, _, _| ());
         (run(1), run(4))
     })
 }
