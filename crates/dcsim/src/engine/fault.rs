@@ -38,6 +38,11 @@ impl Engine {
                 let (lid, _) = self.topo.link_from(node, port);
                 self.faults.set_loss(lid, loss);
                 self.faults.set_rate_factor(lid, rate_factor);
+                // The port transmitting on this link re-prices its memoised
+                // frame size at the new rate (`kick_port` reuses it).
+                let i = self.port_index(node, port);
+                let ps = &mut self.ports[i];
+                ps.memo_tx = self.faults.tx_time(lid, &ps.spec, ps.memo_wire);
                 self.tracer.emit(self.now, || TraceEvent::Fault {
                     kind: FaultKind::Degrade,
                     node: node.0,

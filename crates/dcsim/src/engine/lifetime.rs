@@ -1,10 +1,10 @@
 //! Each flow's running state lives exactly as long as the flow runs (DESIGN
 //! §12 "Flow lifecycle"). Before its `FlowStart` a flow has no sender, no
 //! receiver and no timer slots; `FlowStart` builds the receiver and the
-//! [`Running`] box (sender, timer slots, loss ring); once the flow is done
-//! and its timers are disarmed the box is dropped and its sender consumed
-//! into its counters. The receiver stays to the end of the run, to ACK late
-//! duplicate data.
+//! [`Running`] box (sender, timer slots, and the loss summary its first
+//! loss allocates); once the flow is done and its timers are disarmed the
+//! box is dropped and its sender consumed into its counters. The receiver
+//! stays to the end of the run, to ACK late duplicate data.
 
 use super::*;
 
@@ -24,7 +24,7 @@ impl Running {
             timer_gen: [0; TIMER_KINDS.len()],
             timer_armed: [false; TIMER_KINDS.len()],
             rto_armed_at: SimTime::ZERO,
-            losses: std::collections::VecDeque::new(),
+            losses: None,
             timer_deadline: [SimTime::ZERO; TIMER_KINDS.len()],
             timer_queued_at: [None; TIMER_KINDS.len()],
             timer_queued_gen: [0; TIMER_KINDS.len()],
@@ -77,9 +77,9 @@ impl Engine {
     /// difference. A timer pop still queued for the flow finds no box and is
     /// stale, as the generation check would have ruled, with no parked
     /// deadline to re-arm (`fire_timer`); a loss of one of its frames is
-    /// never read, since only a live RTO reads the ring; and a late ACK, NACK
-    /// or CNP would find a done sender, which is inert (the [`FlowSender`]
-    /// contract), so `deliver` skips the call.
+    /// never read, since only a live RTO reads the loss summary; and a late
+    /// ACK, NACK or CNP would find a done sender, which is inert (the
+    /// [`FlowSender`] contract), so `deliver` skips the call.
     pub(super) fn fold_sender(&mut self, f: u32) {
         #[cfg(test)]
         if self.eager {
@@ -313,15 +313,15 @@ mod tests {
 
     /// The record every flow pays for from `try_new` to the end of the run
     /// keeps only what outlives the flow (104 bytes with the ledger off: its
-    /// paths are derived, not stored); the sender, timer slots and loss ring
-    /// are the 304-byte [`Running`] box, which exists only between a flow's
-    /// `FlowStart` and its fold.
+    /// paths are derived, not stored); the sender, timer slots and loss
+    /// summary pointer are the 280-byte [`Running`] box, which exists only
+    /// between a flow's `FlowStart` and its fold.
     #[test]
     fn the_record_keeps_only_what_outlives_the_flow() {
         if std::mem::size_of::<FlowSlot>() == 0 {
             assert_eq!(std::mem::size_of::<FlowRuntime>(), 104);
         }
-        assert_eq!(std::mem::size_of::<Running>(), 304);
+        assert_eq!(std::mem::size_of::<Running>(), 280);
     }
 
     /// A `Timer` entry still queued for a folded flow pops as stale:

@@ -46,7 +46,7 @@ mod wire;
 pub use self::forensics::RtoForensicRec;
 pub use self::results::{AggregateStats, SimResult};
 
-use self::forensics::{LossEvent, PauseEpisode, PAUSE_LOG};
+use self::forensics::{LossEvent, LossSummary, PauseEpisode, PAUSE_LOG};
 use self::route::FlowRoute;
 use self::timers::TIMER_KINDS;
 use self::wire::{PauseAcct, Port};
@@ -136,15 +136,16 @@ const _: () =
     assert!(std::mem::size_of::<FlowSlot>() > 0 || std::mem::size_of::<FlowRuntime>() <= 104);
 
 /// What only a running flow reads: its sender, its timer slots and its loss
-/// ring, in one box that lives from the flow's `FlowStart` to its fold.
+/// summary, in one box that lives from the flow's `FlowStart` to its fold.
 struct Running {
     tx: Box<dyn FlowSender>,
     timer_gen: [u64; TIMER_KINDS.len()],
     timer_armed: [bool; TIMER_KINDS.len()],
     /// When the currently-armed RTO timer was set (the PFC-stall window).
     rto_armed_at: SimTime,
-    /// Recent losses involving this flow's packets, oldest first.
-    losses: std::collections::VecDeque<LossEvent>,
+    /// What RTO attribution reads of this flow's losses; `None` until the
+    /// first one (DESIGN §10).
+    losses: Option<Box<LossSummary>>,
     /// Lazy timer state, per slot. Arming a timer no longer pushes a queue
     /// entry when an earlier-or-equal entry for the slot is already
     /// pending: the deadline is parked here and the pending pop re-arms it
@@ -269,6 +270,10 @@ pub struct Engine {
     /// side of `transport_lifetime_matches_eager`.
     #[cfg(test)]
     eager: bool,
+    /// The per-flow loss rings the summaries replaced, when kept: the
+    /// reference side of `loss_summary_matches_the_ring`.
+    #[cfg(test)]
+    loss_rings: forensics::LossRings,
 }
 
 impl Engine {
@@ -340,6 +345,13 @@ impl Engine {
     /// Runs the simulation to completion (all flows done, events exhausted,
     /// or the configured horizon reached) and returns the results.
     pub fn run(mut self) -> SimResult {
+        let queue_samples = self.run_events();
+        self.collect(queue_samples)
+    }
+
+    /// The event loop of [`Engine::run`], up to the end-of-run clock:
+    /// returns the queue samples it took.
+    fn run_events(&mut self) -> Samples {
         let mut queue_samples = Samples::new();
         let mut remaining: usize = self.flows.len();
         let mut done_flag = vec![false; self.flows.len()];
@@ -439,8 +451,7 @@ impl Engine {
                 .max();
             self.now = self.now.max(last_free.unwrap_or(SimTime::ZERO));
         }
-
-        self.collect(queue_samples)
+        queue_samples
     }
 
     /// The `QueueSample` arm: records the deepest egress queue and, while

@@ -236,6 +236,8 @@ impl Engine {
             metrics: None,
             #[cfg(test)]
             eager: false,
+            #[cfg(test)]
+            loss_rings: Default::default(),
         };
         if cfg!(debug_assertions) {
             eng.check_port_table();

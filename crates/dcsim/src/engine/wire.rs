@@ -219,7 +219,7 @@ impl Engine {
         let out = self.port_index(to, egress);
         let pause_cum = self.pause_cum_ns(out);
         // Provenance, captured before the switch takes ownership: a drop
-        // outcome must be attributable to this flow's loss ring.
+        // outcome must be attributable to this flow's loss summary.
         let (p_dir, p_ctrl, p_epoch) = {
             let p = self.pkts.get_mut(pref);
             p.hop += 1;
@@ -439,10 +439,15 @@ impl Engine {
         let wire = p.wire_size();
         // The transmit time of this size on this link was worked out for
         // the previous frame more often than not (runs of full-size data,
-        // runs of ACKs). Reusing it is exact while no fault has been
-        // installed: same spec, same size, same integer division. After
-        // that `FaultState` answers every time, rate factors included.
-        let tx = if ps.memo_wire == wire && self.faults.is_quiet() {
+        // runs of ACKs). Reusing it is exact: only a `Degrade` changes a
+        // link's rate, and it re-prices this memo when it does
+        // (`apply_fault`).
+        let tx = if ps.memo_wire == wire {
+            debug_assert_eq!(
+                ps.memo_tx,
+                self.faults.tx_time(lid, &spec, wire),
+                "tx-time memo of port {i}"
+            );
             ps.memo_tx
         } else {
             let tx = self.faults.tx_time(lid, &spec, wire);

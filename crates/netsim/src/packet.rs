@@ -376,18 +376,140 @@ impl Packet {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRef(u32);
 
+/// A [`Packet`] as the slab stores it: every field except the SACK blocks
+/// and the INT stack, whose lengths stay inline (so [`Frame::wire_size`]
+/// reads nothing else) beside the index of the side-pool entry that holds
+/// the lists themselves. Most frames carry neither list and never touch
+/// the pool. Each public field is the [`Packet`] field of the same name.
+#[derive(Clone, Debug)]
+pub struct Frame {
+    /// See [`Packet::flow`].
+    pub flow: FlowId,
+    /// See [`Packet::seq`].
+    pub seq: u64,
+    /// See [`Packet::len`].
+    pub len: u32,
+    /// See [`Packet::kind`].
+    pub kind: PacketKind,
+    /// See [`Packet::dir`].
+    pub dir: Direction,
+    /// See [`Packet::hop`].
+    pub hop: u8,
+    /// See [`Packet::ecn_capable`].
+    pub ecn_capable: bool,
+    /// See [`Packet::ce`].
+    pub ce: bool,
+    /// See [`Packet::ece`].
+    pub ece: bool,
+    /// See [`Packet::mark`].
+    pub mark: TltMark,
+    /// See [`Packet::color`].
+    pub color: Color,
+    /// See [`Packet::ts`].
+    pub ts: SimTime,
+    /// See [`Packet::ts_echo`].
+    pub ts_echo: SimTime,
+    /// See [`Packet::is_retx`].
+    pub is_retx: bool,
+    /// See [`Packet::is_tail`].
+    pub is_tail: bool,
+    /// See [`Packet::epoch`].
+    pub epoch: u32,
+    /// See [`Packet::lg`].
+    pub lg: JourneyStamps,
+    sack_len: u16,
+    int_len: u16,
+    /// The side-pool entry holding the lists, or [`NO_LISTS`].
+    lists: u32,
+}
+
+/// `Frame::lists` of a frame whose lists own no buffer.
+const NO_LISTS: u32 = u32::MAX;
+
+// Every packet in flight is one slot: 56 bytes, 120 with the ledger's
+// journey stamps (a whole `Packet` is 96 and 160).
+const _: () = assert!(std::mem::size_of::<Frame>() == if JourneyStamps::ON { 120 } else { 56 });
+const _: () = assert!(std::mem::size_of::<Option<Frame>>() == std::mem::size_of::<Frame>());
+
+impl Frame {
+    /// Whether this is a pure control packet (no payload).
+    #[inline]
+    pub fn is_control(&self) -> bool {
+        !matches!(self.kind, PacketKind::Data)
+    }
+
+    /// [`Packet::wire_size`] of the packet this frame stores.
+    #[inline]
+    pub fn wire_size(&self) -> u32 {
+        HEADER_BYTES
+            + self.len
+            + SACK_BLOCK_BYTES * u32::from(self.sack_len)
+            + INT_HOP_BYTES * u32::from(self.int_len)
+    }
+}
+
+/// A list length as the frame stores it.
+#[inline]
+fn list_len(n: usize) -> u16 {
+    // The SACK list is capped at `max_sack_blocks` (8) and the INT stack
+    // at one hop per switch of a path; neither comes near 2^16.
+    u16::try_from(n).expect("a packet list of 2^16 entries")
+}
+
+/// The SACK blocks and INT stack of one in-flight frame.
+#[derive(Debug, Default)]
+struct Lists {
+    sack: Vec<SackBlock>,
+    int_stack: Vec<IntHop>,
+}
+
+/// The slab's side pool: one [`Lists`] entry per in-flight frame whose
+/// lists own a buffer, recycled through a free list. An entry holds the
+/// packet's own `Vec`s, moved in at [`PacketSlab::insert`] and out at
+/// [`PacketSlab::take`], so the pool adds no allocation per packet; a
+/// vacant entry holds two empty `Vec`s.
+#[derive(Debug, Default)]
+struct ListPool {
+    entries: Vec<Lists>,
+    free: Vec<u32>,
+}
+
+impl ListPool {
+    /// Stores `lists`, returning its entry index.
+    fn park(&mut self, lists: Lists) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.entries[i as usize] = lists;
+            i
+        } else {
+            let i = u32::try_from(self.entries.len()).expect("more than 2^32 packets in flight");
+            debug_assert!(i != NO_LISTS);
+            self.entries.push(lists);
+            i
+        }
+    }
+
+    /// Moves entry `i`'s lists out and recycles the entry.
+    fn unpark(&mut self, i: u32) -> Lists {
+        self.free.push(i);
+        std::mem::take(&mut self.entries[i as usize])
+    }
+}
+
 /// Arena for in-flight packets.
 ///
 /// `Event::Deliver` used to carry a full `Packet` inline, making it the
 /// fattest event variant and bloating every queue entry (and every queue
 /// move) to `size_of::<Packet>`. The slab keeps the payload out-of-line:
 /// the wire schedules a [`PacketRef`], and the engine takes the packet back
-/// out when the event fires. Slots are recycled through a free list, so
-/// steady-state simulation does no allocation per delivery.
+/// out when the event fires. A slot is a [`Frame`], the packet less its two
+/// lists, which live in a side pool that only SACK-carrying ACKs and
+/// HPCC frames touch. Slots and pool entries are recycled through free
+/// lists, so steady-state simulation does no allocation per delivery.
 #[derive(Debug, Default)]
 pub struct PacketSlab {
-    slots: Vec<Option<Packet>>,
+    slots: Vec<Option<Frame>>,
     free: Vec<u32>,
+    lists: ListPool,
 }
 
 impl PacketSlab {
@@ -400,7 +522,7 @@ impl PacketSlab {
     pub fn with_capacity(cap: usize) -> Self {
         PacketSlab {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            ..PacketSlab::default()
         }
     }
 
@@ -408,35 +530,106 @@ impl PacketSlab {
     /// with [`PacketSlab::take`].
     #[inline]
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
+        // Exhaustive on purpose: a new `Packet` field fails to compile here
+        // until the frame stores it too.
+        let Packet {
+            flow,
+            seq,
+            len,
+            kind,
+            dir,
+            hop,
+            ecn_capable,
+            ce,
+            ece,
+            mark,
+            color,
+            sack,
+            int_stack,
+            ts,
+            ts_echo,
+            is_retx,
+            is_tail,
+            epoch,
+            lg,
+        } = pkt;
+        let (sack_len, int_len) = (list_len(sack.len()), list_len(int_stack.len()));
+        // A list that owns no buffer is empty and has nothing to keep: every
+        // data frame's SACK list, every non-HPCC frame's INT stack. A
+        // reserved but empty INT stack is kept, so the hops the switches
+        // append land in the buffer sized for them.
+        let lists = if sack.capacity() == 0 && int_stack.capacity() == 0 {
+            NO_LISTS
+        } else {
+            self.lists.park(Lists { sack, int_stack })
+        };
+        let frame = Frame {
+            flow,
+            seq,
+            len,
+            kind,
+            dir,
+            hop,
+            ecn_capable,
+            ce,
+            ece,
+            mark,
+            color,
+            ts,
+            ts_echo,
+            is_retx,
+            is_tail,
+            epoch,
+            lg,
+            sack_len,
+            int_len,
+            lists,
+        };
         if let Some(i) = self.free.pop() {
             debug_assert!(self.slots[i as usize].is_none());
-            self.slots[i as usize] = Some(pkt);
+            self.slots[i as usize] = Some(frame);
             PacketRef(i)
         } else {
             let i = u32::try_from(self.slots.len()).expect("more than 2^32 packets in flight");
-            self.slots.push(Some(pkt));
+            self.slots.push(Some(frame));
             PacketRef(i)
         }
     }
 
-    /// Borrows the packet behind `r` without redeeming the handle.
+    /// Borrows the frame behind `r` without redeeming the handle.
     ///
     /// Panics if the handle was already redeemed.
     #[inline]
-    pub fn get(&self, r: PacketRef) -> &Packet {
+    pub fn get(&self, r: PacketRef) -> &Frame {
         self.slots[r.0 as usize]
             .as_ref()
             .expect("packet handle is vacant")
     }
 
-    /// Mutably borrows the packet behind `r` without redeeming the handle.
+    /// Mutably borrows the frame behind `r` without redeeming the handle.
     ///
     /// Panics if the handle was already redeemed.
     #[inline]
-    pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
+    pub fn get_mut(&mut self, r: PacketRef) -> &mut Frame {
         self.slots[r.0 as usize]
             .as_mut()
             .expect("packet handle is vacant")
+    }
+
+    /// Appends one INT hop to the stack of the packet behind `r` (an
+    /// HPCC-enabled switch at dequeue).
+    ///
+    /// Panics if the handle was already redeemed.
+    #[inline]
+    pub fn push_int(&mut self, r: PacketRef, hop: IntHop) {
+        let frame = self.slots[r.0 as usize]
+            .as_mut()
+            .expect("packet handle is vacant");
+        if frame.lists == NO_LISTS {
+            frame.lists = self.lists.park(Lists::default());
+        }
+        self.lists.entries[frame.lists as usize].int_stack.push(hop);
+        frame.int_len += 1;
     }
 
     /// Removes and returns the packet behind `r`, recycling its slot.
@@ -445,11 +638,60 @@ impl PacketSlab {
     /// engine delivered the same event twice.
     #[inline]
     pub fn take(&mut self, r: PacketRef) -> Packet {
-        let pkt = self.slots[r.0 as usize]
+        let frame = self.slots[r.0 as usize]
             .take()
             .expect("packet handle redeemed twice");
         self.free.push(r.0);
-        pkt
+        let Frame {
+            flow,
+            seq,
+            len,
+            kind,
+            dir,
+            hop,
+            ecn_capable,
+            ce,
+            ece,
+            mark,
+            color,
+            ts,
+            ts_echo,
+            is_retx,
+            is_tail,
+            epoch,
+            lg,
+            sack_len,
+            int_len,
+            lists,
+        } = frame;
+        let Lists { sack, int_stack } = if lists == NO_LISTS {
+            Lists::default()
+        } else {
+            self.lists.unpark(lists)
+        };
+        debug_assert_eq!(sack.len(), usize::from(sack_len));
+        debug_assert_eq!(int_stack.len(), usize::from(int_len));
+        Packet {
+            flow,
+            seq,
+            len,
+            kind,
+            dir,
+            hop,
+            ecn_capable,
+            ce,
+            ece,
+            mark,
+            color,
+            sack,
+            int_stack,
+            ts,
+            ts_echo,
+            is_retx,
+            is_tail,
+            epoch,
+            lg,
+        }
     }
 
     /// Number of packets currently in flight.
@@ -480,6 +722,54 @@ mod tests {
         assert_eq!(c, a);
         assert_eq!(slab.take(b).flow, FlowId(2));
         assert_eq!(slab.take(c).flow, FlowId(3));
+        assert!(slab.is_empty());
+    }
+
+    /// Lists round-trip through the side pool with their buffers: the
+    /// frame keeps their lengths for `wire_size`, a switch's INT hop lands
+    /// in the reserved stack, and a frame with no list buffer takes no
+    /// pool entry.
+    #[test]
+    fn slab_moves_lists_through_the_side_pool() {
+        let mut slab = PacketSlab::new();
+        let mut ack = Packet::ack(FlowId(1), 0);
+        ack.sack.push(SackBlock { start: 10, end: 20 });
+        let sack_buf = ack.sack.as_ptr();
+        let mut data = Packet::data(FlowId(2), 0, 1000);
+        data.int_stack.reserve_exact(2);
+        let int_buf = data.int_stack.as_ptr();
+        let plain = slab.insert(Packet::data(FlowId(3), 0, 1000));
+        let (a, d) = (slab.insert(ack), slab.insert(data));
+        assert_eq!(slab.lists.entries.len(), 2, "only the two list owners park");
+        assert_eq!(slab.get(a).wire_size(), HEADER_BYTES + SACK_BLOCK_BYTES);
+        let hop = IntHop {
+            q_len: 7,
+            tx_bytes: 8,
+            ts: SimTime::from_ns(9),
+            rate_bps: 40_000_000_000,
+        };
+        slab.push_int(d, hop);
+        slab.push_int(d, hop);
+        assert_eq!(
+            slab.get(d).wire_size(),
+            HEADER_BYTES + 1000 + 2 * INT_HOP_BYTES
+        );
+        // A frame that had no list buffer gets a pool entry on its first hop.
+        slab.push_int(plain, hop);
+        assert_eq!(slab.lists.entries.len(), 3);
+        let d = slab.take(d);
+        assert_eq!(d.int_stack, [hop, hop]);
+        assert_eq!(d.int_stack.as_ptr(), int_buf, "the reserved buffer moved");
+        let a = slab.take(a);
+        assert_eq!(a.sack, [SackBlock { start: 10, end: 20 }]);
+        assert_eq!(a.sack.as_ptr(), sack_buf, "the SACK buffer moved");
+        assert_eq!(slab.take(plain).int_stack, [hop]);
+        // Recycled entries are reused before the pool grows.
+        let mut again = Packet::ack(FlowId(4), 0);
+        again.sack.push(SackBlock { start: 1, end: 2 });
+        let r = slab.insert(again);
+        assert_eq!(slab.lists.entries.len(), 3);
+        assert_eq!(slab.take(r).sack.len(), 1);
         assert!(slab.is_empty());
     }
 

@@ -588,18 +588,19 @@ impl Switch {
         self.tx_bytes[e] += wire;
 
         let pkt = q.pkt;
-        let (flow, seq) = {
-            let p = slab.get_mut(pkt);
-            if self.cfg.int_enabled && !p.is_control() {
-                p.int_stack.push(IntHop {
+        let p = slab.get(pkt);
+        let (flow, seq) = (p.flow.0, p.seq);
+        if self.cfg.int_enabled && !p.is_control() {
+            slab.push_int(
+                pkt,
+                IntHop {
                     q_len: self.q_bytes[e],
                     tx_bytes: self.tx_bytes[e],
                     ts: now,
                     rate_bps: self.port_rate[e],
-                });
-            }
-            (p.flow.0, p.seq)
-        };
+                },
+            );
+        }
 
         self.tracer.emit(now, || TraceEvent::Dequeue {
             node: self.node,
