@@ -114,6 +114,13 @@ pub enum ConfigError {
         /// The host node it names.
         node: u32,
     },
+    /// A switch with more ports than a queued frame can name (`u16::MAX`).
+    TooManyPorts {
+        /// The switch.
+        node: u32,
+        /// Ports it has.
+        ports: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -147,6 +154,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::StormAtHost { fault, node } => write!(
                 f,
                 "fault {fault}: pause storms target a switch ingress, node {node} is a host"
+            ),
+            ConfigError::TooManyPorts { node, ports } => write!(
+                f,
+                "switch {node}: {ports} ports, more than the {} a switch may have",
+                u16::MAX
             ),
         }
     }

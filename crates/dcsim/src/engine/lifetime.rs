@@ -65,8 +65,8 @@ impl Engine {
     fn build_pair(&mut self, f: u32) {
         let rt = &mut self.flows[f as usize];
         if rt.rx.is_none() {
-            let (tx, rx) =
-                build_transport(&self.cfg, FlowId(f), rt.spec.bytes, self.base_rtt, self.bdp);
+            let bytes = self.specs[f as usize].bytes;
+            let (tx, rx) = build_transport(&self.cfg, FlowId(f), bytes, self.base_rtt, self.bdp);
             rt.run = Some(Box::new(Running::new(tx)));
             rt.rx = Some(rx);
         }
@@ -312,14 +312,15 @@ mod tests {
     }
 
     /// The record every flow pays for from `try_new` to the end of the run
-    /// keeps only what outlives the flow (104 bytes with the ledger off: its
-    /// paths are derived, not stored); the sender, timer slots and loss
-    /// summary pointer are the 280-byte [`Running`] box, which exists only
-    /// between a flow's `FlowStart` and its fold.
+    /// keeps only what outlives the flow and is not the caller's spec (56
+    /// bytes with the ledger off: its paths are derived, its spec is read
+    /// from `Engine::specs`); the sender, timer slots and loss summary
+    /// pointer are the 280-byte [`Running`] box, which exists only between
+    /// a flow's `FlowStart` and its fold.
     #[test]
     fn the_record_keeps_only_what_outlives_the_flow() {
         if std::mem::size_of::<FlowSlot>() == 0 {
-            assert_eq!(std::mem::size_of::<FlowRuntime>(), 104);
+            assert_eq!(std::mem::size_of::<FlowRuntime>(), 56);
         }
         assert_eq!(std::mem::size_of::<Running>(), 280);
     }

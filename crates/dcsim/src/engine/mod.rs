@@ -15,7 +15,9 @@
 
 use eventsim::{EventQueue, SimTime};
 use faults::{FaultAction, FaultState};
-use netsim::packet::{Color, Direction, FlowId, JourneyStamps, Packet, PacketRef, PacketSlab};
+use netsim::packet::{
+    Color, Direction, FlowId, FrameQueue, JourneyStamps, Packet, PacketRef, PacketSlab,
+};
 use netsim::switch::{DropReason, PfcConfig, PfcSignal, Switch, SwitchConfig};
 use netsim::topology::{Hop, LinkId, NodeId, NodeKind, PinnedPath, PortId, Topology};
 use netsim::LinkSpec;
@@ -105,10 +107,11 @@ impl Event {
     }
 }
 
-/// What a flow keeps from `try_new` to the end of the run (DESIGN §12 "Flow
-/// lifecycle" lists every field's lifetime).
+/// What a flow keeps from `try_new` to the end of the run beside its spec
+/// in [`Engine::specs`] (DESIGN §12 "Flow lifecycle" lists every field's
+/// lifetime).
 struct FlowRuntime {
-    spec: FlowSpec,
+    /// The spec's endpoints as topology nodes.
     src: NodeId,
     dst: NodeId,
     /// Which ECMP pin the flow's paths are: 0 is the one `try_new` chose,
@@ -133,7 +136,7 @@ struct FlowRuntime {
 
 // With the ledger off, the record is what `try_new` builds for every flow.
 const _: () =
-    assert!(std::mem::size_of::<FlowSlot>() > 0 || std::mem::size_of::<FlowRuntime>() <= 104);
+    assert!(std::mem::size_of::<FlowSlot>() > 0 || std::mem::size_of::<FlowRuntime>() == 56);
 
 /// What only a running flow reads: its sender, its timer slots and its loss
 /// summary, in one box that lives from the flow's `FlowStart` to its fold.
@@ -223,8 +226,13 @@ pub struct Engine {
     /// of the run, so a fabric that never pauses never pays for it.
     pause_acct: Vec<PauseAcct>,
     port_base: Vec<u32>,
-    /// Each host's NIC queue, on the host index (`node - switches.len()`).
-    host_q: Vec<std::collections::VecDeque<PacketRef>>,
+    /// Each host's NIC queue, on the host index (`node - switches.len()`),
+    /// threaded through `pkts` like the switch queues.
+    host_q: Vec<FrameQueue>,
+    /// The flows as the caller handed them in, on the flow index: read at
+    /// `FlowStart`, when a dependent is released (which rewrites its
+    /// `start` to the absolute release time) and at collect.
+    specs: Vec<FlowSpec>,
     flows: Vec<FlowRuntime>,
     /// Each flow's sender counters while it has no sender, on the flow
     /// index: the defaults before its `FlowStart`, the folded sender's once
@@ -393,7 +401,7 @@ impl Engine {
             }
             match ev {
                 Event::FlowStart(f) => {
-                    let bytes = self.flows[f as usize].spec.bytes;
+                    let bytes = self.specs[f as usize].bytes;
                     self.tracer
                         .emit(t, || TraceEvent::FlowStart { flow: f, bytes });
                     // The ledger opens at FlowStart *execution*, which is

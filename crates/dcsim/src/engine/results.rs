@@ -174,16 +174,19 @@ impl Engine {
             agg.max_queue_bytes = agg.max_queue_bytes.max(s.max_queue_bytes);
         }
 
-        // Nothing below reads the fabric: free it before the results are
-        // built, so the run's peak heap is the larger of the two, not their
-        // sum. `port_base` stays for `PortMetrics::publish`, the queue for
-        // `prof.seal`.
+        // Nothing below reads the fabric or a receiver: free them before
+        // the results are built, so the run's peak heap is the larger of the
+        // two, not their sum. `port_base` stays for `PortMetrics::publish`,
+        // the queue for `prof.seal`.
         self.switches = Vec::new();
         self.ports = Vec::new();
         self.pause_acct = Vec::new();
         self.host_q = Vec::new();
         self.pkts = PacketSlab::new();
         self.routes = Vec::new();
+        for rt in &mut self.flows {
+            rt.rx = None;
+        }
 
         let mut flows = Vec::with_capacity(self.flows.len());
         for (i, rt) in self.flows.iter().enumerate() {
@@ -205,7 +208,8 @@ impl Engine {
             agg.unimportant_pkts += st.unimportant_pkts;
             agg.clocking_pkts += st.clocking_pkts;
             agg.clocking_bytes += st.clocking_bytes;
-            let (rtt, rto) = if rt.spec.fg {
+            let spec = &self.specs[i];
+            let (rtt, rto) = if spec.fg {
                 (&mut agg.fg_rtt, &mut agg.fg_rto)
             } else {
                 (&mut agg.bg_rtt, &mut agg.bg_rto)
@@ -223,10 +227,10 @@ impl Engine {
                 id: i as u32,
                 src: rt.src.0,
                 dst: rt.dst.0,
-                bytes: rt.spec.bytes,
-                start: rt.spec.start,
+                bytes: spec.bytes,
+                start: spec.start,
                 end: rt.complete_at,
-                fg: rt.spec.fg,
+                fg: spec.fg,
                 timeouts: st.timeouts,
                 retx: st.fast_retx + st.rto_retx,
             });

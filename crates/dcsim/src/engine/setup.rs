@@ -21,7 +21,7 @@ impl Engine {
     /// hosts or whose completion trigger does not precede it, and a fault
     /// aimed at a node or port that does not exist (or a pause storm at a
     /// host) with a typed error instead of a panic.
-    pub fn try_new(cfg: SimConfig, specs: Vec<FlowSpec>) -> Result<Engine, ConfigError> {
+    pub fn try_new(cfg: SimConfig, mut specs: Vec<FlowSpec>) -> Result<Engine, ConfigError> {
         let topo = cfg.topology.try_build()?;
         let hosts = topo.hosts().to_vec();
         let n_nodes = topo.node_count();
@@ -43,6 +43,13 @@ impl Engine {
             let node = NodeId(n as u32);
             let n_ports = topo.port_count(node);
             port_base.push(idx32(ports.len()));
+            // A queued frame records its switch ingress port in a `u16`.
+            if n < n_switches && n_ports > usize::from(u16::MAX) {
+                return Err(ConfigError::TooManyPorts {
+                    node: idx32(n),
+                    ports: n_ports,
+                });
+            }
             let mut sw = (n < n_switches).then(|| {
                 let sw_cfg = SwitchConfig {
                     ports: n_ports,
@@ -82,9 +89,7 @@ impl Engine {
             switches.extend(sw);
         }
         port_base.push(idx32(ports.len()));
-        let host_q = (0..hosts.len())
-            .map(|_| std::collections::VecDeque::new())
-            .collect();
+        let host_q = vec![FrameQueue::new(); hosts.len()];
 
         // Base RTT: twice the one-way delay of the longest path plus a
         // handful of serialization times — we use the pure propagation
@@ -117,7 +122,7 @@ impl Engine {
         let mut prof = EngineProf::new();
         let mut flows = Vec::with_capacity(specs.len());
         let mut routes = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.into_iter().enumerate() {
+        for (i, spec) in specs.iter().enumerate() {
             for host in [spec.src, spec.dst] {
                 if host >= hosts.len() {
                     return Err(ConfigError::HostOutOfRange {
@@ -152,7 +157,6 @@ impl Engine {
                 }
             }
             flows.push(FlowRuntime {
-                spec,
                 src,
                 dst,
                 repins: 0,
@@ -163,7 +167,7 @@ impl Engine {
                 run: None,
             });
         }
-        let dependents = Dependents::new(flows.iter().map(|rt| rt.spec.after));
+        let dependents = Dependents::new(specs.iter().map(|spec| spec.after));
         if let Some(every) = cfg.queue_sample_every {
             prof.on_sched(EvKind::QueueSample);
             queue.schedule(every, Event::QueueSample);
@@ -205,6 +209,11 @@ impl Engine {
             queue.schedule(ev.at, Event::Fault(i as u32));
         }
 
+        // The engine keeps the caller's specs for the run instead of copying
+        // each into its flow's record. A list grown by pushing can hold
+        // nearly as much spare capacity again; shrinking it in place (no
+        // spec moves) keeps exactly the copies' 48 bytes per flow.
+        specs.shrink_to_fit();
         let eng = Engine {
             cfg,
             ledger: ConservationLedger::new(topo.link_count()),
@@ -215,6 +224,7 @@ impl Engine {
             pause_acct: Vec::new(),
             port_base,
             host_q,
+            specs,
             counters: vec![SenderStats::default(); flows.len()],
             flows,
             routes,
@@ -441,6 +451,23 @@ mod tests {
             .with_topology(small_single_switch(3))
             .with_faults(storm(0));
         assert!(Engine::try_new(cfg, vec![flow(0, 1)]).is_ok());
+    }
+
+    /// A queued frame names its switch ingress port in a `u16`: a switch
+    /// with more ports is a typed error, not `Switch::new`'s panic.
+    #[test]
+    fn try_new_names_the_switch_with_more_ports_than_a_frame_can_name() {
+        let ports = usize::from(u16::MAX) + 1;
+        let cfg =
+            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(ports));
+        let e = Engine::try_new(cfg, vec![flow(0, 1)])
+            .err()
+            .expect("rejected");
+        assert_eq!(e, ConfigError::TooManyPorts { node: 0, ports });
+        assert_eq!(
+            e.to_string(),
+            "switch 0: 65536 ports, more than the 65535 a switch may have"
+        );
     }
 
     fn two_speed_specs() -> [netsim::topology::TopologySpec; 4] {

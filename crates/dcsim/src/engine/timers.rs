@@ -137,7 +137,8 @@ impl Engine {
                     // The frame enters the arena here and stays there for
                     // its whole wire lifetime; only handles move from now on.
                     let pkt = self.pkts.insert(pkt);
-                    self.host_q[origin.0 as usize - self.switches.len()].push_back(pkt);
+                    self.host_q[origin.0 as usize - self.switches.len()]
+                        .push_back(&mut self.pkts, pkt);
                     self.kick_port(origin, PortId(0));
                 }
                 Action::SetTimer { kind, at } => {

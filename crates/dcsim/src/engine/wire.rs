@@ -193,8 +193,9 @@ impl Engine {
                 // start so `SimResult` records stay uniform.
                 for i in self.dependents.range(f) {
                     let d = self.dependents.flows[i];
-                    let at = self.now + self.flows[d as usize].spec.start;
-                    self.flows[d as usize].spec.start = at;
+                    let spec = &mut self.specs[d as usize];
+                    let at = self.now + spec.start;
+                    spec.start = at;
                     self.sched(at, Event::FlowStart(d));
                 }
             }
@@ -425,7 +426,7 @@ impl Engine {
             }
             pkt
         } else {
-            self.host_q[n - self.switches.len()].pop_front()
+            self.host_q[n - self.switches.len()].pop_front(&self.pkts)
         };
         let Some(pkt) = pkt else { return };
         // Wait-close (the early return above guarantees the port is

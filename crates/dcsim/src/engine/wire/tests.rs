@@ -90,7 +90,7 @@ impl Rig {
     }
 
     fn waiting(&self) -> usize {
-        self.eng.host_q[self.src.0 as usize - self.eng.switches.len()].len()
+        self.eng.host_q[self.src.0 as usize - self.eng.switches.len()].len(&self.eng.pkts)
     }
 
     /// `(queue pushes, seqs allocated)` so far.

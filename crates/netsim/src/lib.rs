@@ -25,8 +25,8 @@ pub mod topology;
 
 pub use link::LinkSpec;
 pub use packet::{
-    Color, Direction, FlowId, Frame, IntHop, Packet, PacketKind, PacketRef, PacketSlab, SackBlock,
-    TltMark,
+    Color, Direction, FlowId, Frame, FrameQueue, IntHop, Packet, PacketKind, PacketRef, PacketSlab,
+    SackBlock, TltMark,
 };
 pub use switch::{DropReason, EcnConfig, EnqueueOutcome, PfcConfig, Switch, SwitchConfig};
 pub use topology::{Hop, LinkId, NodeId, NodeKind, PortId, Topology, TopologySpec};

@@ -22,7 +22,7 @@
 use eventsim::{SimRng, SimTime};
 use telemetry::{DropWhy, TraceEvent, Tracer};
 
-use crate::packet::{Color, IntHop, PacketRef, PacketSlab};
+use crate::packet::{Color, FrameQueue, IntHop, PacketRef, PacketSlab};
 use crate::topology::PortId;
 
 /// ECN marking discipline of an egress queue.
@@ -175,12 +175,6 @@ pub struct SwitchStats {
     pub max_total_bytes: u64,
 }
 
-struct Queued {
-    pkt: PacketRef,
-    ingress: PortId,
-    wire: u32,
-}
-
 /// Debug-build MMU ledger: independent byte totals for every way a
 /// frame can enter or leave the shared buffer. `audit_conservation`
 /// cross-checks them against the live occupancy and [`SwitchStats`], so a
@@ -201,9 +195,12 @@ struct MmuLedger {
 
 /// A shared-buffer output-queued switch.
 ///
-/// Buffered packets live in the caller's [`PacketSlab`]; the switch queues
-/// only hold 4-byte [`PacketRef`] handles, so a frame is never copied while
-/// it sits in (or crosses) the MMU.
+/// Buffered packets live in the caller's [`PacketSlab`], and each egress
+/// queue is a [`FrameQueue`] threaded through the frames' slab links: a
+/// frame is never copied while it sits in (or crosses) the MMU, and an
+/// idle port holds no buffer. What the switch needs of a queued frame at
+/// its dequeue is read back from the frame: its wire size, and the
+/// ingress port `enqueue` stamped into it.
 ///
 /// # Examples
 ///
@@ -224,7 +221,7 @@ struct MmuLedger {
 /// ```
 pub struct Switch {
     cfg: SwitchConfig,
-    queues: Vec<std::collections::VecDeque<Queued>>,
+    queues: Vec<FrameQueue>,
     q_bytes: Vec<u64>,
     total_bytes: u64,
     ingress_bytes: Vec<u64>,
@@ -246,10 +243,16 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no ports, zero buffer,
-    /// non-positive α, or XON above XOFF).
+    /// Panics if the configuration is degenerate (no ports, more than
+    /// `u16::MAX` of them, zero buffer, non-positive α, or XON above XOFF).
     pub fn new(cfg: SwitchConfig, seed: u64) -> Switch {
         assert!(cfg.ports > 0, "switch needs at least one port");
+        // A queued frame records its ingress port in a `u16`.
+        assert!(
+            cfg.ports <= usize::from(u16::MAX),
+            "a switch has at most {} ports",
+            u16::MAX
+        );
         assert!(cfg.total_buffer > 0, "switch needs buffer space");
         assert!(cfg.alpha > 0.0, "alpha must be positive");
         if let Some(pfc) = cfg.pfc {
@@ -259,7 +262,7 @@ impl Switch {
         Switch {
             port_rate: vec![cfg.port_rate_bps; n],
             cfg,
-            queues: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+            queues: vec![FrameQueue::new(); n],
             q_bytes: vec![0; n],
             total_bytes: 0,
             ingress_bytes: vec![0; n],
@@ -301,6 +304,16 @@ impl Switch {
         );
         let sum: u64 = self.q_bytes.iter().sum();
         debug_assert_eq!(sum, self.total_bytes, "queue depths out of sync with pool");
+        // `dequeue` re-reads each frame's wire size instead of caching the
+        // one `enqueue` admitted: a frame whose size changed in between
+        // leaves bytes behind in (or underflows) its queue's depth.
+        for (e, q) in self.queues.iter().enumerate() {
+            debug_assert!(
+                !q.is_empty() || self.q_bytes[e] == 0,
+                "egress {e} is empty but holds {} bytes",
+                self.q_bytes[e]
+            );
+        }
         debug_assert!(
             self.total_bytes <= self.cfg.total_buffer,
             "shared pool over-committed: {} > {}",
@@ -396,10 +409,10 @@ impl Switch {
     ) -> EnqueueOutcome {
         let e = egress.0 as usize;
         let i = ingress.0 as usize;
-        let (wire32, is_green_data, is_control, color, ecn_capable, flow, seq) = {
+        let (wire, is_green_data, is_control, color, ecn_capable, flow, seq) = {
             let p = slab.get(pkt);
             (
-                p.wire_size(),
+                u64::from(p.wire_size()),
                 p.color == Color::Green && !p.is_control(),
                 p.is_control(),
                 p.color,
@@ -408,7 +421,6 @@ impl Switch {
                 p.seq,
             )
         };
-        let wire = u64::from(wire32);
         let q = self.q_bytes[e];
         #[cfg(debug_assertions)]
         {
@@ -497,6 +509,8 @@ impl Switch {
                 self.stats.ce_marked += 1;
             }
         }
+        // simlint: allow(truncation, Switch::new bounds the port count at u16::MAX)
+        slab.get_mut(pkt).ingress = ingress.0 as u16;
 
         // 4. Commit.
         #[cfg(debug_assertions)]
@@ -513,11 +527,7 @@ impl Switch {
         }
         self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.q_bytes[e]);
         self.stats.max_total_bytes = self.stats.max_total_bytes.max(self.total_bytes);
-        self.queues[e].push_back(Queued {
-            pkt,
-            ingress,
-            wire: wire32,
-        });
+        self.queues[e].push_back(slab, pkt);
         if ce_marked {
             self.tracer.emit(now, || TraceEvent::CeMark {
                 node: self.node,
@@ -573,23 +583,29 @@ impl Switch {
         now: SimTime,
     ) -> (Option<PacketRef>, Option<PfcSignal>) {
         let e = egress.0 as usize;
-        let Some(q) = self.queues[e].pop_front() else {
+        let Some(pkt) = self.queues[e].pop_front(slab) else {
             return (None, None);
         };
-        let wire = u64::from(q.wire);
+        // The frame is as `enqueue` admitted it (only a CE mark, which
+        // changes no size, was written since): its size and ingress are
+        // read back here, before this hop's INT record grows it.
+        let p = slab.get(pkt);
+        let (wire, ingress, flow, seq) = (
+            u64::from(p.wire_size()),
+            PortId(u32::from(p.ingress)),
+            p.flow.0,
+            p.seq,
+        );
         #[cfg(debug_assertions)]
         {
             self.ledger.forwarded_bytes += wire;
         }
         self.q_bytes[e] -= wire;
         self.total_bytes -= wire;
-        let i = q.ingress.0 as usize;
+        let i = ingress.0 as usize;
         self.ingress_bytes[i] -= wire;
         self.tx_bytes[e] += wire;
 
-        let pkt = q.pkt;
-        let p = slab.get(pkt);
-        let (flow, seq) = (p.flow.0, p.seq);
         if self.cfg.int_enabled && !p.is_control() {
             slab.push_int(
                 pkt,
@@ -617,10 +633,10 @@ impl Switch {
             if self.pause_sent[i] && !self.storm[i] && self.ingress_bytes[i] <= p.xon {
                 self.pause_sent[i] = false;
                 self.stats.resumes_sent += 1;
-                pfc = Some(PfcSignal::Resume(q.ingress));
+                pfc = Some(PfcSignal::Resume(ingress));
                 self.tracer.emit(now, || TraceEvent::PfcXon {
                     node: self.node,
-                    port: q.ingress.0,
+                    port: ingress.0,
                 });
             }
         }
@@ -1144,6 +1160,14 @@ mod tests {
         );
         let (pkt, _) = sw.dequeue(PortId(1), SimTime::ZERO);
         assert!(pkt.unwrap().int_stack.is_empty());
+    }
+
+    /// A queued frame names its ingress port in a `u16`, so a switch with
+    /// more ports is refused at construction.
+    #[test]
+    #[should_panic(expected = "at most 65535 ports")]
+    fn new_refuses_more_ports_than_a_frame_can_name() {
+        let _ = Switch::new(SwitchConfig::trident2(usize::from(u16::MAX) + 1), 1);
     }
 
     #[test]

@@ -255,6 +255,13 @@ impl<C: CongestionControl> WindowSender<C> {
         if self.tlt.is_some() && seq + u64::from(len) >= self.seg_grid_end(seq) {
             let mss = u64::from(self.cfg.mss);
             let slot = (seq / mss - self.snd_una / mss) as usize;
+            // Room for the first window at once: growing from empty by
+            // doubling cost every TLT flow two reallocations (4 → 8 → 16
+            // entries) on its way past the initial window.
+            if self.tx_order.capacity() == 0 {
+                self.tx_order
+                    .reserve_exact(self.cfg.init_cwnd_pkts as usize);
+            }
             if slot >= self.tx_order.len() {
                 self.tx_order.resize(slot + 1, 0);
             }

@@ -12,12 +12,12 @@
 //!
 //! Allocations inside `Engine::run` / data packets sent:
 //!
-//! | cell, transport    | first measured     | tree range sets | flat range sets | per-flow lifetimes | running-state box | now         | budget per 100 pkts |
-//! |--------------------|--------------------|-----------------|-----------------|--------------------|-------------------|-------------|---------------------|
-//! | k=4, DCTCP         | 192 / 1112 (0.17)  | 192 / 1112      | 192 / 1112      | 208 / 1112         | 216 / 1112        | 216 / 1112  | 23                  |
-//! | k=4, DCTCP + TLT   | 2472 / 1120 (2.21) | 352 / 1120      | 240 / 1120      | 256 / 1120         | 264 / 1120        | 264 / 1120  | 28                  |
-//! | k=4, HPCC          | 6627 / 1600 (4.14) | 3435 / 1600     | 3435 / 1600     | 3451 / 1600        | 3459 / 1600       | 3479 / 1600 | 259                 |
-//! | incast, DCTCP + TLT| —                  | 947 / 1355      | 896 / 1355      | 960 / 1355         | 992 / 1355        | 957 / 1355  | 86                  |
+//! | cell, transport    | first measured     | tree range sets | flat range sets | per-flow lifetimes | running-state box | frame + loss summary | now         | budget per 100 pkts |
+//! |--------------------|--------------------|-----------------|-----------------|--------------------|-------------------|----------------------|-------------|---------------------|
+//! | k=4, DCTCP         | 192 / 1112 (0.17)  | 192 / 1112      | 192 / 1112      | 208 / 1112         | 216 / 1112        | 216 / 1112           | 90 / 1112   | 23                  |
+//! | k=4, DCTCP + TLT   | 2472 / 1120 (2.21) | 352 / 1120      | 240 / 1120      | 256 / 1120         | 264 / 1120        | 264 / 1120           | 122 / 1120  | 28                  |
+//! | k=4, HPCC          | 6627 / 1600 (4.14) | 3435 / 1600     | 3435 / 1600     | 3451 / 1600        | 3459 / 1600       | 3479 / 1600          | 3321 / 1600 | 259                 |
+//! | incast, DCTCP + TLT| —                  | 947 / 1355      | 896 / 1355      | 960 / 1355         | 992 / 1355        | 957 / 1355           | 830 / 1355  | 86                  |
 //!
 //! What the differences were, so a breach can be read. First column to
 //! second: with TLT on, `WindowSender` trimmed `tx_order` with
@@ -40,25 +40,48 @@
 //! its first loss (−35), and the packet slab moved SACK blocks and INT
 //! stacks into a side pool, whose own amortised growth is HPCC's +20 (the
 //! lists themselves still move with their packets, allocation for
-//! allocation). Of the lossy cell's 957, 411 are the `Vec` of SACK blocks
-//! on each ACK that carries any. Budgets are the measured value plus 20 %
-//! at the third column, and still hold.
+//! allocation). Sixth to seventh: every switch egress queue and host NIC
+//! queue is threaded through the packet slab, where each was a `VecDeque`
+//! that allocated on its port's first frame and reallocated as it doubled
+//! (−126 on the fat-tree cells, −158 on HPCC's, −79 on the incast); and a
+//! TLT sender reserves its first window of `tx_order` at its first
+//! transmission where the ring grew from empty by doubling, 4 → 8 → 16
+//! entries (−16 on DCTCP + TLT, −48 on the incast). Of the lossy cell's
+//! 830, 411 are the `Vec` of SACK blocks on each ACK that carries any.
+//! Budgets are the measured value plus 20 % at the third column, and still
+//! hold.
+//!
+//! That `tx_order` growth is also why a TLT incast reallocates more than
+//! its baseline: on `incast_burst`'s 3,000-flow cells (seeds 7 and 8) a
+//! realloc-size histogram reads 9,059–9,062 reallocations without TLT
+//! (3,003 each of 32 → 64, 64 → 128 and 128 → 256 bytes) and 15,059–15,067
+//! with it, the extra ≈ 6,000 being one more 32 → 64 and 64 → 128 per
+//! flow. With the first window reserved the TLT cells read 9,179–9,254,
+//! the 3,000 extra pairs replaced by 121–195 growths of 80 → 160 bytes, and
+//! the TCP + TLT cell's peak live heap falls 7,652,986 → 7,511,322 bytes.
 //!
 //! The same allocator keeps each thread's live bytes and their peak, which
 //! bounds the heap of building and running a serving cell (the repo
 //! benchmark's `serve_k8` / `serve_k24` shape, untruncated, seed 1) — a
-//! count that, too, repeats exactly. Peak live heap of `Engine::new` +
-//! `run`:
+//! count that, too, repeats exactly. Peak live heap of generating the
+//! flows, `Engine::new` and `run`:
 //!
-//! | cell, requests (flows)        | eager transports | per-flow lifetimes | running-state box | sized to the run | frame + loss summary |
-//! |-------------------------------|------------------|--------------------|-------------------|------------------|----------------------|
-//! | k=8, DCTCP, 384 (6,596)       | 11.56 MB         | 8.82 MB            | 6.75 MB           | 4.99 MB          | 4.65 MB              |
-//! | k=8, DCTCP, 512 (8,898)       | 14.42 MB         | 10.74 MB           | 7.95 MB           | 5.68 MB          | 5.37 MB              |
-//! | k=24, DCTCP, 512 (9,332)      | 23.66 MB         | 18.52 MB           | 15.59 MB          | 11.84 MB         | 11.18 MB             |
-//! | k=24, HPCC, 512 (9,332)       | 25.44 MB         | 18.45 MB           | 15.52 MB          | 11.35 MB         | 11.40 MB             |
-//! | incast, DCTCP, — (1,000)      | —                | 4.18 MB            | 4.08 MB           | 4.01 MB          | 3.14 MB              |
-//! | incast, TCP, — (3,000)        | —                | —                  | —                 | 10.62 MB         | 8.50 MB              |
+//! | cell, requests (flows)        | eager transports | per-flow lifetimes | running-state box | sized to the run | frame + loss summary | same, counted in full | slab queues, specs kept |
+//! |-------------------------------|------------------|--------------------|-------------------|------------------|----------------------|-----------------------|-------------------------|
+//! | k=8, DCTCP, 384 (6,596)       | 11.56 MB         | 8.82 MB            | 6.75 MB           | 4.99 MB          | 4.65 MB              | 5,045,932 B           | 4,804,348 B             |
+//! | k=8, DCTCP, 512 (8,898)       | 14.42 MB         | 10.74 MB           | 7.95 MB           | 5.68 MB          | 5.37 MB              | 6,154,804 B           | 5,834,390 B             |
+//! | k=24, DCTCP, 512 (9,332)      | 23.66 MB         | 18.52 MB           | 15.59 MB          | 11.84 MB         | 11.18 MB             | 11,964,772 B          | 10,315,940 B            |
+//! | k=24, HPCC, 512 (9,332)       | 25.44 MB         | 18.45 MB           | 15.52 MB          | 11.35 MB         | 11.40 MB             | 12,184,004 B          | 9,945,892 B             |
+//! | incast, DCTCP, — (1,000)      | —                | 4.18 MB            | 4.08 MB           | 4.01 MB          | 3.14 MB              | 3,184,978 B           | 3,126,802 B             |
+//! | incast, TCP, — (3,000)        | —                | —                  | —                 | 10.62 MB         | 8.50 MB              | 8,646,938 B           | 8,490,458 B             |
 //!
+//! The columns up to "frame + loss summary" read low by the capacity of
+//! the caller's flow list: the flows were made before the window opened,
+//! `Engine::new` consumed them, and the free was credited against the
+//! peak (786,432 B on the k=24 rows and the k=8 512-request row, 393,216
+//! on the 384-request row, 48,000 and 144,000 on the incasts). "Same,
+//! counted in full" is that engine measured with the flows made inside the
+//! window, as every row is now.
 //! "Eager transports" is the engine that built every flow's sender and
 //! receiver in `Engine::new` and held them, and a per-link fault table, to
 //! the end of the run. "Per-flow lifetimes" built a transport at its flow's
@@ -75,7 +98,17 @@
 //! slot was a 96-byte `Packet` whose two list headers are empty on every
 //! data frame), and keeps a lossy flow's losses in one fixed summary made
 //! at its first loss instead of a ring of up to 64; HPCC's row rises by
-//! the pool. The first row and the 1,000-flow incast are tier-1 tests; the
+//! the pool. "Slab queues, specs kept" threads every switch and NIC queue
+//! through the slab's per-slot links, so an idle port keeps no buffer
+//! (−1,648,832 B on the k=24 DCTCP row, −2,238,112 on HPCC's, −58,176 and
+//! −156,480 on the incasts, where the peak is in the run); keeps the
+//! caller's spec list, shrunk to its length, where each flow's record held
+//! a copy (the record is 56 bytes, was 104: the same 48 bytes a flow, now
+//! in one list, so no row moves for it); and frees every receiver at
+//! collect with the fabric (−145,924 and −320,414 on the k=8 rows, whose
+//! peak is at collect; −95,660 more on the 384-request row is the queues).
+//! The first row and the
+//! 1,000-flow incast are tier-1 tests; the
 //! 512-request rows are `serve_cells_peak_live_heap` and the 3,000-flow
 //! incast (the repo benchmark's `incast_burst` TCP cell) is
 //! `tcp_incast_cell_peak_live_heap` (both `--ignored`, run in CI). Serve
@@ -240,19 +273,13 @@ fn hpcc_run_loop_stays_within_its_allocation_budget() {
 /// `requests` serving requests (untruncated, seed 1) on the k-ary
 /// fat-tree, shaped as the repo benchmark's `serve_k8` / `serve_k24` cells:
 /// a quarter of the requests fan out to 32 servers, answers are
-/// cache-follower sized and chained on their query's completion.
-fn serve_cell(k: usize, kind: TransportKind, requests: usize) -> (SimConfig, Vec<FlowSpec>) {
-    let params = serve::ServeParams {
-        hosts: k * k * k / 4,
-        requests,
-        mean_gap: SimTime::from_us(if k == 8 { 20 } else { 10 }),
-        fanout: 32,
-        fanout_fraction: 0.25,
-        query_bytes: 1_600,
-        response_cdf: workload::FlowSizeCdf::cache_follower(),
-        think: SimTime::from_us(5),
-        slo: SimTime::from_ms(2),
-    };
+/// cache-follower sized and chained on their query's completion. Returns
+/// the configuration and what generates the flows.
+fn serve_cell(
+    k: usize,
+    kind: TransportKind,
+    requests: usize,
+) -> (SimConfig, impl FnOnce() -> Vec<FlowSpec>) {
     let latency = SimTime::from_us(if kind.is_roce() { 1 } else { 10 });
     let cfg = if kind.is_roce() {
         SimConfig::roce_family(kind)
@@ -262,13 +289,30 @@ fn serve_cell(k: usize, kind: TransportKind, requests: usize) -> (SimConfig, Vec
     let cfg = cfg
         .with_topology(TopologySpec::paper_fat_tree(k, latency))
         .with_seed(1);
-    (cfg, serve::generate(&params, 1).flows)
+    let flows = move || {
+        let params = serve::ServeParams {
+            hosts: k * k * k / 4,
+            requests,
+            mean_gap: SimTime::from_us(if k == 8 { 20 } else { 10 }),
+            fanout: 32,
+            fanout_fraction: 0.25,
+            query_bytes: 1_600,
+            response_cdf: workload::FlowSizeCdf::cache_follower(),
+            think: SimTime::from_us(5),
+            slo: SimTime::from_ms(2),
+        };
+        serve::generate(&params, 1).flows
+    };
+    (cfg, flows)
 }
 
-/// Peak live heap of `Engine::new` + `run` on `cfg` and `flows`, each of
-/// which must complete.
-fn peak_live(cfg: SimConfig, flows: Vec<FlowSpec>) -> u64 {
-    let (peak, res) = peak_live_in(|| Engine::new(cfg, flows).run());
+/// Peak live heap of generating the flows, `Engine::new` and `run` on
+/// `cfg`, every flow of which must complete. The flows are made inside the
+/// window: every block the engine frees was allocated in it, so a freed
+/// block cannot lower the peak below what the cell really held, and a spec
+/// list the engine keeps counts once.
+fn peak_live(cfg: SimConfig, flows: impl FnOnce() -> Vec<FlowSpec>) -> u64 {
+    let (peak, res) = peak_live_in(|| Engine::new(cfg, flows()).run());
     assert!(res.flows.iter().all(|f| f.end.is_some()), "cell completes");
     peak
 }
@@ -285,33 +329,37 @@ fn assert_heap(label: &str, peak: u64, budget: u64) {
 /// A serving cell runs a few hundred of its thousands of flows at any
 /// instant, and its heap follows the running ones: the peak live heap of
 /// building and running a k=8 DCTCP serve cell of 384 requests (6,596
-/// flows) is bounded at its measured 4,652,716 bytes plus 10 % (11.56 MB
+/// flows) is bounded at its measured 4,804,348 bytes plus 10 % (11.56 MB
 /// when every transport lived from `Engine::new` to the end of the run,
 /// 8.82 MB while every flow's timer slots did, 6.75 MB while hosts had
 /// switch slots, flows held their paths and the results were built beside
 /// the fabric, 4.99 MB while every packet slot was a whole `Packet` and a
-/// lossy flow kept a ring of its losses).
+/// lossy flow kept a ring of its losses — each 393,216 bytes low, see the
+/// header — and 5,045,932 bytes counted in full while every port kept a
+/// queue buffer and every flow record a copy of its spec).
 #[test]
 fn serve_cell_peak_live_heap_stays_within_its_budget() {
     let (cfg, flows) = serve_cell(8, TransportKind::Dctcp, 384);
-    assert_heap("k=8 serve cell", peak_live(cfg, flows), 5_118_000);
+    assert_heap("k=8 serve cell", peak_live(cfg, flows), 5_285_000);
 }
 
 /// An incast starts every flow at once, so its heap is the running state
 /// of the flows that overlap: 1,000 synchronized 32 kB DCTCP flows from
 /// eight servers into one (the repo benchmark's `incast_burst` shape at a
-/// third of its size, seed 1) peak at a measured 3,136,978 bytes, bounded
+/// third of its size, seed 1) peak at a measured 3,126,802 bytes, bounded
 /// at that plus 1.4 % (4,183,654 while every flow's record held its timer
 /// slots and loss ring from `Engine::new` on, 4,080,138 while each flow
 /// held its paths, 4,012,146 while every packet slot was a whole `Packet`
-/// and a lossy flow kept a ring of its losses).
+/// and a lossy flow kept a ring of its losses — each 48,000 bytes low, see
+/// the header — and 3,184,978 counted in full while every port kept a
+/// queue buffer and every flow record a copy of its spec).
 #[test]
 fn incast_cell_peak_live_heap_stays_within_its_budget() {
     let cfg = SimConfig::tcp_family(TransportKind::Dctcp)
         .with_topology(dcsim::small_single_switch(9))
         .with_seed(1);
-    let flows = workload::incast_burst(1_000, 8, 32_000, 1);
-    assert_heap("incast cell", peak_live(cfg, flows), 3_181_000);
+    let flows = || workload::incast_burst(1_000, 8, 32_000, 1);
+    assert_heap("incast cell", peak_live(cfg, flows), 3_171_000);
 }
 
 /// The header's 512-request rows (release, a few seconds), each bounded at
@@ -321,9 +369,9 @@ fn incast_cell_peak_live_heap_stays_within_its_budget() {
 #[ignore]
 fn serve_cells_peak_live_heap() {
     for (k, kind, budget) in [
-        (8, TransportKind::Dctcp, 5_906_000),
-        (24, TransportKind::Dctcp, 12_297_000),
-        (24, TransportKind::Hpcc, 12_538_000),
+        (8, TransportKind::Dctcp, 6_418_000),
+        (24, TransportKind::Dctcp, 11_348_000),
+        (24, TransportKind::Hpcc, 10_941_000),
     ] {
         let (cfg, flows) = serve_cell(k, kind, 512);
         let label = format!("k={k} {} serve cell", kind.name());
@@ -334,9 +382,11 @@ fn serve_cells_peak_live_heap() {
 /// The repo benchmark's `incast_burst` TCP cell at full size (seed 1):
 /// 3,000 synchronized 32 kB TCP flows from eight servers into one, the
 /// lossy regime where every running flow holds a loss summary and tens of
-/// thousands of frames are in flight. Measured at 8,502,938 bytes
+/// thousands of frames are in flight. Measured at 8,490,458 bytes
 /// (10,624,282 while every packet slot was a whole `Packet` and a lossy
-/// flow kept a ring of its losses), bounded at that plus 1.4 %, like the
+/// flow kept a ring of its losses, 144,000 bytes low; 8,646,938 counted in
+/// full while every port kept a queue buffer and every flow record a copy
+/// of its spec), bounded at that plus 1.4 %, like the
 /// tier-1 incast row: `cargo test --release --test alloc_budget --
 /// --include-ignored --nocapture`.
 #[test]
@@ -345,11 +395,11 @@ fn tcp_incast_cell_peak_live_heap() {
     let cfg = SimConfig::tcp_family(TransportKind::Tcp)
         .with_topology(dcsim::small_single_switch(9))
         .with_seed(1);
-    let flows = workload::incast_burst(3_000, 8, 32_000, 1);
+    let flows = || workload::incast_burst(3_000, 8, 32_000, 1);
     assert_heap(
         "3,000-flow TCP incast cell",
         peak_live(cfg, flows),
-        8_623_000,
+        8_610_000,
     );
 }
 

@@ -179,3 +179,39 @@ fn no_flow_is_ever_stranded_with_tlt() {
         );
     }
 }
+
+/// TLT's timeout-less guarantee has a capacity (§4.2's reserved room, at
+/// one port): at its dynamic-threshold cap a congested egress port holds
+/// the green bytes of a bounded number of flows, and past that bound every
+/// further flow loses a green frame. Precondition of the guarantee: n ≤ n*
+/// = 1,648 at B = 4.5 MB, α = 1 (the default switch, where the one
+/// congested port's cap is α·B/(1+α) = 2.25 MB). Pinned on the repo
+/// benchmark's `incast_burst` shape — `n` synchronized 32 kB flows from
+/// eight servers into one host — for TCP+TLT and DCTCP+TLT at two seeds:
+/// 1,600 flows lose no green frame and take no timeout; 1,700 flows lose
+/// exactly 1,700 − 1,648 = 52 green frames.
+#[test]
+fn tlt_green_drops_start_at_the_ports_capacity() {
+    for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
+        for seed in [7, 8] {
+            let run = |n: usize| {
+                let cfg = SimConfig::tcp_family(kind)
+                    .with_topology(small_single_switch(9))
+                    .with_tlt()
+                    .with_seed(seed);
+                Engine::new(cfg, workload::incast_burst(n, 8, 32_000, seed)).run()
+            };
+            let below = run(1_600);
+            assert_eq!(
+                below.agg.drops_green_data, 0,
+                "{kind:?} seed {seed}, n = 1,600"
+            );
+            assert_eq!(below.agg.timeouts, 0, "{kind:?} seed {seed}, n = 1,600");
+            let past = run(1_700);
+            assert_eq!(
+                past.agg.drops_green_data, 52,
+                "{kind:?} seed {seed}, n = 1,700"
+            );
+        }
+    }
+}
