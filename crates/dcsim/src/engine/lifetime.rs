@@ -21,14 +21,14 @@ impl Running {
     fn new(tx: Box<dyn FlowSender>) -> Running {
         Running {
             tx,
-            timer_gen: [0; TIMER_KINDS.len()],
-            timer_armed: [false; TIMER_KINDS.len()],
+            timer_gen: [0; TimerKind::ALL.len()],
+            timer_armed: [false; TimerKind::ALL.len()],
             rto_armed_at: SimTime::ZERO,
             losses: None,
-            timer_deadline: [SimTime::ZERO; TIMER_KINDS.len()],
-            timer_queued_at: [None; TIMER_KINDS.len()],
-            timer_queued_gen: [0; TIMER_KINDS.len()],
-            timer_res_seq: [0; TIMER_KINDS.len()],
+            timer_deadline: [SimTime::ZERO; TimerKind::ALL.len()],
+            timer_queued_at: [None; TimerKind::ALL.len()],
+            timer_queued_gen: [0; TimerKind::ALL.len()],
+            timer_res_seq: [0; TimerKind::ALL.len()],
         }
     }
 }

@@ -50,7 +50,6 @@ pub use self::results::{AggregateStats, SimResult};
 
 use self::forensics::{LossEvent, LossSummary, PauseEpisode, PAUSE_LOG};
 use self::route::FlowRoute;
-use self::timers::TIMER_KINDS;
 use self::wire::{PauseAcct, Port};
 
 enum Event {
@@ -142,8 +141,8 @@ const _: () =
 /// summary, in one box that lives from the flow's `FlowStart` to its fold.
 struct Running {
     tx: Box<dyn FlowSender>,
-    timer_gen: [u64; TIMER_KINDS.len()],
-    timer_armed: [bool; TIMER_KINDS.len()],
+    timer_gen: [u64; TimerKind::ALL.len()],
+    timer_armed: [bool; TimerKind::ALL.len()],
     /// When the currently-armed RTO timer was set (the PFC-stall window).
     rto_armed_at: SimTime,
     /// What RTO attribution reads of this flow's losses; `None` until the
@@ -161,10 +160,10 @@ struct Running {
     /// (`None` when nothing is queued); `timer_queued_gen[s]` identifies
     /// that entry; `timer_deadline[s]`/`timer_res_seq[s]` describe the
     /// latest armed deadline and its reserved sequence number.
-    timer_deadline: [SimTime; TIMER_KINDS.len()],
-    timer_queued_at: [Option<SimTime>; TIMER_KINDS.len()],
-    timer_queued_gen: [u64; TIMER_KINDS.len()],
-    timer_res_seq: [u64; TIMER_KINDS.len()],
+    timer_deadline: [SimTime; TimerKind::ALL.len()],
+    timer_queued_at: [Option<SimTime>; TimerKind::ALL.len()],
+    timer_queued_gen: [u64; TimerKind::ALL.len()],
+    timer_res_seq: [u64; TimerKind::ALL.len()],
 }
 
 /// The ECMP salt of flow `f`'s pin number `repins` (0: its first).

@@ -3,29 +3,9 @@
 
 use super::*;
 
-/// Every timer slot, in a *fixed* order — audits and disarm sweeps iterate
-/// this array (never a hash map) so event schedules stay deterministic.
-pub(super) const TIMER_KINDS: [TimerKind; 5] = [
-    TimerKind::Rto,
-    TimerKind::Tlp,
-    TimerKind::Pace,
-    TimerKind::DcqcnAlpha,
-    TimerKind::DcqcnIncrease,
-];
-
 /// Only a sender arms or cancels a timer, so a flow that does has its
 /// running state.
 const SENDER_ACTION: &str = "a timer action comes from a running flow's sender";
-
-fn timer_slot(kind: TimerKind) -> usize {
-    match kind {
-        TimerKind::Rto => 0,
-        TimerKind::Tlp => 1,
-        TimerKind::Pace => 2,
-        TimerKind::DcqcnAlpha => 3,
-        TimerKind::DcqcnIncrease => 4,
-    }
-}
 
 impl Engine {
     /// The `Timer` arm: consumes the slot's queue entry and, when the
@@ -33,7 +13,7 @@ impl Engine {
     /// whether it was live (so the run loop re-checks the flow's doneness).
     pub(super) fn fire_timer(&mut self, flow: u32, kind: TimerKind, gen: u64) -> bool {
         let t = self.now;
-        let slot = timer_slot(kind);
+        let slot = kind as usize;
         // A folded flow has no timer slots. Its slots were all disarmed
         // before the fold, so this pop is a cancellation, and no superseding
         // arm can have parked a deadline behind it.
@@ -93,8 +73,8 @@ impl Engine {
         let Some(run) = self.flows[f as usize].run.as_deref_mut() else {
             return;
         };
-        for kind in TIMER_KINDS {
-            let s = timer_slot(kind);
+        for kind in TimerKind::ALL {
+            let s = kind as usize;
             if run.timer_armed[s] {
                 run.timer_gen[s] += 1;
                 run.timer_armed[s] = false;
@@ -146,7 +126,7 @@ impl Engine {
                         .run
                         .as_deref_mut()
                         .expect(SENDER_ACTION);
-                    let s = timer_slot(kind);
+                    let s = kind as usize;
                     run.timer_gen[s] += 1;
                     run.timer_armed[s] = true;
                     if kind == TimerKind::Rto {
@@ -178,7 +158,7 @@ impl Engine {
                         .run
                         .as_deref_mut()
                         .expect(SENDER_ACTION);
-                    let s = timer_slot(kind);
+                    let s = kind as usize;
                     run.timer_gen[s] += 1;
                     run.timer_armed[s] = false;
                     self.tracer

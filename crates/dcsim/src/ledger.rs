@@ -22,9 +22,9 @@
 //! independent accounting paths that a forgotten counter bump would split.
 //!
 //! Every [`telemetry::DropWhy`] variant is matched exhaustively in
-//! [`ConservationLedger::account_drop`], so adding a drop reason without
-//! deciding how it is accounted is a compile error here and a simlint E1
-//! finding at the source level.
+//! `drop_slot`, which every drop hook goes through, so adding a drop reason
+//! without deciding how it is accounted is a compile error here and a
+//! simlint E1 finding at the source level.
 
 use telemetry::DropWhy;
 

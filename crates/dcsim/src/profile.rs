@@ -1,6 +1,6 @@
 //! The event-level engine profiler (feature `profile`).
 //!
-//! The engine calls [`EngineProf`]'s hooks unconditionally; the `profile`
+//! The engine calls `EngineProf`'s hooks unconditionally; the `profile`
 //! cargo feature is named only in this file, where it picks the type: the
 //! profiler below, collected on every run so a profiling build of any binary
 //! needs no flag beyond `--profile-out`, or a zero-sized twin whose hooks are
@@ -29,8 +29,8 @@
 //!   accounting a conservative-PDES shard split will need.
 //! * **queue health**: depth histogram after every pop, peak depth,
 //!   push/pop churn, and timer-disarm sweep cost.
-//! * three sim-time [`TimeSeries`]: events executed per window, packets in
-//!   flight, and aggregate switch queue occupancy.
+//! * three sim-time [`TimeSeries`](telemetry::TimeSeries): events executed
+//!   per window, packets in flight, and aggregate switch queue occupancy.
 //!
 //! Everything is integer and BTreeMap-ordered, so the exported
 //! profile artifact (`tlt-metrics/v1` with a `series` section) is

@@ -6,22 +6,22 @@
 //!
 //! | rule | pragma           | what it checks                                 |
 //! |------|------------------|------------------------------------------------|
-//! | E1   | `accounting`     | every audited-enum variant has an accounting   |
-//! |      |                  | site (the `ALL` table, an anchor-file ref, or  |
-//! |      |                  | an external use site, per [`AccountingMode`])  |
-//! | E2   | `render`         | every variant has a wire-tag render arm, and   |
-//! |      |                  | its tag parses back (the `_ => None` wildcard  |
-//! |      |                  | in `parse` otherwise hides a missing arm)      |
-//! | E3   | `schema-key`     | per-variant counters (`drops_*`,               |
-//! |      |                  | `rto_cause_*`) are declared in the schema      |
+//! | E1   | `accounting`     | every audited-enum variant is in its enum's    |
+//! |      |                  | `ALL` table (which `parse` and per-variant     |
+//! |      |                  | counters iterate) and has the accounting site  |
+//! |      |                  | its [`AccountingMode`] names                   |
 //! | S1   | `undeclared-key` | emitted registry keys are declared             |
-//! | S2   | `dead-key`       | declared keys still have an emission site      |
+//! | S2   | —                | declared keys still have an emission site      |
 //!
-//! E-rules report at the variant's declaration line in the defining file;
-//! S1 at the emitting call; S2 at the declaration line inside the schema
-//! JSON itself. All rules are skipped gracefully on partial trees (no
-//! defining file, no schema), so fixture tests can target one rule at a
-//! time — mirroring how D5 behaved.
+//! A tag's render arm needs no rule: `as_str` is a match with no wildcard,
+//! so the compiler proves every variant has a tag, and `parse` is derived
+//! from `ALL`. The per-variant schema counters (`drops_*`, `rto_cause_*`,
+//! `span_phase_ns/*`) are a `telemetry` unit test.
+//!
+//! E1 reports at the variant's declaration line in the defining file; S1 at
+//! the emitting call; S2 at the declaration line inside the schema JSON
+//! itself. All rules are skipped gracefully on partial trees (no defining
+//! file, no schema), so fixture tests can target one rule at a time.
 
 use crate::items::{AccountingMode, AuditedEnum, EnumDef, FileItems, AUDITED};
 use crate::rules::{crate_of, in_s1_scope, RawFinding};
@@ -36,10 +36,6 @@ pub fn run(files: &[(String, FileItems)], schema: Option<&Schema>) -> Vec<RawFin
     for audited in &AUDITED {
         if let Some(def) = find_def(files, audited) {
             e1(files, audited, def, &mut out);
-            e2(audited, def, &mut out);
-            if let Some(schema) = schema {
-                e3(audited, def, schema, &mut out);
-            }
         }
     }
     if let Some(schema) = schema {
@@ -57,168 +53,63 @@ fn find_def<'a>(files: &'a [(String, FileItems)], a: &AuditedEnum) -> Option<&'a
         .filter(|d| !d.variants.is_empty())
 }
 
-fn finding(
-    a: &AuditedEnum,
-    line: u32,
-    rule: &'static str,
-    pragma: &'static str,
-    msg: String,
-) -> RawFinding {
-    RawFinding {
-        file: a.file.to_string(),
-        line,
-        rule,
-        pragma: Some(pragma),
-        msg,
-    }
-}
-
-/// E1: every variant has an accounting site.
+/// E1: every variant is in `ALL` and has its mode's accounting site.
 fn e1(files: &[(String, FileItems)], a: &AuditedEnum, def: &EnumDef, out: &mut Vec<RawFinding>) {
-    match a.mode {
-        AccountingMode::AllConst => {
-            let Some(all) = &def.all else {
-                out.push(finding(
-                    a,
-                    def.line,
-                    "E1",
-                    "accounting",
-                    format!(
-                        "{} accounting iterates a `const ALL` table, but none was found in its \
-                         defining file",
-                        a.name
-                    ),
-                ));
-                return;
-            };
-            for (v, line) in &def.variants {
-                if !all.contains(v) {
-                    out.push(finding(
-                        a,
-                        *line,
-                        "E1",
-                        "accounting",
-                        format!(
-                            "{n}::{v} is missing from the `{n}::ALL` accounting table: per-variant \
-                             counters iterate ALL, so this variant would silently never be \
-                             accounted",
-                            n = a.name
-                        ),
-                    ));
-                }
-            }
-        }
-        AccountingMode::AnchorRefs(anchor) => {
-            let accounted: Vec<&str> = files
+    let n = a.name;
+    let mut hit = |line, msg| {
+        out.push(RawFinding {
+            file: a.file.to_string(),
+            line,
+            rule: "E1",
+            pragma: Some("accounting"),
+            msg,
+        })
+    };
+    let Some(all) = &def.all else {
+        let msg = format!(
+            "{n} has no `const ALL` table in its defining file for per-variant counters \
+             (and a derived `parse`) to iterate"
+        );
+        return hit(def.line, msg);
+    };
+    for (v, line) in def.variants.iter().filter(|(v, _)| !all.contains(v)) {
+        let msg = format!(
+            "{n}::{v} is missing from the `{n}::ALL` table, which per-variant counters (and \
+             a derived `parse`) iterate: this variant would silently never be accounted"
+        );
+        hit(*line, msg);
+    }
+    let (used, why): (Vec<&str>, String) = match a.mode {
+        AccountingMode::AllConst => return,
+        AccountingMode::AnchorRefs(anchor) => (
+            files
                 .iter()
                 .filter(|(_, items)| items.anchors.iter().any(|m| m == anchor))
                 .flat_map(|(_, items)| items.refs.iter())
-                .filter(|r| r.enum_name == a.name)
+                .filter(|r| r.enum_name == n)
                 .map(|r| r.variant.as_str())
-                .collect();
-            for (v, line) in &def.variants {
-                if !accounted.iter().any(|x| x == v) {
-                    out.push(finding(
-                        a,
-                        *line,
-                        "E1",
-                        "accounting",
-                        format!(
-                            "{n}::{v} has no accounting site: no file referencing {anchor} \
-                             mentions it, so events with this variant are invisible in run-level \
-                             counters",
-                            n = a.name
-                        ),
-                    ));
-                }
-            }
-        }
-        AccountingMode::ExternalRefs => {
-            let used: Vec<&str> = files
+                .collect(),
+            format!(
+                "has no accounting site: no file referencing {anchor} mentions it, so events \
+                 with this variant are invisible in run-level counters"
+            ),
+        ),
+        AccountingMode::ExternalRefs => (
+            files
                 .iter()
                 .filter(|(rel, _)| rel != a.file)
                 .flat_map(|(_, items)| items.refs.iter())
-                .filter(|r| r.enum_name == a.name && !r.in_test)
+                .filter(|r| r.enum_name == n && !r.in_test)
                 .map(|r| r.variant.as_str())
-                .collect();
-            for (v, line) in &def.variants {
-                if !used.iter().any(|x| x == v) {
-                    out.push(finding(
-                        a,
-                        *line,
-                        "E1",
-                        "accounting",
-                        format!(
-                            "{n}::{v} is never referenced outside its defining file (non-test): \
-                             nothing can produce or account this variant",
-                            n = a.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// E2: render-arm coverage and tag round-trip.
-fn e2(a: &AuditedEnum, def: &EnumDef, out: &mut Vec<RawFinding>) {
-    for (v, line) in &def.variants {
-        let Some((_, tag, arm_line)) = def.render.iter().find(|(rv, _, _)| rv == v) else {
-            out.push(finding(
-                a,
-                *line,
-                "E2",
-                "render",
-                format!(
-                    "{n}::{v} has no wire-tag render arm (`{n}::{v} => \"…\"`) in its defining \
-                     file, so traces and metric names cannot carry it",
-                    n = a.name
-                ),
-            ));
-            continue;
-        };
-        // Round-trip: only meaningful for enums that have a parser at all.
-        if !def.parse.is_empty() && !def.parse.iter().any(|(pt, pv, _)| pt == tag && pv == v) {
-            out.push(finding(
-                a,
-                *arm_line,
-                "E2",
-                "render",
-                format!(
-                    "wire tag \"{tag}\" ({n}::{v}) is rendered but never parsed back: the \
-                     `_ => None` wildcard in `parse` hides the missing arm, so decoded traces \
-                     drop these events",
-                    n = a.name
-                ),
-            ));
-        }
-    }
-}
-
-/// E3: per-variant schema counters.
-fn e3(a: &AuditedEnum, def: &EnumDef, schema: &Schema, out: &mut Vec<RawFinding>) {
-    let Some(prefix) = a.schema_prefix else {
-        return;
+                .collect(),
+            "is never referenced outside its defining file (non-test): nothing can produce \
+             or account this variant"
+                .to_string(),
+        ),
     };
     for (v, line) in &def.variants {
-        // Without a render arm there is no tag to build the key from — E2
-        // already reports that; avoid a cascading duplicate.
-        let Some((_, tag, _)) = def.render.iter().find(|(rv, _, _)| rv == v) else {
-            continue;
-        };
-        let key = format!("{prefix}{tag}");
-        if !schema.allows_exact(&key) {
-            out.push(finding(
-                a,
-                *line,
-                "E3",
-                "schema-key",
-                format!(
-                    "{n}::{v} implies counter `{key}`, which {SCHEMA_PATH} does not declare: \
-                     exports would carry a key no validator checks",
-                    n = a.name
-                ),
-            ));
+        if !used.contains(&v.as_str()) {
+            hit(*line, format!("{n}::{v} {why}"));
         }
     }
 }

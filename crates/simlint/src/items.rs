@@ -2,19 +2,21 @@
 //!
 //! The lexer gives a flat token stream; this module raises it to the item
 //! skeletons the cross-file rules need — audited enum definitions (with
-//! their variants, `ALL` initializers, and wire-tag match arms), variant
-//! references, registry-key emission sites, and metric-shaped string
-//! literals. The cross-file passes in [`crate::graph`] run over the
-//! [`FileItems`] of every file.
+//! their variants and `ALL` initializers), variant references,
+//! registry-key emission sites, and metric-shaped string literals. The
+//! cross-file passes in [`crate::graph`] run over the [`FileItems`] of
+//! every file.
 
 use crate::lexer::{str_contents, Lexed, TokKind};
 
-/// How rule E1 decides a variant has an accounting site.
+/// How rule E1 decides a variant has an accounting site beyond its
+/// enum's `const ALL: [Self; N]` table, which every audited enum carries
+/// and which must list every variant (the array length is explicit, so the
+/// compiler accepts a stale table; `parse` and per-variant counters iterate
+/// it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccountingMode {
-    /// The enum carries a `const ALL: [Self; N]` table and accounting
-    /// iterates it — every variant must appear in the initializer (the
-    /// array length is explicit, so the compiler accepts a stale table).
+    /// Accounting iterates `ALL`; the table is the only site.
     AllConst,
     /// Accounting files are marked by mentioning this identifier (e.g.
     /// `AggregateStats`); every variant must be referenced in one of them.
@@ -24,7 +26,7 @@ pub enum AccountingMode {
     ExternalRefs,
 }
 
-/// One enum under exhaustive-accounting audit (the E-rules).
+/// One enum under exhaustive-accounting audit (rule E1).
 pub struct AuditedEnum {
     /// Enum name.
     pub name: &'static str,
@@ -32,47 +34,45 @@ pub struct AuditedEnum {
     pub file: &'static str,
     /// How E1 checks accounting coverage.
     pub mode: AccountingMode,
-    /// E3: each variant's wire tag, prefixed with this, must be a declared
-    /// schema counter (`None`: the enum has no per-variant counters).
-    pub schema_prefix: Option<&'static str>,
 }
 
 /// The audited-enum table. Growing one of these enums without growing its
-/// accounting/render/schema surfaces is exactly the drift the E-rules stop.
-pub const AUDITED: [AuditedEnum; 5] = [
+/// `ALL` table and accounting sites is exactly the drift E1 stops; a
+/// per-variant schema counter it implies is checked by `telemetry`'s
+/// `every_tag_counter_is_declared_in_the_schema` test.
+pub const AUDITED: [AuditedEnum; 6] = [
     AuditedEnum {
         name: "DropWhy",
         file: "crates/telemetry/src/event.rs",
         mode: AccountingMode::AnchorRefs("AggregateStats"),
-        schema_prefix: Some("drops_"),
     },
     AuditedEnum {
         name: "RtoCause",
         file: "crates/telemetry/src/event.rs",
         mode: AccountingMode::AllConst,
-        schema_prefix: Some("rto_cause_"),
     },
     AuditedEnum {
         name: "FaultKind",
         file: "crates/telemetry/src/event.rs",
         mode: AccountingMode::ExternalRefs,
-        schema_prefix: None,
     },
     AuditedEnum {
         name: "EvKind",
         file: "crates/dcsim/src/profile.rs",
         mode: AccountingMode::AllConst,
-        schema_prefix: None,
     },
     // The latency-ledger phase decomposition: the conservation invariant
-    // (Σ phases == FCT) only closes if every variant is accounted, rendered,
-    // and exported, so a new phase that misses any surface is exactly the
-    // drift E1–E3 exist to stop.
+    // (Σ phases == FCT) only closes if every variant is accounted, so a new
+    // phase missing from `ALL` is exactly the drift E1 exists to stop.
     AuditedEnum {
         name: "Phase",
         file: "crates/telemetry/src/event.rs",
         mode: AccountingMode::AllConst,
-        schema_prefix: Some("span_phase_ns/"),
+    },
+    AuditedEnum {
+        name: "TimerKind",
+        file: "crates/telemetry/src/event.rs",
+        mode: AccountingMode::AllConst,
     },
 ];
 
@@ -95,12 +95,6 @@ pub struct EnumDef {
     /// Variant names listed in a `const ALL: [Name; N] = […]` initializer
     /// in the same file, if one exists.
     pub all: Option<Vec<String>>,
-    /// Render arms `Name::V => "tag"` anywhere in the file:
-    /// `(variant, tag, line)`.
-    pub render: Vec<(String, String, u32)>,
-    /// Parse arms `"tag" => Name::V` anywhere in the file:
-    /// `(tag, variant, line)`.
-    pub parse: Vec<(String, String, u32)>,
 }
 
 /// A `Name::Variant` reference to an audited enum.
@@ -185,9 +179,7 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
         t.get(i)
             .is_some_and(|k| k.kind == TokKind::Punct && k.text == s)
     };
-    let is_str = |i: usize| t.get(i).is_some_and(|k| k.kind == TokKind::Str);
     let path_sep = |i: usize| punct(i, ":") && punct(i + 1, ":");
-    let arrow = |i: usize| punct(i, "=") && punct(i + 1, ">");
 
     for (i, tok) in t.iter().enumerate() {
         match tok.kind {
@@ -196,19 +188,6 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
                 if !in_region(test_regions, tok.line) && metric_shaped(c) {
                     literals.insert(c.to_string());
                 }
-                // Parse arm: `"tag" => Name::V`.
-                if arrow(i + 1)
-                    && ident_is_audited(t, i + 3)
-                    && path_sep(i + 4)
-                    && is_variant_ident(t, i + 6)
-                {
-                    push_arm(
-                        &mut out.enums,
-                        &t[i + 3].text,
-                        tok.line,
-                        Arm::Parse(c.to_string(), t[i + 6].text.clone()),
-                    );
-                }
             }
             TokKind::Ident => {
                 if audited_name(&tok.text) {
@@ -216,8 +195,7 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
                     // plain idents, not necessarily audited enum names).
                     // Enum definition: `enum Name {`.
                     if i > 0 && ident(i - 1, "enum") && punct(i + 1, "{") {
-                        let (def, _) = collect_enum_def(t, i);
-                        out.enums.push(def);
+                        out.enums.push(collect_enum_def(t, i));
                     }
                     // `Name::V` reference.
                     if path_sep(i + 1) && is_variant_ident(t, i + 3) {
@@ -227,18 +205,6 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
                             line: tok.line,
                             in_test: in_region(test_regions, tok.line),
                         });
-                        // Render arm: `Name::V => "tag"`.
-                        if arrow(i + 4) && is_str(i + 6) {
-                            push_arm(
-                                &mut out.enums,
-                                &tok.text,
-                                tok.line,
-                                Arm::Render(
-                                    t[i + 3].text.clone(),
-                                    str_contents(&t[i + 6].text).to_string(),
-                                ),
-                            );
-                        }
                     }
                     // `const ALL: [Name; N] = […]` initializer.
                     if i >= 4
@@ -273,10 +239,9 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
         }
     }
 
-    // Attach ALL initializers to the defs in this file. Arms found before
-    // the enum definition were attached by `push_arm`'s stub mechanism; an
-    // ALL table without a local definition is dropped (it cannot happen in
-    // real code — `Self`-free initializers name the enum, defined above).
+    // Attach ALL initializers to the defs in this file; an ALL table
+    // without a local definition is dropped (it cannot happen in real code
+    // — `Self`-free initializers name the enum, defined above).
     for (name, vars) in all_inits {
         if let Some(def) = out.enums.iter_mut().find(|d| d.name == name) {
             def.all = Some(vars);
@@ -284,11 +249,6 @@ pub fn extract(l: &Lexed, test_regions: &[(u32, u32)]) -> FileItems {
     }
     out.literals = literals.into_iter().collect();
     out
-}
-
-fn ident_is_audited(t: &[crate::lexer::Tok], i: usize) -> bool {
-    t.get(i)
-        .is_some_and(|k| k.kind == TokKind::Ident && audited_name(&k.text))
 }
 
 /// A variant position must be an UpperCamelCase identifier that is not the
@@ -303,34 +263,9 @@ fn is_variant_ident(t: &[crate::lexer::Tok], i: usize) -> bool {
     })
 }
 
-enum Arm {
-    Render(String, String),
-    Parse(String, String),
-}
-
-/// Records a render/parse arm on the file's def for `name`, creating a stub
-/// def (no variants) if the arm precedes the definition token-wise; stubs
-/// are completed when the real definition is found (same `name` key).
-fn push_arm(enums: &mut Vec<EnumDef>, name: &str, line: u32, arm: Arm) {
-    let def = match enums.iter_mut().find(|d| d.name == name) {
-        Some(d) => d,
-        None => {
-            enums.push(EnumDef {
-                name: name.to_string(),
-                ..EnumDef::default()
-            });
-            enums.last_mut().expect("just pushed")
-        }
-    };
-    match arm {
-        Arm::Render(variant, tag) => def.render.push((variant, tag, line)),
-        Arm::Parse(tag, variant) => def.parse.push((tag, variant, line)),
-    }
-}
-
 /// Collects the unit variants of `enum Name { … }`; `i` indexes the name
-/// token. Returns the def and the index past the closing brace.
-fn collect_enum_def(t: &[crate::lexer::Tok], i: usize) -> (EnumDef, usize) {
+/// token.
+fn collect_enum_def(t: &[crate::lexer::Tok], i: usize) -> EnumDef {
     let mut def = EnumDef {
         name: t[i].text.clone(),
         line: t[i].line,
@@ -367,7 +302,7 @@ fn collect_enum_def(t: &[crate::lexer::Tok], i: usize) -> (EnumDef, usize) {
         }
         j += 1;
     }
-    (def, j)
+    def
 }
 
 /// Collects the `Name::V` variant names inside the `= […]` initializer of a
@@ -459,44 +394,19 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const EVENT_SNIPPET: &str = r#"
-pub enum RtoCause { Color, Delay }
-impl RtoCause {
-    pub const ALL: [RtoCause; 2] = [RtoCause::Color, RtoCause::Delay];
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RtoCause::Color => "color",
-            RtoCause::Delay => "delay",
-        }
-    }
-    pub fn parse(s: &str) -> Option<RtoCause> {
-        Some(match s {
-            "color" => RtoCause::Color,
-            "delay" => RtoCause::Delay,
-            _ => return None,
-        })
-    }
-}
-"#;
-
     #[test]
-    fn extracts_enum_def_all_and_arms() {
-        let l = lex(EVENT_SNIPPET);
-        let items = extract(&l, &[]);
+    fn extracts_enum_def_and_all() {
+        let src = "pub enum RtoCause { Color, Delay }\n\
+                   impl RtoCause {\n\
+                       pub const ALL: [RtoCause; 2] = [RtoCause::Color, RtoCause::Delay];\n\
+                   }\n";
+        let items = extract(&lex(src), &[]);
         let def = items.enums.iter().find(|d| d.name == "RtoCause").unwrap();
         let vars: Vec<&str> = def.variants.iter().map(|(v, _)| v.as_str()).collect();
         assert_eq!(vars, ["Color", "Delay"]);
         assert_eq!(
             def.all.as_deref(),
             Some(&["Color".to_string(), "Delay".to_string()][..])
-        );
-        assert_eq!(def.render.len(), 2);
-        assert_eq!(def.render[0].0, "Color");
-        assert_eq!(def.render[0].1, "color");
-        assert_eq!(def.parse.len(), 2);
-        assert_eq!(
-            def.parse[1],
-            ("delay".to_string(), "Delay".to_string(), def.parse[1].2)
         );
         // `RtoCause::ALL`-style associated items are not variant refs, but
         // the initializer's members are.

@@ -5,9 +5,9 @@
 //! the paper reproduction depends on two runs with one seed agreeing. The
 //! classes of bug that break that guarantee are narrow and mechanical:
 //! hash-ordered iteration, wall-clock or entropy reads, NaN-partial float
-//! ordering, silent integer truncation in byte accounting, counters that
-//! drift from the enums feeding them, and registry keys that drift from
-//! the schema declaring them. `simlint` rejects all of these at the source
+//! ordering, silent integer truncation in byte accounting, enum variants
+//! missing from the `ALL` tables their parsers and counters iterate, and
+//! registry keys that drift from the schema declaring them. `simlint` rejects all of these at the source
 //! level, before a test ever has to catch the nondeterminism (which, by
 //! nature, it usually would not).
 //!
@@ -25,8 +25,8 @@
 //!
 //! Exit status is nonzero when any finding is produced; each finding prints
 //! as `file:line: rule: message`. See [`rules`] for the ruleset — per-file
-//! determinism rules (D1–D4), cross-file exhaustive-accounting rules
-//! (E1–E3, driven by [`items::AUDITED`]), schema-drift rules (S1/S2 against
+//! determinism rules (D1–D4), the cross-file exhaustive-accounting rule
+//! (E1, driven by [`items::AUDITED`]), schema-drift rules (S1/S2 against
 //! `ci/metrics_schema.json`), PDES-readiness rules (P1–P3), the
 //! stale-pragma rule (L1) and the layout guards (G1–G4) — plus the
 //! `// simlint: allow(<rule>, <reason>)` pragma, which S2 and G ignore.
@@ -114,7 +114,7 @@ pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
         analyses.push((rel, analysis));
     }
 
-    // The schema feeds the cross-file S/E3 passes; a missing schema skips
+    // The schema feeds the cross-file S passes; a missing schema skips
     // them (partial trees), a malformed one is an error.
     let schema_file = root.join(graph::SCHEMA_PATH);
     let schema = if schema_file.exists() {

@@ -21,9 +21,8 @@
 //! | D2   | `wallclock`      | `Instant`/`SystemTime`/`rand::`/`env::`/thread-id|
 //! | D3   | `float-order`    | `partial_cmp` ordering; use `total_cmp`          |
 //! | D4   | `truncation`     | bare `as u8/u16/u32` in byte-accounting paths    |
-//! | E1   | `accounting`     | audited-enum variant without an accounting site  |
-//! | E2   | `render`         | variant without a render arm / unparseable tag   |
-//! | E3   | `schema-key`     | variant counter missing from the metrics schema  |
+//! | E1   | `accounting`     | audited-enum variant missing from `ALL` or       |
+//! |      |                  | without an accounting site                       |
 //! | S1   | `undeclared-key` | emitted registry key the schema does not declare |
 //! | S2   | —                | declared schema key with no emission site        |
 //! | P1   | `shared-state`   | `static mut` / `Mutex`/`RwLock` statics in sim   |
@@ -59,8 +58,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D1`…`D4`, `E1`…`E3`, `S1`/`S2`, `P1`…`P3`, `L1`,
-    /// `G1`…`G4`).
+    /// Rule id (`D1`…`D4`, `E1`, `S1`/`S2`, `P1`…`P3`, `L1`, `G1`…`G4`).
     pub rule: &'static str,
     /// Human-readable message.
     pub msg: String,

@@ -255,7 +255,7 @@ fn d4_widening_casts_and_pragmas_pass() {
 
 const EVENT_RS: &str = "crates/telemetry/src/event.rs";
 
-/// A complete DropWhy fixture: variants, render arms, parse arms.
+/// A complete DropWhy fixture: variants and `ALL` table.
 const DROPWHY_FULL: &str = r#"pub enum DropWhy {
     /// Dropped by the color gate.
     #[default]
@@ -263,19 +263,7 @@ const DROPWHY_FULL: &str = r#"pub enum DropWhy {
     Wire,
 }
 impl DropWhy {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropWhy::Color => "color",
-            DropWhy::Wire => "wire",
-        }
-    }
-    pub fn parse(s: &str) -> Option<DropWhy> {
-        Some(match s {
-            "color" => DropWhy::Color,
-            "wire" => DropWhy::Wire,
-            _ => return None,
-        })
-    }
+    pub const ALL: [DropWhy; 2] = [DropWhy::Color, DropWhy::Wire];
 }
 "#;
 
@@ -323,6 +311,30 @@ fn e1_fully_accounted_enum_passes() {
 }
 
 #[test]
+fn e1_checks_the_all_table_in_every_mode() {
+    // DropWhy is accounted through AggregateStats, but its derived `parse`
+    // iterates ALL: a variant missing there is one precise finding.
+    let dropwhy = DROPWHY_FULL.replace(", DropWhy::Wire]", "]");
+    let f = lint(&[
+        (EVENT_RS, dropwhy.as_str()),
+        ("crates/dcsim/src/ledger.rs", LEDGER_FULL),
+    ]);
+    assert_eq!(rules(&f), ["E1"]);
+    assert!(f[0].msg.contains("DropWhy::Wire"), "{}", f[0].msg);
+    assert!(f[0].msg.contains("ALL"), "{}", f[0].msg);
+    assert_eq!(f[0].line, 5, "reported at the variant's declaration line");
+
+    // No ALL table at all: one finding at the enum.
+    let no_all = DROPWHY_FULL.split("impl").next().unwrap();
+    let f = lint(&[
+        (EVENT_RS, no_all),
+        ("crates/dcsim/src/ledger.rs", LEDGER_FULL),
+    ]);
+    assert_eq!(rules(&f), ["E1"]);
+    assert_eq!(f[0].line, 1, "reported at the enum");
+}
+
+#[test]
 fn e1_all_const_mode_flags_variant_missing_from_all() {
     // The acceptance mutation: delete one RtoCause accounting site (its ALL
     // entry) — exactly one variant-precise finding.
@@ -335,21 +347,6 @@ fn e1_all_const_mode_flags_variant_missing_from_all() {
 }
 impl RtoCause {
     pub const ALL: [RtoCause; 2] = [RtoCause::Color, RtoCause::Delay];
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RtoCause::Color => "color",
-            RtoCause::Delay => "delay",
-            RtoCause::Unknown => "unknown",
-        }
-    }
-    pub fn parse(s: &str) -> Option<RtoCause> {
-        Some(match s {
-            "color" => RtoCause::Color,
-            "delay" => RtoCause::Delay,
-            "unknown" => RtoCause::Unknown,
-            _ => return None,
-        })
-    }
 }
 "#,
     )]);
@@ -359,8 +356,8 @@ impl RtoCause {
     assert_eq!(f[0].line, 4, "reported at the variant's declaration line");
 }
 
-/// A complete latency-ledger Phase fixture: variants, `ALL` table, render
-/// and parse arms — the shape the conservation invariant depends on.
+/// A complete latency-ledger Phase fixture: variants and `ALL` table — the
+/// shape the conservation invariant depends on.
 const PHASE_FULL: &str = r#"pub enum Phase {
     Serialization,
     SwitchQueue,
@@ -368,21 +365,6 @@ const PHASE_FULL: &str = r#"pub enum Phase {
 }
 impl Phase {
     pub const ALL: [Phase; 3] = [Phase::Serialization, Phase::SwitchQueue, Phase::RtoStall];
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Serialization => "serialization",
-            Phase::SwitchQueue => "switch_queue",
-            Phase::RtoStall => "rto_stall",
-        }
-    }
-    pub fn parse(s: &str) -> Option<Phase> {
-        Some(match s {
-            "serialization" => Phase::Serialization,
-            "switch_queue" => Phase::SwitchQueue,
-            "rto_stall" => Phase::RtoStall,
-            _ => return None,
-        })
-    }
 }
 "#;
 
@@ -405,50 +387,13 @@ fn e1_phase_missing_from_all_is_one_precise_finding() {
 }
 
 #[test]
-fn e3_phase_hists_must_be_declared_in_the_spans_section() {
-    // Phase implies the per-scheme `span_phase_ns/…` hist family; a schema
-    // without the spans declaration gets one E3 per variant.
-    let f = lint_schema(&[(EVENT_RS, PHASE_FULL)], r#"{ "required_counters": [] }"#);
-    assert_eq!(rules(&f), ["E3", "E3", "E3"]);
-    assert!(f[0].msg.contains("span_phase_ns/"), "{}", f[0].msg);
-
-    // The nested spans section's prefix declaration covers every variant
-    // (the emitting file keeps the declared family alive for S2).
-    let f = lint_schema(
-        &[
-            (EVENT_RS, PHASE_FULL),
-            (
-                "crates/telemetry/src/spans.rs",
-                "fn acct(r: &mut Reg, scheme: &str, p: Phase, ns: u64) {\n\
-                     r.observe(&format!(\"span_phase_ns/{scheme}/{}\", p.as_str()), ns);\n\
-                 }\n",
-            ),
-        ],
-        r#"{ "spans": { "required_hist_prefixes": ["span_phase_ns/"] } }"#,
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
 fn e1_external_refs_mode_requires_non_test_use() {
     let faultkind = r#"pub enum FaultKind {
     LinkDown,
     LinkFlap,
 }
 impl FaultKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::LinkDown => "link_down",
-            FaultKind::LinkFlap => "link_flap",
-        }
-    }
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "link_down" => FaultKind::LinkDown,
-            "link_flap" => FaultKind::LinkFlap,
-            _ => return None,
-        })
-    }
+    pub const ALL: [FaultKind; 2] = [FaultKind::LinkDown, FaultKind::LinkFlap];
 }
 "#;
     // LinkFlap referenced only inside a test module elsewhere: unaccounted.
@@ -501,129 +446,7 @@ fn e_rules_are_silent_on_partial_trees() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// ------------------------------------------------------------ E2: render
-
-#[test]
-fn e2_flags_variant_without_render_arm() {
-    let f = lint(&[
-        (
-            EVENT_RS,
-            r#"pub enum DropWhy {
-    Color,
-    Wire,
-}
-impl DropWhy {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropWhy::Color => "color",
-            _ => "other",
-        }
-    }
-}
-"#,
-        ),
-        ("crates/dcsim/src/ledger.rs", LEDGER_FULL),
-    ]);
-    assert_eq!(rules(&f), ["E2"]);
-    assert!(f[0].msg.contains("DropWhy::Wire"), "{}", f[0].msg);
-    assert!(f[0].msg.contains("render"), "{}", f[0].msg);
-}
-
-#[test]
-fn e2_flags_rendered_tag_that_never_parses_back() {
-    // `parse` exists but its wildcard hides the missing "wire" arm.
-    let dropwhy = DROPWHY_FULL.replace("            \"wire\" => DropWhy::Wire,\n", "");
-    let f = lint(&[
-        (EVENT_RS, dropwhy.as_str()),
-        ("crates/dcsim/src/ledger.rs", LEDGER_FULL),
-    ]);
-    assert_eq!(rules(&f), ["E2"]);
-    assert!(f[0].msg.contains("\"wire\""), "{}", f[0].msg);
-}
-
-#[test]
-fn e2_enum_without_any_parser_skips_roundtrip() {
-    // EvKind-style enums render (for metric names) but never parse; only
-    // arm coverage is required.
-    let f = lint(&[(
-        "crates/dcsim/src/profile.rs",
-        r#"pub enum EvKind {
-    FlowStart,
-    PktArrive,
-}
-impl EvKind {
-    pub const ALL: [EvKind; 2] = [EvKind::FlowStart, EvKind::PktArrive];
-    pub fn name(self) -> &'static str {
-        match self {
-            EvKind::FlowStart => "flow_start",
-            EvKind::PktArrive => "pkt_arrive",
-        }
-    }
-}
-"#,
-    )]);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// ------------------------------------------------------------ E3 + S1/S2
-
-/// Schema used by the drift tests. `drops_wire` is deliberately missing.
-const SCHEMA_MISSING_WIRE: &str = r#"{
-    "required_counters": ["drops_color"]
-}"#;
-
-const SCHEMA_BOTH: &str = r#"{
-    "required_counters": ["drops_color", "drops_wire"]
-}"#;
-
-/// Accounting file that also emits the per-variant counters (keeps the
-/// declared keys live for S2).
-const LEDGER_EMITTING: &str = "fn acct(a: &mut AggregateStats, r: &mut Reg, w: DropWhy) {\n\
-     match w { DropWhy::Color => {}, DropWhy::Wire => {}, }\n\
-     r.inc(&format!(\"drops_{}\", w.as_str()), 1);\n\
- }\n";
-
-#[test]
-fn e3_flags_variant_counter_missing_from_schema() {
-    let f = lint_schema(
-        &[
-            (EVENT_RS, DROPWHY_FULL),
-            ("crates/dcsim/src/ledger.rs", LEDGER_EMITTING),
-        ],
-        SCHEMA_MISSING_WIRE,
-    );
-    assert_eq!(rules(&f), ["E3"]);
-    assert!(f[0].msg.contains("drops_wire"), "{}", f[0].msg);
-    assert_eq!(f[0].file, EVENT_RS);
-}
-
-#[test]
-fn e3_declared_counters_pass() {
-    let f = lint_schema(
-        &[
-            (EVENT_RS, DROPWHY_FULL),
-            ("crates/dcsim/src/ledger.rs", LEDGER_EMITTING),
-        ],
-        SCHEMA_BOTH,
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn e3_pragma_on_variant_line_suppresses() {
-    let dropwhy = DROPWHY_FULL.replace(
-        "    Wire,",
-        "    // simlint: allow(schema-key, wire drops are debug-only)\n    Wire,",
-    );
-    let f = lint_schema(
-        &[
-            (EVENT_RS, dropwhy.as_str()),
-            ("crates/dcsim/src/ledger.rs", LEDGER_EMITTING),
-        ],
-        SCHEMA_MISSING_WIRE,
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
+// ------------------------------------------------------------ S1/S2
 
 #[test]
 fn s1_flags_undeclared_key_precisely() {

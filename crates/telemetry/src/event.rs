@@ -35,6 +35,15 @@ pub enum DropWhy {
 }
 
 impl DropWhy {
+    /// Every reason, in declaration order.
+    pub const ALL: [DropWhy; 5] = [
+        DropWhy::Color,
+        DropWhy::Dynamic,
+        DropWhy::Overflow,
+        DropWhy::Wire,
+        DropWhy::LinkDown,
+    ];
+
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -44,18 +53,6 @@ impl DropWhy {
             DropWhy::Wire => "wire",
             DropWhy::LinkDown => "down",
         }
-    }
-
-    /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<DropWhy> {
-        Some(match s {
-            "color" => DropWhy::Color,
-            "dt" => DropWhy::Dynamic,
-            "overflow" => DropWhy::Overflow,
-            "wire" => DropWhy::Wire,
-            "down" => DropWhy::LinkDown,
-            _ => return None,
-        })
     }
 }
 
@@ -123,22 +120,6 @@ impl RtoCause {
         }
     }
 
-    /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<RtoCause> {
-        Some(match s {
-            "color" => RtoCause::Color,
-            "dt" => RtoCause::Dynamic,
-            "overflow" => RtoCause::Overflow,
-            "wire" => RtoCause::Wire,
-            "down" => RtoCause::LinkDown,
-            "pfc" => RtoCause::PfcStall,
-            "ack" => RtoCause::AckLoss,
-            "delay" => RtoCause::Delay,
-            "unknown" => RtoCause::Unknown,
-            _ => return None,
-        })
-    }
-
     /// The cause implied by a concrete packet drop.
     pub fn from_drop(why: DropWhy) -> RtoCause {
         match why {
@@ -160,20 +141,6 @@ pub struct RtoCauseCounts {
 }
 
 impl RtoCauseCounts {
-    fn slot(cause: RtoCause) -> usize {
-        match cause {
-            RtoCause::Color => 0,
-            RtoCause::Dynamic => 1,
-            RtoCause::Overflow => 2,
-            RtoCause::Wire => 3,
-            RtoCause::LinkDown => 4,
-            RtoCause::PfcStall => 5,
-            RtoCause::AckLoss => 6,
-            RtoCause::Delay => 7,
-            RtoCause::Unknown => 8,
-        }
-    }
-
     /// Records one attributed RTO.
     pub fn bump(&mut self, cause: RtoCause) {
         self.add(cause, 1);
@@ -181,12 +148,12 @@ impl RtoCauseCounts {
 
     /// Records `n` RTOs attributed to `cause`.
     pub fn add(&mut self, cause: RtoCause, n: u64) {
-        self.counts[RtoCauseCounts::slot(cause)] += n;
+        self.counts[cause as usize] += n;
     }
 
     /// The count attributed to `cause`.
     pub fn get(&self, cause: RtoCause) -> u64 {
-        self.counts[RtoCauseCounts::slot(cause)]
+        self.counts[cause as usize]
     }
 
     /// Sum over every cause — must equal the run's total RTO count.
@@ -263,20 +230,6 @@ impl Phase {
             Phase::RtoStall => "rto_stall",
         }
     }
-
-    /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<Phase> {
-        Some(match s {
-            "serialization" => Phase::Serialization,
-            "propagation" => Phase::Propagation,
-            "switch_queue" => Phase::SwitchQueue,
-            "host_wait" => Phase::HostWait,
-            "pfc_pause" => Phase::PfcPause,
-            "fast_recovery" => Phase::FastRecovery,
-            "rto_stall" => Phase::RtoStall,
-            _ => return None,
-        })
-    }
 }
 
 /// Per-phase accumulated nanoseconds — one flow's (or one scheme's) latency
@@ -288,26 +241,14 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    fn slot(phase: Phase) -> usize {
-        match phase {
-            Phase::Serialization => 0,
-            Phase::Propagation => 1,
-            Phase::SwitchQueue => 2,
-            Phase::HostWait => 3,
-            Phase::PfcPause => 4,
-            Phase::FastRecovery => 5,
-            Phase::RtoStall => 6,
-        }
-    }
-
     /// Attributes `ns` nanoseconds to `phase`.
     pub fn add(&mut self, phase: Phase, ns: u64) {
-        self.ns[PhaseTimes::slot(phase)] += ns;
+        self.ns[phase as usize] += ns;
     }
 
     /// Nanoseconds attributed to `phase`.
     pub fn get(&self, phase: Phase) -> u64 {
-        self.ns[PhaseTimes::slot(phase)]
+        self.ns[phase as usize]
     }
 
     /// Sum over every phase — equals the flow's FCT when conservation holds.
@@ -358,6 +299,15 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::LinkDown,
+        FaultKind::LinkUp,
+        FaultKind::Degrade,
+        FaultKind::StormStart,
+        FaultKind::StormEnd,
+    ];
+
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -367,18 +317,6 @@ impl FaultKind {
             FaultKind::StormStart => "storm_start",
             FaultKind::StormEnd => "storm_end",
         }
-    }
-
-    /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "link_down" => FaultKind::LinkDown,
-            "link_up" => FaultKind::LinkUp,
-            "degrade" => FaultKind::Degrade,
-            "storm_start" => FaultKind::StormStart,
-            "storm_end" => FaultKind::StormEnd,
-            _ => return None,
-        })
     }
 }
 
@@ -400,6 +338,15 @@ pub enum TimerKind {
 }
 
 impl TimerKind {
+    /// Every timer slot, in declaration order: `kind as usize` indexes it.
+    pub const ALL: [TimerKind; 5] = [
+        TimerKind::Rto,
+        TimerKind::Tlp,
+        TimerKind::Pace,
+        TimerKind::DcqcnAlpha,
+        TimerKind::DcqcnIncrease,
+    ];
+
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -410,566 +357,429 @@ impl TimerKind {
             TimerKind::DcqcnIncrease => "incr",
         }
     }
-
-    /// Parses a wire tag.
-    pub fn parse(s: &str) -> Option<TimerKind> {
-        Some(match s {
-            "rto" => TimerKind::Rto,
-            "tlp" => TimerKind::Tlp,
-            "pace" => TimerKind::Pace,
-            "alpha" => TimerKind::DcqcnAlpha,
-            "incr" => TimerKind::DcqcnIncrease,
-            _ => return None,
-        })
-    }
 }
 
-/// One structured event in the packet/flow lifecycle.
-///
-/// `node`/`port` identify a switch and one of its egress (or, for PFC
-/// events, ingress) ports; `flow` is the flow index the engine assigned;
-/// `seq` is the first payload byte of the packet involved; `qlen` is the
-/// egress queue depth in bytes *after* the event took effect.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TraceEvent {
-    /// Start-of-run marker written by the harness (label + seed).
-    RunStart {
-        /// Scheme/figure label, e.g. `"fig09/dctcp+tlt"`.
-        label: String,
-        /// RNG seed of the run.
-        seed: u64,
-    },
-    /// End-of-run marker carrying the producer's aggregate totals, so an
-    /// inspector can verify the trace against the run without side channels.
-    RunEnd {
-        /// Color-threshold drops summed over all switches.
-        drops_color: u64,
-        /// Dynamic-threshold drops summed over all switches.
-        drops_dt: u64,
-        /// Buffer-overflow drops summed over all switches.
-        drops_overflow: u64,
-        /// Wire-corruption losses.
-        wire_drops: u64,
-        /// Frames destroyed on failed (down) links.
-        down_drops: u64,
-        /// PFC PAUSE frames emitted.
-        pause_frames: u64,
-        /// Retransmission timeouts taken by all flows.
-        timeouts: u64,
-        /// Per-cause RTO attribution (must sum to `timeouts`).
-        rto_causes: RtoCauseCounts,
-    },
-    /// A flow began transmitting.
-    FlowStart {
-        /// Flow index.
-        flow: u32,
-        /// Payload bytes the flow will carry.
-        bytes: u64,
-    },
-    /// A flow's receiver saw the final payload byte.
-    FlowEnd {
-        /// Flow index.
-        flow: u32,
-    },
-    /// A packet was admitted to a switch egress queue.
-    Enqueue {
-        /// Switch node id.
-        node: u32,
-        /// Egress port.
-        port: u32,
-        /// Flow index.
-        flow: u32,
-        /// First payload byte (or ACK number for control packets).
-        seq: u64,
-        /// Egress queue depth after admission (bytes).
-        qlen: u64,
-    },
-    /// A packet left a switch egress queue.
-    Dequeue {
-        /// Switch node id.
-        node: u32,
-        /// Egress port.
-        port: u32,
-        /// Flow index.
-        flow: u32,
-        /// First payload byte (or ACK number for control packets).
-        seq: u64,
-        /// Egress queue depth after removal (bytes).
-        qlen: u64,
-    },
-    /// A packet was dropped, with a typed reason.
-    Drop {
-        /// Switch node id (for `Wire`: the transmitting node, which may be a
-        /// host).
-        node: u32,
-        /// Egress port the packet was headed for.
-        port: u32,
-        /// Flow index.
-        flow: u32,
-        /// First payload byte.
-        seq: u64,
-        /// Typed drop reason.
-        why: DropWhy,
-        /// Whether the victim was a green (important) data packet.
-        green: bool,
-    },
-    /// A packet was CE-marked on admission.
-    CeMark {
-        /// Switch node id.
-        node: u32,
-        /// Egress port.
-        port: u32,
-        /// Flow index.
-        flow: u32,
-        /// First payload byte.
-        seq: u64,
-        /// Egress queue depth that triggered the mark (bytes).
-        qlen: u64,
-    },
-    /// A sender decided a data packet's TLT importance (§5 marking).
-    TltMark {
-        /// Flow index.
-        flow: u32,
-        /// First payload byte of the marked packet.
-        seq: u64,
-        /// Whether the packet was marked important (green).
-        important: bool,
-    },
-    /// A switch sent a PFC PAUSE upstream for one of its ingress ports.
-    PfcXoff {
-        /// Switch node id.
-        node: u32,
-        /// Ingress port whose budget crossed XOFF.
-        port: u32,
-    },
-    /// A switch sent a PFC RESUME upstream.
-    PfcXon {
-        /// Switch node id.
-        node: u32,
-        /// Ingress port whose budget fell to XON.
-        port: u32,
-    },
-    /// An upstream transmitter actually stopped (pause took effect).
-    LinkPause {
-        /// Paused node (switch or host).
-        node: u32,
-        /// Paused egress port.
-        port: u32,
-    },
-    /// An upstream transmitter resumed.
-    LinkResume {
-        /// Resumed node.
-        node: u32,
-        /// Resumed egress port.
-        port: u32,
-    },
-    /// A transport armed (or re-armed) a timer.
-    TimerArm {
-        /// Flow index.
-        flow: u32,
-        /// Timer slot.
-        kind: TimerKind,
-        /// Absolute expiry time.
-        at: SimTime,
-    },
-    /// A transport disarmed a timer.
-    TimerCancel {
-        /// Flow index.
-        flow: u32,
-        /// Timer slot.
-        kind: TimerKind,
-    },
-    /// An armed timer fired (and was still current).
-    TimerFire {
-        /// Flow index.
-        flow: u32,
-        /// Timer slot.
-        kind: TimerKind,
-    },
-    /// A sender took a retransmission timeout (the event TLT exists to
-    /// prevent).
-    Timeout {
-        /// Flow index.
-        flow: u32,
-        /// Oldest unacknowledged byte at expiry.
-        seq: u64,
-    },
-    /// A sender entered fast retransmit (or NACK/go-back-N recovery).
-    FastRetx {
-        /// Flow index.
-        flow: u32,
-        /// First byte being retransmitted.
-        seq: u64,
-    },
-    /// An injected fault took effect (or a pause storm ended).
-    Fault {
-        /// What happened.
-        kind: FaultKind,
-        /// Node the fault targets (link endpoint or stormed switch).
-        node: u32,
-        /// Port on that node (link attachment point or stormed ingress).
-        port: u32,
-    },
-    /// The engine attempted to re-pin a flow's ECMP path after a failure.
-    Reroute {
-        /// Flow index.
-        flow: u32,
-        /// Whether a fully-up replacement path was found and adopted.
-        ok: bool,
-    },
-    /// Periodic per-port telemetry sample.
-    PortSample {
-        /// Switch node id.
-        node: u32,
-        /// Egress port.
-        port: u32,
-        /// Egress queue depth (bytes).
-        qlen: u64,
-        /// Whether the port's transmitter is currently PFC-paused.
-        paused: bool,
-    },
-    /// Forensic attribution of one retransmission timeout to its root
-    /// cause, emitted by the engine right after the RTO fires.
-    RtoForensic {
-        /// Flow that took the timeout.
-        flow: u32,
-        /// Oldest unacknowledged byte at expiry.
-        seq: u64,
-        /// Attributed root cause.
-        cause: RtoCause,
-        /// Node where the root-cause event happened (0 when `Unknown`).
-        node: u32,
-        /// Port on that node (0 when `Unknown`).
-        port: u32,
-        /// When the root-cause event happened (the RTO time when `Unknown`).
-        root_at: SimTime,
-    },
+/// Derives each tag enum's `parse` and trace-field codec from its `ALL`
+/// table and its hand-written `as_str` (a match with no wildcard, so the
+/// compiler proves every variant has a tag), and checks at compile time
+/// that `ALL` lists the variants in declaration order, so `v as usize`
+/// indexes it and per-variant counters can be plain arrays.
+macro_rules! tag_enums {
+    ($($name:ident),*) => {$(
+        impl $name {
+            /// Parses a wire tag: the `ALL` entry whose `as_str` it is.
+            pub fn parse(s: &str) -> Option<$name> {
+                $name::ALL.into_iter().find(|v| v.as_str() == s)
+            }
+        }
+
+        const _: () = {
+            let mut i = 0;
+            while i < $name::ALL.len() {
+                assert!($name::ALL[i] as usize == i, "ALL is in declaration order");
+                i += 1;
+            }
+        };
+
+        impl Field for $name {
+            fn write(&self, key: &str, s: &mut String) {
+                push_key(s, key);
+                json::push_str(s, self.as_str());
+            }
+
+            fn read(fields: &Fields<'_>, key: &str) -> Option<$name> {
+                $name::parse(fields.str(key)?)
+            }
+        }
+    )*};
+}
+
+tag_enums!(DropWhy, RtoCause, Phase, FaultKind, TimerKind);
+
+/// Declares [`TraceEvent`] once and derives its codec from that one list:
+/// each variant names its wire tag (`Enqueue = "enq"`) and each field its
+/// wire key (`qlen: u64 = "q"`). [`TraceEvent::tag`],
+/// [`TraceEvent::write_jsonl`] and [`TraceEvent::from_jsonl`] walk the list,
+/// so a field goes on the wire in declaration order, through its type's
+/// [`Field`] codec.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta:meta])*
+            $variant:ident = $tag:literal {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty = $key:literal,
+            )*},
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta])*
+            $variant {$(
+                $(#[$fmeta])*
+                $field: $ty,
+            )*},
+        )*}
+
+        impl TraceEvent {
+            /// Stable wire tag of this event's variant.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Appends the event's JSONL encoding (no trailing newline) to
+            /// `s`, so a sink can format every event into one reused buffer.
+            pub fn write_jsonl(&self, t: SimTime, s: &mut String) {
+                s.push_str("{\"t\":");
+                push_u64(s, t.as_ns());
+                s.push_str(",\"ev\":\"");
+                s.push_str(self.tag());
+                s.push('"');
+                match self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $($field.write($key, s);)*
+                    })*
+                }
+                s.push('}');
+            }
+
+            /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`].
+            ///
+            /// Returns `None` for malformed lines (the inspector reports them
+            /// rather than panicking on a truncated trace).
+            pub fn from_jsonl(line: &str) -> Option<(SimTime, TraceEvent)> {
+                let fields = Fields::parse(line).ok()?;
+                let t = SimTime::from_ns(fields.num("t")?);
+                let ev = match fields.str("ev")? {
+                    $($tag => TraceEvent::$variant {
+                        $($field: Field::read(&fields, $key)?,)*
+                    },)*
+                    _ => return None,
+                };
+                Some((t, ev))
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// One structured event in the packet/flow lifecycle.
+    ///
+    /// `node`/`port` identify a switch and one of its egress (or, for PFC
+    /// events, ingress) ports; `flow` is the flow index the engine assigned;
+    /// `seq` is the first payload byte of the packet involved; `qlen` is the
+    /// egress queue depth in bytes *after* the event took effect.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum TraceEvent {
+        /// Start-of-run marker written by the harness (label + seed).
+        RunStart = "run_start" {
+            /// Scheme/figure label, e.g. `"fig09/dctcp+tlt"`.
+            label: String = "label",
+            /// RNG seed of the run.
+            seed: u64 = "seed",
+        },
+        /// End-of-run marker carrying the producer's aggregate totals, so an
+        /// inspector can verify the trace against the run without side
+        /// channels.
+        RunEnd = "run_end" {
+            /// Color-threshold drops summed over all switches.
+            drops_color: u64 = "drops_color",
+            /// Dynamic-threshold drops summed over all switches.
+            drops_dt: u64 = "drops_dt",
+            /// Buffer-overflow drops summed over all switches.
+            drops_overflow: u64 = "drops_overflow",
+            /// Wire-corruption losses.
+            wire_drops: u64 = "wire_drops",
+            /// Frames destroyed on failed (down) links.
+            down_drops: u64 = "down_drops",
+            /// PFC PAUSE frames emitted.
+            pause_frames: u64 = "pause_frames",
+            /// Retransmission timeouts taken by all flows.
+            timeouts: u64 = "timeouts",
+            /// Per-cause RTO attribution (must sum to `timeouts`).
+            rto_causes: RtoCauseCounts = "rto_",
+        },
+        /// A flow began transmitting.
+        FlowStart = "flow_start" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Payload bytes the flow will carry.
+            bytes: u64 = "bytes",
+        },
+        /// A flow's receiver saw the final payload byte.
+        FlowEnd = "flow_end" {
+            /// Flow index.
+            flow: u32 = "flow",
+        },
+        /// A packet was admitted to a switch egress queue.
+        Enqueue = "enq" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Egress port.
+            port: u32 = "port",
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First payload byte (or ACK number for control packets).
+            seq: u64 = "seq",
+            /// Egress queue depth after admission (bytes).
+            qlen: u64 = "q",
+        },
+        /// A packet left a switch egress queue.
+        Dequeue = "deq" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Egress port.
+            port: u32 = "port",
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First payload byte (or ACK number for control packets).
+            seq: u64 = "seq",
+            /// Egress queue depth after removal (bytes).
+            qlen: u64 = "q",
+        },
+        /// A packet was dropped, with a typed reason.
+        Drop = "drop" {
+            /// Switch node id (for `Wire`: the transmitting node, which may be
+            /// a host).
+            node: u32 = "node",
+            /// Egress port the packet was headed for.
+            port: u32 = "port",
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First payload byte.
+            seq: u64 = "seq",
+            /// Typed drop reason.
+            why: DropWhy = "why",
+            /// Whether the victim was a green (important) data packet.
+            green: bool = "green",
+        },
+        /// A packet was CE-marked on admission.
+        CeMark = "ce" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Egress port.
+            port: u32 = "port",
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First payload byte.
+            seq: u64 = "seq",
+            /// Egress queue depth that triggered the mark (bytes).
+            qlen: u64 = "q",
+        },
+        /// A sender decided a data packet's TLT importance (§5 marking).
+        TltMark = "tlt_mark" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First payload byte of the marked packet.
+            seq: u64 = "seq",
+            /// Whether the packet was marked important (green).
+            important: bool = "important",
+        },
+        /// A switch sent a PFC PAUSE upstream for one of its ingress ports.
+        PfcXoff = "xoff" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Ingress port whose budget crossed XOFF.
+            port: u32 = "port",
+        },
+        /// A switch sent a PFC RESUME upstream.
+        PfcXon = "xon" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Ingress port whose budget fell to XON.
+            port: u32 = "port",
+        },
+        /// An upstream transmitter actually stopped (pause took effect).
+        LinkPause = "pause" {
+            /// Paused node (switch or host).
+            node: u32 = "node",
+            /// Paused egress port.
+            port: u32 = "port",
+        },
+        /// An upstream transmitter resumed.
+        LinkResume = "resume" {
+            /// Resumed node.
+            node: u32 = "node",
+            /// Resumed egress port.
+            port: u32 = "port",
+        },
+        /// A transport armed (or re-armed) a timer.
+        TimerArm = "timer_arm" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Timer slot.
+            kind: TimerKind = "kind",
+            /// Absolute expiry time.
+            at: SimTime = "at",
+        },
+        /// A transport disarmed a timer.
+        TimerCancel = "timer_cancel" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Timer slot.
+            kind: TimerKind = "kind",
+        },
+        /// An armed timer fired (and was still current).
+        TimerFire = "timer_fire" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Timer slot.
+            kind: TimerKind = "kind",
+        },
+        /// A sender took a retransmission timeout (the event TLT exists to
+        /// prevent).
+        Timeout = "timeout" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Oldest unacknowledged byte at expiry.
+            seq: u64 = "seq",
+        },
+        /// A sender entered fast retransmit (or NACK/go-back-N recovery).
+        FastRetx = "fast_retx" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// First byte being retransmitted.
+            seq: u64 = "seq",
+        },
+        /// An injected fault took effect (or a pause storm ended).
+        Fault = "fault" {
+            /// What happened.
+            kind: FaultKind = "kind",
+            /// Node the fault targets (link endpoint or stormed switch).
+            node: u32 = "node",
+            /// Port on that node (link attachment point or stormed ingress).
+            port: u32 = "port",
+        },
+        /// The engine attempted to re-pin a flow's ECMP path after a failure.
+        Reroute = "reroute" {
+            /// Flow index.
+            flow: u32 = "flow",
+            /// Whether a fully-up replacement path was found and adopted.
+            ok: bool = "ok",
+        },
+        /// Periodic per-port telemetry sample.
+        PortSample = "port_sample" {
+            /// Switch node id.
+            node: u32 = "node",
+            /// Egress port.
+            port: u32 = "port",
+            /// Egress queue depth (bytes).
+            qlen: u64 = "q",
+            /// Whether the port's transmitter is currently PFC-paused.
+            paused: bool = "paused",
+        },
+        /// Forensic attribution of one retransmission timeout to its root
+        /// cause, emitted by the engine right after the RTO fires.
+        RtoForensic = "rto_cause" {
+            /// Flow that took the timeout.
+            flow: u32 = "flow",
+            /// Oldest unacknowledged byte at expiry.
+            seq: u64 = "seq",
+            /// Attributed root cause.
+            cause: RtoCause = "cause",
+            /// Node where the root-cause event happened (0 when `Unknown`).
+            node: u32 = "node",
+            /// Port on that node (0 when `Unknown`).
+            port: u32 = "port",
+            /// When the root-cause event happened (the RTO time when
+            /// `Unknown`).
+            root_at: SimTime = "root_at",
+        },
+    }
 }
 
 impl TraceEvent {
-    /// Stable wire tag of this event's variant.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStart { .. } => "run_start",
-            TraceEvent::RunEnd { .. } => "run_end",
-            TraceEvent::FlowStart { .. } => "flow_start",
-            TraceEvent::FlowEnd { .. } => "flow_end",
-            TraceEvent::Enqueue { .. } => "enq",
-            TraceEvent::Dequeue { .. } => "deq",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::CeMark { .. } => "ce",
-            TraceEvent::TltMark { .. } => "tlt_mark",
-            TraceEvent::PfcXoff { .. } => "xoff",
-            TraceEvent::PfcXon { .. } => "xon",
-            TraceEvent::LinkPause { .. } => "pause",
-            TraceEvent::LinkResume { .. } => "resume",
-            TraceEvent::TimerArm { .. } => "timer_arm",
-            TraceEvent::TimerCancel { .. } => "timer_cancel",
-            TraceEvent::TimerFire { .. } => "timer_fire",
-            TraceEvent::Timeout { .. } => "timeout",
-            TraceEvent::FastRetx { .. } => "fast_retx",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Reroute { .. } => "reroute",
-            TraceEvent::PortSample { .. } => "port_sample",
-            TraceEvent::RtoForensic { .. } => "rto_cause",
-        }
-    }
-
     /// Encodes the event as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self, t: SimTime) -> String {
         let mut s = String::with_capacity(96);
         self.write_jsonl(t, &mut s);
         s
     }
+}
 
-    /// Appends the event's JSONL encoding (no trailing newline) to `s`, so
-    /// a sink can format every event into one reused buffer.
-    pub fn write_jsonl(&self, t: SimTime, s: &mut String) {
-        s.push_str("{\"t\":");
-        push_u64(s, t.as_ns());
-        s.push_str(",\"ev\":\"");
-        s.push_str(self.tag());
-        s.push('"');
-        match self {
-            TraceEvent::RunStart { label, seed } => {
-                push_str_field(s, "label", label);
-                push_field(s, "seed", *seed);
-            }
-            TraceEvent::RunEnd {
-                drops_color,
-                drops_dt,
-                drops_overflow,
-                wire_drops,
-                down_drops,
-                pause_frames,
-                timeouts,
-                rto_causes,
-            } => {
-                push_field(s, "drops_color", *drops_color);
-                push_field(s, "drops_dt", *drops_dt);
-                push_field(s, "drops_overflow", *drops_overflow);
-                push_field(s, "wire_drops", *wire_drops);
-                push_field(s, "down_drops", *down_drops);
-                push_field(s, "pause_frames", *pause_frames);
-                push_field(s, "timeouts", *timeouts);
-                for (cause, n) in rto_causes.iter() {
-                    let mut key = String::from("rto_");
-                    key.push_str(cause.as_str());
-                    push_field(s, &key, n);
-                }
-            }
-            TraceEvent::FlowStart { flow, bytes } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "bytes", *bytes);
-            }
-            TraceEvent::FlowEnd { flow } => {
-                push_field(s, "flow", u64::from(*flow));
-            }
-            TraceEvent::Enqueue {
-                node,
-                port,
-                flow,
-                seq,
-                qlen,
-            }
-            | TraceEvent::Dequeue {
-                node,
-                port,
-                flow,
-                seq,
-                qlen,
-            }
-            | TraceEvent::CeMark {
-                node,
-                port,
-                flow,
-                seq,
-                qlen,
-            } => {
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "seq", *seq);
-                push_field(s, "q", *qlen);
-            }
-            TraceEvent::Drop {
-                node,
-                port,
-                flow,
-                seq,
-                why,
-                green,
-            } => {
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "seq", *seq);
-                push_str_field(s, "why", why.as_str());
-                push_bool_field(s, "green", *green);
-            }
-            TraceEvent::TltMark {
-                flow,
-                seq,
-                important,
-            } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "seq", *seq);
-                push_bool_field(s, "important", *important);
-            }
-            TraceEvent::PfcXoff { node, port }
-            | TraceEvent::PfcXon { node, port }
-            | TraceEvent::LinkPause { node, port }
-            | TraceEvent::LinkResume { node, port } => {
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-            }
-            TraceEvent::TimerArm { flow, kind, at } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_str_field(s, "kind", kind.as_str());
-                push_field(s, "at", at.as_ns());
-            }
-            TraceEvent::TimerCancel { flow, kind } | TraceEvent::TimerFire { flow, kind } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_str_field(s, "kind", kind.as_str());
-            }
-            TraceEvent::Timeout { flow, seq } | TraceEvent::FastRetx { flow, seq } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "seq", *seq);
-            }
-            TraceEvent::Fault { kind, node, port } => {
-                push_str_field(s, "kind", kind.as_str());
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-            }
-            TraceEvent::Reroute { flow, ok } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_bool_field(s, "ok", *ok);
-            }
-            TraceEvent::PortSample {
-                node,
-                port,
-                qlen,
-                paused,
-            } => {
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-                push_field(s, "q", *qlen);
-                push_bool_field(s, "paused", *paused);
-            }
-            TraceEvent::RtoForensic {
-                flow,
-                seq,
-                cause,
-                node,
-                port,
-                root_at,
-            } => {
-                push_field(s, "flow", u64::from(*flow));
-                push_field(s, "seq", *seq);
-                push_str_field(s, "cause", cause.as_str());
-                push_field(s, "node", u64::from(*node));
-                push_field(s, "port", u64::from(*port));
-                push_field(s, "root_at", root_at.as_ns());
-            }
-        }
-        s.push('}');
+/// How one field type goes onto a trace line under its key, and comes back.
+trait Field: Sized {
+    /// Appends `,"<key>":<value>`.
+    fn write(&self, key: &str, s: &mut String);
+    /// Reads the value under `key`; `None` when absent or mistyped.
+    fn read(fields: &Fields<'_>, key: &str) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn write(&self, key: &str, s: &mut String) {
+        push_key(s, key);
+        push_u64(s, *self);
     }
 
-    /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`].
-    ///
-    /// Returns `None` for malformed lines (the inspector reports them
-    /// rather than panicking on a truncated trace).
-    pub fn from_jsonl(line: &str) -> Option<(SimTime, TraceEvent)> {
-        let fields = Fields::parse(line).ok()?;
-        let t = SimTime::from_ns(fields.num("t")?);
-        let u32_of = |k: &str| fields.num(k).and_then(|v| u32::try_from(v).ok());
-        let ev = match fields.str("ev")? {
-            "run_start" => TraceEvent::RunStart {
-                label: fields.str("label")?.to_string(),
-                seed: fields.num("seed")?,
-            },
-            "run_end" => TraceEvent::RunEnd {
-                drops_color: fields.num("drops_color")?,
-                drops_dt: fields.num("drops_dt")?,
-                drops_overflow: fields.num("drops_overflow")?,
-                wire_drops: fields.num("wire_drops")?,
-                down_drops: fields.num("down_drops")?,
-                pause_frames: fields.num("pause_frames")?,
-                timeouts: fields.num("timeouts")?,
-                rto_causes: {
-                    let mut rc = RtoCauseCounts::default();
-                    for cause in RtoCause::ALL {
-                        let mut key = String::from("rto_");
-                        key.push_str(cause.as_str());
-                        rc.add(cause, fields.num(&key)?);
-                    }
-                    rc
-                },
-            },
-            "flow_start" => TraceEvent::FlowStart {
-                flow: u32_of("flow")?,
-                bytes: fields.num("bytes")?,
-            },
-            "flow_end" => TraceEvent::FlowEnd {
-                flow: u32_of("flow")?,
-            },
-            "enq" => TraceEvent::Enqueue {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
-            },
-            "deq" => TraceEvent::Dequeue {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
-            },
-            "ce" => TraceEvent::CeMark {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
-            },
-            "drop" => TraceEvent::Drop {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                why: DropWhy::parse(fields.str("why")?)?,
-                green: fields.boolean("green")?,
-            },
-            "tlt_mark" => TraceEvent::TltMark {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                important: fields.boolean("important")?,
-            },
-            "xoff" => TraceEvent::PfcXoff {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-            },
-            "xon" => TraceEvent::PfcXon {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-            },
-            "pause" => TraceEvent::LinkPause {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-            },
-            "resume" => TraceEvent::LinkResume {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-            },
-            "timer_arm" => TraceEvent::TimerArm {
-                flow: u32_of("flow")?,
-                kind: TimerKind::parse(fields.str("kind")?)?,
-                at: SimTime::from_ns(fields.num("at")?),
-            },
-            "timer_cancel" => TraceEvent::TimerCancel {
-                flow: u32_of("flow")?,
-                kind: TimerKind::parse(fields.str("kind")?)?,
-            },
-            "timer_fire" => TraceEvent::TimerFire {
-                flow: u32_of("flow")?,
-                kind: TimerKind::parse(fields.str("kind")?)?,
-            },
-            "timeout" => TraceEvent::Timeout {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-            },
-            "fast_retx" => TraceEvent::FastRetx {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-            },
-            "fault" => TraceEvent::Fault {
-                kind: FaultKind::parse(fields.str("kind")?)?,
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-            },
-            "reroute" => TraceEvent::Reroute {
-                flow: u32_of("flow")?,
-                ok: fields.boolean("ok")?,
-            },
-            "port_sample" => TraceEvent::PortSample {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                qlen: fields.num("q")?,
-                paused: fields.boolean("paused")?,
-            },
-            "rto_cause" => TraceEvent::RtoForensic {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                cause: RtoCause::parse(fields.str("cause")?)?,
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                root_at: SimTime::from_ns(fields.num("root_at")?),
-            },
-            _ => return None,
-        };
-        Some((t, ev))
+    fn read(fields: &Fields<'_>, key: &str) -> Option<u64> {
+        fields.num(key)
+    }
+}
+
+impl Field for u32 {
+    fn write(&self, key: &str, s: &mut String) {
+        u64::from(*self).write(key, s);
+    }
+
+    fn read(fields: &Fields<'_>, key: &str) -> Option<u32> {
+        u32::try_from(fields.num(key)?).ok()
+    }
+}
+
+impl Field for SimTime {
+    fn write(&self, key: &str, s: &mut String) {
+        self.as_ns().write(key, s);
+    }
+
+    fn read(fields: &Fields<'_>, key: &str) -> Option<SimTime> {
+        fields.num(key).map(SimTime::from_ns)
+    }
+}
+
+impl Field for bool {
+    fn write(&self, key: &str, s: &mut String) {
+        push_key(s, key);
+        s.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(fields: &Fields<'_>, key: &str) -> Option<bool> {
+        fields.boolean(key)
+    }
+}
+
+impl Field for String {
+    fn write(&self, key: &str, s: &mut String) {
+        push_key(s, key);
+        json::push_str(s, self);
+    }
+
+    fn read(fields: &Fields<'_>, key: &str) -> Option<String> {
+        fields.str(key).map(str::to_string)
+    }
+}
+
+/// `key` is a prefix: one `<key><cause tag>` count per [`RtoCause::ALL`]
+/// entry, in that order.
+impl Field for RtoCauseCounts {
+    fn write(&self, key: &str, s: &mut String) {
+        for (cause, n) in self.iter() {
+            s.push_str(",\"");
+            s.push_str(key);
+            s.push_str(cause.as_str());
+            s.push_str("\":");
+            push_u64(s, n);
+        }
+    }
+
+    fn read(fields: &Fields<'_>, key: &str) -> Option<RtoCauseCounts> {
+        let mut rc = RtoCauseCounts::default();
+        for cause in RtoCause::ALL {
+            rc.add(cause, fields.num(&format!("{key}{}", cause.as_str()))?);
+        }
+        Some(rc)
     }
 }
 
@@ -978,25 +788,10 @@ fn push_u64(s: &mut String, v: u64) {
     let _ = write!(s, "{v}");
 }
 
-fn push_field(s: &mut String, key: &str, v: u64) {
+fn push_key(s: &mut String, key: &str) {
     s.push_str(",\"");
     s.push_str(key);
     s.push_str("\":");
-    push_u64(s, v);
-}
-
-fn push_bool_field(s: &mut String, key: &str, v: bool) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(if v { "true" } else { "false" });
-}
-
-fn push_str_field(s: &mut String, key: &str, v: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    json::push_str(s, v);
 }
 
 /// A flat JSON object decoded into (key, value) pairs, strings borrowed
@@ -1110,13 +905,7 @@ mod tests {
             seq: 4,
             qlen: 5,
         });
-        for why in [
-            DropWhy::Color,
-            DropWhy::Dynamic,
-            DropWhy::Overflow,
-            DropWhy::Wire,
-            DropWhy::LinkDown,
-        ] {
+        for why in DropWhy::ALL {
             roundtrip(TraceEvent::Drop {
                 node: 1,
                 port: 0,
@@ -1142,13 +931,7 @@ mod tests {
         roundtrip(TraceEvent::PfcXon { node: 3, port: 1 });
         roundtrip(TraceEvent::LinkPause { node: 4, port: 0 });
         roundtrip(TraceEvent::LinkResume { node: 4, port: 0 });
-        for kind in [
-            TimerKind::Rto,
-            TimerKind::Tlp,
-            TimerKind::Pace,
-            TimerKind::DcqcnAlpha,
-            TimerKind::DcqcnIncrease,
-        ] {
+        for kind in TimerKind::ALL {
             roundtrip(TraceEvent::TimerArm {
                 flow: 1,
                 kind,
@@ -1159,13 +942,7 @@ mod tests {
         }
         roundtrip(TraceEvent::Timeout { flow: 5, seq: 0 });
         roundtrip(TraceEvent::FastRetx { flow: 5, seq: 1440 });
-        for kind in [
-            FaultKind::LinkDown,
-            FaultKind::LinkUp,
-            FaultKind::Degrade,
-            FaultKind::StormStart,
-            FaultKind::StormEnd,
-        ] {
+        for kind in FaultKind::ALL {
             roundtrip(TraceEvent::Fault {
                 kind,
                 node: 12,
@@ -1257,19 +1034,38 @@ mod tests {
     }
 
     #[test]
-    fn rto_cause_tags_roundtrip() {
-        for cause in RtoCause::ALL {
-            assert_eq!(RtoCause::parse(cause.as_str()), Some(cause));
+    fn tags_are_distinct_and_roundtrip() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            all: &[T],
+            as_str: fn(T) -> &'static str,
+            parse: fn(&str) -> Option<T>,
+        ) {
+            for &v in all {
+                assert_eq!(parse(as_str(v)), Some(v), "tag {:?}", as_str(v));
+            }
+            assert_eq!(parse("nonsense"), None);
         }
-        assert_eq!(RtoCause::parse("nonsense"), None);
-        for why in [
-            DropWhy::Color,
-            DropWhy::Dynamic,
-            DropWhy::Overflow,
-            DropWhy::Wire,
-            DropWhy::LinkDown,
-        ] {
+        check(&DropWhy::ALL, DropWhy::as_str, DropWhy::parse);
+        check(&RtoCause::ALL, RtoCause::as_str, RtoCause::parse);
+        check(&Phase::ALL, Phase::as_str, Phase::parse);
+        check(&FaultKind::ALL, FaultKind::as_str, FaultKind::parse);
+        check(&TimerKind::ALL, TimerKind::as_str, TimerKind::parse);
+        for why in DropWhy::ALL {
             assert_eq!(RtoCause::from_drop(why).as_str(), why.as_str());
+        }
+    }
+
+    /// Every per-variant counter a tag enum implies is declared in
+    /// `ci/metrics_schema.json`, so no export carries a key no validator
+    /// checks.
+    #[test]
+    fn every_tag_counter_is_declared_in_the_schema() {
+        let schema = crate::schema::Schema::builtin();
+        let mut keys = Vec::from(DropWhy::ALL.map(|w| format!("drops_{}", w.as_str())));
+        keys.extend(RtoCause::ALL.map(|c| format!("rto_cause_{}", c.as_str())));
+        keys.extend(Phase::ALL.map(|p| format!("span_phase_ns/{}", p.as_str())));
+        for key in keys {
+            assert!(schema.allows_exact(&key), "{key} is not declared");
         }
     }
 
@@ -1283,8 +1079,33 @@ mod tests {
             r#"{"t":1,"ev":"nonsense"}"#,
             r#"{"t":1,"ev":"drop","node":1}"#,
             r#"{"t":-3,"ev":"flow_end","flow":0}"#,
+            // A field of the wrong JSON type.
+            r#"{"t":1,"ev":"flow_end","flow":"0"}"#,
+            r#"{"t":1,"ev":"reroute","flow":0,"ok":1}"#,
+            // A `u32` field past `u32::MAX`.
+            r#"{"t":1,"ev":"flow_end","flow":4294967296}"#,
+            // Unknown tags of the tag enums.
+            r#"{"t":1,"ev":"drop","node":1,"port":0,"flow":2,"seq":0,"why":"red","green":false}"#,
+            r#"{"t":1,"ev":"timer_fire","flow":0,"kind":"nap"}"#,
+            r#"{"t":1,"ev":"fault","kind":"meteor","node":0,"port":0}"#,
+            r#"{"t":1,"ev":"rto_cause","flow":0,"seq":0,"cause":"gremlin","node":0,"port":0,"root_at":0}"#,
         ] {
             assert!(TraceEvent::from_jsonl(bad).is_none(), "accepted {bad:?}");
         }
+        // A `run_end` lacking one `rto_*` key.
+        let mut end = TraceEvent::RunEnd {
+            drops_color: 0,
+            drops_dt: 0,
+            drops_overflow: 0,
+            wire_drops: 0,
+            down_drops: 0,
+            pause_frames: 0,
+            timeouts: 0,
+            rto_causes: RtoCauseCounts::default(),
+        }
+        .to_jsonl(SimTime::from_ns(1));
+        assert!(TraceEvent::from_jsonl(&end).is_some());
+        end = end.replace(r#","rto_unknown":0"#, "");
+        assert!(TraceEvent::from_jsonl(&end).is_none(), "accepted {end:?}");
     }
 }

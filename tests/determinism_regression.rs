@@ -361,6 +361,13 @@ fn golden_trace_bytes_pfc_incast_with_faults() {
         (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
     });
     let text = std::str::from_utf8(&bytes).expect("trace is utf-8");
+    // The codec is its own inverse on every line the engine writes: decode,
+    // re-encode, and the bytes come back unchanged.
+    for line in text.lines() {
+        let (t, ev) = telemetry::TraceEvent::from_jsonl(line)
+            .unwrap_or_else(|| panic!("undecodable trace line {line}"));
+        assert_eq!(ev.to_jsonl(t), line, "re-encoding moved the bytes");
+    }
     let lines = |ev: &str| text.matches(&format!("\"ev\":\"{ev}\"")).count();
     assert_eq!(
         format!(

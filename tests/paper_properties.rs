@@ -3,9 +3,12 @@
 //! Each test pins one *directional* result from §7 — who wins, and roughly
 //! by how much — rather than absolute numbers, which depend on scale.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use dcsim::{small_single_switch, Engine, FlowSpec, SimConfig};
 use eventsim::SimTime;
 use netstats::summarize_flows;
+use telemetry::{RtoCause, TraceEvent, Tracer};
 use transport::TransportKind;
 
 /// A synchronized short-flow incast that overruns a shallow buffer — the
@@ -190,27 +193,78 @@ fn no_flow_is_ever_stranded_with_tlt() {
 /// eight servers into one host — for TCP+TLT and DCTCP+TLT at two seeds:
 /// 1,600 flows lose no green frame and take no timeout; 1,700 flows lose
 /// exactly 1,700 − 1,648 = 52 green frames.
+///
+/// Past the bound the precondition holds per flow, read off the trace: the
+/// flows that time out are exactly the flows that lost a green frame, each
+/// lost one, and its first RTO is rooted at that dynamic-threshold drop.
+/// Every further RTO is the same flow's own, rooted at a colour drop of
+/// one of its red frames — no other flow takes one, and none is spurious
+/// (`delay`) or unexplained.
 #[test]
 fn tlt_green_drops_start_at_the_ports_capacity() {
     for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
         for seed in [7, 8] {
-            let run = |n: usize| {
-                let cfg = SimConfig::tcp_family(kind)
-                    .with_topology(small_single_switch(9))
-                    .with_tlt()
-                    .with_seed(seed);
-                Engine::new(cfg, workload::incast_burst(n, 8, 32_000, seed)).run()
-            };
-            let below = run(1_600);
-            assert_eq!(
-                below.agg.drops_green_data, 0,
-                "{kind:?} seed {seed}, n = 1,600"
+            let cfg = SimConfig::tcp_family(kind)
+                .with_topology(small_single_switch(9))
+                .with_tlt()
+                .with_seed(seed);
+            let engine =
+                |n: usize| Engine::new(cfg.clone(), workload::incast_burst(n, 8, 32_000, seed));
+            let at = format!("{kind:?} seed {seed}");
+            let below = engine(1_600).run();
+            assert_eq!(below.agg.drops_green_data, 0, "{at}, n = 1,600");
+            assert_eq!(below.agg.timeouts, 0, "{at}, n = 1,600");
+
+            let (tracer, sink) = Tracer::new(Vec::new());
+            let mut past = engine(1_700);
+            past.set_tracer(tracer);
+            let agg = past.run().agg;
+            assert_eq!(agg.drops_green_data, 52, "{at}, n = 1,700");
+            let mut green_drops: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut timed_out = BTreeSet::new();
+            let mut rtos: Vec<(u32, RtoCause)> = Vec::new();
+            for (_, ev) in sink.borrow().iter() {
+                match *ev {
+                    TraceEvent::Drop {
+                        flow, green: true, ..
+                    } => {
+                        *green_drops.entry(flow).or_default() += 1;
+                    }
+                    TraceEvent::Timeout { flow, .. } => {
+                        timed_out.insert(flow);
+                    }
+                    TraceEvent::RtoForensic { flow, cause, .. } => rtos.push((flow, cause)),
+                    _ => {}
+                }
+            }
+            assert!(
+                timed_out.iter().eq(green_drops.keys()),
+                "{at}: timed-out flows == green-drop flows"
             );
-            assert_eq!(below.agg.timeouts, 0, "{kind:?} seed {seed}, n = 1,600");
-            let past = run(1_700);
+            assert!(
+                green_drops.values().all(|&n| n == 1),
+                "{at}: one green drop each"
+            );
+            let mut first = BTreeSet::new();
+            for &(flow, cause) in &rtos {
+                let want = if first.insert(flow) {
+                    RtoCause::Dynamic
+                } else {
+                    RtoCause::Color
+                };
+                assert_eq!(cause, want, "{at}: flow {flow}'s RTO root");
+            }
+            let causes = agg.rto_causes;
+            assert_eq!(causes.get(RtoCause::Dynamic), agg.drops_green_data, "{at}");
             assert_eq!(
-                past.agg.drops_green_data, 52,
-                "{kind:?} seed {seed}, n = 1,700"
+                causes.get(RtoCause::Dynamic) + causes.get(RtoCause::Color),
+                agg.timeouts,
+                "{at}"
+            );
+            assert_eq!(
+                causes.get(RtoCause::Delay) + causes.get(RtoCause::Unknown),
+                0,
+                "{at}"
             );
         }
     }
