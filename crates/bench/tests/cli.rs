@@ -320,3 +320,26 @@ fn trace_inspect_diff_diffs_counts_and_refuses() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// `crates/bench/clippy.toml` keeps the wall clock out of bench, tests
+/// included. Each expectation below covers one of its two entries and goes
+/// unfulfilled, failing `cargo clippy -- -D warnings`, if that entry is
+/// dropped.
+#[test]
+fn the_wall_clock_is_a_lint_error_in_bench() {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pins the `Instant` entry of crates/bench/clippy.toml"
+    )]
+    fn instant() -> Option<std::time::Instant> {
+        None
+    }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pins the `SystemTime` entry of crates/bench/clippy.toml"
+    )]
+    fn system_time() -> Option<std::time::SystemTime> {
+        None
+    }
+    assert!(instant().is_none() && system_time().is_none());
+}

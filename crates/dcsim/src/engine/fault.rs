@@ -259,6 +259,43 @@ mod tests {
         assert_eq!(faulty.agg.faults_injected, 1);
     }
 
+    /// Every `FaultKind` has a producer: a schedule holding a flap, a
+    /// degrade and a pause storm traces each kind once, in `ALL`'s order.
+    #[test]
+    fn every_fault_kind_is_traced() {
+        let mut cfg =
+            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(3));
+        // Host index 2 is node 3 and carries no flows; switch (node 0)
+        // ingress 1 faces host index 1, the sender.
+        cfg.faults = faults::FaultSchedule::new()
+            .link_flap(SimTime::from_us(10), 3, 0, SimTime::from_us(5))
+            .degrade(
+                SimTime::from_us(20),
+                3,
+                0,
+                faults::LossModel::None,
+                Some(0.5),
+            )
+            .pause_storm(SimTime::from_us(30), 0, 1, SimTime::from_us(5));
+        let mut eng = Engine::new(
+            cfg,
+            vec![FlowSpec::new(1, 0, 1_000_000, SimTime::ZERO, false)],
+        );
+        let (tracer, sink) = Tracer::new(Vec::<(SimTime, TraceEvent)>::new());
+        eng.set_tracer(tracer);
+        let res = eng.run();
+        assert!(res.flows[0].end.is_some());
+        let kinds: Vec<FaultKind> = sink
+            .borrow()
+            .iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::Fault { kind, .. } => Some(*kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, FaultKind::ALL);
+    }
+
     #[test]
     fn pause_storm_stalls_traffic_then_releases_it() {
         let mk = |storm: bool| {

@@ -23,8 +23,7 @@
 //!
 //! Every [`telemetry::DropWhy`] variant is matched exhaustively in
 //! `drop_slot`, which every drop hook goes through, so adding a drop reason
-//! without deciding how it is accounted is a compile error here and a
-//! simlint E1 finding at the source level.
+//! without deciding how it is accounted is a compile error here.
 
 use telemetry::DropWhy;
 

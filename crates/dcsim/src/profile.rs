@@ -21,7 +21,7 @@
 //!   `exec + stale + unpopped == sched` per kind.
 //! * a **fan-out histogram** — how many new events each executed event
 //!   scheduled. Wall-clock per event would break the determinism contract
-//!   (and simlint D2); fan-out is the deterministic cost proxy that
+//!   (and `clippy.toml`'s D2); fan-out is the deterministic cost proxy that
 //!   correlates with handler work, and the wall side lives in
 //!   `benchmark/`, where clocks are allowed.
 //! * **per-component tallies** (switch / link / transport / timer / fault /
@@ -42,7 +42,7 @@ use telemetry::Artifact;
 use telemetry::{Hist, TimeSeries, SERIES_BASE_WINDOW_NS};
 
 /// Number of event kinds in [`EvKind::ALL`].
-pub const N_KINDS: usize = 10;
+pub const N_KINDS: usize = EvKind::ALL.len();
 
 /// Discriminant of the engine's event enum, in a fixed export order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,21 +69,12 @@ pub enum EvKind {
     Reroute,
 }
 
-impl EvKind {
-    /// Every kind, in export order.
-    pub const ALL: [EvKind; N_KINDS] = [
-        EvKind::FlowStart,
-        EvKind::TxDone,
-        EvKind::Deliver,
-        EvKind::Timer,
-        EvKind::PfcSet,
-        EvKind::QueueSample,
-        EvKind::TraceSample,
-        EvKind::Fault,
-        EvKind::StormEnd,
-        EvKind::Reroute,
-    ];
+telemetry::all_variants! {
+    EvKind: FlowStart, TxDone, Deliver, Timer, PfcSet, QueueSample, TraceSample, Fault, StormEnd,
+    Reroute
+}
 
+impl EvKind {
     /// The metric-name suffix (`event_sched/<name>`, …).
     pub fn name(self) -> &'static str {
         match self {
@@ -396,10 +387,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_are_dense_and_named_uniquely() {
+    fn kinds_are_named_uniquely() {
         let mut names = std::collections::BTreeSet::new();
-        for (i, k) in EvKind::ALL.iter().enumerate() {
-            assert_eq!(k.idx(), i, "ALL order must match discriminants");
+        for k in EvKind::ALL {
             assert!(names.insert(k.name()), "duplicate name {}", k.name());
         }
         assert_eq!(names.len(), N_KINDS);

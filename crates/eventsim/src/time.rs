@@ -21,6 +21,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t + SimTime::from_us(20), SimTime::from_us(100));
 /// assert_eq!(t.as_secs_f64(), 80e-6);
 /// ```
+#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 

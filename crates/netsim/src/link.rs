@@ -4,6 +4,8 @@
 //! keeps per-link fault state (down/up, loss model, rate degradation) that
 //! the engine consults once per transmitted frame.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use eventsim::SimTime;
 
 /// Static parameters of one direction of a point-to-point link.
@@ -56,6 +58,10 @@ impl LinkSpec {
 
     /// The bandwidth-delay product of a path with round-trip time `rtt`, in
     /// bytes.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a BDP past u64::MAX bytes needs rate × RTT past 1.4e29 bit·ns"
+    )]
     pub fn bdp_bytes(&self, rtt: SimTime) -> u64 {
         (self.bandwidth_bps as u128 * rtt.as_ns() as u128 / 8 / 1_000_000_000) as u64
     }

@@ -4,9 +4,12 @@
 //! bytes are never materialized. Wire sizes include a fixed per-packet header
 //! overhead so that serialization delays and buffer occupancy are realistic.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use eventsim::SimTime;
 
 /// Identifier of a flow (one message transfer between a sender/receiver pair).
+#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(pub u32);
 
@@ -343,12 +346,15 @@ impl Packet {
 
     /// Bytes this packet occupies on the wire and in switch buffers.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sack is capped at max_sack_blocks (8); one INT hop per switch and \
+                  pin_paths bounds a path at 8 hops"
+    )]
     pub fn wire_size(&self) -> u32 {
         HEADER_BYTES
             + self.len
-            // simlint: allow(truncation, sack is capped at max_sack_blocks (8))
             + SACK_BLOCK_BYTES * self.sack.len() as u32
-            // simlint: allow(truncation, one INT hop per switch and pin_paths bounds a path at 8 hops)
             + INT_HOP_BYTES * self.int_stack.len() as u32
     }
 

@@ -19,6 +19,8 @@
 //! side effects (drops, CE marks, PFC signals) and the engine turns them
 //! into events. This keeps every mechanism unit-testable without a network.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use eventsim::{SimRng, SimTime};
 use telemetry::{DropWhy, TraceEvent, Tracer};
 
@@ -382,6 +384,10 @@ impl Switch {
 
     /// The dynamic admission threshold currently in force:
     /// `α · (B − occupancy)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int cast saturates, and α·(B − occupancy) is bounded by α·B"
+    )]
     pub fn dynamic_threshold(&self) -> u64 {
         let free = self.cfg.total_buffer.saturating_sub(self.total_bytes);
         (self.cfg.alpha * free as f64) as u64
@@ -509,8 +515,12 @@ impl Switch {
                 self.stats.ce_marked += 1;
             }
         }
-        // simlint: allow(truncation, Switch::new bounds the port count at u16::MAX)
-        slab.get_mut(pkt).ingress = ingress.0 as u16;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "Switch::new bounds the port count at u16::MAX"
+        )]
+        let ingress_port = ingress.0 as u16;
+        slab.get_mut(pkt).ingress = ingress_port;
 
         // 4. Commit.
         #[cfg(debug_assertions)]
@@ -696,6 +706,10 @@ impl Switch {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "drawn ports and lengths come from small ranges"
+)]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet, TltMark};

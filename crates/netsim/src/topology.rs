@@ -21,14 +21,17 @@ use eventsim::SimTime;
 use crate::link::LinkSpec;
 
 /// Index of a node (host or switch) in a topology.
+#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 /// Index of a port within a node.
+#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortId(pub u32);
 
 /// Index of a directed link.
+#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub u32);
 
@@ -862,7 +865,7 @@ mod tests {
     fn ecmp_spreads_over_cores() {
         let t = TopologySpec::paper_leaf_spine(SimTime::from_us(10)).build();
         let hosts = t.hosts().to_vec();
-        // simlint: allow(unordered, insert/len only — never iterated)
+        #[expect(clippy::disallowed_types, reason = "insert/len only — never iterated")]
         let mut seen = std::collections::HashSet::new();
         for salt in 0..64 {
             let h = Topology::ecmp_hash(hosts[0], hosts[95], salt);
@@ -964,7 +967,7 @@ mod tests {
             let (fwd, rev) = t.pin_paths(hosts[a], hosts[b], h);
             validate_path(&t, &fwd, hosts[a], hosts[b]);
             validate_path(&t, &rev, hosts[b], hosts[a]);
-            // simlint: allow(unordered, insert-only membership check)
+            #[expect(clippy::disallowed_types, reason = "insert-only membership check")]
             let mut seen = std::collections::HashSet::new();
             for hop in &fwd {
                 assert!(seen.insert(hop.node), "case {case}: loop in path");
@@ -1059,7 +1062,7 @@ mod tests {
             let up: Vec<NodeId> = fwd.iter().skip(1).map(|h| h.node).collect();
             let down: Vec<NodeId> = rev.iter().skip(1).rev().map(|h| h.node).collect();
             assert_eq!(up, down, "case {case}: fwd/rev switch sets differ");
-            // simlint: allow(unordered, insert-only membership check)
+            #[expect(clippy::disallowed_types, reason = "insert-only membership check")]
             let mut seen = std::collections::HashSet::new();
             for hop in &fwd {
                 assert!(seen.insert(hop.node), "case {case}: loop in path");
@@ -1072,7 +1075,7 @@ mod tests {
         let t = TopologySpec::paper_fat_tree(4, SimTime::from_us(1)).build();
         let hosts = t.hosts().to_vec();
         let last = hosts.len() - 1;
-        // simlint: allow(unordered, insert/len only — never iterated)
+        #[expect(clippy::disallowed_types, reason = "insert/len only — never iterated")]
         let mut seen = std::collections::HashSet::new();
         for salt in 0..256 {
             let h = Topology::ecmp_hash(hosts[0], hosts[last], salt);

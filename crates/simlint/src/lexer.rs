@@ -10,12 +10,6 @@
 //! - string, byte-string, and raw-string literals (`r#"…"#`, any `#` count),
 //! - char literals vs lifetimes (`'a'` is a literal, `'a` is a lifetime),
 //! - identifiers, numbers, and single-character punctuation.
-//!
-//! Comments are additionally scanned for suppression pragmas of the form
-//! `// simlint: allow(<rule>, <reason>)`. A pragma covers its own line and
-//! the next line, so it can trail the offending expression or sit above it.
-//! Doc comments (`///`, `//!`, `/**`, `/*!`) are exempt: they document the
-//! syntax, they never carry an allowance.
 
 /// Kinds of token the rules distinguish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,35 +38,6 @@ pub struct Tok {
     pub kind: TokKind,
 }
 
-/// A `// simlint: allow(<rule>, <reason>)` suppression.
-#[derive(Clone, Debug)]
-pub struct Pragma {
-    /// Line the pragma comment sits on.
-    pub line: u32,
-    /// The rule name inside `allow(…)`, e.g. `unordered`.
-    pub rule: String,
-}
-
-/// A lexed source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All tokens outside comments and literals.
-    pub toks: Vec<Tok>,
-    /// All suppression pragmas found in comments.
-    pub pragmas: Vec<Pragma>,
-}
-
-impl Lexed {
-    /// Whether a pragma for `rule` covers `line` (pragmas cover their own
-    /// line and the one after, so both trailing and preceding placements
-    /// work).
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        self.pragmas
-            .iter()
-            .any(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
-    }
-}
-
 /// Contents of a [`TokKind::Str`] token's raw source slice: strips the
 /// optional `b`/`r` prefixes, raw-string hashes, and the enclosing quotes.
 /// Escape sequences are left as written — the item-graph rules only ever
@@ -92,26 +57,6 @@ fn is_ident_start(b: u8) -> bool {
 
 fn is_ident_cont(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Extracts a pragma from one comment body, if present.
-fn parse_pragma(comment: &str, line: u32, out: &mut Vec<Pragma>) {
-    let Some(at) = comment.find("simlint:") else {
-        return;
-    };
-    let rest = &comment[at + "simlint:".len()..];
-    let rest = rest.trim_start();
-    let Some(args) = rest.strip_prefix("allow(") else {
-        return;
-    };
-    let end = args.find([',', ')']).unwrap_or(args.len());
-    let rule = args[..end].trim();
-    if !rule.is_empty() {
-        out.push(Pragma {
-            line,
-            rule: rule.to_string(),
-        });
-    }
 }
 
 /// Counts the newlines in `s` (for multi-line literals and comments).
@@ -166,11 +111,11 @@ fn skip_string(b: &[u8], i: usize) -> Option<usize> {
     None
 }
 
-/// Tokenizes `src`.
-pub fn lex(src: &str) -> Lexed {
+/// Tokenizes `src`: every token outside comments and literals, in order.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
     let len = b.len();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < len {
@@ -182,23 +127,13 @@ pub fn lex(src: &str) -> Lexed {
             }
             _ if c.is_ascii_whitespace() => i += 1,
             b'/' if i + 1 < len && b[i + 1] == b'/' => {
-                let start = i + 2;
-                let mut j = start;
-                while j < len && b[j] != b'\n' {
-                    j += 1;
+                while i < len && b[i] != b'\n' {
+                    i += 1;
                 }
-                // Doc comments (`///`, `//!`) document pragmas, they never
-                // carry one — otherwise every mention of the syntax in
-                // rustdoc would register as a (stale) allowance.
-                if !matches!(b.get(start), Some(b'/' | b'!')) {
-                    parse_pragma(&src[start..j], line, &mut out.pragmas);
-                }
-                i = j;
             }
             b'/' if i + 1 < len && b[i + 1] == b'*' => {
-                let start = i + 2;
                 let mut depth = 1usize;
-                let mut j = start;
+                let mut j = i + 2;
                 while j < len && depth > 0 {
                     if j + 1 < len && b[j] == b'/' && b[j + 1] == b'*' {
                         depth += 1;
@@ -210,20 +145,12 @@ pub fn lex(src: &str) -> Lexed {
                         j += 1;
                     }
                 }
-                // `/**`/`/*!` are block doc comments: same exemption.
-                if !matches!(b.get(start), Some(b'*' | b'!')) {
-                    parse_pragma(
-                        &src[start..j.saturating_sub(2).max(start)],
-                        line,
-                        &mut out.pragmas,
-                    );
-                }
                 line += newlines(&b[i..j]);
                 i = j;
             }
             b'"' => {
                 let j = skip_string(b, i).expect("quote starts a string");
-                out.toks.push(Tok {
+                out.push(Tok {
                     text: src[i..j].to_string(),
                     line,
                     kind: TokKind::Str,
@@ -273,7 +200,7 @@ pub fn lex(src: &str) -> Lexed {
                 {
                     i += 1;
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     text: src[start..i].to_string(),
                     line,
                     kind: TokKind::Num,
@@ -283,7 +210,7 @@ pub fn lex(src: &str) -> Lexed {
                 // A `b`/`r`/`br` prefix may start a (raw) string literal.
                 if matches!(c, b'b' | b'r') {
                     if let Some(j) = skip_string(b, i) {
-                        out.toks.push(Tok {
+                        out.push(Tok {
                             text: src[i..j].to_string(),
                             line,
                             kind: TokKind::Str,
@@ -298,14 +225,14 @@ pub fn lex(src: &str) -> Lexed {
                 while i < len && is_ident_cont(b[i]) {
                     i += 1;
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     text: src[start..i].to_string(),
                     line,
                     kind: TokKind::Ident,
                 });
             }
             _ => {
-                out.toks.push(Tok {
+                out.push(Tok {
                     text: (c as char).to_string(),
                     line,
                     kind: TokKind::Punct,
@@ -323,7 +250,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .toks
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -358,46 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn pragma_parsing_and_coverage() {
-        let l = lex("// simlint: allow(unordered, lookup only)\nlet m: HashMap<u8,u8>;\n\nlet n: HashMap<u8,u8>;");
-        assert_eq!(l.pragmas.len(), 1);
-        assert_eq!(l.pragmas[0].rule, "unordered");
-        assert!(l.allowed("unordered", 1));
-        assert!(l.allowed("unordered", 2), "covers the next line");
-        assert!(!l.allowed("unordered", 4), "does not cover later lines");
-        assert!(!l.allowed("truncation", 2), "rule names must match");
-    }
-
-    #[test]
-    fn trailing_pragma_covers_its_own_line() {
-        let l = lex("let m = HashMap::new(); // simlint: allow(unordered, never iterated)");
-        assert!(l.allowed("unordered", 1));
-    }
-
-    #[test]
-    fn doc_comments_never_carry_pragmas() {
-        let src = "//! `// simlint: allow(unordered, reason)` is the syntax.\n\
-                   /// Use `// simlint: allow(truncation, bound)` to suppress.\n\
-                   /** simlint: allow(wallclock, x) */\n\
-                   /*! simlint: allow(float-order, y) */\n\
-                   // simlint: allow(unordered, a real one)\n";
-        let l = lex(src);
-        assert_eq!(l.pragmas.len(), 1, "{:?}", l.pragmas);
-        assert_eq!(l.pragmas[0].line, 5);
-    }
-
-    #[test]
     fn line_numbers_survive_multiline_constructs() {
         let src = "/* a\nb */\nlet x = \"s\ntring\";\nmarker";
         let l = lex(src);
-        let m = l.toks.iter().find(|t| t.text == "marker").unwrap();
+        let m = l.iter().find(|t| t.text == "marker").unwrap();
         assert_eq!(m.line, 5);
     }
 
     #[test]
     fn numbers_do_not_swallow_range_operators() {
         let l = lex("for i in 0..n {}");
-        let texts: Vec<_> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<_> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, vec!["for", "i", "in", "0", ".", ".", "n", "{", "}"]);
     }
 
@@ -405,7 +302,6 @@ mod tests {
     fn string_literals_become_str_tokens_with_contents() {
         let l = lex(r##"r.inc("drops_color", 1); let p = r#"raw/{n}"#; let b = b"bytes";"##);
         let strs: Vec<&str> = l
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Str)
             .map(|t| str_contents(&t.text))
@@ -414,7 +310,6 @@ mod tests {
         // The raw slice keeps its quotes, so it can never be mistaken for
         // punctuation or an identifier by structural scans.
         let raw: Vec<&str> = l
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Str)
             .map(|t| t.text.as_str())
@@ -429,7 +324,6 @@ mod tests {
         // its token text includes the quotes.
         let l = lex("f(\"(\", \"{\", \"}\")");
         let puncts: Vec<&str> = l
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Punct)
             .map(|t| t.text.as_str())
@@ -443,9 +337,9 @@ mod tests {
         // including inside multi-line strings and block comments.
         let src = "line1\r\n/* c\r\nc */\r\nlet s = \"a\r\nb\";\r\nmarker";
         let l = lex(src);
-        let m = l.toks.iter().find(|t| t.text == "marker").unwrap();
+        let m = l.iter().find(|t| t.text == "marker").unwrap();
         assert_eq!(m.line, 6);
-        let s = l.toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
+        let s = l.iter().find(|t| t.kind == TokKind::Str).unwrap();
         assert_eq!(s.line, 4, "string starts on line 4");
     }
 
@@ -456,12 +350,12 @@ mod tests {
         // the line counter.
         let src = "r##\"first\n\"# not the end\n// not a comment\n\"##;\nmarker\nr\"\\\"; // backslash is literal in raw strings\nmarker2";
         let l = lex(src);
-        let m = l.toks.iter().find(|t| t.text == "marker").unwrap();
+        let m = l.iter().find(|t| t.text == "marker").unwrap();
         assert_eq!(m.line, 5);
-        let m2 = l.toks.iter().find(|t| t.text == "marker2").unwrap();
+        let m2 = l.iter().find(|t| t.text == "marker2").unwrap();
         assert_eq!(m2.line, 7);
         assert_eq!(
-            l.toks.iter().filter(|t| t.kind == TokKind::Str).count(),
+            l.iter().filter(|t| t.kind == TokKind::Str).count(),
             2,
             "both raw strings lexed as single tokens"
         );

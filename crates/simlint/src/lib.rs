@@ -1,20 +1,17 @@
-//! simlint: a determinism & conservation static-analysis pass.
+//! simlint: the layout and schema checks clippy cannot make.
 //!
-//! Byte-determinism is this repository's core guarantee — the parallel
-//! runner byte-compares `--jobs N` against `--jobs 1`, and every figure in
-//! the paper reproduction depends on two runs with one seed agreeing. The
-//! classes of bug that break that guarantee are narrow and mechanical:
-//! hash-ordered iteration, wall-clock or entropy reads, NaN-partial float
-//! ordering, silent integer truncation in byte accounting, enum variants
-//! missing from the `ALL` tables their parsers and counters iterate, and
-//! registry keys that drift from the schema declaring them. `simlint` rejects all of these at the source
-//! level, before a test ever has to catch the nondeterminism (which, by
-//! nature, it usually would not).
+//! Byte-determinism is this repository's core guarantee, and clippy holds
+//! most of it: the root `clippy.toml` forbids hash-ordered containers, wall
+//! clock and environment reads, partial float orders and shared or
+//! interior-mutable state, and `#![deny(clippy::cast_possible_truncation)]`
+//! guards the byte-accounting modules (DESIGN §9). What is left needs a file
+//! outside the Rust source or the file layout: registry keys that drift from
+//! `ci/metrics_schema.json` (S1/S2) and the layout guards (G1–G4).
 //!
 //! The pass is a hand-rolled lexer (see [`lexer`]) plus a per-file item
 //! graph (see [`items`]) over the workspace — no `syn`, no proc-macros, no
 //! external crate; JSON goes through the workspace's own `telemetry::json`
-//! — so it builds in seconds and runs as a tier-1 CI gate:
+//! — so it builds in seconds and runs as a CI gate:
 //!
 //! ```text
 //! cargo run -p simlint                      # lint the enclosing workspace
@@ -24,12 +21,7 @@
 //! ```
 //!
 //! Exit status is nonzero when any finding is produced; each finding prints
-//! as `file:line: rule: message`. See [`rules`] for the ruleset — per-file
-//! determinism rules (D1–D4), the cross-file exhaustive-accounting rule
-//! (E1, driven by [`items::AUDITED`]), schema-drift rules (S1/S2 against
-//! `ci/metrics_schema.json`), PDES-readiness rules (P1–P3), the
-//! stale-pragma rule (L1) and the layout guards (G1–G4) — plus the
-//! `// simlint: allow(<rule>, <reason>)` pragma, which S2 and G ignore.
+//! as `file:line: rule: message`. See [`rules`] for the ruleset.
 
 pub mod graph;
 pub mod items;
@@ -105,8 +97,7 @@ pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        // The linter lints its own sources (self-lint), but not its fixture
-        // tests, which deliberately embed violating source text.
+        // The fixture tests deliberately embed violating source text.
         if rel.starts_with("crates/simlint/tests/") {
             continue;
         }

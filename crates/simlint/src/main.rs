@@ -22,8 +22,8 @@ fn usage() -> ! {
 fn main() {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    // CLI argv is the one sanctioned environment read in this binary.
-    let mut args = std::env::args().skip(1); // simlint: allow(wallclock, CLI flag parsing)
+    #[expect(clippy::disallowed_methods, reason = "CLI flag parsing")]
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => {

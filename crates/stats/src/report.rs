@@ -122,6 +122,10 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a scratch file; its path is never output"
+        )]
         let dir = std::env::temp_dir().join("tlt-stats-test");
         let path = dir.join("x.csv");
         write_csv(

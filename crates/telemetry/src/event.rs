@@ -35,15 +35,6 @@ pub enum DropWhy {
 }
 
 impl DropWhy {
-    /// Every reason, in declaration order.
-    pub const ALL: [DropWhy; 5] = [
-        DropWhy::Color,
-        DropWhy::Dynamic,
-        DropWhy::Overflow,
-        DropWhy::Wire,
-        DropWhy::LinkDown,
-    ];
-
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -92,19 +83,6 @@ pub enum RtoCause {
 }
 
 impl RtoCause {
-    /// Every cause, in wire-tag order (fixed for deterministic iteration).
-    pub const ALL: [RtoCause; 9] = [
-        RtoCause::Color,
-        RtoCause::Dynamic,
-        RtoCause::Overflow,
-        RtoCause::Wire,
-        RtoCause::LinkDown,
-        RtoCause::PfcStall,
-        RtoCause::AckLoss,
-        RtoCause::Delay,
-        RtoCause::Unknown,
-    ];
-
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -207,17 +185,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in wire-tag order (fixed for deterministic iteration).
-    pub const ALL: [Phase; 7] = [
-        Phase::Serialization,
-        Phase::Propagation,
-        Phase::SwitchQueue,
-        Phase::HostWait,
-        Phase::PfcPause,
-        Phase::FastRecovery,
-        Phase::RtoStall,
-    ];
-
     /// Stable wire tag (also the `span_phase_ns/` key suffix).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -299,15 +266,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::LinkDown,
-        FaultKind::LinkUp,
-        FaultKind::Degrade,
-        FaultKind::StormStart,
-        FaultKind::StormEnd,
-    ];
-
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -338,15 +296,6 @@ pub enum TimerKind {
 }
 
 impl TimerKind {
-    /// Every timer slot, in declaration order: `kind as usize` indexes it.
-    pub const ALL: [TimerKind; 5] = [
-        TimerKind::Rto,
-        TimerKind::Tlp,
-        TimerKind::Pace,
-        TimerKind::DcqcnAlpha,
-        TimerKind::DcqcnIncrease,
-    ];
-
     /// Stable wire tag.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -359,27 +308,56 @@ impl TimerKind {
     }
 }
 
-/// Derives each tag enum's `parse` and trace-field codec from its `ALL`
-/// table and its hand-written `as_str` (a match with no wildcard, so the
-/// compiler proves every variant has a tag), and checks at compile time
-/// that `ALL` lists the variants in declaration order, so `v as usize`
-/// indexes it and per-variant counters can be plain arrays.
+/// Declares `ALL`, every variant of a fieldless enum in declaration order,
+/// from the list it is given, and proves that list at compile time: a
+/// `match` over it must be exhaustive, so a variant left out fails to
+/// compile, and `ALL[i] as usize == i`, so `v as usize` indexes `ALL` and
+/// per-variant counters can be plain arrays.
+///
+/// ```
+/// #[derive(Clone, Copy)]
+/// enum Colour {
+///     Red,
+///     Green,
+/// }
+/// telemetry::all_variants!(Colour: Red, Green);
+/// assert_eq!(Colour::ALL.len(), 2);
+/// ```
+#[macro_export]
+macro_rules! all_variants {
+    ($name:ident: $($v:ident),+ $(,)?) => {
+        impl $name {
+            /// Every variant, in declaration order: `v as usize` indexes it.
+            pub const ALL: [$name; [$($name::$v),+].len()] = [$($name::$v),+];
+        }
+
+        const _: () = {
+            let mut i = 0;
+            while i < $name::ALL.len() {
+                match $name::ALL[i] {
+                    $($name::$v)|+ => {}
+                }
+                assert!($name::ALL[i] as usize == i, "ALL is in declaration order");
+                i += 1;
+            }
+        };
+    };
+}
+
+/// Declares each tag enum's `ALL` ([`all_variants!`]) and derives its
+/// `parse` and trace-field codec from `ALL` and its hand-written `as_str`
+/// (a match with no wildcard, so the compiler proves every variant has a
+/// tag).
 macro_rules! tag_enums {
-    ($($name:ident),*) => {$(
+    ($($name:ident: $($v:ident),+;)*) => {$(
+        crate::all_variants!($name: $($v),+);
+
         impl $name {
             /// Parses a wire tag: the `ALL` entry whose `as_str` it is.
             pub fn parse(s: &str) -> Option<$name> {
                 $name::ALL.into_iter().find(|v| v.as_str() == s)
             }
         }
-
-        const _: () = {
-            let mut i = 0;
-            while i < $name::ALL.len() {
-                assert!($name::ALL[i] as usize == i, "ALL is in declaration order");
-                i += 1;
-            }
-        };
 
         impl Field for $name {
             fn write(&self, key: &str, s: &mut String) {
@@ -394,7 +372,13 @@ macro_rules! tag_enums {
     )*};
 }
 
-tag_enums!(DropWhy, RtoCause, Phase, FaultKind, TimerKind);
+tag_enums! {
+    DropWhy: Color, Dynamic, Overflow, Wire, LinkDown;
+    RtoCause: Color, Dynamic, Overflow, Wire, LinkDown, PfcStall, AckLoss, Delay, Unknown;
+    Phase: Serialization, Propagation, SwitchQueue, HostWait, PfcPause, FastRecovery, RtoStall;
+    FaultKind: LinkDown, LinkUp, Degrade, StormStart, StormEnd;
+    TimerKind: Rto, Tlp, Pace, DcqcnAlpha, DcqcnIncrease;
+}
 
 /// Declares [`TraceEvent`] once and derives its codec from that one list:
 /// each variant names its wire tag (`Enqueue = "enq"`) and each field its

@@ -28,7 +28,7 @@
 //! plan order, [`diff`] compares two key by key, and [`Artifact::validate`]
 //! holds one to its invariants and to the [`schema`]. The [`json`] module is
 //! the one JSON reader and string escaper behind all of them, the JSONL
-//! codec, and simlint.
+//! codec, and simlint's schema checks.
 //!
 //! Everything is `std`-only: the crate must build with no registry access.
 //!

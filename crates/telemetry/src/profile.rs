@@ -20,7 +20,7 @@
 //! sample lands past the end, the window width doubles and adjacent bucket
 //! pairs merge, so a series covering any run length costs O(1) memory and
 //! the export stays small. No wall-clock anywhere — this module is safe
-//! for sim crates (simlint D2).
+//! for sim crates (`clippy.toml`'s D2).
 
 use std::fmt::Write as _;
 

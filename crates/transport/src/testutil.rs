@@ -5,7 +5,10 @@
 //! drops and CE marking — without a network, so transport tests stay fast
 //! and deterministic.
 
-// simlint: allow(unordered, drop-plan maps are keyed lookups, never iterated)
+#[expect(
+    clippy::disallowed_types,
+    reason = "drop-plan maps are keyed lookups, never iterated"
+)]
 use std::collections::{BTreeMap, HashMap};
 
 use eventsim::{EventQueue, SimTime};
@@ -16,11 +19,13 @@ use crate::iface::{Action, Ctx, FlowReceiver, FlowSender, TimerKind};
 /// Scripted packet drops: the n-th transmissions of specific sequence
 /// numbers are discarded in flight.
 #[derive(Clone, Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "entry/get lookups only — never iterated"
+)]
 pub struct DropPlan {
     /// (is_data, seq) -> number of future transmissions to drop.
-    // simlint: allow(unordered, entry/get lookups only — never iterated)
     drops: HashMap<(bool, u64), u32>,
-    // simlint: allow(unordered, entry/get lookups only — never iterated)
     seen: HashMap<(bool, u64), u32>,
 }
 

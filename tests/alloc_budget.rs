@@ -120,6 +120,11 @@
 //! (the debug-build conservation ledger allocates once, at `Engine::new`).
 
 #![cfg(not(any(feature = "profile", feature = "ledger")))]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "the counting allocator keeps per-thread tallies; test code never runs in a shard"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,6 +157,10 @@ struct Counting;
 
 // SAFETY: every method forwards to `System` unchanged; the only addition is
 // thread-local counter updates, which allocate nothing and cannot unwind.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; every method forwards to `System`"
+)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64);

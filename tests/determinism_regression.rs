@@ -1,8 +1,8 @@
 //! Golden-value regression tests for the D1 determinism fixes.
 //!
 //! `WindowSender::tx_order` and the workload mix's incast grouping were
-//! rebuilt on `BTreeMap` (simlint rule D1: no `HashMap` in sim crates
-//! without a never-iterated pragma). These tests pin the *exact* aggregate
+//! rebuilt on `BTreeMap` (`clippy.toml`'s D1: no `HashMap` without an
+//! `#[expect]` saying it is never iterated). These tests pin the *exact* aggregate
 //! counters and workload fingerprint captured on the `HashMap` tree, so the
 //! swap is proven behavior-preserving byte for byte — and any future change
 //! that perturbs scheduling or generation order fails loudly. (`tx_order`

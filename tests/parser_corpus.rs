@@ -15,6 +15,12 @@
 //! Drawn cases are few under `debug_assertions` (tier-1) and many in an
 //! optimised build (CI's "Parser corpus, long slice (release)").
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "the counting allocator keeps per-thread tallies; test code never runs in a shard"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -45,6 +51,10 @@ fn note(size: usize) {
 /// default bodies, which allocate through `alloc`.
 struct Tracking;
 
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; every method forwards to `System`"
+)]
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
