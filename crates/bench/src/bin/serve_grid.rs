@@ -24,9 +24,10 @@
 //! * `--scale k8|k24` — fat-tree degree (default k8);
 //! * `--serve-out <file>` — write the merged serve report;
 //! * `--spans-out <file>` — write the merged latency-ledger report (the
-//!   registry plus the worst-request `spans` section; `ledger` builds);
+//!   registry plus the worst-request `spans` section); either this flag or
+//!   the next attaches the ledger to every run;
 //! * `--perfetto-out <file>` — write that reservoir as Perfetto trace-event
-//!   JSON (`ledger` builds);
+//!   JSON;
 //! * `--workload <name>` — response-size CDF (`web_search`, `web_server`,
 //!   `cache_follower`; default `cache_follower`);
 //! * `--slo-us N` — per-request SLO in microseconds (default 2000);
@@ -45,7 +46,7 @@ use std::collections::BTreeMap;
 
 use bench::plan::RunPlan;
 use bench::profiler::Provenance;
-use bench::runner::{self, Args, Scale, Table, FG_P99, FG_P999, TO_1K};
+use bench::runner::{self, Args, Observers, Scale, Table, FG_P99, FG_P999, TO_1K};
 use dcsim::SimConfig;
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
@@ -106,12 +107,13 @@ struct GridSpec {
 }
 
 /// Runs the scheme × load × seed grid and folds the per-request SLO
-/// accounting in plan order. The third element is the merged spans report —
-/// `Some` only when the `ledger` feature is compiled in.
+/// accounting in plan order. The third element is the merged spans report,
+/// `Some` when `spans` attaches the latency ledger to every run.
 fn run_grid(
     spec: &GridSpec,
     seeds: u64,
     jobs: usize,
+    spans: bool,
 ) -> (Vec<runner::SchemeResult>, Artifact, Option<Artifact>) {
     // One cell per scheme × load, in plan order: its label, its config and
     // the exact params that generate its request stream.
@@ -133,7 +135,11 @@ fn run_grid(
         .map(|(name, _, p)| (name.clone(), p.clone()))
         .collect();
 
-    let mut plan = RunPlan::sized(jobs, seeds);
+    let ledger = Observers {
+        ledger: spans,
+        ..Observers::NONE
+    };
+    let mut plan = RunPlan::sized(jobs, seeds).capture(ledger);
     for (name, cfg, params) in cells {
         plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
     }
@@ -145,10 +151,7 @@ fn run_grid(
         // violation must be backed by at least one recorded RTO.
         rep.reg
             .inc(&format!("serve_rtos/{name}"), res.forensics.len() as u64);
-        #[cfg(feature = "ledger")]
-        let spans = Some(serve::account_spans(name, seed, &wl, res, params.slo));
-        #[cfg(not(feature = "ledger"))]
-        let spans = None;
+        let spans = spans.then(|| serve::account_spans(name, seed, &wl, res, params.slo));
         (rep.reg, spans)
     });
     let mut rep = Artifact::new();
@@ -168,7 +171,7 @@ fn run_grid(
     (out.results, rep, spans)
 }
 
-/// Holds the serve export (and the spans export, in `ledger` builds) to
+/// Holds the serve export (and the spans export, when there is one) to
 /// every `tlt-metrics/v1` invariant: the forensic join (per scheme, the
 /// cause breakdown sums to the timeout violations, bounded by the recorded
 /// RTOs), complete SLO accounting and the ledger's conservation. Panics,
@@ -259,9 +262,6 @@ fn main() {
             other => rest.push(other.to_string()),
         }
     }
-    if !cfg!(feature = "ledger") && (spans_out.is_some() || perfetto_out.is_some()) {
-        usage("--spans-out/--perfetto-out need a build with the `ledger` feature");
-    }
     let args = match Args::parse_from(rest) {
         Ok(args) => args,
         Err(msg) => usage(&msg),
@@ -319,7 +319,8 @@ fn main() {
         kinds: KINDS.to_vec(),
     };
 
-    let (results, mut rep, spans) = run_grid(&spec, args.seeds, args.effective_jobs());
+    let ledger = spans_out.is_some() || perfetto_out.is_some();
+    let (results, mut rep, spans) = run_grid(&spec, args.seeds, args.effective_jobs(), ledger);
     Provenance::deterministic(&args).stamp(&mut rep.reg);
     // The fabric degree is this report's identity; re-pin it over the
     // harness quick/default/full label the provenance stamp wrote.
@@ -392,8 +393,8 @@ mod tests {
     /// TLT, and survives its own parser.
     #[test]
     fn grid_report_is_byte_identical_across_jobs() {
-        let (_, seq, _) = run_grid(&tiny_spec(), 1, 1);
-        let (_, par, _) = run_grid(&tiny_spec(), 1, 4);
+        let (_, seq, _) = run_grid(&tiny_spec(), 1, 1, false);
+        let (_, par, _) = run_grid(&tiny_spec(), 1, 4, false);
         let a = seq.to_json();
         let b = par.to_json();
         assert_eq!(a, b, "serve report differs under --jobs");
@@ -423,7 +424,7 @@ mod tests {
             kinds: KINDS.to_vec(),
             ..tiny_spec()
         };
-        let (_, mut rep, spans) = run_grid(&spec, 1, 2);
+        let (_, mut rep, spans) = run_grid(&spec, 1, 2, true);
         let mut labels: Vec<String> = KINDS
             .iter()
             .flat_map(|&k| [scheme_label(k, false), scheme_label(k, true)])
@@ -431,9 +432,7 @@ mod tests {
         labels.sort();
         assert_eq!(labels.len(), 10);
         assert_eq!(rep.serve_schemes(), labels);
-        if let Some(sp) = &spans {
-            assert_eq!(sp.span_schemes(), labels);
-        }
+        assert_eq!(spans.as_ref().map(Artifact::span_schemes), Some(labels));
         let args = Args::parse_from(["--quick"]).expect("harness flags");
         Provenance::deterministic(&args).stamp(&mut rep.reg);
         validate(&rep, spans.as_ref());
@@ -444,14 +443,13 @@ mod tests {
     /// every invariant (conservation closed for every scheme) and survives
     /// its own parser, and the Perfetto document has the trace-event shape.
     #[test]
-    #[cfg(feature = "ledger")]
     fn spans_report_is_byte_identical_and_conserved_across_jobs() {
         use telemetry::json::{self, Value};
 
-        let (_, _, seq) = run_grid(&tiny_spec(), 2, 1);
-        let (_, _, par) = run_grid(&tiny_spec(), 2, 4);
-        let seq = seq.expect("ledger feature on");
-        let par = par.expect("ledger feature on");
+        let (_, _, seq) = run_grid(&tiny_spec(), 2, 1, true);
+        let (_, _, par) = run_grid(&tiny_spec(), 2, 4, true);
+        let seq = seq.expect("the ledger is attached");
+        let par = par.expect("the ledger is attached");
         let a = seq.to_json();
         assert_eq!(a, par.to_json(), "spans report differs under --jobs");
         assert_eq!(

@@ -20,10 +20,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dcsim::{FlowSpec, SimConfig, SimResult};
-use eventsim::SimTime;
 use telemetry::{Artifact, Registry};
 
-use crate::runner::{self, Args, MixOutcome, SchemeResult};
+use crate::runner::{self, Args, MixOutcome, Observers, SchemeResult};
 
 /// One scheme of the grid: a label, its config (each job re-seeds a copy)
 /// and its per-seed workload builder.
@@ -55,11 +54,10 @@ pub struct PlanOutput<T> {
     /// metrics were off). When a global `--metrics` export is installed the
     /// merge has already been folded into it.
     pub metrics: Option<Registry>,
-    /// Engine profiles of every job, merged in plan order. `Some` only when
-    /// the `profile` feature is compiled in (the engine emits one per run);
-    /// byte-identical under any `--jobs` value. When a global
-    /// `--profile-out` export is installed the merge has already been
-    /// folded into it.
+    /// Engine profiles of every job, merged in plan order (`None` when the
+    /// profiler was off); byte-identical under any `--jobs` value. When a
+    /// global `--profile-out` export is installed the merge has already
+    /// been folded into it.
     pub profile: Option<Artifact>,
     /// Simulator events scheduled, summed over every job.
     pub events_scheduled: u64,
@@ -78,8 +76,7 @@ pub struct RunPlan<'a> {
     schemes: Vec<SchemeSpec<'a>>,
     jobs: usize,
     default_seeds: u64,
-    capture_trace: Option<Option<SimTime>>,
-    capture_metrics: bool,
+    capture: Observers,
 }
 
 impl<'a> RunPlan<'a> {
@@ -96,24 +93,17 @@ impl<'a> RunPlan<'a> {
             schemes: Vec::new(),
             jobs: jobs.max(1),
             default_seeds,
-            capture_trace: None,
-            capture_metrics: false,
+            capture: Observers::NONE,
         }
     }
 
-    /// Forces flight-recorder capture into the returned [`PlanOutput`] even
-    /// when no global trace file is installed (`sample_ns` as in
-    /// `--trace-sample-ns`). Used by determinism tests.
-    pub fn capture_trace(mut self, sample_ns: Option<u64>) -> RunPlan<'a> {
-        self.capture_trace = Some(sample_ns.map(SimTime::from_ns));
-        self
-    }
-
-    /// Forces metrics-registry capture into the returned [`PlanOutput`] even
-    /// when no global `--metrics` export is installed. Used by determinism
-    /// tests.
-    pub fn capture_metrics(mut self) -> RunPlan<'a> {
-        self.capture_metrics = true;
+    /// Attaches the observers `obs` names to every job, whether or not a
+    /// global `--trace`, `--metrics` or `--profile-out` export asks for
+    /// them, and returns what they capture in [`PlanOutput`] or to the
+    /// per-job closure of [`RunPlan::run_detailed`] (determinism tests;
+    /// `serve_grid --spans-out` for the ledger).
+    pub fn capture(mut self, obs: Observers) -> RunPlan<'a> {
+        self.capture = obs;
         self
     }
 
@@ -179,13 +169,13 @@ impl<'a> RunPlan<'a> {
         // Tracing: the globally installed `--trace` file wins; a forced
         // capture (tests) applies when no file is installed.
         let global = runner::trace_config();
-        let (trace_on, sample_every) = match (global, self.capture_trace) {
-            (Some(sample), _) => (true, sample),
-            (None, Some(sample)) => (true, sample),
-            (None, None) => (false, None),
-        };
         let metrics_global = runner::METRICS.is_on();
-        let metrics_on = metrics_global || self.capture_metrics;
+        let obs = Observers {
+            trace: global.or(self.capture.trace),
+            metrics: metrics_global || self.capture.metrics,
+            profile: runner::PROFILE.is_on() || self.capture.profile,
+            ledger: self.capture.ledger,
+        };
 
         let jobs: Vec<(usize, u64)> = self
             .schemes
@@ -199,8 +189,7 @@ impl<'a> RunPlan<'a> {
             let spec = &self.schemes[si];
             let cfg = spec.cfg.clone().with_seed(seed);
             let flows = (spec.make_flows)(seed);
-            let (mut res, trace) =
-                runner::buffered_run(&spec.name, cfg, flows, trace_on, sample_every, metrics_on);
+            let (mut res, trace) = runner::buffered_run(&spec.name, cfg, flows, obs);
             let metrics = res.metrics.take();
             let profile = res.profile.take();
             let value = per_job(&spec.name, seed, &res);
@@ -245,7 +234,7 @@ impl<'a> RunPlan<'a> {
             })
             .collect();
         let mut trace = Vec::new();
-        let mut merged = metrics_on.then(Registry::new);
+        let mut merged = obs.metrics.then(Registry::new);
         let mut profile: Option<Artifact> = None;
         let mut values = Vec::with_capacity(jobs.len());
         let mut events_scheduled = 0u64;
@@ -294,6 +283,19 @@ mod tests {
     use dcsim::small_single_switch;
     use transport::TransportKind;
 
+    const TRACE: Observers = Observers {
+        trace: Some(None),
+        ..Observers::NONE
+    };
+    const METRICS: Observers = Observers {
+        metrics: true,
+        ..Observers::NONE
+    };
+    const PROFILE: Observers = Observers {
+        profile: true,
+        ..Observers::NONE
+    };
+
     fn tiny_plan(jobs: usize) -> RunPlan<'static> {
         let mut plan = RunPlan::sized(jobs, 2);
         for (name, tlt) in [("base", false), ("tlt", true)] {
@@ -326,8 +328,8 @@ mod tests {
 
     #[test]
     fn captured_traces_are_identical_across_jobs() {
-        let seq = tiny_plan(1).capture_trace(None).run_detailed(|_, _, _| ());
-        let par = tiny_plan(3).capture_trace(None).run_detailed(|_, _, _| ());
+        let seq = tiny_plan(1).capture(TRACE).run_detailed(|_, _, _| ());
+        let par = tiny_plan(3).capture(TRACE).run_detailed(|_, _, _| ());
         assert!(!seq.trace.is_empty());
         assert_eq!(seq.trace, par.trace, "trace bytes differ under --jobs");
     }
@@ -336,7 +338,7 @@ mod tests {
     fn captured_metrics_are_byte_identical_across_jobs_and_runs() {
         let run = |jobs: usize| {
             tiny_plan(jobs)
-                .capture_metrics()
+                .capture(METRICS)
                 .run_detailed(|_, _, _| ())
                 .metrics
                 .expect("metrics captured")
@@ -384,12 +386,12 @@ mod tests {
     /// makes the profile export byte-identical under any worker
     /// count, and the per-kind accounting covers every scheduled event.
     #[test]
-    #[cfg(feature = "profile")]
     fn plan_profiles_are_byte_identical_across_jobs_and_account_all_events() {
-        let run = |jobs: usize| tiny_plan(jobs).run_detailed(|_, _, _| ());
+        assert!(tiny_plan(1).run_detailed(|_, _, _| ()).profile.is_none());
+        let run = |jobs: usize| tiny_plan(jobs).capture(PROFILE).run_detailed(|_, _, _| ());
         let seq = run(1);
         let par = run(4);
-        let p = seq.profile.as_ref().expect("profile feature is on");
+        let p = seq.profile.as_ref().expect("the profiler is attached");
         // The profiler counts actual queue pushes; `events_scheduled` counts
         // logical schedules (sequence reservations). Lazy timer re-arming
         // keeps superseded deadlines out of the queue entirely, so pushes
@@ -414,7 +416,7 @@ mod tests {
 
     #[test]
     fn captured_metrics_round_trip_and_merge_count_all_jobs() {
-        let out = tiny_plan(2).capture_metrics().run_detailed(|_, _, _| ());
+        let out = tiny_plan(2).capture(METRICS).run_detailed(|_, _, _| ());
         let merged = out.metrics.expect("metrics captured");
         let parsed = Artifact::parse(&merged.to_json()).expect("self-parse");
         assert_eq!(parsed.reg, merged, "JSON round trip is lossless");

@@ -63,8 +63,8 @@ pub struct Args {
     /// artifact).
     pub metrics: Option<String>,
     /// Optional engine-profile export path (a `tlt-metrics/v1` artifact
-    /// with a `series` section). Only a build with `--features profile`
-    /// accepts it.
+    /// with a `series` section); every run attaches the profiler when it
+    /// is given.
     pub profile_out: Option<String>,
 }
 
@@ -121,9 +121,8 @@ impl Args {
     ///
     /// Rejected with an error: `--seeds 0` (the seed loop `1..=0` would run
     /// nothing and print all-zero tables), `--trace-sample-ns 0` (a
-    /// zero-period sampler would loop forever), `--jobs 0`, `--full`
-    /// together with `--quick` (no scale is both), and `--profile-out` in a
-    /// build without the `profile` feature (it would write an empty export).
+    /// zero-period sampler would loop forever), `--jobs 0`, and `--full`
+    /// together with `--quick` (no scale is both).
     pub fn parse_from<I>(iter: I) -> Result<Args, String>
     where
         I: IntoIterator,
@@ -163,9 +162,6 @@ impl Args {
                     args.metrics = Some(it.next().ok_or("--metrics needs a path")?);
                 }
                 "--profile-out" => {
-                    if !cfg!(feature = "profile") {
-                        return Err("--profile-out needs a build with the `profile` feature".into());
-                    }
                     args.profile_out = Some(it.next().ok_or("--profile-out needs a path")?);
                 }
                 "--help" | "-h" => return Err(String::new()),
@@ -290,8 +286,7 @@ pub(crate) struct Export {
 
 /// Every run's metrics registry (`--metrics`).
 pub(crate) static METRICS: Export = Export::new("metrics");
-/// Every run's engine profile (`--profile-out`; only a build with the
-/// `profile` feature produces profiles).
+/// Every run's engine profile (`--profile-out`).
 pub(crate) static PROFILE: Export = Export::new("profile");
 
 impl Export {
@@ -337,11 +332,36 @@ impl Export {
     }
 }
 
-/// Runs one simulation, recording it into a private buffer when `trace` is
-/// on and populating [`SimResult::metrics`] when `metrics` is on. Each
-/// traced run is bracketed by `run_start` (with `label` and the config's
-/// seed) and `run_end` (with the producer's own aggregate totals),
-/// making the trace self-verifying for `trace_inspect`.
+/// The observers one run attaches.
+#[derive(Clone, Copy, Debug)]
+pub struct Observers {
+    /// The flight recorder, with the port-sample period for configs that
+    /// set none (`--trace`, `--trace-sample-ns`).
+    pub trace: Option<Option<SimTime>>,
+    /// The metrics registry ([`SimResult::metrics`], `--metrics`).
+    pub metrics: bool,
+    /// The engine profiler ([`SimResult::profile`], `--profile-out`).
+    pub profile: bool,
+    /// The latency ledger ([`SimResult::ledger`], `serve_grid
+    /// --spans-out`/`--perfetto-out`).
+    pub ledger: bool,
+}
+
+impl Observers {
+    /// No observer.
+    pub const NONE: Observers = Observers {
+        trace: None,
+        metrics: false,
+        profile: false,
+        ledger: false,
+    };
+}
+
+/// Runs one simulation with the observers `obs` attaches, recording it
+/// into a private buffer when the flight recorder is on. Each traced run
+/// is bracketed by `run_start` (with `label` and the config's seed) and
+/// `run_end` (with the producer's own aggregate totals), making the trace
+/// self-verifying for `trace_inspect`.
 ///
 /// This is the thread-agnostic core: it touches no global state, so
 /// [`crate::plan::RunPlan`] workers call it concurrently and merge the
@@ -350,19 +370,25 @@ pub(crate) fn buffered_run(
     label: &str,
     mut cfg: SimConfig,
     flows: Vec<FlowSpec>,
-    trace: bool,
-    sample_every: Option<SimTime>,
-    metrics: bool,
+    obs: Observers,
 ) -> (SimResult, Option<Vec<u8>>) {
-    if trace && cfg.trace_sample_every.is_none() {
-        cfg.trace_sample_every = sample_every;
+    if let Some(sample_every) = obs.trace {
+        if cfg.trace_sample_every.is_none() {
+            cfg.trace_sample_every = sample_every;
+        }
     }
     let seed = cfg.seed;
     let mut eng = Engine::new(cfg, flows);
-    if metrics {
+    if obs.metrics {
         eng.set_metrics();
     }
-    if !trace {
+    if obs.profile {
+        eng.set_profile();
+    }
+    if obs.ledger {
+        eng.set_ledger();
+    }
+    if obs.trace.is_none() {
         return (eng.run(), None);
     }
     let (tracer, sink) = Tracer::new(BufferSink::new());
@@ -834,10 +860,8 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.trace_sample_ns, Some(1000));
         assert_eq!(a.metrics.as_deref(), Some("m.json"));
-        // Only a `profile` build accepts `--profile-out`.
         let p = parse(&["--profile-out", "p.json"]).map(|a| a.profile_out);
-        let want = cfg!(feature = "profile").then_some("p.json");
-        assert_eq!(p.ok().flatten().as_deref(), want);
+        assert_eq!(p.ok().flatten().as_deref(), Some("p.json"));
     }
 
     /// Regression: `--seeds 0` used to be accepted, making the `1..=0`

@@ -4,8 +4,9 @@
 //! (exit 1, the invariant named) on a well-formed one that breaks an export
 //! invariant,
 //! `trace_inspect --diff` must print exactly the counts that moved and
-//! refuse provenance mismatches, and an experiment binary must refuse
-//! `--full --quick` and an observer flag its build cannot honour.
+//! refuse provenance mismatches, an experiment binary must refuse
+//! `--full --quick`, and the default build must write every observer
+//! export.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -240,28 +241,45 @@ fn full_with_quick_exits_2() {
     exits_2_before_running(bin, &["--full", "--quick"], "--full and --quick");
 }
 
-/// An observer flag the build cannot honour is refused up front, and no
-/// empty export is left behind.
+/// The one build writes every observer export: a figure binary's
+/// `--profile-out`, serve_grid's `--spans-out` and `--perfetto-out`, each
+/// byte-identical at `--jobs 1` and `--jobs 4`.
 #[test]
-#[cfg(not(feature = "profile"))]
-fn profile_out_without_the_profile_feature_exits_2() {
-    let bin = env!("CARGO_BIN_EXE_fig02_fixed_rto");
-    let path = std::env::temp_dir().join(format!("tlt-cli-{}-prof.json", std::process::id()));
-    let args = [
-        "--quick",
-        "--profile-out",
-        path.to_str().expect("utf-8 path"),
-    ];
-    exits_2_before_running(bin, &args, "`profile` feature");
-    assert!(!path.exists(), "--profile-out left a file");
-}
-
-#[test]
-#[cfg(not(feature = "ledger"))]
-fn spans_out_without_the_ledger_feature_exits_2() {
-    let bin = env!("CARGO_BIN_EXE_serve_grid");
-    for flag in ["--spans-out", "--perfetto-out"] {
-        exits_2_before_running(bin, &["--quick", flag, "out.json"], "`ledger` feature");
+fn the_default_build_writes_every_observer_export_at_any_jobs() {
+    let path = |name: &str, jobs: u32| {
+        let p =
+            std::env::temp_dir().join(format!("tlt-cli-{}-{name}{jobs}.json", std::process::id()));
+        p.to_str().expect("utf-8 path").to_string()
+    };
+    let exports = ["prof", "spans", "perfetto"];
+    for jobs in [1, 4] {
+        let j = jobs.to_string();
+        let [prof, spans, perfetto] = exports.map(|e| path(e, jobs));
+        let fig = env!("CARGO_BIN_EXE_fig14_incast_micro");
+        let out = run(fig, &["--quick", "--jobs", &j, "--profile-out", &prof]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let grid = env!("CARGO_BIN_EXE_serve_grid");
+        let args = [
+            "--quick",
+            "--jobs",
+            &j,
+            "--spans-out",
+            &spans,
+            "--perfetto-out",
+            &perfetto,
+        ];
+        let out = run(grid, &args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert!(stdout(&out).contains("conservation cross-check: ok"));
+    }
+    for e in exports {
+        let read = |jobs| std::fs::read(path(e, jobs)).expect("the export was written");
+        let (one, four) = (read(1), read(4));
+        for jobs in [1, 4] {
+            let _ = std::fs::remove_file(path(e, jobs));
+        }
+        assert!(!one.is_empty(), "{e}: empty export");
+        assert!(one == four, "{e}: --jobs 1 and --jobs 4 differ");
     }
 }
 

@@ -1,8 +1,7 @@
 //! Integration test for the parallel run harness: a (scheme, seed) grid
 //! executed with `--jobs 4` must reproduce the `--jobs 1` results exactly —
 //! every per-seed metric sample, the scheduled-event count, every
-//! flight-recorder byte and, built with `--features profile`, every byte of
-//! the merged engine profile.
+//! flight-recorder byte and every byte of the merged engine profile.
 //!
 //! The grid covers the three regimes the retired wall-clock suite
 //! (`bench_baseline`) cross-checked at `--jobs 1` against `--jobs N` on every
@@ -16,7 +15,7 @@
 use std::sync::OnceLock;
 
 use bench::plan::{PlanOutput, RunPlan};
-use bench::runner::{self, SchemeResult, TcpVariant};
+use bench::runner::{self, Observers, SchemeResult, TcpVariant};
 use dcsim::{small_single_switch, FaultSchedule};
 use eventsim::SimTime;
 use netstats::Metric;
@@ -91,12 +90,19 @@ fn grid(jobs: usize) -> RunPlan<'static> {
 
 const JOBS_RUN: usize = 6 * 2 + 5 * 3;
 
-/// The grid at `--jobs 1` and at `--jobs 4`, traced, run once and shared by
-/// every test below.
+/// The grid at `--jobs 1` and at `--jobs 4`, traced and profiled, run once
+/// and shared by every test below.
 fn runs() -> &'static (PlanOutput<()>, PlanOutput<()>) {
     static RUNS: OnceLock<(PlanOutput<()>, PlanOutput<()>)> = OnceLock::new();
     RUNS.get_or_init(|| {
-        let run = |jobs| grid(jobs).capture_trace(None).run_detailed(|_, _, _| ());
+        let run = |jobs| {
+            let obs = Observers {
+                trace: Some(None),
+                profile: true,
+                ..Observers::NONE
+            };
+            grid(jobs).capture(obs).run_detailed(|_, _, _| ())
+        };
         (run(1), run(4))
     })
 }
@@ -176,19 +182,10 @@ fn jobs4_matches_jobs1_trace_bytes() {
 }
 
 #[test]
-#[cfg(feature = "profile")]
 fn jobs4_matches_jobs1_profile_bytes() {
     let (seq, par) = runs();
-    let a = seq
-        .profile
-        .as_ref()
-        .expect("profile feature is on")
-        .to_json();
-    let b = par
-        .profile
-        .as_ref()
-        .expect("profile feature is on")
-        .to_json();
+    let json = |out: &PlanOutput<()>| out.profile.as_ref().expect("profiled").to_json();
+    let (a, b) = (json(seq), json(par));
     assert!(a.contains("event_exec/deliver"));
     assert!(a == b, "profile JSON differs between --jobs 1 and --jobs 4");
 }

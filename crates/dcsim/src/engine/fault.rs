@@ -21,7 +21,7 @@ impl Engine {
                     port: port.0,
                 });
                 if let Some(d) = reroute_after {
-                    self.sched(self.now + d, Event::Reroute);
+                    self.queue.schedule(self.now + d, Event::Reroute);
                 }
             }
             FaultAction::LinkUp => {
@@ -60,7 +60,8 @@ impl Engine {
                 if let Some(sig) = sw.storm_xoff(port, now) {
                     self.send_pfc(node, sig);
                 }
-                self.sched(now + duration, Event::StormEnd { node, port });
+                self.queue
+                    .schedule(now + duration, Event::StormEnd { node, port });
             }
         }
     }

@@ -246,7 +246,9 @@ impl Engine {
         // that led up to this firing *was* the RTO stall, and everything
         // after is RTO recovery until a fresh-epoch data packet lands.
         if self.flows[f as usize].complete_at.is_none() {
-            self.flows[f as usize].lg.on_rto(t.as_ns());
+            if let Some(lg) = self.latency.as_mut() {
+                lg[f as usize].on_rto(t.as_ns());
+            }
         }
         let rt = &self.flows[f as usize];
         let run = rt.run.as_deref().expect("an RTO fires on a running flow");

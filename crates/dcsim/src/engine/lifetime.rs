@@ -311,40 +311,25 @@ mod tests {
         }
     }
 
-    /// The record every flow pays for from `try_new` to the end of the run
-    /// keeps only what outlives the flow and is not the caller's spec (56
-    /// bytes with the ledger off: its paths are derived, its spec is read
-    /// from `Engine::specs`); the sender, timer slots and loss summary
-    /// pointer are the 280-byte [`Running`] box, which exists only between
-    /// a flow's `FlowStart` and its fold.
-    #[test]
-    fn the_record_keeps_only_what_outlives_the_flow() {
-        if std::mem::size_of::<FlowSlot>() == 0 {
-            assert_eq!(std::mem::size_of::<FlowRuntime>(), 56);
-        }
-        assert_eq!(std::mem::size_of::<Running>(), 280);
-    }
-
     /// A `Timer` entry still queued for a folded flow pops as stale:
-    /// `fire_timer` returns `false` and moves nothing but the profiler's
-    /// stale-pop tally, and the run's event accounting still closes
+    /// `fire_timer` returns `false` and moves nothing (the run loop tallies
+    /// the stale pop), and the run's event accounting still closes
     /// (`executed + cancelled == scheduled`).
     #[test]
     fn a_folded_flows_queued_timer_pops_as_stale() {
         let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
         let flows = vec![FlowSpec::new(0, 1, 1_000_000, SimTime::ZERO, true)];
         let mut eng = Engine::new(cfg, flows);
+        eng.set_profile();
         // The run loop's `FlowStart` arm, minus the sends: only the timers
         // the sender arms reach the queue.
         let (t, ev) = eng.queue.pop().expect("the FlowStart");
         assert!(matches!(ev, Event::FlowStart(0)));
         eng.now = t;
-        eng.flows[0].lg.begin(t.as_ns());
         eng.start_transport(0);
         eng.actions.retain(|a| !matches!(a, Action::Send(_)));
         eng.flush_actions(0);
-        eng.prof
-            .on_pop(EvKind::FlowStart, t, 0, eng.queue.len() as u64);
+        prof!(eng, on_pop(EvKind::FlowStart, t, 0, eng.queue.len() as u64));
         // `check_done!`'s two steps.
         eng.disarm_timers(0);
         eng.fold_sender(0);
@@ -373,22 +358,20 @@ mod tests {
             !eng.fire_timer(flow, kind, gen),
             "a folded flow's timer is stale"
         );
-        eng.prof
-            .on_pop(EvKind::Timer, at, 0, eng.queue.len() as u64);
+        prof!(eng, on_pop(EvKind::Timer, at, 0, eng.queue.len() as u64));
+        prof!(eng, note_stale_timer());
         assert_eq!(state(&eng), before);
         assert!(eng.flows[0].run.is_none(), "a stale pop builds nothing");
 
         let res = eng.collect(Samples::new());
         assert_eq!(res.agg.timers_leaked, 0);
-        if let Some(p) = res.profile {
-            let r = &p.reg;
-            assert_eq!(r.counter("event_stale/timer"), 1);
-            assert_eq!(r.counter("event_exec/timer"), 0);
-            assert_eq!(
-                r.counter("events_executed_total") + r.counter("events_cancelled_total"),
-                r.counter("events_scheduled_total")
-            );
-        }
+        let r = &res.profile.expect("the profiler is attached").reg;
+        assert_eq!(r.counter("event_stale/timer"), 1);
+        assert_eq!(r.counter("event_exec/timer"), 0);
+        assert_eq!(
+            r.counter("events_executed_total") + r.counter("events_cancelled_total"),
+            r.counter("events_scheduled_total")
+        );
     }
 
     /// Lifetime ≡ eager. The same drawn cell runs with each transport built

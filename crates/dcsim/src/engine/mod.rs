@@ -6,12 +6,13 @@
 //! (`timers.rs`), fault application and reroute (`fault.rs`), RTO forensics
 //! (`forensics.rs`), results (`results.rs`), the per-flow route table
 //! (`route.rs`) and each flow's transport lifetime (`lifetime.rs`). This
-//! file keeps the types they share, `sched`, and the run loop.
+//! file keeps the types they share and the run loop.
 //!
-//! The three compile-time observers — `profile::EngineProf`,
-//! `ledger::ConservationLedger`, and the latency ledger's flow slot and
-//! journey stamps — are called unconditionally everywhere below: no file in
-//! this directory names a cargo feature (DESIGN §16 "Observer seam").
+//! The observers a caller attaches before `run` — the profiler, the latency
+//! ledger, the metrics registry, the tracer — are `Option`s or off-switches
+//! checked at each hook, so there is one engine and one build; the
+//! conservation ledger follows `debug_assertions`. No file in this
+//! directory names a cargo feature (DESIGN §16 "Observer seam").
 
 use eventsim::{EventQueue, SimTime};
 use faults::{FaultAction, FaultState};
@@ -31,10 +32,10 @@ use transport::tcp::{TcpReceiver, WindowCfg, WindowSender};
 use transport::TransportKind;
 
 use crate::config::{ConfigError, FlowSpec, SimConfig};
-use crate::latency::FlowSlot;
+use crate::latency::FlowLedger;
 use crate::ledger::ConservationLedger;
 use crate::metrics::PortMetrics;
-use crate::profile::{EngineProf, EvKind};
+use crate::profile::{EngineProf, EvKind, Landed};
 
 mod fault;
 mod forensics;
@@ -125,17 +126,19 @@ struct FlowRuntime {
     /// is attributed, so loss records separate retransmission rounds. The
     /// receiver's ACKs still carry it once the flow is done.
     tx_epoch: u32,
-    /// Latency-ledger state: timeline frontier, recovery mode, per-phase
-    /// accumulators, stall ring (zero-sized when the ledger is off).
-    lg: FlowSlot,
     /// Built at `FlowStart`, dropped once the flow is done and its sender
     /// folded into `Engine::counters` (`lifetime.rs`).
     run: Option<Box<Running>>,
 }
 
-// With the ledger off, the record is what `try_new` builds for every flow.
-const _: () =
-    assert!(std::mem::size_of::<FlowSlot>() > 0 || std::mem::size_of::<FlowRuntime>() == 56);
+// The record every flow pays for from `try_new` to the end of the run,
+// observed or not, keeps only what outlives the flow and is not the
+// caller's spec: its paths are derived, its spec is read from `specs`, its
+// latency ledger, when attached, sits in a side table. The sender, timer
+// slots and loss summary are the `Running` box, which exists only between
+// a flow's `FlowStart` and its fold.
+const _: () = assert!(std::mem::size_of::<FlowRuntime>() == 56);
+const _: () = assert!(std::mem::size_of::<Running>() == 280);
 
 /// What only a running flow reads: its sender, its timer slots and its loss
 /// summary, in one box that lives from the flow's `FlowStart` to its fold.
@@ -269,10 +272,15 @@ pub struct Engine {
     /// without `debug_assertions`).
     ledger: ConservationLedger,
     /// Event-level profiler: per-kind schedule/execute tallies, fan-out and
-    /// queue-depth histograms, and sim-time series (inert without
-    /// `profile`). Created in `new` (like the ledger) so constructor-time
-    /// scheduling is counted too.
-    prof: EngineProf,
+    /// queue-depth histograms, and sim-time series; `None` unless
+    /// [`Engine::set_profile`] was called. Every hook goes through
+    /// [`prof!`].
+    prof: Option<Box<EngineProf>>,
+    /// The latency ledger, on the flow index: each flow's phase
+    /// decomposition, fed by the journey stamps of its packets (kept in
+    /// `pkts`' side table); `None` unless [`Engine::set_ledger`] was
+    /// called.
+    latency: Option<Vec<FlowLedger>>,
     /// Every pair was built in `try_new` and none is folded: the reference
     /// side of `transport_lifetime_matches_eager`.
     #[cfg(test)]
@@ -282,6 +290,23 @@ pub struct Engine {
     #[cfg(test)]
     loss_rings: forensics::LossRings,
 }
+
+/// Calls profiler hook `$hook`, or bumps counter `$count`, when a profiler
+/// is attached. The arguments are evaluated only then, so an unprofiled run
+/// pays one predictable branch per site.
+macro_rules! prof {
+    ($eng:expr, $hook:ident($($arg:expr),*)) => {
+        if let Some(p) = $eng.prof.as_deref_mut() {
+            p.$hook($($arg),*);
+        }
+    };
+    ($eng:expr, $count:ident += 1) => {
+        if let Some(p) = $eng.prof.as_deref_mut() {
+            p.$count += 1;
+        }
+    };
+}
+use prof;
 
 impl Engine {
     /// Index of `(node, port)` in the port table.
@@ -314,16 +339,6 @@ impl Engine {
     /// Flow `f`'s forward and reverse paths ([`Engine::path`]).
     fn paths(&self, f: u32) -> (PinnedPath, PinnedPath) {
         (self.path(f, Direction::Fwd), self.path(f, Direction::Rev))
-    }
-
-    /// Schedules `ev` at `at`, counting it in the profiler. Every
-    /// post-construction schedule site routes through here — `finish()`
-    /// debug-asserts that the per-kind tallies sum to the queue's own
-    /// `scheduled_total`, so a bypassing call site is caught in tests.
-    #[inline]
-    fn sched(&mut self, at: SimTime, ev: Event) {
-        self.prof.on_sched(ev.kind());
-        self.queue.schedule(at, ev);
     }
 
     /// Sum of all switch egress queue bytes (the profiler's occupancy
@@ -381,23 +396,35 @@ impl Engine {
             }};
         }
 
+        // Attached before the run, if at all: one test of a register per
+        // event when not.
+        let profiling = self.prof.is_some();
         while let Some((t, ev)) = self.queue.pop() {
             if t > self.cfg.max_time {
                 // Popped past the horizon without executing: cancelled,
                 // like everything still in the queue (drained in collect).
-                self.prof.on_unpopped(ev.kind());
+                prof!(self, on_unpopped(ev.kind()));
                 break;
             }
             self.now = t;
-            let prof_kind = ev.kind();
-            // Fan-out proxy: how many events this handler schedules
-            // (counting seq reservations, so deferred timer arms still
-            // register as the handler's work).
-            let prof_sched_before = self.queue.seq_total();
-            if self.prof.window_due(t) {
-                let qbytes = self.total_queue_bytes();
-                self.prof.on_window(t, qbytes);
-            }
+            // The profiler's kind, and its fan-out proxy: how many events
+            // this handler schedules (counting seq reservations, so deferred
+            // timer arms still register as the handler's work).
+            let probe = profiling.then(|| {
+                if self.prof.as_ref().is_some_and(|p| p.window_due(t)) {
+                    // Frames on the wire: `Deliver`s still queued, and this
+                    // one.
+                    let deliver = |e: &Event| matches!(e, Event::Deliver { .. });
+                    let on_wire = self.queue.pending().filter(|e| deliver(e)).count();
+                    let inflight = (on_wire + usize::from(deliver(&ev))) as u64;
+                    let qbytes = self.total_queue_bytes();
+                    prof!(self, on_window(t, inflight, qbytes));
+                }
+                (ev.kind(), self.queue.seq_total())
+            });
+            // What the profiler splits two kinds by: where a `Deliver` left
+            // its frame, and whether a `Timer` was stale.
+            let (mut landed, mut stale) = (None, false);
             match ev {
                 Event::FlowStart(f) => {
                     let bytes = self.specs[f as usize].bytes;
@@ -407,21 +434,25 @@ impl Engine {
                     // also the recorded `spec.start` (dependent flows have
                     // it rewritten to the absolute release time), so the
                     // frontier and the FCT base coincide exactly.
-                    self.flows[f as usize].lg.begin(t.as_ns());
+                    if let Some(lg) = self.latency.as_mut() {
+                        lg[f as usize].begin(t.as_ns());
+                    }
                     self.start_transport(f);
                     self.flush_actions(f);
                     check_done!(f);
                 }
                 Event::Deliver { to, in_port, pkt } => {
                     let f = self.pkts.get(pkt).flow.0;
-                    let endpoint = self.deliver(to, in_port, pkt);
-                    if endpoint {
+                    let at = self.deliver(to, in_port, pkt);
+                    if at == Landed::Endpoint {
                         check_done!(f);
                     }
+                    landed = Some(at);
                 }
                 Event::TxDone { node, port } => self.tx_done(node, port),
                 Event::Timer { flow, kind, gen } => {
-                    if self.fire_timer(flow, kind, gen) {
+                    stale = !self.fire_timer(flow, kind, gen);
+                    if !stale {
                         check_done!(flow);
                     }
                 }
@@ -432,9 +463,16 @@ impl Engine {
                 Event::StormEnd { node, port } => self.storm_end(node, port),
                 Event::Reroute => self.reroute_flows(),
             }
-            let fanout = self.queue.seq_total() - prof_sched_before;
-            self.prof
-                .on_pop(prof_kind, t, fanout, self.queue.len() as u64);
+            if let Some((kind, before)) = probe {
+                let fanout = self.queue.seq_total() - before;
+                prof!(self, on_pop(kind, t, fanout, self.queue.len() as u64));
+                if stale {
+                    prof!(self, note_stale_timer());
+                }
+                if let Some(at) = landed {
+                    prof!(self, on_landed(at));
+                }
+            }
             if remaining == 0 {
                 break;
             }
@@ -474,7 +512,7 @@ impl Engine {
         queue_samples.push(max_q as f64);
         if let Some(every) = self.cfg.queue_sample_every {
             if more {
-                self.sched(t + every, Event::QueueSample);
+                self.queue.schedule(t + every, Event::QueueSample);
             }
         }
     }
@@ -497,7 +535,7 @@ impl Engine {
         }
         if let Some(every) = self.cfg.trace_sample_every {
             if more {
-                self.sched(t + every, Event::TraceSample);
+                self.queue.schedule(t + every, Event::TraceSample);
             }
         }
     }

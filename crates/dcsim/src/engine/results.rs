@@ -238,12 +238,15 @@ impl Engine {
         self.ledger.audit_final(&agg);
 
         // Seal the latency ledgers (each audits Σ phases == FCT as it
-        // seals); there are none when the ledger is off.
-        let ledger = FlowSlot::ON.then(|| {
-            let end_ns = |rt: &FlowRuntime| rt.complete_at.map(|t| t.as_ns());
-            let flows = self.flows.iter().enumerate();
+        // seals); there are none unless the ledger was attached.
+        let ledger = self.latency.take().map(|lgs| {
+            let ends = self
+                .flows
+                .iter()
+                .map(|rt| rt.complete_at.map(|t| t.as_ns()));
+            let flows = lgs.iter().zip(ends).enumerate();
             flows
-                .filter_map(|(i, rt)| rt.lg.record(i as u32, end_ns(rt)))
+                .map(|(i, (lg, end))| lg.record(i as u32, end))
                 .collect()
         });
 
@@ -275,7 +278,10 @@ impl Engine {
             r
         });
         // Seal the profiler, which drains what is still queued.
-        let profile = self.prof.seal(&mut self.queue, Event::kind);
+        let profile = self
+            .prof
+            .take()
+            .map(|mut p| p.seal(&mut self.queue, Event::kind));
         let forensics = std::mem::take(&mut self.forensics);
         SimResult {
             flows,
@@ -292,20 +298,58 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::config::small_single_switch;
+    use telemetry::BufferSink;
 
-    /// The observers report exactly when they are compiled in: a run
-    /// carries a profile iff the `profile` feature is on and ledgers iff
-    /// `FlowSlot::ON` (which is the packet stamps' `ON` too).
+    /// 96 synchronized 8 kB DCTCP flows from 48 hosts into one, against an
+    /// 800 kB buffer: drops, fast retransmits and RTOs.
+    fn incast() -> (SimConfig, Vec<FlowSpec>) {
+        let mut cfg =
+            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(49));
+        cfg.switch.buffer_bytes = 800_000;
+        cfg.switch.ecn = netsim::switch::EcnConfig::Threshold { k: 100_000 };
+        let flows = (1..49)
+            .flat_map(|s| [FlowSpec::new(s, 0, 8_000, SimTime::ZERO, true); 2])
+            .collect();
+        (cfg, flows)
+    }
+
+    /// A run with the profiler and the latency ledger attached.
+    fn observed(cfg: SimConfig, flows: Vec<FlowSpec>) -> SimResult {
+        let mut eng = Engine::new(cfg, flows);
+        eng.set_profile();
+        eng.set_ledger();
+        eng.run()
+    }
+
+    /// The observers report exactly when attached, and attaching them
+    /// moves nothing else: the flow records, the aggregate and the trace
+    /// bytes of a traced incast that times out are the unobserved run's.
     #[test]
-    fn observers_report_exactly_when_compiled_in() {
-        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(2));
-        let flows = vec![FlowSpec::new(0, 1, 10_000, SimTime::ZERO, true)];
-        let res = Engine::new(cfg, flows).run();
-        assert!(res.flows[0].end.is_some());
-        assert_eq!(res.profile.is_some(), cfg!(feature = "profile"));
-        assert_eq!(res.ledger.is_some(), FlowSlot::ON);
-        assert_eq!(res.ledger.map_or(0, |l| l.len()), usize::from(FlowSlot::ON));
-        assert_eq!(FlowSlot::ON, JourneyStamps::ON);
+    fn observers_report_when_attached_and_change_nothing_else() {
+        let run = |observe: bool| {
+            let (mut cfg, flows) = incast();
+            cfg.trace_sample_every = Some(SimTime::from_us(20));
+            let mut eng = Engine::new(cfg, flows);
+            let (tracer, sink) = Tracer::new(BufferSink::new());
+            eng.set_tracer(tracer);
+            if observe {
+                eng.set_profile();
+                eng.set_ledger();
+            }
+            let res = eng.run();
+            let bytes = sink.borrow_mut().take_bytes();
+            (res, bytes)
+        };
+        let (plain, plain_trace) = run(false);
+        assert_eq!(plain.profile.is_some(), crate::profile::ATTACH_ALWAYS);
+        assert!(plain.ledger.is_none());
+        assert!(plain.agg.timeouts > 0, "the incast times out");
+        let (seen, seen_trace) = run(true);
+        assert!(seen.profile.is_some());
+        assert_eq!(seen.ledger.as_ref().map(Vec::len), Some(96), "one per flow");
+        assert_eq!(format!("{:?}", plain.flows), format!("{:?}", seen.flows));
+        assert_eq!(format!("{:?}", plain.agg), format!("{:?}", seen.agg));
+        assert!(plain_trace == seen_trace, "attaching moved a trace byte");
     }
 
     /// Every scheduled event must be accounted as executed, stale, or
@@ -313,7 +357,6 @@ mod tests {
     /// on an incast with timers, PFC, and sampling all active, and on a
     /// multi-hop fat-tree run where most `TxDone`s are never pushed.
     #[test]
-    #[cfg(feature = "profile")]
     fn profile_accounts_every_scheduled_event() {
         let incast = || {
             let mut cfg =
@@ -323,7 +366,7 @@ mod tests {
             let flows: Vec<FlowSpec> = (1..9)
                 .map(|s| FlowSpec::new(s, 0, 60_000, SimTime::ZERO, true))
                 .collect();
-            Engine::new(cfg, flows).run()
+            observed(cfg, flows)
         };
         // Eight cross-pod flows over six-hop routes on a k=4 fat-tree.
         let multi_hop = || {
@@ -333,10 +376,10 @@ mod tests {
             let flows: Vec<FlowSpec> = (0..8)
                 .map(|s| FlowSpec::new(s, 15 - s, 60_000, SimTime::from_us(s as u64), true))
                 .collect();
-            Engine::new(cfg, flows).run()
+            observed(cfg, flows)
         };
         let audit = |res: &SimResult| {
-            let p = res.profile.as_ref().expect("profile feature is on");
+            let p = res.profile.as_ref().expect("the profiler is attached");
             let r = &p.reg;
             let sched = r.counter("events_scheduled_total");
             // `agg.events_scheduled` counts logical events (every timer arm
@@ -443,11 +486,10 @@ mod tests {
     /// (`Σ phases == FCT`, zero unattributed time) and incomplete flows
     /// must carry no completion record.
     #[test]
-    #[cfg(feature = "ledger")]
     fn latency_ledger_closes_over_the_fault_grid() {
         use telemetry::Phase;
         let audit = |res: &SimResult, label: &str| {
-            let recs = res.ledger.as_ref().expect("ledger feature is on");
+            let recs = res.ledger.as_ref().expect("the ledger is attached");
             assert_eq!(recs.len(), res.flows.len(), "{label}: one ledger per flow");
             for (rec, fr) in recs.iter().zip(res.flows.iter()) {
                 assert_eq!(rec.end_ns, fr.end.map(|t| t.as_ns()), "{label}: end");
@@ -466,19 +508,8 @@ mod tests {
         };
 
         // Incast overflow: drops, fast retx, and RTO stalls all present.
-        let mut cfg =
-            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(49));
-        cfg.switch.buffer_bytes = 800_000;
-        cfg.switch.ecn = netsim::switch::EcnConfig::Threshold { k: 100_000 };
-        let flows: Vec<FlowSpec> = (1..49)
-            .flat_map(|s| {
-                [
-                    FlowSpec::new(s, 0, 8_000, SimTime::ZERO, true),
-                    FlowSpec::new(s, 0, 8_000, SimTime::ZERO, true),
-                ]
-            })
-            .collect();
-        let res = Engine::new(cfg, flows).run();
+        let (cfg, flows) = incast();
+        let res = observed(cfg, flows);
         assert!(res.agg.timeouts > 0, "incast must exercise the RTO phase");
         audit(&res, "incast");
         let recs = res.ledger.as_ref().unwrap();
@@ -500,7 +531,7 @@ mod tests {
         let flows: Vec<FlowSpec> = (1..5)
             .map(|s| FlowSpec::new(s, 0, 500_000, SimTime::ZERO, true))
             .collect();
-        let res = Engine::new(cfg, flows).run();
+        let res = observed(cfg, flows);
         assert!(res.agg.pause_frames > 0, "PFC actually engaged");
         audit(&res, "pfc");
         assert!(
@@ -527,7 +558,7 @@ mod tests {
             FlowSpec::new(2, 0, 300_000, SimTime::ZERO, true),
             FlowSpec::new(3, 0, 300_000, SimTime::ZERO, true),
         ];
-        let res = Engine::new(cfg, flows).run();
+        let res = observed(cfg, flows);
         assert!(res.flows[1].end.is_none(), "severed flow truncated");
         audit(&res, "faults");
 
@@ -537,7 +568,7 @@ mod tests {
             FlowSpec::new(0, 1, 50_000, SimTime::ZERO, true),
             FlowSpec::new(1, 0, 100_000, SimTime::from_us(10), true).after(0),
         ];
-        let res = Engine::new(cfg, flows).run();
+        let res = observed(cfg, flows);
         audit(&res, "deps");
         let recs = res.ledger.as_ref().unwrap();
         assert_eq!(
@@ -550,7 +581,6 @@ mod tests {
     /// Determinism of the ledger itself: identical runs produce identical
     /// phase decompositions and stall rings.
     #[test]
-    #[cfg(feature = "ledger")]
     fn latency_ledger_is_deterministic() {
         let mk = || {
             let mut cfg = SimConfig::tcp_family(TransportKind::Dctcp)
@@ -560,7 +590,7 @@ mod tests {
             let flows: Vec<FlowSpec> = (1..9)
                 .map(|s| FlowSpec::new(s, 0, 60_000, SimTime::ZERO, true))
                 .collect();
-            Engine::new(cfg, flows).run()
+            observed(cfg, flows)
         };
         let (a, b) = (mk(), mk());
         let (la, lb) = (a.ledger.unwrap(), b.ledger.unwrap());

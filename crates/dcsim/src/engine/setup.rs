@@ -116,10 +116,6 @@ impl Engine {
         // untouched memory until used; a deeper run just grows the arena.
         let queue_cap = (specs.len().saturating_mul(4) + 256).min(1 << 14);
         let mut queue = EventQueue::with_capacity(queue_cap);
-        // Constructor-time scheduling happens before the engine (and its
-        // `sched` shim) exists, so the profiler is created here and bumped
-        // at each local schedule site.
-        let mut prof = EngineProf::new();
         let mut flows = Vec::with_capacity(specs.len());
         let mut routes = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
@@ -151,10 +147,7 @@ impl Engine {
                         return Err(ConfigError::TriggerNotEarlier { flow: i, parent });
                     }
                 }
-                None => {
-                    prof.on_sched(EvKind::FlowStart);
-                    queue.schedule(spec.start, Event::FlowStart(i as u32));
-                }
+                None => queue.schedule(spec.start, Event::FlowStart(i as u32)),
             }
             flows.push(FlowRuntime {
                 src,
@@ -163,13 +156,11 @@ impl Engine {
                 rx: None,
                 complete_at: None,
                 tx_epoch: 0,
-                lg: Default::default(),
                 run: None,
             });
         }
         let dependents = Dependents::new(specs.iter().map(|spec| spec.after));
         if let Some(every) = cfg.queue_sample_every {
-            prof.on_sched(EvKind::QueueSample);
             queue.schedule(every, Event::QueueSample);
         }
 
@@ -205,7 +196,6 @@ impl Engine {
             {
                 return Err(ConfigError::StormAtHost { fault: i, node });
             }
-            prof.on_sched(EvKind::Fault);
             queue.schedule(ev.at, Event::Fault(i as u32));
         }
 
@@ -214,10 +204,11 @@ impl Engine {
         // nearly as much spare capacity again; shrinking it in place (no
         // spec moves) keeps exactly the copies' 48 bytes per flow.
         specs.shrink_to_fit();
-        let eng = Engine {
+        let mut eng = Engine {
             cfg,
             ledger: ConservationLedger::new(topo.link_count()),
-            prof,
+            prof: None,
+            latency: None,
             topo,
             switches,
             ports,
@@ -251,6 +242,9 @@ impl Engine {
         };
         if cfg!(debug_assertions) {
             eng.check_port_table();
+        }
+        if crate::profile::ATTACH_ALWAYS {
+            eng.set_profile();
         }
         Ok(eng)
     }
@@ -300,7 +294,7 @@ impl Engine {
         }
         if tracer.is_on() {
             if let Some(every) = self.cfg.trace_sample_every {
-                self.sched(every, Event::TraceSample);
+                self.queue.schedule(every, Event::TraceSample);
             }
         }
         self.tracer = tracer;
@@ -315,6 +309,30 @@ impl Engine {
         self.metrics = Some(PortMetrics::new(self.ports.len()));
         if cfg!(debug_assertions) {
             self.check_port_table();
+        }
+    }
+
+    /// Attaches the event-level profiler: per-kind schedule/execute
+    /// tallies, fan-out and queue-depth histograms, and sim-time series,
+    /// returned as an [`Artifact`](telemetry::Artifact) in
+    /// [`SimResult::profile`]. It watches pops only, so the profile is the
+    /// same whenever it is attached before [`Engine::run`]. Idempotent.
+    pub fn set_profile(&mut self) {
+        debug_assert_eq!(self.queue.pops_total(), 0, "attach before the run");
+        if self.prof.is_none() {
+            self.prof = Some(Box::default());
+        }
+    }
+
+    /// Attaches the latency ledger: each flow's completion time split into
+    /// phases with `Σ phases == FCT`, returned in [`SimResult::ledger`].
+    /// Allocates one [`FlowLedger`] per flow and the packet slab's journey
+    /// side table; an engine without it carries neither. Call before
+    /// [`Engine::run`]. Idempotent.
+    pub fn set_ledger(&mut self) {
+        if self.latency.is_none() {
+            self.latency = Some(vec![FlowLedger::default(); self.flows.len()]);
+            self.pkts.stamp_journeys();
         }
     }
 }

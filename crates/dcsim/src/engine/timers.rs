@@ -10,7 +10,8 @@ const SENDER_ACTION: &str = "a timer action comes from a running flow's sender";
 impl Engine {
     /// The `Timer` arm: consumes the slot's queue entry and, when the
     /// generation is still live, fires the transport's timer. Returns
-    /// whether it was live (so the run loop re-checks the flow's doneness).
+    /// whether it was live (so the run loop re-checks the flow's doneness,
+    /// or tallies a stale pop).
     pub(super) fn fire_timer(&mut self, flow: u32, kind: TimerKind, gen: u64) -> bool {
         let t = self.now;
         let slot = kind as usize;
@@ -18,7 +19,6 @@ impl Engine {
         // before the fold, so this pop is a cancellation, and no superseding
         // arm can have parked a deadline behind it.
         let Some(run) = self.flows[flow as usize].run.as_deref_mut() else {
-            self.prof.note_stale_timer();
             return false;
         };
         // This pop consumes the slot's in-queue entry (if it is
@@ -28,7 +28,6 @@ impl Engine {
         }
         if run.timer_gen[slot] != gen {
             // Generation mismatch: this pop is a cancellation.
-            self.prof.note_stale_timer();
             // A superseding arm may have parked a deadline on
             // this slot waiting for our entry to clear —
             // materialize it now, at its reserved seq, exactly
@@ -39,7 +38,6 @@ impl Engine {
                 let seq = run.timer_res_seq[slot];
                 run.timer_queued_at[slot] = Some(at);
                 run.timer_queued_gen[slot] = g;
-                self.prof.on_sched(EvKind::Timer);
                 self.queue
                     .schedule_with_seq(at, seq, Event::Timer { flow, kind, gen: g });
             }
@@ -69,7 +67,7 @@ impl Engine {
     /// Cancels every armed timer of flow `f` (fixed slot order, so the
     /// trace and generation bumps are deterministic).
     pub(super) fn disarm_timers(&mut self, f: u32) {
-        self.prof.disarm_sweep();
+        prof!(self, disarm_sweeps += 1);
         let Some(run) = self.flows[f as usize].run.as_deref_mut() else {
             return;
         };
@@ -78,7 +76,7 @@ impl Engine {
             if run.timer_armed[s] {
                 run.timer_gen[s] += 1;
                 run.timer_armed[s] = false;
-                self.prof.disarm_cancel();
+                prof!(self, disarm_cancels += 1);
                 self.tracer
                     .emit(self.now, || TraceEvent::TimerCancel { flow: f, kind });
             }
@@ -108,15 +106,14 @@ impl Engine {
                             .unwrap_or_else(|| self.path(f, Direction::Fwd).len());
                         pkt.int_stack.reserve_exact(hops - 1);
                     }
-                    // Journey origin: the packet enters the host egress
-                    // queue (always port 0 of a host) right now.
-                    if JourneyStamps::ON {
-                        let nic = self.port_index(origin, PortId(0));
-                        pkt.lg.start(self.now.as_ns(), self.pause_cum_ns(nic));
-                    }
                     // The frame enters the arena here and stays there for
                     // its whole wire lifetime; only handles move from now on.
                     let pkt = self.pkts.insert(pkt);
+                    // Journey origin: the packet enters the host egress
+                    // queue (always port 0 of a host) right now.
+                    self.stamp(pkt, (origin, PortId(0)), |j, now, pause_cum| {
+                        j.start(now, pause_cum)
+                    });
                     self.host_q[origin.0 as usize - self.switches.len()]
                         .push_back(&mut self.pkts, pkt);
                     self.kick_port(origin, PortId(0));
@@ -148,7 +145,6 @@ impl Engine {
                     if run.timer_queued_at[s].is_none_or(|q| at < q) {
                         run.timer_queued_at[s] = Some(at);
                         run.timer_queued_gen[s] = gen;
-                        self.prof.on_sched(EvKind::Timer);
                         self.queue
                             .schedule_with_seq(at, seq, Event::Timer { flow: f, kind, gen });
                     }

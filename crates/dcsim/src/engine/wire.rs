@@ -56,10 +56,9 @@ pub(super) struct PauseAcct {
 }
 
 impl Engine {
-    /// Delivers a packet arriving at `to` on `in_port`. Returns `true` when
-    /// the packet reached a flow endpoint (so the caller re-checks flow
-    /// doneness).
-    pub(super) fn deliver(&mut self, to: NodeId, in_port: PortId, pref: PacketRef) -> bool {
+    /// Delivers a packet arriving at `to` on `in_port`, returning where it
+    /// landed (at an endpoint, the caller re-checks flow doneness).
+    pub(super) fn deliver(&mut self, to: NodeId, in_port: PortId, pref: PacketRef) -> Landed {
         let (f, dir, hop) = {
             let p = self.pkts.get(pref);
             (p.flow.0, p.dir, p.hop)
@@ -76,7 +75,7 @@ impl Engine {
             if self.faults.is_down(in_link) {
                 let pkt = self.pkts.take(pref);
                 self.destroy_frame(to, in_port, &pkt);
-                return false;
+                return Landed::Destroyed;
             }
         }
         let egress = match self.routes[f as usize].egress(dir, hop) {
@@ -90,11 +89,11 @@ impl Engine {
             }
             None => match self.walk(to, in_port, pref, f, dir, hop) {
                 ControlFlow::Continue(egress) => egress,
-                ControlFlow::Break(endpoint) => return endpoint,
+                ControlFlow::Break(landed) => return landed,
             },
         };
         self.transit(to, in_port, pref, f, egress);
-        false
+        Landed::Transit
     }
 
     /// Where the route table has no answer — an endpoint arrival, a flow
@@ -113,7 +112,7 @@ impl Engine {
         f: u32,
         dir: Direction,
         hop: u8,
-    ) -> ControlFlow<bool, PortId> {
+    ) -> ControlFlow<Landed, PortId> {
         let h = usize::from(hop);
         let transit = match self.routes[f as usize].path_len(dir) {
             Some(len) => {
@@ -133,22 +132,23 @@ impl Engine {
             if to != endpoint {
                 let pkt = self.pkts.take(pref);
                 self.destroy_frame(to, in_port, &pkt);
-                return ControlFlow::Break(false);
+                return ControlFlow::Break(Landed::Destroyed);
             }
             // Endpoint: the frame leaves the wire, so redeem its handle and
             // hand the packet to the transport.
-            self.prof.deliver_endpoint();
-            let pkt = self.pkts.take(pref);
             let rt = &mut self.flows[f as usize];
             // Every endpoint arrival advances the flow's ledger frontier to
             // `now`, attributing the window behind it — by the packet's own
             // journey decomposition in normal operation, wholesale to the
             // recovery phase otherwise. The completing arrival therefore
             // closes the conservation invariant at the exact FCT instant.
-            if rt.complete_at.is_none() {
-                let data_fwd = pkt.dir == Direction::Fwd && !pkt.is_control();
-                rt.lg.on_arrival(self.now.as_ns(), &pkt.lg, data_fwd);
+            if let (Some(lg), None) = (self.latency.as_mut(), rt.complete_at) {
+                let p = self.pkts.get(pref);
+                let data_fwd = p.dir == Direction::Fwd && !p.is_control();
+                let j = self.pkts.journey(pref).expect("the ledger stamps journeys");
+                lg[f as usize].on_arrival(self.now.as_ns(), j, data_fwd);
             }
+            let pkt = self.pkts.take(pref);
             let mut ctx = Ctx {
                 now: self.now,
                 actions: &mut self.actions,
@@ -172,13 +172,13 @@ impl Engine {
                         // fast recovery; the triggering arrival itself was
                         // attributed normally above, so the mode governs
                         // only the windows after it. (A `dyn` call the
-                        // optimiser cannot see through, so it sits under
-                        // `ON`.)
-                        let pre_fast = FlowSlot::ON.then(|| tx.stats().fast_retx);
+                        // optimiser cannot see through, so it is made only
+                        // with the ledger attached.)
+                        let pre_fast = self.latency.is_some().then(|| tx.stats().fast_retx);
                         tx.on_packet(&pkt, &mut ctx);
-                        if let Some(pre) = pre_fast {
+                        if let (Some(pre), Some(lg)) = (pre_fast, self.latency.as_mut()) {
                             if rt.complete_at.is_none() && tx.stats().fast_retx > pre {
-                                rt.lg.on_fast_retx(self.now.as_ns());
+                                lg[f as usize].on_fast_retx(self.now.as_ns());
                             }
                         }
                     }
@@ -196,11 +196,11 @@ impl Engine {
                     let spec = &mut self.specs[d as usize];
                     let at = self.now + spec.start;
                     spec.start = at;
-                    self.sched(at, Event::FlowStart(d));
+                    self.queue.schedule(at, Event::FlowStart(d));
                 }
             }
             self.flush_actions(f);
-            return ControlFlow::Break(true);
+            return ControlFlow::Break(Landed::Endpoint);
         };
         // Transit switch. After a mid-flight reroute the hop index points
         // into the *new* path, which may visit different nodes: frames
@@ -208,7 +208,7 @@ impl Engine {
         if next.node != to {
             let pkt = self.pkts.take(pref);
             self.destroy_frame(to, in_port, &pkt);
-            return ControlFlow::Break(false);
+            return ControlFlow::Break(Landed::Destroyed);
         }
         ControlFlow::Continue(next.port)
     }
@@ -216,17 +216,17 @@ impl Engine {
     /// The transit half of [`Engine::deliver`]: flow `f`'s frame `pref`
     /// arrived at switch `to` on `in_port` and leaves by `egress`.
     fn transit(&mut self, to: NodeId, in_port: PortId, pref: PacketRef, f: u32, egress: PortId) {
-        self.prof.deliver_transit();
         let out = self.port_index(to, egress);
-        let pause_cum = self.pause_cum_ns(out);
+        // Wait-begin stamp: the journey's switch-queue segment opens at
+        // arrival and closes at the egress dequeue in `kick_port`.
+        self.stamp(pref, (to, egress), |j, now, pause_cum| {
+            j.wait_begin(now, pause_cum)
+        });
         // Provenance, captured before the switch takes ownership: a drop
         // outcome must be attributable to this flow's loss summary.
         let (p_dir, p_ctrl, p_epoch) = {
             let p = self.pkts.get_mut(pref);
             p.hop += 1;
-            // Wait-begin stamp: the journey's switch-queue segment opens at
-            // arrival and closes at the egress dequeue in `kick_port`.
-            p.lg.wait_begin(self.now.as_ns(), pause_cum);
             (p.dir, p.is_control(), p.epoch)
         };
         let sw = &mut self.switches[to.0 as usize];
@@ -271,7 +271,7 @@ impl Engine {
         };
         let rec = self.ports[self.port_index(node, ingress)];
         let (up_node, up_port) = rec.peer;
-        self.sched(
+        self.queue.schedule(
             self.now + rec.spec.delay,
             Event::PfcSet {
                 node: up_node,
@@ -324,15 +324,30 @@ impl Engine {
         }
     }
 
+    /// Runs `stamp` on frame `r`'s journey stamps with the time now and
+    /// the cumulative PFC pause of `node`'s egress `port`, when the ledger
+    /// is attached: one predictable branch otherwise.
+    #[inline]
+    pub(super) fn stamp(
+        &mut self,
+        r: PacketRef,
+        (node, port): (NodeId, PortId),
+        stamp: impl FnOnce(&mut JourneyStamps, u64, u64),
+    ) {
+        if self.latency.is_some() {
+            let i = self.port_index(node, port);
+            let (now, pause_cum) = (self.now.as_ns(), self.pause_cum_ns(i));
+            if let Some(j) = self.pkts.journey_mut(r) {
+                stamp(j, now, pause_cum);
+            }
+        }
+    }
+
     /// Cumulative time port `i` has spent PFC-paused up to now. The journey
     /// stamps snapshot this at wait-begin and diff it at dequeue, so the PFC
-    /// share of any wait costs two u64 reads, never a timeline walk. Read
-    /// only when the stamps are on.
+    /// share of any wait costs two u64 reads, never a timeline walk.
     #[inline]
-    pub(super) fn pause_cum_ns(&self, i: usize) -> u64 {
-        if !JourneyStamps::ON {
-            return 0;
-        }
+    fn pause_cum_ns(&self, i: usize) -> u64 {
         let Some(acct) = self.pause_acct.get(i) else {
             return 0;
         };
@@ -357,14 +372,11 @@ impl Engine {
 
     /// Pushes the `TxDone` of the transmission in progress on `(node,
     /// port)` — table entry `i` — into its reserved FIFO slot `(free_at,
-    /// free_seq)`. The one place a `TxDone` enters the queue, so the
-    /// profiler counts pushes, not reservations (`sched_total ==
-    /// queue_pushes`).
+    /// free_seq)`. The one place a `TxDone` enters the queue.
     fn push_tx_done(&mut self, i: usize, node: NodeId, port: PortId) {
         let ps = &mut self.ports[i];
         ps.tx_done_queued = true;
         let (at, seq) = (ps.free_at, ps.free_seq);
-        self.prof.on_sched(EvKind::TxDone);
         self.queue
             .schedule_with_seq(at, seq, Event::TxDone { node, port });
     }
@@ -429,15 +441,8 @@ impl Engine {
             self.host_q[n - self.switches.len()].pop_front(&self.pkts)
         };
         let Some(pkt) = pkt else { return };
-        // Wait-close (the early return above guarantees the port is
-        // unpaused now); the wire-time stamp follows once `tx` is known,
-        // through the same lookup — a frame the wire then destroys takes
-        // its stamps with it.
-        let (pause_cum, at_host) = (self.pause_cum_ns(i), n >= self.switches.len());
-        let p = self.pkts.get_mut(pkt);
-        p.lg.wait_end(self.now.as_ns(), pause_cum, at_host);
         let (lid, spec, to) = (ps.lid, ps.spec, ps.peer);
-        let wire = p.wire_size();
+        let wire = self.pkts.get(pkt).wire_size();
         // The transmit time of this size on this link was worked out for
         // the previous frame more often than not (runs of full-size data,
         // runs of ACKs). Reusing it is exact: only a `Degrade` changes a
@@ -456,7 +461,14 @@ impl Engine {
             (ps.memo_wire, ps.memo_tx) = (wire, tx);
             tx
         };
-        p.lg.on_wire(tx.as_ns(), spec.delay.as_ns());
+        // Wait-close (the early return above guarantees the port is
+        // unpaused now) and the wire time — a frame the wire then destroys
+        // takes its stamps with it.
+        let at_host = n >= self.switches.len();
+        self.stamp(pkt, (node, port), |j, now, pause_cum| {
+            j.wait_end(now, pause_cum, at_host);
+            j.on_wire(tx.as_ns(), spec.delay.as_ns());
+        });
         self.ledger.on_tx(lid.0 as usize, wire);
         // Always reserve the `TxDone` tie-break seq here (before the
         // `Deliver` push, where the eager schedule sat); push the event
@@ -489,7 +501,7 @@ impl Engine {
             return;
         }
         self.ledger.on_scheduled(lid.0 as usize, wire);
-        self.sched(
+        self.queue.schedule(
             self.now + tx + spec.delay,
             Event::Deliver {
                 to: to.0,
@@ -502,7 +514,6 @@ impl Engine {
     /// Destroys a frame lost to a link fault (downed wire or a path made
     /// stale by a reroute), attributing it in the trace and counters.
     fn destroy_frame(&mut self, node: NodeId, port: PortId, pkt: &Packet) {
-        self.prof.deliver_destroyed();
         self.faults.down_drops += 1;
         self.ledger.account_drop(DropWhy::LinkDown);
         self.lose_frame(node, port, pkt, DropWhy::LinkDown);

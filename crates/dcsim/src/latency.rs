@@ -76,48 +76,8 @@ pub enum RecoveryMode {
     Rto,
 }
 
-/// The engine's per-flow ledger slot. The engine calls `begin`,
-/// `on_arrival`, `on_rto`, `on_fast_retx` and `record` on it
-/// unconditionally; the `ledger` feature decides, here, whether the slot is a
-/// [`FlowLedger`] or the zero-sized [`NoLedger`] whose hooks are empty.
-#[cfg(feature = "ledger")]
-pub(crate) type FlowSlot = FlowLedger;
-#[cfg(not(feature = "ledger"))]
-pub(crate) type FlowSlot = NoLedger;
-
-/// The flow slot with the `ledger` feature off: zero-sized, every hook an
-/// empty inline body, no record.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoLedger;
-
-impl NoLedger {
-    /// Whether flows keep a ledger.
-    pub const ON: bool = false;
-
-    /// `FlowStart` executed (no-op).
-    #[inline]
-    pub fn begin(&mut self, _now_ns: u64) {}
-
-    /// A packet of the flow reached an endpoint (no-op).
-    #[inline]
-    pub fn on_arrival(&mut self, _now_ns: u64, _j: &JourneyStamps, _data_fwd: bool) {}
-
-    /// An RTO was attributed (no-op).
-    #[inline]
-    pub fn on_rto(&mut self, _now_ns: u64) {}
-
-    /// A delivered ACK triggered fast retransmission (no-op).
-    #[inline]
-    pub fn on_fast_retx(&mut self, _now_ns: u64) {}
-
-    /// The end-of-run record: there is none.
-    #[inline]
-    pub fn record(&self, _flow: u32, _end_ns: Option<u64>) -> Option<FlowLedgerRecord> {
-        None
-    }
-}
-
-/// One flow's live ledger state (embedded in the engine's flow runtime).
+/// One flow's live ledger state, in the engine's per-flow side table
+/// (allocated by `Engine::set_ledger`).
 #[derive(Clone, Debug, Default)]
 pub struct FlowLedger {
     /// Whether `FlowStart` has executed (pre-start flows attribute nothing).
@@ -136,9 +96,6 @@ pub struct FlowLedger {
 }
 
 impl FlowLedger {
-    /// Whether flows keep a ledger.
-    pub const ON: bool = true;
-
     /// Opens the ledger at `FlowStart` execution time.
     pub fn begin(&mut self, now_ns: u64) {
         self.started = true;
@@ -188,7 +145,6 @@ impl FlowLedger {
     /// journey `j`; attribute the window `[last, now)`. `data_fwd` is true
     /// for forward-direction data packets (the arrivals that can prove a
     /// recovery round succeeded and clear the mode).
-    #[cfg(feature = "ledger")]
     pub fn on_arrival(&mut self, now_ns: u64, j: &JourneyStamps, data_fwd: bool) {
         if !self.started {
             return;
@@ -279,32 +235,27 @@ impl FlowLedger {
         self.mode_start_ns = now_ns;
     }
 
-    /// Snapshots the ledger into its end-of-run record. `end_ns` is the
-    /// flow's completion time when it finished inside the horizon.
-    pub fn to_record(&self, flow: u32, end_ns: Option<u64>) -> FlowLedgerRecord {
-        FlowLedgerRecord {
+    /// Seals the ledger into its end-of-run record; `end_ns` is the flow's
+    /// completion time when it finished inside the horizon. This is where
+    /// the tentpole invariant is audited (in debug builds): for a completed
+    /// flow the per-arrival windows must tile [start, completion] exactly,
+    /// so Σ phases == FCT with zero unattributed time — across the full
+    /// fault grid, not just clean runs.
+    pub fn record(&self, flow: u32, end_ns: Option<u64>) -> FlowLedgerRecord {
+        let rec = FlowLedgerRecord {
             flow,
             start_ns: self.start_ns,
             end_ns,
             phases: self.phases,
             stalls: self.stalls.clone(),
-        }
-    }
-
-    /// Seals the ledger at the end of the run. This is where the tentpole
-    /// invariant is audited (in debug builds): for a completed
-    /// flow the per-arrival windows must tile [start, completion] exactly,
-    /// so Σ phases == FCT with zero unattributed time — across the full
-    /// fault grid, not just clean runs.
-    pub fn record(&self, flow: u32, end_ns: Option<u64>) -> Option<FlowLedgerRecord> {
-        let rec = self.to_record(flow, end_ns);
+        };
         debug_assert_eq!(
             rec.residue(),
             end_ns.map(|_| 0i128),
             "flow {flow}: latency ledger not conserved ({:?})",
             rec.phases
         );
-        Some(rec)
+        rec
     }
 }
 
@@ -367,10 +318,10 @@ mod tests {
         assert_eq!(lg.mode, RecoveryMode::Rto);
         assert_eq!(lg.phases.get(Phase::RtoStall), 4_000);
         assert_eq!(lg.last_ns, 5_000);
-        let rec = lg.to_record(3, Some(5_000));
+        let rec = lg.record(3, Some(5_000));
         assert_eq!(rec.fct_ns(), Some(4_000));
         assert_eq!(rec.residue(), Some(0));
-        let rec = lg.to_record(3, None);
+        let rec = lg.record(3, None);
         assert_eq!(rec.fct_ns(), None);
         assert_eq!(rec.residue(), None);
     }
@@ -405,22 +356,6 @@ mod tests {
         let _ = lg.record(0, Some(6_000));
     }
 
-    /// "Off costs nothing" as an exact fact: the flow slot the engine
-    /// embeds per flow takes no room without the `ledger` feature.
-    #[test]
-    fn flow_slot_is_zero_sized_when_off() {
-        assert_eq!(std::mem::size_of::<NoLedger>(), 0);
-        if !FlowSlot::ON {
-            assert_eq!(std::mem::size_of::<FlowSlot>(), 0);
-        }
-        assert_eq!(FlowSlot::ON, JourneyStamps::ON, "slot and stamps agree");
-        let mut off = NoLedger;
-        off.begin(0);
-        off.on_rto(10);
-        assert!(off.record(0, Some(10)).is_none());
-    }
-
-    #[cfg(feature = "ledger")]
     mod journeys {
         use super::*;
 
@@ -464,7 +399,7 @@ mod tests {
             let mut lg = FlowLedger::default();
             lg.begin(1_000);
             lg.on_arrival(1_900, &j, true);
-            let rec = lg.record(0, Some(1_900)).expect("the ledger is on");
+            let rec = lg.record(0, Some(1_900));
             assert_eq!(rec.residue(), Some(0));
         }
 
@@ -480,7 +415,7 @@ mod tests {
             assert_eq!(lg.phases.get(Phase::HostWait), 50 + 500);
             assert_eq!(lg.phases.get(Phase::PfcPause), 100);
             assert_eq!(lg.stalls().len(), 1, "pause share retained");
-            let rec = lg.to_record(0, Some(2_600));
+            let rec = lg.record(0, Some(2_600));
             assert_eq!(rec.residue(), Some(0));
         }
 
@@ -493,7 +428,7 @@ mod tests {
             // unattributed window [1_000, 1_400) may land.
             lg.on_arrival(1_400, &journey(500, 300, 300, 200, 100, 0), true);
             assert_eq!(lg.phases.total(), 1_400, "window clipped exactly");
-            let rec = lg.to_record(0, Some(1_400));
+            let rec = lg.record(0, Some(1_400));
             assert_eq!(rec.residue(), Some(0));
         }
 
@@ -513,7 +448,7 @@ mod tests {
             lg.on_arrival(10_000, &journey(9_200, 300, 500, 0, 0, 0), true);
             assert_eq!(lg.mode, RecoveryMode::Normal);
             assert_eq!(lg.phases.total(), 10_000);
-            assert_eq!(lg.to_record(0, Some(10_000)).residue(), Some(0));
+            assert_eq!(lg.record(0, Some(10_000)).residue(), Some(0));
             // ACK arrivals (data_fwd == false) never clear recovery.
             lg.on_fast_retx(10_000);
             lg.on_arrival(10_200, &journey(10_100, 50, 50, 0, 0, 0), false);

@@ -1,13 +1,13 @@
-//! The event-level engine profiler (feature `profile`).
+//! The event-level engine profiler, attached at run time by
+//! `Engine::set_profile` (`--profile-out`).
 //!
-//! The engine calls `EngineProf`'s hooks unconditionally; the `profile`
-//! cargo feature is named only in this file, where it picks the type: the
-//! profiler below, collected on every run so a profiling build of any binary
-//! needs no flag beyond `--profile-out`, or a zero-sized twin whose hooks are
-//! empty inline bodies and whose `seal` returns `None`. (A twin, not one
-//! body per hook behind a constant as in `ledger.rs`: the profiler owns
-//! histograms and series, and a struct that owns heap state leaves its drop
-//! glue in the default binary even when nothing ever fills it.)
+//! The engine holds an `Option<Box<EngineProf>>` and calls it from its run
+//! loop (and from the per-flow timer-disarm sweep), so an unprofiled run
+//! pays one test of a register per event and no byte of state.
+//! `ATTACH_ALWAYS` is the one place
+//! a cargo feature is named: `profile`, kept as the alias the benchmark
+//! package's traced build selects, makes every `Engine::new` attach the
+//! profiler.
 //!
 //! The profiler answers the question ROADMAP items 1–2 keep asking: where
 //! do the engine's millions of events per second actually go? It tracks,
@@ -17,8 +17,10 @@
 //!   engine is generation-based (a stale timer pops and no-ops) or
 //!   implicit (events still queued — disarmed timers, post-horizon
 //!   samples — when the run ends), so both flavors are reported:
-//!   `event_stale/*` and `event_unpopped/*`, with the invariant
-//!   `exec + stale + unpopped == sched` per kind.
+//!   `event_stale/*` and `event_unpopped/*`. Every event the queue takes
+//!   ends one of those three ways, so the profiler watches pops only and
+//!   reports `sched = exec + stale + unpopped` per kind; their sum is
+//!   checked against the queue's own push count.
 //! * a **fan-out histogram** — how many new events each executed event
 //!   scheduled. Wall-clock per event would break the determinism contract
 //!   (and `clippy.toml`'s D2); fan-out is the deterministic cost proxy that
@@ -29,7 +31,7 @@
 //!   accounting a conservative-PDES shard split will need.
 //! * **queue health**: depth histogram after every pop, peak depth,
 //!   push/pop churn, and timer-disarm sweep cost.
-//! * three sim-time [`TimeSeries`](telemetry::TimeSeries): events executed
+//! * three sim-time [`TimeSeries`]: events executed
 //!   per window, packets in flight, and aggregate switch queue occupancy.
 //!
 //! Everything is integer and BTreeMap-ordered, so the exported
@@ -37,9 +39,13 @@
 //! byte-identical across `--jobs N`.
 
 use eventsim::{EventQueue, SimTime};
-use telemetry::Artifact;
-#[cfg(feature = "profile")]
-use telemetry::{Hist, TimeSeries, SERIES_BASE_WINDOW_NS};
+use telemetry::{Artifact, Hist, TimeSeries, SERIES_BASE_WINDOW_NS};
+
+/// Whether every engine attaches the profiler as it is built. Only the
+/// benchmark package's traced build turns this on (through the `profile`
+/// feature); everything else attaches it per run with
+/// `Engine::set_profile`.
+pub(crate) const ATTACH_ALWAYS: bool = cfg!(feature = "profile");
 
 /// Number of event kinds in [`EvKind::ALL`].
 pub const N_KINDS: usize = EvKind::ALL.len();
@@ -98,12 +104,25 @@ impl EvKind {
     }
 }
 
-/// Per-run profiler state, owned by the engine (created in `Engine::new`
-/// like the conservation ledger, so constructor-time scheduling is counted
-/// too).
-#[cfg(feature = "profile")]
+/// Where a `Deliver` left its frame: how the profiler splits `Deliver`s
+/// (`deliver_endpoint`, `deliver_transit`, `deliver_destroyed`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Landed {
+    /// Handed to a flow endpoint.
+    Endpoint,
+    /// Enqueued (or dropped) at a transit switch.
+    Transit,
+    /// Found its wire down or its path rerouted away.
+    Destroyed,
+}
+
+/// Per-run profiler state, owned by the engine once attached. It watches
+/// pops only: every event the queue takes is popped (executed or stale) or
+/// left unpopped, so its schedule count is `popped + unpopped` per kind,
+/// and a profile covers the whole run whenever it attaches before
+/// `Engine::run`, with no hook where events are scheduled.
+#[derive(Default)]
 pub(crate) struct EngineProf {
-    sched: [u64; N_KINDS],
     popped: [u64; N_KINDS],
     stale: [u64; N_KINDS],
     unpopped: [u64; N_KINDS],
@@ -112,10 +131,10 @@ pub(crate) struct EngineProf {
     deliver_endpoint: u64,
     deliver_transit: u64,
     deliver_destroyed: u64,
-    disarm_sweeps: u64,
-    disarm_cancels: u64,
-    /// `Deliver` events scheduled but not yet popped — frames on the wire.
-    inflight: u64,
+    /// Completed flows whose timer slots were swept.
+    pub(crate) disarm_sweeps: u64,
+    /// Armed slots those sweeps cancelled.
+    pub(crate) disarm_cancels: u64,
     /// Next sim-time (ns) at which to sample the gauge series.
     next_window: u64,
     s_events: TimeSeries,
@@ -123,38 +142,7 @@ pub(crate) struct EngineProf {
     s_qbytes: TimeSeries,
 }
 
-#[cfg(feature = "profile")]
 impl EngineProf {
-    pub(crate) fn new() -> EngineProf {
-        EngineProf {
-            sched: [0; N_KINDS],
-            popped: [0; N_KINDS],
-            stale: [0; N_KINDS],
-            unpopped: [0; N_KINDS],
-            fanout: std::array::from_fn(|_| Hist::default()),
-            depth: Hist::default(),
-            deliver_endpoint: 0,
-            deliver_transit: 0,
-            deliver_destroyed: 0,
-            disarm_sweeps: 0,
-            disarm_cancels: 0,
-            inflight: 0,
-            next_window: 0,
-            s_events: TimeSeries::new(),
-            s_inflight: TimeSeries::new(),
-            s_qbytes: TimeSeries::new(),
-        }
-    }
-
-    /// Called at every schedule site (the engine's `sched` shim).
-    #[inline]
-    pub(crate) fn on_sched(&mut self, kind: EvKind) {
-        self.sched[kind.idx()] += 1;
-        if kind == EvKind::Deliver {
-            self.inflight += 1;
-        }
-    }
-
     /// Called after an event executes: `fanout` is how many events the
     /// handler scheduled, `depth` the queue length left behind.
     #[inline]
@@ -164,8 +152,15 @@ impl EngineProf {
         self.fanout[i].observe(fanout);
         self.depth.observe(depth);
         self.s_events.record(t, 1);
-        if kind == EvKind::Deliver {
-            self.inflight -= 1;
+    }
+
+    /// A `Deliver` executed and left its frame `at`.
+    #[inline]
+    pub(crate) fn on_landed(&mut self, at: Landed) {
+        match at {
+            Landed::Endpoint => self.deliver_endpoint += 1,
+            Landed::Transit => self.deliver_transit += 1,
+            Landed::Destroyed => self.deliver_destroyed += 1,
         }
     }
 
@@ -188,42 +183,13 @@ impl EngineProf {
         t.as_ns() >= self.next_window
     }
 
-    /// Samples the gauge series (in-flight frames, aggregate queue bytes)
-    /// for the window containing `t`.
-    pub(crate) fn on_window(&mut self, t: SimTime, queue_bytes: u64) {
-        self.s_inflight.record(t, self.inflight);
+    /// Samples the gauge series for the window containing `t`: the frames
+    /// on the wire (`Deliver`s scheduled and not yet executed) and the
+    /// aggregate switch queue bytes.
+    pub(crate) fn on_window(&mut self, t: SimTime, inflight: u64, queue_bytes: u64) {
+        self.s_inflight.record(t, inflight);
         self.s_qbytes.record(t, queue_bytes);
         self.next_window = (t.as_ns() / SERIES_BASE_WINDOW_NS + 1) * SERIES_BASE_WINDOW_NS;
-    }
-
-    /// A `Deliver` handed its frame to a flow endpoint.
-    #[inline]
-    pub(crate) fn deliver_endpoint(&mut self) {
-        self.deliver_endpoint += 1;
-    }
-
-    /// A `Deliver` enqueued (or dropped) its frame at a transit switch.
-    #[inline]
-    pub(crate) fn deliver_transit(&mut self) {
-        self.deliver_transit += 1;
-    }
-
-    /// A `Deliver` found its wire down or its path rerouted away.
-    #[inline]
-    pub(crate) fn deliver_destroyed(&mut self) {
-        self.deliver_destroyed += 1;
-    }
-
-    /// A completed flow's timer slots were swept.
-    #[inline]
-    pub(crate) fn disarm_sweep(&mut self) {
-        self.disarm_sweeps += 1;
-    }
-
-    /// That sweep found a slot armed and cancelled it.
-    #[inline]
-    pub(crate) fn disarm_cancel(&mut self) {
-        self.disarm_cancels += 1;
     }
 
     /// Seals the run: everything still queued (post-horizon samples,
@@ -235,14 +201,14 @@ impl EngineProf {
         &mut self,
         queue: &mut EventQueue<E>,
         kind: impl Fn(&E) -> EvKind,
-    ) -> Option<Artifact> {
+    ) -> Artifact {
         let peak = queue.peak_len() as u64;
         let pushes = queue.scheduled_total();
         let pops = queue.pops_total();
         while let Some((_, ev)) = queue.pop() {
             self.on_unpopped(kind(&ev));
         }
-        Some(self.finish(peak, pushes, pops))
+        self.finish(peak, pushes, pops)
     }
 
     /// Builds the profile [`Artifact`]. `peak`/`pushes`/`pops` come from the event
@@ -253,29 +219,25 @@ impl EngineProf {
     fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Artifact {
         let mut p = Artifact::new();
         let exec = |s: &Self, k: EvKind| s.popped[k.idx()] - s.stale[k.idx()];
+        let sched = |s: &Self, i: usize| s.popped[i] + s.unpopped[i];
 
         let (mut sched_t, mut exec_t, mut stale_t, mut unpopped_t) = (0u64, 0u64, 0u64, 0u64);
         for k in EvKind::ALL {
             let i = k.idx();
             let r = &mut p.reg;
-            r.inc(&format!("event_sched/{}", k.name()), self.sched[i]);
+            r.inc(&format!("event_sched/{}", k.name()), sched(self, i));
             r.inc(&format!("event_exec/{}", k.name()), exec(self, k));
             r.inc(&format!("event_stale/{}", k.name()), self.stale[i]);
             r.inc(&format!("event_unpopped/{}", k.name()), self.unpopped[i]);
             r.merge_hist(&format!("event_fanout/{}", k.name()), &self.fanout[i]);
-            sched_t += self.sched[i];
+            sched_t += sched(self, i);
             exec_t += exec(self, k);
             stale_t += self.stale[i];
             unpopped_t += self.unpopped[i];
         }
-        // Every schedule site must route through the profiler, and every
-        // scheduled event must end up executed, stale, or unpopped.
-        debug_assert_eq!(sched_t, pushes, "a schedule site bypassed the profiler");
-        debug_assert_eq!(
-            exec_t + stale_t + unpopped_t,
-            sched_t,
-            "event not accounted"
-        );
+        // Every event the queue took must end up executed, stale, or
+        // unpopped.
+        debug_assert_eq!(sched_t, pushes, "a pushed event was not accounted");
         debug_assert_eq!(
             self.deliver_endpoint + self.deliver_transit + self.deliver_destroyed,
             self.popped[EvKind::Deliver.idx()],
@@ -335,53 +297,6 @@ impl EngineProf {
     }
 }
 
-/// [`EngineProf`] with the `profile` feature off: zero-sized, every hook an
-/// empty inline body, no profile. The engine calls every hook in every
-/// build, so one missing or mistyped here fails the default build.
-#[cfg(not(feature = "profile"))]
-pub(crate) struct EngineProf;
-
-#[cfg(not(feature = "profile"))]
-impl EngineProf {
-    #[inline]
-    pub(crate) fn new() -> EngineProf {
-        EngineProf
-    }
-    #[inline]
-    pub(crate) fn on_sched(&mut self, _: EvKind) {}
-    #[inline]
-    pub(crate) fn on_pop(&mut self, _: EvKind, _: SimTime, _fanout: u64, _depth: u64) {}
-    #[inline]
-    pub(crate) fn note_stale_timer(&mut self) {}
-    #[inline]
-    pub(crate) fn on_unpopped(&mut self, _: EvKind) {}
-    /// Never: so the caller's queue-bytes sample is not computed either.
-    #[inline]
-    pub(crate) fn window_due(&self, _: SimTime) -> bool {
-        false
-    }
-    #[inline]
-    pub(crate) fn on_window(&mut self, _: SimTime, _queue_bytes: u64) {}
-    #[inline]
-    pub(crate) fn deliver_endpoint(&mut self) {}
-    #[inline]
-    pub(crate) fn deliver_transit(&mut self) {}
-    #[inline]
-    pub(crate) fn deliver_destroyed(&mut self) {}
-    #[inline]
-    pub(crate) fn disarm_sweep(&mut self) {}
-    #[inline]
-    pub(crate) fn disarm_cancel(&mut self) {}
-    #[inline]
-    pub(crate) fn seal<E>(
-        &mut self,
-        _: &mut EventQueue<E>,
-        _: impl Fn(&E) -> EvKind,
-    ) -> Option<Artifact> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,16 +311,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "profile")]
     fn finish_reports_invariant_totals() {
-        let mut prof = EngineProf::new();
-        prof.on_sched(EvKind::FlowStart);
-        prof.on_sched(EvKind::Deliver);
-        prof.on_sched(EvKind::Timer);
-        prof.on_sched(EvKind::Timer);
+        let mut prof = EngineProf::default();
         prof.on_pop(EvKind::FlowStart, SimTime::from_ns(10), 1, 3);
         prof.on_pop(EvKind::Deliver, SimTime::from_ns(20), 0, 2);
-        prof.deliver_endpoint();
+        prof.on_landed(Landed::Endpoint);
         prof.on_pop(EvKind::Timer, SimTime::from_ns(30), 0, 1);
         prof.note_stale_timer();
         prof.on_unpopped(EvKind::Timer);

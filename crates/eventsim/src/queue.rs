@@ -435,6 +435,12 @@ impl<E> EventQueue<E> {
         self.n == 0
     }
 
+    /// Every pending event, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        let wheel = self.nodes.iter().filter_map(|n| n.event.as_ref());
+        wheel.chain(self.far.iter().map(|f| &f.event))
+    }
+
     /// Total number of events actually enqueued on this queue (pending +
     /// popped; sequence reservations that never materialized don't count).
     #[inline]
@@ -626,10 +632,16 @@ mod tests {
         // Peak stays at the high-water mark; failed pops don't count.
         assert_eq!(q.peak_len(), 5);
         assert_eq!(q.pops_total() + q.len() as u64, q.scheduled_total());
+        // `pending` sees both tiers: the wheel and a far-future entry.
+        q.schedule(SimTime::from_secs_f64(3600.0), 99);
+        let mut pending: Vec<u64> = q.pending().copied().collect();
+        pending.sort_unstable();
+        assert_eq!(pending, [2, 3, 4, 9, 99]);
         while q.pop().is_some() {}
         assert!(q.pop().is_none());
-        assert_eq!(q.pops_total(), 6);
-        assert_eq!(q.scheduled_total(), 6);
+        assert_eq!(q.pending().count(), 0);
+        assert_eq!(q.pops_total(), 7);
+        assert_eq!(q.scheduled_total(), 7);
         assert_eq!(q.pops_total() + q.len() as u64, q.scheduled_total());
     }
 

@@ -9,8 +9,7 @@
 use eventsim::SimTime;
 
 /// Identifier of a flow (one message transfer between a sender/receiver pair).
-#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FlowId(pub u32);
 
 /// Which way a packet travels along its flow's pinned path.
@@ -101,120 +100,84 @@ pub struct IntHop {
     pub rate_bps: u64,
 }
 
-// The latency ledger's per-packet observer. The engine calls its four hooks
-// unconditionally; the `ledger` feature decides, here and nowhere else,
-// whether they do anything. Off, the type is zero-sized and the hooks are
-// empty inline bodies, so a packet carries not one byte for it.
-#[cfg(feature = "ledger")]
-mod journey {
-    /// Latency-ledger journey stamps, carried by every in-flight packet as
-    /// `Packet::lg`. The engine stamps the journey origin when the packet
-    /// enters the host source queue and accumulates per-phase nanoseconds
-    /// as the packet moves: wait time is measured at the host/switch
-    /// dequeue sites (with the port's cumulative PFC pause time snapshotted
-    /// at wait entry so the paused share can be split out exactly),
-    /// serialization and propagation at the link-transmission site. On
-    /// arrival at the endpoint the five journey phases sum to `now -
-    /// origin_ns` exactly — the per-packet half of the ledger's
-    /// conservation invariant.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-    pub struct JourneyStamps {
-        /// When the packet entered the host source queue (journey origin, ns).
-        pub origin_ns: u64,
-        /// When the packet entered the queue it currently waits in (ns).
-        pub wait_since_ns: u64,
-        /// The waited-on port's cumulative pause time at wait entry (ns).
-        pub pause_cum_ns: u64,
-        /// Nanoseconds spent serializing onto links so far.
-        pub serialize_ns: u64,
-        /// Nanoseconds spent in flight across links so far.
-        pub propagate_ns: u64,
-        /// Nanoseconds waiting in switch egress FIFOs (pause share excluded).
-        pub queue_ns: u64,
-        /// Nanoseconds blocked behind a PFC pause (host or switch egress).
-        pub pause_ns: u64,
-        /// Nanoseconds waiting in the host source queue (pause share excluded).
-        pub host_ns: u64,
-    }
-
-    impl JourneyStamps {
-        /// Whether the stamps are compiled in.
-        pub const ON: bool = true;
-
-        /// Journey origin: the packet enters its host's source queue at
-        /// `now_ns`; the NIC has been paused `pause_cum_ns` so far.
-        #[inline]
-        pub fn start(&mut self, now_ns: u64, pause_cum_ns: u64) {
-            self.origin_ns = now_ns;
-            self.wait_begin(now_ns, pause_cum_ns);
-        }
-
-        /// Wait-begin: the packet enters an egress queue at `now_ns`; the
-        /// port has been paused `pause_cum_ns` so far.
-        #[inline]
-        pub fn wait_begin(&mut self, now_ns: u64, pause_cum_ns: u64) {
-            self.wait_since_ns = now_ns;
-            self.pause_cum_ns = pause_cum_ns;
-        }
-
-        /// Wait-close: the packet leaves the queue at `now_ns`, from a port
-        /// that is unpaused now and has been paused `pause_cum_ns` in all,
-        /// so the cumulative counter alone bounds how much of the wait was
-        /// PFC back-pressure; the rest is host/pacing wait at a NIC
-        /// (`at_host`) or switch queueing at a switch.
-        #[inline]
-        pub fn wait_end(&mut self, now_ns: u64, pause_cum_ns: u64, at_host: bool) {
-            let waited = now_ns - self.wait_since_ns;
-            let paused = pause_cum_ns.saturating_sub(self.pause_cum_ns).min(waited);
-            self.pause_ns += paused;
-            if at_host {
-                self.host_ns += waited - paused;
-            } else {
-                self.queue_ns += waited - paused;
-            }
-        }
-
-        /// Journey contiguity: dequeue at `now`, arrival at `now + tx +
-        /// delay` — accumulating exactly those two terms keeps the journey's
-        /// phase sum equal to arrival − origin with no gap.
-        #[inline]
-        pub fn on_wire(&mut self, tx_ns: u64, delay_ns: u64) {
-            self.serialize_ns += tx_ns;
-            self.propagate_ns += delay_ns;
-        }
-    }
+/// Latency-ledger journey stamps of one in-flight frame, kept in the
+/// [`PacketSlab`]'s side table once the ledger is attached
+/// ([`PacketSlab::stamp_journeys`]). The engine stamps the journey origin
+/// when the packet enters the host source queue and accumulates per-phase
+/// nanoseconds as the packet moves: wait time is measured at the
+/// host/switch dequeue sites (with the port's cumulative PFC pause time
+/// snapshotted at wait entry so the paused share can be split out
+/// exactly), serialization and propagation at the link-transmission site.
+/// On arrival at the endpoint the five journey phases sum to `now -
+/// origin_ns` exactly — the per-packet half of the ledger's conservation
+/// invariant.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct JourneyStamps {
+    /// When the packet entered the host source queue (journey origin, ns).
+    pub origin_ns: u64,
+    /// When the packet entered the queue it currently waits in (ns).
+    pub wait_since_ns: u64,
+    /// The waited-on port's cumulative pause time at wait entry (ns).
+    pub pause_cum_ns: u64,
+    /// Nanoseconds spent serializing onto links so far.
+    pub serialize_ns: u64,
+    /// Nanoseconds spent in flight across links so far.
+    pub propagate_ns: u64,
+    /// Nanoseconds waiting in switch egress FIFOs (pause share excluded).
+    pub queue_ns: u64,
+    /// Nanoseconds blocked behind a PFC pause (host or switch egress).
+    pub pause_ns: u64,
+    /// Nanoseconds waiting in the host source queue (pause share excluded).
+    pub host_ns: u64,
 }
 
-#[cfg(not(feature = "ledger"))]
-mod journey {
-    /// Latency-ledger journey stamps with the `ledger` feature off:
-    /// zero-sized, every hook an empty inline body.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-    pub struct JourneyStamps;
+impl JourneyStamps {
+    /// Journey origin, and a fresh record: the packet enters its host's
+    /// source queue at `now_ns`; the NIC has been paused `pause_cum_ns` so
+    /// far.
+    #[inline]
+    pub fn start(&mut self, now_ns: u64, pause_cum_ns: u64) {
+        *self = JourneyStamps {
+            origin_ns: now_ns,
+            ..JourneyStamps::default()
+        };
+        self.wait_begin(now_ns, pause_cum_ns);
+    }
 
-    impl JourneyStamps {
-        /// Whether the stamps are compiled in.
-        pub const ON: bool = false;
+    /// Wait-begin: the packet enters an egress queue at `now_ns`; the
+    /// port has been paused `pause_cum_ns` so far.
+    #[inline]
+    pub fn wait_begin(&mut self, now_ns: u64, pause_cum_ns: u64) {
+        self.wait_since_ns = now_ns;
+        self.pause_cum_ns = pause_cum_ns;
+    }
 
-        /// Journey origin (no-op).
-        #[inline]
-        pub fn start(&mut self, _now_ns: u64, _pause_cum_ns: u64) {}
+    /// Wait-close: the packet leaves the queue at `now_ns`, from a port
+    /// that is unpaused now and has been paused `pause_cum_ns` in all,
+    /// so the cumulative counter alone bounds how much of the wait was
+    /// PFC back-pressure; the rest is host/pacing wait at a NIC
+    /// (`at_host`) or switch queueing at a switch.
+    #[inline]
+    pub fn wait_end(&mut self, now_ns: u64, pause_cum_ns: u64, at_host: bool) {
+        let waited = now_ns - self.wait_since_ns;
+        let paused = pause_cum_ns.saturating_sub(self.pause_cum_ns).min(waited);
+        self.pause_ns += paused;
+        if at_host {
+            self.host_ns += waited - paused;
+        } else {
+            self.queue_ns += waited - paused;
+        }
+    }
 
-        /// Wait-begin (no-op).
-        #[inline]
-        pub fn wait_begin(&mut self, _now_ns: u64, _pause_cum_ns: u64) {}
-
-        /// Wait-close (no-op).
-        #[inline]
-        pub fn wait_end(&mut self, _now_ns: u64, _pause_cum_ns: u64, _at_host: bool) {}
-
-        /// Link transmission (no-op).
-        #[inline]
-        pub fn on_wire(&mut self, _tx_ns: u64, _delay_ns: u64) {}
+    /// Journey contiguity: dequeue at `now`, arrival at `now + tx +
+    /// delay` — accumulating exactly those two terms keeps the journey's
+    /// phase sum equal to arrival − origin with no gap.
+    #[inline]
+    pub fn on_wire(&mut self, tx_ns: u64, delay_ns: u64) {
+        self.serialize_ns += tx_ns;
+        self.propagate_ns += delay_ns;
     }
 }
-
-pub use journey::JourneyStamps;
 
 /// Fixed L2+L3+L4 header overhead added to every packet's wire size (bytes).
 pub const HEADER_BYTES: u32 = 48;
@@ -278,9 +241,6 @@ pub struct Packet {
     /// a loss record can tell pre-timeout losses from retransmission-round
     /// losses without storing per-packet history.
     pub epoch: u32,
-    /// Latency-ledger journey stamps (zero-sized unless the `ledger`
-    /// feature is on).
-    pub lg: JourneyStamps,
 }
 
 impl Packet {
@@ -306,7 +266,6 @@ impl Packet {
             is_retx: false,
             is_tail: false,
             epoch: 0,
-            lg: Default::default(),
         }
     }
 
@@ -421,8 +380,6 @@ pub struct Frame {
     pub is_tail: bool,
     /// See [`Packet::epoch`].
     pub epoch: u32,
-    /// See [`Packet::lg`].
-    pub lg: JourneyStamps,
     /// The switch ingress port a queued frame arrived on, stamped by
     /// `Switch::enqueue` and read back at its dequeue (PFC ingress
     /// accounting). It sits in what was the frame's padding.
@@ -436,9 +393,11 @@ pub struct Frame {
 /// `Frame::lists` of a frame whose lists own no buffer.
 const NO_LISTS: u32 = u32::MAX;
 
-// Every packet in flight is one slot: 56 bytes, 120 with the ledger's
-// journey stamps (a whole `Packet` is 96 and 160).
-const _: () = assert!(std::mem::size_of::<Frame>() == if JourneyStamps::ON { 120 } else { 56 });
+// Every packet in flight is one slot: 56 bytes (a whole `Packet` is 96);
+// the ledger's journey stamps, when attached, are 64 more in a side table.
+const _: () = assert!(std::mem::size_of::<Frame>() == 56);
+const _: () = assert!(std::mem::size_of::<Packet>() == 96);
+const _: () = assert!(std::mem::size_of::<JourneyStamps>() == 64);
 const _: () = assert!(std::mem::size_of::<Option<Frame>>() == std::mem::size_of::<Frame>());
 
 impl Frame {
@@ -521,6 +480,11 @@ impl ListPool {
 /// back the most recently freed slot first. A queued frame's link names
 /// the next frame of its [`FrameQueue`], so the switch and NIC queues hold
 /// no buffer of their own either.
+///
+/// The latency ledger's [`JourneyStamps`] live in a side table on the slot
+/// index too, allocated only by [`PacketSlab::stamp_journeys`]: a frame
+/// carries no byte for them, and a slab that never stamps never allocates
+/// the table.
 #[derive(Debug)]
 pub struct PacketSlab {
     slots: Vec<Option<Frame>>,
@@ -531,6 +495,8 @@ pub struct PacketSlab {
     /// Slots holding a frame.
     live: usize,
     lists: ListPool,
+    /// One per slot once attached, grown with `slots` like `links`.
+    journeys: Option<Vec<JourneyStamps>>,
 }
 
 /// The null slot link: the end of the free list and of every queue.
@@ -557,7 +523,39 @@ impl PacketSlab {
             free: NIL,
             live: 0,
             lists: ListPool::default(),
+            journeys: None,
         }
+    }
+
+    /// Attaches the journey side table: from here on a frame's
+    /// [`JourneyStamps`] sit beside its slot, from the
+    /// [`JourneyStamps::start`] that opens its journey until the slot's
+    /// next journey starts. Idempotent.
+    pub fn stamp_journeys(&mut self) {
+        if self.journeys.is_none() {
+            self.journeys = Some(Vec::with_capacity(self.slots.capacity()));
+        }
+    }
+
+    /// The journey stamps of the frame behind `r`, when the side table is
+    /// attached and the frame's journey has started.
+    #[inline]
+    pub fn journey(&self, r: PacketRef) -> Option<&JourneyStamps> {
+        self.journeys.as_ref()?.get(r.0 as usize)
+    }
+
+    /// Mutably borrows the journey stamps of the frame behind `r`, when
+    /// the side table is attached. The table grows here, with the slots,
+    /// so [`PacketSlab::insert`] does no work for it.
+    #[inline]
+    pub fn journey_mut(&mut self, r: PacketRef) -> Option<&mut JourneyStamps> {
+        let journeys = self.journeys.as_mut()?;
+        let i = r.0 as usize;
+        if i >= journeys.len() {
+            journeys.reserve_exact(self.slots.capacity() - journeys.len());
+            journeys.resize(self.slots.len(), JourneyStamps::default());
+        }
+        Some(&mut journeys[i])
     }
 
     /// Stores `pkt`, returning a handle that must be redeemed exactly once
@@ -585,7 +583,6 @@ impl PacketSlab {
             is_retx,
             is_tail,
             epoch,
-            lg,
         } = pkt;
         let (sack_len, int_len) = (list_len(sack.len()), list_len(int_stack.len()));
         // A list that owns no buffer is empty and has nothing to keep: every
@@ -614,7 +611,6 @@ impl PacketSlab {
             is_retx,
             is_tail,
             epoch,
-            lg,
             ingress: 0,
             sack_len,
             int_len,
@@ -707,7 +703,6 @@ impl PacketSlab {
             is_retx,
             is_tail,
             epoch,
-            lg,
             ingress: _,
             sack_len,
             int_len,
@@ -739,7 +734,6 @@ impl PacketSlab {
             is_retx,
             is_tail,
             epoch,
-            lg,
         }
     }
 
@@ -987,16 +981,33 @@ mod tests {
         let _ = slab.take(r);
     }
 
-    /// "Off costs nothing" as an exact fact: without the `ledger` feature
-    /// the journey stamps take no room in a packet.
+    /// The journey stamps live beside the slots, not in them: none before
+    /// the side table is attached, then the record a frame's `start`
+    /// opened, until the slot's next journey starts afresh.
     #[test]
-    fn journey_stamps_are_zero_sized_when_off() {
-        if !JourneyStamps::ON {
-            assert_eq!(std::mem::size_of::<JourneyStamps>(), 0);
-            assert_eq!(std::mem::size_of::<Packet>(), 96);
-        } else {
-            assert_eq!(std::mem::size_of::<JourneyStamps>(), 64);
-        }
+    fn journeys_live_in_a_side_table_on_the_slot_index() {
+        let mut slab = PacketSlab::new();
+        let early = slab.insert(Packet::data(FlowId(0), 0, 100));
+        assert!(slab.journey_mut(early).is_none());
+        slab.stamp_journeys();
+        let a = slab.insert(Packet::data(FlowId(1), 0, 100));
+        let j = slab.journey_mut(a).expect("attached");
+        j.start(5, 0);
+        j.on_wire(7, 9);
+        let stamps = |origin_ns, pause_cum_ns, serialize_ns, propagate_ns| JourneyStamps {
+            origin_ns,
+            wait_since_ns: origin_ns,
+            pause_cum_ns,
+            serialize_ns,
+            propagate_ns,
+            ..JourneyStamps::default()
+        };
+        assert_eq!(slab.journey(a), Some(&stamps(5, 0, 7, 9)));
+        let _ = slab.take(a);
+        let b = slab.insert(Packet::ack(FlowId(2), 0));
+        assert_eq!(b, a, "the slot is reused");
+        slab.journey_mut(b).expect("attached").start(11, 3);
+        assert_eq!(slab.journey(b), Some(&stamps(11, 3, 0, 0)));
     }
 
     /// The per-packet half of the conservation invariant, through the
@@ -1004,7 +1015,6 @@ mod tests {
     /// link, a switch queue (the whole wait paused, and a pause counter
     /// that ran further than the wait), a second link.
     #[test]
-    #[cfg(feature = "ledger")]
     fn journey_phases_sum_to_arrival_minus_origin() {
         let mut j = JourneyStamps::default();
         j.start(1_000, 40);

@@ -21,18 +21,15 @@ use eventsim::SimTime;
 use crate::link::LinkSpec;
 
 /// Index of a node (host or switch) in a topology.
-#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 /// Index of a port within a node.
-#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PortId(pub u32);
 
 /// Index of a directed link.
-#[allow(clippy::disallowed_methods, reason = "an integer's order is total")]
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LinkId(pub u32);
 
 /// What a node is.

@@ -271,9 +271,8 @@ pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) 
 ///
 /// # Panics
 ///
-/// Panics when `res` carries no ledger (the run was compiled or executed
-/// without the `ledger` feature).
-#[cfg(feature = "ledger")]
+/// Panics when `res` carries no ledger (the run did not attach one with
+/// `Engine::set_ledger`).
 pub fn account_spans(
     scheme: &str,
     seed: u64,
@@ -482,7 +481,6 @@ mod tests {
     /// with zero residue, violation attribution matches the SLO verdicts,
     /// and the worst-K reservoir holds genuinely-worst complete requests.
     #[test]
-    #[cfg(feature = "ledger")]
     fn account_spans_joins_ledger_into_span_trees() {
         use telemetry::spans::TOP_K_REQUESTS;
         let mut params = ServeParams::small(9);
@@ -494,7 +492,9 @@ mod tests {
             .with_topology(dcsim::small_single_switch(9))
             .with_seed(11);
         cfg.switch.buffer_bytes = 80_000; // shallow: force queueing + drops
-        let res = Engine::new(cfg, wl.flows.clone()).run();
+        let mut eng = Engine::new(cfg, wl.flows.clone());
+        eng.set_ledger();
+        let res = eng.run();
         let rep = account_spans("dctcp", 11, &wl, &res, params.slo);
 
         // Conservation is closed end to end in the folded histograms.

@@ -7,14 +7,16 @@
 //! |------|-----------------------------------------------------------|
 //! | S1   | emitted registry key the schema does not declare          |
 //! | S2   | declared schema key with no emission site                 |
-//! | G1   | a `cfg` predicate naming a feature in the engine          |
+//! | G1   | a `cfg` predicate naming a feature (one source text)      |
 //! | G2   | a `crates/dcsim/src` file over 900 lines                  |
 //! | G3   | `BTreeMap` in `transport/src/{buffer,tcp}.rs`             |
 //! | G4   | a JSON reader outside `telemetry/src/json.rs`             |
 //!
-//! No rule takes a pragma. G1 and G3 skip test-only modules (`cfg(test)`,
+//! No rule takes a pragma. G3 skips test-only modules (`cfg(test)`,
 //! `cfg(all(test, ..))`; not `cfg(not(test))` or `cfg(any(test, ..))`);
-//! G2 and G4 read whole files.
+//! G1, G2 and G4 read whole files. G1 covers the workspace's Rust
+//! (`crates/`, `src/`, `tests/`, `examples/`) but [`G1_ALIAS`], so a
+//! cargo feature forks no code and no test.
 
 use crate::graph;
 use crate::items::{self, FileItems};
@@ -156,7 +158,10 @@ fn g_rules(rel: &str, src: &str, t: &[Tok], regions: &[(u32, u32)], out: &mut Ve
             msg,
         })
     };
-    let engine = rel.starts_with("crates/dcsim/src/engine/");
+    let g1_file = ["crates/", "src/", "tests/", "examples/"]
+        .iter()
+        .any(|dir| rel.starts_with(dir))
+        && rel != G1_ALIAS;
     let g3_file = matches!(
         rel,
         "crates/transport/src/buffer.rs" | "crates/transport/src/tcp.rs"
@@ -170,8 +175,8 @@ fn g_rules(rel: &str, src: &str, t: &[Tok], regions: &[(u32, u32)], out: &mut Ve
         let outside_tests = !in_test_region(regions, tok.line);
         // `(feature =` / `, feature =`: a cfg predicate naming a feature.
         let feature = tok.text == "feature" && matches!(prev, "(" | ",") && next == "=";
-        if feature && engine && outside_tests {
-            let msg = "the engine names a cargo feature; switch observers in their own modules";
+        if feature && g1_file {
+            let msg = "a cargo feature forks the source; attach observers at run time";
             hit(tok.line, "G1", msg.to_string());
         }
         if tok.text == "BTreeMap" && outside_tests && g3_file {
@@ -193,6 +198,10 @@ fn g_rules(rel: &str, src: &str, t: &[Tok], regions: &[(u32, u32)], out: &mut Ve
         hit(901, "G2", msg);
     }
 }
+
+/// The one file G1 lets name a feature: the profiler's `profile` alias,
+/// which the benchmark package's traced build selects.
+pub const G1_ALIAS: &str = "crates/dcsim/src/profile.rs";
 
 /// The one file G4 lets hold a JSON reader.
 const G4_READER: &str = "crates/telemetry/src/json.rs";

@@ -181,7 +181,7 @@ const ENGINE_LATE_FEATURE: &str = "pub fn run() {}\n\
     pub fn observe() {}\n";
 
 #[test]
-fn g1_flags_feature_gates_in_the_engine_outside_test_modules() {
+fn g1_flags_feature_gates_in_every_workspace_file_tests_included() {
     let f = lint(&[("crates/dcsim/src/engine/timers.rs", ENGINE_LATE_FEATURE)]);
     assert_eq!(rules(&f), ["G1"]);
     assert_eq!(f[0].line, 4);
@@ -191,28 +191,36 @@ fn g1_flags_feature_gates_in_the_engine_outside_test_modules() {
          fn b() -> bool { cfg!(feature = \"profile\") }\n",
     )]);
     assert_eq!(rules(&f), ["G1", "G1", "G1"]);
-    // Modules that also compile outside tests are not test modules.
-    let f = lint(&[(
-        "crates/dcsim/src/engine/mod.rs",
-        "#[cfg(any(test, feature = \"profile\"))]\nmod observe {\n    fn a() {}\n}\n\
-         #[cfg(not(test))]\nmod live {\n    #[cfg(feature = \"ledger\")]\n    fn b() {}\n}\n",
-    )]);
+    // Outside the engine, and inside test modules and test files.
+    let f = lint(&[
+        (
+            "crates/bench/src/runner.rs",
+            "#[cfg(test)]\nmod tests {\n    #[cfg(feature = \"profile\")]\n    fn t() {}\n}\n",
+        ),
+        (
+            "tests/alloc_budget.rs",
+            "#![cfg(not(feature = \"ledger\"))]\n",
+        ),
+    ]);
     assert_eq!(rules(&f), ["G1", "G1"]);
-    assert_eq!((f[0].line, f[1].line), (1, 7));
+    assert_eq!((f[0].line, f[1].line), (3, 1));
 }
 
 #[test]
-fn g1_passes_test_modules_other_cfgs_and_the_observer_modules() {
+fn g1_passes_other_cfgs_the_profile_alias_and_the_benchmark() {
     let f = lint(&[
         (
             "crates/dcsim/src/engine/results.rs",
             "#[cfg(test)]\nfn helper() {}\n#[cfg(debug_assertions)]\nfn audit() {}\n\
-             #[cfg(test)]\nmod tests {\n    #[cfg(feature = \"profile\")]\n    fn t() {}\n}\n\
-             #[cfg(all(debug_assertions, test))]\nmod audit {\n    #[cfg(feature = \"ledger\")]\n    fn u() {}\n}\n",
+             #[cfg(all(debug_assertions, test))]\nmod audit {\n    fn u() {}\n}\n",
         ),
         (
-            "crates/dcsim/src/profile.rs",
-            "#[cfg(feature = \"profile\")]\npub struct EngineProf;\n",
+            simlint::rules::G1_ALIAS,
+            "pub(crate) const ATTACH_ALWAYS: bool = cfg!(feature = \"profile\");\n",
+        ),
+        (
+            "benchmark/src/main.rs",
+            "fn traced() -> bool { cfg!(feature = \"profile\") }\n",
         ),
     ]);
     assert!(f.is_empty(), "{f:?}");
@@ -243,7 +251,7 @@ fn g3_keeps_btreemap_to_the_transport_test_modules() {
     let f = lint(&[(
         "crates/transport/src/tcp.rs",
         "#[cfg(not(test))]\nmod m {\n    use std::collections::BTreeMap;\n}\n\
-         #[cfg(any(test, feature = \"ledger\"))]\nmod n {\n    use std::collections::BTreeMap;\n}\n",
+         #[cfg(any(test, debug_assertions))]\nmod n {\n    use std::collections::BTreeMap;\n}\n",
     )]);
     assert_eq!(rules(&f), ["G3", "G3"]);
     let f = lint(&[

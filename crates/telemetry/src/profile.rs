@@ -1,7 +1,7 @@
 //! The `series` section of `tlt-metrics/v1`: event-level engine profiles
 //! with sim-time windowed series.
 //!
-//! An engine profile is what the (feature-gated) engine profiler hands back
+//! An engine profile is what the run-time-attached engine profiler hands back
 //! per run: an [`Artifact`] whose registry holds per-event-kind and
 //! per-component counters and cost histograms, and whose `series` track how
 //! the run progressed *in simulated time* — events executed per window,

@@ -202,7 +202,9 @@ fn no_flow_is_ever_stranded_with_tlt() {
 /// lost one, and its first RTO is rooted at that dynamic-threshold drop.
 /// Every further RTO is the same flow's own, rooted at a colour drop of
 /// one of its red frames — no other flow takes one, and none is spurious
-/// (`delay`) or unexplained.
+/// (`delay`) or unexplained. Those frames are red because nothing re-marks
+/// the flow: every frame it sends after its green drop, RTO retransmissions
+/// included, carries `TltMark::None` (1,137–1,165 marks a cell, all red).
 #[test]
 fn tlt_green_drops_start_at_the_ports_capacity() {
     for kind in [TransportKind::Tcp, TransportKind::Dctcp] {
@@ -226,12 +228,22 @@ fn tlt_green_drops_start_at_the_ports_capacity() {
             let mut green_drops: BTreeMap<u32, u64> = BTreeMap::new();
             let mut timed_out = BTreeSet::new();
             let mut rtos: Vec<(u32, RtoCause)> = Vec::new();
+            let mut marked_after_drop = 0u64;
             for (_, ev) in sink.borrow().iter() {
                 match *ev {
                     TraceEvent::Drop {
                         flow, green: true, ..
                     } => {
                         *green_drops.entry(flow).or_default() += 1;
+                    }
+                    // Its one important frame lost, a flow gets no echo to
+                    // re-arm `WindowTltSender`, and an RTO leaves TLT state
+                    // alone: everything it sends afterwards is red.
+                    TraceEvent::TltMark {
+                        flow, important, ..
+                    } if green_drops.contains_key(&flow) => {
+                        assert!(!important, "{at}: flow {flow} marked green after its drop");
+                        marked_after_drop += 1;
                     }
                     TraceEvent::Timeout { flow, .. } => {
                         timed_out.insert(flow);
@@ -257,6 +269,10 @@ fn tlt_green_drops_start_at_the_ports_capacity() {
                 };
                 assert_eq!(cause, want, "{at}: flow {flow}'s RTO root");
             }
+            assert!(
+                marked_after_drop >= 52,
+                "{at}: {marked_after_drop} marks after"
+            );
             let causes = agg.rto_causes;
             assert_eq!(causes.get(RtoCause::Dynamic), agg.drops_green_data, "{at}");
             assert_eq!(
