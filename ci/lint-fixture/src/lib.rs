@@ -1,7 +1,8 @@
-//! One violation per rule of the root `clippy.toml`, each under the
-//! `#[expect]` that a real site would carry, and one conforming counterpart
-//! of each that carries none. Each `#[expect]` covers exactly one entry, so
-//! deleting that entry from `clippy.toml` leaves it unfulfilled.
+//! One violation per rule of the root `clippy.toml`, and of rustc's
+//! `unexpected_cfgs`, each under the `#[expect]` that a real site would
+//! carry, and one conforming counterpart of each that carries none. Each
+//! `#[expect]` covers exactly one entry, so deleting that entry from
+//! `clippy.toml` leaves it unfulfilled.
 
 // `disallowed_macros` takes its level from the crate root, whatever item
 // the macro expands in (as in `tests/alloc_budget.rs`): P3's expectation.
@@ -212,4 +213,19 @@ pub mod p3 {
     pub fn threaded(count: u32) -> u32 {
         count + 1
     }
+}
+
+/// G1: a cfg naming a cargo feature, which forks the source text. rustc's
+/// `unexpected_cfgs` fails it in every package that declares no feature,
+/// as this one and all but two workspace crates do; a cfg rustc knows
+/// passes. The lint is held by a module-level `#[expect]`: an item-level
+/// one does not hold it.
+pub mod g1 {
+    #[expect(unexpected_cfgs, reason = "fixture")]
+    mod forked {
+        #[cfg(feature = "ledger")]
+        fn forked() {}
+    }
+
+    pub const AUDITED: bool = cfg!(debug_assertions);
 }

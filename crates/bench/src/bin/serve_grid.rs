@@ -146,11 +146,7 @@ fn run_grid(
     let out = plan.run_detailed(|name, seed, res| {
         let params = &params_by_scheme[name];
         let wl = serve::generate(params, seed);
-        let mut rep = serve::account(name, &wl, res, params.slo);
-        // Forensic cross-check denominator: every timeout-attributed SLO
-        // violation must be backed by at least one recorded RTO.
-        rep.reg
-            .inc(&format!("serve_rtos/{name}"), res.forensics.len() as u64);
+        let rep = serve::account(name, &wl, res, params.slo);
         let spans = spans.then(|| serve::account_spans(name, seed, &wl, res, params.slo));
         (rep.reg, spans)
     });

@@ -38,8 +38,8 @@ fn metrics_json(timeouts: u64, causes: u64) -> String {
     reg.inc("timeouts", timeouts);
     reg.inc("rto_cause_color", causes);
     reg.inc("rto_cause_unknown", 0);
-    reg.gauge_max("queue_peak_bytes", 9000);
-    reg.observe("fct_us", 250);
+    reg.gauge_max("max_queue_bytes", 9000);
+    reg.observe("port_queue_bytes/n0/p0", 250);
     for (k, v) in [
         ("build_profile", "release"),
         ("cores", "2"),

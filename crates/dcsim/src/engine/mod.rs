@@ -1,7 +1,7 @@
 //! The event loop, and the engine's types.
 //!
 //! One `Engine`, its `impl` split over child modules along the seams the
-//! code already had (DESIGN §16 "Engine modules"): construction
+//! code already had (DESIGN §15 "Engine modules"): construction
 //! (`setup.rs`), the wire path (`wire.rs`), timers and transport actions
 //! (`timers.rs`), fault application and reroute (`fault.rs`), RTO forensics
 //! (`forensics.rs`), results (`results.rs`), the per-flow route table
@@ -12,7 +12,7 @@
 //! ledger, the metrics registry, the tracer — are `Option`s or off-switches
 //! checked at each hook, so there is one engine and one build; the
 //! conservation ledger follows `debug_assertions`. No file in this
-//! directory names a cargo feature (DESIGN §16 "Observer seam").
+//! directory names a cargo feature (DESIGN §15 "Observer seam").
 
 use eventsim::{EventQueue, SimTime};
 use faults::{FaultAction, FaultState};

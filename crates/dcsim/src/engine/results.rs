@@ -112,11 +112,12 @@ pub struct SimResult {
     /// called before the run (`None` otherwise).
     pub metrics: Option<Registry>,
     /// The engine profile (per-event-kind tallies, queue health, sim-time
-    /// series). `Some` only when the `profile` feature is compiled in.
+    /// series), populated when [`Engine::set_profile`] was called before
+    /// the run (`None` otherwise).
     pub profile: Option<telemetry::Artifact>,
     /// Per-flow latency ledgers: the closed per-phase time decomposition
-    /// (`Σ phases == FCT` for completed flows). `Some` only when the
-    /// `ledger` feature is compiled in.
+    /// (`Σ phases == FCT` for completed flows), populated when
+    /// [`Engine::set_ledger`] was called before the run (`None` otherwise).
     pub ledger: Option<Vec<crate::latency::FlowLedgerRecord>>,
 }
 

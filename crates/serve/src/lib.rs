@@ -210,7 +210,7 @@ pub fn generate(params: &ServeParams, seed: u64) -> ServeWorkload {
 ///
 /// The timeout join is cross-checkable: `serve_slo_viol_timeout` equals the
 /// sum of the scheme's `serve_viol_cause/*` counters, and is bounded by the
-/// run's forensic record count.
+/// run's forensic record count, `serve_rtos/<scheme>`.
 pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) -> Artifact {
     let mut rep = Artifact::new();
     let reg = &mut rep.reg;
@@ -218,6 +218,7 @@ pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) 
         &format!("serve_requests/{scheme}"),
         wl.requests.len() as u64,
     );
+    reg.inc(&format!("serve_rtos/{scheme}"), res.forensics.len() as u64);
     // Materialize the outcome counters even when zero: the export schema
     // stays stable across runs, and `trace_inspect --diff` shows explicit
     // zeros instead of missing keys.

@@ -72,6 +72,15 @@ impl Artifact {
         }
     }
 
+    /// Every counter, gauge, histogram and series name, the keys the
+    /// schema declares.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        (self.reg.counters().map(|(k, _)| k))
+            .chain(self.reg.gauges().map(|(k, _)| k))
+            .chain(self.reg.hists().map(|(k, _)| k))
+            .chain(self.series.keys().map(String::as_str))
+    }
+
     /// Serializes as `tlt-metrics/v1` JSON (name-sorted, byte-stable).
     pub fn to_json(&self) -> String {
         encode(&self.reg, &self.series, &self.spans)

@@ -11,10 +11,9 @@
 //! input: every failure is `Err("{what} at byte B, line L (near …)")`.
 //!
 //! The typed parsers walk their known shapes with the cursor directly.
-//! [`parse`] builds a small DOM ([`Value`]) whose strings remember their
-//! source line, for documents whose shape is open (the schema); its
-//! nesting depth is capped by [`MAX_DEPTH`], so hostile input cannot
-//! overflow the stack.
+//! [`parse`] builds a small DOM ([`Value`]) for documents whose shape is
+//! open (the schema); its nesting depth is capped by [`MAX_DEPTH`], so
+//! hostile input cannot overflow the stack.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -302,20 +301,19 @@ pub enum Value {
     Bool(bool),
     /// An unsigned integer.
     Num(u64),
-    /// A string, with the 1-based line it started on in the source text.
-    Str(String, u32),
+    /// A string.
+    Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object. `BTreeMap` so re-serialization is deterministic; the
-    /// u32 is the line of the *key*.
-    Obj(BTreeMap<String, (Value, u32)>),
+    /// An object. `BTreeMap` so re-serialization is deterministic.
+    Obj(BTreeMap<String, Value>),
 }
 
 impl Value {
     /// The value under `key`, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(m) => m.get(key).map(|(v, _)| v),
+            Value::Obj(m) => m.get(key),
             _ => None,
         }
     }
@@ -323,7 +321,7 @@ impl Value {
     /// String contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s, _) => Some(s),
+            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -344,15 +342,9 @@ impl Value {
         }
     }
 
-    /// The strings of an array of strings, with their source lines.
-    pub fn str_items(&self) -> Vec<(&str, u32)> {
-        self.items()
-            .iter()
-            .filter_map(|v| match v {
-                Value::Str(s, line) => Some((s.as_str(), *line)),
-                _ => None,
-            })
-            .collect()
+    /// The strings of an array of strings.
+    pub fn str_items(&self) -> Vec<&str> {
+        self.items().iter().filter_map(Value::as_str).collect()
     }
 }
 
@@ -378,8 +370,7 @@ fn value(c: &mut Cursor, depth: usize) -> Result<Value, String> {
         Some(b'{') => {
             let mut m = BTreeMap::new();
             c.object(|c, key| {
-                let line = c.line;
-                m.insert(key.into_owned(), (value(c, depth + 1)?, line));
+                m.insert(key.into_owned(), value(c, depth + 1)?);
                 Ok(())
             })?;
             Ok(Value::Obj(m))
@@ -392,10 +383,7 @@ fn value(c: &mut Cursor, depth: usize) -> Result<Value, String> {
             })?;
             Ok(Value::Arr(v))
         }
-        Some(b'"') => {
-            let line = c.line;
-            Ok(Value::Str(c.string()?.into_owned(), line))
-        }
+        Some(b'"') => Ok(Value::Str(c.string()?.into_owned())),
         Some(b'0'..=b'9') => Ok(Value::Num(c.u64()?)),
         Some(b't' | b'f') => Ok(Value::Bool(c.bool()?)),
         Some(b'n') if c.eat("null") => Ok(Value::Null),
@@ -432,7 +420,7 @@ mod tests {
         assert_eq!(v.get("b"), Some(&Value::Bool(true)));
         assert_eq!(
             v.get("arr").unwrap().items(),
-            [Value::Num(1), Value::Num(2), Value::Str("x".to_string(), 1)]
+            [Value::Num(1), Value::Num(2), Value::Str("x".to_string())]
         );
         let nested = v.get("nested").unwrap();
         assert_eq!(nested.get("n"), Some(&Value::Null));
@@ -441,14 +429,6 @@ mod tests {
             panic!("not an object: {v:?}")
         };
         assert_eq!(m.keys().collect::<Vec<_>>(), ["arr", "b", "nested"]);
-    }
-
-    #[test]
-    fn strings_remember_their_line() {
-        let text = "{\n  \"a\": [\n    \"first\",\n    \"second\"\n  ]\n}";
-        let v = parse(text).unwrap();
-        let items = v.get("a").unwrap().str_items();
-        assert_eq!(items, vec![("first", 3), ("second", 4)]);
     }
 
     #[test]

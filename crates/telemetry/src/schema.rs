@@ -1,21 +1,21 @@
 //! The declared-key model over `ci/metrics_schema.json`, the one reader of
 //! that file.
 //!
-//! Two consumers share it. simlint's S-rules cross-check registry keys in
-//! two directions: code → schema (S1: an emitted key must be declared) and
-//! schema → code (S2: a declared key must still be emitted somewhere).
-//! [`Artifact::validate`](crate::Artifact::validate) holds an export to the
-//! `required_meta` of each section it belongs to. This module flattens the
-//! schema document — the root section plus the nested `serve`, `profile`,
-//! and `spans` sections — into three lists: *exact* keys (from
-//! `required_counters`, `required_gauges`, `required_series` and their
-//! `optional_*` twins), *prefixes* (from the `*_prefixes` arrays) and
-//! *meta* keys (from `required_meta`). Each entry remembers the schema line
-//! it was declared on so drift findings point into the JSON file itself.
+//! [`Artifact::validate`](crate::Artifact::validate) reads it twice: every
+//! counter, gauge, histogram and series name an export carries must be
+//! declared ([`Schema::allows_exact`]), and the export must carry the
+//! `required_meta` of each section it belongs to. The converse, that every
+//! declared key is emitted, is the root package's
+//! `tests/schema_coverage.rs`. This module flattens the schema document —
+//! the root section plus the nested `serve`, `profile`, and `spans`
+//! sections — into three lists: *exact* keys (from `required_counters`,
+//! `required_gauges`, `required_series` and their `optional_*` twins),
+//! *prefixes* (from the `*_prefixes` arrays) and *meta* keys (from
+//! `required_meta`).
 //!
 //! `optional_*` arrays exist for keys the simulator emits only under some
-//! configurations (e.g. per-port gauges): they participate in drift
-//! checking exactly like `required_*`, but no export must carry them.
+//! configurations (e.g. per-port gauges): an export may carry them, but
+//! none must.
 
 use crate::json::{self, Value};
 
@@ -24,8 +24,6 @@ use crate::json::{self, Value};
 pub struct DeclaredKey {
     /// The key (exact) or key prefix text.
     pub key: String,
-    /// 1-based line in the schema file where it is declared.
-    pub line: u32,
     /// Section path for diagnostics: `""` (root), `"serve"`, `"profile"`,
     /// `"spans"`.
     pub section: &'static str,
@@ -96,23 +94,11 @@ impl Schema {
         Ok(s)
     }
 
-    /// S1 predicate: is an emitted *exact* key declared?
+    /// Whether an emitted key is declared: exactly, or under a declared
+    /// prefix.
     pub fn allows_exact(&self, key: &str) -> bool {
         self.exact.iter().any(|d| d.key == key)
             || self.prefixes.iter().any(|d| key.starts_with(&d.key))
-    }
-
-    /// S1 predicate: is an emitted *prefix* (a literal truncated at its
-    /// first `{` interpolation) compatible with some declaration? The
-    /// emitted prefix may be shorter than the declared one (the format
-    /// string interpolates mid-family, e.g. `event_{kind}/…`) or longer
-    /// (it names one member of a declared family), so the test is
-    /// bidirectional against prefixes and one-directional against exacts.
-    pub fn allows_prefix(&self, prefix: &str) -> bool {
-        self.prefixes
-            .iter()
-            .any(|d| prefix.starts_with(&d.key) || d.key.starts_with(prefix))
-            || self.exact.iter().any(|d| d.key.starts_with(prefix))
     }
 }
 
@@ -124,9 +110,9 @@ fn collect_section(obj: &Value, section: &'static str, out: &mut Schema) {
     ] {
         for field in fields {
             let Some(arr) = obj.get(field) else { continue };
-            for (key, line) in arr.str_items() {
+            for key in arr.str_items() {
                 let key = key.to_string();
-                dest.push(DeclaredKey { key, line, section });
+                dest.push(DeclaredKey { key, section });
             }
         }
     }
@@ -156,14 +142,13 @@ mod tests {
     }"#;
 
     #[test]
-    fn flattens_all_sections_with_lines() {
+    fn flattens_all_sections() {
         let s = Schema::parse(DOC).unwrap();
         let exacts: Vec<&str> = s.exact.iter().map(|d| d.key.as_str()).collect();
         assert_eq!(
             exacts,
             ["timeouts", "drops_color", "max_queue_bytes", "events"]
         );
-        assert_eq!(s.exact[0].line, 3);
         assert_eq!(s.exact[3].section, "profile");
         let prefixes: Vec<&str> = s.prefixes.iter().map(|d| d.key.as_str()).collect();
         assert!(prefixes.contains(&"serve_requests/"));
@@ -179,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn s1_predicates() {
+    fn declared_keys_and_prefix_members_are_allowed() {
         let s = Schema::parse(DOC).unwrap();
         assert!(s.allows_exact("timeouts"));
         assert!(
@@ -187,17 +172,7 @@ mod tests {
             "prefix families cover members"
         );
         assert!(!s.allows_exact("timeoutz"));
-        assert!(s.allows_prefix("serve_requests/"));
-        assert!(
-            s.allows_prefix("serve_requests/tlt/"),
-            "longer than declared: one member"
-        );
-        assert!(
-            s.allows_prefix("port_queue_"),
-            "shorter than declared: mid-family interpolation"
-        );
-        assert!(s.allows_prefix("timeout"), "prefix of an exact key");
-        assert!(!s.allows_prefix("rto_cause_"));
+        assert!(!s.allows_exact("port_queue_bytes"), "a prefix is no key");
     }
 
     #[test]

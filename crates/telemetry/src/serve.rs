@@ -15,6 +15,8 @@
 //!   (pure queueing/congestion),
 //! * `serve_incomplete/<scheme>` — requests whose flows did not finish
 //!   within the simulation horizon,
+//! * `serve_rtos/<scheme>` — the run's RTOs (its forensic record count),
+//!   which bound the timeout overruns,
 //! * `serve_viol_cause/<scheme>/<cause>` — timeout-violation breakdown by
 //!   forensic RTO cause (`tail_drop`, `color_drop`, ...).
 //!

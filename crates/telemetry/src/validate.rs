@@ -1,7 +1,8 @@
 //! The export invariants of `tlt-metrics/v1`, checked on the artifact.
 //!
-//! [`Artifact::validate`] applies the rules of each schema section the
-//! artifact's keys put it in, by the key test [`Artifact::render`] uses;
+//! [`Artifact::validate`] refuses any key the schema does not declare, then
+//! applies the rules of each schema section the artifact's keys put it in,
+//! by the key test [`Artifact::render`] uses;
 //! [`Artifact::check_bytes`] adds canonical bytes for a document read from
 //! a file. `trace_inspect --metrics` runs both on every file it renders. A
 //! violation reads `<section> [<scheme>]: <rule>: <lhs> != <rhs>`: the keys
@@ -24,14 +25,21 @@ fn eq<T: PartialEq + Display>(rule: &str, lhs: T, rhs: T) -> Result<(), String> 
 
 impl Artifact {
     /// Holds the artifact to every invariant of the sections it belongs to:
-    /// each section's `required_meta` (with `jobs == "any"` wherever it is
-    /// required), the registry, serve, profile and spans sums below, and
-    /// every reservoir flow's phases closing over its extent.
+    /// every counter, gauge, histogram and series name declared in the
+    /// schema, each section's `required_meta` (with `jobs == "any"` wherever
+    /// it is required), the registry, serve, profile and spans sums below,
+    /// and every reservoir flow's phases closing over its extent.
     ///
     /// # Errors
     ///
-    /// The first violated invariant, with the values on both sides.
+    /// The first violated invariant, with the values on both sides, or the
+    /// first undeclared key.
     pub fn validate(&self, schema: &Schema) -> Result<(), String> {
+        if let Some(key) = self.keys().find(|k| !schema.allows_exact(k)) {
+            return Err(format!(
+                "schema: {key:?} is not declared in ci/metrics_schema.json"
+            ));
+        }
         let has_hist = |prefix: &str| self.reg.hists().any(|(k, _)| k.starts_with(prefix));
         let serve = has_hist(REQ_LATENCY_PREFIX);
         let spans = has_hist(SPAN_FCT_PREFIX) || !self.spans.is_empty();
@@ -272,6 +280,20 @@ mod tests {
             assert_eq!(a.validate(&schema()), Ok(()), "{}", a.to_json());
             assert_eq!(a.check_bytes(&a.to_json()), Ok(()));
         }
+    }
+
+    /// An emitted key the schema does not declare: renaming one emission
+    /// site is caught at the first export that carries it.
+    #[test]
+    fn an_undeclared_key_is_named() {
+        assert_eq!(
+            broken(registry(), &[("timeoutz", 0)]),
+            "schema: \"timeoutz\" is not declared in ci/metrics_schema.json"
+        );
+        let mut a = profile();
+        a.series_mut("event").record(SimTime::from_ns(1), 1);
+        let err = a.validate(&schema()).expect_err("an undeclared series");
+        assert!(err.contains("\"event\""), "{err}");
     }
 
     #[test]
