@@ -12,7 +12,7 @@ use transport::{RtoMode, TransportKind};
 use workload::FlowSizeCdf;
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let p = args.mix();
     let mut cfg = runner::tcp_cfg(
         &p,
@@ -24,13 +24,13 @@ fn main() {
     let cdf = FlowSizeCdf::web_search();
     let mut plan = RunPlan::new(&args);
     plan.scheme_seeds("fig01/dctcp-rto200us", 1, cfg, runner::mix_flows(&cdf, p));
-    let out = plan.run_detailed(|_, _, res| {
+    let out = plan.run_detailed(&mut outs, |_, _, res| {
         let a = &res.agg;
         [&a.bg_rtt, &a.bg_rto, &a.fg_rtt, &a.fg_rto].map(Clone::clone)
     });
     let [bg_rtt, bg_rto, mut fg_rtt, mut fg_rto] = out.values.into_iter().next().expect("one job");
 
-    let mut t = Table::new(&args, &["series", "value_us", "quantile"], &[]);
+    let mut t = Table::new(&["series", "value_us", "quantile"], &[]);
     println!("== Figure 1: RTT vs computed RTO CDFs (DCTCP, RTO_min=200us) ==");
     for (label, mut s) in [
         ("bg_rtt", bg_rtt),
@@ -60,7 +60,7 @@ fn main() {
         100.0 * (1.0 - cdf_at(&mut fg_rto, 1.1e-3)),
         fg_rtt.percentile(90.0).unwrap_or(0.0) * 1e6
     );
-    t.finish();
+    t.finish(outs);
 }
 
 /// Empirical CDF value at `x`.

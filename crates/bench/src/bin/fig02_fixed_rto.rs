@@ -11,7 +11,7 @@ use transport::{RtoMode, TransportKind};
 use workload::FlowSizeCdf;
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let mut p = args.mix();
     p.fg_fraction = 0.15;
@@ -27,13 +27,13 @@ fn main() {
     }
 
     let cols = [FG_P99, BG_AVG, BG_GBPS, TO_1K];
-    let mut t = Table::new(&args, &["scheme"], &cols);
+    let mut t = Table::new(&["scheme"], &cols);
     t.section(
         "Figure 2: fixed 160us RTO vs 4ms RTO_min (DCTCP, fg=15%)",
         &cols,
     );
-    for r in &plan.run() {
+    for r in &plan.run(&mut outs) {
         t.row(&[&r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

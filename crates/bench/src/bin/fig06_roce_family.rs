@@ -14,7 +14,7 @@ use transport::TransportKind;
 use workload::FlowSizeCdf;
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
 
@@ -47,10 +47,10 @@ fn main() {
     }
 
     let cols = [FG_P999, FG_P99, BG_AVG, TO_1K];
-    let mut t = Table::new(&args, &["scheme"], &cols);
+    let mut t = Table::new(&["scheme"], &cols);
     t.section("Figure 6: RoCE-family FCT (standard mix)", &cols);
-    for r in &plan.run() {
+    for r in &plan.run(&mut outs) {
         t.row(&[&r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

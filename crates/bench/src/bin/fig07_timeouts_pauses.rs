@@ -12,7 +12,7 @@ use transport::TransportKind;
 use workload::FlowSizeCdf;
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
 
@@ -41,10 +41,10 @@ fn main() {
             runner::mix_flows(&cdf, p),
         );
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     // Both panels write one CSV; each leaves the other's columns empty.
-    let mut t = Table::new(&args, &["scheme"], &[TO_1K, IMP_LOSS, PAUSE_1K, PAUSE_FRAC]);
+    let mut t = Table::new(&["scheme"], &[TO_1K, IMP_LOSS, PAUSE_1K, PAUSE_FRAC]);
     t.section(
         "Figure 7a: timeouts per 1k flows (lossy network)",
         &[TO_1K, IMP_LOSS.head("imp loss rate")],
@@ -59,5 +59,5 @@ fn main() {
     for r in &results[panel_a..] {
         t.row(&[&r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

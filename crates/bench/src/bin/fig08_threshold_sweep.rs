@@ -14,7 +14,7 @@ use workload::FlowSizeCdf;
 const KS: [u64; 9] = [200, 300, 400, 500, 600, 700, 800, 900, 1000];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
 
@@ -26,10 +26,10 @@ fn main() {
             plan.scheme(format!("K={k}kB"), cfg, runner::mix_flows(&cdf, p));
         }
     }
-    let mut results = plan.run().into_iter();
+    let mut results = plan.run(&mut outs).into_iter();
 
     let cols = [FG_P999, BG_AVG, IMP_LOSS, PAUSE_1K];
-    let mut t = Table::new(&args, &["pfc", "k_kb"], &cols);
+    let mut t = Table::new(&["pfc", "k_kb"], &cols);
     for pfc in [false, true] {
         t.section(
             &format!(
@@ -44,5 +44,5 @@ fn main() {
             t.row(&[&pfc, &k], &r);
         }
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -17,7 +17,7 @@ const PANELS: [(&str, TransportKind); 2] = [
 const LOADS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
 
     let mut plan = RunPlan::new(&args);
@@ -34,10 +34,10 @@ fn main() {
             }
         }
     }
-    let mut results = plan.run().into_iter();
+    let mut results = plan.run(&mut outs).into_iter();
 
     let cols = [FG_P99, BG_AVG, PAUSE_1K];
-    let mut t = Table::new(&args, &["transport", "load", "tlt"], &cols);
+    let mut t = Table::new(&["transport", "load", "tlt"], &cols);
     for (panel, kind) in PANELS {
         t.section(&format!("Figure 9{panel} load sweep"), &cols);
         for load in LOADS {
@@ -47,5 +47,5 @@ fn main() {
             }
         }
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -13,7 +13,7 @@ use workload::FlowSizeCdf;
 const FG_SHARES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
 
     let mut plan = RunPlan::new(&args);
@@ -28,13 +28,13 @@ fn main() {
     }
 
     let cols = [IMP_FRAC, FG_P999];
-    let mut t = Table::new(&args, &["fg_fraction"], &cols);
+    let mut t = Table::new(&["fg_fraction"], &cols);
     t.section(
         "Figure 10: important-packet fraction vs fg share (DCTCP+TLT)",
         &cols,
     );
-    for (fg_pct, r) in FG_SHARES.iter().zip(&plan.run()) {
+    for (fg_pct, r) in FG_SHARES.iter().zip(&plan.run(&mut outs)) {
         t.row(&[&format!("{fg_pct:.2}")], r);
     }
-    t.finish();
+    t.finish(outs);
 }

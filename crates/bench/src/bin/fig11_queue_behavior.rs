@@ -16,7 +16,7 @@ use workload::FlowSizeCdf;
 const KS: [u64; 5] = [200, 300, 400, 500, 600];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
 
@@ -36,11 +36,11 @@ fn main() {
             runner::mix_flows(&cdf, p),
         );
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     // The two panels share two untyped value columns.
     let (v1, v2) = (MAX_Q.csv("value1"), MEDIAN_Q.csv("value2"));
-    let mut t = Table::new(&args, &["panel", "scheme_or_k"], &[v1, v2]);
+    let mut t = Table::new(&["panel", "scheme_or_k"], &[v1, v2]);
     t.section(
         "Figure 11a: important fraction vs K (DCTCP+TLT)",
         &[IMP_FRAC.csv("value1")],
@@ -55,5 +55,5 @@ fn main() {
     for r in &results[panel_a..] {
         t.row(&[&"11b", &r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

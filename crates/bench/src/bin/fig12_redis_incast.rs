@@ -21,7 +21,7 @@ const SCHEMES: [(TransportKind, bool); 4] = [
 ];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let counts: Vec<usize> = if args.scale == Scale::Quick {
         vec![60, 180]
     } else {
@@ -39,10 +39,9 @@ fn main() {
             );
         }
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     let mut t = Table::new(
-        &args,
         &[
             "requests",
             "tcp_p99_ms",
@@ -59,5 +58,5 @@ fn main() {
     for (n, rs) in counts.iter().zip(results.chunks(SCHEMES.len())) {
         t.across(n, &[n], rs, FG_P99);
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -12,7 +12,7 @@ use transport::TransportKind;
 use workload::{cache_mixed, MixParams};
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let p = MixParams::reduced(1); // only for link params
 
     let mut plan = RunPlan::new(&args);
@@ -27,10 +27,10 @@ fn main() {
     }
 
     let cols = [FG_P99, BG_GBPS, TO_1K];
-    let mut t = Table::new(&args, &["scheme"], &cols);
+    let mut t = Table::new(&["scheme"], &cols);
     t.section("Figure 13: 152 x 32kB SETs + 8MB bulk flow (DCTCP)", &cols);
-    for r in &plan.run() {
+    for r in &plan.run(&mut outs) {
         t.row(&[&r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

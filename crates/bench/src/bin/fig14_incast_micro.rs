@@ -23,7 +23,7 @@ fn cfg(kind: TransportKind, v: TcpVariant) -> SimConfig {
 }
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let counts: Vec<usize> = if args.scale == Scale::Quick {
         vec![40, 120]
     } else {
@@ -38,10 +38,9 @@ fn main() {
             }
         }
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     let mut t = Table::new(
-        &args,
         &["transport", "flows", "p99_4ms", "p99_200us", "p99_tlt"],
         &[],
     );
@@ -66,7 +65,7 @@ fn main() {
             |s| incast_burst(100, 8, 32_000, s),
         );
     }
-    let out = plan.run_detailed(|_, _, res| {
+    let out = plan.run_detailed(&mut outs, |_, _, res| {
         let fcts = res.flows.iter().filter_map(|f| f.fct());
         fcts.map(|t| t.as_secs_f64() * 1e3).collect::<Vec<_>>()
     });
@@ -83,5 +82,5 @@ fn main() {
             fcts.max()
         );
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -20,7 +20,7 @@ const ROCE: [(TransportKind, bool); 3] = [
 ];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     // This table is 14 schemes x 4 loads x 3 workloads; default to 1 seed.
     let seeds = if args.scale == Scale::Full {
         args.seeds
@@ -75,10 +75,9 @@ fn main() {
             }
         }
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     let mut t = Table::new(
-        &args,
         &[
             "workload",
             "load",
@@ -113,5 +112,5 @@ fn main() {
             t.push(row);
         }
     }
-    t.finish();
+    t.finish(outs);
 }

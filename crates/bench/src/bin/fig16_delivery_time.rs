@@ -15,7 +15,7 @@ use workload::FlowSizeCdf;
 const SCHEMES: [(&str, bool); 2] = [("DCTCP", false), ("DCTCP+TLT", true)];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
     let mut plan = RunPlan::new(&args);
@@ -26,11 +26,11 @@ fn main() {
         plan.scheme(label, cfg, runner::mix_flows(&cdf, p));
     }
     // Each seed contributes its 2000-point delivery-time CDF to the pool.
-    let out = plan.run_detailed(|_, _, res| {
+    let out = plan.run_detailed(&mut outs, |_, _, res| {
         let mut d = res.agg.delivery.clone();
         d.cdf(2000).into_iter().map(|(v, _)| v).collect::<Vec<_>>()
     });
-    let mut t = Table::new(&args, &["scheme", "delivery_us", "quantile"], &[]);
+    let mut t = Table::new(&["scheme", "delivery_us", "quantile"], &[]);
 
     println!("== Figure 16: segment delivery time CDF (DCTCP) ==");
     let per_scheme = out.values.chunks(args.seeds as usize);
@@ -52,5 +52,5 @@ fn main() {
             ]);
         }
     }
-    t.finish();
+    t.finish(outs);
 }

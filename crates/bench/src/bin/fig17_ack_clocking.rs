@@ -13,7 +13,7 @@ use transport::TransportKind;
 use workload::FlowSizeCdf;
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
     let p = args.mix();
 
@@ -31,13 +31,13 @@ fn main() {
     }
 
     let cols = [FG_P999, CLOCK_KB, PAUSE_1K];
-    let mut t = Table::new(&args, &["policy"], &cols);
+    let mut t = Table::new(&["policy"], &cols);
     t.section(
         "Figure 17: ACK-clocking policy ablation (DCTCP+TLT+PFC)",
         &cols,
     );
-    for r in &plan.run() {
+    for r in &plan.run(&mut outs) {
         t.row(&[&r.name], r);
     }
-    t.finish();
+    t.finish(outs);
 }

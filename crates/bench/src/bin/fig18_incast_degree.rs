@@ -13,7 +13,7 @@ const KINDS: [TransportKind; 2] = [TransportKind::Hpcc, TransportKind::Tcp];
 const DEGREES: [u32; 5] = [2, 4, 6, 8, 10];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
 
     let mut plan = RunPlan::new(&args);
@@ -30,10 +30,10 @@ fn main() {
             }
         }
     }
-    let mut results = plan.run().into_iter();
+    let mut results = plan.run(&mut outs).into_iter();
 
     let cols = [FG_P99, BG_AVG];
-    let mut t = Table::new(&args, &["transport", "degree", "tlt"], &cols);
+    let mut t = Table::new(&["transport", "degree", "tlt"], &cols);
     for kind in KINDS {
         t.section(
             &format!("Figure 18: incast degree sweep, {}", kind.name()),
@@ -46,5 +46,5 @@ fn main() {
             }
         }
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -113,7 +113,7 @@ pub fn scenario_flows() -> Vec<FlowSpec> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
 
     let mut plan = RunPlan::new(&args);
     let scenarios = scenarios();
@@ -128,7 +128,7 @@ fn main() {
             }
         }
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
     let cols = [
         RTO,
@@ -139,14 +139,14 @@ fn main() {
         FG_P99.head("fg p99 ms"),
         FG_P999.head("fg p999 ms"),
     ];
-    let mut t = Table::new(&args, &["scenario", "scheme"], &cols);
+    let mut t = Table::new(&["scenario", "scheme"], &cols);
     for ((scenario, _), cell) in scenarios.iter().zip(results.chunks(2 * KINDS.len())) {
         t.section(&format!("Recovery under failure: {scenario}"), &cols);
         for r in cell {
             t.row(&[scenario, &r.name], r);
         }
     }
-    t.finish();
+    t.finish(outs);
 }
 
 #[cfg(test)]

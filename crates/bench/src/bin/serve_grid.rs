@@ -45,8 +45,7 @@
 use std::collections::BTreeMap;
 
 use bench::plan::RunPlan;
-use bench::profiler::Provenance;
-use bench::runner::{self, Args, Observers, Scale, Table, FG_P99, FG_P999, TO_1K};
+use bench::runner::{self, Args, Observers, Outputs, Scale, Table, FG_P99, FG_P999, TO_1K};
 use dcsim::SimConfig;
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
@@ -106,15 +105,15 @@ struct GridSpec {
     kinds: Vec<TransportKind>,
 }
 
-/// Runs the scheme × load × seed grid and folds the per-request SLO
-/// accounting in plan order. The third element is the merged spans report,
-/// `Some` when `spans` attaches the latency ledger to every run.
-fn run_grid(
-    spec: &GridSpec,
-    seeds: u64,
-    jobs: usize,
-    spans: bool,
-) -> (Vec<runner::SchemeResult>, Artifact, Option<Artifact>) {
+/// A grid's flow-level results, serve report and spans report.
+type Grid = (Vec<runner::SchemeResult>, Artifact, Option<Artifact>);
+
+/// Runs the scheme × load × seed grid on `plan` (empty, its workers, seeds
+/// and observers set), folding what its observers record into `outs` and
+/// the per-request SLO accounting in plan order. The third element is the
+/// merged spans report, `Some` when `spans` attaches the latency ledger to
+/// every run.
+fn run_grid(spec: &GridSpec, plan: RunPlan<'_>, outs: &mut Outputs, spans: bool) -> Grid {
     // One cell per scheme × load, in plan order: its label, its config and
     // the exact params that generate its request stream.
     let mut cells = Vec::new();
@@ -139,11 +138,11 @@ fn run_grid(
         ledger: spans,
         ..Observers::NONE
     };
-    let mut plan = RunPlan::sized(jobs, seeds).capture(ledger);
+    let mut plan = plan.capture(ledger);
     for (name, cfg, params) in cells {
         plan.scheme(name, cfg, move |s| serve::generate(&params, s).flows);
     }
-    let out = plan.run_detailed(|name, seed, res| {
+    let out = plan.run_detailed(outs, |name, seed, res| {
         let params = &params_by_scheme[name];
         let wl = serve::generate(params, seed);
         let rep = serve::account(name, &wl, res, params.slo);
@@ -258,11 +257,7 @@ fn main() {
             other => rest.push(other.to_string()),
         }
     }
-    let args = match Args::parse_from(rest) {
-        Ok(args) => args,
-        Err(msg) => usage(&msg),
-    };
-    args.init_outputs();
+    let args = Args::parse_from(rest).unwrap_or_else(|msg| usage(&msg));
 
     let quick = args.scale == Scale::Quick;
     let cdf = FlowSizeCdf::by_name(&workload_name)
@@ -315,9 +310,12 @@ fn main() {
         kinds: KINDS.to_vec(),
     };
 
+    let own = [&serve_out, &spans_out, &perfetto_out];
+    let mut outs = Outputs::new(&args, &own).unwrap_or_else(|msg| usage(&msg));
+
     let ledger = spans_out.is_some() || perfetto_out.is_some();
-    let (results, mut rep, spans) = run_grid(&spec, args.seeds, args.effective_jobs(), ledger);
-    Provenance::deterministic(&args).stamp(&mut rep.reg);
+    let (results, mut rep, spans) = run_grid(&spec, RunPlan::new(&args), &mut outs, ledger);
+    args.stamp(&mut rep.reg);
     // The fabric degree is this report's identity; re-pin it over the
     // harness quick/default/full label the provenance stamp wrote.
     rep.reg.set_meta("scale", spec.scale);
@@ -332,35 +330,33 @@ fn main() {
     }
 
     let cols = [FG_P999, FG_P99, TO_1K];
-    let mut t = Table::new(&args, &["scheme"], &cols);
+    let mut t = Table::new(&["scheme"], &cols);
     t.section("flow-level cross-reference (request flows are fg)", &cols);
     for r in &results {
         t.row(&[&r.name], r);
     }
-    t.finish();
 
-    if let Some(path) = &serve_out {
-        std::fs::write(path, rep.to_json())
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    outs.file(&serve_out, || rep.to_json());
     if let Some(sp) = &spans {
-        if let Some(path) = &spans_out {
-            std::fs::write(path, sp.to_json())
-                .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = &perfetto_out {
-            std::fs::write(path, sp.to_perfetto())
-                .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
-        }
+        outs.file(&spans_out, || sp.to_json());
+        outs.file(&perfetto_out, || sp.to_perfetto());
     }
+    t.finish(outs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`run_grid`] over `seeds` seeds on `jobs` workers, writing nothing.
+    fn grid(spec: &GridSpec, seeds: u64, jobs: usize, spans: bool) -> Grid {
+        run_grid(
+            spec,
+            RunPlan::sized(jobs, seeds),
+            &mut Outputs::default(),
+            spans,
+        )
+    }
 
     fn tiny_spec() -> GridSpec {
         let mut base = ServeParams::small(16);
@@ -389,8 +385,8 @@ mod tests {
     /// TLT, and survives its own parser.
     #[test]
     fn grid_report_is_byte_identical_across_jobs() {
-        let (_, seq, _) = run_grid(&tiny_spec(), 1, 1, false);
-        let (_, par, _) = run_grid(&tiny_spec(), 1, 4, false);
+        let (_, seq, _) = grid(&tiny_spec(), 1, 1, false);
+        let (_, par, _) = grid(&tiny_spec(), 1, 4, false);
         let a = seq.to_json();
         let b = par.to_json();
         assert_eq!(a, b, "serve report differs under --jobs");
@@ -420,7 +416,7 @@ mod tests {
             kinds: KINDS.to_vec(),
             ..tiny_spec()
         };
-        let (_, mut rep, spans) = run_grid(&spec, 1, 2, true);
+        let (_, mut rep, spans) = grid(&spec, 1, 2, true);
         let mut labels: Vec<String> = KINDS
             .iter()
             .flat_map(|&k| [scheme_label(k, false), scheme_label(k, true)])
@@ -430,7 +426,7 @@ mod tests {
         assert_eq!(rep.serve_schemes(), labels);
         assert_eq!(spans.as_ref().map(Artifact::span_schemes), Some(labels));
         let args = Args::parse_from(["--quick"]).expect("harness flags");
-        Provenance::deterministic(&args).stamp(&mut rep.reg);
+        args.stamp(&mut rep.reg);
         validate(&rep, spans.as_ref());
     }
 
@@ -442,8 +438,8 @@ mod tests {
     fn spans_report_is_byte_identical_and_conserved_across_jobs() {
         use telemetry::json::{self, Value};
 
-        let (_, _, seq) = run_grid(&tiny_spec(), 2, 1, true);
-        let (_, _, par) = run_grid(&tiny_spec(), 2, 4, true);
+        let (_, _, seq) = grid(&tiny_spec(), 2, 1, true);
+        let (_, _, par) = grid(&tiny_spec(), 2, 4, true);
         let seq = seq.expect("the ledger is attached");
         let par = par.expect("the ledger is attached");
         let a = seq.to_json();

@@ -16,7 +16,7 @@ const FG_SHARES: [f64; 2] = [0.05, 0.10];
 const KS: [u64; 3] = [400, 500, 600];
 
 fn main() {
-    let args = Args::parse();
+    let (args, mut outs) = Args::parse();
     let cdf = FlowSizeCdf::web_search();
 
     let mut plan = RunPlan::new(&args);
@@ -31,13 +31,9 @@ fn main() {
             }
         }
     }
-    let results = plan.run();
+    let results = plan.run(&mut outs);
 
-    let mut t = Table::new(
-        &args,
-        &["transport", "fg_fraction", "k400", "k500", "k600"],
-        &[],
-    );
+    let mut t = Table::new(&["transport", "fg_fraction", "k400", "k500", "k600"], &[]);
     runner::print_header(
         "Table 1: important-packet loss rate",
         &["K=400kB", "K=500kB", "K=600kB"],
@@ -58,5 +54,5 @@ fn main() {
             t.push(row);
         }
     }
-    t.finish();
+    t.finish(outs);
 }

@@ -12,17 +12,22 @@
 //!
 //! Work distribution is a single shared atomic cursor over the job list —
 //! no work stealing, no channels, no dependencies: workers claim the next
-//! index until the list is exhausted. Each job traces into its own
-//! [`telemetry::BufferSink`] (which is `Send`), so no lock is held while a
-//! simulation runs.
+//! index until the list is exhausted and return each job's output, tagged
+//! with its index, through their join handles. Each job traces into its
+//! own [`telemetry::BufferSink`] (which is `Send`), so nothing is shared
+//! while a simulation runs but the cursor.
+//!
+//! The observers come from the CLI ([`RunPlan::new`]) plus whatever
+//! [`RunPlan::capture`] adds; what they record folds into the binary's
+//! [`Outputs`], which [`RunPlan::run`] takes, so no plan's output can be
+//! left out of the files.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dcsim::{FlowSpec, SimConfig, SimResult};
 use telemetry::{Artifact, Registry};
 
-use crate::runner::{self, Args, MixOutcome, Observers, SchemeResult};
+use crate::runner::{self, Args, MixOutcome, Observers, Outputs, SchemeResult};
 
 /// One scheme of the grid: a label, its config (each job re-seeds a copy)
 /// and its per-seed workload builder.
@@ -42,23 +47,11 @@ struct JobOut<T> {
     value: T,
 }
 
-/// Everything a finished plan knows beyond the per-scheme metrics.
+/// What a finished plan returns beyond what it folded into the
+/// [`Outputs`].
 pub struct PlanOutput<T> {
     /// Per-scheme cross-seed results, in the order schemes were added.
     pub results: Vec<SchemeResult>,
-    /// Concatenated flight-recorder bytes in plan order (empty when tracing
-    /// was off). When a global trace file is installed these bytes have
-    /// already been appended to it.
-    pub trace: Vec<u8>,
-    /// Metrics registries of every job, merged in plan order (`None` when
-    /// metrics were off). When a global `--metrics` export is installed the
-    /// merge has already been folded into it.
-    pub metrics: Option<Registry>,
-    /// Engine profiles of every job, merged in plan order (`None` when the
-    /// profiler was off); byte-identical under any `--jobs` value. When a
-    /// global `--profile-out` export is installed the merge has already
-    /// been folded into it.
-    pub profile: Option<Artifact>,
     /// Simulator events scheduled, summed over every job.
     pub events_scheduled: u64,
     /// Number of (scheme, seed) jobs executed.
@@ -76,34 +69,34 @@ pub struct RunPlan<'a> {
     schemes: Vec<SchemeSpec<'a>>,
     jobs: usize,
     default_seeds: u64,
-    capture: Observers,
+    obs: Observers,
 }
 
 impl<'a> RunPlan<'a> {
-    /// A plan using the CLI's `--jobs` / `--seeds` settings.
+    /// A plan using the CLI's `--jobs` / `--seeds` settings and attaching
+    /// the observers its output flags ask for ([`Args::observers`]).
     pub fn new(args: &Args) -> RunPlan<'a> {
-        RunPlan::sized(args.effective_jobs(), args.seeds)
+        RunPlan::sized(args.effective_jobs(), args.seeds).capture(args.observers())
     }
 
-    /// A plan with explicit worker and default-seed counts (tests, and
-    /// binaries that size their own grid).
+    /// A plan with explicit worker and default-seed counts and no
+    /// observers (tests, and binaries that size their own grid).
     pub fn sized(jobs: usize, default_seeds: u64) -> RunPlan<'a> {
         assert!(default_seeds >= 1, "a plan needs at least one seed");
         RunPlan {
             schemes: Vec::new(),
             jobs: jobs.max(1),
             default_seeds,
-            capture: Observers::NONE,
+            obs: Observers::NONE,
         }
     }
 
-    /// Attaches the observers `obs` names to every job, whether or not a
-    /// global `--trace`, `--metrics` or `--profile-out` export asks for
-    /// them, and returns what they capture in [`PlanOutput`] or to the
-    /// per-job closure of [`RunPlan::run_detailed`] (determinism tests;
-    /// `serve_grid --spans-out` for the ledger).
+    /// Also attaches the observers `obs` names to every job. What they
+    /// record folds into the [`Outputs`] (trace, metrics, profile) or
+    /// reaches the per-job closure of [`RunPlan::run_detailed`] (the
+    /// ledger: `serve_grid --spans-out`).
     pub fn capture(mut self, obs: Observers) -> RunPlan<'a> {
-        self.capture = obs;
+        self.obs = self.obs.with(obs);
         self
     }
 
@@ -150,33 +143,25 @@ impl<'a> RunPlan<'a> {
         self.schemes.is_empty()
     }
 
-    /// Executes the grid and returns per-scheme results in insertion order.
-    pub fn run(self) -> Vec<SchemeResult> {
-        self.run_detailed(|_, _, _| ()).results
+    /// Executes the grid, folds what the observers recorded into `outs`,
+    /// and returns per-scheme results in insertion order.
+    pub fn run(self, outs: &mut Outputs) -> Vec<SchemeResult> {
+        self.run_detailed(outs, |_, _, _| ()).results
     }
 
-    /// Executes the grid and returns results plus trace bytes, work
-    /// accounting and one value per job. `per_job` is called as
-    /// `(scheme name, seed, &result)` on every finished simulation *before*
-    /// the raw result is summarized away, so a figure that reads raw flow
-    /// records or sample series (a CDF, the serve layer's per-request SLO
-    /// join) runs on the same workers as every other job and gets its
-    /// values back in [`PlanOutput::values`].
+    /// Executes the grid, folds what the observers recorded into `outs`,
+    /// and returns results plus work accounting and one value per job.
+    /// `per_job` is called as `(scheme name, seed, &result)` on every
+    /// finished simulation *before* the raw result is summarized away, so a
+    /// figure that reads raw flow records or sample series (a CDF, the
+    /// serve layer's per-request SLO join) runs on the same workers as
+    /// every other job and gets its values back in [`PlanOutput::values`].
     pub fn run_detailed<T: Send>(
         self,
+        outs: &mut Outputs,
         per_job: impl Fn(&str, u64, &SimResult) -> T + Sync,
     ) -> PlanOutput<T> {
-        // Tracing: the globally installed `--trace` file wins; a forced
-        // capture (tests) applies when no file is installed.
-        let global = runner::trace_config();
-        let metrics_global = runner::METRICS.is_on();
-        let obs = Observers {
-            trace: global.or(self.capture.trace),
-            metrics: metrics_global || self.capture.metrics,
-            profile: runner::PROFILE.is_on() || self.capture.profile,
-            ledger: self.capture.ledger,
-        };
-
+        let obs = self.obs;
         let jobs: Vec<(usize, u64)> = self
             .schemes
             .iter()
@@ -202,29 +187,33 @@ impl<'a> RunPlan<'a> {
             }
         };
 
-        // One slot per job; workers fill slots, the fold below reads them
-        // in plan order so the output is independent of completion order.
-        let slots: Vec<Mutex<Option<JobOut<T>>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        if workers == 1 {
-            for (slot, job) in slots.iter().zip(&jobs) {
-                *slot.lock().unwrap() = Some(run_job(job));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else { break };
-                        let out = run_job(job);
-                        *slots[idx].lock().unwrap() = Some(out);
-                    });
-                }
-            });
-        }
+        // Each worker returns its (index, output) pairs through its join
+        // handle; sorting on the index restores plan order, so the output
+        // is independent of completion order.
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, JobOut<T>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let idx = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(job) = jobs.get(idx) else { break mine };
+                            mine.push((idx, run_job(job)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(idx, _)| idx);
 
         // Deterministic fold: seed order within a scheme, scheme order
-        // across the plan, trace buffers concatenated likewise.
+        // across the plan, trace buffers concatenated likewise; metrics and
+        // profiles merge into the exports after their provenance stamps.
         let mut results: Vec<SchemeResult> = self
             .schemes
             .iter()
@@ -233,42 +222,24 @@ impl<'a> RunPlan<'a> {
                 ..SchemeResult::default()
             })
             .collect();
-        let mut trace = Vec::new();
-        let mut merged = obs.metrics.then(Registry::new);
-        let mut profile: Option<Artifact> = None;
         let mut values = Vec::with_capacity(jobs.len());
         let mut events_scheduled = 0u64;
-        for (slot, &(si, _seed)) in slots.iter().zip(&jobs) {
-            let out = slot.lock().unwrap().take().expect("every job completed");
+        for ((_, out), &(si, _seed)) in done.into_iter().zip(&jobs) {
             events_scheduled += out.outcome.agg.events_scheduled;
             results[si].add(&out.outcome);
             if let Some(b) = &out.trace {
-                trace.extend_from_slice(b);
+                outs.trace.extend_from_slice(b);
             }
-            if let (Some(m), Some(r)) = (&mut merged, &out.metrics) {
-                m.merge(r);
+            if let Some(r) = &out.metrics {
+                outs.metrics.get_or_insert_with(Registry::new).merge(r);
             }
             if let Some(p) = &out.profile {
-                profile.get_or_insert_with(Artifact::new).merge(p);
+                outs.profile.get_or_insert_with(Artifact::new).merge(p);
             }
             values.push(out.value);
         }
-        if global.is_some() {
-            runner::append_trace(&trace);
-        }
-        if metrics_global {
-            if let Some(m) = &merged {
-                runner::METRICS.merge(|doc| doc.reg.merge(m));
-            }
-        }
-        if let Some(p) = &profile {
-            runner::PROFILE.merge(|doc| doc.merge(p));
-        }
         PlanOutput {
             results,
-            trace,
-            metrics: merged,
-            profile,
             events_scheduled,
             jobs_run: jobs.len(),
             workers,
@@ -284,7 +255,7 @@ mod tests {
     use transport::TransportKind;
 
     const TRACE: Observers = Observers {
-        trace: Some(None),
+        trace: true,
         ..Observers::NONE
     };
     const METRICS: Observers = Observers {
@@ -310,10 +281,20 @@ mod tests {
         plan
     }
 
+    /// `tiny_plan(jobs)` run with `obs` attached: its output and what it
+    /// folded into a fresh [`Outputs`].
+    fn captured(jobs: usize, obs: Observers) -> (PlanOutput<()>, Outputs) {
+        let mut outs = Outputs::default();
+        let out = tiny_plan(jobs)
+            .capture(obs)
+            .run_detailed(&mut outs, |_, _, _| ());
+        (out, outs)
+    }
+
     #[test]
     fn parallel_fold_matches_sequential() {
-        let seq = tiny_plan(1).run_detailed(|_, _, _| ());
-        let par = tiny_plan(4).run_detailed(|_, _, _| ());
+        let (seq, _) = captured(1, Observers::NONE);
+        let (par, _) = captured(4, Observers::NONE);
         assert_eq!(seq.jobs_run, 4);
         assert_eq!(par.jobs_run, 4);
         assert_eq!(seq.events_scheduled, par.events_scheduled);
@@ -328,8 +309,8 @@ mod tests {
 
     #[test]
     fn captured_traces_are_identical_across_jobs() {
-        let seq = tiny_plan(1).capture(TRACE).run_detailed(|_, _, _| ());
-        let par = tiny_plan(3).capture(TRACE).run_detailed(|_, _, _| ());
+        let (_, seq) = captured(1, TRACE);
+        let (_, par) = captured(3, TRACE);
         assert!(!seq.trace.is_empty());
         assert_eq!(seq.trace, par.trace, "trace bytes differ under --jobs");
     }
@@ -337,12 +318,8 @@ mod tests {
     #[test]
     fn captured_metrics_are_byte_identical_across_jobs_and_runs() {
         let run = |jobs: usize| {
-            tiny_plan(jobs)
-                .capture(METRICS)
-                .run_detailed(|_, _, _| ())
-                .metrics
-                .expect("metrics captured")
-                .to_json()
+            let (_, outs) = captured(jobs, METRICS);
+            outs.metrics.expect("metrics captured").to_json()
         };
         let seq = run(1);
         let par = run(4);
@@ -364,7 +341,7 @@ mod tests {
     fn per_job_values_arrive_in_plan_order_across_jobs() {
         let run = |jobs: usize| {
             tiny_plan(jobs)
-                .run_detailed(|name, seed, res| {
+                .run_detailed(&mut Outputs::default(), |name, seed, res| {
                     let fcts: Vec<u64> = res
                         .flows
                         .iter()
@@ -387,11 +364,10 @@ mod tests {
     /// count, and the per-kind accounting covers every scheduled event.
     #[test]
     fn plan_profiles_are_byte_identical_across_jobs_and_account_all_events() {
-        assert!(tiny_plan(1).run_detailed(|_, _, _| ()).profile.is_none());
-        let run = |jobs: usize| tiny_plan(jobs).capture(PROFILE).run_detailed(|_, _, _| ());
-        let seq = run(1);
-        let par = run(4);
-        let p = seq.profile.as_ref().expect("the profiler is attached");
+        assert!(captured(1, Observers::NONE).1.profile.is_none());
+        let (seq, seq_outs) = captured(1, PROFILE);
+        let (_, par_outs) = captured(4, PROFILE);
+        let p = seq_outs.profile.as_ref().expect("the profiler is attached");
         // The profiler counts actual queue pushes; `events_scheduled` counts
         // logical schedules (sequence reservations). Lazy timer re-arming
         // keeps superseded deadlines out of the queue entirely, so pushes
@@ -405,7 +381,7 @@ mod tests {
             p.reg.counter("events_scheduled_total")
         );
         let a = p.to_json();
-        let b = par.profile.as_ref().unwrap().to_json();
+        let b = par_outs.profile.as_ref().unwrap().to_json();
         assert!(a.contains("\"series\""));
         assert!(a.contains("event_sched/deliver"));
         assert_eq!(a, b, "profile JSON differs under --jobs");
@@ -416,8 +392,8 @@ mod tests {
 
     #[test]
     fn captured_metrics_round_trip_and_merge_count_all_jobs() {
-        let out = tiny_plan(2).capture(METRICS).run_detailed(|_, _, _| ());
-        let merged = out.metrics.expect("metrics captured");
+        let (out, outs) = captured(2, METRICS);
+        let merged = outs.metrics.expect("metrics captured");
         let parsed = Artifact::parse(&merged.to_json()).expect("self-parse");
         assert_eq!(parsed.reg, merged, "JSON round trip is lossless");
         // The merged registry sums every (scheme, seed) job: RTO counts

@@ -1,23 +1,26 @@
-//! Shared experiment plumbing: CLI arguments, scheme variants, multi-seed
-//! execution, flight-recorder wiring, and the figure [`Table`].
+//! Shared experiment plumbing: CLI arguments, the [`Outputs`] a binary
+//! writes, scheme variants, multi-seed execution, flight-recorder wiring,
+//! and the figure [`Table`].
 //!
-//! Simulations run through [`crate::plan::RunPlan`], which executes the
-//! (scheme, seed) grid across worker threads and folds results back in
-//! deterministic plan order — the table, CSV, and trace output is
-//! byte-identical under any `--jobs` value.
+//! Every output file has one path from flag to disk. [`Args::parse`]
+//! creates each file the flags name before anything runs, so an
+//! uncreatable path exits 2 naming it. Simulations run through
+//! [`crate::plan::RunPlan`], which takes its observers from the flags,
+//! executes the (scheme, seed) grid across worker threads and folds results
+//! back in deterministic plan order, handing its trace bytes, metrics and
+//! profile to the binary's [`Outputs`]. [`Table::finish`] writes every file
+//! once, at the end. The table, CSV, trace and exports are byte-identical
+//! under any `--jobs` value, and nothing here is process-global.
 
 use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use dcsim::{Engine, FlowSpec, SimConfig, SimResult};
 use eventsim::SimTime;
 use netsim::topology::TopologySpec;
 use netsim::LinkSpec;
 use netstats::{summarize_flows, FctSummary, Metric, Samples};
-use telemetry::{Artifact, BufferSink, TraceEvent, Tracer};
+use telemetry::{Artifact, BufferSink, Registry, TraceEvent, Tracer};
 use transport::{RtoMode, TransportKind};
 use workload::{standard_mix, FlowSizeCdf, MixParams};
 
@@ -84,36 +87,14 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`. Invalid or unknown flags abort with usage
-    /// help.
-    ///
-    /// When `--trace` is given, every simulation the binary subsequently
-    /// runs through a [`crate::plan::RunPlan`] appends its events to the
-    /// named JSONL file (created fresh at startup).
-    pub fn parse() -> Args {
-        let args = match Args::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => usage(&msg),
-        };
-        args.init_outputs();
-        args
-    }
-
-    /// Installs the global `--trace` / `--metrics` / `--profile-out`
-    /// outputs this argument set requests and stamps their provenance.
-    /// [`Args::parse`] does this automatically; binaries that pre-extract
-    /// bespoke flags and go through [`Args::parse_from`] themselves (e.g.
-    /// `serve_grid --scale`) must call it once before running anything.
-    pub fn init_outputs(&self) {
-        if let Some(path) = &self.trace {
-            init_trace(path, self.trace_sample_ns);
-        }
-        let prov = crate::profiler::Provenance::deterministic(self);
-        for (export, path) in [(&METRICS, &self.metrics), (&PROFILE, &self.profile_out)] {
-            if let Some(path) = path {
-                export.install(path, &prov);
-            }
-        }
+    /// Parses `std::env::args()` and creates every output file the flags
+    /// name ([`Outputs::new`]), before anything runs. An invalid or unknown
+    /// flag exits 2 with usage help; a path that cannot be created exits 2
+    /// naming it.
+    pub fn parse() -> (Args, Outputs) {
+        let args = Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg));
+        let outs = Outputs::new(&args, &[]).unwrap_or_else(|msg| usage(&msg));
+        (args, outs)
     }
 
     /// Parses an explicit argument list (no I/O, no process exit), so the
@@ -121,7 +102,8 @@ impl Args {
     ///
     /// Rejected with an error: `--seeds 0` (the seed loop `1..=0` would run
     /// nothing and print all-zero tables), `--trace-sample-ns 0` (a
-    /// zero-period sampler would loop forever), `--jobs 0`, and `--full`
+    /// zero-period sampler would loop forever), `--trace-sample-ns` without
+    /// `--trace` (it would sample nothing), `--jobs 0`, and `--full`
     /// together with `--quick` (no scale is both).
     pub fn parse_from<I>(iter: I) -> Result<Args, String>
     where
@@ -168,6 +150,9 @@ impl Args {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        if args.trace_sample_ns.is_some() && args.trace.is_none() {
+            return Err("--trace-sample-ns needs --trace".into());
+        }
         if args.scale == Scale::Quick {
             args.seeds = args.seeds.min(1);
         }
@@ -191,6 +176,38 @@ impl Args {
                 .unwrap_or(1)
         })
     }
+
+    /// Stamps the provenance `trace_inspect --diff` checks into `reg`'s
+    /// `meta`: the host's cores, `jobs` as `"any"` (every export is
+    /// byte-identical under any `--jobs` value, so CI compares them across
+    /// worker counts), the scale label, the seeds and the build profile.
+    /// Meta merges first-wins, so stamping an export before any run folds
+    /// in pins these values.
+    pub fn stamp(&self, reg: &mut Registry) {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        reg.set_meta("cores", &cores.to_string());
+        reg.set_meta("jobs", "any");
+        reg.set_meta("scale", self.scale.label());
+        reg.set_meta("seeds", &self.seeds.to_string());
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        reg.set_meta("build_profile", profile);
+    }
+
+    /// The observers `--trace`, `--trace-sample-ns`, `--metrics` and
+    /// `--profile-out` attach to every run of a [`crate::plan::RunPlan`].
+    pub fn observers(&self) -> Observers {
+        Observers {
+            trace: self.trace.is_some(),
+            sample_every: self.trace_sample_ns.map(SimTime::from_ns),
+            metrics: self.metrics.is_some(),
+            profile: self.profile_out.is_some(),
+            ledger: false,
+        }
+    }
 }
 
 /// Parses a flag value that must be a strictly positive integer.
@@ -210,134 +227,101 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <experiment> [--full | --quick] [--seeds N] [--jobs N] [--out file.csv] \
-         [--trace file.jsonl] [--trace-sample-ns N] [--metrics file.json] \
+         [--trace file.jsonl [--trace-sample-ns N]] [--metrics file.json] \
          [--profile-out file.json]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 })
 }
 
-/// Process-wide flight-recorder output installed by [`init_trace`].
+/// Every file a binary writes and what each receives.
 ///
-/// Simulations never write here directly: each run records into a private
-/// [`BufferSink`] (which is `Send`, so runs may execute on worker threads)
-/// and a [`crate::plan::RunPlan`] appends the encoded bytes under this lock
-/// afterwards, in deterministic plan order.
-struct TraceState {
-    out: BufWriter<File>,
-    sample_every: Option<SimTime>,
+/// [`Outputs::new`] creates (truncates) each path up front, so a path that
+/// cannot be written fails before the first run. Each
+/// [`crate::plan::RunPlan`] folds its flight-recorder bytes, metrics and
+/// profile in here in plan order, and [`Table::finish`] writes every file
+/// once, at the end: the CSV, the trace, the metrics and profile exports,
+/// then the binary's own exports ([`Outputs::file`]) in the order given.
+/// The files are byte-identical under any `--jobs` value.
+#[must_use = "Table::finish writes the outputs"]
+#[derive(Debug, Default)]
+pub struct Outputs {
+    /// The `--out`, `--trace`, `--metrics` and `--profile-out` paths.
+    paths: [Option<String>; 4],
+    /// The binary's own exports: (path, contents).
+    files: Vec<(String, String)>,
+    /// Flight-recorder bytes of every traced run, in plan order.
+    pub trace: Vec<u8>,
+    /// Metrics registries of every run, merged in plan order (`None` when
+    /// no run attached the registry). Provenance is stamped first when
+    /// `--metrics` names a file, so it holds (meta merges first-wins).
+    pub metrics: Option<Registry>,
+    /// Engine profiles of every run, merged in plan order (`None` when no
+    /// run attached the profiler); stamped first like `metrics`.
+    pub profile: Option<Artifact>,
 }
 
-static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
-/// Fast-path gate for [`TRACE`]: workers consult this relaxed load instead
-/// of taking the mutex when tracing was never installed. Set (once, before
-/// any workers exist) by [`init_trace`] and never cleared, so a relaxed
-/// ordering suffices — the mutex acquisition inside the slow path provides
-/// the necessary synchronization for the state itself.
-static TRACE_ON: AtomicBool = AtomicBool::new(false);
-
-/// Opens (truncating) the JSONL flight-recorder file at `path` and routes
-/// every subsequent [`crate::plan::RunPlan`] simulation through it.
-/// `sample_ns`, when set, enables per-port `port_sample` telemetry at that
-/// period for configs that do not already request their own.
-/// [`Args::init_outputs`] calls this when `--trace` is present.
-fn init_trace(path: &str, sample_ns: Option<u64>) {
-    let file = File::create(path)
-        .unwrap_or_else(|e| usage(&format!("cannot create trace file {path}: {e}")));
-    *TRACE.lock().unwrap() = Some(TraceState {
-        out: BufWriter::new(file),
-        sample_every: sample_ns.map(SimTime::from_ns),
-    });
-    TRACE_ON.store(true, Ordering::Relaxed);
-}
-
-/// The installed flight recorder's sampling period: `None` when tracing is
-/// off, `Some(sample_every)` when on.
-pub(crate) fn trace_config() -> Option<Option<SimTime>> {
-    if !TRACE_ON.load(Ordering::Relaxed) {
-        return None;
+impl Outputs {
+    /// Creates (truncating) every output file `args` names, then each of
+    /// `extra` (a binary's own export flags), and stamps the provenance of
+    /// the metrics and profile exports. The error names the first path
+    /// that cannot be created.
+    pub fn new(args: &Args, extra: &[&Option<String>]) -> Result<Outputs, String> {
+        let paths = [&args.out, &args.trace, &args.metrics, &args.profile_out].map(Clone::clone);
+        for path in paths.iter().chain(extra.iter().copied()).flatten() {
+            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+        }
+        let mut stamped = Registry::new();
+        args.stamp(&mut stamped);
+        Ok(Outputs {
+            metrics: args.metrics.as_ref().map(|_| stamped.clone()),
+            profile: args.profile_out.as_ref().map(|_| Artifact {
+                reg: stamped.clone(),
+                ..Artifact::new()
+            }),
+            paths,
+            ..Outputs::default()
+        })
     }
-    TRACE.lock().unwrap().as_ref().map(|s| s.sample_every)
-}
 
-/// Appends one plan's encoded trace bytes to the installed flight-recorder
-/// file. No-op when tracing is off or `bytes` is empty.
-pub(crate) fn append_trace(bytes: &[u8]) {
-    if bytes.is_empty() || !TRACE_ON.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(state) = TRACE.lock().unwrap().as_mut() {
-        state.out.write_all(bytes).expect("write trace file");
-        state.out.flush().expect("flush trace file");
-    }
-}
-
-/// A process-wide artifact export (`--metrics`, `--profile-out`): the
-/// merged document behind a mutex, its output path, and a fast-path gate
-/// (see [`TRACE_ON`] for the protocol). Runs merge in plan order —
-/// counters sum, gauges take the max, histograms and series add, meta
-/// merges first-wins — so the file is byte-identical under any `--jobs`
-/// value. It is rewritten after every merge, so at any instant it holds a
-/// valid `tlt-metrics/v1` document covering every run so far.
-pub(crate) struct Export {
-    what: &'static str,
-    out: Mutex<Option<(String, Artifact)>>,
-    on: AtomicBool,
-}
-
-/// Every run's metrics registry (`--metrics`).
-pub(crate) static METRICS: Export = Export::new("metrics");
-/// Every run's engine profile (`--profile-out`).
-pub(crate) static PROFILE: Export = Export::new("profile");
-
-impl Export {
-    const fn new(what: &'static str) -> Export {
-        Export {
-            what,
-            out: Mutex::new(None),
-            on: AtomicBool::new(false),
+    /// Adds one of the binary's own exports, written after the standard
+    /// files when `path` (one of [`Outputs::new`]'s `extra`) is given.
+    pub fn file(&mut self, path: &Option<String>, contents: impl FnOnce() -> String) {
+        if let Some(path) = path {
+            self.files.push((path.clone(), contents()));
         }
     }
 
-    /// Creates the file at `path` holding only the provenance stamp and
-    /// routes every later merge into it. Stamping before any run merges in
-    /// pins the provenance (meta merges first-wins).
-    fn install(&self, path: &str, prov: &crate::profiler::Provenance) {
-        let mut doc = Artifact::new();
-        prov.stamp(&mut doc.reg);
-        self.write(path, &doc);
-        *self.out.lock().unwrap() = Some((path.to_string(), doc));
-        self.on.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the export is installed.
-    pub(crate) fn is_on(&self) -> bool {
-        self.on.load(Ordering::Relaxed)
-    }
-
-    /// Folds one plan's data into the installed document with `fold` and
-    /// rewrites the file. No-op when not installed.
-    pub(crate) fn merge(&self, fold: impl FnOnce(&mut Artifact)) {
-        if !self.is_on() {
-            return;
+    /// Writes every file, `csv` to the `--out` path. A write error exits 2
+    /// naming the path.
+    fn write(self, csv: String) {
+        let json = |doc: Option<String>| doc.unwrap_or_default().into_bytes();
+        let data = [
+            csv.into_bytes(),
+            self.trace,
+            json(self.metrics.map(|m| m.to_json())),
+            json(self.profile.map(|p| p.to_json())),
+        ];
+        let own = self
+            .files
+            .into_iter()
+            .map(|(p, c)| (Some(p), c.into_bytes()));
+        for (path, bytes) in self.paths.into_iter().zip(data).chain(own) {
+            let Some(path) = path else { continue };
+            std::fs::write(&path, bytes)
+                .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
+            eprintln!("wrote {path}");
         }
-        if let Some((path, doc)) = self.out.lock().unwrap().as_mut() {
-            fold(doc);
-            self.write(path, doc);
-        }
-    }
-
-    fn write(&self, path: &str, doc: &Artifact) {
-        std::fs::write(path, doc.to_json())
-            .unwrap_or_else(|e| usage(&format!("cannot write {} file {path}: {e}", self.what)));
     }
 }
 
 /// The observers one run attaches.
 #[derive(Clone, Copy, Debug)]
 pub struct Observers {
-    /// The flight recorder, with the port-sample period for configs that
-    /// set none (`--trace`, `--trace-sample-ns`).
-    pub trace: Option<Option<SimTime>>,
+    /// The flight recorder (`--trace`).
+    pub trace: bool,
+    /// The port-sample period for traced configs that set none
+    /// (`--trace-sample-ns`).
+    pub sample_every: Option<SimTime>,
     /// The metrics registry ([`SimResult::metrics`], `--metrics`).
     pub metrics: bool,
     /// The engine profiler ([`SimResult::profile`], `--profile-out`).
@@ -350,11 +334,23 @@ pub struct Observers {
 impl Observers {
     /// No observer.
     pub const NONE: Observers = Observers {
-        trace: None,
+        trace: false,
+        sample_every: None,
         metrics: false,
         profile: false,
         ledger: false,
     };
+
+    /// Every observer either `self` or `other` attaches.
+    pub(crate) fn with(self, other: Observers) -> Observers {
+        Observers {
+            trace: self.trace || other.trace,
+            sample_every: self.sample_every.or(other.sample_every),
+            metrics: self.metrics || other.metrics,
+            profile: self.profile || other.profile,
+            ledger: self.ledger || other.ledger,
+        }
+    }
 }
 
 /// Runs one simulation with the observers `obs` attaches, recording it
@@ -363,7 +359,7 @@ impl Observers {
 /// `run_end` (with the producer's own aggregate totals), making the trace
 /// self-verifying for `trace_inspect`.
 ///
-/// This is the thread-agnostic core: it touches no global state, so
+/// This is the thread-agnostic core: it touches no shared state, so
 /// [`crate::plan::RunPlan`] workers call it concurrently and merge the
 /// returned buffers in plan order.
 pub(crate) fn buffered_run(
@@ -372,10 +368,8 @@ pub(crate) fn buffered_run(
     flows: Vec<FlowSpec>,
     obs: Observers,
 ) -> (SimResult, Option<Vec<u8>>) {
-    if let Some(sample_every) = obs.trace {
-        if cfg.trace_sample_every.is_none() {
-            cfg.trace_sample_every = sample_every;
-        }
+    if obs.trace && cfg.trace_sample_every.is_none() {
+        cfg.trace_sample_every = obs.sample_every;
     }
     let seed = cfg.seed;
     let mut eng = Engine::new(cfg, flows);
@@ -388,7 +382,7 @@ pub(crate) fn buffered_run(
     if obs.ledger {
         eng.set_ledger();
     }
-    if obs.trace.is_none() {
+    if !obs.trace {
         return (eng.run(), None);
     }
     let (tracer, sink) = Tracer::new(BufferSink::new());
@@ -725,7 +719,6 @@ pub const RECOVERY: Col = col("recov ms", "recovery_ms", |r| &r.recovery_ms, 4);
 /// the current [`Table::section`] shows that column (matched by CSV name)
 /// and an empty cell when it does not.
 pub struct Table {
-    out: Option<String>,
     header: Vec<&'static str>,
     keys: usize,
     shown: Vec<Col>,
@@ -736,11 +729,10 @@ impl Table {
     /// A table whose CSV header is `keys` followed by the CSV names of
     /// `cols`. Tables filled only by [`Table::across`] or [`Table::push`]
     /// pass their whole header as `keys`.
-    pub fn new(args: &Args, keys: &[&'static str], cols: &[Col]) -> Table {
+    pub fn new(keys: &[&'static str], cols: &[Col]) -> Table {
         let mut header = keys.to_vec();
         header.extend(cols.iter().map(|c| c.csv));
         Table {
-            out: args.out.clone(),
             header,
             keys: keys.len(),
             shown: Vec::new(),
@@ -789,12 +781,12 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Writes the CSV if `--out` was given.
-    pub fn finish(self) {
-        if let Some(path) = &self.out {
-            netstats::write_csv(path, &self.header, &self.rows).expect("write csv");
-            eprintln!("wrote {path}");
-        }
+    /// Writes every output file: this table's CSV to the `--out` path,
+    /// then the rest of `outs`.
+    pub fn finish(self, outs: Outputs) {
+        let rows = self.rows.iter().map(|r| r.join(","));
+        let lines = std::iter::once(self.header.join(",")).chain(rows);
+        outs.write(lines.map(|l| l + "\n").collect());
     }
 }
 
@@ -875,6 +867,16 @@ mod tests {
             .contains("--trace-sample-ns"));
     }
 
+    /// Regression: `--trace-sample-ns` without `--trace` used to be
+    /// accepted and sample nothing.
+    #[test]
+    fn parse_rejects_sampling_without_a_trace() {
+        let err = parse(&["--trace-sample-ns", "1000"]).unwrap_err();
+        assert!(err.contains("--trace-sample-ns needs --trace"), "{err}");
+        let a = parse(&["--trace-sample-ns", "1000", "--trace", "t.jsonl"]).unwrap();
+        assert_eq!(a.observers().sample_every, Some(SimTime::from_us(1)));
+    }
+
     /// Regression: `--full --quick` used to be accepted, giving paper-scale
     /// mixes stamped `full` under quick's one-seed cap and shrunken grids.
     #[test]
@@ -897,5 +899,21 @@ mod tests {
     fn quick_caps_seeds() {
         let a = parse(&["--quick", "--seeds", "5"]).unwrap();
         assert_eq!(a.seeds, 1);
+    }
+
+    #[test]
+    fn provenance_stamps_jobs_any() {
+        let mut reg = Registry::new();
+        parse(&["--quick", "--jobs", "7"]).unwrap().stamp(&mut reg);
+        let meta = |k| reg.meta_get(k);
+        assert_eq!(meta("jobs"), Some("any"), "exports ignore --jobs");
+        assert_eq!(meta("scale"), Some("quick"));
+        assert!(meta("cores").is_some());
+        assert!(matches!(meta("build_profile"), Some("debug" | "release")));
+        // First-wins: merging a different stamp does not overwrite.
+        let mut other = Registry::new();
+        other.set_meta("scale", "full");
+        reg.merge(&other);
+        assert_eq!(reg.meta_get("scale"), Some("quick"));
     }
 }

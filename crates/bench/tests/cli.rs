@@ -5,8 +5,8 @@
 //! invariant,
 //! `trace_inspect --diff` must print exactly the counts that moved and
 //! refuse provenance mismatches, an experiment binary must refuse
-//! `--full --quick`, and the default build must write every observer
-//! export.
+//! `--full --quick` and, before running, an output path it cannot create,
+//! and the default build must write every observer export.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -241,6 +241,25 @@ fn full_with_quick_exits_2() {
     exits_2_before_running(bin, &["--full", "--quick"], "--full and --quick");
 }
 
+/// Every output flag, given a path that cannot be created (its parent is a
+/// regular file, so no directory can be made either), exits 2 naming the
+/// path before any simulation runs.
+#[test]
+fn an_uncreatable_output_path_exits_2_before_running() {
+    let parent = tmp("not-a-dir", "");
+    let bad = parent.join("out");
+    let bad = bad.to_str().expect("utf-8 path");
+    let fig = env!("CARGO_BIN_EXE_fig02_fixed_rto");
+    for flag in ["--out", "--trace", "--metrics", "--profile-out"] {
+        exits_2_before_running(fig, &["--quick", flag, bad], bad);
+    }
+    let grid = env!("CARGO_BIN_EXE_serve_grid");
+    for flag in ["--serve-out", "--spans-out", "--perfetto-out"] {
+        exits_2_before_running(grid, &["--quick", flag, bad], bad);
+    }
+    let _ = std::fs::remove_file(parent);
+}
+
 /// The one build writes every observer export: a figure binary's
 /// `--profile-out`, serve_grid's `--spans-out` and `--perfetto-out`, each
 /// byte-identical at `--jobs 1` and `--jobs 4`.
@@ -339,25 +358,28 @@ fn trace_inspect_diff_diffs_counts_and_refuses() {
     }
 }
 
-/// `crates/bench/clippy.toml` keeps the wall clock out of bench, tests
-/// included. Each expectation below covers one of its two entries and goes
-/// unfulfilled, failing `cargo clippy -- -D warnings`, if that entry is
-/// dropped.
+/// `crates/bench/clippy.toml` keeps the wall clock and locked shared state
+/// out of bench, tests included. Each expectation below covers one of its
+/// four entries and goes unfulfilled, failing `cargo clippy -- -D
+/// warnings`, if that entry is dropped.
 #[test]
-fn the_wall_clock_is_a_lint_error_in_bench() {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "pins the `Instant` entry of crates/bench/clippy.toml"
-    )]
+fn the_wall_clock_and_locks_are_lint_errors_in_bench() {
+    #[expect(clippy::disallowed_types, reason = "pins bench's `Instant` entry")]
     fn instant() -> Option<std::time::Instant> {
         None
     }
-    #[expect(
-        clippy::disallowed_types,
-        reason = "pins the `SystemTime` entry of crates/bench/clippy.toml"
-    )]
+    #[expect(clippy::disallowed_types, reason = "pins bench's `SystemTime` entry")]
     fn system_time() -> Option<std::time::SystemTime> {
         None
     }
+    #[expect(clippy::disallowed_types, reason = "pins bench's `Mutex` entry")]
+    fn mutex() -> Option<std::sync::Mutex<()>> {
+        None
+    }
+    #[expect(clippy::disallowed_types, reason = "pins bench's `RwLock` entry")]
+    fn rw_lock() -> Option<std::sync::RwLock<()>> {
+        None
+    }
     assert!(instant().is_none() && system_time().is_none());
+    assert!(mutex().is_none() && rw_lock().is_none());
 }

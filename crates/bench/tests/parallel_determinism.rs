@@ -15,7 +15,7 @@
 use std::sync::OnceLock;
 
 use bench::plan::{PlanOutput, RunPlan};
-use bench::runner::{self, Observers, SchemeResult, TcpVariant};
+use bench::runner::{self, Observers, Outputs, SchemeResult, TcpVariant};
 use dcsim::{small_single_switch, FaultSchedule};
 use eventsim::SimTime;
 use netstats::Metric;
@@ -90,18 +90,25 @@ fn grid(jobs: usize) -> RunPlan<'static> {
 
 const JOBS_RUN: usize = 6 * 2 + 5 * 3;
 
+/// A run of the grid: its output and what it folded into its [`Outputs`].
+type Run = (PlanOutput<()>, Outputs);
+
 /// The grid at `--jobs 1` and at `--jobs 4`, traced and profiled, run once
 /// and shared by every test below.
-fn runs() -> &'static (PlanOutput<()>, PlanOutput<()>) {
-    static RUNS: OnceLock<(PlanOutput<()>, PlanOutput<()>)> = OnceLock::new();
+fn runs() -> &'static (Run, Run) {
+    static RUNS: OnceLock<(Run, Run)> = OnceLock::new();
     RUNS.get_or_init(|| {
         let run = |jobs| {
             let obs = Observers {
-                trace: Some(None),
+                trace: true,
                 profile: true,
                 ..Observers::NONE
             };
-            grid(jobs).capture(obs).run_detailed(|_, _, _| ())
+            let mut outs = Outputs::default();
+            let out = grid(jobs)
+                .capture(obs)
+                .run_detailed(&mut outs, |_, _, _| ());
+            (out, outs)
         };
         (run(1), run(4))
     })
@@ -126,7 +133,7 @@ fn all_metrics(r: &SchemeResult) -> [&Metric; 12] {
 
 #[test]
 fn jobs4_matches_jobs1_metrics() {
-    let (seq, par) = runs();
+    let ((seq, _), (par, _)) = runs();
     assert_eq!(seq.jobs_run, JOBS_RUN);
     assert_eq!(seq.workers, 1);
     assert!(par.workers > 1);
@@ -153,7 +160,7 @@ fn jobs4_matches_jobs1_metrics() {
 
 #[test]
 fn jobs4_matches_jobs1_trace_bytes() {
-    let (seq, par) = runs();
+    let ((_, seq), (_, par)) = runs();
     assert!(!seq.trace.is_empty());
     assert!(
         seq.trace == par.trace,
@@ -183,8 +190,8 @@ fn jobs4_matches_jobs1_trace_bytes() {
 
 #[test]
 fn jobs4_matches_jobs1_profile_bytes() {
-    let (seq, par) = runs();
-    let json = |out: &PlanOutput<()>| out.profile.as_ref().expect("profiled").to_json();
+    let ((_, seq), (_, par)) = runs();
+    let json = |outs: &Outputs| outs.profile.as_ref().expect("profiled").to_json();
     let (a, b) = (json(seq), json(par));
     assert!(a.contains("event_exec/deliver"));
     assert!(a == b, "profile JSON differs between --jobs 1 and --jobs 4");
