@@ -33,6 +33,5 @@ mod window;
 
 pub use rate::{RateTltConfig, RateTltSender};
 pub use window::{
-    AckVerdict, ClockingPolicy, ClockingSend, TltStats, WindowTltConfig, WindowTltReceiver,
-    WindowTltSender,
+    AckVerdict, ClockingPolicy, ClockingSend, WindowTltConfig, WindowTltReceiver, WindowTltSender,
 };

@@ -47,9 +47,9 @@ impl Default for RateTltConfig {
 ///
 /// let mut tlt = RateTltSender::new(RateTltConfig { every_n: None });
 /// // 3-packet flow of 3000 bytes, MTU 1000: only the tail is marked.
-/// assert_eq!(tlt.mark_data(0, 1000, 3000, false), TltMark::None);
-/// assert_eq!(tlt.mark_data(1000, 2000, 3000, false), TltMark::None);
-/// assert_eq!(tlt.mark_data(2000, 3000, 3000, false), TltMark::ImportantData);
+/// assert_eq!(tlt.mark_data(1000, 3000, false), TltMark::None);
+/// assert_eq!(tlt.mark_data(2000, 3000, false), TltMark::None);
+/// assert_eq!(tlt.mark_data(3000, 3000, false), TltMark::ImportantData);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct RateTltSender {
@@ -57,9 +57,6 @@ pub struct RateTltSender {
     since_important: u32,
     /// Pending retransmission round: `Some((first_pending, end_seq))`.
     round: Option<(bool, u64)>,
-    /// Statistics.
-    important_pkts: u64,
-    unimportant_pkts: u64,
 }
 
 impl RateTltSender {
@@ -69,8 +66,6 @@ impl RateTltSender {
             cfg,
             since_important: 0,
             round: None,
-            important_pkts: 0,
-            unimportant_pkts: 0,
         }
     }
 
@@ -89,10 +84,9 @@ impl RateTltSender {
         }
     }
 
-    /// Chooses the mark for an outgoing data packet covering
-    /// `[seq, seq_end)` of a `flow_bytes`-byte flow.
-    pub fn mark_data(&mut self, seq: u64, seq_end: u64, flow_bytes: u64, is_retx: bool) -> TltMark {
-        let _ = seq; // kept in the signature for symmetry / future policies
+    /// Chooses the mark for an outgoing data packet ending (exclusive) at
+    /// `seq_end` of a `flow_bytes`-byte flow.
+    pub fn mark_data(&mut self, seq_end: u64, flow_bytes: u64, is_retx: bool) -> TltMark {
         let mut important = false;
 
         // Tail of the flow (timely loss detection, §5.2).
@@ -124,22 +118,10 @@ impl RateTltSender {
 
         if important {
             self.since_important = 0;
-            self.important_pkts += 1;
             TltMark::ImportantData
         } else {
-            self.unimportant_pkts += 1;
             TltMark::None
         }
-    }
-
-    /// Number of data packets marked important so far.
-    pub fn important_pkts(&self) -> u64 {
-        self.important_pkts
-    }
-
-    /// Number of data packets left unimportant so far.
-    pub fn unimportant_pkts(&self) -> u64 {
-        self.unimportant_pkts
     }
 }
 
@@ -159,14 +141,14 @@ mod tests {
         let mut seq = 0;
         while seq < flow {
             let end = (seq + 1000).min(flow);
-            marks.push(tlt.mark_data(seq, end, flow, false));
+            marks.push(tlt.mark_data(end, flow, false));
             seq = end;
         }
         assert_eq!(marks.len(), 10);
         assert!(marks[..9].iter().all(|m| *m == TltMark::None));
         assert_eq!(marks[9], TltMark::ImportantData);
-        assert_eq!(tlt.important_pkts(), 1);
-        assert_eq!(tlt.unimportant_pkts(), 9);
+        let important = marks.iter().filter(|m| m.is_important()).count();
+        assert_eq!((important, marks.len() - important), (1, 9));
     }
 
     #[test]
@@ -178,7 +160,7 @@ mod tests {
         let mut i = 0;
         while seq < flow - 1000 {
             let end = seq + 1000;
-            if tlt.mark_data(seq, end, flow, false) == TltMark::ImportantData {
+            if tlt.mark_data(end, flow, false) == TltMark::ImportantData {
                 marked.push(i);
             }
             seq = end;
@@ -201,28 +183,19 @@ mod tests {
         let mut tlt = no_periodic();
         let flow = 5_000u64;
         for p in 0..4u64 {
-            let m = tlt.mark_data(p * 1000, (p + 1) * 1000, flow, false);
+            let m = tlt.mark_data((p + 1) * 1000, flow, false);
             assert_eq!(m, TltMark::None, "packet {p}");
         }
-        assert_eq!(
-            tlt.mark_data(4000, 5000, flow, false),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(5000, flow, false), TltMark::ImportantData);
 
         // NACK(3) arrives -> round covering [2000, 4000).
         tlt.start_retx_round(4000);
         // First retransmitted packet: important (the Figure 4 fix).
-        assert_eq!(
-            tlt.mark_data(2000, 3000, flow, true),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(3000, flow, true), TltMark::ImportantData);
         // Last packet of the round: important too.
-        assert_eq!(
-            tlt.mark_data(3000, 4000, flow, true),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(4000, flow, true), TltMark::ImportantData);
         // Round is over; new transmissions unmarked (not tail).
-        assert_eq!(tlt.mark_data(3000, 4000, flow, true), TltMark::None);
+        assert_eq!(tlt.mark_data(4000, flow, true), TltMark::None);
     }
 
     #[test]
@@ -230,26 +203,25 @@ mod tests {
         let mut tlt = no_periodic();
         tlt.start_retx_round(1000);
         // One packet covers the whole round: marked once (first == last).
-        assert_eq!(tlt.mark_data(0, 1000, 10_000, true), TltMark::ImportantData);
-        assert_eq!(tlt.important_pkts(), 1);
-        assert_eq!(tlt.mark_data(1000, 2000, 10_000, true), TltMark::None);
+        let marks = [
+            tlt.mark_data(1000, 10_000, true),
+            tlt.mark_data(2000, 10_000, true),
+        ];
+        assert_eq!(marks, [TltMark::ImportantData, TltMark::None]);
     }
 
     #[test]
     fn nested_rounds_extend_and_remark() {
         let mut tlt = no_periodic();
         tlt.start_retx_round(4000);
-        assert_eq!(tlt.mark_data(0, 1000, 10_000, true), TltMark::ImportantData);
+        assert_eq!(tlt.mark_data(1000, 10_000, true), TltMark::ImportantData);
         // Second rollback while the first round is still open.
         tlt.start_retx_round(2000);
         // First packet of the new round is re-marked...
-        assert_eq!(tlt.mark_data(0, 1000, 10_000, true), TltMark::ImportantData);
-        assert_eq!(tlt.mark_data(1000, 2000, 10_000, true), TltMark::None);
+        assert_eq!(tlt.mark_data(1000, 10_000, true), TltMark::ImportantData);
+        assert_eq!(tlt.mark_data(2000, 10_000, true), TltMark::None);
         // ...and the round end is the max of both rounds.
-        assert_eq!(
-            tlt.mark_data(3000, 4000, 10_000, true),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(4000, 10_000, true), TltMark::ImportantData);
     }
 
     #[test]
@@ -257,12 +229,9 @@ mod tests {
         let mut tlt = no_periodic();
         tlt.start_retx_round(2000);
         // A non-retransmission at the round boundary leaves the round open.
-        assert_eq!(tlt.mark_data(2000, 3000, 10_000, false), TltMark::None);
-        assert_eq!(tlt.mark_data(0, 1000, 10_000, true), TltMark::ImportantData);
-        assert_eq!(
-            tlt.mark_data(1000, 2000, 10_000, true),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(3000, 10_000, false), TltMark::None);
+        assert_eq!(tlt.mark_data(1000, 10_000, true), TltMark::ImportantData);
+        assert_eq!(tlt.mark_data(2000, 10_000, true), TltMark::ImportantData);
     }
 
     #[test]
@@ -270,23 +239,20 @@ mod tests {
         let mut tlt = RateTltSender::new(RateTltConfig { every_n: Some(10) });
         // Tail mark resets the periodic counter.
         for i in 0..5 {
-            tlt.mark_data(i * 1000, (i + 1) * 1000, 1_000_000, false);
+            tlt.mark_data((i + 1) * 1000, 1_000_000, false);
         }
         tlt.start_retx_round(1000);
-        assert_eq!(
-            tlt.mark_data(0, 1000, 1_000_000, true),
-            TltMark::ImportantData
-        );
+        assert_eq!(tlt.mark_data(1000, 1_000_000, true), TltMark::ImportantData);
         // Nine more unmarked sends before the next periodic mark.
         for i in 0..9 {
             assert_eq!(
-                tlt.mark_data(i * 1000, (i + 1) * 1000, 1_000_000, false),
+                tlt.mark_data((i + 1) * 1000, 1_000_000, false),
                 TltMark::None,
                 "packet {i} after reset"
             );
         }
         assert_eq!(
-            tlt.mark_data(0, 1000, 1_000_000, false),
+            tlt.mark_data(1000, 1_000_000, false),
             TltMark::ImportantData
         );
     }

@@ -67,19 +67,6 @@ pub enum AckVerdict {
     Suppress,
 }
 
-/// Marking statistics kept by the TLT layer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TltStats {
-    /// Data packets marked important (`ImportantData`).
-    pub important_data_pkts: u64,
-    /// Unmarked (red) data packets.
-    pub unimportant_data_pkts: u64,
-    /// Important ACK-clocking packets injected.
-    pub clocking_pkts: u64,
-    /// Payload bytes carried by clocking packets (Figure 17 b).
-    pub clocking_bytes: u64,
-}
-
 /// Sender half of window-based TLT.
 ///
 /// # Examples
@@ -107,7 +94,6 @@ pub struct WindowTltSender {
     armed: bool,
     /// Still sending the initial window (no important packet in flight yet).
     initial_phase: bool,
-    stats: TltStats,
 }
 
 impl WindowTltSender {
@@ -117,7 +103,6 @@ impl WindowTltSender {
             cfg,
             armed: false,
             initial_phase: true,
-            stats: TltStats::default(),
         }
     }
 
@@ -142,10 +127,8 @@ impl WindowTltSender {
             false
         };
         if important {
-            self.stats.important_data_pkts += 1;
             TltMark::ImportantData
         } else {
-            self.stats.unimportant_data_pkts += 1;
             TltMark::None
         }
     }
@@ -204,17 +187,10 @@ impl WindowTltSender {
             ClockingPolicy::AlwaysMss => mss,
             ClockingPolicy::AlwaysOneByte => 1,
         };
-        self.stats.clocking_pkts += 1;
-        self.stats.clocking_bytes += u64::from(bytes);
         Some(ClockingSend {
             bytes,
             from_lost: loss_detected,
         })
-    }
-
-    /// Marking statistics.
-    pub fn stats(&self) -> &TltStats {
-        &self.stats
     }
 }
 
@@ -282,14 +258,18 @@ mod tests {
     #[test]
     fn initial_window_marks_only_last() {
         let mut tlt = WindowTltSender::new(WindowTltConfig::default());
+        let mut marks = Vec::new();
         for _ in 0..9 {
-            assert_eq!(tlt.mark_data(true), TltMark::None);
+            marks.push(tlt.mark_data(true));
+            assert_eq!(marks.last(), Some(&TltMark::None));
         }
-        assert_eq!(tlt.mark_data(false), TltMark::ImportantData);
+        marks.push(tlt.mark_data(false));
+        assert_eq!(marks.last(), Some(&TltMark::ImportantData));
         // Without an echo, nothing further is marked.
-        assert_eq!(tlt.mark_data(false), TltMark::None);
-        assert_eq!(tlt.stats().important_data_pkts, 1);
-        assert_eq!(tlt.stats().unimportant_data_pkts, 10);
+        marks.push(tlt.mark_data(false));
+        assert_eq!(marks.last(), Some(&TltMark::None));
+        let important = marks.iter().filter(|m| m.is_important()).count();
+        assert_eq!((important, marks.len() - important), (1, 10));
     }
 
     #[test]
@@ -375,9 +355,9 @@ mod tests {
 
         tlt.on_ack(TltMark::ImportantEcho, 10, 0);
         // No loss: 1 byte of the first unacked segment.
-        let c = tlt.take_clocking(false, 1440).unwrap();
+        let first = tlt.take_clocking(false, 1440).unwrap();
         assert_eq!(
-            c,
+            first,
             ClockingSend {
                 bytes: 1,
                 from_lost: false
@@ -387,17 +367,17 @@ mod tests {
 
         tlt.on_ack(TltMark::ImportantEcho, 20, 10);
         // Loss: a full MSS of the lost segment.
-        let c = tlt.take_clocking(true, 1440).unwrap();
+        let second = tlt.take_clocking(true, 1440).unwrap();
         assert_eq!(
-            c,
+            second,
             ClockingSend {
                 bytes: 1440,
                 from_lost: true
             }
         );
 
-        assert_eq!(tlt.stats().clocking_pkts, 2);
-        assert_eq!(tlt.stats().clocking_bytes, 1441);
+        // Two clocking packets, 1441 payload bytes between them.
+        assert_eq!(u64::from(first.bytes) + u64::from(second.bytes), 1441);
     }
 
     #[test]

@@ -177,15 +177,12 @@ impl From<TopologyError> for ConfigError {
 pub struct TltSettings {
     /// Clocking-packet sizing policy (window transports).
     pub clocking: ClockingPolicy,
-    /// Periodic marking interval for rate transports (vanilla DCQCN).
-    pub every_n: Option<u32>,
 }
 
 impl Default for TltSettings {
     fn default() -> Self {
         TltSettings {
             clocking: ClockingPolicy::Adaptive,
-            every_n: Some(96),
         }
     }
 }
@@ -227,8 +224,6 @@ pub struct SimConfig {
     pub tlp: bool,
     /// Collect per-segment delivery times (Figure 16; memory-heavy).
     pub collect_delivery: bool,
-    /// Base RTT override; computed from the topology when `None`.
-    pub base_rtt: Option<SimTime>,
     /// Simulation horizon — flows unfinished by then are recorded as
     /// incomplete.
     pub max_time: SimTime,
@@ -279,7 +274,6 @@ impl SimConfig {
             rto: RtoMode::linux_default(),
             tlp: false,
             collect_delivery: false,
-            base_rtt: None,
             max_time: SimTime::from_secs(5),
             queue_sample_every: None,
             wire_loss_rate: 0.0,
@@ -318,7 +312,6 @@ impl SimConfig {
             rto: RtoMode::linux_default(),
             tlp: false,
             collect_delivery: false,
-            base_rtt: None,
             max_time: SimTime::from_secs(5),
             queue_sample_every: None,
             wire_loss_rate: 0.0,

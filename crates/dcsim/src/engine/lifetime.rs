@@ -167,15 +167,15 @@ fn build_transport(
                 r.rto_high = SimTime::from_us(1930);
                 r.rto_low = Some((SimTime::from_us(300), 3));
             }
-            if let Some(t) = cfg.tlt {
-                let every_n = if cfg.transport == TransportKind::DcqcnGbn {
-                    t.every_n
+            if cfg.tlt.is_some() {
+                r.tlt = TltMode::Rate(if cfg.transport == TransportKind::DcqcnGbn {
+                    // The paper's N = 96.
+                    RateTltConfig::default()
                 } else {
                     // Selective recovery detects losses via SACK; periodic
                     // marking is unnecessary (§5.2 note 2).
-                    None
-                };
-                r.tlt = TltMode::Rate(RateTltConfig { every_n });
+                    RateTltConfig { every_n: None }
+                });
             }
             let selective = !matches!(recovery, RoceRecovery::GoBackN);
             let rx = Box::new(RoceReceiver::new(flow, bytes, selective, tlt_on));

@@ -101,9 +101,7 @@ impl Engine {
             netsim::topology::TopologySpec::SingleSwitch { .. } => 2,
         };
         let link = topo.link_from(hosts[0], PortId(0)).1.spec;
-        let base_rtt = cfg
-            .base_rtt
-            .unwrap_or(SimTime::from_ns(2 * max_hops * link.delay.as_ns()));
+        let base_rtt = SimTime::from_ns(2 * max_hops * link.delay.as_ns());
         let bdp = link.bdp_bytes(base_rtt).max(u64::from(cfg.mss) * 4);
 
         // Pre-size the queue's node arena to the expected peak depth so it

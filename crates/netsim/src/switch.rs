@@ -382,17 +382,6 @@ impl Switch {
         &self.stats
     }
 
-    /// The dynamic admission threshold currently in force:
-    /// `α · (B − occupancy)`.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a float-to-int cast saturates, and α·(B − occupancy) is bounded by α·B"
-    )]
-    pub fn dynamic_threshold(&self) -> u64 {
-        let free = self.cfg.total_buffer.saturating_sub(self.total_bytes);
-        (self.cfg.alpha * free as f64) as u64
-    }
-
     /// Offers `pkt` (a handle into `slab`), which arrived on `ingress`, to
     /// egress queue `egress`.
     ///

@@ -17,4 +17,4 @@ mod report;
 
 pub use flows::{fanin_latency, summarize_flows, FctSummary, FlowRecord};
 pub use percentile::Samples;
-pub use report::{write_csv, Metric};
+pub use report::Metric;

@@ -1,7 +1,5 @@
-//! Cross-seed aggregation and CSV output.
-
-use std::io::Write as _;
-use std::path::Path;
+//! Cross-seed aggregation. The CSV a binary prints is written by
+//! `bench`'s `Table::finish`.
 
 /// One quantity measured across several seeds, reported as mean ± std the
 /// way the paper does ("average and standard deviation of five runs").
@@ -73,36 +71,6 @@ impl std::fmt::Display for Metric {
     }
 }
 
-/// Writes `rows` as a CSV file with `headers`, creating parent directories.
-///
-/// # Examples
-///
-/// ```no_run
-/// netstats::write_csv(
-///     "out/fig5.csv",
-///     &["scheme", "fg_p999_ms"],
-///     &[vec!["DCTCP".into(), "13.0".into()]],
-/// ).unwrap();
-/// ```
-pub fn write_csv(
-    path: impl AsRef<Path>,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{}", headers.join(","))?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,24 +86,5 @@ mod tests {
         assert_eq!(m.runs(), 3);
         assert_eq!(m.mean(), 4.0);
         assert!((m.std() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a scratch file; its path is never output"
-        )]
-        let dir = std::env::temp_dir().join("tlt-stats-test");
-        let path = dir.join("x.csv");
-        write_csv(
-            &path,
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        )
-        .unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n3,4\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -203,11 +203,6 @@ impl RecvBuffer {
             .map(|(s, e)| SackBlock { start: s, end: e })
             .collect()
     }
-
-    /// Total flow size in bytes.
-    pub fn flow_bytes(&self) -> u64 {
-        self.flow_bytes
-    }
 }
 
 /// Sender-side SACK scoreboard: the sender's view of which bytes above

@@ -260,9 +260,10 @@ mod tests {
 
     type Pair = (Box<dyn FlowSender>, Box<dyn FlowReceiver>);
 
-    /// The six transports, with TLT on (and TLP for the window family) so
-    /// that every timer slot and every echo path has state behind it.
-    fn six_transports(flow: FlowId, bytes: u64) -> [(&'static str, Pair); 6] {
+    /// The six transports, with TLT on or off (and TLP for the window
+    /// family); with it on, every timer slot and every echo path has state
+    /// behind it.
+    fn six_transports(flow: FlowId, bytes: u64, tlt: bool) -> [(&'static str, Pair); 6] {
         use crate::cc::{Dctcp, Hpcc, NewReno};
         use crate::roce::{RoceCfg, RoceReceiver, RoceRecovery, RoceSender};
         use crate::tcp::{TcpReceiver, WindowCfg, WindowSender};
@@ -270,15 +271,19 @@ mod tests {
             let mut c = WindowCfg::new(flow, bytes);
             c.tlp = true;
             c.ecn_capable = ecn_capable;
-            c.tlt = TltMode::Window(Default::default());
+            if tlt {
+                c.tlt = TltMode::Window(Default::default());
+            }
             c
         };
-        let tcp_rx = || Box::new(TcpReceiver::new(flow, bytes, true, 8));
+        let tcp_rx = || Box::new(TcpReceiver::new(flow, bytes, tlt, 8));
         let rate = |recovery| -> Pair {
             let mut c = RoceCfg::new(flow, bytes, recovery);
-            c.tlt = TltMode::Rate(tlt_core::RateTltConfig { every_n: Some(8) });
+            if tlt {
+                c.tlt = TltMode::Rate(tlt_core::RateTltConfig { every_n: Some(8) });
+            }
             let selective = !matches!(recovery, RoceRecovery::GoBackN);
-            let rx = Box::new(RoceReceiver::new(flow, bytes, selective, true));
+            let rx = Box::new(RoceReceiver::new(flow, bytes, selective, tlt));
             (Box::new(RoceSender::new(c)), rx)
         };
         let (c, d) = (window(false), window(true));
@@ -360,7 +365,7 @@ mod tests {
             TimerKind::DcqcnAlpha,
             TimerKind::DcqcnIncrease,
         ];
-        for (name, (mut tx, mut rx)) in six_transports(flow, BYTES) {
+        for (name, (mut tx, mut rx)) in six_transports(flow, BYTES, true) {
             let mut h = Harness::new(SimTime::from_us(4), DropPlan::data_once(0));
             let res = h.run(tx.as_mut(), rx.as_mut(), SimTime::from_secs(1));
             assert!(res.sender_done && res.receiver_complete, "{name} finished");
@@ -385,6 +390,68 @@ mod tests {
                 before,
                 "{name} into_stats"
             );
+        }
+    }
+
+    /// Every sent data packet is counted and traced once, by both sender
+    /// families. Each transport, with TLT on and off, runs through the loss
+    /// of a first packet, of an important packet (the last of the window
+    /// family's initial window, 12,960; the eighth of the rate family's at
+    /// N = 8, 7,000), and of ACKs (36,000, and the last one twice, so
+    /// that a tail loss probe cannot stand in for the RTO), with a tracer
+    /// attached: the marking counters partition the data packets, and each
+    /// of `TltMark`, `FastRetx` and `Timeout` is traced exactly as often as
+    /// its counter moves.
+    #[test]
+    fn sender_stats_agree_with_the_trace() {
+        use crate::testutil::{DropPlan, Harness};
+        use telemetry::{TraceEvent, Tracer};
+        const BYTES: u64 = 60_000;
+        let flow = FlowId(3);
+        let plans = || {
+            let mut ack = DropPlan::none();
+            for seq in [36_000, BYTES, BYTES] {
+                ack.drop_ack_once(seq);
+            }
+            let mut important = DropPlan::data_once(12_960);
+            important.drop_data_once(7_000);
+            [
+                ("first", DropPlan::data_once(0)),
+                ("important", important),
+                ("ack", ack),
+            ]
+        };
+        for tlt in [true, false] {
+            for (loss, plan) in plans() {
+                for (name, (mut tx, mut rx)) in six_transports(flow, BYTES, tlt) {
+                    let (tracer, sink) = Tracer::new(Vec::<(SimTime, TraceEvent)>::new());
+                    tx.set_tracer(tracer);
+                    let mut h = Harness::new(SimTime::from_us(4), plan.clone());
+                    let res = h.run(tx.as_mut(), rx.as_mut(), SimTime::from_secs(1));
+                    let at = format!("{name}, TLT {tlt}, {loss} lost");
+                    assert!(res.sender_done && res.receiver_complete, "{at}: finished");
+                    let s = tx.stats();
+                    // Marks, important marks, fast retransmits, timeouts.
+                    let mut traced = [0u64; 4];
+                    for (_, ev) in sink.borrow().iter() {
+                        match *ev {
+                            TraceEvent::TltMark { important, .. } => {
+                                traced[0] += 1;
+                                traced[1] += u64::from(important);
+                            }
+                            TraceEvent::FastRetx { .. } => traced[2] += 1,
+                            TraceEvent::Timeout { .. } => traced[3] += 1,
+                            _ => {}
+                        }
+                    }
+                    let marks = if tlt { s.data_pkts_sent } else { 0 };
+                    let counted = [marks, s.important_pkts, s.fast_retx, s.timeouts];
+                    assert_eq!(traced, counted, "{at}");
+                    let marked = s.important_pkts + s.unimportant_pkts;
+                    assert_eq!(marked, s.data_pkts_sent, "{at}");
+                    assert!(s.clocking_pkts <= s.important_pkts, "{at}");
+                }
+            }
         }
     }
 }

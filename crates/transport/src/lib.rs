@@ -27,6 +27,7 @@ pub mod cc;
 pub mod iface;
 pub mod roce;
 pub mod rto;
+mod send;
 pub mod tcp;
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use tlt_core::RateTltSender;
 
 use crate::buffer::{RecvBuffer, Scoreboard};
 use crate::iface::{Ctx, FlowReceiver, FlowSender, SenderStats, TimerKind, TltMode};
+use crate::send::SendPath;
 
 /// DCQCN rate-machine parameters (defaults follow the DCQCN paper and
 /// common NIC settings).
@@ -243,8 +244,7 @@ pub struct RoceSender {
     backoff: u32,
     tlt: Option<RateTltSender>,
     timers_parked: bool,
-    stats: SenderStats,
-    tracer: telemetry::Tracer,
+    path: SendPath,
 }
 
 impl RoceSender {
@@ -273,8 +273,7 @@ impl RoceSender {
             backoff: 0,
             tlt,
             timers_parked: true,
-            stats: SenderStats::default(),
-            tracer: telemetry::Tracer::off(),
+            path: SendPath::new(cfg.flow, cfg.flow_bytes, cfg.ecn_capable),
             cfg,
         }
     }
@@ -297,6 +296,19 @@ impl RoceSender {
         (self.flight() / u64::from(self.cfg.mss)) as u32
     }
 
+    /// Selective mode: the end of the current retransmission round, below
+    /// which unsacked data is re-sent.
+    fn round_end(&self) -> u64 {
+        let highest_sacked = self.scoreboard.highest_sacked().unwrap_or(0);
+        highest_sacked.max(self.retx_limit).min(self.snd_nxt)
+    }
+
+    /// Selective mode: the first unsacked range of the round not yet re-sent.
+    fn next_hole(&self) -> Option<(u64, u64)> {
+        let from = self.snd_una.max(self.high_rxt);
+        self.scoreboard.first_unsacked_below(from, self.round_end())
+    }
+
     /// The next segment to transmit: a retransmission candidate first, then
     /// data at `snd_nxt`, honoring the IRN window cap. The final flag says
     /// whether the segment comes from the scoreboard (selective hole —
@@ -304,14 +316,7 @@ impl RoceSender {
     fn next_segment(&self) -> Option<(u64, u32, bool, bool)> {
         let mss = u64::from(self.cfg.mss);
         if self.selective() {
-            let from = self.snd_una.max(self.high_rxt);
-            let limit = self
-                .scoreboard
-                .highest_sacked()
-                .unwrap_or(0)
-                .max(self.retx_limit)
-                .min(self.snd_nxt);
-            if let Some((hs, he)) = self.scoreboard.first_unsacked_below(from, limit) {
+            if let Some((hs, he)) = self.next_hole() {
                 return Some((hs, mss.min(he - hs) as u32, true, false));
             }
         }
@@ -331,42 +336,19 @@ impl RoceSender {
         None
     }
 
+    /// Sends a segment marked by the TLT layer; its wire bytes feed the
+    /// rate machine's byte counter.
     fn emit(&mut self, seq: u64, len: u32, is_retx: bool, ctx: &mut Ctx) {
-        let mut pkt = Packet::data(self.cfg.flow, seq, len);
-        pkt.is_retx = is_retx;
-        pkt.ecn_capable = self.cfg.ecn_capable;
-        pkt.ts = ctx.now;
-        pkt.is_tail = seq + u64::from(len) >= self.cfg.flow_bytes;
-        if let Some(tlt) = &mut self.tlt {
-            pkt.mark = tlt.mark_data(seq, seq + u64::from(len), self.cfg.flow_bytes, is_retx);
-        }
-        pkt.colorize(self.tlt.is_some());
-        if pkt.mark.is_important() {
-            self.stats.important_pkts += 1;
-        } else {
-            self.stats.unimportant_pkts += 1;
-        }
-        if self.tlt.is_some() {
-            let important = pkt.mark.is_important();
-            self.tracer
-                .emit(ctx.now, || telemetry::TraceEvent::TltMark {
-                    flow: self.cfg.flow.0,
-                    seq,
-                    important,
-                });
-        }
-        self.stats.data_pkts_sent += 1;
-        self.stats.bytes_sent += u64::from(len);
+        let seq_end = seq + u64::from(len);
+        let mark = self
+            .tlt
+            .as_mut()
+            .map(|tlt| tlt.mark_data(seq_end, self.cfg.flow_bytes, is_retx));
+        let wire = self.path.send_data(seq, len, is_retx, mark, ctx);
         if is_retx {
-            self.stats.fast_retx += 1;
-            self.tracer
-                .emit(ctx.now, || telemetry::TraceEvent::FastRetx {
-                    flow: self.cfg.flow.0,
-                    seq,
-                });
+            self.path.fast_retx(seq, ctx.now);
         }
-        self.dcqcn.on_bytes_sent(u64::from(pkt.wire_size()));
-        ctx.send(pkt);
+        self.dcqcn.on_bytes_sent(u64::from(wire));
     }
 
     /// Transmits as permitted by the pacer, then schedules the next tick.
@@ -452,10 +434,9 @@ impl FlowSender for RoceSender {
         }
         match pkt.kind {
             PacketKind::Ack => {
-                if pkt.ts_echo != SimTime::ZERO && self.stats.rtt_samples.len() < 64 {
-                    self.stats
-                        .rtt_samples
-                        .push(ctx.now.saturating_sub(pkt.ts_echo));
+                let rtt_samples = &mut self.path.stats.rtt_samples;
+                if pkt.ts_echo != SimTime::ZERO && rtt_samples.len() < 64 {
+                    rtt_samples.push(ctx.now.saturating_sub(pkt.ts_echo));
                 }
                 for b in &pkt.sack {
                     self.scoreboard.add_block(*b);
@@ -484,22 +465,14 @@ impl FlowSender for RoceSender {
                     // lost in flight. Re-open the round — with TLT its
                     // first and last packets go out green, so each round
                     // closes at least two holes (the Figure 4 argument).
-                    let limit = self
-                        .scoreboard
-                        .highest_sacked()
-                        .unwrap_or(0)
-                        .max(self.retx_limit)
-                        .min(self.snd_nxt);
                     if progressed
                         && self.scoreboard.has_holes(self.snd_una)
-                        && self
-                            .scoreboard
-                            .first_unsacked_below(self.snd_una.max(self.high_rxt), limit)
-                            .is_none()
+                        && self.next_hole().is_none()
                     {
                         self.high_rxt = self.snd_una;
+                        let end = self.round_end();
                         if let Some(tlt) = &mut self.tlt {
-                            tlt.start_retx_round(limit);
+                            tlt.start_retx_round(end);
                         }
                     }
                 }
@@ -529,14 +502,8 @@ impl FlowSender for RoceSender {
         match kind {
             TimerKind::Pace => self.pump(ctx),
             TimerKind::Rto => {
-                self.stats.timeouts += 1;
-                self.stats.last_rto_seq = self.snd_una;
-                self.stats.rto_retx += 1;
-                self.tracer
-                    .emit(ctx.now, || telemetry::TraceEvent::Timeout {
-                        flow: self.cfg.flow.0,
-                        seq: self.snd_una,
-                    });
+                self.path.timeout(self.snd_una, ctx.now);
+                self.path.stats.rto_retx += 1;
                 self.backoff = (self.backoff + 1).min(10);
                 if self.selective() {
                     // Re-send everything unsacked.
@@ -556,9 +523,7 @@ impl FlowSender for RoceSender {
                 self.dcqcn.on_alpha_timer();
                 self.timers_parked = true; // force re-evaluation
                 self.arm_dcqcn_timers(ctx);
-                if self.timers_parked {
-                    // Keep only this timer slot clear; nothing to do.
-                } else {
+                if !self.timers_parked {
                     ctx.set_timer(TimerKind::DcqcnAlpha, ctx.now + self.cfg.dcqcn.alpha_timer);
                 }
             }
@@ -580,20 +545,23 @@ impl FlowSender for RoceSender {
     }
 
     fn stats(&self) -> &SenderStats {
-        &self.stats
+        &self.path.stats
     }
 
     fn into_stats(self: Box<Self>) -> SenderStats {
-        self.stats
+        self.path.stats
     }
 
     fn set_tracer(&mut self, tracer: telemetry::Tracer) {
-        self.tracer = tracer;
+        self.path.tracer = tracer;
     }
 }
 
 /// Interval between CNPs for a congested flow (Mellanox default: 50 μs).
 const CNP_INTERVAL: SimTime = SimTime::from_us(50);
+
+/// SACK blocks a selective receiver reports per ACK.
+const MAX_SACK_BLOCKS: usize = 8;
 
 /// A RoCE receiver in go-back-N or selective (IRN/SACK) mode.
 pub struct RoceReceiver {
@@ -607,7 +575,6 @@ pub struct RoceReceiver {
     last_cnp: SimTime,
     sent_any_cnp: bool,
     tlt_enabled: bool,
-    max_sack_blocks: usize,
 }
 
 impl RoceReceiver {
@@ -623,7 +590,6 @@ impl RoceReceiver {
             last_cnp: SimTime::ZERO,
             sent_any_cnp: false,
             tlt_enabled,
-            max_sack_blocks: 8,
         }
     }
 
@@ -639,6 +605,15 @@ impl RoceReceiver {
             ctx.send(cnp);
         }
     }
+
+    /// Stamps `reply` (an ACK or a NACK), echoes `ts_echo`, colors it and
+    /// sends it.
+    fn reply(&self, mut reply: Packet, ts_echo: SimTime, ctx: &mut Ctx) {
+        reply.ts = ctx.now;
+        reply.ts_echo = ts_echo;
+        reply.colorize(self.tlt_enabled);
+        ctx.send(reply);
+    }
 }
 
 impl FlowReceiver for RoceReceiver {
@@ -647,39 +622,23 @@ impl FlowReceiver for RoceReceiver {
         if self.selective {
             self.buf.insert(pkt.seq, pkt.seq_end());
             let mut ack = Packet::ack(self.flow, self.buf.cumulative());
-            ack.sack = self.buf.sack_blocks(self.max_sack_blocks);
-            ack.ts = ctx.now;
-            ack.ts_echo = pkt.ts;
-            ack.colorize(self.tlt_enabled);
-            ctx.send(ack);
+            ack.sack = self.buf.sack_blocks(MAX_SACK_BLOCKS);
+            self.reply(ack, pkt.ts, ctx);
+        } else if pkt.seq > self.expected {
+            // Go-back-N, out of order: discard, NACK once per gap episode.
+            if !self.nack_sent {
+                self.nack_sent = true;
+                self.reply(Packet::nack(self.flow, self.expected), SimTime::ZERO, ctx);
+            }
         } else {
-            // Go-back-N: only in-order data is accepted.
-            if pkt.seq <= self.expected && pkt.seq_end() > self.expected {
+            // Go-back-N accepts only in-order data; a stale duplicate is
+            // re-ACKed.
+            if pkt.seq_end() > self.expected {
                 self.buf.insert(self.expected, pkt.seq_end());
                 self.expected = pkt.seq_end();
                 self.nack_sent = false;
-                let mut ack = Packet::ack(self.flow, self.expected);
-                ack.ts = ctx.now;
-                ack.ts_echo = pkt.ts;
-                ack.colorize(self.tlt_enabled);
-                ctx.send(ack);
-            } else if pkt.seq > self.expected {
-                // Out of order: discard, NACK once per gap episode.
-                if !self.nack_sent {
-                    self.nack_sent = true;
-                    let mut nack = Packet::nack(self.flow, self.expected);
-                    nack.ts = ctx.now;
-                    nack.colorize(self.tlt_enabled);
-                    ctx.send(nack);
-                }
-            } else {
-                // Stale duplicate: re-ACK.
-                let mut ack = Packet::ack(self.flow, self.expected);
-                ack.ts = ctx.now;
-                ack.ts_echo = pkt.ts;
-                ack.colorize(self.tlt_enabled);
-                ctx.send(ack);
             }
+            self.reply(Packet::ack(self.flow, self.expected), pkt.ts, ctx);
         }
     }
 

@@ -27,9 +27,16 @@ use crate::buffer::{RecvBuffer, Scoreboard};
 use crate::cc::{AckCtx, CongestionControl};
 use crate::iface::{Ctx, FlowReceiver, FlowSender, SenderStats, TimerKind, TltMode};
 use crate::rto::{RtoEstimator, RtoMode};
+use crate::send::SendPath;
 
 /// Maximum RTT reservoir entries kept per flow.
 const RTT_RESERVOIR: usize = 64;
+
+/// Timer granularity used in the RTO formula.
+const RTO_GRANULARITY: SimTime = SimTime::from_us(10);
+
+/// Minimum probe timeout for TLP (the paper uses 10 μs).
+const MIN_PTO: SimTime = SimTime::from_us(10);
 
 /// Configuration for a [`WindowSender`].
 #[derive(Clone, Debug)]
@@ -44,18 +51,12 @@ pub struct WindowCfg {
     pub init_cwnd_pkts: u32,
     /// RTO derivation mode.
     pub rto: RtoMode,
-    /// Timer granularity used in the RTO formula.
-    pub rto_granularity: SimTime,
     /// Enable Tail Loss Probe.
     pub tlp: bool,
-    /// Minimum probe timeout for TLP (the paper uses 10 μs).
-    pub min_pto: SimTime,
     /// Mark data packets ECN-capable (DCTCP).
     pub ecn_capable: bool,
     /// TLT mode (only `Off` or `Window` are valid here).
     pub tlt: TltMode,
-    /// Maximum SACK blocks the peer reports (mirror of receiver config).
-    pub max_sack_blocks: usize,
     /// Record per-segment delivery times (Figure 16); costs memory.
     pub collect_delivery: bool,
 }
@@ -70,12 +71,9 @@ impl WindowCfg {
             mss: 1440,
             init_cwnd_pkts: 10,
             rto: RtoMode::linux_default(),
-            rto_granularity: SimTime::from_us(10),
             tlp: false,
-            min_pto: SimTime::from_us(10),
             ecn_capable: false,
             tlt: TltMode::Off,
-            max_sack_blocks: 8,
             collect_delivery: false,
         }
     }
@@ -114,7 +112,7 @@ pub struct WindowSender<C: CongestionControl> {
     backoff: u32,
     tlp_fired: bool,
     tlt: Option<WindowTltSender>,
-    stats: SenderStats,
+    path: SendPath,
     /// First-transmission time per MSS-aligned segment (delivery tracking).
     seg_first_tx: Vec<SimTime>,
     rtt_sample_count: u64,
@@ -131,7 +129,6 @@ pub struct WindowSender<C: CongestionControl> {
     /// transmitted before this order and still unacked is lost (§5.1,
     /// "guaranteed fast loss detection" — FIFO paths).
     echo_barrier: Option<u64>,
-    tracer: telemetry::Tracer,
 }
 
 impl<C: CongestionControl> WindowSender<C> {
@@ -155,7 +152,7 @@ impl<C: CongestionControl> WindowSender<C> {
             0
         };
         WindowSender {
-            rto_est: RtoEstimator::new(cfg.rto, cfg.rto_granularity),
+            rto_est: RtoEstimator::new(cfg.rto, RTO_GRANULARITY),
             cc,
             snd_una: 0,
             snd_nxt: 0,
@@ -165,14 +162,13 @@ impl<C: CongestionControl> WindowSender<C> {
             backoff: 0,
             tlp_fired: false,
             tlt,
-            stats: SenderStats::default(),
+            path: SendPath::new(cfg.flow, cfg.flow_bytes, cfg.ecn_capable),
             seg_first_tx: vec![SimTime::MAX; segs],
             rtt_sample_count: 0,
             tx_counter: 0,
             tx_order: VecDeque::new(),
             last_important_order: 0,
             echo_barrier: None,
-            tracer: telemetry::Tracer::off(),
             cfg,
         }
     }
@@ -180,16 +176,6 @@ impl<C: CongestionControl> WindowSender<C> {
     /// Immutable access to the congestion controller (for tests/metrics).
     pub fn cc(&self) -> &C {
         &self.cc
-    }
-
-    /// Sender's current cumulative-ACK point.
-    pub fn snd_una(&self) -> u64 {
-        self.snd_una
-    }
-
-    /// Sender's next new sequence number.
-    pub fn snd_nxt(&self) -> u64 {
-        self.snd_nxt
     }
 
     fn flight(&self) -> u64 {
@@ -201,44 +187,19 @@ impl<C: CongestionControl> WindowSender<C> {
         self.recovery_until.is_some()
     }
 
-    fn tlt_enabled(&self) -> bool {
-        self.tlt.is_some()
-    }
-
+    /// Sends a segment other than a clocking packet: marked by the TLT
+    /// layer, recorded as a first transmission for delivery times, and
+    /// noted for the loss barrier.
     fn emit_data(&mut self, seq: u64, len: u32, is_retx: bool, more_hint: bool, ctx: &mut Ctx) {
-        let mut pkt = Packet::data(self.cfg.flow, seq, len);
-        pkt.is_retx = is_retx;
-        pkt.ecn_capable = self.cfg.ecn_capable;
-        pkt.ts = ctx.now;
-        pkt.is_tail = seq + u64::from(len) >= self.cfg.flow_bytes;
-        if let Some(tlt) = &mut self.tlt {
-            pkt.mark = tlt.mark_data(more_hint);
-        }
-        pkt.colorize(self.tlt_enabled());
+        let mark = self.tlt.as_mut().map(|tlt| tlt.mark_data(more_hint));
         if self.cfg.collect_delivery {
             let idx = (seq / u64::from(self.cfg.mss)) as usize;
             if idx < self.seg_first_tx.len() && self.seg_first_tx[idx] == SimTime::MAX {
                 self.seg_first_tx[idx] = ctx.now;
             }
         }
-        self.note_transmission(seq, len, pkt.mark.is_important());
-        self.stats.data_pkts_sent += 1;
-        self.stats.bytes_sent += u64::from(len);
-        if pkt.mark.is_important() {
-            self.stats.important_pkts += 1;
-        } else {
-            self.stats.unimportant_pkts += 1;
-        }
-        if self.tlt_enabled() {
-            let important = pkt.mark.is_important();
-            self.tracer
-                .emit(ctx.now, || telemetry::TraceEvent::TltMark {
-                    flow: self.cfg.flow.0,
-                    seq,
-                    important,
-                });
-        }
-        ctx.send(pkt);
+        self.note_transmission(seq, len, mark.is_some_and(TltMark::is_important));
+        self.path.send_data(seq, len, is_retx, mark, ctx);
     }
 
     /// End of the MSS-grid segment containing `seq`, clipped to the flow.
@@ -342,26 +303,22 @@ impl<C: CongestionControl> WindowSender<C> {
         };
         let len = u64::from(self.cfg.mss).min(he - hs) as u32;
         self.high_rxt = hs + u64::from(len);
-        self.stats.fast_retx += 1;
-        self.tracer
-            .emit(ctx.now, || telemetry::TraceEvent::FastRetx {
-                flow: self.cfg.flow.0,
-                seq: hs,
-            });
+        self.path.fast_retx(hs, ctx.now);
         self.emit_data(hs, len, true, false, ctx);
         true
     }
 
     fn record_rtt(&mut self, rtt: SimTime) {
+        let stats = &mut self.path.stats;
         self.rto_est.on_sample(rtt);
-        self.stats.rto_max = self.stats.rto_max.max(self.rto_est.rto());
+        stats.rto_max = stats.rto_max.max(self.rto_est.rto());
         // Reservoir: keep the first RTT_RESERVOIR, then thin out.
         self.rtt_sample_count += 1;
-        if self.stats.rtt_samples.len() < RTT_RESERVOIR {
-            self.stats.rtt_samples.push(rtt);
+        if stats.rtt_samples.len() < RTT_RESERVOIR {
+            stats.rtt_samples.push(rtt);
         } else if self.rtt_sample_count.is_multiple_of(16) {
             let idx = (self.rtt_sample_count / 16) as usize % RTT_RESERVOIR;
-            self.stats.rtt_samples[idx] = rtt;
+            stats.rtt_samples[idx] = rtt;
         }
     }
 
@@ -375,7 +332,7 @@ impl<C: CongestionControl> WindowSender<C> {
         ctx.set_timer(TimerKind::Rto, ctx.now + rto);
         if self.cfg.tlp && !self.tlp_fired && !self.in_recovery() && self.snd_una < self.snd_nxt {
             let srtt = self.rto_est.srtt().unwrap_or(rto);
-            let pto = SimTime::from_ns(2 * srtt.as_ns()).max(self.cfg.min_pto);
+            let pto = SimTime::from_ns(2 * srtt.as_ns()).max(MIN_PTO);
             ctx.set_timer(TimerKind::Tlp, ctx.now + pto);
         } else {
             ctx.cancel_timer(TimerKind::Tlp);
@@ -406,32 +363,12 @@ impl<C: CongestionControl> WindowSender<C> {
         };
         if clock.from_lost {
             self.high_rxt = self.high_rxt.max(seq + u64::from(len));
-            self.stats.fast_retx += 1;
-            self.tracer
-                .emit(ctx.now, || telemetry::TraceEvent::FastRetx {
-                    flow: self.cfg.flow.0,
-                    seq,
-                });
+            self.path.fast_retx(seq, ctx.now);
         }
-        let mut pkt = Packet::data(self.cfg.flow, seq, len);
-        pkt.is_retx = true;
-        pkt.ecn_capable = self.cfg.ecn_capable;
-        pkt.ts = ctx.now;
-        pkt.is_tail = seq + u64::from(len) >= self.cfg.flow_bytes;
-        pkt.mark = TltMark::ImportantClockData;
-        pkt.colorize(true);
-        self.tracer
-            .emit(ctx.now, || telemetry::TraceEvent::TltMark {
-                flow: self.cfg.flow.0,
-                seq,
-                important: true,
-            });
+        // Not a first transmission: delivery times ignore it.
         self.note_transmission(seq, len, true);
-        self.stats.data_pkts_sent += 1;
-        self.stats.clocking_pkts += 1;
-        self.stats.clocking_bytes += u64::from(len);
-        self.stats.important_pkts += 1;
-        ctx.send(pkt);
+        self.path
+            .send_data(seq, len, true, Some(TltMark::ImportantClockData), ctx);
     }
 
     fn advance_una(&mut self, new_una: u64, now: SimTime) {
@@ -446,7 +383,10 @@ impl<C: CongestionControl> WindowSender<C> {
                 if seg_end <= new_una {
                     let t0 = self.seg_first_tx[idx as usize];
                     if t0 != SimTime::MAX {
-                        self.stats.delivery_samples.push(now.saturating_sub(t0));
+                        self.path
+                            .stats
+                            .delivery_samples
+                            .push(now.saturating_sub(t0));
                     }
                 }
             }
@@ -557,13 +497,7 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
         }
         match kind {
             TimerKind::Rto => {
-                self.stats.timeouts += 1;
-                self.stats.last_rto_seq = self.snd_una;
-                self.tracer
-                    .emit(ctx.now, || telemetry::TraceEvent::Timeout {
-                        flow: self.cfg.flow.0,
-                        seq: self.snd_una,
-                    });
+                self.path.timeout(self.snd_una, ctx.now);
                 self.backoff = (self.backoff + 1).min(16);
                 self.cc.on_timeout(self.flight());
                 self.recovery_until = None;
@@ -572,7 +506,7 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
                 // Retransmit the first unacked segment.
                 let len = u64::from(self.cfg.mss).min(self.cfg.flow_bytes - self.snd_una) as u32;
                 if len > 0 {
-                    self.stats.rto_retx += 1;
+                    self.path.stats.rto_retx += 1;
                     self.emit_data(self.snd_una, len, true, false, ctx);
                 }
                 self.arm_timers(ctx);
@@ -591,12 +525,7 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
                         // Re-send the last segment.
                         let len = u64::from(self.cfg.mss).min(self.snd_nxt - self.snd_una) as u32;
                         let seq = self.snd_nxt - u64::from(len);
-                        self.stats.fast_retx += 1;
-                        self.tracer
-                            .emit(ctx.now, || telemetry::TraceEvent::FastRetx {
-                                flow: self.cfg.flow.0,
-                                seq,
-                            });
+                        self.path.fast_retx(seq, ctx.now);
                         self.emit_data(seq, len, true, false, ctx);
                     }
                 }
@@ -611,15 +540,15 @@ impl<C: CongestionControl> FlowSender for WindowSender<C> {
     }
 
     fn stats(&self) -> &SenderStats {
-        &self.stats
+        &self.path.stats
     }
 
     fn into_stats(self: Box<Self>) -> SenderStats {
-        self.stats
+        self.path.stats
     }
 
     fn set_tracer(&mut self, tracer: telemetry::Tracer) {
-        self.tracer = tracer;
+        self.path.tracer = tracer;
     }
 }
 

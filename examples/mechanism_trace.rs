@@ -86,13 +86,13 @@ fn figure4() {
     let mut tlt = RateTltSender::new(RateTltConfig { every_n: None });
     let flow = 5_000u64;
     for p in 0..5u64 {
-        let m = tlt.mark_data(p * 1000, (p + 1) * 1000, flow, false);
+        let m = tlt.mark_data((p + 1) * 1000, flow, false);
         println!("  send pkt {}            {}", p + 1, tag(m));
     }
     println!("  (pkts 3 and 4 are lost; pkt 5 — important — triggers NACK 3)");
     tlt.start_retx_round(5_000);
     for p in 2..5u64 {
-        let m = tlt.mark_data(p * 1000, (p + 1) * 1000, flow, true);
+        let m = tlt.mark_data((p + 1) * 1000, flow, true);
         println!("  retransmit pkt {}      {}", p + 1, tag(m));
     }
     println!(
